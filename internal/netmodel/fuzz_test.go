@@ -1,0 +1,596 @@
+package netmodel
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// --- the eager reference -----------------------------------------------------
+
+// eagerNet is the fabric model with none of Network's machinery: every flow
+// owns one real sim event for its completion, and every endpoint change
+// resettles and reschedules every flow on the node right where it happens.
+// No dirty marks, no barrier, no due-set. It is what Network must be
+// indistinguishable from — same callbacks at the same instants in the same
+// order, same settled bytes to the last bit — and it exists only here.
+type eagerNet struct {
+	sim   *sim.Simulation
+	cfg   Config
+	nodes []eagerNode
+	total float64
+}
+
+type eagerNode struct {
+	remote, local []*eagerFlow
+	consumed      float64
+}
+
+type eagerFlow struct {
+	src, dst                    *cluster.Node
+	remaining, rate, lastUpdate float64
+	done                        func(error)
+	completion, stall           sim.Event
+	finished                    bool
+}
+
+func newEager(s *sim.Simulation, c *cluster.Cluster, cfg Config) *eagerNet {
+	e := &eagerNet{sim: s, cfg: cfg, nodes: make([]eagerNode, len(c.Nodes))}
+	for _, node := range c.Nodes {
+		node.Watch(func(nd *cluster.Node, _ bool) {
+			e.settleNode(nd.ID)
+			for _, f := range e.flowsOn(nd.ID) {
+				e.checkStall(f)
+			}
+		})
+	}
+	return e
+}
+
+func (f *eagerFlow) local() bool { return f.src.ID == f.dst.ID }
+
+// flowsOn snapshots the node's flows, remote first: the order Network
+// settles them in.
+func (e *eagerNet) flowsOn(id int) []*eagerFlow {
+	st := &e.nodes[id]
+	return append(slices.Clone(st.remote), st.local...)
+}
+
+func (e *eagerNet) transfer(src, dst *cluster.Node, bytes float64, done func(error)) *eagerFlow {
+	f := &eagerFlow{src: src, dst: dst, remaining: bytes, done: done, lastUpdate: e.sim.Now()}
+	if bytes == 0 {
+		f.finished = true
+		e.sim.After(0, "eager.done0", func() { done(nil) })
+		return f
+	}
+	if f.local() {
+		e.nodes[src.ID].local = append(e.nodes[src.ID].local, f)
+		e.settleNode(src.ID)
+	} else {
+		e.nodes[src.ID].remote = append(e.nodes[src.ID].remote, f)
+		e.nodes[dst.ID].remote = append(e.nodes[dst.ID].remote, f)
+		e.settleNode(src.ID)
+		e.settleNode(dst.ID)
+	}
+	e.checkStall(f)
+	return f
+}
+
+func (e *eagerNet) settleNode(id int) {
+	for _, f := range e.flowsOn(id) {
+		e.refresh(f)
+	}
+}
+
+func (e *eagerNet) rate(f *eagerFlow) float64 {
+	if !f.src.Available() || !f.dst.Available() {
+		return 0
+	}
+	if f.local() {
+		return e.cfg.DiskBandwidth / float64(len(e.nodes[f.src.ID].local))
+	}
+	return min(e.cfg.NodeBandwidth/float64(len(e.nodes[f.src.ID].remote)),
+		e.cfg.NodeBandwidth/float64(len(e.nodes[f.dst.ID].remote)))
+}
+
+func (e *eagerNet) settle(f *eagerFlow) {
+	now := e.sim.Now()
+	if f.rate > 0 {
+		delta := min(f.rate*(now-f.lastUpdate), f.remaining)
+		f.remaining -= delta
+		e.total += delta
+		e.nodes[f.src.ID].consumed += delta
+		if !f.local() {
+			e.nodes[f.dst.ID].consumed += delta
+		}
+	}
+	f.lastUpdate = now
+}
+
+func (e *eagerNet) refresh(f *eagerFlow) {
+	if f.finished {
+		return
+	}
+	e.settle(f)
+	f.rate = e.rate(f)
+	e.sim.Cancel(f.completion)
+	f.completion = sim.Event{}
+	if f.remaining <= 1e-6 {
+		e.finish(f, nil)
+		return
+	}
+	if f.rate > 0 {
+		f.completion = e.sim.After(f.remaining/f.rate, "eager.complete", func() { e.finish(f, nil) })
+	}
+}
+
+func (e *eagerNet) checkStall(f *eagerFlow) {
+	if f.finished {
+		return
+	}
+	down := !f.src.Available() || !f.dst.Available()
+	if down && !f.stall.Pending() {
+		f.stall = e.sim.After(e.cfg.StallTimeout, "eager.stall", func() {
+			f.stall = sim.Event{}
+			e.finish(f, ErrStalled)
+		})
+	} else if !down && f.stall.Pending() {
+		e.sim.Cancel(f.stall)
+		f.stall = sim.Event{}
+	}
+}
+
+func (e *eagerNet) finish(f *eagerFlow, err error) {
+	if f.finished {
+		return
+	}
+	e.settle(f)
+	f.finished = true
+	e.sim.Cancel(f.completion)
+	e.sim.Cancel(f.stall)
+	drop := func(s *[]*eagerFlow) { *s = slices.DeleteFunc(*s, func(x *eagerFlow) bool { return x == f }) }
+	if f.local() {
+		drop(&e.nodes[f.src.ID].local)
+		e.settleNode(f.src.ID)
+	} else {
+		drop(&e.nodes[f.src.ID].remote)
+		drop(&e.nodes[f.dst.ID].remote)
+		e.settleNode(f.src.ID)
+		e.settleNode(f.dst.ID)
+	}
+	f.done(err)
+}
+
+// --- programs ----------------------------------------------------------------
+
+// The fuzzer's bytes decode into a program: a node count, then operations.
+// Every operation runs inside a sim callback, the way model code calls the
+// network. A program can be run two ways: one operation a callback, or all
+// operations between two clock advances in one callback (run's together).
+const (
+	opTransfer = iota // src, dst, size index, follow-up bits
+	opCancel          // flow index
+	opFlip            // node: availability toggles at this instant
+	opAdvance         // dt index
+	opRead            // node
+	opKinds
+)
+
+// Follow-up bits of a transfer: what its done callback does.
+const (
+	thenRead     = 1 << 0 // read Consumed(src) and TotalBytes
+	thenTransfer = 1 << 1 // start dst -> (dst+1+bits>>2) with the same size
+)
+
+var (
+	// fuzzSizes are flow sizes in bytes against 100 B/s NICs and 50 B/s
+	// disks: zero, and values that put many completions on the same
+	// instant. A non-zero size under the 1e-6 completion epsilon is left
+	// out on purpose: the eager model finishes such a flow inside Transfer,
+	// batched settling (before the due-set as well as with it) at the
+	// barrier, and no caller moves a millionth of a byte.
+	fuzzSizes = [16]float64{0, 12.5, 25, 50, 50, 100, 100, 150, 200, 250, 300, 1000, 1234.5, 33.3, 7.25, 1e4}
+	// fuzzSteps are clock advances in seconds. None is short enough to stop
+	// the clock within 1e-6 bytes of a flow's end without stopping on it: a
+	// change on such a flow's node finishes it early, which the eager model
+	// does inside the call and batched settling (before the due-set and with
+	// it) at the barrier — the same known difference as the sub-epsilon size.
+	fuzzSteps = [16]float64{0, 0, 0.125, 0.01, 0.25, 0.5, 0.5, 1, 1, 1.5, 2, 2.5, 5, 10, 30, 100}
+)
+
+type progOp struct {
+	kind, a, b, c, d int
+}
+
+type program struct {
+	nodes int
+	ops   []progOp
+}
+
+// prog starts a program by hand; the methods append operations and bytes()
+// is the fuzz input that decodes back to it.
+func prog(nodes int) *program { return &program{nodes: nodes} }
+
+func (p *program) transfer(src, dst, size, follow int) *program {
+	p.ops = append(p.ops, progOp{opTransfer, src, dst, size, follow})
+	return p
+}
+func (p *program) cancel(flow int) *program {
+	p.ops = append(p.ops, progOp{kind: opCancel, a: flow})
+	return p
+}
+func (p *program) flip(node int) *program {
+	p.ops = append(p.ops, progOp{kind: opFlip, a: node})
+	return p
+}
+func (p *program) advance(step int) *program {
+	p.ops = append(p.ops, progOp{kind: opAdvance, a: step})
+	return p
+}
+func (p *program) read(node int) *program {
+	p.ops = append(p.ops, progOp{kind: opRead, a: node})
+	return p
+}
+
+func (p *program) bytes() []byte {
+	b := []byte{byte(p.nodes - 2)}
+	for _, o := range p.ops {
+		b = append(b, byte(o.kind), byte(o.a))
+		if o.kind == opTransfer {
+			b = append(b, byte(o.b), byte(o.c), byte(o.d))
+		}
+	}
+	return b
+}
+
+func decodeProgram(b []byte) *program {
+	if len(b) == 0 {
+		return prog(2)
+	}
+	p := prog(2 + int(b[0])%7)
+	b = b[1:]
+	for len(b) >= 2 && len(p.ops) < 256 {
+		o := progOp{kind: int(b[0]) % opKinds, a: int(b[1])}
+		b = b[2:]
+		if o.kind == opTransfer {
+			if len(b) < 3 {
+				break
+			}
+			o.b, o.c, o.d = int(b[0]), int(b[1]), int(b[2])
+			b = b[3:]
+		}
+		p.ops = append(p.ops, o)
+	}
+	return p
+}
+
+// traces turns the program's flips into one outage schedule per node. Flips
+// depend only on the program's own clock, so they can be laid down before
+// either model runs — which is how a cluster takes availability.
+func (p *program) traces() []trace.Trace {
+	flips := make([][]float64, p.nodes)
+	t := 0.0
+	for _, o := range p.ops {
+		switch o.kind {
+		case opAdvance:
+			t += fuzzSteps[o.a%len(fuzzSteps)]
+		case opFlip:
+			id := o.a % p.nodes
+			if k := len(flips[id]); k > 0 && flips[id][k-1] == t {
+				flips[id] = flips[id][:k-1] // down and up at one instant: nothing
+			} else {
+				flips[id] = append(flips[id], t)
+			}
+		}
+	}
+	out := make([]trace.Trace, p.nodes)
+	for id, ts := range flips {
+		out[id].Duration = 1e12
+		for i := 0; i < len(ts); i += 2 {
+			iv := trace.Interval{Start: ts[i], End: 1e9}
+			if i+1 < len(ts) {
+				iv.End = ts[i+1]
+			}
+			out[id].Outages = append(out[id].Outages, iv)
+		}
+	}
+	return out
+}
+
+// fabric is the surface a program drives, bound to either model.
+type fabric struct {
+	transfer func(src, dst *cluster.Node, bytes float64, done func(error)) (cancel func())
+	consumed func(node int) float64
+	total    func() float64
+	// Hooks for a model that checks itself; either may be nil. onDone runs
+	// in every done callback, between each time the clock has been advanced.
+	onDone  func(flow int, err error)
+	between func()
+}
+
+// run executes the program against one model and returns everything it could
+// observe: each completion (flow, error, time bits) and each read (bit
+// patterns of Consumed and TotalBytes), in order. Whatever the model, every
+// flow must be done exactly once by the end.
+func (p *program) run(t testing.TB, bind func(*sim.Simulation, *cluster.Cluster) fabric, together bool) []string {
+	s := sim.New()
+	c := cluster.New(s, cluster.Config{VolatileTraces: p.traces()})
+	fab := bind(s, c)
+	var log []string
+	var cancels []func()
+	var dones []int
+
+	read := func(node int) {
+		log = append(log, fmt.Sprintf("t=%x read n%d consumed=%x total=%x", math.Float64bits(s.Now()),
+			node, math.Float64bits(fab.consumed(node)), math.Float64bits(fab.total())))
+	}
+	var start func(src, dst, size, follow int)
+	start = func(src, dst, size, follow int) {
+		id := len(cancels)
+		cancels = append(cancels, nil)
+		dones = append(dones, 0)
+		cancels[id] = fab.transfer(c.Node(src), c.Node(dst), fuzzSizes[size%len(fuzzSizes)], func(err error) {
+			dones[id]++
+			log = append(log, fmt.Sprintf("t=%x done f%d %d->%d err=%v", math.Float64bits(s.Now()), id, src, dst, err))
+			if fab.onDone != nil {
+				fab.onDone(id, err)
+			}
+			if follow&thenRead != 0 {
+				read(src)
+			}
+			if follow&thenTransfer != 0 {
+				start(dst, (dst+1+follow>>2)%p.nodes, size, 0)
+			}
+		})
+	}
+	apply := func(o progOp) {
+		switch o.kind {
+		case opTransfer:
+			start(o.a%p.nodes, o.b%p.nodes, o.c, o.d)
+		case opCancel:
+			if len(cancels) > 0 {
+				if cancel := cancels[o.a%len(cancels)]; cancel != nil {
+					cancel()
+				}
+			}
+		case opRead:
+			read(o.a % p.nodes)
+		}
+	}
+
+	now := 0.0
+	var batch []progOp
+	flush := func(until float64) {
+		ops := batch
+		batch = nil
+		s.Schedule(now, "fuzz.batch", func() {
+			for _, o := range ops {
+				apply(o)
+			}
+		})
+		s.RunUntil(until)
+		if fab.between != nil {
+			fab.between()
+		}
+	}
+	for _, o := range p.ops {
+		switch {
+		case o.kind == opAdvance:
+			next := now + fuzzSteps[o.a%len(fuzzSteps)]
+			flush(next)
+			now = next
+		case together:
+			batch = append(batch, o)
+		default:
+			batch = []progOp{o}
+			flush(now)
+		}
+	}
+	// Let everything end: 512 flows of 1e4 B through one 50 B/s disk take
+	// 1e5 s, and flows on a node that never comes back stall out.
+	flush(now + 1e7)
+	for id := range c.Nodes {
+		read(id)
+	}
+	for id, k := range dones {
+		if k != 1 {
+			t.Fatalf("flow f%d was done %d times\nprogram: %+v", id, k, *p)
+		}
+	}
+	return log
+}
+
+func fuzzConfig() Config { return Config{NodeBandwidth: 100, DiskBandwidth: 50, StallTimeout: 30} }
+
+func bindEager(s *sim.Simulation, c *cluster.Cluster) fabric {
+	e := newEager(s, c, fuzzConfig())
+	return fabric{
+		transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
+			f := e.transfer(src, dst, bytes, done)
+			return func() { e.finish(f, ErrCanceled) }
+		},
+		consumed: func(node int) float64 { return e.nodes[node].consumed },
+		total:    func() float64 { return e.total },
+	}
+}
+
+// dueSetCases counts the situations the seed corpus must contain.
+type dueSetCases struct {
+	canceledQueuedHead int // Cancel of the flow whose completion is the queued head
+	displacedFired     int // a head displaced by an earlier arrival fired at its own, older event
+}
+
+// bindNetwork drives the real Network, checks the due-set's invariants
+// between callbacks and tallies the cases into seen (which may be nil).
+func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster.Cluster) fabric {
+	if seen == nil {
+		seen = new(dueSetCases)
+	}
+	return func(s *sim.Simulation, c *cluster.Cluster) fabric {
+		n := New(s, c, fuzzConfig())
+		var flows []*Flow
+		displaced := map[*Flow]sim.Reservation{}
+		return fabric{
+			transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
+				id := len(flows)
+				flows = append(flows, nil)
+				flows[id] = n.Transfer(src, dst, bytes, done)
+				return func() {
+					if f := flows[id]; n.due.head() == f && f.completion.Pending() {
+						seen.canceledQueuedHead++
+					}
+					n.Cancel(flows[id])
+				}
+			},
+			consumed: n.Consumed,
+			total:    n.TotalBytes,
+			onDone: func(flow int, err error) {
+				// flows[flow] is still nil when the flow finished inside Transfer.
+				if f := flows[flow]; f != nil && err == nil && displaced[f] == f.due {
+					seen.displacedFired++
+				}
+			},
+			between: func() {
+				for i, f := range n.due.fs {
+					if f.dueIdx != i || f.finished || f.rate <= 0 {
+						t.Fatalf("due-set slot %d: dueIdx=%d finished=%v rate=%v", i, f.dueIdx, f.finished, f.rate)
+					}
+					if i > 0 && f.due.Before(n.due.fs[(i-1)/2].due) {
+						t.Fatalf("due-set slot %d sorts before its parent", i)
+					}
+					if i > 0 && f.completion.Pending() {
+						displaced[f] = f.due
+					}
+				}
+				live := 0
+				for _, f := range flows {
+					if f != nil && !f.finished && f.rate > 0 {
+						live++
+					}
+				}
+				if live != len(n.due.fs) {
+					t.Fatalf("%d live flows have a rate, due-set holds %d", live, len(n.due.fs))
+				}
+			},
+		}
+	}
+}
+
+// --- the fuzz target ---------------------------------------------------------
+
+func diffLogs(t testing.TB, p *program, want, got []string) {
+	t.Helper()
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("observation %d differs\n  eager:   %s\n  network: %s\nprogram: %+v", i, w, g, *p)
+		}
+	}
+}
+
+// seedPrograms is the checked-in corpus: one program per situation the
+// due-set handles differently from one-event-per-flow.
+var seedPrograms = map[string]*program{
+	// 0->1 and 2->3 both take 100 B at 100 B/s: two completions at t=1 on
+	// disjoint nodes, one of them queued at the current instant.
+	"two-due-one-instant": prog(4).transfer(0, 1, 5, thenRead).transfer(2, 3, 5, thenRead).advance(12),
+	// f0 (1000 B, due t=10) is queued as head; at t=1 f1 (100 B, due t=2)
+	// arrives on other nodes and takes the head. f0 keeps its event and
+	// fires at it, untouched, at t=10. (The stop at t=1.5 is where the test
+	// harness sees f0 queued but not head.)
+	"displaced-head-fires": prog(4).transfer(0, 1, 11, 0).advance(7).transfer(2, 3, 5, 0).advance(5).advance(13),
+	// The only flow is the queued head when it is canceled; its successor
+	// then has to be queued at a position reserved before the cancel.
+	"cancel-queued-head": prog(4).transfer(0, 1, 5, 0).transfer(2, 3, 8, 0).advance(4).cancel(0).read(0).advance(12),
+	// A completion that starts a replacement transfer mid-cascade on a
+	// shared sink, with a read inside the callback.
+	"follow-up-in-cascade": prog(4).transfer(0, 3, 5, thenRead|thenTransfer).transfer(1, 3, 5, thenTransfer).
+		transfer(2, 3, 2, thenRead).advance(7).read(3).advance(13),
+	// Local copies sharing a disk, and zero-byte flows.
+	"local-and-zero-byte": prog(3).transfer(1, 1, 3, thenRead).transfer(1, 1, 5, 0).transfer(0, 2, 0, thenRead).
+		transfer(0, 2, 1, thenTransfer).advance(10).read(1).advance(12),
+	// An outage shorter than the stall timeout pauses a flow (it leaves and
+	// re-enters the due-set); one longer than it stalls the next.
+	"outage-pause-and-stall": prog(3).transfer(0, 1, 9, 0).transfer(2, 1, 11, thenRead).advance(7).flip(0).advance(12).
+		flip(0).advance(7).flip(2).advance(15).read(1).advance(15),
+	// 0->1 and 0->2 share a NIC and are both due at t=4, the instant node 2
+	// suspends. The suspension was scheduled first, so its mark lands on a
+	// node carrying a flow due at that very instant — the one case markDirty
+	// must not defer — and both flows finish in a cascade inside the watcher.
+	"mark-at-due-instant": prog(3).transfer(0, 1, 8, thenRead).transfer(0, 2, 8, thenRead|thenTransfer).
+		advance(10).advance(10).flip(2).advance(12),
+}
+
+// FuzzNetworkVsEager decodes the input into transfers (remote, local,
+// zero-byte), cancels, availability flips, reads and clock advances over at
+// most eight nodes, runs it against Network and against the eager reference,
+// and requires the same observations: every completion's flow, error and
+// time, and every Consumed/TotalBytes read, bit for bit.
+//
+// That comparison runs one operation a callback. With several changes in one
+// callback batched settling — with per-flow events, at the commit before the
+// due-set, exactly as now — is not tie-for-tie the eager schedule: start a
+// local copy on node 0 and then a transfer 1->0 that both end at t=0.5, and
+// the eager model's second pass over node 0 schedules the transfer ahead of
+// the copy while the single batched pass schedules it behind (this target
+// found that in its first second). The shipped figures never hit such a tie;
+// the model's order there is defined by the batched pass. So the run with
+// operations together has no reference: it checks what can be checked
+// without one — the due-set's invariants between callbacks, the panics in
+// completionFired and ScheduleReserved, every flow done exactly once.
+func FuzzNetworkVsEager(f *testing.F) {
+	for _, p := range seedPrograms {
+		f.Add(p.bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p := decodeProgram(b)
+		diffLogs(t, p, p.run(t, bindEager, false), p.run(t, bindNetwork(t, nil), false))
+		p.run(t, bindNetwork(t, nil), true)
+	})
+}
+
+// TestSeedCorpusCoversDueSetCases keeps the corpus honest: the programs
+// named after a situation must actually produce it.
+func TestSeedCorpusCoversDueSetCases(t *testing.T) {
+	for name, p := range seedPrograms {
+		if got := decodeProgram(p.bytes()); !slices.Equal(got.ops, p.ops) || got.nodes != p.nodes {
+			t.Fatalf("%s: bytes() does not decode back to the program", name)
+		}
+	}
+	run := func(name string) ([]string, dueSetCases) {
+		var seen dueSetCases
+		p := seedPrograms[name]
+		log := p.run(t, bindNetwork(t, &seen), false)
+		diffLogs(t, p, p.run(t, bindEager, false), log)
+		return log, seen
+	}
+
+	log, _ := run("two-due-one-instant")
+	doneAt1 := 0
+	for _, l := range log {
+		if strings.HasPrefix(l, fmt.Sprintf("t=%x done", math.Float64bits(1))) {
+			doneAt1++
+		}
+	}
+	if doneAt1 != 2 {
+		t.Fatalf("two-due-one-instant: %d completions at t=1, want 2", doneAt1)
+	}
+	if _, seen := run("displaced-head-fires"); seen.displacedFired != 1 {
+		t.Fatalf("displaced-head-fires: %d displaced heads fired, want 1", seen.displacedFired)
+	}
+	if _, seen := run("cancel-queued-head"); seen.canceledQueuedHead != 1 {
+		t.Fatalf("cancel-queued-head: %d cancels hit the queued head, want 1", seen.canceledQueuedHead)
+	}
+}

@@ -11,18 +11,32 @@
 // volatile-to-dedicated ratios (the paper's one regression case) and what
 // the Algorithm 1 throttler measures.
 //
-// Rate settling is batched per simulation instant: an endpoint change marks
-// the node dirty, and one settle pass — run by a sim.Barrier before the
-// clock leaves the instant — recomputes rates once per affected flow
-// instead of once per change. Under fan-in (k flows starting at one node in
-// one instant) that is O(k) settles instead of the O(k²) the eager
-// per-change recompute paid. Zero simulated time passes between the change
-// and the flush, so no intermediate rate is ever observable; dirty nodes
-// are processed in first-marked order and flows in list order, which keeps
-// the floating-point accumulation order of settled bytes — and therefore
-// every run byte-identical to the eager schedule. Reads (Consumed,
-// TotalBytes, ActiveFlows) and flow completion flush first, so observers
-// never see a half-settled instant.
+// Rate settling is batched per callback: an endpoint change marks the node
+// dirty, and one settle pass — run by a sim.Barrier before the next callback
+// fires — recomputes rates once per affected flow instead of once per
+// change. Under fan-in (k flows starting at one node in one instant) that is
+// O(k) settles instead of the O(k²) an eager per-change recompute pays. Zero
+// simulated time passes between the change and the flush, so no intermediate
+// rate is ever observable; dirty nodes are processed in first-marked order
+// and flows in list order, which fixes the floating-point accumulation order
+// of settled bytes and the order in which flows draw their queue positions.
+// Reads (Consumed, TotalBytes, ActiveFlows) and flow completion flush first,
+// so observers never see a half-settled instant.
+//
+// A flow's completion is not a sim event until it has to be. A rate change
+// gives the flow a new completion time, and most of those are superseded by
+// the next rate change long before the clock gets there (a shuffle-heavy
+// sort re-keys a flow some sixty times for every completion that fires).
+// So a refresh only reserves the (at, seq) position its completion event
+// would take (sim.Reserve) and moves the flow inside the due-set, an indexed
+// min-heap over those positions; the same barrier then makes sure the head
+// of the set, the one completion that can be the simulation's next event, is
+// queued at its reserved position. Positions are drawn at the program points
+// where events used to be scheduled and the queued head sits where its own
+// event would have, so the simulator fires exactly the events it fired with
+// one event per flow, in the same order, and never stores the rest.
+// FuzzNetworkVsEager holds Network to that against a test-only model that
+// does keep one event per flow and settles on every change.
 //
 // A flow with an unavailable endpoint makes no progress; if the outage lasts
 // longer than the configured stall timeout the flow fails with ErrStalled,
@@ -81,15 +95,20 @@ type Flow struct {
 	rate       float64
 	lastUpdate float64
 
-	done       func(error)
-	completion sim.Event
-	stall      sim.Event
-	finished   bool
+	done     func(error)
+	stall    sim.Event
+	finished bool
 
-	// completionAt/dueIdx locate the flow in the network's completion-time
-	// index while a completion event is scheduled; dueIdx is -1 otherwise.
-	completionAt float64
-	dueIdx       int
+	// due is the queue position reserved for the flow's completion at its
+	// last rate change, and dueIdx its slot in the network's due-set (-1
+	// while the flow has no rate and so no completion to wait for).
+	// completion is pending only once the barrier has found the flow at the
+	// head of the set and queued complete — made on first use, one closure a
+	// flow — at that position.
+	due        sim.Reservation
+	dueIdx     int
+	completion sim.Event
+	complete   func()
 }
 
 // Remaining returns the bytes not yet transferred (settled to the last rate
@@ -124,18 +143,13 @@ type Network struct {
 	inDirty  []bool
 	flushing bool
 
-	// flowsAt indexes live flows by the exact time of their scheduled
-	// completion event. At each instant, flows whose completion falls
-	// exactly now ("due" flows) are the one case where a deferred settle
-	// is unsafe: the eager per-change recompute would discover them at
-	// zero remaining inside the very call that changed their endpoint and
-	// cascade-finish them mid-callback. dueCount[node] counts due flows
-	// per endpoint for the current instant (curInstant); dueTouched lists
-	// the nonzero entries for O(touched) reset at the next instant.
-	flowsAt    map[float64][]*Flow
-	dueCount   []int
-	dueTouched []int
-	curInstant float64
+	// due orders every flow that has a rate by the (at, seq) position its
+	// completion reserved. Only a flow that reaches the head becomes a sim
+	// event: the barrier queues it at its reserved position before the next
+	// callback runs, so the simulator fires the same completions at the
+	// same positions as if every flow had an event of its own, and hardly
+	// ever stores a position that a later rate change supersedes.
+	due dueSet
 
 	// listEpoch counts every mutation that can invalidate a precomputed
 	// fair-share rate: flow-list membership changes and mid-pass endpoint
@@ -153,9 +167,9 @@ type Network struct {
 	// change made while a pass is in progress (a done callback starting a
 	// replacement transfer mid-cascade) cannot defer: the enclosing pass
 	// will refresh the same flows again after it returns, so a deferred
-	// reschedule would land after reschedules the eager per-change
-	// recompute issued before it — permuting event seq order among flows
-	// that complete at the same future instant.
+	// refresh would reserve its position after positions the eager
+	// per-change recompute reserved before it — permuting seq order among
+	// flows that complete at the same future instant.
 	settleDepth int
 
 	// TotalBytes counts every byte delivered by completed or partial
@@ -163,14 +177,18 @@ type Network struct {
 	totalBytes float64
 
 	// Instrument handles (nil without a collector).
-	mFlows  *metrics.Counter
-	mBytes  *metrics.Counter
-	mStalls *metrics.Counter
+	mFlows     *metrics.Counter
+	mBytes     *metrics.Counter
+	mStalls    *metrics.Counter
+	mRefreshes *metrics.Counter
+	mScheduled *metrics.Counter
 }
 
 // Instrument registers fabric observability on c: flows started, bytes
 // delivered (settled, so partial progress of failed flows counts, matching
-// TotalBytes) and stall failures, all time-bucketed.
+// TotalBytes) and stall failures, all time-bucketed; and how much scheduling
+// the due-set absorbed — rate_refreshes counts the rate changes that re-keyed
+// a flow's completion, completions_scheduled the ones that became sim events.
 func (n *Network) Instrument(c *metrics.Collector) {
 	if c == nil {
 		return
@@ -178,19 +196,20 @@ func (n *Network) Instrument(c *metrics.Collector) {
 	n.mFlows = c.TimedCounter(metrics.LayerNet, "flows_started", "")
 	n.mBytes = c.TimedCounter(metrics.LayerNet, "bytes_delivered", "")
 	n.mStalls = c.TimedCounter(metrics.LayerNet, "flow_stalls", "")
+	n.mRefreshes = c.Counter(metrics.LayerNet, "rate_refreshes", "")
+	n.mScheduled = c.Counter(metrics.LayerNet, "completions_scheduled", "")
 }
 
 // New attaches a network to the cluster and subscribes to availability
 // transitions of every node. The network registers a simulation barrier so
-// the deferred settle pass runs before the clock leaves any instant.
+// the deferred settle pass runs, and the next completion is queued, before
+// any other callback does.
 func New(s *sim.Simulation, c *cluster.Cluster, cfg Config) *Network {
 	n := &Network{
-		sim:      s,
-		cfg:      cfg,
-		nodes:    make([]*nodeState, len(c.Nodes)),
-		inDirty:  make([]bool, len(c.Nodes)),
-		flowsAt:  make(map[float64][]*Flow),
-		dueCount: make([]int, len(c.Nodes)),
+		sim:     s,
+		cfg:     cfg,
+		nodes:   make([]*nodeState, len(c.Nodes)),
+		inDirty: make([]bool, len(c.Nodes)),
 	}
 	for i := range n.nodes {
 		n.nodes[i] = &nodeState{}
@@ -198,7 +217,7 @@ func New(s *sim.Simulation, c *cluster.Cluster, cfg Config) *Network {
 	for _, node := range c.Nodes {
 		node.Watch(func(nd *cluster.Node, _ bool) { n.nodeChanged(nd) })
 	}
-	s.Barrier(n.flush)
+	s.Barrier(n.barrier)
 	return n
 }
 
@@ -362,82 +381,15 @@ func (n *Network) putScratch(b []*Flow) {
 	n.scratch = append(n.scratch, b)
 }
 
-// indexCompletion records the exact time of f's scheduled completion event.
-// The absolute time passed in must be computed as sim.Now()+delay with the
-// identical delay handed to sim.After, so map lookups by the current clock
-// hit the bucket bit-for-bit.
-func (n *Network) indexCompletion(f *Flow, at float64) {
-	b := n.flowsAt[at]
-	f.completionAt = at
-	f.dueIdx = len(b)
-	n.flowsAt[at] = append(b, f)
-}
-
-// unindexCompletion removes f from the completion-time index (O(1)
-// swap-remove; bucket order is immaterial — only counts are derived from
-// it). If f was registered as due at the current instant its endpoint
-// counts are released too.
-func (n *Network) unindexCompletion(f *Flow) {
-	if f.dueIdx < 0 {
-		return
-	}
-	b := n.flowsAt[f.completionAt]
-	last := len(b) - 1
-	moved := b[last]
-	b[f.dueIdx] = moved
-	moved.dueIdx = f.dueIdx
-	b[last] = nil
-	if last == 0 {
-		delete(n.flowsAt, f.completionAt)
-	} else {
-		n.flowsAt[f.completionAt] = b[:last]
-	}
-	f.dueIdx = -1
-	if f.completionAt == n.curInstant && n.curInstant == n.sim.Now() {
-		n.dueCount[f.Src.ID]--
-		if !f.local() {
-			n.dueCount[f.Dst.ID]--
-		}
-	}
-}
-
-// syncInstant rebuilds the per-node due-flow counts when the clock has moved
-// since they were last built. Cost is O(flows completing at this exact
-// instant), almost always zero.
-func (n *Network) syncInstant() {
-	now := n.sim.Now()
-	if now == n.curInstant {
-		return
-	}
-	for _, id := range n.dueTouched {
-		n.dueCount[id] = 0
-	}
-	n.dueTouched = n.dueTouched[:0]
-	n.curInstant = now
-	for _, f := range n.flowsAt[now] {
-		n.addDue(f.Src.ID)
-		if !f.local() {
-			n.addDue(f.Dst.ID)
-		}
-	}
-}
-
-func (n *Network) addDue(id int) {
-	if n.dueCount[id] == 0 {
-		n.dueTouched = append(n.dueTouched, id)
-	}
-	n.dueCount[id]++
-}
-
 // markDirty queues the node for the next settle pass. Marks keep their
 // first-come order — the same order the eager per-change recompute would
 // have first touched each node — so the flush replays the identical
 // floating-point accumulation sequence.
 //
-// One case must not defer: a node carrying a flow whose completion event is
-// scheduled at this very instant. The eager recompute would have found that
-// flow at zero remaining inside this call and cascade-finished it before the
-// caller's next statement — canceling its pending event, delivering its done
+// One case must not defer: a node carrying a flow whose completion is due at
+// this very instant. The eager recompute would have found that flow at zero
+// remaining inside this call and cascade-finished it before the caller's
+// next statement — taking it out of the schedule, delivering its done
 // callback, and freeing whatever the caller tracks through plain state (a
 // shuffle's in-flight slot, say) with no intervening read to trigger a
 // flush. For those nodes the pending marks drain first (keeping earlier
@@ -445,7 +397,6 @@ func (n *Network) addDue(id int) {
 // as the per-change schedule would have.
 func (n *Network) markDirty(nodeID int) {
 	n.listEpoch++
-	n.syncInstant()
 	if n.settleDepth > 0 {
 		// Mid-pass change: the eager schedule ran its recompute right
 		// here, between the enclosing pass's refreshes. Settle inline at
@@ -455,7 +406,7 @@ func (n *Network) markDirty(nodeID int) {
 		n.settleNode(nodeID)
 		return
 	}
-	if n.dueCount[nodeID] > 0 {
+	if n.dueNow(nodeID) {
 		// See the comment above the function: a flow on this node
 		// completes at this very instant and must cascade-finish inside
 		// this call. Earlier deferred work drains first to keep its place
@@ -469,6 +420,60 @@ func (n *Network) markDirty(nodeID int) {
 	}
 	n.inDirty[nodeID] = true
 	n.dirty = append(n.dirty, nodeID)
+}
+
+// dueNow reports whether a flow touching the node completes at the current
+// instant. No completion is ever overdue, so one can be due now only if the
+// head of the due-set is; that O(1) test is almost always false and only
+// then are the node's own flows looked at.
+func (n *Network) dueNow(nodeID int) bool {
+	now := n.sim.Now()
+	if h := n.due.head(); h == nil || h.due.At() != now {
+		return false
+	}
+	st := n.nodes[nodeID]
+	for _, fs := range [2][]*Flow{st.remote, st.local} {
+		for _, f := range fs {
+			if f.dueIdx >= 0 && f.due.At() == now {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// barrier is the network's sim.Barrier: it flushes the deferred settle pass
+// and then makes sure the head of the due-set — the one completion that can
+// be the simulation's next event — is queued at the position it reserved. A
+// head displaced by an earlier arrival keeps its event: it is the very event
+// the flow would have had on its own, and it stays until the flow's next
+// rate change cancels it or it fires. No position is therefore ever queued
+// twice.
+func (n *Network) barrier() bool {
+	did := n.flush()
+	f := n.due.head()
+	if f == nil || f.completion.Pending() {
+		return did
+	}
+	if f.complete == nil {
+		f.complete = func() { n.completionFired(f) }
+	}
+	f.completion = n.sim.ScheduleReserved(&f.due, "net.complete", f.complete)
+	n.mScheduled.Inc()
+	return true
+}
+
+// completionFired is the completion event's callback. The event that fires
+// is the earliest in the queue and the head of the due-set is always queued,
+// so the flow must be that head; anything else means the two orders diverged.
+func (n *Network) completionFired(f *Flow) {
+	if n.due.head() == nil {
+		panic("netmodel: completion event fired with no flow due")
+	}
+	if n.due.head() != f {
+		panic("netmodel: completion event fired for a flow that is not due")
+	}
+	n.finish(f, nil)
 }
 
 // flush drains the dirty queue: one settle pass per marked node at the
@@ -503,7 +508,7 @@ const (
 // serially in first-marked order. The phase is a pure read — rates are a
 // function of flow-list lengths and endpoint availability, neither of which
 // changes while it runs — and all mutation (settled-byte accumulation,
-// completion-event cancel/reschedule, metric observations) happens in the
+// completion re-keying, metric observations) happens in the
 // serial apply, in exactly the order drainDirty uses. Precomputed rates are
 // trusted only while listEpoch is unmoved; any mid-apply cascade (a finish,
 // a new transfer from a done callback, an endpoint mark) bumps the epoch
@@ -611,28 +616,16 @@ func (n *Network) refresh(f *Flow) {
 	if f.finished {
 		return
 	}
-	n.settle(f)
-	f.rate = n.currentRate(f)
-	n.sim.Cancel(f.completion)
-	f.completion = sim.Event{}
-	n.unindexCompletion(f)
-	if f.remaining <= 1e-6 {
-		n.finish(f, nil)
-		return
-	}
-	if f.rate > 0 {
-		d := f.remaining / f.rate
-		f.completion = n.sim.After(d, "net.complete", func() {
-			n.finish(f, nil)
-		})
-		n.indexCompletion(f, n.sim.Now()+d)
-	}
+	n.refreshRated(f, n.currentRate(f))
 }
 
-// refreshRated is refresh with the rate supplied by the parallel phase
-// instead of recomputed; the caller guarantees rate == currentRate(f) (the
-// listEpoch guard). Everything else — the settle, the cancel/reschedule and
-// its (at, seq) consumption, the completion indexing — is the serial path.
+// refreshRated settles the flow at its old rate, adopts the new one (the
+// caller guarantees rate == currentRate(f): computed live, or by the parallel
+// phase under the listEpoch guard) and re-keys the flow's completion. A flow
+// with a rate reserves the (at, seq) position its completion event would
+// take — one schedule-order number per refresh, drawn right here, so every
+// other event in the run keeps its position — and moves to that position in
+// the due-set; queueing it is the barrier's business.
 func (n *Network) refreshRated(f *Flow, rate float64) {
 	if f.finished {
 		return
@@ -641,17 +634,18 @@ func (n *Network) refreshRated(f *Flow, rate float64) {
 	f.rate = rate
 	n.sim.Cancel(f.completion)
 	f.completion = sim.Event{}
-	n.unindexCompletion(f)
-	if f.remaining <= 1e-6 {
+	switch {
+	case f.remaining <= 1e-6:
+		// Out of the set before finish, not just inside it: finish flushes
+		// first, and a mark made during that flush must not find f due.
+		n.due.remove(f)
 		n.finish(f, nil)
-		return
-	}
-	if f.rate > 0 {
-		d := f.remaining / f.rate
-		f.completion = n.sim.After(d, "net.complete", func() {
-			n.finish(f, nil)
-		})
-		n.indexCompletion(f, n.sim.Now()+d)
+	case rate > 0:
+		f.due = n.sim.Reserve(n.sim.Now() + f.remaining/rate)
+		n.due.fix(f)
+		n.mRefreshes.Inc()
+	default:
+		n.due.remove(f)
 	}
 }
 
@@ -681,11 +675,11 @@ func (n *Network) checkStall(f *Flow) {
 //
 // Completion is the one endpoint change that settles eagerly rather than
 // marking dirty: sibling flows that hit zero at the same instant must
-// cascade-finish inside this call — their completion events canceled before
-// they fire, their callbacks delivered before this flow's — to replay the
-// exact callback order of the per-change schedule. Deferring the cascade to
-// the barrier would fire the siblings' completion events as separate sim
-// events and reorder same-instant callbacks.
+// cascade-finish inside this call — taken out of the due-set before their
+// own completions come up, their callbacks delivered before this flow's — to
+// replay the exact callback order of the per-change schedule. Deferring the
+// cascade to the barrier would complete the siblings one sim event each and
+// reorder same-instant callbacks.
 func (n *Network) finish(f *Flow, err error) {
 	if f.finished {
 		return
@@ -703,7 +697,7 @@ func (n *Network) finish(f *Flow, err error) {
 	n.sim.Cancel(f.completion)
 	n.sim.Cancel(f.stall)
 	f.completion, f.stall = sim.Event{}, sim.Event{}
-	n.unindexCompletion(f)
+	n.due.remove(f)
 	if f.local() {
 		removeFlow(&n.nodes[f.Src.ID].local, f)
 		n.settleNode(f.Src.ID)

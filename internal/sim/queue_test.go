@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -56,11 +58,16 @@ func (h *refHeap) pop() *node {
 }
 
 // TestCalendarMatchesHeapReference drives the simulation and a shadow binary
-// heap with one randomized schedule/cancel/fire stream and requires the
-// identical fire order. Delays are quantized so many events collide on the
-// same instant (exercising the seq tie-break) with occasional far-future
+// heap with one randomized schedule/cancel/reserve/fire stream and requires
+// the identical fire order. Delays are quantized so many events collide on
+// the same instant (exercising the seq tie-break) with occasional far-future
 // outliers (exercising the sparse direct-search fallback and cursor rewind).
+// Reserved positions enter the reference when they are drawn and the
+// simulation only later, out of seq order — including at the current instant
+// with younger events already waiting in the now-queue, the one case where
+// append order is not (at, seq) order.
 func TestCalendarMatchesHeapReference(t *testing.T) {
+	lateAtNow := 0
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.New(seed)
 		s := New()
@@ -70,29 +77,63 @@ func TestCalendarMatchesHeapReference(t *testing.T) {
 			ev Event
 			hn *node
 		}
+		type held struct {
+			res Reservation
+			hn  *node
+		}
 		var live []pair
+		var reserved []held
 		var fired []uint64
-		nextID := uint64(0)
+		// lastAt/lastSeq is the position of the latest fired event. A held
+		// position the clock has passed can no longer be queued (a model
+		// must queue a position before anything behind it fires), so the
+		// driver drops those instead.
+		lastAt, lastSeq := -1.0, uint64(0)
+		record := func(id uint64) func() {
+			return func() {
+				fired = append(fired, id)
+				lastAt, lastSeq = s.Now(), id
+			}
+		}
+		delay := func() float64 {
+			switch r.Intn(10) {
+			case 0:
+				return 0 // same instant
+			case 1:
+				return r.Float64() * 1e7 // far future
+			default:
+				return float64(r.Intn(64)) * 0.25 // dense collisions
+			}
+		}
 
 		for op := 0; op < 20000; op++ {
 			switch k := r.Float64(); {
-			case k < 0.55 || len(live) == 0:
-				var d float64
-				switch r.Intn(10) {
-				case 0:
-					d = 0 // same instant
-				case 1:
-					d = r.Float64() * 1e7 // far future
-				default:
-					d = float64(r.Intn(64)) * 0.25 // dense collisions
-				}
-				id := nextID
-				nextID++
-				ev := s.After(d, "diff", func() { fired = append(fired, id) })
-				hn := &node{at: s.Now() + d, seq: id}
+			case k < 0.45 || len(live) == 0:
+				d := delay()
+				hn := &node{at: s.Now() + d, seq: s.nextSeq}
+				ev := s.After(d, "diff", record(hn.seq))
 				h.push(hn)
 				live = append(live, pair{ev, hn})
-			case k < 0.75 && len(live) > 0:
+			case k < 0.55:
+				res := s.Reserve(s.Now() + delay())
+				hn := &node{at: res.at, seq: res.seq}
+				h.push(hn)
+				reserved = append(reserved, held{res, hn})
+			case k < 0.65 && len(reserved) > 0:
+				i := r.Intn(len(reserved))
+				p := reserved[i]
+				reserved[i] = reserved[len(reserved)-1]
+				reserved = reserved[:len(reserved)-1]
+				if p.res.at < lastAt || (p.res.at == lastAt && p.res.seq < lastSeq) {
+					p.hn.canceled = true
+					break
+				}
+				if p.res.at == s.Now() && s.nowqHead < len(s.nowq) {
+					lateAtNow++
+				}
+				ev := s.ScheduleReserved(&p.res, "diff.reserved", record(p.res.seq))
+				live = append(live, pair{ev, p.hn})
+			case k < 0.8:
 				i := r.Intn(len(live))
 				p := live[i]
 				if p.ev.Pending() {
@@ -104,6 +145,9 @@ func TestCalendarMatchesHeapReference(t *testing.T) {
 			default:
 				s.Step()
 			}
+		}
+		for _, p := range reserved {
+			p.hn.canceled = true // never queued
 		}
 		for s.Step() {
 		}
@@ -124,6 +168,49 @@ func TestCalendarMatchesHeapReference(t *testing.T) {
 			}
 		}
 	}
+	if lateAtNow == 0 {
+		t.Fatal("no reserved position was queued at the current instant behind a non-empty now-queue")
+	}
+}
+
+// TestReservationIsSingleUse pins the rule the calendar's removal relies on:
+// a reserved position is queued at most once, and one that was never
+// reserved not at all.
+func TestReservationIsSingleUse(t *testing.T) {
+	mustPanic := func(want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+				t.Fatalf("panic = %q, want it to contain %q", got, want)
+			}
+		}()
+		fn()
+	}
+	s := New()
+	res := s.Reserve(5)
+	fired := 0
+	ev := s.ScheduleReserved(&res, "once", func() { fired++ })
+	mustPanic(`"again" queued twice`, func() { s.ScheduleReserved(&res, "again", func() {}) })
+	s.Cancel(ev)
+	mustPanic(`"revived" queued twice`, func() { s.ScheduleReserved(&res, "revived", func() {}) })
+	var zero Reservation
+	mustPanic(`"zero" at a position never reserved`, func() { s.ScheduleReserved(&zero, "zero", func() {}) })
+
+	// A position keeps its place in the schedule order however late it is
+	// queued: reserved before b was scheduled, so it fires before b.
+	var order []string
+	early := s.Reserve(7)
+	s.Schedule(7, "b", func() { order = append(order, "b") })
+	s.ScheduleReserved(&early, "a", func() { order = append(order, "a") })
+	s.Run()
+	if fired != 0 || len(order) != 2 || order[0] != "a" || order[1] != "b" {
+		t.Fatalf("fired=%d order=%v, want 0 and [a b]", fired, order)
+	}
+	stale := s.Reserve(s.Now())
+	s.Schedule(9, "later", func() {})
+	s.Run()
+	mustPanic("before now", func() { s.ScheduleReserved(&stale, "stale", func() {}) })
 }
 
 // TestCompactionAt100kPending verifies corpse management at scale: with 100k

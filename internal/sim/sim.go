@@ -26,8 +26,11 @@
 // events runs without per-event allocation at steady state. Cancel is lazy —
 // it marks the event and the queue skips it at pop time instead of paying an
 // eager removal; when canceled events pile up the queue compacts in one O(n)
-// pass, so cancel-heavy churn (flow reschedules) stays amortized O(1) and
-// the buckets never fill with corpses.
+// pass, so cancel-heavy churn (timers armed and usually disarmed: stall
+// timeouts, fetch retries, stopped tickers) stays amortized O(1) and the
+// buckets never fill with corpses. Flow completions are not part of that churn: the netmodel keeps
+// its pending completions in its own ordered set and queues only the next
+// one, at a position it drew earlier with Reserve.
 package sim
 
 import (
@@ -266,6 +269,13 @@ func (c *calendar) bucketMin(bi int) (int, *node) {
 // the new tail minimum, so such tails are folded into the run first (one
 // sort per drained batch — bursts pay it when they actually start popping,
 // not while they accumulate). Returns the minimum's possibly-moved index.
+//
+// "The minimum is the last element after the sort" relies on (at, seq) being
+// strictly unique among stored nodes, corpses included: with two equal keys
+// the sort may leave either one last, and the caller would remove a node
+// other than the one bucketMin handed out. Schedule draws a fresh seq per
+// node and a Reservation can be queued only once, so no key is ever stored
+// twice.
 func (c *calendar) prepareRemove(bi, idx int) int {
 	if idx < c.sorted[bi] || len(c.buckets[bi])-c.sorted[bi] <= tailMax {
 		return idx
@@ -419,9 +429,10 @@ type Simulation struct {
 	// now, barriers flushing deferred settles, completion chains — are
 	// the simulator's hottest scheduling pattern, and their order needs
 	// no priority queue at all: every such event ties on at and carries
-	// a seq greater than any equal-time event already queued (those were
-	// pushed before the clock reached this instant), so append order IS
-	// (at, seq) order. Routing them here keeps the calendar's buckets
+	// a freshly drawn seq, greater than that of any event already in the
+	// now-queue, so append order IS (at, seq) order. (A reserved position
+	// queued late carries an old seq and therefore never enters nowq —
+	// see ScheduleReserved.) Routing them here keeps the calendar's buckets
 	// free of the push-while-draining churn that forced repeated
 	// re-sorts of long sorted runs. nowq drains fully before the clock
 	// can advance, so it never holds events from a past instant.
@@ -515,19 +526,93 @@ func (s *Simulation) Schedule(at Time, name string, fn func()) Event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule %q at %v before now %v", name, at, s.now))
 	}
-	n := s.alloc()
-	n.at = at
-	n.fn = fn
-	n.name = name
-	n.seq = s.nextSeq
-	n.canceled = false
-	n.queued = true
+	n := s.newNode(at, s.nextSeq, name, fn)
 	s.nextSeq++
 	if at == s.now {
 		s.nowq = append(s.nowq, n)
 	} else {
 		s.cal.push(n)
 	}
+	return Event{n: n, gen: n.gen}
+}
+
+// newNode takes a node from the pool and fills it in as a queued event.
+func (s *Simulation) newNode(at Time, seq uint64, name string, fn func()) *node {
+	n := s.alloc()
+	n.at = at
+	n.fn = fn
+	n.name = name
+	n.seq = seq
+	n.canceled = false
+	n.queued = true
+	return n
+}
+
+// Reservation is a queue position — an (at, seq) pair — drawn from the
+// schedule order without queueing anything. A model that re-plans the same
+// future callback many times (the netmodel re-keys a flow's completion on
+// every rate change) reserves a position per plan and queues only the one
+// plan that is about to become the next event: every other event keeps the
+// (at, seq) it would have had beside one real event per plan, so the fire
+// order is unchanged while the queue never sees the plans that were
+// superseded. The zero Reservation holds no position.
+//
+// A position can be queued once. The queue relies on stored keys being
+// strictly unique (see calendar.prepareRemove), so ScheduleReserved marks
+// the reservation and panics on a second attempt.
+type Reservation struct {
+	at    Time
+	seq   uint64
+	state uint8 // resNone, resHeld or resQueued
+}
+
+const (
+	resNone uint8 = iota
+	resHeld
+	resQueued
+)
+
+// At returns the reserved time.
+func (r Reservation) At() Time { return r.at }
+
+// Before reports whether r's position precedes o's in the queue's total
+// order.
+func (r Reservation) Before(o Reservation) bool {
+	if r.at != o.at {
+		return r.at < o.at
+	}
+	return r.seq < o.seq
+}
+
+// Reserve draws the position Schedule(at, ...) would have given an event
+// queued right now, consuming one schedule-order number, and queues nothing.
+func (s *Simulation) Reserve(at Time) Reservation {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: reserve at %v before now %v", at, s.now))
+	}
+	r := Reservation{at: at, seq: s.nextSeq, state: resHeld}
+	s.nextSeq++
+	return r
+}
+
+// ScheduleReserved queues fn at the position r holds. The caller must queue
+// the position before any event behind it fires — in practice from a Barrier,
+// which runs before every callback. The reserved time may be the current
+// instant; the event goes through the calendar even then, because its seq is
+// older than those already in the now-queue and peek orders the two by
+// (at, seq).
+func (s *Simulation) ScheduleReserved(r *Reservation, name string, fn func()) Event {
+	switch {
+	case r.state == resQueued:
+		panic(fmt.Sprintf("sim: reserved position for %q queued twice", name))
+	case r.state != resHeld:
+		panic(fmt.Sprintf("sim: schedule %q at a position never reserved", name))
+	case r.at < s.now:
+		panic(fmt.Sprintf("sim: schedule %q at reserved time %v before now %v", name, r.at, s.now))
+	}
+	r.state = resQueued
+	n := s.newNode(r.at, r.seq, name, fn)
+	s.cal.push(n)
 	return Event{n: n, gen: n.gen}
 }
 
@@ -682,8 +767,9 @@ func (s *Simulation) nowFront() *node {
 // storage — and returns the earliest live node, or nil if the queue is
 // empty. Step and RunUntil share this single draining path. Current-instant
 // events in the now-queue win ties against the calendar only by seq: an
-// equal-time calendar event predates the clock's arrival at this instant
-// and so always carries the smaller seq.
+// equal-time calendar event usually predates the clock's arrival at this
+// instant and carries the smaller seq, but a reserved position queued at
+// the current instant may sit anywhere among them.
 func (s *Simulation) peek() *node {
 	var cn *node
 	for {
