@@ -82,8 +82,7 @@ type Options struct {
 	Metrics *metrics.Collector
 
 	// ShardWorkers bounds the intra-run worker pool that parallel phases
-	// (trace generation, netmodel settle sweeps, heartbeat slot scans) fan
-	// across. 0 means one worker per available CPU; 1 forces serial.
+	// (trace generation, heartbeat slot scans) fan across. 0 means one worker per available CPU; 1 forces serial.
 	// Every worker count produces byte-identical results — the knob only
 	// trades wall-clock for cores.
 	ShardWorkers int

@@ -38,8 +38,8 @@ type Config struct {
 	// Results are deterministic at any setting.
 	Parallelism int
 	// ShardWorkers bounds the worker pool *inside* each simulation: the
-	// parallel phases (trace generation, netmodel settle sweeps, heartbeat
-	// slot scans) fan across it. 0 uses one worker per CPU, 1 forces
+	// parallel phases (trace generation, heartbeat slot scans) fan across
+	// it. 0 uses one worker per CPU, 1 forces
 	// serial; results are byte-identical at any setting. Sweeps of many
 	// small runs should leave this at 1 (set by the sweep CLIs) and spend
 	// the cores on Parallelism instead; single big runs want the reverse.

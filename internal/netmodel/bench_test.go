@@ -58,3 +58,53 @@ func BenchmarkFanIn(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFinishCascade measures the departure side: k equal fetches into
+// one sink end at the same instant while the sink carries F long flows. The
+// first completion event finishes the other k-1 in a nested cascade, and
+// every finish resettles the sink, so each of the F bystanders is refreshed
+// k times in the instant — and re-keyed in the due-set once, at the barrier
+// after it. One network serves every iteration (slots, scratch buffers and
+// the heap are warm: 0 allocs/op); starting the fetches and queueing their
+// first completion are untimed. The fabric is slow on purpose: the siblings
+// are swept up by the first completion only while a completion time's
+// rounding error times the rate stays under the 1e-6-byte epsilon, and at
+// 117 MB/s shares that stops holding a few simulated hours in.
+func BenchmarkFinishCascade(b *testing.B) {
+	for _, sz := range []struct{ k, F int }{{4, 16}, {16, 64}, {16, 256}, {64, 256}} {
+		b.Run(fmt.Sprintf("k=%d/F=%d", sz.k, sz.F), func(b *testing.B) {
+			s := sim.New()
+			c := cluster.New(s, cluster.Config{DedicatedNodes: 1 + sz.F + sz.k})
+			n := New(s, c, Config{NodeBandwidth: 1e4, DiskBandwidth: 1e4, StallTimeout: 30})
+			sink := c.Node(0)
+			done := func(error) {}
+			s.After(0, "carry", func() {
+				for j := 0; j < sz.F; j++ {
+					n.Transfer(c.Node(1+j), sink, 1e18, done)
+				}
+			})
+			s.Step()
+			fetch := 1e4 / float64(sz.F+sz.k) // one second at the sink's fair share
+			burst := func() {
+				for j := 0; j < sz.k; j++ {
+					n.Transfer(c.Node(1+sz.F+j), sink, fetch, done)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.After(0, "burst", burst)
+				s.Step()
+				n.barrier() // settle the arrivals and queue the first completion
+				fired := s.Fired()
+				b.StartTimer()
+				s.RunUntil(s.Now() + 2)
+				if got := n.ActiveFlows(0); got != sz.F || s.Fired() != fired+1 {
+					b.Fatalf("%d flows left on the sink after %d events, want %d after 1", got, s.Fired()-fired, sz.F)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*sz.k), "µs/flow")
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -25,6 +26,12 @@ type eagerNet struct {
 	cfg   Config
 	nodes []eagerNode
 	total float64
+	// nearEnd counts the one thing the eager schedule does that batched
+	// settling is known not to reproduce (see fuzzSteps): a transfer or an
+	// availability flip — not a finish, which both models settle on the spot —
+	// found a flow within 1e-6 bytes of its end whose completion event was
+	// queued for a later time, and so finished it inside the call.
+	nearEnd int
 }
 
 type eagerNode struct {
@@ -37,6 +44,7 @@ type eagerFlow struct {
 	remaining, rate, lastUpdate float64
 	done                        func(error)
 	completion, stall           sim.Event
+	dueAt                       float64 // when completion fires, while it is pending
 	finished                    bool
 }
 
@@ -44,7 +52,7 @@ func newEager(s *sim.Simulation, c *cluster.Cluster, cfg Config) *eagerNet {
 	e := &eagerNet{sim: s, cfg: cfg, nodes: make([]eagerNode, len(c.Nodes))}
 	for _, node := range c.Nodes {
 		node.Watch(func(nd *cluster.Node, _ bool) {
-			e.settleNode(nd.ID)
+			e.settleNode(nd.ID, true)
 			for _, f := range e.flowsOn(nd.ID) {
 				e.checkStall(f)
 			}
@@ -71,20 +79,22 @@ func (e *eagerNet) transfer(src, dst *cluster.Node, bytes float64, done func(err
 	}
 	if f.local() {
 		e.nodes[src.ID].local = append(e.nodes[src.ID].local, f)
-		e.settleNode(src.ID)
+		e.settleNode(src.ID, true)
 	} else {
 		e.nodes[src.ID].remote = append(e.nodes[src.ID].remote, f)
 		e.nodes[dst.ID].remote = append(e.nodes[dst.ID].remote, f)
-		e.settleNode(src.ID)
-		e.settleNode(dst.ID)
+		e.settleNode(src.ID, true)
+		e.settleNode(dst.ID, true)
 	}
 	e.checkStall(f)
 	return f
 }
 
-func (e *eagerNet) settleNode(id int) {
+// settleNode resettles every flow on the node; change says a transfer or a
+// flip asked, not a finish.
+func (e *eagerNet) settleNode(id int, change bool) {
 	for _, f := range e.flowsOn(id) {
-		e.refresh(f)
+		e.refresh(f, change)
 	}
 }
 
@@ -113,20 +123,25 @@ func (e *eagerNet) settle(f *eagerFlow) {
 	f.lastUpdate = now
 }
 
-func (e *eagerNet) refresh(f *eagerFlow) {
+func (e *eagerNet) refresh(f *eagerFlow, change bool) {
 	if f.finished {
 		return
 	}
 	e.settle(f)
 	f.rate = e.rate(f)
+	early := change && f.completion.Pending() && f.dueAt != e.sim.Now()
 	e.sim.Cancel(f.completion)
 	f.completion = sim.Event{}
 	if f.remaining <= 1e-6 {
+		if early {
+			e.nearEnd++
+		}
 		e.finish(f, nil)
 		return
 	}
 	if f.rate > 0 {
-		f.completion = e.sim.After(f.remaining/f.rate, "eager.complete", func() { e.finish(f, nil) })
+		f.dueAt = e.sim.Now() + f.remaining/f.rate
+		f.completion = e.sim.Schedule(f.dueAt, "eager.complete", func() { e.finish(f, nil) })
 	}
 }
 
@@ -157,12 +172,12 @@ func (e *eagerNet) finish(f *eagerFlow, err error) {
 	drop := func(s *[]*eagerFlow) { *s = slices.DeleteFunc(*s, func(x *eagerFlow) bool { return x == f }) }
 	if f.local() {
 		drop(&e.nodes[f.src.ID].local)
-		e.settleNode(f.src.ID)
+		e.settleNode(f.src.ID, false)
 	} else {
 		drop(&e.nodes[f.src.ID].remote)
 		drop(&e.nodes[f.dst.ID].remote)
-		e.settleNode(f.src.ID)
-		e.settleNode(f.dst.ID)
+		e.settleNode(f.src.ID, false)
+		e.settleNode(f.dst.ID, false)
 	}
 	f.done(err)
 }
@@ -408,15 +423,20 @@ func (p *program) run(t testing.TB, bind func(*sim.Simulation, *cluster.Cluster)
 
 func fuzzConfig() Config { return Config{NodeBandwidth: 100, DiskBandwidth: 50, StallTimeout: 30} }
 
-func bindEager(s *sim.Simulation, c *cluster.Cluster) fabric {
-	e := newEager(s, c, fuzzConfig())
-	return fabric{
-		transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
-			f := e.transfer(src, dst, bytes, done)
-			return func() { e.finish(f, ErrCanceled) }
-		},
-		consumed: func(node int) float64 { return e.nodes[node].consumed },
-		total:    func() float64 { return e.total },
+// bindEager drives the reference; *nearEnd receives how often it finished a
+// flow the way batched settling does not (eagerNet.nearEnd).
+func bindEager(nearEnd *int) func(*sim.Simulation, *cluster.Cluster) fabric {
+	return func(s *sim.Simulation, c *cluster.Cluster) fabric {
+		e := newEager(s, c, fuzzConfig())
+		return fabric{
+			transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
+				f := e.transfer(src, dst, bytes, done)
+				return func() { e.finish(f, ErrCanceled) }
+			},
+			consumed: func(node int) float64 { return e.nodes[node].consumed },
+			total:    func() float64 { return e.total },
+			between:  func() { *nearEnd = e.nearEnd },
+		}
 	}
 }
 
@@ -424,48 +444,132 @@ func bindEager(s *sim.Simulation, c *cluster.Cluster) fabric {
 type dueSetCases struct {
 	canceledQueuedHead int // Cancel of the flow whose completion is the queued head
 	displacedFired     int // a head displaced by an earlier arrival fired at its own, older event
+	// A flow seen with a new reserved position three times at one instant,
+	// with a read among them: refreshed at least three times, re-keyed once.
+	refreshedThrice   int
+	refreshes, rekeys int // the network's rate_refreshes and due_rekeys
+	startedInsidePass int // Transfer from a done callback under a settle pass, a finished flow's slot not yet free
 }
 
-// bindNetwork drives the real Network, checks the due-set's invariants
-// between callbacks and tallies the cases into seen (which may be nil).
+// bindNetwork drives the real Network, checks the due-set's and the slot
+// table's invariants between callbacks and tallies the cases into seen
+// (which may be nil).
 func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster.Cluster) fabric {
 	if seen == nil {
 		seen = new(dueSetCases)
 	}
 	return func(s *sim.Simulation, c *cluster.Cluster) fabric {
 		n := New(s, c, fuzzConfig())
+		n.Instrument(metrics.New(10)) // the counters below; and settle's metrics-on path
 		var flows []*Flow
 		displaced := map[*Flow]sim.Reservation{}
+
+		// moves counts, per flow, the new positions seen at the current
+		// instant at the points where the harness looks (each done callback,
+		// each read): a lower bound on the flow's refreshes this instant.
+		type moved struct {
+			at       float64
+			due      sim.Reservation
+			n        int
+			readSeen bool
+		}
+		moves := map[*Flow]*moved{}
+		look := func(read bool) {
+			for _, f := range flows {
+				if f == nil || f.finished || f.rate <= 0 {
+					continue
+				}
+				m := moves[f]
+				if m == nil || m.at != s.Now() {
+					moves[f] = &moved{at: s.Now(), due: f.due}
+					continue
+				}
+				if f.due != m.due {
+					m.due = f.due
+					if m.n++; m.n == 3 && m.readSeen {
+						seen.refreshedThrice++
+					}
+				}
+				m.readSeen = m.readSeen || (read && m.n > 0)
+			}
+		}
 		return fabric{
 			transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
 				id := len(flows)
 				flows = append(flows, nil)
-				flows[id] = n.Transfer(src, dst, bytes, done)
+				if n.settleDepth > 0 && len(n.retired) > 0 {
+					seen.startedInsidePass++
+				}
+				f := n.Transfer(src, dst, bytes, done)
+				flows[id] = f
 				return func() {
-					if f := flows[id]; n.due.head() == f && f.completion.Pending() {
+					if !f.finished && n.due.head() == f.slot && f.completion.Pending() {
 						seen.canceledQueuedHead++
 					}
-					n.Cancel(flows[id])
+					n.Cancel(f)
 				}
 			},
-			consumed: n.Consumed,
-			total:    n.TotalBytes,
+			consumed: func(node int) float64 {
+				v := n.Consumed(node)
+				look(true)
+				return v
+			},
+			total: n.TotalBytes,
 			onDone: func(flow int, err error) {
 				// flows[flow] is still nil when the flow finished inside Transfer.
 				if f := flows[flow]; f != nil && err == nil && displaced[f] == f.due {
 					seen.displacedFired++
 				}
+				look(false)
 			},
 			between: func() {
-				for i, f := range n.due.fs {
-					if f.dueIdx != i || f.finished || f.rate <= 0 {
-						t.Fatalf("due-set slot %d: dueIdx=%d finished=%v rate=%v", i, f.dueIdx, f.finished, f.rate)
+				seen.refreshes = int(n.mRefreshes.Value())
+				seen.rekeys = int(n.mRekeys.Value())
+				if len(n.touched) != 0 || n.reservedNow || len(n.retired) != 0 {
+					t.Fatalf("after a barrier: %d flows touched, reservedNow=%v, %d slots retired",
+						len(n.touched), n.reservedNow, len(n.retired))
+				}
+				inSet := 0
+				for slot, i := range n.due.idx {
+					if i < 0 {
+						continue
 					}
-					if i > 0 && f.due.Before(n.due.fs[(i-1)/2].due) {
-						t.Fatalf("due-set slot %d sorts before its parent", i)
+					inSet++
+					if int(i) >= len(n.due.es) || n.due.es[i].slot != int32(slot) {
+						t.Fatalf("slot %d indexed at heap position %d, which does not hold it", slot, i)
+					}
+				}
+				if inSet != len(n.due.es) {
+					t.Fatalf("%d slots indexed into a heap of %d", inSet, len(n.due.es))
+				}
+				for i, e := range n.due.es {
+					f := n.flows[e.slot]
+					if f == nil || f.slot != e.slot || f.finished || f.rate <= 0 || f.touched {
+						t.Fatalf("due-set position %d (slot %d) holds %+v", i, e.slot, f)
+					}
+					if e.at != f.due.At() || e.seq != f.due.Seq() {
+						t.Fatalf("due-set position %d keyed (%v, %d), its flow reserved (%v, %d)",
+							i, e.at, e.seq, f.due.At(), f.due.Seq())
+					}
+					if i > 0 && e.before(&n.due.es[(i-1)/2]) {
+						t.Fatalf("due-set position %d sorts before its parent", i)
 					}
 					if i > 0 && f.completion.Pending() {
 						displaced[f] = f.due
+					}
+				}
+				free := map[int32]bool{}
+				for _, slot := range n.free {
+					if free[slot] || n.flows[slot] != nil || n.due.idx[slot] >= 0 {
+						t.Fatalf("free slot %d: listed twice, or still in the flow table or the heap", slot)
+					}
+					free[slot] = true
+				}
+				for id := range n.nodes {
+					for _, slot := range append(slices.Clone(n.nodes[id].remote), n.nodes[id].local...) {
+						if f := n.flows[slot]; free[slot] || f == nil || f.finished || f.slot != slot {
+							t.Fatalf("node %d lists slot %d, which is free or holds no live flow", id, slot)
+						}
 					}
 				}
 				live := 0
@@ -474,8 +578,8 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 						live++
 					}
 				}
-				if live != len(n.due.fs) {
-					t.Fatalf("%d live flows have a rate, due-set holds %d", live, len(n.due.fs))
+				if live != len(n.due.es) {
+					t.Fatalf("%d live flows have a rate, due-set holds %d", live, len(n.due.es))
 				}
 			},
 		}
@@ -531,6 +635,51 @@ var seedPrograms = map[string]*program{
 	// must not defer — and both flows finish in a cascade inside the watcher.
 	"mark-at-due-instant": prog(3).transfer(0, 1, 8, thenRead).transfer(0, 2, 8, thenRead|thenTransfer).
 		advance(10).advance(10).flip(2).advance(12),
+	// Four equal fetches into node 4 end at t=5 beside a long one. The first
+	// completion event finishes the other three in a nested cascade, and each
+	// level's pass over node 4 refreshes the long flow again, with the done
+	// callbacks' reads in between: four reserved positions, one re-key.
+	"refreshed-thrice-one-instant": prog(6).transfer(0, 4, 5, thenRead).transfer(1, 4, 5, thenRead).
+		transfer(2, 4, 5, thenRead).transfer(3, 4, 5, thenRead).transfer(5, 4, 11, 0).advance(12).advance(15),
+	// f0 (0->2), f1 (1->3) and a local copy f2 on node 0 all end at t=1. f1
+	// fires first and its done starts 3->0; node 0 carries flows due now, so
+	// that mark settles node 0 on the spot, over the snapshot [f0, 3->0, f2].
+	// The pass finishes f0 — and, nested inside, f2 — and f0's done starts
+	// 2->3 while the pass still has f2's slot ahead of it. Were the slot free
+	// already, 2->3 would take it and the pass would refresh 2->3, a flow that
+	// is not on node 0, in f2's place (a mutant that frees slots in finish
+	// diverges from the eager model at observation 3, and so does one that
+	// reclaims them in a Transfer under a pass).
+	"follow-up-inside-pass": prog(4).transfer(0, 2, 5, thenTransfer|12<<2).transfer(1, 3, 5, thenTransfer|12<<2).
+		transfer(0, 0, 3, 0),
+	// Found by the fuzzer (PR 15) and outside the comparison's domain: the
+	// program's clock is a float sum, 16.01 + 2 + 2.5 = 20.509999999999998,
+	// and flow f8 (2->1) was planned to end at 20.51, so node 1's flip finds
+	// it 3.5e-13 bytes from done without being due. The eager model finishes
+	// it inside the watch callback's settle, so the follow-up f17 its done
+	// starts arms its stall timer before the callback reaches f16; Network
+	// finishes it at the barrier, after. compareWithEager recognises the
+	// situation in the eager run and checks invariants only.
+	"clock-stops-inside-epsilon": decodeProgram([]byte("29120082910+200722007092200002000091902001000810C07009207929120000221829007070020117200000%9121010909100910+910009920,2000020000918Z929121270920Z0+910")),
+}
+
+// compareWithEager runs p one operation a callback against Network (tallying
+// into seen) and against the eager reference, and requires the same
+// observations. One kind of program is let off that comparison and reported
+// as skipped: one where the eager run finished a flow that was within 1e-6
+// bytes of its end, but not due, inside the transfer or flip that found it
+// (eagerNet.nearEnd). Batched settling finishes that flow at the barrier —
+// before the due-set as well as with it — so callbacks of that instant can
+// come in another order. Network's own invariants are still checked.
+func compareWithEager(t testing.TB, p *program, seen *dueSetCases) (log []string, skipped bool) {
+	nearEnd := 0
+	want := p.run(t, bindEager(&nearEnd), false)
+	log = p.run(t, bindNetwork(t, seen), false)
+	if nearEnd > 0 {
+		return log, true
+	}
+	diffLogs(t, p, want, log)
+	return log, false
 }
 
 // FuzzNetworkVsEager decodes the input into transfers (remote, local,
@@ -556,7 +705,7 @@ func FuzzNetworkVsEager(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := decodeProgram(b)
-		diffLogs(t, p, p.run(t, bindEager, false), p.run(t, bindNetwork(t, nil), false))
+		compareWithEager(t, p, nil)
 		p.run(t, bindNetwork(t, nil), true)
 	})
 }
@@ -571,10 +720,15 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 	}
 	run := func(name string) ([]string, dueSetCases) {
 		var seen dueSetCases
-		p := seedPrograms[name]
-		log := p.run(t, bindNetwork(t, &seen), false)
-		diffLogs(t, p, p.run(t, bindEager, false), log)
+		log, _ := compareWithEager(t, seedPrograms[name], &seen)
 		return log, seen
+	}
+	// The comparison's one exemption is used by the program checked in for
+	// it and by no other.
+	for name, p := range seedPrograms {
+		if _, skipped := compareWithEager(t, p, nil); skipped != (name == "clock-stops-inside-epsilon") {
+			t.Fatalf("%s: skipped the eager comparison = %v", name, skipped)
+		}
 	}
 
 	log, _ := run("two-due-one-instant")
@@ -592,5 +746,12 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 	}
 	if _, seen := run("cancel-queued-head"); seen.canceledQueuedHead != 1 {
 		t.Fatalf("cancel-queued-head: %d cancels hit the queued head, want 1", seen.canceledQueuedHead)
+	}
+	if _, seen := run("refreshed-thrice-one-instant"); seen.refreshedThrice == 0 || seen.rekeys >= seen.refreshes {
+		t.Fatalf("refreshed-thrice-one-instant: %d flows seen refreshed three times at an instant, %d re-keys for %d refreshes",
+			seen.refreshedThrice, seen.rekeys, seen.refreshes)
+	}
+	if _, seen := run("follow-up-inside-pass"); seen.startedInsidePass == 0 {
+		t.Fatal("follow-up-inside-pass: no transfer started under a settle pass with a slot retired")
 	}
 }

@@ -26,17 +26,29 @@
 // A flow's completion is not a sim event until it has to be. A rate change
 // gives the flow a new completion time, and most of those are superseded by
 // the next rate change long before the clock gets there (a shuffle-heavy
-// sort re-keys a flow some sixty times for every completion that fires).
+// sort refreshes a flow some sixty times for every completion that fires).
 // So a refresh only reserves the (at, seq) position its completion event
-// would take (sim.Reserve) and moves the flow inside the due-set, an indexed
-// min-heap over those positions; the same barrier then makes sure the head
-// of the set, the one completion that can be the simulation's next event, is
-// queued at its reserved position. Positions are drawn at the program points
-// where events used to be scheduled and the queued head sits where its own
-// event would have, so the simulator fires exactly the events it fired with
-// one event per flow, in the same order, and never stores the rest.
-// FuzzNetworkVsEager holds Network to that against a test-only model that
-// does keep one event per flow and settles on every change.
+// would take (sim.Reserve) and notes the flow as touched; the same barrier
+// then moves each touched flow once inside the due-set, an indexed min-heap
+// over those positions, to the position its last refresh reserved — equal
+// shuffle fetches finish k at an instant and each finish resettles both its
+// nodes, so a flow is refreshed several times an instant and re-keyed once —
+// and makes sure the head of the set, the one completion that can be the
+// simulation's next event, is queued at its reserved position. Positions
+// are drawn at the program points where events used to be scheduled and the
+// queued head sits where its own event would have, so the simulator fires
+// exactly the events it fired with one event per flow, in the same order,
+// and never stores the rest. FuzzNetworkVsEager holds Network to that
+// against a test-only model that does keep one event per flow and settles on
+// every change.
+//
+// The structures those passes walk hold no pointers. A flow in flight has a
+// slot in the network's flow table; node flow lists, settle snapshots, the
+// touched list and the due-set name flows by slot, so snapshotting a list is
+// a memmove and a heap swap takes no write barrier. *Flow stays the handle
+// callers hold. A finished flow's slot is not reused while any settle pass
+// is on the stack: a pass's snapshot may name it, and must find the finished
+// flow there, not one a done callback started.
 //
 // A flow with an unavailable endpoint makes no progress; if the outage lasts
 // longer than the configured stall timeout the flow fails with ErrStalled,
@@ -89,7 +101,11 @@ func DefaultConfig() Config {
 // Flow is one in-flight transfer.
 type Flow struct {
 	Src, Dst *cluster.Node
-	id       uint64
+	// slot is the flow's index in the network's flow table while it is in
+	// flight (-1 for a zero-byte flow, which never is); src and dst are the
+	// endpoints' node indices, kept here so the settle loop does not load
+	// them through Src and Dst.
+	slot, src, dst int32
 
 	remaining  float64
 	rate       float64
@@ -100,13 +116,13 @@ type Flow struct {
 	finished bool
 
 	// due is the queue position reserved for the flow's completion at its
-	// last rate change, and dueIdx its slot in the network's due-set (-1
-	// while the flow has no rate and so no completion to wait for).
-	// completion is pending only once the barrier has found the flow at the
-	// head of the set and queued complete — made on first use, one closure a
-	// flow — at that position.
+	// last rate change; touched says the due-set has not been told yet (the
+	// flow is on the network's touched list, and its entry in the set, if
+	// any, still carries an older position). completion is pending only once
+	// the barrier has found the flow at the head of the set and queued
+	// complete — made on first use, one closure a flow — at that position.
 	due        sim.Reservation
-	dueIdx     int
+	touched    bool
 	completion sim.Event
 	complete   func()
 }
@@ -115,10 +131,10 @@ type Flow struct {
 // change, not the current instant).
 func (f *Flow) Remaining() float64 { return f.remaining }
 
-// nodeState tracks the flows touching one node.
+// nodeState tracks the flows touching one node, by slot.
 type nodeState struct {
-	remote []*Flow
-	local  []*Flow
+	remote []int32
+	local  []int32
 	// consumed accumulates bytes moved through this node (both
 	// directions), for bandwidth measurement.
 	consumed float64
@@ -126,15 +142,23 @@ type nodeState struct {
 
 // Network simulates all transfers for a cluster.
 type Network struct {
-	sim    *sim.Simulation
-	cfg    Config
-	nodes  []*nodeState
-	nextID uint64
+	sim   *sim.Simulation
+	cfg   Config
+	nodes []nodeState
 
-	// scratch is a stack of reusable flow buffers for settle iteration
+	// flows is the slot table: flows[s] is the flow holding slot s. A slot
+	// goes to retired when its flow finishes and from there to free only
+	// when no settle pass is on the stack (reclaim): a pass's snapshot names
+	// flows by slot and skips the finished ones, so a slot handed out again
+	// mid-pass would make it refresh a flow that is not on its node.
+	flows   []*Flow
+	free    []int32
+	retired []int32
+
+	// scratch is a stack of reusable slot buffers for settle iteration
 	// (refresh can re-enter the settle pass via finish, so one buffer is
 	// not enough; a stack keeps nesting safe without per-event allocation).
-	scratch [][]*Flow
+	scratch [][]int32
 
 	// dirty queues nodes whose flow sets or availability changed this
 	// instant, in first-marked order; inDirty dedups membership. flush
@@ -149,19 +173,15 @@ type Network struct {
 	// callback runs, so the simulator fires the same completions at the
 	// same positions as if every flow had an event of its own, and hardly
 	// ever stores a position that a later rate change supersedes.
-	due dueSet
-
-	// listEpoch counts every mutation that can invalidate a precomputed
-	// fair-share rate: flow-list membership changes and mid-pass endpoint
-	// marks. The sharded settle phase snapshots it before fanning out and
-	// falls back to live rate computation for any flow refreshed after it
-	// moves — see maybeShardSettle.
-	listEpoch uint64
-
-	// Reusable buffers for the sharded settle phase (see maybeShardSettle).
-	shardIDs   []int
-	shardOff   []int
-	shardRates []float64
+	//
+	// A refresh does not move the flow inside the set; it puts it on touched
+	// (once, Flow.touched) and the barrier sifts each touched flow to the
+	// position its last refresh reserved. reservedNow says some refresh since
+	// the last barrier reserved the current instant — the one fact about the
+	// up-to-date order that dueNow needs before the barrier has restored it.
+	due         dueSet
+	touched     []int32
+	reservedNow bool
 
 	// settleDepth counts settleNode frames on the stack. An endpoint
 	// change made while a pass is in progress (a done callback starting a
@@ -181,14 +201,16 @@ type Network struct {
 	mBytes     *metrics.Counter
 	mStalls    *metrics.Counter
 	mRefreshes *metrics.Counter
+	mRekeys    *metrics.Counter
 	mScheduled *metrics.Counter
 }
 
 // Instrument registers fabric observability on c: flows started, bytes
 // delivered (settled, so partial progress of failed flows counts, matching
-// TotalBytes) and stall failures, all time-bucketed; and how much scheduling
-// the due-set absorbed — rate_refreshes counts the rate changes that re-keyed
-// a flow's completion, completions_scheduled the ones that became sim events.
+// TotalBytes) and stall failures, all time-bucketed; and how much work the
+// due-set absorbed — rate_refreshes counts the rate changes that reserved a
+// completion position, due_rekeys the heap sifts the barrier made for them,
+// completions_scheduled the positions that became sim events.
 func (n *Network) Instrument(c *metrics.Collector) {
 	if c == nil {
 		return
@@ -197,6 +219,7 @@ func (n *Network) Instrument(c *metrics.Collector) {
 	n.mBytes = c.TimedCounter(metrics.LayerNet, "bytes_delivered", "")
 	n.mStalls = c.TimedCounter(metrics.LayerNet, "flow_stalls", "")
 	n.mRefreshes = c.Counter(metrics.LayerNet, "rate_refreshes", "")
+	n.mRekeys = c.Counter(metrics.LayerNet, "due_rekeys", "")
 	n.mScheduled = c.Counter(metrics.LayerNet, "completions_scheduled", "")
 }
 
@@ -208,11 +231,8 @@ func New(s *sim.Simulation, c *cluster.Cluster, cfg Config) *Network {
 	n := &Network{
 		sim:     s,
 		cfg:     cfg,
-		nodes:   make([]*nodeState, len(c.Nodes)),
+		nodes:   make([]nodeState, len(c.Nodes)),
 		inDirty: make([]bool, len(c.Nodes)),
-	}
-	for i := range n.nodes {
-		n.nodes[i] = &nodeState{}
 	}
 	for _, node := range c.Nodes {
 		node.Watch(func(nd *cluster.Node, _ bool) { n.nodeChanged(nd) })
@@ -285,21 +305,32 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 	if bytes < 0 {
 		panic(fmt.Sprintf("netmodel: negative transfer size %v", bytes))
 	}
-	f := &Flow{Src: src, Dst: dst, id: n.nextID, remaining: bytes, done: done, lastUpdate: n.sim.Now(), dueIdx: -1}
-	n.nextID++
+	f := &Flow{Src: src, Dst: dst, slot: -1, src: int32(src.ID), dst: int32(dst.ID),
+		remaining: bytes, done: done, lastUpdate: n.sim.Now()}
 	n.mFlows.IncAt(f.lastUpdate)
 	if bytes == 0 {
 		f.finished = true
 		n.sim.After(0, "net.done0", func() { done(nil) })
 		return f
 	}
-	n.listEpoch++
+	if len(n.free) == 0 && n.settleDepth == 0 {
+		n.reclaim()
+	}
+	if k := len(n.free); k > 0 {
+		f.slot = n.free[k-1]
+		n.free = n.free[:k-1]
+		n.flows[f.slot] = f
+	} else {
+		f.slot = int32(len(n.flows))
+		n.flows = append(n.flows, f)
+		n.due.idx = append(n.due.idx, -1)
+	}
 	if f.local() {
-		n.nodes[src.ID].local = append(n.nodes[src.ID].local, f)
+		n.nodes[f.src].local = append(n.nodes[f.src].local, f.slot)
 		n.markDirty(src.ID)
 	} else {
-		n.nodes[src.ID].remote = append(n.nodes[src.ID].remote, f)
-		n.nodes[dst.ID].remote = append(n.nodes[dst.ID].remote, f)
+		n.nodes[f.src].remote = append(n.nodes[f.src].remote, f.slot)
+		n.nodes[f.dst].remote = append(n.nodes[f.dst].remote, f.slot)
 		n.markDirty(src.ID)
 		n.markDirty(dst.ID)
 	}
@@ -316,11 +347,20 @@ func (n *Network) Cancel(f *Flow) {
 	n.finish(f, ErrCanceled)
 }
 
-func (f *Flow) local() bool { return f.Src.ID == f.Dst.ID }
+func (f *Flow) local() bool { return f.src == f.dst }
 
-// settle charges progress made at the current rate since the last update.
+// settle charges progress made at the current rate since the last update. A
+// second settle at one instant has nothing to charge — delta is rate × 0,
+// and x − 0 and x + 0 are exact — so it only repeats the zero observation
+// the byte counter's time series would have got.
 func (n *Network) settle(f *Flow) {
 	now := n.sim.Now()
+	if f.lastUpdate == now {
+		if f.rate > 0 {
+			n.mBytes.AddAt(now, 0)
+		}
+		return
+	}
 	if f.rate > 0 {
 		delta := f.rate * (now - f.lastUpdate)
 		if delta > f.remaining {
@@ -329,9 +369,9 @@ func (n *Network) settle(f *Flow) {
 		f.remaining -= delta
 		n.totalBytes += delta
 		n.mBytes.AddAt(now, delta)
-		n.nodes[f.Src.ID].consumed += delta
+		n.nodes[f.src].consumed += delta
 		if !f.local() {
-			n.nodes[f.Dst.ID].consumed += delta
+			n.nodes[f.dst].consumed += delta
 		}
 	}
 	f.lastUpdate = now
@@ -344,14 +384,14 @@ func (n *Network) currentRate(f *Flow) float64 {
 		return 0
 	}
 	if f.local() {
-		cnt := len(n.nodes[f.Src.ID].local)
+		cnt := len(n.nodes[f.src].local)
 		if cnt == 0 {
 			return 0
 		}
 		return n.cfg.DiskBandwidth / float64(cnt)
 	}
-	sc := len(n.nodes[f.Src.ID].remote)
-	dc := len(n.nodes[f.Dst.ID].remote)
+	sc := len(n.nodes[f.src].remote)
+	dc := len(n.nodes[f.dst].remote)
 	if sc == 0 || dc == 0 {
 		return 0
 	}
@@ -363,22 +403,16 @@ func (n *Network) currentRate(f *Flow) float64 {
 	return dstShare
 }
 
-// takeScratch pops a reusable flow buffer (snapshotting a node's flow lists
-// before iteration, since refresh/finish mutate them).
-func (n *Network) takeScratch() []*Flow {
+// takeScratch pops a reusable slot buffer (snapshotting a node's flow lists
+// before iteration, since refresh/finish mutate them); settleNode pushes it
+// back.
+func (n *Network) takeScratch() []int32 {
 	if k := len(n.scratch); k > 0 {
 		b := n.scratch[k-1]
 		n.scratch = n.scratch[:k-1]
 		return b[:0]
 	}
 	return nil
-}
-
-func (n *Network) putScratch(b []*Flow) {
-	for i := range b {
-		b[i] = nil
-	}
-	n.scratch = append(n.scratch, b)
 }
 
 // markDirty queues the node for the next settle pass. Marks keep their
@@ -396,7 +430,6 @@ func (n *Network) putScratch(b []*Flow) {
 // deferred work in accumulation order) and the node settles eagerly, exactly
 // as the per-change schedule would have.
 func (n *Network) markDirty(nodeID int) {
-	n.listEpoch++
 	if n.settleDepth > 0 {
 		// Mid-pass change: the eager schedule ran its recompute right
 		// here, between the enclosing pass's refreshes. Settle inline at
@@ -423,18 +456,20 @@ func (n *Network) markDirty(nodeID int) {
 }
 
 // dueNow reports whether a flow touching the node completes at the current
-// instant. No completion is ever overdue, so one can be due now only if the
-// head of the due-set is; that O(1) test is almost always false and only
-// then are the node's own flows looked at.
+// instant. No stored key is ever below now, so a flow due now either has not
+// been refreshed since the last barrier — its stored key is now, and then so
+// is the stored head's — or was refreshed to now and raised reservedNow.
+// That O(1) test is almost always false, and only then are the node's own
+// flows looked at, through Flow.due, which is always current.
 func (n *Network) dueNow(nodeID int) bool {
 	now := n.sim.Now()
-	if h := n.due.head(); h == nil || h.due.At() != now {
+	if !n.reservedNow && (len(n.due.es) == 0 || n.due.es[0].at != now) {
 		return false
 	}
-	st := n.nodes[nodeID]
-	for _, fs := range [2][]*Flow{st.remote, st.local} {
-		for _, f := range fs {
-			if f.dueIdx >= 0 && f.due.At() == now {
+	st := &n.nodes[nodeID]
+	for _, slots := range [2][]int32{st.remote, st.local} {
+		for _, slot := range slots {
+			if f := n.flows[slot]; f.rate > 0 && f.due.At() == now {
 				return true
 			}
 		}
@@ -442,17 +477,40 @@ func (n *Network) dueNow(nodeID int) bool {
 	return false
 }
 
-// barrier is the network's sim.Barrier: it flushes the deferred settle pass
-// and then makes sure the head of the due-set — the one completion that can
-// be the simulation's next event — is queued at the position it reserved. A
+// barrier is the network's sim.Barrier. It flushes the deferred settle pass;
+// brings the due-set up to date, one sift for each flow refreshed since the
+// last barrier, however often, to the position its last refresh reserved
+// (flows that finished or lost their rate left the set when they did);
+// releases the slots of finished flows, which no snapshot can name any more;
+// and then makes sure the head of the set — the one completion that can be
+// the simulation's next event — is queued at the position it reserved. A
 // head displaced by an earlier arrival keeps its event: it is the very event
 // the flow would have had on its own, and it stays until the flow's next
 // rate change cancels it or it fires. No position is therefore ever queued
 // twice.
 func (n *Network) barrier() bool {
 	did := n.flush()
-	f := n.due.head()
-	if f == nil || f.completion.Pending() {
+	for _, slot := range n.touched {
+		f := n.flows[slot]
+		if f == nil || !f.touched {
+			continue // finished, and its slot reclaimed since: see reclaim
+		}
+		f.touched = false
+		if !f.finished && f.rate > 0 {
+			n.due.fix(slot, f.due)
+			n.mRekeys.Inc()
+		}
+	}
+	n.touched = n.touched[:0]
+	n.reservedNow = false
+	n.reclaim()
+
+	slot := n.due.head()
+	if slot < 0 {
+		return did
+	}
+	f := n.flows[slot]
+	if f.completion.Pending() {
 		return did
 	}
 	if f.complete == nil {
@@ -463,17 +521,32 @@ func (n *Network) barrier() bool {
 	return true
 }
 
+// reclaim frees the slots of finished flows. The caller guarantees that no
+// settle pass is on the stack: the barrier, and a Transfer that runs outside
+// one and finds no slot free (so a caller that starts and cancels flows
+// without ever letting the simulation run does not grow the table). The
+// touched list may still name a reclaimed slot; the barrier skips it by the
+// flag, which the slot's next holder starts with cleared.
+func (n *Network) reclaim() {
+	for _, slot := range n.retired {
+		n.flows[slot] = nil
+	}
+	n.free = append(n.free, n.retired...)
+	n.retired = n.retired[:0]
+}
+
 // completionFired is the completion event's callback. The event that fires
 // is the earliest in the queue and the head of the due-set is always queued,
 // so the flow must be that head; anything else means the two orders diverged.
 func (n *Network) completionFired(f *Flow) {
-	if n.due.head() == nil {
+	switch n.due.head() {
+	case f.slot:
+		n.finish(f, nil)
+	case -1:
 		panic("netmodel: completion event fired with no flow due")
-	}
-	if n.due.head() != f {
+	default:
 		panic("netmodel: completion event fired for a flow that is not due")
 	}
-	n.finish(f, nil)
 }
 
 // flush drains the dirty queue: one settle pass per marked node at the
@@ -487,165 +560,61 @@ func (n *Network) flush() bool {
 		return false
 	}
 	n.flushing = true
-	n.maybeShardSettle()
 	n.drainDirty()
 	n.dirty = n.dirty[:0]
 	n.flushing = false
 	return true
 }
 
-// Shard-phase thresholds: below these the spawn cost of a parallel phase
-// exceeds the rate arithmetic it saves, so small instants stay serial
-// (which is byte-identical anyway).
-const (
-	settleShardMinNodes = 64
-	settleShardMinFlows = 256
-)
-
-// maybeShardSettle runs the parallel half of a large settle pass: for every
-// node marked dirty at flush entry it precomputes each touching flow's
-// candidate fair-share rate across the shard pool, then applies the pass
-// serially in first-marked order. The phase is a pure read — rates are a
-// function of flow-list lengths and endpoint availability, neither of which
-// changes while it runs — and all mutation (settled-byte accumulation,
-// completion re-keying, metric observations) happens in the
-// serial apply, in exactly the order drainDirty uses. Precomputed rates are
-// trusted only while listEpoch is unmoved; any mid-apply cascade (a finish,
-// a new transfer from a done callback, an endpoint mark) bumps the epoch
-// and later refreshes fall back to live currentRate — the same pure
-// function — so the fanned pass is byte-identical to the serial one at any
-// worker count. Nodes the apply skips stay for drainDirty, which the caller
-// runs right after.
-func (n *Network) maybeShardSettle() {
-	pool := n.sim.Shards()
-	if pool.Serial() || len(n.dirty) < settleShardMinNodes {
-		return
-	}
-	// Size the batch: marked nodes at flush entry, and one rate slot per
-	// flow touching them (remote then local, the settleNode order).
-	ids := n.shardIDs[:0]
-	off := n.shardOff[:0]
-	flows := 0
-	for _, id := range n.dirty {
-		if !n.inDirty[id] {
-			continue
-		}
-		st := n.nodes[id]
-		ids = append(ids, id)
-		off = append(off, flows)
-		flows += len(st.remote) + len(st.local)
-	}
-	n.shardIDs, n.shardOff = ids, off
-	if flows < settleShardMinFlows {
-		return
-	}
-	if cap(n.shardRates) < flows {
-		n.shardRates = make([]float64, flows)
-	}
-	rates := n.shardRates[:flows]
-	epoch := n.listEpoch
-	pool.Run(len(ids), func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			st := n.nodes[ids[k]]
-			idx := off[k]
-			for _, f := range st.remote {
-				rates[idx] = n.currentRate(f)
-				idx++
-			}
-			for _, f := range st.local {
-				rates[idx] = n.currentRate(f)
-				idx++
-			}
-		}
-	})
-	// Serial apply in first-marked order, flows in list order — the exact
-	// accumulation and (at, seq) consumption sequence of the serial drain.
-	for k, id := range ids {
-		if !n.inDirty[id] {
-			continue
-		}
-		n.inDirty[id] = false
-		n.settleNodeRated(id, rates[off[k]:], epoch)
-	}
-}
-
-// settleNodeRated is settleNode with precomputed candidate rates, valid
-// while the network's listEpoch still equals epoch. A stale epoch at entry
-// means the node's flow lists no longer match the rate layout, so the plain
-// live path runs instead.
-func (n *Network) settleNodeRated(nodeID int, rates []float64, epoch uint64) {
-	if n.listEpoch != epoch {
-		n.settleNode(nodeID)
-		return
-	}
-	st := n.nodes[nodeID]
-	buf := n.takeScratch()
-	buf = append(buf, st.remote...)
-	buf = append(buf, st.local...)
-	n.settleDepth++
-	for j, f := range buf {
-		if n.listEpoch == epoch {
-			n.refreshRated(f, rates[j])
-		} else {
-			// A cascade invalidated the precomputed rates; the snapshot
-			// still matches the phase-time lists, so positions stay
-			// aligned, but the values must be recomputed live.
-			n.refresh(f)
-		}
-	}
-	n.settleDepth--
-	n.putScratch(buf)
-}
-
-// settleNode resettles and reschedules every flow touching the node.
+// settleNode resettles and re-plans every flow touching the node, over a
+// snapshot of its lists: refresh can finish a flow, and that removes it here
+// and lets its done callback start others.
 func (n *Network) settleNode(nodeID int) {
-	st := n.nodes[nodeID]
+	st := &n.nodes[nodeID]
 	buf := n.takeScratch()
 	buf = append(buf, st.remote...)
 	buf = append(buf, st.local...)
 	n.settleDepth++
-	for _, f := range buf {
-		n.refresh(f)
+	for _, slot := range buf {
+		n.refresh(n.flows[slot])
 	}
 	n.settleDepth--
-	n.putScratch(buf)
+	n.scratch = append(n.scratch, buf)
 }
 
-// refresh recomputes one flow's rate and completion time.
+// refresh settles the flow at its old rate, adopts the current one and
+// re-plans its completion. A flow with a rate reserves the (at, seq) position
+// its completion event would take — one schedule-order number per refresh,
+// drawn right here, so every other event in the run keeps its position — and
+// goes on the touched list; moving it there in the due-set is the barrier's
+// business, once for all the refreshes of the instant, and so is queueing it.
 func (n *Network) refresh(f *Flow) {
 	if f.finished {
 		return
 	}
-	n.refreshRated(f, n.currentRate(f))
-}
-
-// refreshRated settles the flow at its old rate, adopts the new one (the
-// caller guarantees rate == currentRate(f): computed live, or by the parallel
-// phase under the listEpoch guard) and re-keys the flow's completion. A flow
-// with a rate reserves the (at, seq) position its completion event would
-// take — one schedule-order number per refresh, drawn right here, so every
-// other event in the run keeps its position — and moves to that position in
-// the due-set; queueing it is the barrier's business.
-func (n *Network) refreshRated(f *Flow, rate float64) {
-	if f.finished {
-		return
-	}
 	n.settle(f)
-	f.rate = rate
+	f.rate = n.currentRate(f)
 	n.sim.Cancel(f.completion)
 	f.completion = sim.Event{}
 	switch {
 	case f.remaining <= 1e-6:
 		// Out of the set before finish, not just inside it: finish flushes
 		// first, and a mark made during that flush must not find f due.
-		n.due.remove(f)
+		n.due.remove(f.slot)
 		n.finish(f, nil)
-	case rate > 0:
-		f.due = n.sim.Reserve(n.sim.Now() + f.remaining/rate)
-		n.due.fix(f)
+	case f.rate > 0:
+		now := n.sim.Now()
+		f.due = n.sim.Reserve(now + f.remaining/f.rate)
+		if f.due.At() == now {
+			n.reservedNow = true
+		}
+		if !f.touched {
+			f.touched = true
+			n.touched = append(n.touched, f.slot)
+		}
 		n.mRefreshes.Inc()
 	default:
-		n.due.remove(f)
+		n.due.remove(f.slot)
 	}
 }
 
@@ -689,7 +658,6 @@ func (n *Network) finish(f *Flow, err error) {
 		return
 	}
 	n.settle(f)
-	n.listEpoch++
 	f.finished = true
 	if err == ErrStalled {
 		n.mStalls.IncAt(n.sim.Now())
@@ -697,15 +665,16 @@ func (n *Network) finish(f *Flow, err error) {
 	n.sim.Cancel(f.completion)
 	n.sim.Cancel(f.stall)
 	f.completion, f.stall = sim.Event{}, sim.Event{}
-	n.due.remove(f)
+	n.due.remove(f.slot)
+	n.retired = append(n.retired, f.slot)
 	if f.local() {
-		removeFlow(&n.nodes[f.Src.ID].local, f)
-		n.settleNode(f.Src.ID)
+		removeSlot(&n.nodes[f.src].local, f.slot)
+		n.settleNode(int(f.src))
 	} else {
-		removeFlow(&n.nodes[f.Src.ID].remote, f)
-		removeFlow(&n.nodes[f.Dst.ID].remote, f)
-		n.settleNode(f.Src.ID)
-		n.settleNode(f.Dst.ID)
+		removeSlot(&n.nodes[f.src].remote, f.slot)
+		removeSlot(&n.nodes[f.dst].remote, f.slot)
+		n.settleNode(int(f.src))
+		n.settleNode(int(f.dst))
 	}
 	if f.done != nil {
 		f.done(err)
@@ -718,18 +687,18 @@ func (n *Network) finish(f *Flow, err error) {
 // never mutates the flow lists — so no snapshot is needed.
 func (n *Network) nodeChanged(node *cluster.Node) {
 	n.markDirty(node.ID)
-	st := n.nodes[node.ID]
-	for _, f := range st.remote {
-		n.checkStall(f)
+	st := &n.nodes[node.ID]
+	for _, slot := range st.remote {
+		n.checkStall(n.flows[slot])
 	}
-	for _, f := range st.local {
-		n.checkStall(f)
+	for _, slot := range st.local {
+		n.checkStall(n.flows[slot])
 	}
 }
 
-func removeFlow(s *[]*Flow, f *Flow) {
+func removeSlot(s *[]int32, slot int32) {
 	for i, x := range *s {
-		if x == f {
+		if x == slot {
 			*s = append((*s)[:i], (*s)[i+1:]...)
 			return
 		}

@@ -273,3 +273,40 @@ func TestMidInstantReadsSeeSettledState(t *testing.T) {
 		t.Fatalf("simulation ended at %v, want 20", s.Now())
 	}
 }
+
+// TestDueNowSeesPositionReservedThisInstant covers the half of dueNow's
+// shortcut that the fuzz programs cannot reach: at their 100 B/s a completion
+// is never planned closer than 1e-8 s, which no clock under 1e8 s rounds away.
+// At paper rates and t=1e6 it is routine. Two fetches share node 3's NIC; g is
+// 0.006 bytes longer, so it is planned one ulp of the clock after f1. When f1
+// finishes, g's share doubles and what it has left takes under half an ulp:
+// its new position is the current instant, while the due-set — not yet
+// re-keyed — still shows the head an ulp away. A transfer started on node 3
+// from f1's done callback must not be deferred all the same.
+func TestDueNowSeesPositionReservedThisInstant(t *testing.T) {
+	s, c, n := testbed(nil, DefaultConfig())
+	var g *Flow
+	checked := false
+	s.Schedule(1e6, "start", func() {
+		n.Transfer(c.Node(1), c.Node(3), 1e6, func(error) {
+			now := s.Now()
+			if g.finished || g.remaining <= 1e-6 || g.due.At() != now || n.due.es[0].at == now {
+				t.Fatalf("set-up: g finished=%v remaining=%v due %v, stored head %v, now %v",
+					g.finished, g.remaining, g.due.At(), n.due.es[0].at, now)
+			}
+			if !n.dueNow(3) {
+				t.Error("dueNow(3) = false with g's completion reserved at the current instant")
+			}
+			n.Transfer(c.Node(1), c.Node(3), 1e6, func(error) {})
+			if n.inDirty[3] {
+				t.Error("a change on the node of a flow due now was deferred to the barrier")
+			}
+			checked = true
+		})
+		g = n.Transfer(c.Node(2), c.Node(3), 1e6+6e-3, func(error) {})
+	})
+	s.Run()
+	if !checked {
+		t.Fatal("f1 never completed")
+	}
+}

@@ -89,9 +89,8 @@ type SweepSpec struct {
 	// 1 = serial); results are identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
 	// ShardWorkers bounds the worker pool *inside* each simulation, which
-	// the intra-run parallel phases (trace generation, netmodel settle
-	// sweeps, heartbeat slot scans) fan across (0 = all cores,
-	// 1 = serial). Results are byte-identical at any setting; big
+	// the intra-run parallel phases (trace generation, heartbeat slot
+	// scans) fan across (0 = all cores, 1 = serial). Results are byte-identical at any setting; big
 	// single-run scenarios want this high and Parallelism at 1, sweeps of
 	// many small runs the reverse.
 	ShardWorkers int `json:"shard_workers,omitempty"`

@@ -137,9 +137,8 @@ func (s *Simulation) SetShardWorkers(workers int) {
 }
 
 // Shards returns the simulation's shard pool, defaulting to a
-// GOMAXPROCS-wide pool on first use. Model layers (netmodel settling,
-// trace generation, the mapred heartbeat) fan their per-node phases
-// through it.
+// GOMAXPROCS-wide pool on first use. Model layers (trace generation, the
+// mapred heartbeat) fan their per-node phases through it.
 func (s *Simulation) Shards() *ShardPool {
 	if s.shards == nil {
 		s.shards = NewShardPool(0)

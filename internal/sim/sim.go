@@ -575,6 +575,10 @@ const (
 // At returns the reserved time.
 func (r Reservation) At() Time { return r.at }
 
+// Seq returns the reserved schedule-order number: with At, the whole key
+// Before compares, for a caller that keeps the key outside the Reservation.
+func (r Reservation) Seq() uint64 { return r.seq }
+
 // Before reports whether r's position precedes o's in the queue's total
 // order.
 func (r Reservation) Before(o Reservation) bool {
