@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestStaleHandleCannotCancelRecycledEvent is the safety property of the
 // event free list: a handle kept past its event's lifetime must never
@@ -67,8 +70,8 @@ func TestLazyCancelDrainCounts(t *testing.T) {
 	if s.Fired() != 6 {
 		t.Fatalf("Fired() = %d, want 6", s.Fired())
 	}
-	if s.Pending() != 0 || s.cal.len() != 0 {
-		t.Fatalf("queue not drained: Pending=%d len=%d", s.Pending(), s.cal.len())
+	if s.Pending() != 0 || len(s.queue) != 0 {
+		t.Fatalf("queue not drained: Pending=%d len=%d", s.Pending(), len(s.queue))
 	}
 }
 
@@ -83,8 +86,8 @@ func TestCancelCompaction(t *testing.T) {
 	for _, e := range evs[:999] {
 		s.Cancel(e)
 	}
-	if s.cal.len() >= 1000 {
-		t.Fatalf("queue did not compact: %d slots for 1 live event", s.cal.len())
+	if len(s.queue) >= 1000 {
+		t.Fatalf("queue did not compact: %d slots for 1 live event", len(s.queue))
 	}
 	if s.Pending() != 1 {
 		t.Fatalf("Pending() = %d, want 1", s.Pending())
@@ -131,4 +134,35 @@ func TestRescheduleCanceledEvent(t *testing.T) {
 	if got := s.Reschedule(e2, 5); got.Pending() {
 		t.Fatal("rescheduling a fired (stale) handle produced a pending event")
 	}
+}
+
+// TestEventPathAllocatesNothing is the allocation gate: once the free list
+// and the heap's backing slice are warm, scheduling, firing and canceling
+// allocate nothing, at any backlog.
+func TestEventPathAllocatesNothing(t *testing.T) {
+	fn := func() {}
+	gate := func(name string, cycle func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+			t.Errorf("%s: %v allocs per cycle, want 0", name, got)
+		}
+	}
+	for _, pending := range []int{0, 1000, 100000} {
+		s := New()
+		for i := 0; i < pending; i++ {
+			s.Schedule(1e6+float64(i)*0.25, "bg", fn)
+		}
+		gate(fmt.Sprintf("schedule+Step at backlog %d", pending), func() {
+			s.After(1e-3, "e", fn)
+			s.Step()
+		})
+	}
+
+	s := New()
+	stop := s.Ticker(1, "t", fn)
+	gate("ticker chain", func() { s.Step() })
+	stop()
+
+	s = New()
+	gate("schedule+cancel", func() { s.Cancel(s.After(1e6, "e", fn)) })
 }

@@ -6,37 +6,34 @@
 // the deterministic rng package makes every run bit-reproducible for a given
 // seed. All model time is in simulated seconds (float64).
 //
-// The event queue is a bucketed calendar queue (Brown, CACM 1988): pending
-// events hash into time buckets of adaptive width, so the steady-state
-// schedule→fire cycle is O(1) instead of the O(log n) a binary heap pays —
-// the difference between minutes and hours at 100k-node scale, where n is in
-// the millions. Buckets are lazily sorted: inserts append to an unsorted
-// tail and the tail is only folded in when the bucket is actually examined
-// for a minimum, so burst scheduling (100k heartbeats for the same instant)
-// stays O(1) per event. Events scheduled for exactly the current instant —
-// same-instant cascades, the dominant pattern under barriers and completion
-// chains — bypass the calendar through a FIFO now-queue (append order is
-// (at, seq) order there by construction), so draining an instant never
-// churns the bucket being popped. The ordering contract is unchanged from
-// the heap: events pop in exact (at, seq) order.
+// The event queue is a binary min-heap over (at, seq). seq is unique, so the
+// order is strict and any correct priority queue pops the same sequence: run
+// output does not depend on the heap's internal layout. Around the heap:
 //
-// The queue is also allocation-lean: event storage is pooled in a
-// per-Simulation free list and recycled after an event fires, so the hot
-// schedule→fire→reschedule cycle of tickers, heartbeats and flow-completion
-// events runs without per-event allocation at steady state. Cancel is lazy —
-// it marks the event and the queue skips it at pop time instead of paying an
-// eager removal; when canceled events pile up the queue compacts in one O(n)
-// pass, so cancel-heavy churn (timers armed and usually disarmed: stall
-// timeouts, fetch retries, stopped tickers) stays amortized O(1) and the
-// buckets never fill with corpses. Flow completions are not part of that churn: the netmodel keeps
-// its pending completions in its own ordered set and queues only the next
-// one, at a position it drew earlier with Reserve.
+//   - Lazy cancel. Cancel marks the event and the queue drops it when it
+//     surfaces; once canceled events outnumber live ones (and exceed 64) one
+//     O(n) compaction filters them out and re-heapifies, so cancel-heavy churn
+//     (timers armed and usually disarmed: stall timeouts, fetch retries,
+//     stopped tickers) stays amortized and the heap never fills with corpses.
+//   - A free list. Event storage is pooled per Simulation and recycled after
+//     an event fires, behind generation-checked handles, so the hot
+//     schedule→fire→reschedule cycle of tickers, heartbeats and flow
+//     completions runs without per-event allocation at steady state.
+//   - Reservations. Reserve draws an (at, seq) position without queueing
+//     anything; the netmodel keeps its pending completions in its own ordered
+//     set and queues only the next one, at a position it drew earlier.
+//
+// The heap was kept on end-to-end evidence (PR 16): sim-fleet/sim-sort/
+// sim-wordcount op_ms did not resolve a difference from the bucket queue
+// (Brown, CACM 1988) with a same-instant FIFO that it replaced, and peak RSS
+// fell 6-8 %. scale-100k, the one shipped run that holds ~100k events, takes
+// 6 % longer (68 → 72 s) and 22 % less memory; a queue that wins that back
+// has to show it on that run, not on a backlog microbenchmark.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/metrics"
 )
@@ -91,327 +88,74 @@ func (e Event) Canceled() bool { return !e.live() || e.n.canceled }
 // Pending reports whether the event is still queued to fire.
 func (e Event) Pending() bool { return e.live() && e.n.queued && !e.n.canceled }
 
-// --- calendar queue ---------------------------------------------------------
+// --- event heap -------------------------------------------------------------
 
-const (
-	// minBuckets is the smallest bucket array; always a power of two so the
-	// slot→bucket map is a mask.
-	minBuckets = 16
-	// tailMax bounds the unsorted tail scanned linearly when a bucket is
-	// examined; longer tails are folded into the sorted run first.
-	tailMax = 32
-	// maxSlot caps slot arithmetic so events in the astronomically far
-	// future (at/width beyond int64) stay representable; they are found by
-	// the direct-search fallback rather than the year scan.
-	maxSlot = int64(1) << 62
-)
+// eventHeap is a binary min-heap of nodes over less. Canceled nodes stay in
+// it until they surface at the root or compact filters them out.
+type eventHeap []*node
 
-// calendar is the bucketed calendar queue. Each bucket holds the events of
-// the time slots hashing onto it (slot = floor(at/width), bucket =
-// slot&mask) as a descending-sorted run [0,sorted) — minimum at the end,
-// popped in O(1) — followed by an unsorted append tail [sorted,len). curSlot
-// is the cursor of the "year scan": popping walks one slot per bucket from
-// there and falls back to a direct minimum search when a whole year comes up
-// empty (sparse regions), jumping the cursor forward. hold caches the
-// current minimum outside the buckets so peeking is O(1).
-type calendar struct {
-	buckets [][]*node
-	sorted  []int // per-bucket watermark: len of the descending-sorted run
-	// tmin is the index of each bucket's unsorted-tail minimum, valid
-	// whenever the tail [sorted,len) is non-empty. Maintained on push and
-	// removal, it makes examining a bucket O(1) regardless of tail
-	// length, so tails only pay a sort when one of their own elements is
-	// actually removed — a bucket accumulating a large future batch is
-	// never re-sorted just because the year scan walked past it.
-	tmin    []int
-	mask    int64
-	width   float64
-	curSlot int64
-	stored  int   // events in buckets (hold not counted)
-	hold    *node // cached minimum, removed from its bucket
-
-	scratch []*node // reusable collection buffer for resize
-}
-
-func (c *calendar) init() {
-	c.buckets = make([][]*node, minBuckets)
-	c.sorted = make([]int, minBuckets)
-	c.tmin = make([]int, minBuckets)
-	c.mask = minBuckets - 1
-	c.width = 1
-}
-
-// len returns the number of stored events, canceled corpses included.
-func (c *calendar) len() int {
-	if c.hold != nil {
-		return c.stored + 1
+func (h *eventHeap) push(n *node) {
+	q := append(*h, n)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(n, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return c.stored
-}
-
-func (c *calendar) slotOf(at Time) int64 {
-	s := at / c.width
-	if s >= float64(maxSlot) {
-		return maxSlot
-	}
-	return int64(s)
-}
-
-func (c *calendar) push(n *node) {
-	if c.buckets == nil {
-		c.init()
-	}
-	// Keep hold the true minimum: a smaller push displaces it.
-	if c.hold != nil && less(n, c.hold) {
-		n, c.hold = c.hold, n
-	}
-	slot := c.slotOf(n.at)
-	if slot < c.curSlot {
-		// Pushing behind the scan cursor (possible after a far-future jump
-		// followed by a barrier scheduling for the current instant): rewind
-		// so the year scan still starts at or before the minimum.
-		c.curSlot = slot
-	}
-	bi := int(slot & c.mask)
-	b := c.buckets[bi]
-	if len(b) == c.sorted[bi] || less(n, b[c.tmin[bi]]) {
-		c.tmin[bi] = len(b)
-	}
-	c.buckets[bi] = append(b, n)
-	c.stored++
-	if c.stored > 2*len(c.buckets) {
-		c.resize(2 * len(c.buckets))
-	}
+	q[i] = n
+	*h = q
 }
 
 // min returns the earliest event without removing it, or nil when empty.
-func (c *calendar) min() *node {
-	if c.hold == nil {
-		c.hold = c.take()
-	}
-	return c.hold
-}
-
-// pop removes and returns the earliest event, or nil when empty.
-func (c *calendar) pop() *node {
-	n := c.min()
-	if n == nil {
+func (h eventHeap) min() *node {
+	if len(h) == 0 {
 		return nil
 	}
-	c.hold = nil
-	if len(c.buckets) > minBuckets && c.stored < len(c.buckets)/8 {
-		c.resize(len(c.buckets) / 2)
-	}
-	return n
+	return h[0]
 }
 
-// take removes the earliest event from the buckets.
-func (c *calendar) take() *node {
-	if c.stored == 0 {
-		return nil
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() *node {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	n := q[last]
+	q[last] = nil
+	q = q[:last]
+	*h = q
+	if last > 0 {
+		q.down(0, n)
 	}
-	// Year scan: one slot per bucket starting at the cursor. An event is
-	// eligible only if it belongs to the scanned slot itself, not a later
-	// wrap of the same bucket.
-	nb := int64(len(c.buckets))
-	for i := int64(0); i < nb; i++ {
-		slot := c.curSlot + i
-		bi := int(slot & c.mask)
-		if len(c.buckets[bi]) == 0 {
-			continue
-		}
-		idx, n := c.bucketMin(bi)
-		if c.slotOf(n.at) == slot {
-			c.removeAt(bi, c.prepareRemove(bi, idx))
-			c.curSlot = slot
-			c.stored--
-			return n
-		}
-	}
-	// Sparse region: nothing within a year of the cursor. Direct minimum
-	// search over all buckets, then jump the cursor to it.
-	bbi, bidx := -1, -1
-	var best *node
-	for i := range c.buckets {
-		if len(c.buckets[i]) == 0 {
-			continue
-		}
-		idx, n := c.bucketMin(i)
-		if best == nil || less(n, best) {
-			best, bbi, bidx = n, i, idx
-		}
-	}
-	c.removeAt(bbi, c.prepareRemove(bbi, bidx))
-	c.curSlot = c.slotOf(best.at)
-	c.stored--
-	return best
+	return top
 }
 
-// bucketMin locates the minimum of a non-empty bucket in O(1): the end of
-// the descending run versus the tracked tail minimum. It never mutates the
-// bucket, so the year scan can examine arbitrarily many buckets (and the
-// sparse-region fallback all of them) without triggering sorts.
-func (c *calendar) bucketMin(bi int) (int, *node) {
-	b := c.buckets[bi]
-	s := c.sorted[bi]
-	if s == len(b) {
-		return s - 1, b[s-1]
+// down places n at or below the hole i, moving smaller children up.
+func (h eventHeap) down(i int, n *node) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && less(h[r], h[c]) {
+			c = r
+		}
+		if !less(h[c], n) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	t := c.tmin[bi]
-	if s > 0 && less(b[s-1], b[t]) {
-		return s - 1, b[s-1]
-	}
-	return t, b[t]
+	h[i] = n
 }
 
-// prepareRemove readies the removal of bucket bi's minimum at idx: pulling
-// an element out of a long unsorted tail would leave an O(tail) rescan for
-// the new tail minimum, so such tails are folded into the run first (one
-// sort per drained batch — bursts pay it when they actually start popping,
-// not while they accumulate). Returns the minimum's possibly-moved index.
-//
-// "The minimum is the last element after the sort" relies on (at, seq) being
-// strictly unique among stored nodes, corpses included: with two equal keys
-// the sort may leave either one last, and the caller would remove a node
-// other than the one bucketMin handed out. Schedule draws a fresh seq per
-// node and a Reservation can be queued only once, so no key is ever stored
-// twice.
-func (c *calendar) prepareRemove(bi, idx int) int {
-	if idx < c.sorted[bi] || len(c.buckets[bi])-c.sorted[bi] <= tailMax {
-		return idx
+// heapify restores heap order over an arbitrarily ordered slice.
+func (h eventHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
 	}
-	c.sortBucket(bi)
-	return len(c.buckets[bi]) - 1
-}
-
-// sortBucket folds the unsorted tail into the descending run: the tail is
-// sorted on its own and merged with the run, so the run — which can hold a
-// large drained-in-place batch — is only ever copied, never re-sorted.
-func (c *calendar) sortBucket(bi int) {
-	b := c.buckets[bi]
-	s := c.sorted[bi]
-	tail := b[s:]
-	slices.SortFunc(tail, func(a, x *node) int {
-		if less(a, x) {
-			return 1
-		}
-		return -1
-	})
-	if s > 0 && len(tail) > 0 {
-		// Merge the two descending runs through scratch, larger first.
-		m := c.scratch[:0]
-		i, j := 0, s
-		for i < s && j < len(b) {
-			if less(b[i], b[j]) {
-				m = append(m, b[j])
-				j++
-			} else {
-				m = append(m, b[i])
-				i++
-			}
-		}
-		m = append(m, b[i:s]...)
-		m = append(m, b[j:]...)
-		copy(b, m)
-		for k := range m {
-			m[k] = nil
-		}
-		c.scratch = m[:0]
-	}
-	c.sorted[bi] = len(b)
-}
-
-// removeAt removes the bucket minimum (as located by bucketMin, after
-// prepareRemove). The element is either the end of the sorted run or the
-// tail minimum of a short tail; the last element backfills its position,
-// landing in (or becoming) the tail.
-func (c *calendar) removeAt(bi, idx int) {
-	b := c.buckets[bi]
-	fromTail := idx >= c.sorted[bi]
-	if idx < c.sorted[bi] {
-		c.sorted[bi] = idx
-	}
-	last := len(b) - 1
-	b[idx] = b[last]
-	b[last] = nil
-	c.buckets[bi] = b[:last]
-	if c.sorted[bi] > last {
-		c.sorted[bi] = last
-	}
-	s := c.sorted[bi]
-	if s >= last {
-		return // tail empty, tmin unused
-	}
-	if fromTail {
-		// The tail minimum left; rescan the (tailMax-bounded) remainder.
-		t := s
-		for j := s + 1; j < last; j++ {
-			if less(b[j], b[t]) {
-				t = j
-			}
-		}
-		c.tmin[bi] = t
-	} else if c.tmin[bi] == last {
-		// The backfilled element was the tail minimum; it now sits at idx.
-		c.tmin[bi] = idx
-	}
-}
-
-// resize rebuilds the calendar with nb buckets and a width re-derived from
-// the stored population: ~3 average gaps per bucket across the whole span
-// (Brown's rule of thumb applied globally). A global estimate is deliberate:
-// a front-density EWMA collapses under bursts of near-coincident events
-// (epsilon-spaced completions), shrinking buckets until the year scan walks
-// thousands of empty slots per pop. Span-based width keeps nb*width at or
-// above the occupied horizon — dense clusters simply land in shared buckets,
-// which bucketMin/sortBucket handle in O(1)/amortized-O(log) — so the scan
-// stays short. O(n log n), but only triggered by 2x occupancy crossings, so
-// amortized O(1) per event.
-func (c *calendar) resize(nb int) {
-	if nb < minBuckets {
-		nb = minBuckets
-	}
-	all := c.scratch[:0]
-	for i := range c.buckets {
-		all = append(all, c.buckets[i]...)
-	}
-	slices.SortFunc(all, func(a, x *node) int {
-		if less(a, x) {
-			return -1
-		}
-		return 1
-	})
-	w := c.width
-	if len(all) > 1 {
-		if span := all[len(all)-1].at - all[0].at; span > 0 {
-			w = 3 * span / float64(len(all))
-		}
-	}
-	if !(w > 1e-12) || math.IsInf(w, 1) {
-		w = 1
-	}
-	c.buckets = make([][]*node, nb)
-	c.sorted = make([]int, nb)
-	c.tmin = make([]int, nb)
-	c.mask = int64(nb - 1)
-	c.width = w
-	// Distribute in descending order so every bucket lands fully sorted.
-	for i := len(all) - 1; i >= 0; i-- {
-		bi := int(c.slotOf(all[i].at) & c.mask)
-		c.buckets[bi] = append(c.buckets[bi], all[i])
-	}
-	for i := range c.buckets {
-		c.sorted[i] = len(c.buckets[i])
-	}
-	if len(all) > 0 {
-		c.curSlot = c.slotOf(all[0].at)
-	} else {
-		c.curSlot = 0
-	}
-	for i := range all {
-		all[i] = nil
-	}
-	c.scratch = all[:0]
 }
 
 // --- simulation -------------------------------------------------------------
@@ -421,23 +165,9 @@ func (c *calendar) resize(nb int) {
 // Simulations share nothing and may run on different goroutines.
 type Simulation struct {
 	now     Time
-	cal     calendar
-	free    []*node // retired nodes awaiting reuse
+	queue   eventHeap // pending events, canceled corpses included
+	free    []*node   // retired nodes awaiting reuse
 	nextSeq uint64
-	// nowq holds events scheduled for exactly the current instant, FIFO.
-	// Same-instant cascades — a callback scheduling follow-up work at
-	// now, barriers flushing deferred settles, completion chains — are
-	// the simulator's hottest scheduling pattern, and their order needs
-	// no priority queue at all: every such event ties on at and carries
-	// a freshly drawn seq, greater than that of any event already in the
-	// now-queue, so append order IS (at, seq) order. (A reserved position
-	// queued late carries an old seq and therefore never enters nowq —
-	// see ScheduleReserved.) Routing them here keeps the calendar's buckets
-	// free of the push-while-draining churn that forced repeated
-	// re-sorts of long sorted runs. nowq drains fully before the clock
-	// can advance, so it never holds events from a past instant.
-	nowq     []*node
-	nowqHead int
 	// fired counts events executed, for diagnostics and livelock guards.
 	fired uint64
 	// canceled counts events killed via Cancel before they could fire.
@@ -491,13 +221,9 @@ func (s *Simulation) Fired() uint64 { return s.fired }
 // Canceled returns the number of events canceled before firing.
 func (s *Simulation) Canceled() uint64 { return s.canceled }
 
-// queueLen counts stored events across the calendar and the now-queue,
-// canceled corpses included.
-func (s *Simulation) queueLen() int { return s.cal.len() + len(s.nowq) - s.nowqHead }
-
 // Pending returns the number of events currently queued to fire (canceled
 // events awaiting lazy removal are not counted).
-func (s *Simulation) Pending() int { return s.queueLen() - s.dead }
+func (s *Simulation) Pending() int { return len(s.queue) - s.dead }
 
 // --- node pool -------------------------------------------------------------
 
@@ -528,11 +254,7 @@ func (s *Simulation) Schedule(at Time, name string, fn func()) Event {
 	}
 	n := s.newNode(at, s.nextSeq, name, fn)
 	s.nextSeq++
-	if at == s.now {
-		s.nowq = append(s.nowq, n)
-	} else {
-		s.cal.push(n)
-	}
+	s.queue.push(n)
 	return Event{n: n, gen: n.gen}
 }
 
@@ -557,9 +279,9 @@ func (s *Simulation) newNode(at Time, seq uint64, name string, fn func()) *node 
 // order is unchanged while the queue never sees the plans that were
 // superseded. The zero Reservation holds no position.
 //
-// A position can be queued once. The queue relies on stored keys being
-// strictly unique (see calendar.prepareRemove), so ScheduleReserved marks
-// the reservation and panics on a second attempt.
+// A position can be queued once: stored keys stay strictly unique, which is
+// what makes the fire order independent of heap internals. ScheduleReserved
+// marks the reservation and panics on a second attempt.
 type Reservation struct {
 	at    Time
 	seq   uint64
@@ -602,9 +324,8 @@ func (s *Simulation) Reserve(at Time) Reservation {
 // ScheduleReserved queues fn at the position r holds. The caller must queue
 // the position before any event behind it fires — in practice from a Barrier,
 // which runs before every callback. The reserved time may be the current
-// instant; the event goes through the calendar even then, because its seq is
-// older than those already in the now-queue and peek orders the two by
-// (at, seq).
+// instant: the event then fires ahead of younger events already queued for
+// it, as its older seq demands.
 func (s *Simulation) ScheduleReserved(r *Reservation, name string, fn func()) Event {
 	switch {
 	case r.state == resQueued:
@@ -616,7 +337,7 @@ func (s *Simulation) ScheduleReserved(r *Reservation, name string, fn func()) Ev
 	}
 	r.state = resQueued
 	n := s.newNode(r.at, r.seq, name, fn)
-	s.cal.push(n)
+	s.queue.push(n)
 	return Event{n: n, gen: n.gen}
 }
 
@@ -641,66 +362,26 @@ func (s *Simulation) Cancel(e Event) {
 	s.canceled++
 	s.dead++
 	s.mCanceled.IncAt(s.now)
-	if s.dead > 64 && s.dead > s.queueLen()/2 {
+	if s.dead > 64 && s.dead > len(s.queue)/2 {
 		s.compact()
 	}
 }
 
-// compact sweeps canceled nodes out of the calendar, retiring their storage.
-// In-place filtering preserves each bucket's sorted run, so no re-sort is
-// needed.
+// compact sweeps canceled nodes out of the queue, retiring their storage:
+// filter in place, then restore heap order.
 func (s *Simulation) compact() {
-	c := &s.cal
-	if c.hold != nil && c.hold.canceled {
-		s.retire(c.hold)
-		c.hold = nil
-	}
-	for i := range c.buckets {
-		b := c.buckets[i]
-		live := b[:0]
-		deadSorted := 0
-		for j, n := range b {
-			if n.canceled {
-				if j < c.sorted[i] {
-					deadSorted++
-				}
-				s.retire(n)
-				c.stored--
-			} else {
-				live = append(live, n)
-			}
-		}
-		for j := len(live); j < len(b); j++ {
-			b[j] = nil
-		}
-		c.buckets[i] = live
-		c.sorted[i] -= deadSorted
-		// Filtering shifted tail indices; re-derive the tail minimum.
-		if s := c.sorted[i]; s < len(live) {
-			t := s
-			for j := s + 1; j < len(live); j++ {
-				if less(live[j], live[t]) {
-					t = j
-				}
-			}
-			c.tmin[i] = t
-		}
-	}
-	// The now-queue can hold corpses too; filtering in place preserves
-	// its FIFO order.
-	liveNow := s.nowq[:0]
-	for j := s.nowqHead; j < len(s.nowq); j++ {
-		if n := s.nowq[j]; n.canceled {
+	q := s.queue
+	live := q[:0]
+	for _, n := range q {
+		if n.canceled {
 			s.retire(n)
 		} else {
-			liveNow = append(liveNow, n)
+			live = append(live, n)
 		}
 	}
-	for j := len(liveNow); j < len(s.nowq); j++ {
-		s.nowq[j] = nil
-	}
-	s.nowq = liveNow
-	s.nowqHead = 0
+	clear(q[len(live):])
+	live.heapify()
+	s.queue = live
 	s.dead = 0
 	s.mCompactions.Inc()
 }
@@ -749,50 +430,19 @@ func (s *Simulation) runBarriers() bool {
 	return did
 }
 
-// nowFront drains canceled events from the head of the now-queue —
-// recycling their storage — and returns its earliest live node, or nil.
-func (s *Simulation) nowFront() *node {
-	for s.nowqHead < len(s.nowq) {
-		n := s.nowq[s.nowqHead]
-		if !n.canceled {
+// peek drains canceled events from the head of the queue — recycling their
+// storage — and returns the earliest live node, or nil if the queue is
+// empty. Step and RunUntil share this single draining path.
+func (s *Simulation) peek() *node {
+	for {
+		n := s.queue.min()
+		if n == nil || !n.canceled {
 			return n
 		}
-		s.nowq[s.nowqHead] = nil
-		s.nowqHead++
+		s.queue.pop()
 		s.dead--
 		s.retire(n)
 	}
-	s.nowq = s.nowq[:0]
-	s.nowqHead = 0
-	return nil
-}
-
-// peek drains canceled events from the head of the queue — recycling their
-// storage — and returns the earliest live node, or nil if the queue is
-// empty. Step and RunUntil share this single draining path. Current-instant
-// events in the now-queue win ties against the calendar only by seq: an
-// equal-time calendar event usually predates the clock's arrival at this
-// instant and carries the smaller seq, but a reserved position queued at
-// the current instant may sit anywhere among them.
-func (s *Simulation) peek() *node {
-	var cn *node
-	for {
-		cn = s.cal.min()
-		if cn == nil || !cn.canceled {
-			break
-		}
-		s.cal.pop()
-		s.dead--
-		s.retire(cn)
-	}
-	nn := s.nowFront()
-	if nn == nil {
-		return cn
-	}
-	if cn == nil || less(nn, cn) {
-		return nn
-	}
-	return cn
 }
 
 // nextLive resolves the next event to fire, letting barriers flush deferred
@@ -817,16 +467,7 @@ func (s *Simulation) nextLive() *node {
 // fire pops n (which must be the queue head, as returned by peek) and
 // executes it.
 func (s *Simulation) fire(n *node) {
-	if s.nowqHead < len(s.nowq) && s.nowq[s.nowqHead] == n {
-		s.nowq[s.nowqHead] = nil
-		s.nowqHead++
-		if s.nowqHead == len(s.nowq) {
-			s.nowq = s.nowq[:0]
-			s.nowqHead = 0
-		}
-	} else {
-		s.cal.pop()
-	}
+	s.queue.pop()
 	if n.at < s.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v -> %v (%s)", s.now, n.at, n.name))
 	}
@@ -834,7 +475,7 @@ func (s *Simulation) fire(n *node) {
 	s.fired++
 	n.queued = false
 	s.mFired.IncAt(n.at)
-	s.mQueueDepth.Observe(n.at, float64(s.queueLen()-s.dead))
+	s.mQueueDepth.Observe(n.at, float64(s.Pending()))
 	n.fn()
 	// Retire only after the callback: a handle held by the callback itself
 	// (or by code it calls synchronously) stays valid while it runs.
@@ -854,8 +495,8 @@ func (s *Simulation) Step() bool {
 
 // RunUntil executes events until the queue is empty, Stop is called, or the
 // next event would fire after deadline. The clock is left at the time of the
-// last executed event (or advanced to deadline if it is reached with events
-// still pending).
+// last executed event, or advanced to deadline if it is reached with events
+// still pending; a deadline already behind the clock never moves it back.
 func (s *Simulation) RunUntil(deadline Time) {
 	s.stopped = false
 	for !s.stopped {
@@ -864,7 +505,7 @@ func (s *Simulation) RunUntil(deadline Time) {
 			return
 		}
 		if n.at > deadline {
-			s.now = deadline
+			s.now = max(s.now, deadline)
 			return
 		}
 		s.fire(n)

@@ -127,6 +127,18 @@ func TestRunUntilDeadline(t *testing.T) {
 	}
 }
 
+// A deadline behind the clock fires nothing and must not move the clock back.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	s := New()
+	s.Schedule(10, "a", func() {})
+	s.Schedule(12, "b", func() {})
+	s.RunUntil(10)
+	s.RunUntil(5)
+	if s.Now() != 10 {
+		t.Fatalf("clock = %v after RunUntil(10), RunUntil(5); want 10", s.Now())
+	}
+}
+
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
