@@ -226,7 +226,7 @@ func TestReadPrefersLocalThenVolatile(t *testing.T) {
 		}
 	}
 	gotSrc := -1
-	if _, err := r.fs.ReadBlock(local, b.ID, 0, nil, func(src int, err error) { gotSrc = src }); err != nil {
+	if _, err := r.fs.ReadBlock(local, b.ID, 0, nil, 0, func(_, src int, err error) { gotSrc = src }); err != nil {
 		t.Fatal(err)
 	}
 	r.s.RunUntil(100)
@@ -242,7 +242,7 @@ func TestReadPrefersLocalThenVolatile(t *testing.T) {
 		}
 	}
 	gotSrc = -1
-	if _, err := r.fs.ReadBlock(reader, b.ID, 0, nil, func(src int, err error) { gotSrc = src }); err != nil {
+	if _, err := r.fs.ReadBlock(reader, b.ID, 0, nil, 0, func(_, src int, err error) { gotSrc = src }); err != nil {
 		t.Fatal(err)
 	}
 	r.s.RunUntil(200)
@@ -272,7 +272,7 @@ func TestReadFallsBackToDedicated(t *testing.T) {
 		}
 	}
 	gotSrc := -1
-	if _, err := r.fs.ReadBlock(reader, b.ID, 0, exclude, func(src int, err error) { gotSrc = src }); err != nil {
+	if _, err := r.fs.ReadBlock(reader, b.ID, 0, exclude, 0, func(_, src int, err error) { gotSrc = src }); err != nil {
 		t.Fatal(err)
 	}
 	r.s.RunUntil(100)
@@ -289,7 +289,7 @@ func TestReadNoReplica(t *testing.T) {
 	b := r.fs.File("f").Blocks[0]
 	holder := b.replicas[0]
 	ff := r.fs.Metrics.FetchFailures
-	_, err := r.fs.ReadBlock(r.c.Node(3), b.ID, 0, []int{holder}, func(int, error) {
+	_, err := r.fs.ReadBlock(r.c.Node(3), b.ID, 0, []int{holder}, 0, func(int, int, error) {
 		t.Error("done fired for ErrNoReplica")
 	})
 	if !errors.Is(err, ErrNoReplica) {
@@ -298,7 +298,7 @@ func TestReadNoReplica(t *testing.T) {
 	if r.fs.Metrics.FetchFailures != ff+1 {
 		t.Fatal("fetch failure not counted")
 	}
-	if _, err := r.fs.ReadBlock(r.c.Node(3), BlockID{File: "nope"}, 0, nil, nil); !errors.Is(err, ErrUnknownFile) {
+	if _, err := r.fs.ReadBlock(r.c.Node(3), BlockID{File: "nope"}, 0, nil, 0, nil); !errors.Is(err, ErrUnknownFile) {
 		t.Fatalf("unknown file: %v", err)
 	}
 }
@@ -317,7 +317,7 @@ func TestPartialRead(t *testing.T) {
 	}
 	start := r.s.Now()
 	var doneAt float64
-	if _, err := r.fs.ReadBlock(reader, b.ID, 100, nil, func(int, error) { doneAt = r.s.Now() }); err != nil {
+	if _, err := r.fs.ReadBlock(reader, b.ID, 100, nil, 0, func(int, int, error) { doneAt = r.s.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	r.s.RunUntil(100)

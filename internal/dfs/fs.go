@@ -3,6 +3,7 @@ package dfs
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -38,8 +39,11 @@ type FileSystem struct {
 	net *netmodel.Network
 	cfg Config
 
+	// files finds a file by name; fileOrder lists the same files in creation
+	// order, which is the order every NameNode pass walks them in (and so the
+	// tie-break of the replication stream cap).
 	files     map[string]*File
-	fileOrder []string
+	fileOrder []*File
 
 	dn []*dnView
 
@@ -49,12 +53,8 @@ type FileSystem struct {
 	pCount   int
 	pNext    int
 
-	// pendingRep marks blocks with an in-flight re-replication so scans
-	// don't double-issue; repBackoff delays retries of blocks whose last
-	// re-replication failed (stalled transfers must not be re-issued
-	// every scan, or a churning fleet drowns in I/O to dead nodes).
-	pendingRep map[BlockID]int
-	repBackoff map[BlockID]float64
+	// repStreams counts re-replication transfers in flight, fleet-wide (the
+	// per-block scan state lives on the Block).
 	repStreams int
 
 	cursorV, cursorD int
@@ -123,17 +123,15 @@ func New(s *sim.Simulation, cl *cluster.Cluster, net *netmodel.Network, cfg Conf
 		return nil, err
 	}
 	fs := &FileSystem{
-		sim:        s,
-		cl:         cl,
-		net:        net,
-		cfg:        cfg,
-		files:      make(map[string]*File),
-		pendingRep: make(map[BlockID]int),
-		repBackoff: make(map[BlockID]float64),
-		pSamples:   make([]float64, cfg.PWindow),
+		sim:      s,
+		cl:       cl,
+		net:      net,
+		cfg:      cfg,
+		files:    make(map[string]*File),
+		pSamples: make([]float64, cfg.PWindow),
 	}
 	for _, n := range cl.Nodes {
-		v := &dnView{node: n}
+		v := &dnView{node: n, dedicated: n.IsDedicated()}
 		fs.dn = append(fs.dn, v)
 		n.Watch(fs.nodeChanged)
 	}
@@ -145,7 +143,10 @@ func New(s *sim.Simulation, cl *cluster.Cluster, net *netmodel.Network, cfg Conf
 
 // dnView is the NameNode's record of one DataNode.
 type dnView struct {
-	node        *cluster.Node
+	node *cluster.Node
+	// dedicated caches node.IsDedicated(), which never changes: the replica
+	// census reads it once per replica per scanned block.
+	dedicated   bool
 	state       DNState
 	hibernateEv sim.Event
 	expiryEv    sim.Event
@@ -208,8 +209,8 @@ func (fs *FileSystem) expire(v *dnView) {
 	v.deadSince = fs.sim.Now()
 	fs.Metrics.Expirations++
 	fs.inst.expirations.IncAt(v.deadSince)
-	for _, name := range fs.fileOrder {
-		for _, b := range fs.files[name].Blocks {
+	for _, f := range fs.fileOrder {
+		for _, b := range f.Blocks {
 			removeInt(&b.replicas, v.node.ID)
 		}
 	}
@@ -218,8 +219,8 @@ func (fs *FileSystem) expire(v *dnView) {
 // reRegister re-adds the block replicas still on a returning node's disk.
 func (fs *FileSystem) reRegister(v *dnView) {
 	id := v.node.ID
-	for _, name := range fs.fileOrder {
-		for _, b := range fs.files[name].Blocks {
+	for _, f := range fs.fileOrder {
+		for _, b := range f.Blocks {
 			if b.onDisk[id] && !containsInt(b.replicas, id) {
 				b.replicas = append(b.replicas, id)
 				fs.Metrics.ReRegistrations++
@@ -258,17 +259,6 @@ func (fs *FileSystem) liveReplicas(b *Block) []int {
 	return out
 }
 
-// dedicatedLive reports whether the block has a replica on a live dedicated
-// node.
-func (fs *FileSystem) dedicatedLive(b *Block) bool {
-	for _, id := range b.replicas {
-		if fs.dn[id].state == DNLive && fs.dn[id].node.IsDedicated() {
-			return true
-		}
-	}
-	return false
-}
-
 // HasLiveReplica reports whether any replica of the block is currently
 // servable — the query MOON's JobTracker issues after repeated fetch
 // failures to decide whether to re-execute the producing Map task.
@@ -294,8 +284,9 @@ func (fs *FileSystem) FileFullyReplicated(name string) bool {
 		return false
 	}
 	for _, b := range f.Blocks {
-		needD, needV := fs.required(f, b)
-		d, v := fs.countLive(b)
+		c := fs.census(b)
+		needD, needV := fs.required(f, c)
+		d, v := fs.counted(f, c)
 		if fs.cfg.Mode == ModeHadoop {
 			if d+v < needD+needV {
 				return false
@@ -346,7 +337,7 @@ func (fs *FileSystem) createFile(name string, size float64, class FileClass, fac
 		rem -= bs
 	}
 	fs.files[name] = f
-	fs.fileOrder = append(fs.fileOrder, name)
+	fs.fileOrder = append(fs.fileOrder, f)
 	return f, nil
 }
 
@@ -360,7 +351,7 @@ func (fs *FileSystem) CreateStaged(name string, size float64, class FileClass, f
 		return nil, err
 	}
 	for _, b := range f.Blocks {
-		needD, needV := fs.required(f, b)
+		needD, needV := fs.required(f, fs.census(b))
 		if fs.cfg.Mode == ModeHadoop {
 			for _, t := range fs.chooseAny(nil, needD+needV, nil) {
 				fs.registerReplica(b, t)
@@ -384,16 +375,8 @@ func (fs *FileSystem) Delete(name string) {
 		return
 	}
 	delete(fs.files, name)
-	for i, n := range fs.fileOrder {
-		if n == name {
-			fs.fileOrder = append(fs.fileOrder[:i], fs.fileOrder[i+1:]...)
-			break
-		}
-	}
-	for _, b := range f.Blocks {
-		delete(fs.pendingRep, b.ID)
-		delete(fs.repBackoff, b.ID)
-	}
+	i := slices.Index(fs.fileOrder, f)
+	fs.fileOrder = slices.Delete(fs.fileOrder, i, i+1)
 }
 
 // Commit converts an opportunistic output file to reliable (MOON does this
@@ -482,15 +465,39 @@ func (fs *FileSystem) AdaptiveV() int {
 	return v
 }
 
-// required returns the dedicated/volatile replica targets for a block under
-// the current policy. For Hadoop mode the two counts collapse into a single
-// total (reported as needV with needD = 0).
-func (fs *FileSystem) required(f *File, b *Block) (needD, needV int) {
+// replicaCensus is one pass over a block's registered replicas, by what the
+// NameNode believes of each holder. Both the replica targets (required) and
+// the counts held against them (counted) derive from it, so a scan reads a
+// block's replica list once.
+type replicaCensus struct {
+	liveD int // on live dedicated DataNodes
+	liveV int // on live volatile DataNodes
+	hibV  int // on hibernating volatile DataNodes
+}
+
+func (fs *FileSystem) census(b *Block) (c replicaCensus) {
+	for _, id := range b.replicas {
+		switch view := fs.dn[id]; {
+		case view.state == DNLive && view.dedicated:
+			c.liveD++
+		case view.state == DNLive:
+			c.liveV++
+		case view.state == DNHibernate && !view.dedicated:
+			c.hibV++
+		}
+	}
+	return c
+}
+
+// required returns the dedicated/volatile replica targets for a block of f
+// under the current policy. For Hadoop mode the two counts collapse into a
+// single total (reported as needV with needD = 0).
+func (fs *FileSystem) required(f *File, c replicaCensus) (needD, needV int) {
 	if fs.cfg.Mode == ModeHadoop {
 		return 0, f.Factor.D + f.Factor.V
 	}
 	needD, needV = f.Factor.D, f.Factor.V
-	if f.Class == Opportunistic && needD > 0 && !fs.dedicatedLive(b) {
+	if f.Class == Opportunistic && needD > 0 && c.liveD == 0 {
 		// No dedicated copy: availability rests on volatile replicas, so
 		// the volatile degree adapts to v'.
 		if av := fs.AdaptiveV(); av > needV {
@@ -500,27 +507,24 @@ func (fs *FileSystem) required(f *File, b *Block) (needD, needV int) {
 	return needD, needV
 }
 
-// countLive counts live dedicated and volatile replicas. In MOON mode,
-// volatile replicas on *hibernating* nodes still count unless the block
-// belongs to an opportunistic file without a live dedicated copy — the
-// paper's rule: "only opportunistic files without dedicated replicas will
-// be re-replicated" when nodes hibernate, which is what prevents
-// replication thrashing on transient outages.
-func (fs *FileSystem) countLive(b *Block) (d, v int) {
-	protected := b.file.Class == Reliable || fs.dedicatedLive(b)
-	for _, id := range b.replicas {
-		view := fs.dn[id]
-		switch {
-		case view.state == DNLive && view.node.IsDedicated():
-			d++
-		case view.state == DNLive:
-			v++
-		case view.state == DNHibernate && !view.node.IsDedicated() &&
-			fs.cfg.Mode == ModeMOON && protected:
-			v++
-		}
+// counted returns the dedicated and volatile replicas that count towards a
+// block of f's targets. In MOON mode, volatile replicas on *hibernating*
+// nodes still count unless the block belongs to an opportunistic file
+// without a live dedicated copy — the paper's rule: "only opportunistic
+// files without dedicated replicas will be re-replicated" when nodes
+// hibernate, which is what prevents replication thrashing on transient
+// outages.
+func (fs *FileSystem) counted(f *File, c replicaCensus) (d, v int) {
+	d, v = c.liveD, c.liveV
+	if fs.cfg.Mode == ModeMOON && (f.Class == Reliable || c.liveD > 0) {
+		v += c.hibV
 	}
 	return d, v
+}
+
+// countLive is counted over a fresh census of the block.
+func (fs *FileSystem) countLive(b *Block) (d, v int) {
+	return fs.counted(b.file, fs.census(b))
 }
 
 // replicationScan walks all blocks, re-replicating under-replicated ones
@@ -528,8 +532,7 @@ func (fs *FileSystem) countLive(b *Block) (d, v int) {
 func (fs *FileSystem) replicationScan() {
 	// Two passes: reliable files have priority for replication streams.
 	for _, wantReliable := range []bool{true, false} {
-		for _, name := range fs.fileOrder {
-			f := fs.files[name]
+		for _, f := range fs.fileOrder {
 			if (f.Class == Reliable) != wantReliable {
 				continue
 			}
@@ -544,15 +547,13 @@ func (fs *FileSystem) scanBlock(f *File, b *Block) {
 	if f.underConstruction {
 		return
 	}
-	if until, ok := fs.repBackoff[b.ID]; ok {
-		if fs.sim.Now() < until {
-			return
-		}
-		delete(fs.repBackoff, b.ID)
+	if fs.sim.Now() < b.repRetryAt {
+		return
 	}
-	needD, needV := fs.required(f, b)
-	d, v := fs.countLive(b)
-	pend := fs.pendingRep[b.ID]
+	c := fs.census(b)
+	needD, needV := fs.required(f, c)
+	d, v := fs.counted(f, c)
+	pend := b.pendingRep
 
 	if fs.cfg.Mode == ModeHadoop {
 		total, needTotal := d+v, needD+needV
@@ -592,7 +593,7 @@ func (fs *FileSystem) scanBlock(f *File, b *Block) {
 func (fs *FileSystem) trimDedicatedExcess(b *Block, n int) {
 	for i := len(b.replicas) - 1; i >= 0 && n > 0; i-- {
 		id := b.replicas[i]
-		if !fs.dn[id].node.IsDedicated() {
+		if !fs.dn[id].dedicated {
 			continue
 		}
 		fs.dropReplica(b, id)
@@ -613,21 +614,19 @@ func (fs *FileSystem) issueReplication(b *Block, targets []int) {
 		return
 	}
 	dst := targets[0]
-	fs.pendingRep[b.ID]++
+	b.pendingRep++
 	fs.repStreams++
 	fs.Metrics.ReplicationsIssued++
 	fs.inst.repIssued.IncAt(fs.sim.Now())
 	srcDown := !fs.dn[src].node.Available()
 	fs.net.Transfer(fs.dn[src].node, fs.dn[dst].node, b.Size, func(err error) {
 		fs.repStreams--
-		if fs.pendingRep[b.ID]--; fs.pendingRep[b.ID] <= 0 {
-			delete(fs.pendingRep, b.ID)
-		}
+		b.pendingRep--
 		if err != nil {
 			// Back the block off before retrying: the failure usually
 			// means an endpoint is silently gone, and immediate retries
 			// through the same stale view just stall again.
-			fs.repBackoff[b.ID] = fs.sim.Now() + repRetryBackoff
+			b.repRetryAt = fs.sim.Now() + repRetryBackoff
 			return
 		}
 		fs.Metrics.ReplicationBytes += b.Size
@@ -646,7 +645,7 @@ func (fs *FileSystem) issueReplication(b *Block, targets []int) {
 func (fs *FileSystem) trimExcess(b *Block, n int, volatileOnly bool) {
 	for i := len(b.replicas) - 1; i >= 0 && n > 0; i-- {
 		id := b.replicas[i]
-		if volatileOnly && fs.dn[id].node.IsDedicated() {
+		if volatileOnly && fs.dn[id].dedicated {
 			continue
 		}
 		fs.dropReplica(b, id)
@@ -666,7 +665,7 @@ func (fs *FileSystem) pickSource(b *Block) int {
 			continue
 		}
 		tier := 0
-		if fs.cfg.Mode == ModeMOON && fs.dn[id].node.IsDedicated() {
+		if fs.cfg.Mode == ModeMOON && fs.dn[id].dedicated {
 			tier = 1
 		}
 		key := [2]int{tier*1000000 + fs.net.ActiveFlows(id), id}

@@ -17,7 +17,7 @@ package dfs
 // cursor for spread.
 func (fs *FileSystem) chooseVolatile(dst []int, k int, exclude []int) []int {
 	return fs.choose(dst, k, exclude, func(v *dnView) bool {
-		return !v.node.IsDedicated()
+		return !v.dedicated
 	}, &fs.cursorV)
 }
 
@@ -25,7 +25,7 @@ func (fs *FileSystem) chooseVolatile(dst []int, k int, exclude []int) []int {
 // live.
 func (fs *FileSystem) chooseDedicated(dst []int, k int, exclude []int) []int {
 	return fs.choose(dst, k, exclude, func(v *dnView) bool {
-		return v.node.IsDedicated()
+		return v.dedicated
 	}, &fs.cursorD)
 }
 
@@ -62,7 +62,7 @@ func (fs *FileSystem) choose(dst []int, k int, exclude []int, eligible func(*dnV
 // no live dedicated node at all also declines.
 func (fs *FileSystem) allDedicatedThrottled() bool {
 	for _, v := range fs.dn {
-		if v.node.IsDedicated() && v.state == DNLive && !v.throttled {
+		if v.dedicated && v.state == DNLive && !v.throttled {
 			return false
 		}
 	}
@@ -77,7 +77,7 @@ func (fs *FileSystem) pickUnthrottledDedicated(exclude, alsoExclude []int) int {
 	for probe := 0; probe < n; probe++ {
 		id := (fs.cursorD + probe) % n
 		v := fs.dn[id]
-		if v.node.IsDedicated() && v.state == DNLive && !v.throttled &&
+		if v.dedicated && v.state == DNLive && !v.throttled &&
 			!containsInt(exclude, id) && !containsInt(alsoExclude, id) {
 			fs.cursorD = (fs.cursorD + 1) % n
 			return id
@@ -93,7 +93,7 @@ func (fs *FileSystem) pickUnthrottledDedicated(exclude, alsoExclude []int) int {
 // fall below the margin releases it.
 func (fs *FileSystem) sampleThrottle() {
 	for _, v := range fs.dn {
-		if !v.node.IsDedicated() {
+		if !v.dedicated {
 			continue
 		}
 		consumed := fs.net.Consumed(v.node.ID)

@@ -19,10 +19,14 @@ import (
 // actually down stalls and eventually fails with netmodel.ErrStalled, which
 // the caller sees via done. If no candidate exists at all, ReadBlock
 // returns ErrNoReplica synchronously and done never fires.
-func (fs *FileSystem) ReadBlock(from *cluster.Node, id BlockID, bytes float64, exclude []int, done func(src int, err error)) (*netmodel.Flow, error) {
+//
+// done receives tag back untouched, with the source read from: a caller with
+// many reads in flight (a shuffle, one per map) tells them apart by it and
+// passes the same callback for all of them, not a closure a read.
+func (fs *FileSystem) ReadBlock(from *cluster.Node, id BlockID, bytes float64, exclude []int, tag int, done func(tag, src int, err error)) (netmodel.Flow, error) {
 	b := fs.lookupBlock(id)
 	if b == nil {
-		return nil, ErrUnknownFile
+		return netmodel.Flow{}, ErrUnknownFile
 	}
 	if bytes <= 0 || bytes > b.Size {
 		bytes = b.Size
@@ -31,7 +35,7 @@ func (fs *FileSystem) ReadBlock(from *cluster.Node, id BlockID, bytes float64, e
 	if src < 0 {
 		fs.Metrics.FetchFailures++
 		fs.inst.fetchFailures.IncAt(fs.sim.Now())
-		return nil, ErrNoReplica
+		return netmodel.Flow{}, ErrNoReplica
 	}
 	flow := fs.net.Transfer(fs.dn[src].node, from, bytes, func(err error) {
 		if err == netmodel.ErrStalled {
@@ -41,7 +45,7 @@ func (fs *FileSystem) ReadBlock(from *cluster.Node, id BlockID, bytes float64, e
 		if err == nil {
 			fs.inst.readBytes.AddAt(fs.sim.Now(), bytes)
 		}
-		done(src, err)
+		done(tag, src, err)
 	})
 	return flow, nil
 }
@@ -62,7 +66,7 @@ func (fs *FileSystem) pickReadSource(from *cluster.Node, b *Block, exclude []int
 			continue
 		}
 		tier := 0
-		if fs.cfg.Mode == ModeMOON && !from.IsDedicated() && fs.dn[id].node.IsDedicated() {
+		if fs.cfg.Mode == ModeMOON && !from.IsDedicated() && fs.dn[id].dedicated {
 			// Volatile readers spare the dedicated tier.
 			tier = 1
 		}
@@ -82,23 +86,17 @@ func (fs *FileSystem) ReadFile(from *cluster.Node, name string, done func(error)
 	if f == nil {
 		return ErrUnknownFile
 	}
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(f.Blocks) {
-			done(nil)
+	var step func(i, src int, err error)
+	step = func(i, _ int, err error) {
+		if err != nil || i >= len(f.Blocks) {
+			done(err)
 			return
 		}
-		_, err := fs.ReadBlock(from, f.Blocks[i].ID, 0, nil, func(_ int, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			step(i + 1)
-		})
-		if err != nil {
+		// Block i's read reports as i+1: the next block to read.
+		if _, err := fs.ReadBlock(from, f.Blocks[i].ID, 0, nil, i+1, step); err != nil {
 			done(err)
 		}
 	}
-	step(0)
+	step(0, -1, nil)
 	return nil
 }

@@ -21,6 +21,16 @@
 //     I/O to the node and re-replication of blocks that still have a
 //     dedicated copy, eliminating the replication thrashing that transient
 //     outages cause in stock HDFS.
+//
+// The NameNode's replication scan visits every block of every file every
+// ReplicationScanInterval, so what it needs per visit sits where the walk
+// already is. Files are walked through a list in creation order (the map by
+// name serves lookups only); a block's scan state — re-replications in
+// flight, and the time before which a failed one is not retried — is two
+// fields of the Block; and one pass over a block's replica list (census)
+// yields the live-dedicated, live-volatile and hibernating-volatile counts
+// from which both the replica targets and the counts held against them are
+// derived. A visit hashes nothing and reads the replica list once.
 package dfs
 
 import (
@@ -84,6 +94,16 @@ type Block struct {
 	// registration: a node declared dead keeps its data and re-reports it
 	// on return.
 	onDisk map[int]bool
+
+	// Replication-scan state, on the block so the scan finds it without a
+	// lookup: pendingRep counts re-replications in flight, so scans don't
+	// double-issue; repRetryAt is when a block whose last re-replication
+	// failed may be tried again (stalled transfers must not be re-issued
+	// every scan, or a churning fleet drowns in I/O to dead nodes). A
+	// transfer that outlives its file's Delete updates a block no scan can
+	// reach any more.
+	pendingRep int
+	repRetryAt float64
 
 	file *File
 }

@@ -25,7 +25,7 @@ type WriteOp struct {
 	avoid   []int
 	targets []int
 
-	curFlow *netmodel.Flow
+	curFlow netmodel.Flow
 	backoff sim.Event
 	stopped bool
 }
@@ -59,11 +59,9 @@ func (op *WriteOp) finish(err error) {
 	}
 	op.stopped = true
 	op.file.underConstruction = false
-	if op.curFlow != nil {
-		f := op.curFlow
-		op.curFlow = nil
-		op.fs.net.Cancel(f)
-	}
+	f := op.curFlow
+	op.curFlow = netmodel.Flow{}
+	op.fs.net.Cancel(f)
 	op.fs.sim.Cancel(op.backoff)
 	op.backoff = sim.Event{}
 	if op.done != nil {
@@ -186,7 +184,7 @@ func (op *WriteOp) writeStage() {
 	}
 
 	op.curFlow = fs.net.Transfer(src, dst, b.Size, func(err error) {
-		op.curFlow = nil
+		op.curFlow = netmodel.Flow{}
 		if op.stopped {
 			return
 		}

@@ -97,3 +97,27 @@ func BenchmarkHeartbeatScanWorkers(b *testing.B) {
 		b.Fatal("no slots counted")
 	}
 }
+
+// BenchmarkShufflePump measures the pump call that finds nothing to do, which
+// is nearly all of them: 384 maps, every partition fetched but map 0's — the
+// straggler, still running — and no fetch in flight. A reduce attempt is
+// pumped like this on every other map's completion and every fetch's end.
+// (BenchmarkReplicationScan in internal/dfs is the NameNode scan's number.)
+func BenchmarkShufflePump(b *testing.B) {
+	w := newPumpWorld(b, &pumpProgram{maps: 384}, false)
+	for m := 1; m < 384; m++ {
+		w.completeMap(m)
+	}
+	sh := w.startAttempt(w.job.reduces[0], pumpNodes-1).shuffle
+	for m := 1; m < 384; m++ {
+		sh.setState(m, fetchDone)
+		sh.fetched++
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		sh.pump()
+	}
+	if sh.inflight != 0 || sh.fetched != 383 || sh.finished {
+		b.Fatalf("the idle pump did something: %d in flight, %d fetched, finished=%v", sh.inflight, sh.fetched, sh.finished)
+	}
+}

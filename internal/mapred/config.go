@@ -23,6 +23,13 @@
 // evaluation operates (its scheduling experiments even use the sleep app
 // with calibrated durations). The live goroutine engine in internal/engine
 // runs real user Map/Reduce functions with the same policies.
+//
+// The copy phase is the hot part of a run: every map completion and every
+// fetch completion pumps each shuffling reduce attempt. A pump costs what
+// changed, not the number of maps — shuffleState keeps the maps it still
+// wants and the maps in backoff as bit sets beside the job's set of maps
+// with an output, and walks only their combination (see shuffleState for
+// why backoff entries are walked whether or not their map has an output).
 package mapred
 
 import (

@@ -65,8 +65,8 @@ func (jt *JobTracker) startMap(in *Instance) {
 	retries := 0
 	var attempt func()
 	attempt = func() {
-		flow, err := jt.fs.ReadBlock(in.node, block, 0, blacklist, func(src int, err error) {
-			in.readFlow = nil
+		flow, err := jt.fs.ReadBlock(in.node, block, 0, blacklist, 0, func(_, src int, err error) {
+			in.readFlow = netmodel.Flow{}
 			if in.phase != phaseRead {
 				return
 			}
@@ -246,6 +246,7 @@ func (jt *JobTracker) completeInstance(in *Instance) {
 		j.mapTimeCount++
 		jt.inst.mapDur.Observe(now - in.startedAt)
 		j.fetchReporters[t.Index] = nil
+		j.mapReady.put(t.Index, t.output != "")
 		jt.notifyShuffles(j)
 	} else {
 		j.reducesCompleted++
@@ -301,12 +302,10 @@ func (jt *JobTracker) failInstance(in *Instance, reason string) {
 // teardown cancels an attempt's outstanding I/O and compute.
 func (jt *JobTracker) teardown(in *Instance) {
 	jt.pauseCompute(in)
-	if in.readFlow != nil {
-		f := in.readFlow
-		in.readFlow = nil
-		// Mark the phase first so the cancel callback is a no-op.
-		jt.net.Cancel(f)
-	}
+	// The phase is already marked, so the cancel callback is a no-op.
+	f := in.readFlow
+	in.readFlow = netmodel.Flow{}
+	jt.net.Cancel(f)
 	if in.shuffle != nil {
 		in.shuffle.cancel()
 	}
@@ -405,6 +404,7 @@ func (jt *JobTracker) invalidateMapOutput(mt *Task) {
 		jt.fs.Delete(mt.output)
 		mt.output = ""
 	}
+	j.mapReady.put(mt.Index, false)
 	j.fetchReporters[mt.Index] = nil
 	for _, rt := range j.reduces {
 		for _, in := range rt.instances {

@@ -38,6 +38,10 @@ type Job struct {
 
 	maps    []*Task
 	reduces []*Task
+	// mapReady holds the maps a reducer can fetch from: completed, with an
+	// output file. completeInstance and invalidateMapOutput keep it; every
+	// shuffle of the job reads it to find its next fetch (shuffleState).
+	mapReady mapSet
 
 	state       JobState
 	submittedAt float64

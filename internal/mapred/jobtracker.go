@@ -161,6 +161,7 @@ func (jt *JobTracker) Submit(cfg JobConfig, onDone func(*Job)) (*Job, error) {
 		j.reduces = append(j.reduces, &Task{Type: ReduceTask, Index: i, job: j})
 	}
 	j.fetchReporters = make([]map[int]bool, cfg.NumMaps)
+	j.mapReady = make(mapSet, (cfg.NumMaps+63)/64)
 	if err := jt.queue.Submit(j); err != nil {
 		// Attempt output files are named after the job, so two live jobs
 		// with one name would collide in the DFS.
@@ -610,29 +611,24 @@ func (jt *JobTracker) pickSpeculativeMOON(j *Job, typ TaskType, tt *TaskTracker,
 		}
 		return false
 	}
-	rank := func(t *Task) (int, float64) {
+	// Each phase below offers its candidates to consider in task order and
+	// takes the one it is left with: the first of those with the least
+	// (dedicated copy, progress).
+	var best *Task
+	var bestDed int
+	var bestProg float64
+	consider := func(t *Task) {
 		ded := 0
 		if jt.cfg.Hybrid && t.hasActiveDedicatedCopy() {
 			ded = 1
 		}
-		return ded, t.progress(now)
-	}
-	pickBest := func(cands []*Task) *Task {
-		var best *Task
-		var bestDed int
-		var bestProg float64
-		for _, t := range cands {
-			d, p := rank(t)
-			if best == nil || d < bestDed || (d == bestDed && p < bestProg) {
-				best, bestDed, bestProg = t, d, p
-			}
+		if p := t.progress(now); best == nil || ded < bestDed || (ded == bestDed && p < bestProg) {
+			best, bestDed, bestProg = t, ded, p
 		}
-		return best
 	}
 
 	// 1) Frozen tasks: every copy inactive; replicate regardless of copy
 	// count so progress can always be made.
-	var frozen []*Task
 	for _, t := range jt.tasksOf(j, typ) {
 		if !t.frozen() {
 			continue
@@ -641,15 +637,14 @@ func (jt *JobTracker) pickSpeculativeMOON(j *Job, typ TaskType, tt *TaskTracker,
 			blocked = true
 			continue
 		}
-		frozen = append(frozen, t)
+		consider(t)
 	}
-	if t := pickBest(frozen); t != nil {
-		return t, true
+	if best != nil {
+		return best, true
 	}
 
 	// 2) Slow tasks: Hadoop's criteria with the per-task cap.
 	avg := jt.avgProgress(j, typ)
-	var slow []*Task
 	for _, t := range jt.tasksOf(j, typ) {
 		if !jt.isStraggler(t, avg) || t.frozen() ||
 			t.runningInstances() >= 1+jt.cfg.SpeculativeCap {
@@ -659,16 +654,15 @@ func (jt *JobTracker) pickSpeculativeMOON(j *Job, typ TaskType, tt *TaskTracker,
 			blocked = true
 			continue
 		}
-		slow = append(slow, t)
+		consider(t)
 	}
-	if t := pickBest(slow); t != nil {
-		return t, true
+	if best != nil {
+		return best, true
 	}
 
 	// 3) Homestretch: near job completion, keep >= R active copies of
 	// every remaining task.
 	if float64(j.remainingTasks()) < jt.cfg.HomestretchH/100*float64(jt.availableSlots()) {
-		var hs []*Task
 		for _, t := range jt.tasksOf(j, typ) {
 			if t.completed || t.runningInstances() == 0 {
 				continue
@@ -683,10 +677,10 @@ func (jt *JobTracker) pickSpeculativeMOON(j *Job, typ TaskType, tt *TaskTracker,
 				blocked = true
 				continue
 			}
-			hs = append(hs, t)
+			consider(t)
 		}
-		if t := pickBest(hs); t != nil {
-			return t, true
+		if best != nil {
+			return best, true
 		}
 	}
 	return nil, !blocked

@@ -162,7 +162,7 @@ type Instance struct {
 	computeEv    sim.Event
 
 	// I/O handles, canceled on kill.
-	readFlow *netmodel.Flow
+	readFlow netmodel.Flow
 	writeOp  *dfs.WriteOp
 	shuffle  *shuffleState
 

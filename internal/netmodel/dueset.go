@@ -7,11 +7,11 @@ import "repro/internal/sim"
 // hold their key inline — the (at, seq) queue position the flow reserved,
 // copied in when the network's barrier (or an insert) sifts it — and name
 // the flow by its slot in the network's flow table, so a sift compares and
-// moves plain words: no *Flow is loaded and no write barrier is taken. idx
+// moves plain words: no *flow is loaded and no write barrier is taken. idx
 // maps a slot to its heap position (-1 outside the set), which is what lets
 // a re-key sift in place and a removal find its entry.
 //
-// Between two barriers a stored key can be older than its flow's Flow.due;
+// Between two barriers a stored key can be older than its flow.due;
 // the heap is ordered by the stored keys throughout, and nothing but the
 // head's time is read from it until the barrier has brought them up to date.
 type dueSet struct {

@@ -449,11 +449,18 @@ type dueSetCases struct {
 	refreshedThrice   int
 	refreshes, rekeys int // the network's rate_refreshes and due_rekeys
 	startedInsidePass int // Transfer from a done callback under a settle pass, a finished flow's slot not yet free
+	// Cancel through the handle of a flow that has ended, while the object it
+	// named carries another flow in flight: the one a pool without
+	// generations would cancel.
+	canceledStale int
+	// A Transfer was given the slot, and so the object, of a flow that ended
+	// at the same instant.
+	reusedInInstant int
 }
 
-// bindNetwork drives the real Network, checks the due-set's and the slot
-// table's invariants between callbacks and tallies the cases into seen
-// (which may be nil).
+// bindNetwork drives the real Network, checks the due-set's, the slot
+// table's and the handles' invariants between callbacks and tallies the cases
+// into seen (which may be nil).
 func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster.Cluster) fabric {
 	if seen == nil {
 		seen = new(dueSetCases)
@@ -461,8 +468,13 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 	return func(s *sim.Simulation, c *cluster.Cluster) fabric {
 		n := New(s, c, fuzzConfig())
 		n.Instrument(metrics.New(10)) // the counters below; and settle's metrics-on path
-		var flows []*Flow
-		displaced := map[*Flow]sim.Reservation{}
+		// Per harness flow: its handle (zero until Transfer returns, and for
+		// good if the flow was zero bytes) and whether its done has run.
+		// Objects are reused, so nothing here is keyed by *flow.
+		var flows []Flow
+		var ended []bool
+		endedAt := map[int32]float64{} // slot -> when the flow that last held it ended
+		displaced := map[int]sim.Reservation{}
 
 		// moves counts, per flow, the new positions seen at the current
 		// instant at the points where the harness looks (each done callback,
@@ -473,15 +485,16 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 			n        int
 			readSeen bool
 		}
-		moves := map[*Flow]*moved{}
+		moves := map[int]*moved{}
 		look := func(read bool) {
-			for _, f := range flows {
-				if f == nil || f.finished || f.rate <= 0 {
+			for id, h := range flows {
+				f := n.lookup(h)
+				if f == nil || f.rate <= 0 {
 					continue
 				}
-				m := moves[f]
+				m := moves[id]
 				if m == nil || m.at != s.Now() {
-					moves[f] = &moved{at: s.Now(), due: f.due}
+					moves[id] = &moved{at: s.Now(), due: f.due}
 					continue
 				}
 				if f.due != m.due {
@@ -496,17 +509,27 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 		return fabric{
 			transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
 				id := len(flows)
-				flows = append(flows, nil)
+				flows = append(flows, Flow{})
+				ended = append(ended, false)
 				if n.settleDepth > 0 && len(n.retired) > 0 {
 					seen.startedInsidePass++
 				}
-				f := n.Transfer(src, dst, bytes, done)
-				flows[id] = f
-				return func() {
-					if !f.finished && n.due.head() == f.slot && f.completion.Pending() {
-						seen.canceledQueuedHead++
+				h := n.Transfer(src, dst, bytes, done)
+				flows[id] = h
+				if h != (Flow{}) {
+					if at, ok := endedAt[h.slot]; ok && at == s.Now() {
+						seen.reusedInInstant++
 					}
-					n.Cancel(f)
+					delete(endedAt, h.slot)
+				}
+				return func() {
+					switch f := n.lookup(h); {
+					case f != nil && n.due.head() == f.slot && f.completion.Pending():
+						seen.canceledQueuedHead++
+					case f == nil && h != (Flow{}) && !n.flows[h.slot].finished:
+						seen.canceledStale++
+					}
+					n.Cancel(h)
 				}
 			},
 			consumed: func(node int) float64 {
@@ -516,9 +539,16 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 			},
 			total: n.TotalBytes,
 			onDone: func(flow int, err error) {
-				// flows[flow] is still nil when the flow finished inside Transfer.
-				if f := flows[flow]; f != nil && err == nil && displaced[f] == f.due {
-					seen.displacedFired++
+				ended[flow] = true
+				// The handle is still zero when the flow finished inside
+				// Transfer. Otherwise its object keeps the finished flow's
+				// fields until the slot's next transfer, which cannot have
+				// started: this runs first in the flow's done.
+				if h := flows[flow]; h != (Flow{}) {
+					endedAt[h.slot] = s.Now()
+					if err == nil && displaced[flow] == n.flows[h.slot].due {
+						seen.displacedFired++
+					}
 				}
 				look(false)
 			},
@@ -542,9 +572,29 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 				if inSet != len(n.due.es) {
 					t.Fatalf("%d slots indexed into a heap of %d", inSet, len(n.due.es))
 				}
+				// A handle names its flow until the flow's done has run, and
+				// nothing after; idOf finds the harness flow of a live slot.
+				idOf := map[int32]int{}
+				live := 0
+				for id, h := range flows {
+					f := n.lookup(h)
+					if h != (Flow{}) && (f != nil) == ended[id] {
+						t.Fatalf("flow f%d ended=%v, its handle %+v resolves to %+v", id, ended[id], h, f)
+					}
+					if f == nil {
+						continue
+					}
+					idOf[f.slot] = id
+					if f.rate > 0 {
+						live++
+					}
+				}
+				if live != len(n.due.es) {
+					t.Fatalf("%d live flows have a rate, due-set holds %d", live, len(n.due.es))
+				}
 				for i, e := range n.due.es {
 					f := n.flows[e.slot]
-					if f == nil || f.slot != e.slot || f.finished || f.rate <= 0 || f.touched {
+					if f.slot != e.slot || f.finished || f.rate <= 0 || f.touched {
 						t.Fatalf("due-set position %d (slot %d) holds %+v", i, e.slot, f)
 					}
 					if e.at != f.due.At() || e.seq != f.due.Seq() {
@@ -555,31 +605,32 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 						t.Fatalf("due-set position %d sorts before its parent", i)
 					}
 					if i > 0 && f.completion.Pending() {
-						displaced[f] = f.due
+						displaced[idOf[e.slot]] = f.due
 					}
 				}
+				// Every slot keeps one object for good. A free slot's object is
+				// a finished flow with nothing left attached; with no slot
+				// retired, every other slot's is in flight.
 				free := map[int32]bool{}
 				for _, slot := range n.free {
-					if free[slot] || n.flows[slot] != nil || n.due.idx[slot] >= 0 {
-						t.Fatalf("free slot %d: listed twice, or still in the flow table or the heap", slot)
+					f := n.flows[slot]
+					if free[slot] || !f.finished || f.done != nil || n.due.idx[slot] >= 0 ||
+						f.stall.Pending() || f.completion.Pending() {
+						t.Fatalf("free slot %d: listed twice, or its object is not a finished, detached flow: %+v", slot, f)
 					}
 					free[slot] = true
 				}
+				for slot, f := range n.flows {
+					if f.slot != int32(slot) || f.gen == 0 || f.finished != free[int32(slot)] {
+						t.Fatalf("slot %d holds %+v (free: %v)", slot, f, free[int32(slot)])
+					}
+				}
 				for id := range n.nodes {
 					for _, slot := range append(slices.Clone(n.nodes[id].remote), n.nodes[id].local...) {
-						if f := n.flows[slot]; free[slot] || f == nil || f.finished || f.slot != slot {
-							t.Fatalf("node %d lists slot %d, which is free or holds no live flow", id, slot)
+						if free[slot] {
+							t.Fatalf("node %d lists slot %d, which is free", id, slot)
 						}
 					}
-				}
-				live := 0
-				for _, f := range flows {
-					if f != nil && !f.finished && f.rate > 0 {
-						live++
-					}
-				}
-				if live != len(n.due.es) {
-					t.Fatalf("%d live flows have a rate, due-set holds %d", live, len(n.due.es))
 				}
 			},
 		}
@@ -652,6 +703,13 @@ var seedPrograms = map[string]*program{
 	// reclaims them in a Transfer under a pass).
 	"follow-up-inside-pass": prog(4).transfer(0, 2, 5, thenTransfer|12<<2).transfer(1, 3, 5, thenTransfer|12<<2).
 		transfer(0, 0, 3, 0),
+	// f0 is canceled and f1 started at one instant: the barrier between the
+	// two callbacks frees f0's slot, so f1 gets it, and f0's object with it.
+	// The cancel that follows goes through f0's handle — an op the eager model
+	// ignores, its f0 being finished. A table that handed the object on without
+	// a generation would cancel f1 there, and one that checked `finished` on
+	// the object would too: f1 has cleared it.
+	"stale-cancel-reused-slot": prog(4).transfer(0, 1, 5, 0).cancel(0).transfer(2, 3, 5, thenRead).cancel(0).advance(12),
 	// Found by the fuzzer (PR 15) and outside the comparison's domain: the
 	// program's clock is a float sum, 16.01 + 2 + 2.5 = 20.509999999999998,
 	// and flow f8 (2->1) was planned to end at 20.51, so node 1's flip finds
@@ -683,8 +741,9 @@ func compareWithEager(t testing.TB, p *program, seen *dueSetCases) (log []string
 }
 
 // FuzzNetworkVsEager decodes the input into transfers (remote, local,
-// zero-byte), cancels, availability flips, reads and clock advances over at
-// most eight nodes, runs it against Network and against the eager reference,
+// zero-byte), cancels — of flows in flight and, through handles kept past the
+// end, of flows that are done — availability flips, reads and clock advances
+// over at most eight nodes, runs it against Network and against the eager reference,
 // and requires the same observations: every completion's flow, error and
 // time, and every Consumed/TotalBytes read, bit for bit.
 //
@@ -753,5 +812,13 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 	}
 	if _, seen := run("follow-up-inside-pass"); seen.startedInsidePass == 0 {
 		t.Fatal("follow-up-inside-pass: no transfer started under a settle pass with a slot retired")
+	}
+	log, seen := run("stale-cancel-reused-slot")
+	if seen.reusedInInstant != 1 || seen.canceledStale != 1 {
+		t.Fatalf("stale-cancel-reused-slot: %d slots reused inside an instant, %d stale cancels, want 1 and 1",
+			seen.reusedInInstant, seen.canceledStale)
+	}
+	if want := fmt.Sprintf("t=%x done f1 2->3 err=<nil>", math.Float64bits(1)); !slices.Contains(log, want) {
+		t.Fatalf("stale-cancel-reused-slot: f1 did not complete cleanly at t=1:\n%s", strings.Join(log, "\n"))
 	}
 }

@@ -45,10 +45,19 @@
 // The structures those passes walk hold no pointers. A flow in flight has a
 // slot in the network's flow table; node flow lists, settle snapshots, the
 // touched list and the due-set name flows by slot, so snapshotting a list is
-// a memmove and a heap swap takes no write barrier. *Flow stays the handle
-// callers hold. A finished flow's slot is not reused while any settle pass
-// is on the stack: a pass's snapshot may name it, and must find the finished
-// flow there, not one a done callback started.
+// a memmove and a heap swap takes no write barrier. A finished flow's slot is
+// not reused while any settle pass is on the stack: a pass's snapshot may
+// name it, and must find the finished flow there, not one a done callback
+// started.
+//
+// The table owns the flow objects too. A slot keeps its object for the life
+// of the network and the next transfer that takes the slot resets it, so a
+// transfer at steady state allocates nothing — the rule above is exactly the
+// lifetime rule reuse needs. What callers hold is a Flow: a slot and the
+// generation the object had when the transfer started, checked on every use
+// the way sim.Event checks its node's. Finishing a flow bumps the object's
+// generation, so a handle kept past its flow's end names nothing, whoever
+// holds the slot by then.
 //
 // A flow with an unavailable endpoint makes no progress; if the outage lasts
 // longer than the configured stall timeout the flow fails with ErrStalled,
@@ -98,14 +107,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Flow is one in-flight transfer.
+// Flow is a generation-checked handle for a transfer in flight. The zero
+// Flow names nothing and behaves like a transfer that already ended: Cancel
+// is a no-op. So does a handle whose transfer has finished, failed or been
+// canceled — its slot may carry another transfer by then, which a stale
+// handle can never cancel.
 type Flow struct {
+	slot int32
+	gen  uint32
+}
+
+// flow is the storage behind one in-flight transfer. It belongs to its slot
+// in the network's flow table: finish bumps gen, which invalidates every
+// handle to it, and the next Transfer to take the slot resets everything
+// but slot, gen and complete.
+type flow struct {
 	Src, Dst *cluster.Node
-	// slot is the flow's index in the network's flow table while it is in
-	// flight (-1 for a zero-byte flow, which never is); src and dst are the
-	// endpoints' node indices, kept here so the settle loop does not load
-	// them through Src and Dst.
+	// slot is the flow's index in the network's flow table; src and dst are
+	// the endpoints' node indices, kept here so the settle loop does not
+	// load them through Src and Dst.
 	slot, src, dst int32
+	gen            uint32
 
 	remaining  float64
 	rate       float64
@@ -120,16 +142,13 @@ type Flow struct {
 	// flow is on the network's touched list, and its entry in the set, if
 	// any, still carries an older position). completion is pending only once
 	// the barrier has found the flow at the head of the set and queued
-	// complete — made on first use, one closure a flow — at that position.
+	// complete — made on first use, one closure a slot: it captures the
+	// object, so it outlives the flows that pass through — at that position.
 	due        sim.Reservation
 	touched    bool
 	completion sim.Event
 	complete   func()
 }
-
-// Remaining returns the bytes not yet transferred (settled to the last rate
-// change, not the current instant).
-func (f *Flow) Remaining() float64 { return f.remaining }
 
 // nodeState tracks the flows touching one node, by slot.
 type nodeState struct {
@@ -146,12 +165,13 @@ type Network struct {
 	cfg   Config
 	nodes []nodeState
 
-	// flows is the slot table: flows[s] is the flow holding slot s. A slot
-	// goes to retired when its flow finishes and from there to free only
-	// when no settle pass is on the stack (reclaim): a pass's snapshot names
-	// flows by slot and skips the finished ones, so a slot handed out again
+	// flows is the slot table: flows[s] is the object of slot s, in flight
+	// or finished and waiting for the slot's next transfer. A slot goes to
+	// retired when its flow finishes and from there to free only when no
+	// settle pass is on the stack (reclaim): a pass's snapshot names flows
+	// by slot and skips the finished ones, so a slot handed out again
 	// mid-pass would make it refresh a flow that is not on its node.
-	flows   []*Flow
+	flows   []*flow
 	free    []int32
 	retired []int32
 
@@ -175,7 +195,7 @@ type Network struct {
 	// ever stores a position that a later rate change supersedes.
 	//
 	// A refresh does not move the flow inside the set; it puts it on touched
-	// (once, Flow.touched) and the barrier sifts each touched flow to the
+	// (once, flow.touched) and the barrier sifts each touched flow to the
 	// position its last refresh reserved. reservedNow says some refresh since
 	// the last barrier reserved the current instant — the one fact about the
 	// up-to-date order that dueNow needs before the barrier has restored it.
@@ -297,34 +317,35 @@ func (n *Network) drainDirty() {
 
 // Transfer starts moving bytes from src to dst and invokes done exactly once
 // with nil on completion or an error on failure. src == dst models a local
-// disk copy. Zero-byte transfers complete at the current instant.
-func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(error)) *Flow {
+// disk copy. Zero-byte transfers complete at the current instant and are
+// never in flight: they return the zero Flow.
+func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(error)) Flow {
 	if src == nil || dst == nil {
 		panic("netmodel: Transfer with nil endpoint")
 	}
 	if bytes < 0 {
 		panic(fmt.Sprintf("netmodel: negative transfer size %v", bytes))
 	}
-	f := &Flow{Src: src, Dst: dst, slot: -1, src: int32(src.ID), dst: int32(dst.ID),
-		remaining: bytes, done: done, lastUpdate: n.sim.Now()}
-	n.mFlows.IncAt(f.lastUpdate)
+	now := n.sim.Now()
+	n.mFlows.IncAt(now)
 	if bytes == 0 {
-		f.finished = true
 		n.sim.After(0, "net.done0", func() { done(nil) })
-		return f
+		return Flow{}
 	}
 	if len(n.free) == 0 && n.settleDepth == 0 {
 		n.reclaim()
 	}
+	var f *flow
 	if k := len(n.free); k > 0 {
-		f.slot = n.free[k-1]
+		f = n.flows[n.free[k-1]]
 		n.free = n.free[:k-1]
-		n.flows[f.slot] = f
 	} else {
-		f.slot = int32(len(n.flows))
+		f = &flow{slot: int32(len(n.flows)), gen: 1}
 		n.flows = append(n.flows, f)
 		n.due.idx = append(n.due.idx, -1)
 	}
+	*f = flow{Src: src, Dst: dst, slot: f.slot, src: int32(src.ID), dst: int32(dst.ID), gen: f.gen,
+		remaining: bytes, done: done, lastUpdate: now, complete: f.complete}
 	if f.local() {
 		n.nodes[f.src].local = append(n.nodes[f.src].local, f.slot)
 		n.markDirty(src.ID)
@@ -335,25 +356,36 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 		n.markDirty(dst.ID)
 	}
 	n.checkStall(f)
-	return f
+	return Flow{slot: f.slot, gen: f.gen}
 }
 
 // Cancel aborts the flow; done receives ErrCanceled at the current instant.
-// Canceling a finished flow is a no-op.
-func (n *Network) Cancel(f *Flow) {
-	if f == nil || f.finished {
-		return
+// Canceling the zero Flow or a flow that has ended is a no-op.
+func (n *Network) Cancel(h Flow) {
+	if f := n.lookup(h); f != nil {
+		n.finish(f, ErrCanceled)
 	}
-	n.finish(f, ErrCanceled)
 }
 
-func (f *Flow) local() bool { return f.src == f.dst }
+// lookup returns the flow the handle names, or nil once it has ended. No
+// object ever has generation zero, so the zero handle matches none.
+func (n *Network) lookup(h Flow) *flow {
+	if h.gen == 0 {
+		return nil
+	}
+	if f := n.flows[h.slot]; f.gen == h.gen {
+		return f
+	}
+	return nil
+}
+
+func (f *flow) local() bool { return f.src == f.dst }
 
 // settle charges progress made at the current rate since the last update. A
 // second settle at one instant has nothing to charge — delta is rate × 0,
 // and x − 0 and x + 0 are exact — so it only repeats the zero observation
 // the byte counter's time series would have got.
-func (n *Network) settle(f *Flow) {
+func (n *Network) settle(f *flow) {
 	now := n.sim.Now()
 	if f.lastUpdate == now {
 		if f.rate > 0 {
@@ -379,7 +411,7 @@ func (n *Network) settle(f *Flow) {
 
 // currentRate computes the flow's fair-share rate from endpoint load and
 // availability.
-func (n *Network) currentRate(f *Flow) float64 {
+func (n *Network) currentRate(f *flow) float64 {
 	if !f.Src.Available() || !f.Dst.Available() {
 		return 0
 	}
@@ -460,7 +492,7 @@ func (n *Network) markDirty(nodeID int) {
 // been refreshed since the last barrier — its stored key is now, and then so
 // is the stored head's — or was refreshed to now and raised reservedNow.
 // That O(1) test is almost always false, and only then are the node's own
-// flows looked at, through Flow.due, which is always current.
+// flows looked at, through flow.due, which is always current.
 func (n *Network) dueNow(nodeID int) bool {
 	now := n.sim.Now()
 	if !n.reservedNow && (len(n.due.es) == 0 || n.due.es[0].at != now) {
@@ -492,8 +524,8 @@ func (n *Network) barrier() bool {
 	did := n.flush()
 	for _, slot := range n.touched {
 		f := n.flows[slot]
-		if f == nil || !f.touched {
-			continue // finished, and its slot reclaimed since: see reclaim
+		if !f.touched {
+			continue // finished, and its slot taken again since: see reclaim
 		}
 		f.touched = false
 		if !f.finished && f.rate > 0 {
@@ -528,9 +560,6 @@ func (n *Network) barrier() bool {
 // touched list may still name a reclaimed slot; the barrier skips it by the
 // flag, which the slot's next holder starts with cleared.
 func (n *Network) reclaim() {
-	for _, slot := range n.retired {
-		n.flows[slot] = nil
-	}
 	n.free = append(n.free, n.retired...)
 	n.retired = n.retired[:0]
 }
@@ -538,7 +567,7 @@ func (n *Network) reclaim() {
 // completionFired is the completion event's callback. The event that fires
 // is the earliest in the queue and the head of the due-set is always queued,
 // so the flow must be that head; anything else means the two orders diverged.
-func (n *Network) completionFired(f *Flow) {
+func (n *Network) completionFired(f *flow) {
 	switch n.due.head() {
 	case f.slot:
 		n.finish(f, nil)
@@ -588,7 +617,7 @@ func (n *Network) settleNode(nodeID int) {
 // drawn right here, so every other event in the run keeps its position — and
 // goes on the touched list; moving it there in the due-set is the barrier's
 // business, once for all the refreshes of the instant, and so is queueing it.
-func (n *Network) refresh(f *Flow) {
+func (n *Network) refresh(f *flow) {
 	if f.finished {
 		return
 	}
@@ -620,7 +649,7 @@ func (n *Network) refresh(f *Flow) {
 
 // checkStall arms or disarms the stall-failure timer according to endpoint
 // availability.
-func (n *Network) checkStall(f *Flow) {
+func (n *Network) checkStall(f *flow) {
 	if f.finished {
 		return
 	}
@@ -649,7 +678,7 @@ func (n *Network) checkStall(f *Flow) {
 // replay the exact callback order of the per-change schedule. Deferring the
 // cascade to the barrier would complete the siblings one sim event each and
 // reorder same-instant callbacks.
-func (n *Network) finish(f *Flow, err error) {
+func (n *Network) finish(f *flow, err error) {
 	if f.finished {
 		return
 	}
@@ -659,6 +688,13 @@ func (n *Network) finish(f *Flow, err error) {
 	}
 	n.settle(f)
 	f.finished = true
+	if f.gen++; f.gen == 0 {
+		f.gen = 1 // wrapped: zero is the generation no object has
+	}
+	// The callback leaves the object now, so what it captured is not kept
+	// alive by a slot waiting for its next transfer.
+	done := f.done
+	f.done = nil
 	if err == ErrStalled {
 		n.mStalls.IncAt(n.sim.Now())
 	}
@@ -676,8 +712,8 @@ func (n *Network) finish(f *Flow, err error) {
 		n.settleNode(int(f.src))
 		n.settleNode(int(f.dst))
 	}
-	if f.done != nil {
-		f.done(err)
+	if done != nil {
+		done(err)
 	}
 }
 

@@ -169,6 +169,60 @@ func TestCancel(t *testing.T) {
 	n.Cancel(f)
 }
 
+// TestStaleHandleSparesSlotsNextFlow is the test a pool without generations
+// fails: X ends, Y is given X's slot and with it X's object, and X's holder —
+// who never heard of Y — cancels through the handle it kept.
+func TestStaleHandleSparesSlotsNextFlow(t *testing.T) {
+	s, c, n := testbed(nil, simpleCfg())
+	x := n.Transfer(c.Node(1), c.Node(2), 100, func(error) {})
+	s.RunUntil(10) // x is done at t=1
+	var y Flow
+	yDone, yErr := false, error(nil)
+	for i := 0; y.slot != x.slot || y == (Flow{}); i++ {
+		if i == 8 {
+			t.Fatalf("eight transfers on an idle network and none was given slot %d back", x.slot)
+		}
+		y = n.Transfer(c.Node(1), c.Node(2), 100, func(err error) { yDone, yErr = true, err })
+	}
+	if x == y {
+		t.Fatal("a slot's second flow has the handle of its first")
+	}
+	n.Cancel(x)
+	s.Run()
+	if !yDone || yErr != nil {
+		t.Fatalf("y done=%v err=%v after Cancel(x), want a clean completion", yDone, yErr)
+	}
+	n.Cancel(y)      // ended: no-op
+	n.Cancel(Flow{}) // the zero handle: no-op
+	n.Cancel(n.Transfer(c.Node(1), c.Node(2), 0, func(error) {}))
+}
+
+// TestFetchPathAllocations is the fabric's half of the allocation gate: on a
+// network whose slot table, node lists and due-set are warm, a transfer costs
+// no heap object, whether it runs to completion or is canceled. (The other
+// half, a whole shuffle fetch, is the test of the same name in
+// internal/mapred.)
+func TestFetchPathAllocations(t *testing.T) {
+	s, c, n := testbed(nil, simpleCfg())
+	done := func(error) {}
+	gate := func(name string, cycle func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+			t.Errorf("%s: %v allocs per cycle, want 0", name, got)
+		}
+	}
+	gate("Transfer+Cancel", func() { n.Cancel(n.Transfer(c.Node(1), c.Node(2), 100, done)) })
+	gate("Transfer to completion", func() {
+		n.Transfer(c.Node(1), c.Node(2), 100, done)
+		n.Transfer(c.Node(3), c.Node(2), 100, done)
+		n.Transfer(c.Node(2), c.Node(2), 100, done)
+		s.Run()
+	})
+	if n.ActiveFlows(2) != 0 || len(n.flows) > 3 {
+		t.Fatalf("%d flows left on node 2, %d slots for three flows at a time", n.ActiveFlows(2), len(n.flows))
+	}
+}
+
 func TestCallbackErrorExactlyOnce(t *testing.T) {
 	s, c, n := testbed([]trace.Interval{{Start: 0, End: 1e5}}, simpleCfg())
 	calls := 0
@@ -285,14 +339,14 @@ func TestMidInstantReadsSeeSettledState(t *testing.T) {
 // from f1's done callback must not be deferred all the same.
 func TestDueNowSeesPositionReservedThisInstant(t *testing.T) {
 	s, c, n := testbed(nil, DefaultConfig())
-	var g *Flow
+	var gh Flow
 	checked := false
 	s.Schedule(1e6, "start", func() {
 		n.Transfer(c.Node(1), c.Node(3), 1e6, func(error) {
 			now := s.Now()
-			if g.finished || g.remaining <= 1e-6 || g.due.At() != now || n.due.es[0].at == now {
-				t.Fatalf("set-up: g finished=%v remaining=%v due %v, stored head %v, now %v",
-					g.finished, g.remaining, g.due.At(), n.due.es[0].at, now)
+			g := n.lookup(gh)
+			if g == nil || g.remaining <= 1e-6 || g.due.At() != now || n.due.es[0].at == now {
+				t.Fatalf("set-up: g %+v, stored head %v, now %v", g, n.due.es[0].at, now)
 			}
 			if !n.dueNow(3) {
 				t.Error("dueNow(3) = false with g's completion reserved at the current instant")
@@ -303,7 +357,7 @@ func TestDueNowSeesPositionReservedThisInstant(t *testing.T) {
 			}
 			checked = true
 		})
-		g = n.Transfer(c.Node(2), c.Node(3), 1e6+6e-3, func(error) {})
+		gh = n.Transfer(c.Node(2), c.Node(3), 1e6+6e-3, func(error) {})
 	})
 	s.Run()
 	if !checked {
