@@ -46,6 +46,9 @@ type FileSystem struct {
 	fileOrder []*File
 
 	dn []*dnView
+	// dedicated and volatile are the node ids of each tier, ascending:
+	// placement and the throttle monitor walk a tier, not the fleet.
+	dedicated, volatile []int
 
 	// NameNode's unavailability estimate: ring of samples of the
 	// fraction of volatile DataNodes down.
@@ -58,6 +61,12 @@ type FileSystem struct {
 	repStreams int
 
 	cursorV, cursorD int
+
+	// scan is what the scan ticker runs: replicationScan, except in the test
+	// that holds it against a scan with no skipping. scanAV is the AdaptiveV
+	// the last scan ran under; when it moves, every block is due a visit.
+	scan   func()
+	scanAV int
 
 	// scanTargets is the reusable target buffer for replication-scan
 	// placement (scanBlock consumes each choice before the next call).
@@ -85,13 +94,18 @@ type fsInstruments struct {
 	fetchFailures *metrics.Counter
 	writeBytes    *metrics.Counter
 	readBytes     *metrics.Counter
+	scanVisited   *metrics.Counter
+	scanSkipped   *metrics.Counter
+	probes        *metrics.Counter
 }
 
 // Instrument registers DFS observability on c: replication traffic (bytes
 // and transfers, time-bucketed), placement retries, throttling declines and
 // adaptive-degree raises, hibernate/expire transitions, re-registrations,
 // trims, and the unreachable-read failure modes (stalls and no-replica
-// fetch failures), plus client read/write byte timelines.
+// fetch failures), plus client read/write byte timelines, and what the
+// NameNode's own bookkeeping costs: blocks the replication scan visited and
+// skipped, and DataNode records placement probed.
 func (fs *FileSystem) Instrument(c *metrics.Collector) {
 	if c == nil {
 		return
@@ -111,6 +125,9 @@ func (fs *FileSystem) Instrument(c *metrics.Collector) {
 		fetchFailures: c.TimedCounter(metrics.LayerDFS, "fetch_failures", ""),
 		writeBytes:    c.TimedCounter(metrics.LayerDFS, "write_bytes", ""),
 		readBytes:     c.TimedCounter(metrics.LayerDFS, "read_bytes", ""),
+		scanVisited:   c.Counter(metrics.LayerDFS, "scan_blocks_visited", ""),
+		scanSkipped:   c.Counter(metrics.LayerDFS, "scan_blocks_skipped", ""),
+		probes:        c.Counter(metrics.LayerDFS, "placement_probes", ""),
 	}
 }
 
@@ -133,9 +150,15 @@ func New(s *sim.Simulation, cl *cluster.Cluster, net *netmodel.Network, cfg Conf
 	for _, n := range cl.Nodes {
 		v := &dnView{node: n, dedicated: n.IsDedicated()}
 		fs.dn = append(fs.dn, v)
+		if v.dedicated {
+			fs.dedicated = append(fs.dedicated, n.ID)
+		} else {
+			fs.volatile = append(fs.volatile, n.ID)
+		}
 		n.Watch(fs.nodeChanged)
 	}
-	s.Ticker(cfg.ReplicationScanInterval, "dfs.scan", fs.replicationScan)
+	fs.scan = fs.replicationScan
+	s.Ticker(cfg.ReplicationScanInterval, "dfs.scan", func() { fs.scan() })
 	s.Ticker(cfg.PSampleInterval, "dfs.psample", fs.sampleP)
 	s.Ticker(cfg.ThrottleSampleInterval, "dfs.throttle", fs.sampleThrottle)
 	return fs, nil
@@ -159,6 +182,19 @@ type dnView struct {
 	// wasDead marks a node whose replicas were deregistered, for the
 	// thrashing metric and block re-report on return.
 	deadSince float64
+
+	// blocks are the blocks on the node's disk (of files not deleted), in no
+	// particular order: those registered on it while the NameNode does not
+	// think it dead, and the ones it re-reports when it returns from that.
+	blocks []*Block
+}
+
+// wakeBlocks has the next scan visit every block the node holds: what the
+// NameNode thinks of the node, which the replica census reads, has changed.
+func (v *dnView) wakeBlocks() {
+	for _, b := range v.blocks {
+		b.wake()
+	}
 }
 
 // View returns the NameNode's state for a DataNode.
@@ -179,6 +215,7 @@ func (fs *FileSystem) nodeChanged(n *cluster.Node, available bool) {
 			v.hibernateEv = fs.sim.After(fs.cfg.NodeHibernateInterval, "dfs.hibernate", func() {
 				if v.state == DNLive {
 					v.state = DNHibernate
+					v.wakeBlocks()
 					fs.Metrics.Hibernations++
 					fs.inst.hibernations.IncAt(fs.sim.Now())
 				}
@@ -192,8 +229,12 @@ func (fs *FileSystem) nodeChanged(n *cluster.Node, available bool) {
 	fs.sim.Cancel(v.hibernateEv)
 	fs.sim.Cancel(v.expiryEv)
 	v.hibernateEv, v.expiryEv = sim.Event{}, sim.Event{}
+	if v.state == DNLive {
+		return
+	}
 	wasDead := v.state == DNDead
 	v.state = DNLive
+	v.wakeBlocks()
 	if wasDead {
 		fs.reRegister(v)
 	}
@@ -209,42 +250,70 @@ func (fs *FileSystem) expire(v *dnView) {
 	v.deadSince = fs.sim.Now()
 	fs.Metrics.Expirations++
 	fs.inst.expirations.IncAt(v.deadSince)
-	for _, f := range fs.fileOrder {
-		for _, b := range f.Blocks {
-			removeInt(&b.replicas, v.node.ID)
-		}
+	for _, b := range v.blocks {
+		removeInt(&b.replicas, v.node.ID)
+		b.wake()
 	}
 }
 
-// reRegister re-adds the block replicas still on a returning node's disk.
+// reRegister re-adds the block replicas still on a returning node's disk
+// (nodeChanged has woken them).
 func (fs *FileSystem) reRegister(v *dnView) {
 	id := v.node.ID
-	for _, f := range fs.fileOrder {
-		for _, b := range f.Blocks {
-			if b.onDisk[id] && !containsInt(b.replicas, id) {
-				b.replicas = append(b.replicas, id)
-				fs.Metrics.ReRegistrations++
-				fs.inst.reRegs.Inc()
-			}
+	for _, b := range v.blocks {
+		if !containsInt(b.replicas, id) {
+			b.replicas = append(b.replicas, id)
+			fs.Metrics.ReRegistrations++
+			fs.inst.reRegs.Inc()
 		}
 	}
 }
 
-// registerReplica records a completed replica write.
+// registerReplica records a completed replica write. A write that outlived
+// its file's Delete still lands on the block, which nothing can reach, but
+// not on the node's list, which expire and reRegister walk.
 func (fs *FileSystem) registerReplica(b *Block, nodeID int) {
-	if b.onDisk == nil {
-		b.onDisk = make(map[int]bool)
+	if !b.file.deleted {
+		fs.putOnDisk(b, nodeID)
 	}
-	b.onDisk[nodeID] = true
 	if !containsInt(b.replicas, nodeID) {
 		b.replicas = append(b.replicas, nodeID)
 	}
+	b.wake()
 }
 
 // dropReplica removes a replica both from registration and disk.
 func (fs *FileSystem) dropReplica(b *Block, nodeID int) {
 	removeInt(&b.replicas, nodeID)
-	delete(b.onDisk, nodeID)
+	fs.takeOffDisk(b, nodeID)
+	b.wake()
+}
+
+// putOnDisk lists the block on the node and the node on the block, once.
+func (fs *FileSystem) putOnDisk(b *Block, nodeID int) {
+	if b.diskIndex(nodeID) >= 0 {
+		return
+	}
+	v := fs.dn[nodeID]
+	b.disk = append(b.disk, diskRef{node: int32(nodeID), pos: int32(len(v.blocks))})
+	v.blocks = append(v.blocks, b)
+}
+
+// takeOffDisk undoes putOnDisk: the node's last block moves into the gap.
+func (fs *FileSystem) takeOffDisk(b *Block, nodeID int) {
+	i := b.diskIndex(nodeID)
+	if i < 0 {
+		return
+	}
+	v, pos := fs.dn[nodeID], b.disk[i].pos
+	end := len(v.blocks) - 1
+	moved := v.blocks[end]
+	v.blocks[pos] = moved
+	moved.disk[moved.diskIndex(nodeID)].pos = pos
+	v.blocks[end] = nil
+	v.blocks = v.blocks[:end]
+	b.disk[i] = b.disk[len(b.disk)-1]
+	b.disk = b.disk[:len(b.disk)-1]
 }
 
 // liveReplicas returns the replica node IDs the NameNode would serve from:
@@ -283,9 +352,10 @@ func (fs *FileSystem) FileFullyReplicated(name string) bool {
 	if f == nil {
 		return false
 	}
+	av := fs.AdaptiveV()
 	for _, b := range f.Blocks {
 		c := fs.census(b)
-		needD, needV := fs.required(f, c)
+		needD, needV := fs.required(f, c, av)
 		d, v := fs.counted(f, c)
 		if fs.cfg.Mode == ModeHadoop {
 			if d+v < needD+needV {
@@ -329,13 +399,13 @@ func (fs *FileSystem) createFile(name string, size float64, class FileClass, fac
 	for i := 0; i < nblocks; i++ {
 		bs := math.Min(rem, fs.cfg.BlockSize)
 		f.Blocks = append(f.Blocks, &Block{
-			ID:     BlockID{File: name, Index: i},
-			Size:   bs,
-			onDisk: make(map[int]bool),
-			file:   f,
+			ID:   BlockID{File: name, Index: i},
+			Size: bs,
+			file: f,
 		})
 		rem -= bs
 	}
+	f.awake = nblocks
 	fs.files[name] = f
 	fs.fileOrder = append(fs.fileOrder, f)
 	return f, nil
@@ -350,8 +420,9 @@ func (fs *FileSystem) CreateStaged(name string, size float64, class FileClass, f
 	if err != nil {
 		return nil, err
 	}
+	av := fs.AdaptiveV()
 	for _, b := range f.Blocks {
-		needD, needV := fs.required(f, fs.census(b))
+		needD, needV := fs.required(f, fs.census(b), av)
 		if fs.cfg.Mode == ModeHadoop {
 			for _, t := range fs.chooseAny(nil, needD+needV, nil) {
 				fs.registerReplica(b, t)
@@ -368,11 +439,19 @@ func (fs *FileSystem) CreateStaged(name string, size float64, class FileClass, f
 	return f, nil
 }
 
-// Delete removes the file and all replicas.
+// Delete removes the file and all replicas: no DataNode lists its blocks any
+// more, so a node that expires or returns later neither deregisters nor
+// re-reports them.
 func (fs *FileSystem) Delete(name string) {
 	f := fs.files[name]
 	if f == nil {
 		return
+	}
+	f.deleted = true
+	for _, b := range f.Blocks {
+		for len(b.disk) > 0 {
+			fs.takeOffDisk(b, int(b.disk[0].node))
+		}
 	}
 	delete(fs.files, name)
 	i := slices.Index(fs.fileOrder, f)
@@ -389,6 +468,7 @@ func (fs *FileSystem) Commit(name string) error {
 	}
 	f.Class = Reliable
 	f.committed = true
+	f.wake()
 	return nil
 }
 
@@ -490,9 +570,10 @@ func (fs *FileSystem) census(b *Block) (c replicaCensus) {
 }
 
 // required returns the dedicated/volatile replica targets for a block of f
-// under the current policy. For Hadoop mode the two counts collapse into a
-// single total (reported as needV with needD = 0).
-func (fs *FileSystem) required(f *File, c replicaCensus) (needD, needV int) {
+// under the current policy, av being the current AdaptiveV (a caller with
+// many blocks to ask about computes it once). For Hadoop mode the two counts
+// collapse into a single total (reported as needV with needD = 0).
+func (fs *FileSystem) required(f *File, c replicaCensus, av int) (needD, needV int) {
 	if fs.cfg.Mode == ModeHadoop {
 		return 0, f.Factor.D + f.Factor.V
 	}
@@ -500,7 +581,7 @@ func (fs *FileSystem) required(f *File, c replicaCensus) (needD, needV int) {
 	if f.Class == Opportunistic && needD > 0 && c.liveD == 0 {
 		// No dedicated copy: availability rests on volatile replicas, so
 		// the volatile degree adapts to v'.
-		if av := fs.AdaptiveV(); av > needV {
+		if av > needV {
 			needV = av
 		}
 	}
@@ -527,23 +608,49 @@ func (fs *FileSystem) countLive(b *Block) (d, v int) {
 	return fs.counted(b.file, fs.census(b))
 }
 
-// replicationScan walks all blocks, re-replicating under-replicated ones
-// (reliable files first) and trimming excess replicas.
+// replicationScan walks the blocks that are not quiet, re-replicating
+// under-replicated ones (reliable files first) and trimming excess replicas,
+// in the order a walk of every block would reach them.
 func (fs *FileSystem) replicationScan() {
+	av := fs.AdaptiveV()
+	if av != fs.scanAV {
+		// The volatile target of every opportunistic block without a
+		// dedicated copy just moved.
+		fs.scanAV = av
+		for _, f := range fs.fileOrder {
+			f.wake()
+		}
+	}
+	visited, skipped := 0, 0
 	// Two passes: reliable files have priority for replication streams.
 	for _, wantReliable := range []bool{true, false} {
 		for _, f := range fs.fileOrder {
 			if (f.Class == Reliable) != wantReliable {
 				continue
 			}
+			if f.awake == 0 {
+				skipped += len(f.Blocks)
+				continue
+			}
 			for _, b := range f.Blocks {
-				fs.scanBlock(f, b)
+				if b.quiet {
+					skipped++
+					continue
+				}
+				visited++
+				fs.scanBlock(f, b, av)
 			}
 		}
 	}
+	fs.inst.scanVisited.Add(float64(visited))
+	fs.inst.scanSkipped.Add(float64(skipped))
 }
 
-func (fs *FileSystem) scanBlock(f *File, b *Block) {
+// scanBlock is one visit. A visit that takes no branch below leaves the block
+// quiet; every input of those branches has a hook that wakes it (Block.wake's
+// callers), except time running into a back-off and the dedicated tier's
+// throttling, and a block waiting on either stays awake.
+func (fs *FileSystem) scanBlock(f *File, b *Block, av int) {
 	if f.underConstruction {
 		return
 	}
@@ -551,40 +658,50 @@ func (fs *FileSystem) scanBlock(f *File, b *Block) {
 		return
 	}
 	c := fs.census(b)
-	needD, needV := fs.required(f, c)
+	needD, needV := fs.required(f, c, av)
 	d, v := fs.counted(f, c)
 	pend := b.pendingRep
+	quiet := true
 
 	if fs.cfg.Mode == ModeHadoop {
 		total, needTotal := d+v, needD+needV
 		switch {
 		case total+pend < needTotal:
+			quiet = false
 			fs.scanTargets = fs.chooseAny(fs.scanTargets[:0], 1, b.replicas)
 			fs.issueReplication(b, fs.scanTargets)
 		case total > needTotal && pend == 0:
+			quiet = false
 			fs.trimExcess(b, total-needTotal, false)
 		}
-		return
-	}
-
-	// MOON: dedicated deficit first (a reliable file's dedicated write is
-	// always honored; opportunistic dedicated copies are best-effort and
-	// skipped while the dedicated tier is throttled).
-	if d+pend < needD {
-		if f.Class == Reliable || !fs.allDedicatedThrottled() {
-			fs.scanTargets = fs.chooseDedicated(fs.scanTargets[:0], 1, b.replicas)
+	} else {
+		// MOON: dedicated deficit first (a reliable file's dedicated write is
+		// always honored; opportunistic dedicated copies are best-effort and
+		// skipped while the dedicated tier is throttled).
+		if d+pend < needD {
+			quiet = false
+			if f.Class == Reliable || !fs.allDedicatedThrottled() {
+				fs.scanTargets = fs.chooseDedicated(fs.scanTargets[:0], 1, b.replicas)
+				fs.issueReplication(b, fs.scanTargets)
+			}
+		}
+		if v+pend < needV {
+			quiet = false
+			fs.scanTargets = fs.chooseVolatile(fs.scanTargets[:0], 1, b.replicas)
 			fs.issueReplication(b, fs.scanTargets)
 		}
+		if v > needV && pend == 0 {
+			quiet = false
+			fs.trimExcess(b, v-needV, true)
+		}
+		if d > needD && pend == 0 {
+			quiet = false
+			fs.trimDedicatedExcess(b, d-needD)
+		}
 	}
-	if v+pend < needV {
-		fs.scanTargets = fs.chooseVolatile(fs.scanTargets[:0], 1, b.replicas)
-		fs.issueReplication(b, fs.scanTargets)
-	}
-	if v > needV && pend == 0 {
-		fs.trimExcess(b, v-needV, true)
-	}
-	if d > needD && pend == 0 {
-		fs.trimDedicatedExcess(b, d-needD)
+	if quiet {
+		b.quiet = true
+		f.awake--
 	}
 }
 
@@ -622,6 +739,7 @@ func (fs *FileSystem) issueReplication(b *Block, targets []int) {
 	fs.net.Transfer(fs.dn[src].node, fs.dn[dst].node, b.Size, func(err error) {
 		fs.repStreams--
 		b.pendingRep--
+		b.wake()
 		if err != nil {
 			// Back the block off before retrying: the failure usually
 			// means an endpoint is silently gone, and immediate retries

@@ -1,10 +1,18 @@
 package dfs
 
+import "slices"
+
 // Placement: target selection for writes and re-replication. Selection is
 // deterministic — rotating cursors spread load; candidates are nodes the
 // NameNode believes live (its view can lag reality, in which case the
 // transfer stalls exactly as the paper describes for I/O sent to nodes not
 // yet identified as dead).
+//
+// MOON's dedicated tier is small beside the volatile one, so a choice within
+// a tier walks that tier's id list (FileSystem.dedicated, .volatile) and not
+// the fleet. The cursors still count over the whole fleet, one step per call,
+// and a tier is entered at its first id at or after the cursor: the nodes come
+// up in the order a walk of every DataNode from the cursor would find them.
 //
 // The choose functions append into a caller-supplied buffer (which may be
 // nil) instead of allocating: the write pipeline and the replication scan
@@ -16,44 +24,65 @@ package dfs
 // excluding the given holders and anything already in dst, rotating a
 // cursor for spread.
 func (fs *FileSystem) chooseVolatile(dst []int, k int, exclude []int) []int {
-	return fs.choose(dst, k, exclude, func(v *dnView) bool {
-		return !v.dedicated
-	}, &fs.cursorV)
+	return fs.chooseTier(dst, k, exclude, fs.volatile, &fs.cursorV)
 }
 
 // chooseDedicated appends up to k distinct dedicated DataNodes believed
 // live.
 func (fs *FileSystem) chooseDedicated(dst []int, k int, exclude []int) []int {
-	return fs.choose(dst, k, exclude, func(v *dnView) bool {
-		return v.dedicated
-	}, &fs.cursorD)
+	return fs.chooseTier(dst, k, exclude, fs.dedicated, &fs.cursorD)
 }
 
 // chooseAny appends nodes of any type (stock-Hadoop placement).
 func (fs *FileSystem) chooseAny(dst []int, k int, exclude []int) []int {
-	return fs.choose(dst, k, exclude, func(*dnView) bool { return true }, &fs.cursorV)
-}
-
-func (fs *FileSystem) choose(dst []int, k int, exclude []int, eligible func(*dnView) bool, cursor *int) []int {
 	if k <= 0 {
 		return dst
 	}
 	n := len(fs.dn)
-	chosen := 0
-	for probe := 0; probe < n && chosen < k; probe++ {
-		id := (*cursor + probe) % n
-		v := fs.dn[id]
-		if v.state != DNLive || !eligible(v) {
-			continue
+	want, probes := len(dst)+k, 0
+	for ; probes < n && len(dst) < want; probes++ {
+		if id := (fs.cursorV + probes) % n; fs.placeable(id, exclude, dst) {
+			dst = append(dst, id)
 		}
-		if containsInt(exclude, id) || containsInt(dst, id) {
-			continue
-		}
-		dst = append(dst, id)
-		chosen++
 	}
-	*cursor = (*cursor + 1) % n
+	fs.inst.probes.Add(float64(probes))
+	fs.cursorV = (fs.cursorV + 1) % n
 	return dst
+}
+
+func (fs *FileSystem) chooseTier(dst []int, k int, exclude, tier []int, cursor *int) []int {
+	if k <= 0 {
+		return dst
+	}
+	at := tierStart(tier, *cursor)
+	want, probes := len(dst)+k, 0
+	for ; probes < len(tier) && len(dst) < want; probes++ {
+		if id := tier[at]; fs.placeable(id, exclude, dst) {
+			dst = append(dst, id)
+		}
+		if at++; at == len(tier) {
+			at = 0
+		}
+	}
+	fs.inst.probes.Add(float64(probes))
+	*cursor = (*cursor + 1) % len(fs.dn)
+	return dst
+}
+
+// tierStart is where a walk of the fleet from cursor enters the tier: the
+// index of its first id at or after the cursor, or 0 past the last one.
+func tierStart(tier []int, cursor int) int {
+	at, _ := slices.BinarySearch(tier, cursor)
+	if at == len(tier) {
+		return 0
+	}
+	return at
+}
+
+// placeable reports whether a new replica may go to the node: believed live
+// and in neither list.
+func (fs *FileSystem) placeable(id int, exclude, dst []int) bool {
+	return fs.dn[id].state == DNLive && !containsInt(exclude, id) && !containsInt(dst, id)
 }
 
 // allDedicatedThrottled reports whether every live dedicated DataNode is
@@ -61,8 +90,8 @@ func (fs *FileSystem) choose(dst []int, k int, exclude []int, eligible func(*dnV
 // copies for opportunistic data (Figure 3's decision process). A tier with
 // no live dedicated node at all also declines.
 func (fs *FileSystem) allDedicatedThrottled() bool {
-	for _, v := range fs.dn {
-		if v.dedicated && v.state == DNLive && !v.throttled {
+	for _, id := range fs.dedicated {
+		if v := fs.dn[id]; v.state == DNLive && !v.throttled {
 			return false
 		}
 	}
@@ -73,17 +102,19 @@ func (fs *FileSystem) allDedicatedThrottled() bool {
 // opportunistic write, or -1 when the whole tier is saturated. Nodes in
 // either exclusion list are skipped.
 func (fs *FileSystem) pickUnthrottledDedicated(exclude, alsoExclude []int) int {
-	n := len(fs.dn)
-	for probe := 0; probe < n; probe++ {
-		id := (fs.cursorD + probe) % n
-		v := fs.dn[id]
-		if v.dedicated && v.state == DNLive && !v.throttled &&
-			!containsInt(exclude, id) && !containsInt(alsoExclude, id) {
-			fs.cursorD = (fs.cursorD + 1) % n
+	tier := fs.dedicated
+	at := tierStart(tier, fs.cursorD)
+	fs.cursorD = (fs.cursorD + 1) % len(fs.dn)
+	for probes := 1; probes <= len(tier); probes++ {
+		if id := tier[at]; !fs.dn[id].throttled && fs.placeable(id, exclude, alsoExclude) {
+			fs.inst.probes.Add(float64(probes))
 			return id
 		}
+		if at++; at == len(tier) {
+			at = 0
+		}
 	}
-	fs.cursorD = (fs.cursorD + 1) % n
+	fs.inst.probes.Add(float64(len(tier)))
 	return -1
 }
 
@@ -92,11 +123,9 @@ func (fs *FileSystem) pickUnthrottledDedicated(exclude, alsoExclude []int) int {
 // stays within the Tb margin means the node has plateaued (saturated), a
 // fall below the margin releases it.
 func (fs *FileSystem) sampleThrottle() {
-	for _, v := range fs.dn {
-		if !v.dedicated {
-			continue
-		}
-		consumed := fs.net.Consumed(v.node.ID)
+	for _, id := range fs.dedicated {
+		v := fs.dn[id]
+		consumed := fs.net.Consumed(id)
 		bw := (consumed - v.lastConsumed) / fs.cfg.ThrottleSampleInterval
 		v.lastConsumed = consumed
 		fs.throttleStep(v, bw)

@@ -22,15 +22,24 @@
 //     dedicated copy, eliminating the replication thrashing that transient
 //     outages cause in stock HDFS.
 //
-// The NameNode's replication scan visits every block of every file every
-// ReplicationScanInterval, so what it needs per visit sits where the walk
-// already is. Files are walked through a list in creation order (the map by
-// name serves lookups only); a block's scan state — re-replications in
-// flight, and the time before which a failed one is not retried — is two
-// fields of the Block; and one pass over a block's replica list (census)
-// yields the live-dedicated, live-volatile and hibernating-volatile counts
-// from which both the replica targets and the counts held against them are
-// derived. A visit hashes nothing and reads the replica list once.
+// The NameNode's replication scan runs every ReplicationScanInterval and
+// visits the blocks something has touched since it last looked. A block whose
+// visit found nothing to do — no deficit, no excess, not under construction,
+// not backing off — is *quiet*, and stays skipped until one of the things a
+// visit reads changes: its replica list, the NameNode's state for one of its
+// holders (hibernate, return, expiry), its re-replications in flight or its
+// back-off time, its file's class or construction flag, or the value of
+// AdaptiveV, which the scan reads once at its top (a move wakes every block).
+// A block with a dedicated deficit the throttled tier will not take stays
+// awake, because throttling changes without telling anybody. Each file counts
+// its awake blocks, so a quiet file costs one comparison. The blocks that are
+// visited are visited in the order a full walk would reach them — reliable
+// files first, files in creation order (a list; the map by name serves
+// lookups only), blocks by index — because that order is the stream cap's
+// tie-break and every visit of a block in deficit rotates a placement cursor.
+// A visit hashes nothing and reads the replica list once (census), and a
+// DataNode's record lists the blocks on its disk, so a node that hibernates,
+// expires or returns touches its own blocks and no others.
 package dfs
 
 import (
@@ -90,10 +99,11 @@ type Block struct {
 	// replicas are the DataNode IDs the NameNode currently counts as
 	// holding the block (registered replicas). Order is creation order.
 	replicas []int
-	// onDisk tracks physical presence per node, which outlives NameNode
-	// registration: a node declared dead keeps its data and re-reports it
-	// on return.
-	onDisk map[int]bool
+	// disk lists the DataNodes that hold the block physically, a superset of
+	// replicas: a node declared dead keeps its data and re-reports it on
+	// return. Each entry also says where the block sits in that node's own
+	// list, so taking it out of both costs the block's replica count.
+	disk []diskRef
 
 	// Replication-scan state, on the block so the scan finds it without a
 	// lookup: pendingRep counts re-replications in flight, so scans don't
@@ -104,8 +114,36 @@ type Block struct {
 	// reach any more.
 	pendingRep int
 	repRetryAt float64
+	// quiet: the last scan visit found nothing to do and nothing a visit
+	// reads has changed since, so scans skip the block (see wake).
+	quiet bool
 
 	file *File
+}
+
+// diskRef is one physical copy of a block: the DataNode, and the block's
+// index in that node's dnView.blocks.
+type diskRef struct {
+	node, pos int32
+}
+
+// diskIndex is the index in b.disk of the copy on the node, or -1.
+func (b *Block) diskIndex(nodeID int) int {
+	for i, r := range b.disk {
+		if int(r.node) == nodeID {
+			return i
+		}
+	}
+	return -1
+}
+
+// wake has the next scan visit the block again. Everything that changes what
+// scanBlock reads of a block calls it.
+func (b *Block) wake() {
+	if b.quiet {
+		b.quiet = false
+		b.file.awake++
+	}
 }
 
 // File is the NameNode's record of one file.
@@ -121,6 +159,17 @@ type File struct {
 	// WriteOp is still placing replicas (as for HDFS files being
 	// written).
 	underConstruction bool
+	// awake counts the blocks the next replication scan will visit.
+	awake int
+	// deleted files are out of the namespace; a transfer that outlives one
+	// must not list its block on a DataNode again.
+	deleted bool
+}
+
+func (f *File) wake() {
+	for _, b := range f.Blocks {
+		b.wake()
+	}
 }
 
 // Size returns the file's total bytes.

@@ -203,10 +203,18 @@ type Counter struct {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds v to the total (untimed: the optional timeline is not fed).
+//
+// Add and AddAt are the nil test and a call, small enough to inline: with
+// collection off, an instrumented hot path (netmodel settles and refreshes a
+// flow per touch) pays a compare, not a call.
 func (c *Counter) Add(v float64) {
 	if c == nil {
 		return
 	}
+	c.add(v)
+}
+
+func (c *Counter) add(v float64) {
 	c.total += v
 	if c.sink != nil {
 		c.sink.Push(Update{Layer: c.key.Layer, Name: c.key.Name, Scope: c.key.Scope,
@@ -220,6 +228,10 @@ func (c *Counter) AddAt(t, v float64) {
 	if c == nil {
 		return
 	}
+	c.addAt(t, v)
+}
+
+func (c *Counter) addAt(t, v float64) {
 	c.total += v
 	c.series.add(t, v)
 	if c.sink != nil {

@@ -385,8 +385,7 @@ func (f *flow) local() bool { return f.src == f.dst }
 // second settle at one instant has nothing to charge — delta is rate × 0,
 // and x − 0 and x + 0 are exact — so it only repeats the zero observation
 // the byte counter's time series would have got.
-func (n *Network) settle(f *flow) {
-	now := n.sim.Now()
+func (n *Network) settle(f *flow, now float64) {
 	if f.lastUpdate == now {
 		if f.rate > 0 {
 			n.mBytes.AddAt(now, 0)
@@ -604,8 +603,9 @@ func (n *Network) settleNode(nodeID int) {
 	buf = append(buf, st.remote...)
 	buf = append(buf, st.local...)
 	n.settleDepth++
+	now := n.sim.Now() // callbacks run inside the pass, the clock does not
 	for _, slot := range buf {
-		n.refresh(n.flows[slot])
+		n.refresh(n.flows[slot], now)
 	}
 	n.settleDepth--
 	n.scratch = append(n.scratch, buf)
@@ -617,14 +617,16 @@ func (n *Network) settleNode(nodeID int) {
 // drawn right here, so every other event in the run keeps its position — and
 // goes on the touched list; moving it there in the due-set is the barrier's
 // business, once for all the refreshes of the instant, and so is queueing it.
-func (n *Network) refresh(f *flow) {
+func (n *Network) refresh(f *flow, now float64) {
 	if f.finished {
 		return
 	}
-	n.settle(f)
+	n.settle(f, now)
 	f.rate = n.currentRate(f)
-	n.sim.Cancel(f.completion)
-	f.completion = sim.Event{}
+	if f.completion != (sim.Event{}) { // only the due-set's head has one
+		n.sim.Cancel(f.completion)
+		f.completion = sim.Event{}
+	}
 	switch {
 	case f.remaining <= 1e-6:
 		// Out of the set before finish, not just inside it: finish flushes
@@ -632,7 +634,6 @@ func (n *Network) refresh(f *flow) {
 		n.due.remove(f.slot)
 		n.finish(f, nil)
 	case f.rate > 0:
-		now := n.sim.Now()
 		f.due = n.sim.Reserve(now + f.remaining/f.rate)
 		if f.due.At() == now {
 			n.reservedNow = true
@@ -686,7 +687,7 @@ func (n *Network) finish(f *flow, err error) {
 	if f.finished {
 		return
 	}
-	n.settle(f)
+	n.settle(f, n.sim.Now())
 	f.finished = true
 	if f.gen++; f.gen == 0 {
 		f.gen = 1 // wrapped: zero is the generation no object has
