@@ -20,12 +20,12 @@
 // scenario.Spec: flags assemble a spec, -scenario loads one, and both
 // compile through the same path, so a flag run is byte-identical to the
 // equivalent scenario file. With -scenario, the sweep-axis flags (-seeds,
-// -rates, -scale, -parallel, -shard-workers, -metrics-bucket) override
-// the spec when set explicitly; the experiment-shaping flags
-// (-experiment, -app, -policy, ...) are rejected. -metrics writes a
-// schema-versioned cross-layer run report (JSON plus a .timeline.csv
-// dump) stamped with the scenario name and spec hash. -cpuprofile and
-// -memprofile write pprof profiles of the whole sweep.
+// -rates, -scale, -parallel, -metrics-bucket) override the spec when set
+// explicitly; the experiment-shaping flags (-experiment, -app, -policy,
+// ...) are rejected. -metrics writes a schema-versioned cross-layer run
+// report (JSON plus a .timeline.csv dump) stamped with the scenario name
+// and spec hash. -cpuprofile and -memprofile write pprof profiles of the
+// whole sweep.
 package main
 
 import (
@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rates      = fs.String("rates", "0.1,0.3,0.5", "comma-separated unavailability rates")
 		ablation   = fs.String("ablation", "homestretch", strings.Join(harness.AblationNames, "|"))
 		parallel   = fs.Int("parallel", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
-		shardW     = fs.Int("shard-workers", 1, "intra-run shard workers per simulation (0 = all cores, 1 = serial; every value is byte-identical)")
 		policy     = fs.String("policy", "both", "multi-job slot arbitration: fifo|fair|weighted|priority|both")
 		jobs       = fs.Int("jobs", 3, "multi-job experiment: jobs per run")
 		stagger    = fs.Float64("stagger", 60, "multi-job staggered arrivals: seconds between submissions")
@@ -130,9 +129,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if explicit["parallel"] {
 			spec.Sweep.Parallelism = *parallel
 		}
-		if explicit["shard-workers"] {
-			spec.Sweep.ShardWorkers = *shardW
-		}
 		if explicit["metrics-bucket"] {
 			spec.Metrics.BucketSeconds = *metricsBkt
 		}
@@ -163,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Lambda:        *lambda,
 			ArrivalSeed:   *arrSeed,
 			MetricsBucket: *metricsBkt,
-			ShardWorkers:  *shardW,
 		}
 		var err error
 		if f.Seeds, err = parseSeeds(*seeds); err != nil {

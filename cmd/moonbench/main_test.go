@@ -82,15 +82,15 @@ func TestScenarioFileMatchesFlagRun(t *testing.T) {
 }
 
 // TestRunProfileFlags drives a real (scaled-down) sweep with both pprof
-// flags — and a non-default shard pool — and checks the profiles land on
-// disk, mirroring moonsim's profiling surface.
+// flags and checks the profiles land on disk, mirroring moonsim's
+// profiling surface.
 func TestRunProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	mem := filepath.Join(dir, "mem.out")
 	out := runCLI(t,
 		"-experiment", "fig4", "-app", "sort", "-scale", "32",
-		"-seeds", "1", "-rates", "0.5", "-shard-workers", "2",
+		"-seeds", "1", "-rates", "0.5",
 		"-cpuprofile", cpu, "-memprofile", mem,
 	)
 	if !strings.Contains(out, "Fig 4/5") {

@@ -65,17 +65,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		metricsBkt = fs.Float64("metrics-bucket", metrics.DefaultBucket, "metrics series bucket width, seconds")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
-		shardW     = fs.Int("shard-workers", 0, "intra-run shard workers (0 = all cores, 1 = serial; every value is byte-identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	shardSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "shard-workers" {
-			shardSet = true
-		}
-	})
 
 	if *listScen {
 		return scenario.List(stdout)
@@ -111,9 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		label = v.Label
 		opts, w = v.Build(core.ClusterSpec{UnavailabilityRate: *rate, Seed: *seed})
-		// The spec's sweep-level shard knob applies to this cell too; the
-		// flag overrides it when given (a pure speed choice either way).
-		opts.ShardWorkers = spec.Sweep.ShardWorkers
 	} else {
 		cs := core.ClusterSpec{
 			VolatileNodes:      *volatiles,
@@ -149,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		w.Job.IntermediateFactor = dfs.Factor{D: *interD, V: *interV}
 	}
 	w = workload.Scale(w, *scale)
-	if *scenFlag == "" || shardSet {
-		opts.ShardWorkers = *shardW
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

@@ -19,7 +19,6 @@ import (
 	"repro/internal/analysis/globalrand"
 	"repro/internal/analysis/lockatomic"
 	"repro/internal/analysis/nilmetrics"
-	"repro/internal/analysis/shardsafe"
 	"repro/internal/analysis/wallclock"
 )
 
@@ -31,7 +30,6 @@ func Suite() []*analysis.Analyzer {
 		detrange.Analyzer,
 		nilmetrics.Analyzer,
 		lockatomic.Analyzer,
-		shardsafe.Analyzer,
 	}
 }
 

@@ -51,7 +51,7 @@ func TestPatternRestriction(t *testing.T) {
 func TestSuiteComplete(t *testing.T) {
 	want := map[string]bool{
 		"wallclock": false, "globalrand": false, "detrange": false,
-		"nilmetrics": false, "lockatomic": false, "shardsafe": false,
+		"nilmetrics": false, "lockatomic": false,
 	}
 	suite := moonvet.Suite()
 	for _, a := range suite {

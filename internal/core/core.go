@@ -80,12 +80,6 @@ type Options struct {
 	// same run without one, and a nil collector leaves every hot path
 	// allocation-free.
 	Metrics *metrics.Collector
-
-	// ShardWorkers bounds the intra-run worker pool that parallel phases
-	// (trace generation, heartbeat slot scans) fan across. 0 means one worker per available CPU; 1 forces serial.
-	// Every worker count produces byte-identical results — the knob only
-	// trades wall-clock for cores.
-	ShardWorkers int
 }
 
 // HadoopPreset configures stock Hadoop with the given TrackerExpiryInterval
@@ -140,14 +134,13 @@ func NewSimulation(opts Options) (*Simulation, error) {
 	}
 	r := rng.New(cs.Seed)
 	s := sim.New()
-	s.SetShardWorkers(opts.ShardWorkers)
 	s.Instrument(opts.Metrics)
 
 	genFleet := func(n int) ([]trace.Trace, error) {
 		if cs.Correlated != nil {
-			return trace.GenerateCorrelatedFleetOn(s.Shards(), r, *cs.Correlated, cs.Horizon, n)
+			return trace.GenerateCorrelatedFleet(r, *cs.Correlated, cs.Horizon, n)
 		}
-		return trace.GenerateFleetOn(s.Shards(), r, ocfg, cs.Horizon, n)
+		return trace.GenerateFleet(r, ocfg, cs.Horizon, n)
 	}
 	volTraces, err := genFleet(cs.VolatileNodes)
 	if err != nil {

@@ -37,13 +37,6 @@ type Config struct {
 	// sweep: 0 (the default) uses runtime.GOMAXPROCS(0), 1 runs serially.
 	// Results are deterministic at any setting.
 	Parallelism int
-	// ShardWorkers bounds the worker pool *inside* each simulation: the
-	// parallel phases (trace generation, heartbeat slot scans) fan across
-	// it. 0 uses one worker per CPU, 1 forces
-	// serial; results are byte-identical at any setting. Sweeps of many
-	// small runs should leave this at 1 (set by the sweep CLIs) and spend
-	// the cores on Parallelism instead; single big runs want the reverse.
-	ShardWorkers int
 	// Progress, when non-nil, receives one line per completed run, in the
 	// serial (variant, rate, seed) order regardless of Parallelism. It may
 	// be invoked from worker goroutines, but never concurrently.
@@ -109,9 +102,6 @@ func (c Config) Validate() error {
 	}
 	if math.IsNaN(c.MetricsBucket) || c.MetricsBucket < 0 {
 		return fmt.Errorf("harness: metrics bucket %v (want >= 0)", c.MetricsBucket)
-	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("harness: shard workers %d (want >= 0)", c.ShardWorkers)
 	}
 	return nil
 }
@@ -182,7 +172,6 @@ type seedOutcome struct {
 func (c Config) runSeed(v Variant, rate float64, seed uint64) (seedOutcome, string, error) {
 	cs := core.ClusterSpec{UnavailabilityRate: rate, Seed: seed}
 	opts, w := v.Build(cs)
-	opts.ShardWorkers = c.ShardWorkers
 	w = workload.Scale(w, c.Scale)
 	var col *metrics.Collector
 	if c.MetricsBucket > 0 {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -63,12 +62,6 @@ type LiveConfig struct {
 
 	// Timeout bounds one cell's wall-clock execution.
 	Timeout time.Duration
-
-	// ShardWorkers bounds the worker pool each cell's churn-trace
-	// generation fans across (the live engine itself is already one
-	// goroutine per worker). 0 uses one worker per CPU, 1 forces serial;
-	// the generated traces are byte-identical at any setting.
-	ShardWorkers int
 
 	// Link tunes the engine's failure-handling protocol (per-operation
 	// timeouts, retries, lease and session clocks); zero fields inherit
@@ -301,8 +294,8 @@ func (c Config) runLiveSeed(lc LiveConfig, v LiveVariant, rate float64, seed uin
 	fail := func(err error) (liveOutcome, string, error) {
 		return liveOutcome{}, "", fmt.Errorf("%s rate=%.1f seed=%d: %w", v.Label, rate, seed, err)
 	}
-	traces, err := trace.GenerateFleetOn(sim.NewShardPool(lc.ShardWorkers),
-		rng.New(seed), trace.DefaultOutageConfig(rate), lc.HorizonSeconds, lc.VolatileWorkers)
+	traces, err := trace.GenerateFleet(rng.New(seed), trace.DefaultOutageConfig(rate),
+		lc.HorizonSeconds, lc.VolatileWorkers)
 	if err != nil {
 		return fail(err)
 	}

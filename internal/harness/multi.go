@@ -65,7 +65,6 @@ type multiOutcome struct {
 func (c Config) runMultiSeed(v MultiVariant, rate float64, seed uint64) (multiOutcome, string, error) {
 	cs := core.ClusterSpec{UnavailabilityRate: rate, Seed: seed}
 	opts, m := v.Build(cs)
-	opts.ShardWorkers = c.ShardWorkers
 	m = workload.ScaleMulti(m, c.Scale)
 	var col *metrics.Collector
 	if c.MetricsBucket > 0 {

@@ -1,7 +1,6 @@
 package mapred
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -57,18 +56,13 @@ func BenchmarkSmallJobUnderChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkHeartbeatScanWorkers measures the heartbeat's fanned
-// slot-availability scan — the per-tick parallel phase — over a fleet
-// well above tickShardMinTrackers, at growing pool widths. The partials
-// live on the JobTracker, so the workers=1 row must report 0 allocs/op
-// (CI gates it); wider rows add only the per-phase goroutine spawns.
-// Every width returns the identical count (the differential suite pins
-// the full-run consequence of that).
-func BenchmarkHeartbeatScanWorkers(b *testing.B) {
+// BenchmarkHeartbeatScan measures the heartbeat's slot-availability scan,
+// the one O(trackers) pass a tick makes, over a 4 160-tracker fleet. It
+// reads tracker state only and must report 0 allocs/op.
+func BenchmarkHeartbeatScan(b *testing.B) {
 	const volatiles = 4096
 	s := sim.New()
-	traces, err := trace.GenerateFleetOn(sim.NewShardPool(0), rng.New(1),
-		trace.DefaultOutageConfig(0.3), 1e5, volatiles)
+	traces, err := trace.GenerateFleet(rng.New(1), trace.DefaultOutageConfig(0.3), 1e5, volatiles)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,15 +77,10 @@ func BenchmarkHeartbeatScanWorkers(b *testing.B) {
 		b.Fatal(err)
 	}
 	sink := 0
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			s.SetShardWorkers(w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += jt.countAvailableSlots()
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += jt.countAvailableSlots()
 	}
 	if sink == 0 {
 		b.Fatal("no slots counted")

@@ -63,10 +63,6 @@ type JobTracker struct {
 	noPendingMut [2]uint64
 	noSpec       [2]bool // per TaskType: no tracker can get a backup copy
 	noSpecMut    [2]uint64
-	// Padded per-worker partials for the heartbeat's sharded slot scans,
-	// reused across ticks so the heartbeat never allocates.
-	slotParts []sim.Padded[int]
-	occParts  []sim.Padded[occTally]
 }
 
 // jtInstruments are the scheduler's metric handles: slot occupancy per
@@ -240,9 +236,8 @@ func (jt *JobTracker) trackerChanged(n *cluster.Node, available bool) {
 
 // availableSlots counts execution slots on live trackers (map + reduce),
 // the paper's base for both the speculative cap and the homestretch
-// threshold. Within a tick the count is computed once — availability and
-// expiry only change through sim events, which never fire mid-tick — and
-// the scan itself fans across the shard pool on large fleets.
+// threshold. Within a tick the count is computed once: availability and
+// expiry only change through sim events, which never fire mid-tick.
 func (jt *JobTracker) availableSlots() int {
 	if jt.inTick && jt.slotsCached {
 		return jt.cachedSlots
@@ -376,8 +371,7 @@ func (jt *JobTracker) tick() {
 
 // observeOccupancy samples slot occupancy and the running-job count into
 // the metrics bus once per heartbeat. It is a pure read of tracker state,
-// skipped entirely when no collector is attached; the scan itself is the
-// heartbeat's sharded slot-evaluation phase (see countOccupancy).
+// skipped entirely when no collector is attached.
 func (jt *JobTracker) observeOccupancy() {
 	if jt.inst.slotOcc == nil {
 		return

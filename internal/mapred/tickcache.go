@@ -1,8 +1,6 @@
 package mapred
 
-import "repro/internal/sim"
-
-// Tick-scoped caching and the heartbeat's parallel slot-evaluation phase.
+// Tick-scoped caching for the heartbeat.
 //
 // Between beginTick and endTick the event queue is silent: no sim event can
 // fire, so tracker availability, expiry and suspension are frozen, and the
@@ -17,23 +15,6 @@ import "repro/internal/sim"
 // jt.tickMut when filled and is discarded the moment a detach or map-output
 // invalidation bumps it. Correctness therefore never depends on those paths
 // being rare; the caches just stop helping when they fire.
-//
-// countAvailableSlots and observeOccupancy additionally fan their
-// O(trackers) scans across the simulation's shard pool. Both are parallel
-// phases in the sim.ShardPool sense: workers only read tracker state (frozen
-// for the whole tick) and write disjoint per-worker partial tallies, which
-// the caller folds serially in worker order. Integer sums are associative,
-// so any worker count — including 1 — produces identical results.
-
-// tickShardMinTrackers is the fleet size below which the heartbeat's slot
-// scans stay serial; spawning workers costs more than scanning a few
-// thousand trackers.
-const tickShardMinTrackers = 2048
-
-// occTally is one worker's slot-occupancy partial sum.
-type occTally struct {
-	total, used int
-}
 
 // beginTick opens a heartbeat: all tick-scoped caches start invalid.
 func (jt *JobTracker) beginTick() {
@@ -76,83 +57,28 @@ func (jt *JobTracker) markSpecExhausted(typ TaskType) {
 	jt.noSpecMut[typ] = jt.tickMut
 }
 
-// countAvailableSlots scans the fleet for live execution slots, fanning the
-// scan across the shard pool on large fleets. Pure reads of tracker state;
-// each worker writes only its own padded partial.
+// countAvailableSlots scans the fleet for live execution slots. Pure reads
+// of tracker state.
 func (jt *JobTracker) countAvailableSlots() int {
-	pool := jt.sim.Shards()
-	n := len(jt.trackers)
-	if pool.Serial() || n < tickShardMinTrackers {
-		total := 0
-		for _, tt := range jt.trackers {
-			if tt.node.Available() && !tt.expired {
-				total += tt.mapSlots + tt.reduceSlots
-			}
-		}
-		return total
-	}
-	w := pool.Workers()
-	if len(jt.slotParts) < w {
-		jt.slotParts = make([]sim.Padded[int], w)
-	}
-	for i := range jt.slotParts {
-		jt.slotParts[i].V = 0
-	}
-	pool.Run(n, func(worker, lo, hi int) {
-		t := 0
-		for _, tt := range jt.trackers[lo:hi] {
-			if tt.node.Available() && !tt.expired {
-				t += tt.mapSlots + tt.reduceSlots
-			}
-		}
-		jt.slotParts[worker].V = t
-	})
 	total := 0
-	for i := range jt.slotParts {
-		total += jt.slotParts[i].V
+	for _, tt := range jt.trackers {
+		if tt.node.Available() && !tt.expired {
+			total += tt.mapSlots + tt.reduceSlots
+		}
 	}
 	return total
 }
 
-// countOccupancy returns (total, used) slots over live trackers, sharded
-// like countAvailableSlots. used counts running attempts, matching the
-// serial occupancy scan exactly.
+// countOccupancy returns (total, used) slots over live trackers. used
+// counts running attempts.
 func (jt *JobTracker) countOccupancy() (int, int) {
-	pool := jt.sim.Shards()
-	n := len(jt.trackers)
-	if pool.Serial() || n < tickShardMinTrackers {
-		total, used := 0, 0
-		for _, tt := range jt.trackers {
-			if !tt.node.Available() || tt.expired {
-				continue
-			}
-			total += tt.mapSlots + tt.reduceSlots
-			used += len(tt.running)
-		}
-		return total, used
-	}
-	w := pool.Workers()
-	if len(jt.occParts) < w {
-		jt.occParts = make([]sim.Padded[occTally], w)
-	}
-	for i := range jt.occParts {
-		jt.occParts[i].V = occTally{}
-	}
-	pool.Run(n, func(worker, lo, hi int) {
-		var t occTally
-		for _, tt := range jt.trackers[lo:hi] {
-			if !tt.node.Available() || tt.expired {
-				continue
-			}
-			t.total += tt.mapSlots + tt.reduceSlots
-			t.used += len(tt.running)
-		}
-		jt.occParts[worker].V = t
-	})
 	total, used := 0, 0
-	for i := range jt.occParts {
-		total += jt.occParts[i].V.total
-		used += jt.occParts[i].V.used
+	for _, tt := range jt.trackers {
+		if !tt.node.Available() || tt.expired {
+			continue
+		}
+		total += tt.mapSlots + tt.reduceSlots
+		used += len(tt.running)
 	}
 	return total, used
 }

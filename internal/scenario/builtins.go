@@ -200,19 +200,16 @@ func scaleSweep() *Spec {
 	}
 }
 
-// scale100k is the intra-run sharding showcase: ONE simulation spanning a
-// 100,000-node fleet through 24 hours of churn (≈2 million outages), with
-// an hourly stream of sleep-sort jobs keeping the scheduler under load the
-// whole day. Parallelism stays at 1 — this is a single big run, so the
-// shard pool (shard_workers 0 = every core) is where the cores go, the
-// inverse of the many-small-runs sweeps. Any worker count is
-// byte-identical; the knob only moves wall-clock. BENCH_10.json records
-// the measured wall-clock of this scenario on the CI runner.
+// scale100k is the scale showcase: ONE simulation spanning a 100,000-node
+// fleet through 24 hours of churn (≈2 million outages), with an hourly
+// stream of sleep-sort jobs keeping the scheduler under load the whole
+// day. Parallelism stays at 1: this is a single big run on one goroutine,
+// and the one that holds ~100k pending events.
 func scale100k() *Spec {
 	return &Spec{
 		Schema:      Schema,
 		Name:        "scale-100k",
-		Description: "One sharded run: 100k-node fleet, 24h of churn, hourly sleep-sort stream, MOON-Hybrid (shard pool machine-wide).",
+		Description: "One big run: 100k-node fleet, 24h of churn, hourly sleep-sort stream, MOON-Hybrid.",
 		Sweep: SweepSpec{
 			Seeds:       []uint64{1},
 			Rates:       []float64{0.1},

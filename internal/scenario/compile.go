@@ -78,11 +78,6 @@ func Compile(s *Spec) (*Plan, error) {
 		var err error
 		if d.Execution == "live" {
 			run, err = compileLive(&d.Experiments[i], d.Live)
-			if err == nil {
-				// The sweep-level shard knob also bounds each live cell's
-				// trace-generation pool.
-				run.Live.Config.ShardWorkers = d.Sweep.ShardWorkers
-			}
 		} else {
 			run, err = compileExperiment(&d.Experiments[i], &d)
 		}

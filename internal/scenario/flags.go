@@ -19,7 +19,6 @@ type Flags struct {
 	Scale         int
 	Rates         []float64
 	Parallel      int
-	ShardWorkers  int    // intra-run worker pool (0 = all cores, 1 = serial)
 	Ablation      string // homestretch|speccap|hibernate|adaptive
 	Policy        string // fifo|fair|weighted|both
 	Jobs          int
@@ -89,11 +88,10 @@ func FromFlags(f Flags) (*Spec, error) {
 			Description: "Assembled from moonbench flags.",
 			Execution:   "live",
 			Sweep: SweepSpec{
-				Seeds:        f.Seeds,
-				Rates:        f.Rates,
-				Scale:        f.Scale,
-				Parallelism:  f.Parallel,
-				ShardWorkers: f.ShardWorkers,
+				Seeds:       f.Seeds,
+				Rates:       f.Rates,
+				Scale:       f.Scale,
+				Parallelism: f.Parallel,
 			},
 			Metrics: MetricsSpec{BucketSeconds: f.MetricsBucket},
 			Experiments: []Experiment{{
@@ -146,11 +144,10 @@ func FromFlags(f Flags) (*Spec, error) {
 		Name:        name,
 		Description: "Assembled from moonbench flags.",
 		Sweep: SweepSpec{
-			Seeds:        f.Seeds,
-			Rates:        f.Rates,
-			Scale:        f.Scale,
-			Parallelism:  f.Parallel,
-			ShardWorkers: f.ShardWorkers,
+			Seeds:       f.Seeds,
+			Rates:       f.Rates,
+			Scale:       f.Scale,
+			Parallelism: f.Parallel,
 		},
 		Metrics: MetricsSpec{BucketSeconds: f.MetricsBucket},
 	}

@@ -88,11 +88,10 @@ type SweepSpec struct {
 	// Parallelism bounds concurrent simulations (0 = all cores,
 	// 1 = serial); results are identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
-	// ShardWorkers bounds the worker pool *inside* each simulation, which
-	// the intra-run parallel phases (trace generation, heartbeat slot
-	// scans) fan across (0 = all cores, 1 = serial). Results are byte-identical at any setting; big
-	// single-run scenarios want this high and Parallelism at 1, sweeps of
-	// many small runs the reverse.
+	// ShardWorkers has no effect: the intra-run worker pool it sized is
+	// gone, and a simulation is one goroutine. The field is still parsed,
+	// range-checked and round-tripped because Parse is strict and
+	// bench/workloads/sim-fleet.json sets it.
 	ShardWorkers int `json:"shard_workers,omitempty"`
 }
 
@@ -476,7 +475,6 @@ func (s *Spec) harnessConfig() harness.Config {
 		Scale:         d.Sweep.Scale,
 		Rates:         d.Sweep.Rates,
 		Parallelism:   d.Sweep.Parallelism,
-		ShardWorkers:  d.Sweep.ShardWorkers,
 		MetricsBucket: d.Metrics.BucketSeconds,
 	}
 }

@@ -96,6 +96,23 @@ const simSpec = `{
   ]
 }`
 
+// bigFleetSpec posts a shard_workers value that must size nothing: when
+// the field sized the JobTracker's per-worker tallies on fleets this large
+// (2 060 trackers), this one spec asked the daemon for 79 TB.
+const bigFleetSpec = `{
+  "schema": "moon-scenario/v1",
+  "name": "svc-big-fleet",
+  "sweep": {"rates": [0.1], "scale": 32, "parallelism": 1, "shard_workers": 1099511627776},
+  "experiments": [
+    {"custom": {
+      "title": "2k nodes",
+      "cluster": {"volatile": 2040, "dedicated": 20, "horizon_seconds": 1800},
+      "workload": {"app": "sort", "sleep": true, "reduce_slots": 88},
+      "variants": [{"label": "2k-nodes", "preset": "moon-hybrid"}]
+    }}
+  ]
+}`
+
 // TestScenarioReportMatchesCLIPath is the tentpole acceptance pin: the
 // report the service serves for a deterministic spec is byte-identical to
 // the document the CLI path produces for the same spec (same Parse →
@@ -103,46 +120,53 @@ const simSpec = `{
 // pipeline against the real binary's flag path).
 func TestScenarioReportMatchesCLIPath(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a full simulation")
+		t.Skip("runs full simulations")
 	}
-	spec, err := scenario.Parse(strings.NewReader(simSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := scenario.Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantOut bytes.Buffer
-	want := metrics.NewExport("moonbench")
-	want.Scenario = spec.Name
-	want.SpecHash = spec.Hash()
-	if err := plan.Execute(&wantOut, want); err != nil {
-		t.Fatal(err)
-	}
-	var wantDoc bytes.Buffer
-	if err := want.WriteJSON(&wantDoc); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct{ name, spec string }{
+		{"multi-job sort", simSpec},
+		{"big fleet, huge shard_workers", bigFleetSpec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := scenario.Parse(strings.NewReader(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := scenario.Compile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantOut bytes.Buffer
+			want := metrics.NewExport("moonbench")
+			want.Scenario = spec.Name
+			want.SpecHash = spec.Hash()
+			if err := plan.Execute(&wantOut, want); err != nil {
+				t.Fatal(err)
+			}
+			var wantDoc bytes.Buffer
+			if err := want.WriteJSON(&wantDoc); err != nil {
+				t.Fatal(err)
+			}
 
-	_, ts := newTestServer(t, Config{})
-	resp, raw := do(t, http.MethodPost, ts.URL+"/v1/scenarios", []byte(simSpec), nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit scenario: %d %s", resp.StatusCode, raw)
-	}
-	st := pollDone(t, ts.URL, decodeStatus(t, raw).ID)
-	if st.State != subDone {
-		t.Fatalf("scenario failed: %s", st.Error)
-	}
-	if st.Output != wantOut.String() {
-		t.Errorf("rendered output differs from CLI path:\n--- service ---\n%s\n--- cli ---\n%s", st.Output, wantOut.String())
-	}
-	resp, got := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/report", nil, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report: %d %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, wantDoc.Bytes()) {
-		t.Errorf("service report is not byte-identical to the CLI path:\n--- service ---\n%s\n--- cli ---\n%s", got, wantDoc.Bytes())
+			_, ts := newTestServer(t, Config{})
+			resp, raw := do(t, http.MethodPost, ts.URL+"/v1/scenarios", []byte(tc.spec), nil)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit scenario: %d %s", resp.StatusCode, raw)
+			}
+			st := pollDone(t, ts.URL, decodeStatus(t, raw).ID)
+			if st.State != subDone {
+				t.Fatalf("scenario failed: %s", st.Error)
+			}
+			if st.Output != wantOut.String() {
+				t.Errorf("rendered output differs from CLI path:\n--- service ---\n%s\n--- cli ---\n%s", st.Output, wantOut.String())
+			}
+			resp, got := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/report", nil, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("report: %d %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, wantDoc.Bytes()) {
+				t.Errorf("service report is not byte-identical to the CLI path:\n--- service ---\n%s\n--- cli ---\n%s", got, wantDoc.Bytes())
+			}
+		})
 	}
 }
 

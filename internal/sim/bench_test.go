@@ -79,54 +79,3 @@ func BenchmarkCancelHeavy(b *testing.B) {
 		s.Step()
 	}
 }
-
-// BenchmarkShardPhase measures the parallel-phase hot path per ITEM: one
-// op is one index of a fanned span (a synthetic per-node compute kernel
-// writing a per-index slot and a per-worker padded partial — the contract
-// every real phase follows). The caller-owned partials make the per-item
-// path allocation-free; the only allocations in a phase are the w-1
-// goroutine spawns, amortized over the span, so allocs/op must report 0
-// at EVERY width — CI gates exactly that. On a multi-core runner ns/op
-// falls with width; on one core it shows the fan's overhead ceiling.
-func BenchmarkShardPhase(b *testing.B) {
-	const span = 1 << 16
-	out := make([]uint64, span)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			pool := NewShardPool(w)
-			partials := make([]Padded[uint64], pool.Workers())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := b.N; n > 0; n -= span {
-				m := span
-				if n < m {
-					m = n
-				}
-				for i := range partials {
-					partials[i].V = 0
-				}
-				pool.Run(m, func(worker, lo, hi int) {
-					var sum uint64
-					for i := lo; i < hi; i++ {
-						// A splitmix-style round stands in for the per-node
-						// draws/scans real phases do.
-						x := (uint64(i) + 1) * 0x9e3779b97f4a7c15
-						x ^= x >> 30
-						x *= 0xbf58476d1ce4e5b9
-						x ^= x >> 27
-						out[i] = x
-						sum += x
-					}
-					partials[worker].V = sum
-				})
-				var total uint64
-				for i := range partials {
-					total += partials[i].V
-				}
-				if total == 0 {
-					b.Fatal("phase produced nothing")
-				}
-			}
-		})
-	}
-}

@@ -180,10 +180,6 @@ type Simulation struct {
 	// instant (see Barrier).
 	barriers []func() bool
 
-	// shards is the intra-run worker pool for parallel phases (see
-	// Shards); nil until first use or SetShardWorkers.
-	shards *ShardPool
-
 	// Instrument handles (nil without a collector; nil handles no-op, so
 	// the hot path stays allocation-free when metrics are off).
 	mFired       *metrics.Counter

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // BenchmarkGenerate8h measures one node's 8-hour trace at the paper's 0.4
@@ -17,28 +15,6 @@ func BenchmarkGenerate8h(b *testing.B) {
 		if _, err := Generate(r, cfg, 8*3600); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFleetGenWorkers is the shard-scaling headline: a 4096-node,
-// 24-hour fleet generated on pools of growing width. Generation is the
-// dominant setup cost of the scale-100k scenario and is embarrassingly
-// parallel (pre-split streams), so on a multi-core runner ns/op should
-// fall near-linearly with workers; CI gates workers=4 at >= 1.5x over
-// workers=1. Every width produces byte-identical fleets (pinned by
-// TestGenerateFleetOnWidthsIdentical).
-func BenchmarkFleetGenWorkers(b *testing.B) {
-	const nodes = 4096
-	cfg := DefaultOutageConfig(0.3)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			pool := sim.NewShardPool(w)
-			for i := 0; i < b.N; i++ {
-				if _, err := GenerateFleetOn(pool, rng.New(1), cfg, 24*3600, nodes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

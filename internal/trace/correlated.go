@@ -63,26 +63,19 @@ func (c CorrelatedConfig) Validate() error {
 }
 
 // GenerateCorrelatedFleet builds per-node traces with both independent and
-// group-correlated outages.
+// group-correlated outages. Groups cover disjoint consecutive node ranges
+// and each group's sessions come from its own split stream.
 func GenerateCorrelatedFleet(r *rng.Rand, cfg CorrelatedConfig, duration float64, nodes int) ([]Trace, error) {
-	return GenerateCorrelatedFleetOn(nil, r, cfg, duration, nodes)
-}
-
-// GenerateCorrelatedFleetOn is GenerateCorrelatedFleet fanned over a shard
-// pool: the base fleet parallelizes per node and the session overlay per
-// group. Groups cover disjoint consecutive node ranges and each group's
-// sessions come from its own serially-split stream, so the overlay is a
-// pure function of the group index — any pool width is byte-identical.
-func GenerateCorrelatedFleetOn(pool Runner, r *rng.Rand, cfg CorrelatedConfig, duration float64, nodes int) ([]Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	traces, err := GenerateFleetOn(pool, r, cfg.Base, duration, nodes)
+	traces, err := GenerateFleet(r, cfg.Base, duration, nodes)
 	if err != nil {
 		return nil, err
 	}
 	groups := (nodes + cfg.GroupSize - 1) / cfg.GroupSize
-	applyGroup := func(g int, gr *rng.Rand) {
+	for g := 0; g < groups; g++ {
+		gr := r.Split()
 		for s := 0; s < cfg.SessionsPerGroup; s++ {
 			length := gr.TruncNormal(cfg.SessionMean, cfg.SessionStddev, 300, duration)
 			if length >= duration {
@@ -98,21 +91,6 @@ func GenerateCorrelatedFleetOn(pool Runner, r *rng.Rand, cfg CorrelatedConfig, d
 			}
 		}
 	}
-	if pool == nil || pool.Workers() == 1 || nodes < fleetShardMin {
-		for g := 0; g < groups; g++ {
-			applyGroup(g, r.Split())
-		}
-		return traces, nil
-	}
-	streams := make([]*rng.Rand, groups)
-	for g := range streams {
-		streams[g] = r.Split()
-	}
-	pool.Run(groups, func(_, lo, hi int) {
-		for g := lo; g < hi; g++ {
-			applyGroup(g, streams[g])
-		}
-	})
 	return traces, nil
 }
 

@@ -81,6 +81,9 @@ func TestCorrelatedValidation(t *testing.T) {
 	if _, err := GenerateCorrelatedFleet(rng.New(1), bad, 100, 10); err == nil {
 		t.Fatal("zero session mean accepted")
 	}
+	if _, err := GenerateCorrelatedFleet(rng.New(1), DefaultCorrelatedConfig(), 100, -1); err == nil {
+		t.Fatal("negative fleet size accepted")
+	}
 }
 
 func TestMergeOutage(t *testing.T) {

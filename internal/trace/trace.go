@@ -124,59 +124,19 @@ func Generate(r *rng.Rand, cfg OutageConfig, duration float64) (Trace, error) {
 	return t, nil
 }
 
-// Runner is the slice of the shard-pool API trace generation needs (it is
-// satisfied by *sim.ShardPool without importing sim): Run fans fn over
-// contiguous spans of [0, n), one per worker, and returns when all spans
-// complete. A nil Runner means serial.
-type Runner interface {
-	Workers() int
-	Run(n int, fn func(worker, lo, hi int))
-}
-
-// fleetShardMin is the fleet size below which GenerateFleetOn stays
-// serial: spawning workers costs more than generating a few dozen traces.
-const fleetShardMin = 256
-
 // GenerateFleet builds one trace per node, each from a split RNG stream so
 // node outages are mutually independent (the paper's assumption).
 func GenerateFleet(r *rng.Rand, cfg OutageConfig, duration float64, nodes int) ([]Trace, error) {
-	return GenerateFleetOn(nil, r, cfg, duration, nodes)
-}
-
-// GenerateFleetOn is GenerateFleet fanned over a shard pool. The per-node
-// streams are split from r serially — exactly the draws the serial loop
-// makes — and each node's trace is then a pure function of its own stream,
-// so generation parallelizes embarrassingly: any pool width, nil included,
-// yields byte-identical fleets. At 100k nodes this is the dominant setup
-// cost (millions of truncated-normal and exponential draws).
-func GenerateFleetOn(pool Runner, r *rng.Rand, cfg OutageConfig, duration float64, nodes int) ([]Trace, error) {
+	if nodes < 0 {
+		return nil, fmt.Errorf("trace: nodes must be >= 0, got %d", nodes)
+	}
 	traces := make([]Trace, nodes)
-	if pool == nil || pool.Workers() == 1 || nodes < fleetShardMin {
-		for i := range traces {
-			tr, err := Generate(r.Split(), cfg, duration)
-			if err != nil {
-				return nil, err
-			}
-			traces[i] = tr
+	for i := range traces {
+		tr, err := Generate(r.Split(), cfg, duration)
+		if err != nil {
+			return nil, err
 		}
-		return traces, nil
-	}
-	streams := make([]*rng.Rand, nodes)
-	for i := range streams {
-		streams[i] = r.Split()
-	}
-	errs := make([]error, nodes)
-	pool.Run(nodes, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			traces[i], errs[i] = Generate(streams[i], cfg, duration)
-		}
-	})
-	// Serial merge in index order: the first failing node decides the
-	// error, exactly as the serial loop would have.
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+		traces[i] = tr
 	}
 	return traces, nil
 }

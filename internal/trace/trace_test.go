@@ -77,6 +77,11 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(r, cfg, 100); err == nil {
 		t.Fatal("inverted clamp accepted")
 	}
+	// A negative fleet size is an error, not a makeslice panic (it is
+	// `moontrace -nodes -1`).
+	if _, err := GenerateFleet(r, DefaultOutageConfig(0.3), 100, -1); err == nil {
+		t.Fatal("negative fleet size accepted")
+	}
 }
 
 func TestAvailableAt(t *testing.T) {
