@@ -30,8 +30,11 @@ type eagerNet struct {
 	// settling is known not to reproduce (see fuzzSteps): a transfer or an
 	// availability flip — not a finish, which both models settle on the spot —
 	// found a flow within 1e-6 bytes of its end whose completion event was
-	// queued for a later time, and so finished it inside the call.
+	// queued for a later time, and so finished it inside the call. And its
+	// sibling (see realSizes): a transfer of no more than 1e-6 bytes started
+	// from a done callback, finished inside that call.
 	nearEnd int
+	inDone  int // done callbacks on the stack
 }
 
 type eagerNode struct {
@@ -76,6 +79,9 @@ func (e *eagerNet) transfer(src, dst *cluster.Node, bytes float64, done func(err
 		f.finished = true
 		e.sim.After(0, "eager.done0", func() { done(nil) })
 		return f
+	}
+	if bytes <= 1e-6 && e.inDone > 0 {
+		e.nearEnd++
 	}
 	if f.local() {
 		e.nodes[src.ID].local = append(e.nodes[src.ID].local, f)
@@ -179,7 +185,9 @@ func (e *eagerNet) finish(f *eagerFlow, err error) {
 		e.settleNode(f.src.ID, false)
 		e.settleNode(f.dst.ID, false)
 	}
+	e.inDone++
 	f.done(err)
+	e.inDone--
 }
 
 // --- programs ----------------------------------------------------------------
@@ -217,6 +225,19 @@ var (
 	// does inside the call and batched settling (before the due-set and with
 	// it) at the barrier — the same known difference as the sub-epsilon size.
 	fuzzSteps = [16]float64{0, 0, 0.125, 0.01, 0.25, 0.5, 0.5, 1, 1, 1.5, 2, 2.5, 5, 10, 30, 100}
+
+	// realSizes and realSteps are the second domain, run against
+	// DefaultConfig(): the paper's rates, and a clock that gets far enough for
+	// now + remaining/rate to round to now with more than 1e-6 bytes left —
+	// the floor under which Network may not leave a flow's completion time to
+	// the barrier (at 1e6 s, a tenth of a byte). Sizes pair up a few bytes or
+	// thousandths apart, so that one of two fetches sharing a NIC ends with
+	// the other inside that range; a shuffle segment, a block and a gigabyte
+	// stand for the shipped workloads. The one size under the epsilon is here
+	// for the node it lands on: eagerNet.transfer lets a program off when a
+	// done callback starts one, which is where the two models differ on it.
+	realSizes = [16]float64{0, 5e-7, 1e-5, 1e-3, 0.05, 0.5, 6, 530e3, 530e3 + 1e-3, 1e6, 1e6 + 6e-3, 1e6 + 2e-3, 64e6, 64e6 + 0.01, 117e6, 1e9}
+	realSteps = [16]float64{0, 0, 1e-3, 0.5, 1, 8.5, 30, 1e4, 1e4, 3e4, 1e5, 1e5, 2.5e5, 5e5, 1e6, 1e6}
 )
 
 type progOp struct {
@@ -225,12 +246,36 @@ type progOp struct {
 
 type program struct {
 	nodes int
+	real  bool // the second domain: realSizes, realSteps and DefaultConfig()
 	ops   []progOp
 }
 
 // prog starts a program by hand; the methods append operations and bytes()
-// is the fuzz input that decodes back to it.
-func prog(nodes int) *program { return &program{nodes: nodes} }
+// is the fuzz input that decodes back to it. realProg starts one in the
+// second domain.
+func prog(nodes int) *program     { return &program{nodes: nodes} }
+func realProg(nodes int) *program { return &program{nodes: nodes, real: true} }
+
+func (p *program) size(i int) float64 {
+	if p.real {
+		return realSizes[i%len(realSizes)]
+	}
+	return fuzzSizes[i%len(fuzzSizes)]
+}
+
+func (p *program) step(i int) float64 {
+	if p.real {
+		return realSteps[i%len(realSteps)]
+	}
+	return fuzzSteps[i%len(fuzzSteps)]
+}
+
+func (p *program) config() Config {
+	if p.real {
+		return DefaultConfig()
+	}
+	return fuzzConfig()
+}
 
 func (p *program) transfer(src, dst, size, follow int) *program {
 	p.ops = append(p.ops, progOp{opTransfer, src, dst, size, follow})
@@ -255,6 +300,9 @@ func (p *program) read(node int) *program {
 
 func (p *program) bytes() []byte {
 	b := []byte{byte(p.nodes - 2)}
+	if p.real {
+		b[0] |= 0x80
+	}
 	for _, o := range p.ops {
 		b = append(b, byte(o.kind), byte(o.a))
 		if o.kind == opTransfer {
@@ -268,7 +316,7 @@ func decodeProgram(b []byte) *program {
 	if len(b) == 0 {
 		return prog(2)
 	}
-	p := prog(2 + int(b[0])%7)
+	p := &program{nodes: 2 + int(b[0]&0x7f)%7, real: b[0]&0x80 != 0}
 	b = b[1:]
 	for len(b) >= 2 && len(p.ops) < 256 {
 		o := progOp{kind: int(b[0]) % opKinds, a: int(b[1])}
@@ -294,7 +342,7 @@ func (p *program) traces() []trace.Trace {
 	for _, o := range p.ops {
 		switch o.kind {
 		case opAdvance:
-			t += fuzzSteps[o.a%len(fuzzSteps)]
+			t += p.step(o.a)
 		case opFlip:
 			id := o.a % p.nodes
 			if k := len(flips[id]); k > 0 && flips[id][k-1] == t {
@@ -350,7 +398,7 @@ func (p *program) run(t testing.TB, bind func(*sim.Simulation, *cluster.Cluster)
 		id := len(cancels)
 		cancels = append(cancels, nil)
 		dones = append(dones, 0)
-		cancels[id] = fab.transfer(c.Node(src), c.Node(dst), fuzzSizes[size%len(fuzzSizes)], func(err error) {
+		cancels[id] = fab.transfer(c.Node(src), c.Node(dst), p.size(size), func(err error) {
 			dones[id]++
 			log = append(log, fmt.Sprintf("t=%x done f%d %d->%d err=%v", math.Float64bits(s.Now()), id, src, dst, err))
 			if fab.onDone != nil {
@@ -397,7 +445,7 @@ func (p *program) run(t testing.TB, bind func(*sim.Simulation, *cluster.Cluster)
 	for _, o := range p.ops {
 		switch {
 		case o.kind == opAdvance:
-			next := now + fuzzSteps[o.a%len(fuzzSteps)]
+			next := now + p.step(o.a)
 			flush(next)
 			now = next
 		case together:
@@ -425,9 +473,9 @@ func fuzzConfig() Config { return Config{NodeBandwidth: 100, DiskBandwidth: 50, 
 
 // bindEager drives the reference; *nearEnd receives how often it finished a
 // flow the way batched settling does not (eagerNet.nearEnd).
-func bindEager(nearEnd *int) func(*sim.Simulation, *cluster.Cluster) fabric {
+func bindEager(cfg Config, nearEnd *int) func(*sim.Simulation, *cluster.Cluster) fabric {
 	return func(s *sim.Simulation, c *cluster.Cluster) fabric {
-		e := newEager(s, c, fuzzConfig())
+		e := newEager(s, c, cfg)
 		return fabric{
 			transfer: func(src, dst *cluster.Node, bytes float64, done func(error)) func() {
 				f := e.transfer(src, dst, bytes, done)
@@ -444,11 +492,28 @@ func bindEager(nearEnd *int) func(*sim.Simulation, *cluster.Cluster) fabric {
 type dueSetCases struct {
 	canceledQueuedHead int // Cancel of the flow whose completion is the queued head
 	displacedFired     int // a head displaced by an earlier arrival fired at its own, older event
-	// A flow seen with a new reserved position three times at one instant,
-	// with a read among them: refreshed at least three times, re-keyed once.
+	// A flow seen with a later order number three times at one instant, with
+	// a read among them: passed at least three times, planned and re-keyed
+	// once.
 	refreshedThrice   int
 	refreshes, rekeys int // the network's rate_refreshes and due_rekeys
-	startedInsidePass int // Transfer from a done callback under a settle pass, a finished flow's slot not yet free
+	// What a pass does and the barrier does, by branch. A look (a done
+	// callback, a read) found a node whose last pass drew a block and did not
+	// walk; a read came with such a block outstanding; a Cancel hit a flow on
+	// such a node; a Transfer from under a settle pass was answered with a
+	// block (the walk it interrupts goes on afterwards); a node changed
+	// availability having been settled at that instant; a transfer of no more
+	// than the epsilon landed on a node settled at that instant; a look found
+	// a flow re-planned on the spot, being under the floor.
+	repeatPass          int
+	readAfterRepeat     int
+	canceledOnBlocked   int
+	floorFlowOnBlocked  int // ... and so did a transfer of less than the floor
+	repeatInsidePass    int
+	flipOnSettled       int
+	subEpsilonOnSettled int
+	floorPath           int
+	startedInsidePass   int // Transfer from a done callback under a settle pass, a finished flow's slot not yet free
 	// Cancel through the handle of a flow that has ended, while the object it
 	// named carries another flow in flight: the one a pool without
 	// generations would cancel.
@@ -461,13 +526,23 @@ type dueSetCases struct {
 // bindNetwork drives the real Network, checks the due-set's, the slot
 // table's and the handles' invariants between callbacks and tallies the cases
 // into seen (which may be nil).
-func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster.Cluster) fabric {
+func bindNetwork(t testing.TB, cfg Config, seen *dueSetCases) func(*sim.Simulation, *cluster.Cluster) fabric {
 	if seen == nil {
 		seen = new(dueSetCases)
 	}
 	return func(s *sim.Simulation, c *cluster.Cluster) fabric {
-		n := New(s, c, fuzzConfig())
+		// This watcher runs before the network's own and sees what a flip finds.
+		var n *Network
+		for _, node := range c.Nodes {
+			node.Watch(func(nd *cluster.Node, _ bool) {
+				if n.nodes[nd.ID].settledAt == s.Now() {
+					seen.flipOnSettled++
+				}
+			})
+		}
+		n = New(s, c, cfg)
 		n.Instrument(metrics.New(10)) // the counters below; and settle's metrics-on path
+		topRate := max(cfg.NodeBandwidth, cfg.DiskBandwidth)
 		// Per harness flow: its handle (zero until Transfer returns, and for
 		// good if the flow was zero bytes) and whether its done has run.
 		// Objects are reused, so nothing here is keyed by *flow.
@@ -476,29 +551,79 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 		endedAt := map[int32]float64{} // slot -> when the flow that last held it ended
 		displaced := map[int]sim.Reservation{}
 
-		// moves counts, per flow, the new positions seen at the current
+		// latest is the order number the flow would be planned with were the
+		// barrier to run now: its own, or a later one out of a block.
+		latest := func(f *flow) uint64 {
+			order := f.order
+			for _, id := range []int32{f.src, f.dst} {
+				if st := &n.nodes[id]; st.hasBlock {
+					i := slices.Index(append(slices.Clone(st.remote), st.local...), f.slot)
+					order = max(order, st.base+uint64(i))
+				}
+			}
+			return order
+		}
+		// moves counts, per flow, the later numbers seen at the current
 		// instant at the points where the harness looks (each done callback,
-		// each read): a lower bound on the flow's refreshes this instant.
+		// each read): a lower bound on the passes over the flow this instant.
 		type moved struct {
 			at       float64
-			due      sim.Reservation
+			order    uint64
 			n        int
 			readSeen bool
 		}
 		moves := map[int]*moved{}
+		// look runs mid-callback and also holds Network to what its marks
+		// claim. A flow awaiting a plan, and every flow on a node that is
+		// settled at this instant, or whose last pass drew a block and which
+		// has no pass pending, is settled, has no completion queued and — the
+		// floor's whole purpose — cannot complete at this instant at any rate.
 		look := func(read bool) {
+			now := s.Now()
+			claim := func(what string, f *flow) {
+				if f.finished || f.lastUpdate != now || f.completion.Pending() || f.remaining <= 1e-6 ||
+					now+f.remaining/topRate == now {
+					t.Fatalf("%s at %v, yet it is %+v", what, now, f)
+				}
+			}
+			blocks := 0
+			for id := range n.nodes {
+				st := &n.nodes[id]
+				if st.hasBlock {
+					blocks++
+					if !slices.Contains(n.blocked, int32(id)) {
+						t.Fatalf("node %d holds a block and is not listed for the barrier", id)
+					}
+				}
+				if st.settledAt == now || st.hasBlock && !n.inDirty[id] {
+					for _, slot := range append(slices.Clone(st.remote), st.local...) {
+						claim(fmt.Sprintf("node %d (settled at %v, block: %v) carries slot %d", id, st.settledAt, st.hasBlock, slot), n.flows[slot])
+					}
+				}
+			}
+			if blocks > 0 {
+				seen.repeatPass++
+			}
 			for id, h := range flows {
 				f := n.lookup(h)
-				if f == nil || f.rate <= 0 {
+				if f == nil {
 					continue
+				}
+				if f.deferred {
+					claim(fmt.Sprintf("flow f%d awaits a plan", id), f)
+					if !f.touched {
+						t.Fatalf("flow f%d awaits a plan the barrier will not make: %+v", id, f)
+					}
+				} else if f.touched && f.rate > 0 {
+					seen.floorPath++
 				}
 				m := moves[id]
-				if m == nil || m.at != s.Now() {
-					moves[id] = &moved{at: s.Now(), due: f.due}
+				if m == nil || m.at != now {
+					moves[id] = &moved{at: now, order: latest(f)}
 					continue
 				}
-				if f.due != m.due {
-					m.due = f.due
+				if order := latest(f); order != m.order {
+					m.order = order
 					if m.n++; m.n == 3 && m.readSeen {
 						seen.refreshedThrice++
 					}
@@ -514,7 +639,18 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 				if n.settleDepth > 0 && len(n.retired) > 0 {
 					seen.startedInsidePass++
 				}
+				ss, ds := &n.nodes[src.ID], &n.nodes[dst.ID]
+				if bytes > 0 && bytes <= 1e-6 && (ss.settledAt == s.Now() || ds.settledAt == s.Now()) {
+					seen.subEpsilonOnSettled++
+				}
+				if bytes > 0 && bytes <= n.floorRate*s.Now() && (ss.hasBlock || ds.hasBlock) {
+					seen.floorFlowOnBlocked++
+				}
+				underPass, bases := n.settleDepth > 0, [2]uint64{ss.base, ds.base}
 				h := n.Transfer(src, dst, bytes, done)
+				if underPass && (ss.hasBlock && ss.base != bases[0] || ds.hasBlock && ds.base != bases[1]) {
+					seen.repeatInsidePass++
+				}
 				flows[id] = h
 				if h != (Flow{}) {
 					if at, ok := endedAt[h.slot]; ok && at == s.Now() {
@@ -529,10 +665,16 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 					case f == nil && h != (Flow{}) && !n.flows[h.slot].finished:
 						seen.canceledStale++
 					}
+					if f := n.lookup(h); f != nil && (n.nodes[f.src].hasBlock || n.nodes[f.dst].hasBlock) {
+						seen.canceledOnBlocked++
+					}
 					n.Cancel(h)
 				}
 			},
 			consumed: func(node int) float64 {
+				if len(n.blocked) > 0 {
+					seen.readAfterRepeat++
+				}
 				v := n.Consumed(node)
 				look(true)
 				return v
@@ -546,7 +688,7 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 				// started: this runs first in the flow's done.
 				if h := flows[flow]; h != (Flow{}) {
 					endedAt[h.slot] = s.Now()
-					if err == nil && displaced[flow] == n.flows[h.slot].due {
+					if due, ok := displaced[flow]; ok && err == nil && due == n.flows[h.slot].due {
 						seen.displacedFired++
 					}
 				}
@@ -555,9 +697,14 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 			between: func() {
 				seen.refreshes = int(n.mRefreshes.Value())
 				seen.rekeys = int(n.mRekeys.Value())
-				if len(n.touched) != 0 || n.reservedNow || len(n.retired) != 0 {
-					t.Fatalf("after a barrier: %d flows touched, reservedNow=%v, %d slots retired",
-						len(n.touched), n.reservedNow, len(n.retired))
+				if len(n.touched) != 0 || len(n.blocked) != 0 || n.reservedNow || len(n.retired) != 0 {
+					t.Fatalf("after a barrier: %d flows touched, %d nodes blocked, reservedNow=%v, %d slots retired",
+						len(n.touched), len(n.blocked), n.reservedNow, len(n.retired))
+				}
+				for id := range n.nodes {
+					if n.nodes[id].hasBlock || n.nodes[id].settledAt == walking {
+						t.Fatalf("after a barrier: node %d awaits resolution or is mid-walk: %+v", id, n.nodes[id])
+					}
 				}
 				inSet := 0
 				for slot, i := range n.due.idx {
@@ -594,7 +741,7 @@ func bindNetwork(t testing.TB, seen *dueSetCases) func(*sim.Simulation, *cluster
 				}
 				for i, e := range n.due.es {
 					f := n.flows[e.slot]
-					if f.slot != e.slot || f.finished || f.rate <= 0 || f.touched {
+					if f.slot != e.slot || f.finished || f.rate <= 0 || f.touched || f.deferred {
 						t.Fatalf("due-set position %d (slot %d) holds %+v", i, e.slot, f)
 					}
 					if e.at != f.due.At() || e.seq != f.due.Seq() {
@@ -719,6 +866,71 @@ var seedPrograms = map[string]*program{
 	// finishes it at the barrier, after. compareWithEager recognises the
 	// situation in the eager run and checks invariants only.
 	"clock-stops-inside-epsilon": decodeProgram([]byte("29120082910+200722007092200002000091902001000810C07009207929120000221829007070020117200000%9121010909100910+910009920,2000020000918Z929121270920Z0+910")),
+
+	// What a pass leaves to the barrier, one program per branch.
+	//
+	// Three equal fetches into node 4 end at t=4 beside a long one, in a
+	// nested cascade: f0's completion finishes f1 inside its pass over node 4,
+	// and that pass finishes f2 inside its own. The innermost pass over node 4
+	// leaves it settled, so the 4->5 transfer f2's done starts is answered
+	// with a block — and f1's done, next, reads with the block outstanding.
+	"repeat-pass-then-read": prog(6).transfer(0, 4, 5, thenRead).transfer(1, 4, 5, thenRead).
+		transfer(2, 4, 5, thenTransfer).transfer(5, 4, 11, 0).advance(12).advance(15),
+	// The shuffle's shape, a replacement fetch per completion: node 4 serves
+	// three equal fetches and a long one, and each done starts x->4. The
+	// first of them arrives with two walks of node 4 still on the stack, which
+	// go on over their snapshots afterwards and draw later numbers for the
+	// flows they still name; the replacement keeps the block's.
+	"repeat-pass-under-outer-walk": prog(6).transfer(4, 0, 5, thenTransfer|3<<2).transfer(4, 1, 5, thenTransfer|2<<2).
+		transfer(4, 2, 5, thenTransfer|1<<2).transfer(4, 5, 11, 0).advance(12).advance(15),
+	// One callback (when run together): the first read walks nodes 0 and 1,
+	// the second answers node 1's mark for f1 with a block, and the cancel
+	// takes f0 off node 1 while the block still counts it. The pass finish
+	// makes draws a new block for the list as it is then.
+	"cancel-on-blocked-node": prog(4).transfer(0, 1, 11, 0).read(1).transfer(2, 1, 11, 0).read(1).cancel(0).
+		advance(12).advance(15),
+	// mark-at-due-instant with a bystander: 0->1 and 0->2 are due at t=4, when
+	// node 1 and then node 2 suspend. Node 1's flip finishes both in a cascade,
+	// whose pass over node 2 leaves it settled with 3->2 on it (4->5 is there
+	// to be the next head: queueing 3->2's completion would unsettle node 2).
+	// Node 2's own flip, the next callback of that instant, is then answered
+	// with a block, and it is the barrier that finds 3->2 has no rate left.
+	"flip-on-settled-node": prog(6).transfer(0, 1, 8, thenRead).transfer(0, 2, 8, thenRead).transfer(3, 2, 11, 0).
+		transfer(4, 5, 11, 0).advance(10).advance(10).flip(1).flip(2).advance(12).advance(15),
+	// Second domain. 3->4 ends first and stays the queued head, so the barrier
+	// after 0->1 starts leaves nodes 0 and 1 settled at t=0; then half a
+	// millionth of a byte is to go the same way, which no block can cover: a
+	// pass must walk to finish it, or it would be planned and end later.
+	"sub-epsilon-onto-settled-node": realProg(5).transfer(3, 4, 6, 0).transfer(0, 1, 9, 0).transfer(0, 1, 1, thenRead).
+		advance(4).advance(6),
+	// One callback (when run together) at t=1e6: two reads as in
+	// cancel-on-blocked-node leave node 1 with a block outstanding, and then a
+	// thousandth of a byte arrives, under the floor. The walk that plans it on
+	// the spot has to drop the block: it draws later numbers for the flows the
+	// block describes, and none the barrier could use for this one.
+	"floor-flow-onto-blocked-node": realProg(5).advance(14).transfer(0, 1, 12, 0).read(1).transfer(2, 1, 12, 0).read(1).
+		transfer(3, 1, 3, 0).read(1).advance(4).advance(6),
+	// TestDueNowSeesPositionReservedThisInstant as a program: at t=1e6 two
+	// fetches share node 3's NIC and g is 0.006 bytes longer. When f1 ends, g
+	// has more than the epsilon left and, at twice the rate, less than half an
+	// ulp of the clock to go: under the floor, so its pass plans it on the
+	// spot, at the current instant — where a deferred flow may never be.
+	"flow-under-the-floor": realProg(4).advance(14).transfer(1, 3, 9, thenRead|thenTransfer).transfer(2, 3, 10, thenRead).
+		advance(4).advance(6),
+	// Node 1 is down for good, and at t=2.5e5 a hundred-thousandth of a byte
+	// is to leave it: no rate, so nothing to plan, but so little that the
+	// flow could not defer if its node came back within the instant. Node 0
+	// must not count as settled with it (the fuzzer's input against a mutant
+	// that let it; the read is where the harness checks the mark).
+	"stalled-flow-under-the-floor": realProg(4).flip(1).advance(12).transfer(1, 0, 2, 0).read(0),
+	// Found by the fuzzer the minute the second domain opened: a flow of no
+	// more than the epsilon started from a done callback under a settle pass
+	// is finished inside Transfer, and the handle Transfer then returned
+	// carried the generation finish had already moved on to — the slot's next
+	// flow's. The eager model lets the program off the comparison (it finishes
+	// such a flow in the same place; top-level it is the other way round); the
+	// handle check in between is what failed.
+	"sub-epsilon-follow-up-inside-pass": realProg(8).transfer(0, 0, 1, thenTransfer|12<<2).advance(4),
 }
 
 // compareWithEager runs p one operation a callback against Network (tallying
@@ -731,8 +943,8 @@ var seedPrograms = map[string]*program{
 // come in another order. Network's own invariants are still checked.
 func compareWithEager(t testing.TB, p *program, seen *dueSetCases) (log []string, skipped bool) {
 	nearEnd := 0
-	want := p.run(t, bindEager(&nearEnd), false)
-	log = p.run(t, bindNetwork(t, seen), false)
+	want := p.run(t, bindEager(p.config(), &nearEnd), false)
+	log = p.run(t, bindNetwork(t, p.config(), seen), false)
 	if nearEnd > 0 {
 		return log, true
 	}
@@ -765,7 +977,7 @@ func FuzzNetworkVsEager(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := decodeProgram(b)
 		compareWithEager(t, p, nil)
-		p.run(t, bindNetwork(t, nil), true)
+		p.run(t, bindNetwork(t, p.config(), nil), true)
 	})
 }
 
@@ -782,10 +994,11 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 		log, _ := compareWithEager(t, seedPrograms[name], &seen)
 		return log, seen
 	}
-	// The comparison's one exemption is used by the program checked in for
-	// it and by no other.
+	// The comparison's exemption is used by the two programs checked in for
+	// its two halves and by no other.
 	for name, p := range seedPrograms {
-		if _, skipped := compareWithEager(t, p, nil); skipped != (name == "clock-stops-inside-epsilon") {
+		exempt := name == "clock-stops-inside-epsilon" || name == "sub-epsilon-follow-up-inside-pass"
+		if _, skipped := compareWithEager(t, p, nil); skipped != exempt {
 			t.Fatalf("%s: skipped the eager comparison = %v", name, skipped)
 		}
 	}
@@ -806,8 +1019,8 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 	if _, seen := run("cancel-queued-head"); seen.canceledQueuedHead != 1 {
 		t.Fatalf("cancel-queued-head: %d cancels hit the queued head, want 1", seen.canceledQueuedHead)
 	}
-	if _, seen := run("refreshed-thrice-one-instant"); seen.refreshedThrice == 0 || seen.rekeys >= seen.refreshes {
-		t.Fatalf("refreshed-thrice-one-instant: %d flows seen refreshed three times at an instant, %d re-keys for %d refreshes",
+	if _, seen := run("refreshed-thrice-one-instant"); seen.refreshedThrice == 0 || seen.rekeys != seen.refreshes {
+		t.Fatalf("refreshed-thrice-one-instant: %d flows seen passed three times at an instant, %d re-keys for %d rates computed, want one each",
 			seen.refreshedThrice, seen.rekeys, seen.refreshes)
 	}
 	if _, seen := run("follow-up-inside-pass"); seen.startedInsidePass == 0 {
@@ -820,5 +1033,38 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 	}
 	if want := fmt.Sprintf("t=%x done f1 2->3 err=<nil>", math.Float64bits(1)); !slices.Contains(log, want) {
 		t.Fatalf("stale-cancel-reused-slot: f1 did not complete cleanly at t=1:\n%s", strings.Join(log, "\n"))
+	}
+
+	// The branches of the pass/barrier split, each by the program named for it.
+	if _, seen := run("repeat-pass-then-read"); seen.repeatPass == 0 || seen.readAfterRepeat == 0 {
+		t.Fatalf("repeat-pass-then-read: %d looks found a block outstanding, %d of them reads", seen.repeatPass, seen.readAfterRepeat)
+	}
+	if _, seen := run("repeat-pass-under-outer-walk"); seen.repeatInsidePass == 0 {
+		t.Fatal("repeat-pass-under-outer-walk: no transfer under a settle pass was answered with a block")
+	}
+	if _, seen := run("flip-on-settled-node"); seen.flipOnSettled != 1 {
+		t.Fatalf("flip-on-settled-node: %d flips found their node settled at that instant, want 1", seen.flipOnSettled)
+	}
+	if _, seen := run("sub-epsilon-onto-settled-node"); seen.subEpsilonOnSettled != 1 {
+		t.Fatalf("sub-epsilon-onto-settled-node: %d such transfers, want 1", seen.subEpsilonOnSettled)
+	}
+	if _, seen := run("flow-under-the-floor"); seen.floorPath == 0 || seen.refreshes <= seen.rekeys {
+		t.Fatalf("flow-under-the-floor: %d looks found a flow planned on the spot; %d rates computed for %d re-keys, want more",
+			seen.floorPath, seen.refreshes, seen.rekeys)
+	}
+	if _, seen := run("sub-epsilon-follow-up-inside-pass"); seen.startedInsidePass == 0 {
+		t.Fatal("sub-epsilon-follow-up-inside-pass: no transfer started under a settle pass")
+	}
+	// Two need their operations in one callback, where there is no reference.
+	together := func(name string) (seen dueSetCases) {
+		p := seedPrograms[name]
+		p.run(t, bindNetwork(t, p.config(), &seen), true)
+		return seen
+	}
+	if seen := together("cancel-on-blocked-node"); seen.canceledOnBlocked != 1 {
+		t.Fatalf("cancel-on-blocked-node: %d cancels hit a flow on a node with a block outstanding, want 1", seen.canceledOnBlocked)
+	}
+	if seen := together("floor-flow-onto-blocked-node"); seen.floorFlowOnBlocked != 1 {
+		t.Fatalf("floor-flow-onto-blocked-node: %d such transfers, want 1", seen.floorFlowOnBlocked)
 	}
 }

@@ -13,34 +13,62 @@
 //
 // Rate settling is batched per callback: an endpoint change marks the node
 // dirty, and one settle pass — run by a sim.Barrier before the next callback
-// fires — recomputes rates once per affected flow instead of once per
-// change. Under fan-in (k flows starting at one node in one instant) that is
-// O(k) settles instead of the O(k²) an eager per-change recompute pays. Zero
-// simulated time passes between the change and the flush, so no intermediate
-// rate is ever observable; dirty nodes are processed in first-marked order
-// and flows in list order, which fixes the floating-point accumulation order
-// of settled bytes and the order in which flows draw their queue positions.
-// Reads (Consumed, TotalBytes, ActiveFlows) and flow completion flush first,
-// so observers never see a half-settled instant.
+// fires — resettles each affected flow once instead of once per change. Under
+// fan-in (k flows starting at one node in one instant) that is O(k) settles
+// instead of the O(k²) an eager per-change recompute pays. Zero simulated time
+// passes between the change and the flush, so no intermediate rate is ever
+// observable; dirty nodes are processed in first-marked order and flows in
+// list order, which fixes the floating-point accumulation order of settled
+// bytes and the order in which flows draw their queue positions. Reads
+// (Consumed, TotalBytes, ActiveFlows) and flow completion flush first, so
+// observers never see a half-settled instant.
 //
 // A flow's completion is not a sim event until it has to be. A rate change
 // gives the flow a new completion time, and most of those are superseded by
-// the next rate change long before the clock gets there (a shuffle-heavy
-// sort refreshes a flow some sixty times for every completion that fires).
-// So a refresh only reserves the (at, seq) position its completion event
-// would take (sim.Reserve) and notes the flow as touched; the same barrier
-// then moves each touched flow once inside the due-set, an indexed min-heap
-// over those positions, to the position its last refresh reserved — equal
-// shuffle fetches finish k at an instant and each finish resettles both its
-// nodes, so a flow is refreshed several times an instant and re-keyed once —
-// and makes sure the head of the set, the one completion that can be the
-// simulation's next event, is queued at its reserved position. Positions
-// are drawn at the program points where events used to be scheduled and the
-// queued head sits where its own event would have, so the simulator fires
-// exactly the events it fired with one event per flow, in the same order,
-// and never stores the rest. FuzzNetworkVsEager holds Network to that
-// against a test-only model that does keep one event per flow and settles on
-// every change.
+// the next long before the clock gets there (a shuffle-heavy sort passes a
+// flow some sixty times for every completion that fires). So completions live
+// in the due-set, an indexed min-heap over the (at, seq) positions their
+// events would take, and only its head, the one completion that can be the
+// simulation's next event, is queued, by the barrier. Positions are drawn at
+// the program points where events used to be scheduled and the queued head
+// sits where its own event would have, so the simulator fires exactly the
+// events it fired with one event per flow, in the same order, and never stores
+// the rest. FuzzNetworkVsEager holds Network to that against a test-only model
+// that does keep one event per flow and settles on every change.
+//
+// A node is passed many times in one callback — equal fetches finish k at an
+// instant, each finish passes both its nodes, each done callback starts the
+// next fetch, which reads the sink's load (a flush) and marks it again — and
+// only a flow's last plan survives to the barrier. So a pass does only what
+// must happen where it happens, in the eager order: it charges the bytes moved
+// since the flow was last settled, cancels its queued completion, finishes it
+// if it is within 1e-6 bytes of its end (so the cascade of same-instant
+// finishes and the order of done callbacks are the eager ones) and draws the
+// schedule-order number the new plan's event would take (sim.DrawOrder), all
+// a superseded plan ever contributed. The barrier plans each touched flow
+// once: its rate from the list lengths and availability the callback ended
+// with — every change of either is followed by a pass over the node, so it is
+// the rate the last eager refresh computed — the time now + remaining/rate,
+// and one sift in the due-set to (that time, the flow's last number).
+//
+// A repeat pass is O(1): a node remembers the instant at which a pass last
+// left every flow on it settled with nothing queued, and a further pass at
+// that instant, which could charge, cancel and finish nothing, draws a block
+// of len(list) numbers without walking; the barrier gives flow i of the list
+// base+i where that is later than the flow's own. A flow without a rate gets a
+// number an eager refresh would not have drawn: only the order of positions is
+// ever compared, and spare numbers leave it alone.
+//
+// The floor keeps this exact. markDirty must not defer a mark on a node that
+// carries a flow due at this very instant, which the eager schedule answers
+// from the time the flow's last refresh planned. A flow awaiting its plan has
+// none, so a pass leaves one to the barrier only where the answer is known to
+// be no: with more than max(NodeBandwidth, DiskBandwidth) · now · 2⁻⁵⁰ bytes
+// left, four ulps of the clock or more at any share, so now + remaining/rate
+// is later than now. Below that (a tenth of a byte at paper rates and
+// t=1e6 s; 270 of 1 042 245 rates on the sort benchmark) a flow is planned on
+// the spot, as every refresh used to (sim.Reserve), and its node is never
+// marked settled, so passes over it walk.
 //
 // The structures those passes walk hold no pointers. A flow in flight has a
 // slot in the network's flow table; node flow lists, settle snapshots, the
@@ -68,6 +96,7 @@ package netmodel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -122,10 +151,9 @@ type Flow struct {
 // handle to it, and the next Transfer to take the slot resets everything
 // but slot, gen and complete.
 type flow struct {
-	Src, Dst *cluster.Node
-	// slot is the flow's index in the network's flow table; src and dst are
-	// the endpoints' node indices, kept here so the settle loop does not
-	// load them through Src and Dst.
+	// slot is the flow's index in the flow table; src and dst are the
+	// endpoints' node indices. What a repeat refresh touches comes first, in
+	// one cache line of the 128-byte object.
 	slot, src, dst int32
 	gen            uint32
 
@@ -133,20 +161,23 @@ type flow struct {
 	rate       float64
 	lastUpdate float64
 
-	done     func(error)
-	stall    sim.Event
-	finished bool
+	// touched: a pass has re-planned the flow since the due-set was last told
+	// (it is on the touched list, once). deferred says how: the pass only drew
+	// order, the number the new plan's event would have taken (a node's block
+	// may hold a later one), and rate and due are the barrier's to work out;
+	// without it — a flow under the floor — they are the new plan's already.
+	order                       uint64
+	finished, touched, deferred bool
+	done                        func(error)
 
-	// due is the queue position reserved for the flow's completion at its
-	// last rate change; touched says the due-set has not been told yet (the
-	// flow is on the network's touched list, and its entry in the set, if
-	// any, still carries an older position). completion is pending only once
-	// the barrier has found the flow at the head of the set and queued
-	// complete — made on first use, one closure a slot: it captures the
-	// object, so it outlives the flows that pass through — at that position.
+	// due is the queue position of the flow's completion as the due-set was
+	// last told it. completion is pending only once the barrier has found the
+	// flow at the head of the set and queued complete — made on first use, one
+	// closure a slot: it captures the object, so it outlives the flows that
+	// pass through — at that position.
 	due        sim.Reservation
-	touched    bool
 	completion sim.Event
+	stall      sim.Event
 	complete   func()
 }
 
@@ -157,7 +188,26 @@ type nodeState struct {
 	// consumed accumulates bytes moved through this node (both
 	// directions), for bandwidth measurement.
 	consumed float64
+	// up is the node's availability as the network last heard it; share and
+	// diskShare are what one flow gets of its NIC and disk: the capacity over
+	// the list's length, zero while the node is down or the list empty.
+	up               bool
+	share, diskShare float64
+	// settledAt is the instant at which a pass last left every flow on the
+	// node settled, above the floor and with no completion queued; or
+	// unsettled; or walking while a pass is on the stack that has met nothing
+	// against it yet. What breaks the claim later in the instant — a new flow
+	// under the floor, the barrier queueing a completion — resets it; an
+	// availability change does not, the barrier being where rates are read.
+	settledAt float64
+	// base is the first number of the block the node's last pass drew, if it
+	// did not walk; hasBlock says the barrier has not handed the block out
+	// yet and no walk has started since (the node is on Network.blocked).
+	base     uint64
+	hasBlock bool
 }
+
+const unsettled, walking = -1.0, -2.0 // nodeState.settledAt, when not an instant
 
 // Network simulates all transfers for a cluster.
 type Network struct {
@@ -187,21 +237,20 @@ type Network struct {
 	inDirty  []bool
 	flushing bool
 
-	// due orders every flow that has a rate by the (at, seq) position its
-	// completion reserved. Only a flow that reaches the head becomes a sim
-	// event: the barrier queues it at its reserved position before the next
-	// callback runs, so the simulator fires the same completions at the
-	// same positions as if every flow had an event of its own, and hardly
-	// ever stores a position that a later rate change supersedes.
-	//
-	// A refresh does not move the flow inside the set; it puts it on touched
-	// (once, flow.touched) and the barrier sifts each touched flow to the
-	// position its last refresh reserved. reservedNow says some refresh since
-	// the last barrier reserved the current instant — the one fact about the
-	// up-to-date order that dueNow needs before the barrier has restored it.
+	// due orders every flow that has a rate by the (at, seq) position of its
+	// completion; only the head is a sim event, queued by the barrier before
+	// the next callback runs. A pass does not move the flow inside the set; it
+	// puts it on touched (once, flow.touched), or its node on blocked, and the
+	// barrier plans and sifts each such flow. reservedNow says some refresh
+	// since the last barrier planned a flow under the floor for the current
+	// instant — the one fact about the up-to-date order that dueNow needs
+	// before then.
 	due         dueSet
 	touched     []int32
+	blocked     []int32 // nodes whose hasBlock is set, repeats allowed
 	reservedNow bool
+	// floorRate times the clock is the floor (see the package comment).
+	floorRate float64
 
 	// settleDepth counts settleNode frames on the stack. An endpoint
 	// change made while a pass is in progress (a done callback starting a
@@ -227,10 +276,12 @@ type Network struct {
 
 // Instrument registers fabric observability on c: flows started, bytes
 // delivered (settled, so partial progress of failed flows counts, matching
-// TotalBytes) and stall failures, all time-bucketed; and how much work the
-// due-set absorbed — rate_refreshes counts the rate changes that reserved a
-// completion position, due_rekeys the heap sifts the barrier made for them,
-// completions_scheduled the positions that became sim events.
+// TotalBytes; a point's count is of settle calls, which a pass that does not
+// walk does not make) and stall failures, all time-bucketed; and how much work
+// the due-set absorbed — rate_refreshes counts the rates turned into a
+// completion time (by the barrier, and by a refresh under the floor),
+// due_rekeys the heap sifts the barrier made for them, completions_scheduled
+// the positions that became sim events.
 func (n *Network) Instrument(c *metrics.Collector) {
 	if c == nil {
 		return
@@ -244,17 +295,21 @@ func (n *Network) Instrument(c *metrics.Collector) {
 }
 
 // New attaches a network to the cluster and subscribes to availability
-// transitions of every node. The network registers a simulation barrier so
-// the deferred settle pass runs, and the next completion is queued, before
-// any other callback does.
+// transitions of every node (a node is up or down for the network as its own
+// watcher last heard, so a model whose watchers drive it subscribes after
+// it). The network registers a simulation barrier so the deferred settle pass
+// runs, and the next completion is queued, before any other callback does.
 func New(s *sim.Simulation, c *cluster.Cluster, cfg Config) *Network {
 	n := &Network{
-		sim:     s,
-		cfg:     cfg,
-		nodes:   make([]nodeState, len(c.Nodes)),
-		inDirty: make([]bool, len(c.Nodes)),
+		sim:       s,
+		cfg:       cfg,
+		nodes:     make([]nodeState, len(c.Nodes)),
+		inDirty:   make([]bool, len(c.Nodes)),
+		floorRate: max(cfg.NodeBandwidth, cfg.DiskBandwidth) / (1 << 50),
 	}
 	for _, node := range c.Nodes {
+		n.nodes[node.ID].up = node.Available()
+		n.nodes[node.ID].settledAt = unsettled
 		node.Watch(func(nd *cluster.Node, _ bool) { n.nodeChanged(nd) })
 	}
 	s.Barrier(n.barrier)
@@ -323,8 +378,8 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 	if src == nil || dst == nil {
 		panic("netmodel: Transfer with nil endpoint")
 	}
-	if bytes < 0 {
-		panic(fmt.Sprintf("netmodel: negative transfer size %v", bytes))
+	if !(bytes >= 0) || math.IsInf(bytes, 1) { // negative, NaN or +Inf
+		panic(fmt.Sprintf("netmodel: invalid transfer size %v", bytes))
 	}
 	now := n.sim.Now()
 	n.mFlows.IncAt(now)
@@ -344,19 +399,29 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 		n.flows = append(n.flows, f)
 		n.due.idx = append(n.due.idx, -1)
 	}
-	*f = flow{Src: src, Dst: dst, slot: f.slot, src: int32(src.ID), dst: int32(dst.ID), gen: f.gen,
+	*f = flow{slot: f.slot, src: int32(src.ID), dst: int32(dst.ID), gen: f.gen,
 		remaining: bytes, done: done, lastUpdate: now, complete: f.complete}
+	ss, ds := &n.nodes[f.src], &n.nodes[f.dst]
 	if f.local() {
-		n.nodes[f.src].local = append(n.nodes[f.src].local, f.slot)
-		n.markDirty(src.ID)
+		ss.local = append(ss.local, f.slot)
 	} else {
-		n.nodes[f.src].remote = append(n.nodes[f.src].remote, f.slot)
-		n.nodes[f.dst].remote = append(n.nodes[f.dst].remote, f.slot)
-		n.markDirty(src.ID)
+		ss.remote = append(ss.remote, f.slot)
+		ds.remote = append(ds.remote, f.slot)
+		n.reshare(ds)
+	}
+	n.reshare(ss)
+	if bytes <= 1e-6 || bytes <= n.floorRate*now {
+		// A pass has to find this one, to finish it or plan it on the spot.
+		ss.settledAt, ds.settledAt = unsettled, unsettled
+	}
+	// A mark can settle on the spot and finish the flow: gen moves on then.
+	h := Flow{slot: f.slot, gen: f.gen}
+	n.markDirty(src.ID)
+	if !f.local() {
 		n.markDirty(dst.ID)
 	}
 	n.checkStall(f)
-	return Flow{slot: f.slot, gen: f.gen}
+	return h
 }
 
 // Cancel aborts the flow; done receives ErrCanceled at the current instant.
@@ -408,42 +473,29 @@ func (n *Network) settle(f *flow, now float64) {
 	f.lastUpdate = now
 }
 
-// currentRate computes the flow's fair-share rate from endpoint load and
-// availability.
+// currentRate is the flow's fair-share rate: the smaller of its endpoints'
+// shares, zero while either is down.
 func (n *Network) currentRate(f *flow) float64 {
-	if !f.Src.Available() || !f.Dst.Available() {
-		return 0
-	}
 	if f.local() {
-		cnt := len(n.nodes[f.src].local)
-		if cnt == 0 {
-			return 0
-		}
-		return n.cfg.DiskBandwidth / float64(cnt)
+		return n.nodes[f.src].diskShare
 	}
-	sc := len(n.nodes[f.src].remote)
-	dc := len(n.nodes[f.dst].remote)
-	if sc == 0 || dc == 0 {
-		return 0
-	}
-	srcShare := n.cfg.NodeBandwidth / float64(sc)
-	dstShare := n.cfg.NodeBandwidth / float64(dc)
+	srcShare, dstShare := n.nodes[f.src].share, n.nodes[f.dst].share
 	if srcShare < dstShare {
 		return srcShare
 	}
 	return dstShare
 }
 
-// takeScratch pops a reusable slot buffer (snapshotting a node's flow lists
-// before iteration, since refresh/finish mutate them); settleNode pushes it
-// back.
-func (n *Network) takeScratch() []int32 {
-	if k := len(n.scratch); k > 0 {
-		b := n.scratch[k-1]
-		n.scratch = n.scratch[:k-1]
-		return b[:0]
+// reshare recomputes the node's shares after a change of a list's length or
+// of the node's availability.
+func (n *Network) reshare(st *nodeState) {
+	st.share, st.diskShare = 0, 0
+	if k := len(st.remote); k > 0 && st.up {
+		st.share = n.cfg.NodeBandwidth / float64(k)
 	}
-	return nil
+	if k := len(st.local); k > 0 && st.up {
+		st.diskShare = n.cfg.DiskBandwidth / float64(k)
+	}
 }
 
 // markDirty queues the node for the next settle pass. Marks keep their
@@ -471,10 +523,6 @@ func (n *Network) markDirty(nodeID int) {
 		return
 	}
 	if n.dueNow(nodeID) {
-		// See the comment above the function: a flow on this node
-		// completes at this very instant and must cascade-finish inside
-		// this call. Earlier deferred work drains first to keep its place
-		// in the accumulation order.
 		n.flush()
 		n.settleNode(nodeID)
 		return
@@ -489,18 +537,19 @@ func (n *Network) markDirty(nodeID int) {
 // dueNow reports whether a flow touching the node completes at the current
 // instant. No stored key is ever below now, so a flow due now either has not
 // been refreshed since the last barrier — its stored key is now, and then so
-// is the stored head's — or was refreshed to now and raised reservedNow.
-// That O(1) test is almost always false, and only then are the node's own
-// flows looked at, through flow.due, which is always current.
+// is the stored head's — or was refreshed to now, under the floor, and raised
+// reservedNow. That O(1) test is almost always false, and only then are the
+// node's own flows looked at: none on a node settled at this instant, and not
+// one that awaits its plan, both being above the floor; for the rest flow.due
+// is current.
 func (n *Network) dueNow(nodeID int) bool {
-	now := n.sim.Now()
-	if !n.reservedNow && (len(n.due.es) == 0 || n.due.es[0].at != now) {
+	now, st := n.sim.Now(), &n.nodes[nodeID]
+	if st.settledAt == now || !n.reservedNow && (len(n.due.es) == 0 || n.due.es[0].at != now) {
 		return false
 	}
-	st := &n.nodes[nodeID]
 	for _, slots := range [2][]int32{st.remote, st.local} {
 		for _, slot := range slots {
-			if f := n.flows[slot]; f.rate > 0 && f.due.At() == now {
+			if f := n.flows[slot]; !f.deferred && f.rate > 0 && f.due.At() == now {
 				return true
 			}
 		}
@@ -509,27 +558,46 @@ func (n *Network) dueNow(nodeID int) bool {
 }
 
 // barrier is the network's sim.Barrier. It flushes the deferred settle pass;
-// brings the due-set up to date, one sift for each flow refreshed since the
-// last barrier, however often, to the position its last refresh reserved
-// (flows that finished or lost their rate left the set when they did);
+// hands out the blocks of nodes whose last pass did not walk; plans every flow
+// a pass has touched since the last barrier, however often — its rate as the
+// callback left it, the time that gives, the last number drawn for it — with
+// one sift in the due-set each (a flow left without a rate leaves the set);
 // releases the slots of finished flows, which no snapshot can name any more;
-// and then makes sure the head of the set — the one completion that can be
-// the simulation's next event — is queued at the position it reserved. A
-// head displaced by an earlier arrival keeps its event: it is the very event
-// the flow would have had on its own, and it stays until the flow's next
-// rate change cancels it or it fires. No position is therefore ever queued
-// twice.
+// and makes sure the head of the set — the one completion that can be the
+// simulation's next event — is queued at its position. A head displaced by an
+// earlier arrival keeps its event: it is the very event the flow would have
+// had on its own, and it stays until the flow's next pass cancels it or it
+// fires. No position is therefore ever queued twice.
 func (n *Network) barrier() bool {
 	did := n.flush()
+	for _, id := range n.blocked {
+		if st := &n.nodes[id]; st.hasBlock { // listed twice, or walked since
+			n.resolve(st)
+		}
+	}
+	n.blocked = n.blocked[:0]
+	now := n.sim.Now()
 	for _, slot := range n.touched {
 		f := n.flows[slot]
 		if !f.touched {
 			continue // finished, and its slot taken again since: see reclaim
 		}
 		f.touched = false
-		if !f.finished && f.rate > 0 {
+		if f.finished {
+			continue
+		}
+		if f.deferred {
+			f.deferred = false
+			if f.rate = n.currentRate(f); f.rate > 0 {
+				f.due = n.sim.ReservedAt(now+f.remaining/f.rate, f.order)
+				n.mRefreshes.Inc()
+			}
+		}
+		if f.rate > 0 {
 			n.due.fix(slot, f.due)
 			n.mRekeys.Inc()
+		} else {
+			n.due.remove(slot)
 		}
 	}
 	n.touched = n.touched[:0]
@@ -549,7 +617,31 @@ func (n *Network) barrier() bool {
 	}
 	f.completion = n.sim.ScheduleReserved(&f.due, "net.complete", f.complete)
 	n.mScheduled.Inc()
+	// A pass has an event to cancel now, so it has to find the flow.
+	n.nodes[f.src].settledAt, n.nodes[f.dst].settledAt = unsettled, unsettled
 	return true
+}
+
+// resolve hands out the node's block: flow i of the list takes base+i unless a
+// walk of its other endpoint drew it a later number, and awaits a plan like a
+// flow a walk has refreshed — which it may never have been this callback.
+func (n *Network) resolve(st *nodeState) {
+	st.hasBlock = false
+	order := st.base
+	for _, slots := range [2][]int32{st.remote, st.local} {
+		for _, slot := range slots {
+			f := n.flows[slot]
+			if order > f.order {
+				f.order = order
+			}
+			order++
+			f.deferred = true
+			if !f.touched {
+				f.touched = true
+				n.touched = append(n.touched, slot)
+			}
+		}
+	}
 }
 
 // reclaim frees the slots of finished flows. The caller guarantees that no
@@ -594,32 +686,68 @@ func (n *Network) flush() bool {
 	return true
 }
 
-// settleNode resettles and re-plans every flow touching the node, over a
-// snapshot of its lists: refresh can finish a flow, and that removes it here
-// and lets its done callback start others.
+// settleNode is one pass over the node: every flow touching it is resettled
+// and drawn a number for its new plan. A walk goes over a snapshot: refresh can
+// finish a flow, which removes it here and lets its done callback start others.
 func (n *Network) settleNode(nodeID int) {
 	st := &n.nodes[nodeID]
-	buf := n.takeScratch()
+	now := n.sim.Now() // callbacks run inside the pass, the clock does not
+	if st.settledAt == now {
+		// A repeat pass: every refresh would only draw a number.
+		if k := len(st.remote) + len(st.local); k > 0 {
+			st.base = n.sim.DrawOrder(k)
+			if !st.hasBlock {
+				st.hasBlock = true
+				n.blocked = append(n.blocked, int32(nodeID))
+			}
+		}
+		return
+	}
+	st.hasBlock = false // the walk draws later numbers
+	st.settledAt = walking
+	var buf []int32
+	if k := len(n.scratch); k > 0 {
+		buf, n.scratch = n.scratch[k-1][:0], n.scratch[:k-1]
+	}
 	buf = append(buf, st.remote...)
 	buf = append(buf, st.local...)
 	n.settleDepth++
-	now := n.sim.Now() // callbacks run inside the pass, the clock does not
+	settled := true
 	for _, slot := range buf {
-		n.refresh(n.flows[slot], now)
+		if !n.refresh(n.flows[slot], now) {
+			settled = false
+		}
 	}
 	n.settleDepth--
 	n.scratch = append(n.scratch, buf)
+	// A nested pass that ran to its end, or whatever unsettles a node, has had
+	// the last word already.
+	if st.settledAt == walking {
+		st.settledAt = unsettled
+		if settled {
+			st.settledAt = now
+		}
+	}
 }
 
-// refresh settles the flow at its old rate, adopts the current one and
-// re-plans its completion. A flow with a rate reserves the (at, seq) position
-// its completion event would take — one schedule-order number per refresh,
-// drawn right here, so every other event in the run keeps its position — and
-// goes on the touched list; moving it there in the due-set is the barrier's
-// business, once for all the refreshes of the instant, and so is queueing it.
-func (n *Network) refresh(f *flow, now float64) {
+// refresh is a pass's visit to one flow: it settles the flow at its old rate,
+// cancels its queued completion, finishes it if it is at its end, and
+// otherwise draws the number its new plan's event would take — one per
+// refresh, right here, so every other event in the run keeps its place — and
+// puts it on the touched list; the plan is the barrier's business. A flow
+// under the floor is planned here, as every flow used to be, and refresh
+// reports it: its node must not count as settled.
+func (n *Network) refresh(f *flow, now float64) (settled bool) {
 	if f.finished {
-		return
+		return true // not on the node any more
+	}
+	if f.deferred {
+		// Refreshed earlier in this callback: settled, nothing queued, above
+		// the floor. Only the number moves on (and settle's zero observation
+		// is repeated); a rate lost since is the barrier's to find.
+		n.mBytes.AddAt(now, 0)
+		f.order = n.sim.DrawOrder(1)
+		return true
 	}
 	n.settle(f, now)
 	f.rate = n.currentRate(f)
@@ -633,19 +761,25 @@ func (n *Network) refresh(f *flow, now float64) {
 		// first, and a mark made during that flush must not find f due.
 		n.due.remove(f.slot)
 		n.finish(f, nil)
-	case f.rate > 0:
+		return true
+	case f.rate == 0:
+		n.due.remove(f.slot)
+		return f.remaining > n.floorRate*now // or it may come back unable to defer
+	case f.remaining > n.floorRate*now:
+		f.deferred = true
+		f.order = n.sim.DrawOrder(1)
+	default:
 		f.due = n.sim.Reserve(now + f.remaining/f.rate)
 		if f.due.At() == now {
 			n.reservedNow = true
 		}
-		if !f.touched {
-			f.touched = true
-			n.touched = append(n.touched, f.slot)
-		}
 		n.mRefreshes.Inc()
-	default:
-		n.due.remove(f.slot)
 	}
+	if !f.touched {
+		f.touched = true
+		n.touched = append(n.touched, f.slot)
+	}
+	return f.deferred
 }
 
 // checkStall arms or disarms the stall-failure timer according to endpoint
@@ -654,7 +788,7 @@ func (n *Network) checkStall(f *flow) {
 	if f.finished {
 		return
 	}
-	down := !f.Src.Available() || !f.Dst.Available()
+	down := !n.nodes[f.src].up || !n.nodes[f.dst].up
 	if down && !f.stall.Pending() {
 		f.stall = n.sim.After(n.cfg.StallTimeout, "net.stall", func() {
 			f.stall = sim.Event{}
@@ -706,10 +840,13 @@ func (n *Network) finish(f *flow, err error) {
 	n.retired = append(n.retired, f.slot)
 	if f.local() {
 		removeSlot(&n.nodes[f.src].local, f.slot)
+		n.reshare(&n.nodes[f.src])
 		n.settleNode(int(f.src))
 	} else {
 		removeSlot(&n.nodes[f.src].remote, f.slot)
 		removeSlot(&n.nodes[f.dst].remote, f.slot)
+		n.reshare(&n.nodes[f.src])
+		n.reshare(&n.nodes[f.dst])
 		n.settleNode(int(f.src))
 		n.settleNode(int(f.dst))
 	}
@@ -723,8 +860,10 @@ func (n *Network) finish(f *flow, err error) {
 // immediately. checkStall only reads availability and arms sim events — it
 // never mutates the flow lists — so no snapshot is needed.
 func (n *Network) nodeChanged(node *cluster.Node) {
-	n.markDirty(node.ID)
 	st := &n.nodes[node.ID]
+	st.up = node.Available()
+	n.reshare(st)
+	n.markDirty(node.ID)
 	for _, slot := range st.remote {
 		n.checkStall(n.flows[slot])
 	}

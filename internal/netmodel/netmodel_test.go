@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -274,15 +275,25 @@ func TestActiveFlowsBookkeeping(t *testing.T) {
 	}
 }
 
+// TestNegativeBytesPanics: a size that is not a finite, non-negative number is
+// a caller's bug. NaN used to pass both comparisons (the flow sorted first in
+// the due-set, done(nil) fired at once and TotalBytes was NaN from then on),
+// and +Inf made a flow whose done never ran.
 func TestNegativeBytesPanics(t *testing.T) {
-	s, c, n := testbed(nil, simpleCfg())
-	_ = s
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative transfer did not panic")
-		}
-	}()
-	n.Transfer(c.Node(1), c.Node(2), -1, func(error) {})
+	_, c, n := testbed(nil, simpleCfg())
+	for _, size := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a transfer of %v bytes did not panic", size)
+				}
+			}()
+			n.Transfer(c.Node(1), c.Node(2), size, func(error) {})
+		}()
+	}
+	if got := n.TotalBytes(); got != 0 || n.ActiveFlows(1) != 0 {
+		t.Fatalf("the refused transfers left TotalBytes = %v and %d flows on node 1", got, n.ActiveFlows(1))
+	}
 }
 
 // TestMidInstantReadsSeeSettledState pins the observable contract of
@@ -362,5 +373,133 @@ func TestDueNowSeesPositionReservedThisInstant(t *testing.T) {
 	s.Run()
 	if !checked {
 		t.Fatal("f1 never completed")
+	}
+}
+
+// TestHandleOfFlowFinishedInsideTransferIsDead: under a settle pass a mark
+// settles on the spot, so a transfer of no more than the completion epsilon
+// started from a done callback there is finished before Transfer returns. The
+// handle must be the finished flow's, not carry the generation finish moved
+// the object on to: that one is the slot's next flow's, which this handle
+// would then cancel.
+func TestHandleOfFlowFinishedInsideTransferIsDead(t *testing.T) {
+	s, c, n := testbed(nil, simpleCfg())
+	var inner Flow
+	innerDone, underPass := false, false
+	// Two equal fetches into node 3 end at t=2; the second is finished inside
+	// the pass the first one's completion makes over node 3.
+	done := func(error) {
+		if n.settleDepth > 0 {
+			underPass = true
+			inner = n.Transfer(c.Node(1), c.Node(3), 1e-7, func(error) { innerDone = true })
+			if !innerDone {
+				t.Error("set-up: the inner transfer was not finished inside Transfer")
+			}
+		}
+	}
+	n.Transfer(c.Node(1), c.Node(3), 100, done)
+	n.Transfer(c.Node(2), c.Node(3), 100, done)
+	s.Run()
+	if !underPass {
+		t.Fatal("set-up: neither fetch finished under a settle pass")
+	}
+	if f := n.lookup(inner); f != nil {
+		t.Fatalf("the handle of a flow that has ended resolves to %+v", f)
+	}
+	next := n.Transfer(c.Node(1), c.Node(3), 100, func(err error) {
+		if err != nil {
+			t.Errorf("the slot's next flow ended with %v", err)
+		}
+	})
+	if next.slot == inner.slot {
+		n.Cancel(inner)
+	}
+	s.Run()
+}
+
+// TestWalkLeavesANestedUnsettleStanding covers the one way a walk may not
+// mark its node settled although every flow it refreshed can defer: a done
+// callback under it brought a flow onto the node that cannot. The fuzz domains
+// do not get there — it takes a cascade, which needs completion times exact to
+// 1e-6 bytes, at a clock late enough for the floor to be above the epsilon —
+// so the fabric is slow and the clock at 2e7 s: the floor is 1.8e-6 bytes and
+// a flow of 1.5e-6 is above the one and under the other.
+func TestWalkLeavesANestedUnsettleStanding(t *testing.T) {
+	s, c, n := testbed(nil, simpleCfg())
+	const start, size = 2e7, 1.5e-6
+	checked := false
+	s.Schedule(start, "start", func() {
+		if floor := n.floorRate * start; size <= 1e-6 || size >= floor {
+			t.Fatalf("set-up: %v bytes are not between the epsilon and the floor %v", size, floor)
+		}
+		// f0's completion passes node 3 and that walk finishes f1; f1's done
+		// starts g under it, which unsettles node 3 and is planned on the
+		// spot by a nested walk. f0's done runs when the outer walk is over.
+		n.Transfer(c.Node(1), c.Node(3), size, func(error) {
+			st := &n.nodes[3]
+			if len(st.remote) != 1 || n.flows[st.remote[0]].deferred {
+				t.Fatalf("set-up: node 3 carries %d flows, want g alone, not deferred", len(st.remote))
+			}
+			if st.settledAt == s.Now() {
+				t.Error("node 3 is marked settled with a flow under the floor on it")
+			}
+			checked = true
+		})
+		n.Transfer(c.Node(2), c.Node(3), size, func(error) {
+			if n.settleDepth == 0 {
+				t.Fatal("set-up: f1 did not finish under the pass f0's completion made")
+			}
+			n.Transfer(c.Node(0), c.Node(3), size, func(error) {})
+		})
+	})
+	s.Run()
+	if !checked {
+		t.Fatal("f0 never completed")
+	}
+}
+
+// TestRatesPerInstantGrowWithFlowsPlusFinishes is the complexity gate of the
+// pass/barrier split, read off the network's own counters (they repeat
+// exactly: there is no noise band). The shuffle's worst instant: a sink carries
+// F long flows and k equal fetches into it end at once, each done starting its
+// replacement — BenchmarkFinishCascade's shape with follow-ups. Every finish
+// passes the sink and so does every replacement: 2k passes over some F+k
+// flows, and with a rate per flow per pass rate_refreshes read 556 for the
+// instant at F=32, k=8 and 8 752 at F=128, k=32 before the split. With rates
+// computed at the barrier it is one per flow the callback left in flight,
+// however often each was passed — F+k, 40 and 160 — and the bound is F + 2k.
+func TestRatesPerInstantGrowWithFlowsPlusFinishes(t *testing.T) {
+	for _, sz := range []struct{ F, k int }{{32, 8}, {128, 8}, {32, 32}, {128, 32}} {
+		s := sim.New()
+		c := cluster.New(s, cluster.Config{DedicatedNodes: 1 + sz.F + sz.k})
+		// Slow on purpose, as in BenchmarkFinishCascade: the siblings are
+		// swept up by the first completion only while a completion time's
+		// rounding error times the rate stays under the epsilon.
+		n := New(s, c, Config{NodeBandwidth: 1e4, DiskBandwidth: 1e4, StallTimeout: 30})
+		n.Instrument(metrics.New(10))
+		sink := c.Node(0)
+		for j := 0; j < sz.F; j++ {
+			n.Transfer(c.Node(1+j), sink, 1e18, func(error) {})
+		}
+		finishes := 0
+		for j := 0; j < sz.k; j++ {
+			src := c.Node(1 + sz.F + j)
+			n.Transfer(src, sink, 1e4/float64(sz.F+sz.k), func(error) {
+				finishes++
+				n.Transfer(src, sink, 1e18, func(error) {})
+			})
+		}
+		s.RunUntil(0.5) // the arrivals are settled and the first completion queued
+		before, fired := n.mRefreshes.Value(), s.Fired()
+		s.RunUntil(2)
+		if finishes != sz.k || s.Fired() != fired+1 || n.ActiveFlows(0) != sz.F+sz.k {
+			t.Fatalf("F=%d k=%d: %d fetches ended in %d events leaving %d flows, want %d in 1 leaving %d",
+				sz.F, sz.k, finishes, s.Fired()-fired, n.ActiveFlows(0), sz.k, sz.F+sz.k)
+		}
+		if got, bound := int(n.mRefreshes.Value()-before), sz.F+2*sz.k; got > bound {
+			t.Errorf("F=%d k=%d: %d rates computed for the instant, want at most F+2k = %d", sz.F, sz.k, got, bound)
+		} else {
+			t.Logf("F=%d k=%d: %d rates computed for the instant (bound %d)", sz.F, sz.k, got, bound)
+		}
 	}
 }

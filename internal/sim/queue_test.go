@@ -30,10 +30,14 @@ type handle struct {
 	id int // names the callback, which survives Reschedule
 }
 
-// heldPosition is a reservation drawn and not yet queued.
+// heldPosition is a reservation drawn and not yet queued: one Reserve
+// returned, or — block set — one number out of a DrawOrder block with the
+// time it is to be paired with, which ReservedAt turns into res only when the
+// position is queued.
 type heldPosition struct {
-	res Reservation
-	id  int
+	res   Reservation
+	id    int
+	block bool
 }
 
 // queueDiff is the state of one differential run.
@@ -54,6 +58,7 @@ type queueDiff struct {
 	lastSeq       uint64
 
 	lateAtNow   int // reservations queued at the current instant behind a younger event
+	fromBlock   int // positions queued that were built from a number of a block
 	compactions int
 	revived     int // canceled, unreclaimed events that Reschedule brought back
 }
@@ -158,11 +163,12 @@ func delayOf(v byte) Time {
 }
 
 // Opcode bytes below each bound select the op; uniform random bytes give
-// roughly 44 % schedule, 10 % reserve, 10 % late ScheduleReserved, 15 %
-// cancel, 5 % Reschedule, 13 % Step and 3 % RunUntil.
+// roughly 44 % schedule, 7 % reserve, 3 % block draw, 10 % late
+// ScheduleReserved, 15 % cancel, 5 % Reschedule, 13 % Step and 3 % RunUntil.
 const (
 	opSchedule      = 112
-	opReserve       = 138
+	opReserve       = 130
+	opDrawBlock     = 138
 	opQueueReserved = 164
 	opCancel        = 202
 	opReschedule    = 215
@@ -192,7 +198,18 @@ func runQueueProgram(t testing.TB, prog []byte) *queueDiff {
 			d.queued(s.Now()+delay, seq, handle{s.After(delay, "diff", d.callback(d.nextID)), d.nextID})
 			d.nextID++
 		case c < opReserve:
-			d.held = append(d.held, heldPosition{s.Reserve(s.Now() + delayOf(next())), d.nextID})
+			d.held = append(d.held, heldPosition{res: s.Reserve(s.Now() + delayOf(next())), id: d.nextID})
+			d.nextID++
+		case c < opDrawBlock:
+			// One to four consecutive numbers, as many Reserve calls would
+			// have drawn; one of them is kept, with a time, to be queued.
+			v, at := int(next()), s.Now()+delayOf(next())
+			n := 1 + v&3
+			base := s.DrawOrder(n)
+			if s.nextSeq != base+uint64(n) {
+				t.Fatalf("DrawOrder(%d) from %d left the next number at %d", n, base, s.nextSeq)
+			}
+			d.held = append(d.held, heldPosition{res: Reservation{at: at, seq: base + uint64(v>>2%n)}, id: d.nextID, block: true})
 			d.nextID++
 		case c < opQueueReserved:
 			if len(d.held) == 0 {
@@ -204,6 +221,10 @@ func runQueueProgram(t testing.TB, prog []byte) *queueDiff {
 			d.held = d.held[:len(d.held)-1]
 			if p.res.at < s.Now() || (p.res.at == d.lastAt && p.res.seq < d.lastSeq) {
 				break
+			}
+			if p.block {
+				p.res = s.ReservedAt(p.res.at, p.res.seq)
+				d.fromBlock++
 			}
 			if p.res.at == s.Now() {
 				for _, e := range d.ref {
@@ -280,7 +301,7 @@ func runQueueProgram(t testing.TB, prog []byte) *queueDiff {
 // miss: a reserved position queued at the current instant behind a younger
 // same-instant event, a mid-run compaction, a revived corpse.
 func TestQueueMatchesReference(t *testing.T) {
-	var lateAtNow, compactions, revived int
+	var lateAtNow, compactions, revived, fromBlock int
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.New(seed)
 		prog := make([]byte, 46000)
@@ -291,12 +312,14 @@ func TestQueueMatchesReference(t *testing.T) {
 		lateAtNow += d.lateAtNow
 		compactions += d.compactions
 		revived += d.revived
+		fromBlock += d.fromBlock
 	}
 	if lateAtNow == 0 {
 		t.Fatal("no reserved position was queued at the current instant behind a younger same-instant event")
 	}
-	if compactions == 0 || revived == 0 {
-		t.Fatalf("compactions = %d, revived corpses = %d; want both exercised", compactions, revived)
+	if compactions == 0 || revived == 0 || fromBlock == 0 {
+		t.Fatalf("compactions = %d, revived corpses = %d, positions out of a block = %d; want all exercised",
+			compactions, revived, fromBlock)
 	}
 }
 
@@ -342,6 +365,11 @@ func TestSeedCorpusCoversQueueCases(t *testing.T) {
 		// drain the heap from full depth; RunUntil with deadlines ahead
 		// of, at and behind the clock.
 		"sift-and-deadlines": func(d *queueDiff) bool { return d.s.Fired() >= 60 },
+		// A block of four at the current instant, three younger events
+		// scheduled for it, then the block's third number queued: it fires
+		// first. A second block's number is queued for a later time, between
+		// two events that were scheduled around the draw.
+		"block-position-queued-late": func(d *queueDiff) bool { return d.fromBlock >= 2 && d.lateAtNow >= 1 },
 	} {
 		if d := runQueueProgram(t, readCorpusFile(t, name)); !reached(d) {
 			t.Errorf("%s: no longer reaches the case it was checked in for", name)
@@ -396,6 +424,26 @@ func TestReservationIsSingleUse(t *testing.T) {
 	s.Schedule(9, "later", func() {})
 	s.Run()
 	mustPanic("before now", func() { s.ScheduleReserved(&stale, "stale", func() {}) })
+
+	// A block is so many Reserve calls: its numbers take the places between
+	// the events scheduled around the draw, and only a drawn number, with a
+	// time that has not passed, makes a position.
+	order = order[:0]
+	s.Schedule(20, "x", func() { order = append(order, "x") })
+	base := s.DrawOrder(2)
+	s.Schedule(20, "z", func() { order = append(order, "z") })
+	if got := s.DrawOrder(0); got != base+3 {
+		t.Fatalf("an empty draw after two numbers and an event returned %d, want %d", got, base+3)
+	}
+	y := s.ReservedAt(20, base+1)
+	s.ScheduleReserved(&y, "y", func() { order = append(order, "y") })
+	s.Run()
+	if strings.Join(order, "") != "xyz" {
+		t.Fatalf("order = %v, want [x y z]", order)
+	}
+	mustPanic("never drawn", func() { s.ReservedAt(s.Now(), base+3) })
+	mustPanic("before now", func() { s.ReservedAt(s.Now()-1, base) })
+	mustPanic("draw of -1", func() { s.DrawOrder(-1) })
 }
 
 // TestCompactionAt100kPending verifies corpse management at scale: with 100k

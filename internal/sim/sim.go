@@ -21,7 +21,11 @@
 //     completions runs without per-event allocation at steady state.
 //   - Reservations. Reserve draws an (at, seq) position without queueing
 //     anything; the netmodel keeps its pending completions in its own ordered
-//     set and queues only the next one, at a position it drew earlier.
+//     set and queues only the next one, at a position it drew earlier. A
+//     block (DrawOrder) is n such numbers drawn in one call with no times
+//     attached, for a model that knows at a program point how many plans it
+//     would have made there and works the times out later: ReservedAt turns
+//     one number of a block and a time into the position to queue.
 //
 // The heap was kept on end-to-end evidence (PR 16): sim-fleet/sim-sort/
 // sim-wordcount op_ms did not resolve a difference from the bucket queue
@@ -309,12 +313,32 @@ func (r Reservation) Before(o Reservation) bool {
 // Reserve draws the position Schedule(at, ...) would have given an event
 // queued right now, consuming one schedule-order number, and queues nothing.
 func (s *Simulation) Reserve(at Time) Reservation {
+	return s.ReservedAt(at, s.DrawOrder(1))
+}
+
+// DrawOrder consumes n consecutive schedule-order numbers, as n calls of
+// Reserve would, and returns the first. The caller pairs each number with a
+// time later (ReservedAt), at most once: two positions with one number would
+// break the strict order the queue relies on.
+func (s *Simulation) DrawOrder(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: draw of %d order numbers", n))
+	}
+	base := s.nextSeq
+	s.nextSeq += uint64(n)
+	return base
+}
+
+// ReservedAt returns the held position (at, seq) for a seq that DrawOrder
+// handed out: what Reserve(at) would have returned at the point of the draw.
+func (s *Simulation) ReservedAt(at Time, seq uint64) Reservation {
+	if seq >= s.nextSeq {
+		panic(fmt.Sprintf("sim: position at order number %d, which was never drawn (next is %d)", seq, s.nextSeq))
+	}
 	if at < s.now {
 		panic(fmt.Sprintf("sim: reserve at %v before now %v", at, s.now))
 	}
-	r := Reservation{at: at, seq: s.nextSeq, state: resHeld}
-	s.nextSeq++
-	return r
+	return Reservation{at: at, seq: seq, state: resHeld}
 }
 
 // ScheduleReserved queues fn at the position r holds. The caller must queue
