@@ -20,14 +20,21 @@
 // offered. Every job gets its own result set and JobProfile (queue wait,
 // makespan, per-job attempt statistics); Run remains the one-shot
 // submit-and-wait convenience wrapper.
+//
+// The cluster outlives its jobs by a long way, so what a job costs is kept
+// a property of the job. Intermediate data — the paper's class of its own:
+// available while the job runs, gone when it ends — is a grouped flat run
+// (partition) built once at its final size on both sides of the shuffle,
+// through scratch the executing goroutine reuses. A finished job leaves the
+// master when its last attempt retires (clearJob): queue, id index, worker
+// stores, cleared-jobs fence and dedup state hold what is live, not the
+// cluster's history, and only a JobHandle still knows the job.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,8 +241,8 @@ type Cluster struct {
 	drains     chan chan struct{}
 	masterDone chan struct{}
 	// master is owned by the master goroutine while it runs; only read
-	// after Close (which waits for the goroutine to exit) — tests audit
-	// queue accounting through it.
+	// after Close (which waits for the goroutine to exit) — tests read
+	// what it still holds through it.
 	master *master
 }
 
@@ -330,7 +337,7 @@ func (c *Cluster) Resume(worker int) error {
 
 // Suspended reports whether the worker is currently suspended.
 func (c *Cluster) Suspended(worker int) bool {
-	return worker >= 0 && worker < len(c.workers) && c.workers[worker].gate.closedNow()
+	return worker >= 0 && worker < len(c.workers) && c.workers[worker].gate.closed.Load()
 }
 
 // Stats summarizes one job's execution.
@@ -408,7 +415,8 @@ type JobHandle struct {
 	// status is republished by the master at every transition.
 	status atomic.Pointer[JobStatus]
 
-	// Written by the master before done closes; read only after.
+	// Written by the master before done closes; read only after. Result
+	// keys are the map side's clones (grouper.id), not substrings of a split.
 	results map[string]string
 	profile JobProfile
 	err     error
@@ -505,21 +513,4 @@ func (c *Cluster) Run(ctx context.Context, job Job) (map[string]string, Stats, e
 	}
 	res, prof, err := h.Wait(ctx)
 	return res, prof.Stats, err
-}
-
-// partitionOf routes a key to a reduce partition.
-func partitionOf(key string, reduces int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(reduces))
-}
-
-// sortedKeys returns map keys in sorted order (deterministic iteration).
-func sortedKeys[M ~map[string][]string](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

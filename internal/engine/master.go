@@ -23,8 +23,7 @@ type liveJob struct {
 	maps    []*taskState
 	reduces []*taskState
 
-	results map[string]string
-	stats   Stats
+	stats Stats
 
 	// attempts is the shared live-attempt accounting: Live counts the
 	// job's outstanding attempts (maintained at launch/retire), Inactive
@@ -36,7 +35,6 @@ type liveJob struct {
 	launchedAt  time.Time
 	launched    bool
 	finished    bool
-	cleared     bool
 
 	handle *JobHandle
 
@@ -66,18 +64,6 @@ func (j *liveJob) allReducesDone() bool {
 		}
 	}
 	return true
-}
-
-// masterEvent is one worker event resolved against master state.
-type masterEvent struct {
-	kind    eventKind
-	job     *liveJob
-	taskID  int // map or reduce index
-	attempt int
-	worker  int
-	holders []int             // mapDone: workers holding the output
-	output  map[string]string // reduceDone: final key→value pairs
-	missing []int             // reduceStuck: map IDs with no reachable output
 }
 
 type eventKind int
@@ -127,7 +113,10 @@ type session struct {
 	// fresh heartbeat re-arms it).
 	leaseLapsed bool
 
-	seenEvents   map[uint64]bool
+	// lastEvent is the highest event id committed, and the whole dedup
+	// state: a worker sends event n+1 only once n is acked (sendEvent is
+	// stop-and-wait), so an id at or below it is a resend or a duplicate.
+	lastEvent    uint64
 	nextAssignID uint64
 	pending      map[uint64]*pendingAssign
 }
@@ -167,6 +156,7 @@ type master struct {
 	jobsByID    map[int]*liveJob
 
 	nextJobID int
+	retired   int // jobs that left through clearJob, each audited balanced
 
 	// drainWaiters are Drain callers blocked until every job finished and
 	// every attempt retired.
@@ -341,15 +331,14 @@ func (m *master) admit(conn transport.Conn, workerID int) {
 	}
 	m.nextSession++
 	s := &session{
-		worker:     workerID,
-		id:         m.nextSession,
-		conn:       conn,
-		outbox:     make(chan any, 128),
-		done:       make(chan struct{}),
-		alive:      true,
-		lastBeat:   time.Now(),
-		seenEvents: make(map[uint64]bool),
-		pending:    make(map[uint64]*pendingAssign),
+		worker:   workerID,
+		id:       m.nextSession,
+		conn:     conn,
+		outbox:   make(chan any, 128),
+		done:     make(chan struct{}),
+		alive:    true,
+		lastBeat: time.Now(),
+		pending:  make(map[uint64]*pendingAssign),
 	}
 	m.sessions[workerID] = s
 	go m.writeLoop(s)
@@ -381,10 +370,8 @@ func (m *master) killSession(s *session, countReset bool) {
 // wedging Drain.
 func (m *master) forceRetire(s *session) {
 	clear(s.pending)
+	var drained []*liveJob // cleared after the walk: clearing shifts Jobs()
 	for _, j := range m.queue.Jobs() {
-		if j.cleared {
-			continue
-		}
 		for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
 			for _, t := range tasks {
 				kept := t.outstanding[:0]
@@ -399,8 +386,11 @@ func (m *master) forceRetire(s *session) {
 			}
 		}
 		if j.finished && j.attempts.Live == 0 {
-			m.clearJob(j)
+			drained = append(drained, j)
 		}
+	}
+	for _, j := range drained {
+		m.clearJob(j)
 	}
 }
 
@@ -512,8 +502,8 @@ func (m *master) resendPending() {
 func (m *master) retireLost(p *pendingAssign) {
 	a := p.msg.task
 	j := m.jobsByID[a.jobID]
-	if j == nil || j.cleared {
-		return
+	if j == nil {
+		return // the job finished and left without this attempt
 	}
 	t := j.maps
 	if a.isReduce {
@@ -531,42 +521,28 @@ func (m *master) handleEvent(s *session, me msgEvent) {
 		m.mDupDiscards.IncAt(m.elapsed())
 		return
 	}
-	if s.seenEvents[me.id] {
+	if me.id <= s.lastEvent {
 		m.enqueue(s, msgAck{id: me.id}) // the previous ack was lost
 		m.mDupDiscards.IncAt(m.elapsed())
 		return
 	}
-	s.seenEvents[me.id] = true
+	s.lastEvent = me.id
 	m.enqueue(s, msgAck{id: me.id})
 	if !s.alive {
 		return // the ack found the outbox wedged; session died
 	}
 	j := m.jobsByID[me.ev.jobID]
-	if j == nil || j.cleared {
+	if j == nil {
 		return // a stale attempt of an already-swept job
 	}
-	m.handle(masterEvent{
-		kind:    me.ev.kind,
-		job:     j,
-		taskID:  me.ev.taskID,
-		attempt: me.ev.attempt,
-		worker:  me.ev.worker,
-		holders: me.ev.holders,
-		output:  me.ev.output,
-		missing: me.ev.missing,
-	})
+	m.handle(j, me.ev)
 }
 
 // notifyDrained releases Drain callers once every job has finished and
-// retired its last attempt.
+// retired its last attempt — which is when it leaves the queue (clearJob).
 func (m *master) notifyDrained() {
-	if len(m.drainWaiters) == 0 {
+	if len(m.drainWaiters) == 0 || m.queue.Len() != 0 {
 		return
-	}
-	for _, j := range m.queue.Jobs() {
-		if !j.finished || j.attempts.Live != 0 {
-			return
-		}
 	}
 	for _, reply := range m.drainWaiters {
 		close(reply)
@@ -580,9 +556,8 @@ func (m *master) submit(job Job) submitResp {
 	j := &liveJob{
 		id:          m.nextJobID,
 		spec:        job,
-		results:     make(map[string]string),
 		submittedAt: time.Now(),
-		handle:      &JobHandle{id: m.nextJobID, name: job.Name, done: make(chan struct{})},
+		handle:      &JobHandle{id: m.nextJobID, name: job.Name, done: make(chan struct{}), results: make(map[string]string)},
 	}
 	for i := range job.Inputs {
 		j.maps = append(j.maps, &taskState{id: i})
@@ -605,8 +580,7 @@ func (m *master) submit(job Job) submitResp {
 }
 
 // publishStatus freezes the job's current progress into its handle for
-// lock-free Status reads. Call on every visible transition, and always
-// before clearJob releases the task slices.
+// lock-free Status reads. Call on every visible transition.
 func (m *master) publishStatus(j *liveJob) {
 	st := &JobStatus{
 		ID: j.id, Job: j.spec.Name, Priority: j.spec.Priority,
@@ -651,7 +625,7 @@ func (m *master) failUnfinished(err error) {
 			continue
 		}
 		j.finished = true
-		j.handle.err = err
+		j.handle.err, j.handle.results = err, nil
 		m.publishStatus(j)
 		close(j.handle.done)
 	}
@@ -702,9 +676,6 @@ func (m *master) live(worker int) bool {
 // deprioritized for the backups that would unfreeze it). Live is
 // maintained incrementally at launch/retire.
 func (m *master) refreshInactive() {
-	// Finished jobs are recounted too: their outstanding lists drain as
-	// late events arrive, and the count must drain with them so the
-	// accounting ends balanced.
 	for _, j := range m.queue.Jobs() {
 		inactive := 0
 		for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
@@ -721,7 +692,9 @@ func (m *master) refreshInactive() {
 }
 
 // idleWorkers returns live workers with no outstanding attempt of any
-// job — finished jobs included: a straggler copy of an already-decided
+// job — finished jobs included (one stays queued until its last attempt
+// retires). A session therefore carries one unsettled assignment at a time,
+// which the worker's dedup relies on. A straggler copy of an already-decided
 // task still occupies its worker until it retires, and booking new work
 // behind it would invisibly stall that work for the straggler's whole
 // remaining runtime. Dedicated workers sort last so original copies
@@ -910,15 +883,8 @@ func (m *master) assign(s *session, a assignment) {
 	m.enqueue(s, msg)
 }
 
-// handle integrates one worker event.
-func (m *master) handle(ev masterEvent) {
-	j := ev.job
-	if j.cleared {
-		// handleEvent filters cleared jobs, and clearing waits for the
-		// last accounted attempt — but a cleared job's task slices are
-		// released, so never index into them.
-		return
-	}
+// handle integrates one worker event of a job still on the master.
+func (m *master) handle(j *liveJob, ev workerEvent) {
 	switch ev.kind {
 	case evMapDone:
 		t := j.maps[ev.taskID]
@@ -941,7 +907,7 @@ func (m *master) handle(ev masterEvent) {
 		}
 		t.done = true
 		for k, v := range ev.output {
-			j.results[k] = v
+			j.handle.results[k] = v
 		}
 		if ok {
 			m.mReduceDur.Observe(time.Since(ref.started).Seconds())
@@ -1004,7 +970,6 @@ func (m *master) finishJob(j *liveJob) {
 	j.mMakespan.Set(prof.Makespan.Seconds())
 	m.mRunningJobs.Observe(m.elapsed(), float64(m.queue.Running()))
 	h := j.handle
-	h.results = j.results
 	h.profile = prof
 	m.publishStatus(j)
 	close(h.done)
@@ -1013,33 +978,34 @@ func (m *master) finishJob(j *liveJob) {
 	}
 }
 
-// clearJob drops the job's intermediate data from every worker store and
-// releases its heavy master-side state: the results map lives on the
-// handle, and with no attempt in flight (Live == 0) the task records are
-// dead. The cluster is long-lived, so without this every finished job
-// would pin its task states and results for the cluster's lifetime. The
-// liveJob shell itself stays queued — Jobs() remains the audit surface
-// and duplicate-name checks skip terminal jobs anyway. Marking the job in
-// the cleared set first fences stale attempts still executing: their
-// late putPartition writes are refused, so the sweep is final.
+// clearJob is where a finished job leaves the master, once no attempt of
+// it is in flight: out of the queue and the id index — so every walk over
+// jobs, and the master's time per job, covers the live ones and not the
+// cluster's history — and out of every worker store; only the handle, with
+// results and profile, outlives the call. Marking the job in the cleared
+// set first fences stale attempts still executing: their late putPartition
+// writes are refused, so the sweep is final. Leaving is also where the
+// attempt accounting is audited: Live, kept at launch and retire, against
+// the lists it summarizes — a ref still listed would be stranded.
 func (m *master) clearJob(j *liveJob) {
-	if j.cleared {
+	if !m.queue.Remove(j) {
 		return
 	}
-	j.cleared = true
+	j.attempts.Inactive = 0
+	for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
+		for _, t := range tasks {
+			j.attempts.Inactive += len(t.outstanding)
+		}
+	}
+	if !j.attempts.Balanced() {
+		panic(fmt.Sprintf("engine: job %q retired with attempts unaccounted: %+v", j.spec.Name, j.attempts))
+	}
+	m.retired++
 	delete(m.jobsByID, j.id)
 	m.c.cleared.mark(j.id)
 	for _, w := range m.c.workers {
 		w.clearJob(j.id)
 	}
-	j.results = nil
-	j.maps = nil
-	j.reduces = nil
-	// The spec's Inputs corpus and user closures are the heaviest state of
-	// all; only Name (duplicate-name scans) and Priority (profile) stay.
-	j.spec.Inputs = nil
-	j.spec.Map = nil
-	j.spec.Reduce = nil
 }
 
 func (t *taskState) removeOutstanding(attempt int) (attemptRef, bool) {

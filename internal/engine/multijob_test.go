@@ -88,16 +88,14 @@ func TestConcurrentJobsUnderChurn(t *testing.T) {
 	}
 	c.Close()
 
-	if got := c.master.queue.Len(); got != jobs {
-		t.Fatalf("queue holds %d jobs, want %d", got, jobs)
+	// A job leaves the master once its last attempt retires, and clearJob
+	// panics there on a job whose attempt accounting has not balanced: all
+	// of them gone means all of them left balanced.
+	if got := c.master.queue.Len(); got != 0 {
+		t.Fatalf("queue still holds %d jobs after Drain", got)
 	}
-	for _, j := range c.master.queue.Jobs() {
-		if !j.finished {
-			t.Errorf("job %s not finished", j.Name())
-		}
-		if !j.attempts.Balanced() {
-			t.Errorf("job %s leaked attempts %+v", j.Name(), j.attempts)
-		}
+	if got := c.master.retired; got != jobs {
+		t.Fatalf("%d jobs retired balanced, want %d", got, jobs)
 	}
 	// Every drained job's intermediate data must have been released.
 	for _, w := range c.workers {

@@ -76,7 +76,7 @@ type msgFetchReq struct {
 // msgFetchResp answers a fetch request.
 type msgFetchResp struct {
 	ok   bool
-	data map[string][]string
+	data partition
 }
 
 // assignment is the self-contained description of one task attempt; the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,11 +11,13 @@ import (
 )
 
 // gate is a suspend/resume barrier. Open = the worker runs; closed = every
-// checkpoint blocks until reopened. The zero value is open.
+// checkpoint blocks until reopened. closed is only written under mu, which
+// is what the blocking path's cond needs; it is atomic so that the open
+// case — every emission of every map — is one load and no lock.
 type gate struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	closed bool
+	closed atomic.Bool
 }
 
 func newGate() *gate {
@@ -25,52 +28,57 @@ func newGate() *gate {
 
 func (g *gate) close() {
 	g.mu.Lock()
-	g.closed = true
+	g.closed.Store(true)
 	g.mu.Unlock()
 }
 
 func (g *gate) open() {
 	g.mu.Lock()
-	g.closed = false
+	g.closed.Store(false)
 	g.mu.Unlock()
 	g.cond.Broadcast()
 }
 
 // wait blocks while the gate is closed (a suspension checkpoint).
 func (g *gate) wait() {
+	if !g.closed.Load() {
+		return
+	}
 	g.mu.Lock()
-	for g.closed {
+	for g.closed.Load() {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()
 }
 
-func (g *gate) closedNow() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
-
 // clearedSet records jobs whose intermediate data has been released, so a
 // stale attempt that outlived its session (or sat undelivered through a
-// suspension) cannot repopulate a cleared store after the fact.
+// suspension) cannot repopulate a cleared store after the fact. Job ids
+// are handed out in order and jobs clear roughly in order, so the record is
+// a low-water mark and the few cleared ids above it: bounded by the jobs
+// live at once, not by the jobs ever run.
 type clearedSet struct {
-	mu sync.Mutex
-	m  map[int]bool
+	mu    sync.Mutex
+	floor int          // every job id below floor is cleared
+	above map[int]bool // cleared ids at or above floor
 }
 
-func newClearedSet() *clearedSet { return &clearedSet{m: make(map[int]bool)} }
+func newClearedSet() *clearedSet { return &clearedSet{above: make(map[int]bool)} }
 
 func (s *clearedSet) mark(job int) {
 	s.mu.Lock()
-	s.m[job] = true
+	s.above[job] = true
+	for s.above[s.floor] {
+		delete(s.above, s.floor)
+		s.floor++
+	}
 	s.mu.Unlock()
 }
 
 func (s *clearedSet) has(job int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.m[job]
+	return job < s.floor || s.above[job]
 }
 
 // worker is one goroutine executing assigned tasks. All its traffic —
@@ -102,12 +110,12 @@ type worker struct {
 	// cleared guards putPartition against writes for already-swept jobs.
 	cleared *clearedSet
 
-	// store holds map outputs: (job, mapID, attempt, partition) →
-	// key→values — job-scoped so concurrent jobs never collide. Guarded
+	// store holds map outputs: (job, mapID, attempt, partition) → the
+	// grouped run — job-scoped so concurrent jobs never collide. Guarded
 	// by storeMu: peers write replicas and the master sweeps finished jobs
-	// from other goroutines.
+	// from other goroutines. A replica and a fetch reply share its slices.
 	storeMu sync.Mutex
-	store   map[storeKey]map[string][]string
+	store   map[storeKey]partition
 }
 
 type storeKey struct {
@@ -124,7 +132,7 @@ func newWorker(id int, dedicated bool, cfg Config, link transport.LinkConfig, tr
 		gate:      newGate(),
 		retries:   retries,
 		cleared:   cleared,
-		store:     make(map[storeKey]map[string][]string),
+		store:     make(map[storeKey]partition),
 	}
 }
 
@@ -135,6 +143,7 @@ func newWorker(id int, dedicated bool, cfg Config, link transport.LinkConfig, tr
 // suspension.
 func (w *worker) run(closed chan struct{}) {
 	go w.serveFetches(closed)
+	scratch := newGrouper()
 	backoff := w.link.RetryBackoff
 	for {
 		if isClosed(closed) {
@@ -147,11 +156,11 @@ func (w *worker) run(closed chan struct{}) {
 		}
 		backoff = w.link.RetryBackoff
 		s := &workerSession{
-			w:      w,
-			conn:   conn,
-			id:     sess,
-			seen:   make(map[uint64]bool),
-			closed: closed,
+			w:       w,
+			conn:    conn,
+			id:      sess,
+			closed:  closed,
+			scratch: scratch,
 		}
 		s.loop()
 		conn.Close()
@@ -187,13 +196,18 @@ func (w *worker) connect(closed chan struct{}, backoff *time.Duration) (transpor
 // connection, the session id every message carries, and the dedup state
 // that makes resent or fault-duplicated assignments apply once.
 type workerSession struct {
-	w      *worker
-	conn   transport.Conn
-	id     uint64
-	closed chan struct{}
+	w       *worker
+	conn    transport.Conn
+	id      uint64
+	closed  chan struct{}
+	scratch *grouper // the executing goroutine's, lent to each attempt
 
-	seen        map[uint64]bool // assignment ids already queued (dedup)
-	queue       []msgAssign     // accepted, not yet executed
+	// lastAssign is the highest assignment id queued, and the whole dedup
+	// state: the master assigns to a worker only once its previous attempt
+	// is settled (idleWorkers), so a lower id is a resend, a fault-injected
+	// duplicate or a late copy of an assignment the master gave up on.
+	lastAssign  uint64
+	queue       []msgAssign // accepted, not yet executed
 	nextEventID uint64
 }
 
@@ -249,8 +263,8 @@ func (s *workerSession) handleMsg(m any) bool {
 		if msg.session != s.id {
 			return true // stale epoch; ignore
 		}
-		if !s.seen[msg.id] {
-			s.seen[msg.id] = true
+		if msg.id > s.lastAssign {
+			s.lastAssign = msg.id
 			s.queue = append(s.queue, msg)
 		}
 		err := s.conn.Send(msgAck{id: msg.id}, s.w.link.SendTimeout)
@@ -269,9 +283,9 @@ func (s *workerSession) handleMsg(m any) bool {
 func (s *workerSession) execute(a msgAssign) bool {
 	var ev workerEvent
 	if a.task.isReduce {
-		ev = s.w.runReduce(a.task)
+		ev = s.w.runReduce(a.task, s.scratch)
 	} else {
-		ev = s.w.runMap(a.task)
+		ev = s.w.runMap(a.task, s.scratch)
 	}
 	return s.sendEvent(ev)
 }
@@ -325,24 +339,21 @@ func (s *workerSession) sendEvent(ev workerEvent) bool {
 	}
 }
 
-// runMap executes one map attempt: partition the emissions, store them
-// locally (plus the hybrid dedicated replica), report the holders.
-func (w *worker) runMap(a assignment) workerEvent {
-	parts := make([]map[string][]string, a.reduces)
-	for p := range parts {
-		parts[p] = make(map[string][]string)
-	}
+// runMap executes one map attempt: record the emissions, lay them out one
+// partition per reduce, store those locally (plus the hybrid dedicated
+// replica), report the holders.
+func (w *worker) runMap(a assignment, g *grouper) workerEvent {
+	defer g.reset()
 	a.mapFn(a.input, func(key, value string) {
 		w.gate.wait() // suspension checkpoint at emission granularity
-		p := partitionOf(key, a.reduces)
-		parts[p][key] = append(parts[p][key], value)
+		g.emit(key, value, a.reduces)
 	})
 	w.gate.wait()
 	var replica *worker
 	if a.replicateTo >= 0 && a.replicateTo != w.id {
 		replica = w.peers[a.replicateTo]
 	}
-	for p, data := range parts {
+	for p, data := range g.split(a.reduces) {
 		w.putPartition(a.jobID, a.taskID, a.attempt, p, data)
 		if replica != nil {
 			replica.putPartition(a.jobID, a.taskID, a.attempt, p, data)
@@ -359,26 +370,22 @@ func (w *worker) runMap(a assignment) workerEvent {
 // from its holders (local store first, then fetches over the transport),
 // merge, reduce in sorted key order. Unreachable map outputs produce a
 // reduceStuck event listing them.
-func (w *worker) runReduce(a assignment) workerEvent {
-	merged := make(map[string][]string)
+func (w *worker) runReduce(a assignment, g *grouper) workerEvent {
+	srcs := make([]partition, 0, len(a.sources))
 	var missing []int
 	for _, src := range a.sources {
 		w.gate.wait()
-		var data map[string][]string
+		var data partition
 		got := false
 		for _, h := range src.holders {
 			if h == w.id {
 				w.storeMu.Lock()
-				d, ok := w.store[storeKey{a.jobID, src.mapID, src.attempt, a.taskID}]
+				data, got = w.store[storeKey{a.jobID, src.mapID, src.attempt, a.taskID}]
 				w.storeMu.Unlock()
-				if ok {
-					data, got = d, true
-					break
-				}
-				continue
+			} else {
+				data, got = w.fetch(h, a.jobID, src.mapID, src.attempt, a.taskID)
 			}
-			if d, ok := w.fetch(h, a.jobID, src.mapID, src.attempt, a.taskID); ok {
-				data, got = d, true
+			if got {
 				break
 			}
 		}
@@ -386,17 +393,17 @@ func (w *worker) runReduce(a assignment) workerEvent {
 			missing = append(missing, src.mapID)
 			continue
 		}
-		for k, vs := range data {
-			merged[k] = append(merged[k], vs...)
-		}
+		srcs = append(srcs, data)
 	}
 	if len(missing) > 0 {
 		return workerEvent{kind: evReduceStuck, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, worker: w.id, missing: missing}
 	}
-	out := make(map[string]string, len(merged))
-	for _, k := range sortedKeys(merged) {
+	defer g.reset()
+	merged := g.merge(srcs)
+	out := make(map[string]string, len(merged.keys))
+	for _, k := range slices.Sorted(slices.Values(merged.keys)) {
 		w.gate.wait()
-		out[k] = a.reduceFn(k, merged[k])
+		out[k] = a.reduceFn(k, merged.values(g.ids[k]))
 	}
 	return workerEvent{kind: evReduceDone, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, worker: w.id, output: out}
 }
@@ -405,24 +412,21 @@ func (w *worker) runReduce(a assignment) workerEvent {
 // transport. Any failure — dial, partition-swallowed request, timed-out
 // reply — reads as a miss; the caller falls through to the next holder or
 // reports the map unreachable.
-func (w *worker) fetch(holder, job, mapID, attempt, partition int) (map[string][]string, bool) {
+func (w *worker) fetch(holder, job, mapID, attempt, part int) (partition, bool) {
 	conn, err := w.tr.Dial(WorkerAddr(w.id), WorkerAddr(holder), w.link.ConnectTimeout)
 	if err != nil {
-		return nil, false
+		return partition{}, false
 	}
 	defer conn.Close()
-	if err := conn.Send(msgFetchReq{job: job, mapID: mapID, attempt: attempt, partition: partition}, w.cfg.FetchTimeout); err != nil {
-		return nil, false
+	if err := conn.Send(msgFetchReq{job: job, mapID: mapID, attempt: attempt, partition: part}, w.cfg.FetchTimeout); err != nil {
+		return partition{}, false
 	}
 	m, err := conn.Recv(w.cfg.FetchTimeout)
 	if err != nil {
-		return nil, false
+		return partition{}, false
 	}
 	resp, ok := m.(msgFetchResp)
-	if !ok || !resp.ok {
-		return nil, false
-	}
-	return resp.data, true
+	return resp.data, ok && resp.ok
 }
 
 // serveFetches answers intermediate-data requests — one request per
@@ -458,10 +462,10 @@ func (w *worker) serveFetches(closed chan struct{}) {
 // job was already swept, which happens when a stale attempt (undelivered
 // through a suspension, or orphaned by a dead session) completes after the
 // job retired its last accounted attempt.
-func (w *worker) putPartition(job, mapID, attempt, partition int, data map[string][]string) {
+func (w *worker) putPartition(job, mapID, attempt, part int, data partition) {
 	w.storeMu.Lock()
 	if !w.cleared.has(job) {
-		w.store[storeKey{job, mapID, attempt, partition}] = data
+		w.store[storeKey{job, mapID, attempt, part}] = data
 	}
 	w.storeMu.Unlock()
 }

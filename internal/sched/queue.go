@@ -1,12 +1,20 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Queue is the multi-tenant job queue shared by both backends. Submit
 // enqueues (duplicate *live* names are rejected — output artifacts are
-// keyed by job name on both backends — concurrent jobs are not), jobs stay
-// queued after reaching a terminal state so callers can read profiles, and
-// Order returns the runnable jobs in the policy's slot-offer order.
+// keyed by job name on both backends — concurrent jobs are not), a job
+// stays queued after reaching a terminal state until its owner calls
+// Remove, and Order returns the runnable jobs in the policy's slot-offer
+// order. Removal is the owner's call because only the owner knows who still
+// reads a terminal job: the simulator's JobTracker never removes (the
+// harness reads every profile after a finite run), the live engine removes
+// a job once its last attempt has retired (the handle carries the profile,
+// and a daemon's job stream does not end). A walk costs what the owner kept.
 //
 // The order is recomputed on every offer — fair-share ranks by live
 // attempts, which change with each launch, and a job may finish or leave
@@ -47,11 +55,22 @@ func (q *Queue[J]) Submit(j J) error {
 	return nil
 }
 
-// Jobs returns every submitted job in submission order, terminal jobs
-// included (read-only view).
+// Remove takes a job out, keeping the others in submission order, and
+// reports whether it was there. It shifts the slice Jobs returned: a caller
+// ranging over Jobs collects first and removes after.
+func (q *Queue[J]) Remove(j J) bool {
+	i := slices.Index(q.jobs, j)
+	if i >= 0 {
+		q.jobs = slices.Delete(q.jobs, i, i+1) // zeroes the vacated tail slot
+	}
+	return i >= 0
+}
+
+// Jobs returns every queued job in submission order, terminal jobs not yet
+// removed included (read-only view, valid until the next Submit or Remove).
 func (q *Queue[J]) Jobs() []J { return q.jobs }
 
-// Len returns the total number of submitted jobs, terminal included.
+// Len returns the number of queued jobs, terminal ones included.
 func (q *Queue[J]) Len() int { return len(q.jobs) }
 
 // Latest returns the most recently submitted job and true, or the zero J

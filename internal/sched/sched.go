@@ -20,12 +20,13 @@ import "fmt"
 // Implementations are the backends' own job types (the simulator's
 // *mapred.Job, the engine's live job record).
 type Job interface {
+	comparable // the queue finds a job again by identity (Queue.Remove)
 	// Name identifies the job; the queue rejects duplicate live names and
 	// the weighted-fair policy looks weights up by it.
 	Name() string
-	// Done reports whether the job reached a terminal state (terminal
-	// jobs stay queued so callers can read their profiles, but no longer
-	// occupy a name or receive slots).
+	// Done reports whether the job reached a terminal state (a terminal
+	// job stays queued until its owner removes it, but no longer occupies
+	// a name or receives slots).
 	Done() bool
 	// ActiveAttempts counts the job's currently running task attempts
 	// minus those stranded on suspended workers — the fair-share and

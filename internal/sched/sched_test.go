@@ -182,3 +182,33 @@ func TestAttemptsAccounting(t *testing.T) {
 		t.Fatal("busy Attempts reported balanced")
 	}
 }
+
+// TestQueueRemoveKeepsOrderAndForgets: the owner's Remove takes exactly the
+// job named — by identity, not by name — keeps the rest in submission
+// order, and leaves no reference behind in the slot it vacated.
+func TestQueueRemoveKeepsOrderAndForgets(t *testing.T) {
+	q := NewQueue[*fakeJob](nil, nil)
+	a, b, c := &fakeJob{name: "a", done: true}, &fakeJob{name: "b"}, &fakeJob{name: "c"}
+	a2 := &fakeJob{name: "a"} // reuses a finished job's name
+	for _, j := range []*fakeJob{a, b, c, a2} {
+		if err := q.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backing := q.Jobs()
+	if !q.Remove(a) || q.Remove(a) {
+		t.Fatal("Remove(a) must succeed once and only once")
+	}
+	if got := names(q.Jobs()); got != "b,c,a" || q.Jobs()[2] != a2 {
+		t.Fatalf("after Remove(a): %s", got)
+	}
+	if backing[3] != nil {
+		t.Fatal("the vacated tail slot still references a job")
+	}
+	if !q.Remove(c) || q.Len() != 2 || q.Running() != 2 || names(q.Order()) != "b,a" {
+		t.Fatalf("after Remove(c): jobs %s, order %s", names(q.Jobs()), names(q.Order()))
+	}
+	if q.Remove(&fakeJob{name: "b"}) {
+		t.Fatal("Remove matched a different job by name")
+	}
+}

@@ -19,6 +19,14 @@
 // (identified by X-Moon-Tenant or an API key) bound concurrent and queued
 // submissions through internal/sched, answering 429 with Retry-After when
 // exceeded. Every 4xx/5xx body is structured JSON ({"code","message"}).
+//
+// What a submission holds follows its state. A request answered 400 or 429
+// was never registered and built nothing; a parked submission holds its
+// decoded request (the corpus is generated when it starts); a running job
+// holds its engine handle; a terminal submission holds what a client can
+// still ask for — identity, state, a copy of the engine's last status, the
+// report (a couple of kB) — and not the handle, the results or the input.
+// The registry still keeps every terminal submission (ROADMAP item 6).
 package service
 
 import (
@@ -274,23 +282,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 	})
 }
 
-// admit runs the submission through admission control and either starts
-// it, parks it queued, or rejects it (429 with Retry-After). Returns false
-// when the request was already answered.
-func (s *Server) admit(w http.ResponseWriter, sub *submission) bool {
-	run, err := s.adm.TryAcquire(sub.tenant)
+// admit asks admission control first and registers the submission only if
+// it may run or queue; it is then started or parked. A rejection (429 with
+// Retry-After) is answered here, returns nil and registers nothing.
+func (s *Server) admit(w http.ResponseWriter, kind, tenant, name string, start func(*submission)) *submission {
+	run, err := s.adm.TryAcquire(tenant)
 	if err != nil {
-		s.reg.remove(sub.id)
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, "quota_exceeded", err.Error())
-		return false
+		return nil
 	}
+	sub := s.reg.add(kind, tenant, name, start)
 	if run {
-		sub.start()
+		sub.fire()
 	} else {
 		s.reg.park(sub)
 	}
-	return true
+	return sub
 }
 
 // release retires one running submission and promotes the tenant's oldest
@@ -302,7 +310,7 @@ func (s *Server) release(tenant string) {
 	if s.adm.Release(tenant) {
 		if next := s.reg.popParked(tenant); next != nil {
 			s.adm.Promote(tenant)
-			next.start()
+			next.fire()
 		}
 	}
 }

@@ -26,21 +26,33 @@ const (
 )
 
 // submission is one accepted unit of work: a direct engine job or a full
-// scenario run. start is armed at creation and fired by admission (now or
-// on promotion from the tenant's pending queue).
+// scenario run. start (armed at creation, a closure over the decoded
+// request) is consumed when admission fires it, now or on promotion from
+// the tenant's pending queue; the engine handle is held while the job runs
+// and dropped at finish for a copy of its last status.
 type submission struct {
 	id     string
 	kind   string // "job" or "scenario"
 	tenant string
 	name   string
-	start  func()
 
 	mu     sync.Mutex
+	start  func(*submission)
 	state  string
 	errMsg string
-	handle *engine.JobHandle // kind "job", set once running
+	handle *engine.JobHandle // kind "job", while running
+	engine *engine.JobStatus // kind "job", the final status once terminal
 	report []byte            // finished moon-metrics/v1 document
 	output string            // kind "scenario": the rendered run text
+}
+
+// fire runs start, once, and forgets it and what it closed over.
+func (b *submission) fire() {
+	b.mu.Lock()
+	start := b.start
+	b.start = nil
+	b.mu.Unlock()
+	start(b)
 }
 
 func (b *submission) setRunning(h *engine.JobHandle) {
@@ -50,7 +62,10 @@ func (b *submission) setRunning(h *engine.JobHandle) {
 	b.mu.Unlock()
 }
 
-func (b *submission) finish(err error, report []byte, output string) {
+// finish makes the submission terminal. final is a direct job's last
+// engine status (nil otherwise): polls and lists read the copy from here
+// on, and the handle — with results the service never serves — is garbage.
+func (b *submission) finish(err error, final *engine.JobStatus, report []byte, output string) {
 	b.mu.Lock()
 	if err != nil {
 		b.state = subFailed
@@ -58,6 +73,7 @@ func (b *submission) finish(err error, report []byte, output string) {
 	} else {
 		b.state = subDone
 	}
+	b.handle, b.engine = nil, final
 	b.report = report
 	b.output = output
 	b.mu.Unlock()
@@ -90,7 +106,7 @@ type Status struct {
 func (b *submission) status() Status {
 	b.mu.Lock()
 	st := Status{ID: b.id, Kind: b.kind, Tenant: b.tenant, Name: b.name,
-		State: b.state, Error: b.errMsg, Output: b.output}
+		State: b.state, Error: b.errMsg, Output: b.output, Engine: b.engine}
 	h := b.handle
 	b.mu.Unlock()
 	if h != nil {
@@ -114,26 +130,14 @@ func newRegistry() *registry {
 	return &registry{subs: make(map[string]*submission), pending: make(map[string][]*submission)}
 }
 
-func (r *registry) add(kind, tenant, name string) *submission {
+func (r *registry) add(kind, tenant, name string, start func(*submission)) *submission {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	b := &submission{id: strconv.Itoa(r.seq), kind: kind, tenant: tenant, name: name, state: subQueued}
+	b := &submission{id: strconv.Itoa(r.seq), kind: kind, tenant: tenant, name: name, start: start, state: subQueued}
 	r.subs[b.id] = b
 	r.order = append(r.order, b.id)
 	return b
-}
-
-func (r *registry) remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.subs, id)
-	for i, v := range r.order {
-		if v == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
 }
 
 func (r *registry) get(id string) *submission {
@@ -210,33 +214,40 @@ type JobRequest struct {
 	WordsPerSplit int      `json:"words_per_split,omitempty"`
 }
 
-// buildJob validates the request and lowers it to an engine job. The
-// engine name is prefixed with the submission ID: engine jobs are keyed by
-// name, and two tenants may both call theirs "sort".
-func buildJob(req JobRequest, subID string) (engine.Job, error) {
+// validate rejects a malformed request and applies the defaults; it builds
+// nothing, so a rejected request has not paid for a corpus.
+func (req *JobRequest) validate() error {
 	if req.Name == "" {
-		return engine.Job{}, errors.New("name is required")
+		return errors.New("name is required")
 	}
 	if req.Reduces == 0 {
 		req.Reduces = 1
 	}
 	if req.Reduces < 1 {
-		return engine.Job{}, errors.New("reduces must be >= 1")
+		return errors.New("reduces must be >= 1")
 	}
-	inputs := req.Inputs
 	switch {
-	case len(inputs) > 0 && req.Splits > 0:
-		return engine.Job{}, errors.New("give either inputs or splits, not both")
-	case len(inputs) == 0 && req.Splits <= 0:
-		return engine.Job{}, errors.New("give inputs (one string per split) or splits > 0")
+	case len(req.Inputs) > 0 && req.Splits > 0:
+		return errors.New("give either inputs or splits, not both")
+	case len(req.Inputs) == 0 && req.Splits <= 0:
+		return errors.New("give inputs (one string per split) or splits > 0")
 	case req.Splits > 0:
-		words := req.WordsPerSplit
-		if words <= 0 {
-			words = 100
+		if req.WordsPerSplit <= 0 {
+			req.WordsPerSplit = 100
 		}
-		inputs = syntheticCorpus(req.Splits, words)
 	case req.WordsPerSplit != 0:
-		return engine.Job{}, errors.New("words_per_split only applies to synthetic splits")
+		return errors.New("words_per_split only applies to synthetic splits")
+	}
+	return nil
+}
+
+// job lowers a validated request to an engine job, generating the corpus
+// if it asks for one. The engine name is prefixed with the submission ID:
+// engine jobs are keyed by name, and two tenants may both call theirs "sort".
+func (req JobRequest) job(subID string) engine.Job {
+	inputs := req.Inputs
+	if req.Splits > 0 {
+		inputs = syntheticCorpus(req.Splits, req.WordsPerSplit)
 	}
 	return engine.Job{
 		Name:     "s" + subID + "." + req.Name,
@@ -244,14 +255,14 @@ func buildJob(req JobRequest, subID string) (engine.Job, error) {
 		Reduces:  req.Reduces,
 		Priority: req.Priority,
 		Map: func(input string, emit func(k, v string)) {
-			for _, w := range strings.Fields(input) {
+			for w := range strings.FieldsSeq(input) {
 				emit(w, "1")
 			}
 		},
 		Reduce: func(key string, values []string) string {
 			return strconv.Itoa(len(values))
 		},
-	}, nil
+	}
 }
 
 // syntheticCorpus generates deterministic word-count input, same scheme as
@@ -261,7 +272,12 @@ func syntheticCorpus(splits, wordsPerSplit int) []string {
 		"shuffle", "backup", "hybrid", "dedicated"}
 	inputs := make([]string, splits)
 	for s := range inputs {
+		size := 0
+		for w := 0; w < wordsPerSplit; w++ {
+			size += len(vocab[(s*31+w*7)%len(vocab)]) + 1
+		}
 		var b strings.Builder
+		b.Grow(size) // one allocation a split, at its final size
 		for w := 0; w < wordsPerSplit; w++ {
 			b.WriteString(vocab[(s*31+w*7)%len(vocab)])
 			b.WriteByte(' ')
@@ -271,8 +287,10 @@ func syntheticCorpus(splits, wordsPerSplit int) []string {
 	return inputs
 }
 
-// handleSubmitJob accepts one direct job: decode strictly, admit against
-// the tenant quota, submit to the persistent cluster (or park queued).
+// handleSubmitJob accepts one direct job: decode strictly, validate, admit
+// against the tenant quota, and only then register it and submit it to the
+// persistent cluster (or park it queued). A request answered 400 or 429
+// takes no id and builds no input.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !s.requireAccepting(w) {
 		return
@@ -284,26 +302,21 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "invalid job body: "+err.Error())
 		return
 	}
-	tenant := tenantOf(r)
-	sub := s.reg.add("job", tenant, req.Name)
-	job, err := buildJob(req, sub.id)
-	if err != nil {
-		s.reg.remove(sub.id)
+	if err := req.validate(); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	sub.start = func() { s.startJob(sub, job) }
-	if !s.admit(w, sub) {
-		return
+	sub := s.admit(w, "job", tenantOf(r), req.Name, func(sub *submission) { s.startJob(sub, req) })
+	if sub != nil {
+		writeJSON(w, http.StatusAccepted, sub.status())
 	}
-	writeJSON(w, http.StatusAccepted, sub.status())
 }
 
-// startJob submits to the shared cluster and watches for completion.
-func (s *Server) startJob(sub *submission, job engine.Job) {
-	h, err := s.cluster.Submit(job)
+// startJob builds the job, submits it and watches for completion.
+func (s *Server) startJob(sub *submission, req JobRequest) {
+	h, err := s.cluster.Submit(req.job(sub.id))
 	if err != nil {
-		sub.finish(fmt.Errorf("submit: %w", err), nil, "")
+		sub.finish(fmt.Errorf("submit: %w", err), nil, nil, "")
 		s.hub.broadcast("job", sub.status())
 		s.release(sub.tenant)
 		return
@@ -319,7 +332,8 @@ func (s *Server) startJob(sub *submission, job engine.Job) {
 		if err == nil {
 			report = jobReport(sub, prof, s.cfg.MetricsBucket)
 		}
-		sub.finish(err, report, "")
+		final := h.Status()
+		sub.finish(err, &final, report, "")
 		s.hub.broadcast("job", sub.status())
 		s.release(sub.tenant)
 	}()
@@ -366,12 +380,10 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	// Stream every cell's instrument updates to /v1/events subscribers.
 	plan.Config.MetricsSink = s.sink
 
-	sub := s.reg.add("scenario", tenantOf(r), spec.Name)
-	sub.start = func() { s.startScenario(sub, spec, plan) }
-	if !s.admit(w, sub) {
-		return
+	sub := s.admit(w, "scenario", tenantOf(r), spec.Name, func(sub *submission) { s.startScenario(sub, spec, plan) })
+	if sub != nil {
+		writeJSON(w, http.StatusAccepted, sub.status())
 	}
-	writeJSON(w, http.StatusAccepted, sub.status())
 }
 
 // startScenario runs the compiled plan in a service goroutine.
@@ -397,7 +409,7 @@ func (s *Server) startScenario(sub *submission, spec *scenario.Spec, plan *scena
 				doc = buf.Bytes()
 			}
 		}
-		sub.finish(err, doc, out.String())
+		sub.finish(err, nil, doc, out.String())
 		s.hub.broadcast("job", sub.status())
 		s.release(sub.tenant)
 	}()

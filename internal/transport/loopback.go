@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Loopback is the in-process, zero-fault transport: buffered channels
-// under the Conn interface. Messages are never lost, duplicated or
+// Loopback is the in-process, zero-fault transport: bounded in-memory
+// queues under the Conn interface. Messages are never lost, duplicated or
 // reordered, so an engine wired through it behaves exactly like one wired
 // with bare channels — the default that keeps every quiet-cluster golden
 // byte-identical.
@@ -121,21 +121,88 @@ func (l *loopListener) Close() error {
 	return nil
 }
 
-// pipe is one direction of a loopback connection. done covers the whole
-// connection (either endpoint closing kills both directions), but buffered
-// messages stay readable after close so an in-flight reply is not lost to
-// a racing Close.
+// pipeDepth is how many messages one direction holds before Send waits.
+const pipeDepth = 256
+
+// pipe is one direction of a loopback connection: a FIFO of at most
+// pipeDepth messages whose ring grows with what it holds, so a connection
+// dialled for one request and one reply (a shuffle fetch) pays for two
+// slots and not for pipeDepth. done covers the whole connection (either
+// endpoint closing kills both directions), but buffered messages stay
+// readable after close so an in-flight reply is not lost to a racing Close.
 type pipe struct {
-	ch   chan any
+	mu   sync.Mutex
+	ring []any // a power of two long; doubles up to pipeDepth
+	head int
+	n    int
+
+	// One-token signals for the blocking paths: a put leaves ready, a take
+	// leaves room. One token wakes one waiter, which is all a direction has
+	// (Conn: one sender, one receiver).
+	ready, room chan struct{}
+
 	done chan struct{}
 	once sync.Once
 }
 
 func newPipe() *pipe {
-	return &pipe{ch: make(chan any, 256), done: make(chan struct{})}
+	return &pipe{ready: make(chan struct{}, 1), room: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 func (p *pipe) close() { p.once.Do(func() { close(p.done) }) }
+
+func (p *pipe) closed() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
+}
+
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// put appends v unless the pipe is full.
+func (p *pipe) put(v any) bool {
+	p.mu.Lock()
+	if p.n == len(p.ring) {
+		if p.n == pipeDepth {
+			p.mu.Unlock()
+			return false
+		}
+		grown := make([]any, max(2, 2*p.n))
+		for i := 0; i < p.n; i++ {
+			grown[i] = p.ring[(p.head+i)&(p.n-1)]
+		}
+		p.ring, p.head = grown, 0
+	}
+	p.ring[(p.head+p.n)&(len(p.ring)-1)] = v
+	p.n++
+	p.mu.Unlock()
+	poke(p.ready)
+	return true
+}
+
+// take removes the oldest message, if there is one.
+func (p *pipe) take() (any, bool) {
+	p.mu.Lock()
+	if p.n == 0 {
+		p.mu.Unlock()
+		return nil, false
+	}
+	v := p.ring[p.head]
+	p.ring[p.head] = nil
+	p.head = (p.head + 1) & (len(p.ring) - 1)
+	p.n--
+	p.mu.Unlock()
+	poke(p.room)
+	return v, true
+}
 
 type loopConn struct {
 	local, remote string
@@ -154,59 +221,57 @@ func (c *loopConn) Close() error {
 
 func (c *loopConn) Send(payload any, timeout time.Duration) error {
 	c.st.sends.Add(1)
-	select {
-	case <-c.out.done:
+	if c.out.closed() {
 		return ErrClosed
-	default:
 	}
-	select {
-	case c.out.ch <- payload:
+	if c.out.put(payload) {
 		return nil
-	default:
 	}
 	if timeout <= 0 {
 		return ErrTimeout
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	select {
-	case c.out.ch <- payload:
-		return nil
-	case <-c.out.done:
-		return ErrClosed
-	case <-timer.C:
-		return ErrTimeout
+	for {
+		select {
+		case <-c.out.room:
+			if c.out.put(payload) {
+				return nil
+			}
+		case <-c.out.done:
+			return ErrClosed
+		case <-timer.C:
+			return ErrTimeout
+		}
 	}
 }
 
 func (c *loopConn) Recv(timeout time.Duration) (any, error) {
-	select {
-	case m := <-c.in.ch:
+	if m, ok := c.in.take(); ok {
 		return m, nil
-	default:
 	}
-	select {
-	case <-c.in.done:
+	if c.in.closed() {
 		return nil, ErrClosed
-	default:
 	}
 	if timeout <= 0 {
 		return nil, ErrTimeout
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	select {
-	case m := <-c.in.ch:
-		return m, nil
-	case <-c.in.done:
-		// Drain any message that raced the close.
+	for {
 		select {
-		case m := <-c.in.ch:
-			return m, nil
-		default:
+		case <-c.in.ready:
+			if m, ok := c.in.take(); ok {
+				return m, nil
+			}
+		case <-c.in.done:
+			// Drain any message that raced the close.
+			if m, ok := c.in.take(); ok {
+				return m, nil
+			}
+			return nil, ErrClosed
+		case <-timer.C:
+			return nil, ErrTimeout
 		}
-		return nil, ErrClosed
-	case <-timer.C:
-		return nil, ErrTimeout
 	}
 }

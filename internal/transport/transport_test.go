@@ -128,3 +128,67 @@ func TestLinkConfigValidate(t *testing.T) {
 		t.Fatal("negative MaxRetries accepted")
 	}
 }
+
+// TestLoopbackPipeGrowsInOrderAndStopsAtDepth: a direction costs what it
+// holds — it starts at two slots and doubles — keeps FIFO order across
+// growth and wrap-around, and at pipeDepth makes Send wait for a Recv.
+func TestLoopbackPipeGrowsInOrderAndStopsAtDepth(t *testing.T) {
+	tr := NewLoopback()
+	lis, _ := tr.Listen("srv")
+	defer lis.Close()
+	conn, err := tr.Dial("cli", "srv", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := lis.Accept(time.Second)
+	out := conn.(*loopConn).out
+	if len(out.ring) != 0 {
+		t.Fatalf("a dialled pipe starts with %d slots", len(out.ring))
+	}
+
+	next, want := 0, 0
+	send := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if err := conn.Send(next, 0); err != nil {
+				t.Fatalf("send %d: %v", next, err)
+			}
+			next++
+		}
+	}
+	recv := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if m, err := srv.Recv(0); err != nil || m != want {
+				t.Fatalf("recv: %v, %v; want %d", m, err, want)
+			}
+			want++
+		}
+	}
+	send(2)
+	if len(out.ring) != 2 {
+		t.Fatalf("two messages took %d slots", len(out.ring))
+	}
+	recv(1) // head is now off zero: the next growth copies a wrapped ring
+	send(6)
+	recv(3)
+	send(pipeDepth - 4)
+	if err := conn.Send(-1, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("send into a full pipe: %v", err)
+	}
+	if len(out.ring) != pipeDepth {
+		t.Fatalf("a full pipe has %d slots", len(out.ring))
+	}
+	// A Recv makes room for a Send that is already waiting.
+	sent := make(chan error, 1)
+	go func() { sent <- conn.Send(next, time.Second) }()
+	recv(1)
+	if err := <-sent; err != nil {
+		t.Fatalf("send after room was made: %v", err)
+	}
+	next++
+	recv(pipeDepth)
+	if _, err := srv.Recv(0); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("recv from an empty pipe: %v", err)
+	}
+}
