@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -26,6 +27,35 @@ func benchConfig(scale int, rates ...float64) harness.Config {
 	cfg.Rates = rates
 	cfg.Parallelism = 0
 	return cfg
+}
+
+// figure compiles one of the paper's figures and returns its lines.
+func figure(b *testing.B, fig, app string) (string, []harness.Variant) {
+	b.Helper()
+	plan, err := scenario.Compile(&scenario.Spec{
+		Schema: scenario.Schema, Name: "bench",
+		Experiments: []scenario.Experiment{{Figure: fig, App: app}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan.Runs[0].Title, plan.Runs[0].Variants
+}
+
+// sweepFigure runs a figure's sweep under cfg.
+func sweepFigure(b *testing.B, cfg harness.Config, fig, app string) *harness.Sweep {
+	b.Helper()
+	title, variants := figure(b, fig, app)
+	sw, err := cfg.RunSweep(title, variants)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sw
+}
+
+// first returns the job of a single-job cell.
+func first(sw *harness.Sweep, label string, rate float64) harness.JobStats {
+	return sw.Get(label, rate).Jobs[0]
 }
 
 // BenchmarkFig1Trace regenerates the 7-day diurnal availability study.
@@ -60,11 +90,8 @@ func BenchmarkFig4SchedulingWordCount(b *testing.B) {
 func benchFig4(b *testing.B, app string) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		sw, err := benchConfig(1, 0.5).Fig4(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = sw.Get("Hadoop1Min", 0.5).Makespan / sw.Get("MOON-Hybrid", 0.5).Makespan
+		sw := sweepFigure(b, benchConfig(1, 0.5), "fig4", app)
+		ratio = first(sw, "Hadoop1Min", 0.5).Makespan / first(sw, "MOON-Hybrid", 0.5).Makespan
 	}
 	b.ReportMetric(ratio, "hadoop1min/moonHybrid")
 }
@@ -87,14 +114,15 @@ func benchMultiSeed(b *testing.B, parallelism int) {
 	cfg := benchConfig(4, 0.5)
 	cfg.Seeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	cfg.Parallelism = parallelism
-	variants := harness.SchedulingVariants("sort")[4:5] // MOON-Hybrid
+	_, variants := figure(b, "fig4", "sort")
+	variants = variants[4:5] // MOON-Hybrid
 	var makespan float64
 	for i := 0; i < b.N; i++ {
 		sw, err := cfg.RunSweep("multi-seed", variants)
 		if err != nil {
 			b.Fatal(err)
 		}
-		makespan = sw.Get("MOON-Hybrid", 0.5).Makespan
+		makespan = first(sw, "MOON-Hybrid", 0.5).Makespan
 	}
 	b.ReportMetric(makespan, "meanMakespan")
 }
@@ -105,12 +133,9 @@ func benchMultiSeed(b *testing.B, parallelism int) {
 func BenchmarkFig5DuplicatedTasks(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		sw, err := benchConfig(1, 0.5).Fig4("sort")
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := sw.Get("Hadoop1Min", 0.5).Duplicated
-		m := sw.Get("MOON", 0.5).Duplicated
+		sw := sweepFigure(b, benchConfig(1, 0.5), "fig4", "sort")
+		h := first(sw, "Hadoop1Min", 0.5).Duplicated
+		m := first(sw, "MOON", 0.5).Duplicated
 		reduction = 1 - m/h
 	}
 	b.ReportMetric(reduction, "dupReductionVsHadoop1Min")
@@ -131,12 +156,9 @@ func BenchmarkFig6IntermediateReplicationWordCount(b *testing.B) {
 func benchFig6(b *testing.B, app string) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		sw, err := benchConfig(2, 0.5).Fig6(app)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sw := sweepFigure(b, benchConfig(2, 0.5), "fig6", app)
 		_, bestVO := sw.Best("VO", 0.5)
-		ratio = bestVO.Makespan / sw.Get("HA-V1", 0.5).Makespan
+		ratio = bestVO.Makespan / first(sw, "HA-V1", 0.5).Makespan
 	}
 	b.ReportMetric(ratio, "bestVO/haV1")
 }
@@ -147,12 +169,9 @@ func benchFig6(b *testing.B, app string) {
 func BenchmarkTable2Profile(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		sw, err := benchConfig(2, 0.5).Fig6("sort")
-		if err != nil {
-			b.Fatal(err)
-		}
-		vo := sw.Get("VO-V1", 0.5).KilledMaps
-		ha := sw.Get("HA-V1", 0.5).KilledMaps
+		sw := sweepFigure(b, benchConfig(2, 0.5), "fig6", "sort")
+		vo := first(sw, "VO-V1", 0.5).KilledMaps
+		ha := first(sw, "HA-V1", 0.5).KilledMaps
 		if ha > 0 {
 			ratio = vo / ha
 		}
@@ -175,11 +194,8 @@ func BenchmarkFig7OverallWordCount(b *testing.B) {
 func benchFig7(b *testing.B, app string) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		sw, err := benchConfig(2, 0.5).Fig7(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = sw.Get("Hadoop-VO", 0.5).Makespan / sw.Get("MOON-HybridD6", 0.5).Makespan
+		sw := sweepFigure(b, benchConfig(2, 0.5), "fig7", app)
+		speedup = first(sw, "Hadoop-VO", 0.5).Makespan / first(sw, "MOON-HybridD6", 0.5).Makespan
 	}
 	b.ReportMetric(speedup, "moonSpeedup")
 }

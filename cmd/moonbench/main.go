@@ -38,7 +38,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/harness"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -63,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seeds      = fs.String("seeds", "1", "comma-separated churn seeds to average over")
 		scale      = fs.Int("scale", 1, "divide workload size by this factor (1 = paper scale)")
 		rates      = fs.String("rates", "0.1,0.3,0.5", "comma-separated unavailability rates")
-		ablation   = fs.String("ablation", "homestretch", strings.Join(harness.AblationNames, "|"))
+		ablation   = fs.String("ablation", "homestretch", strings.Join(scenario.AblationNames, "|"))
 		parallel   = fs.Int("parallel", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
 		policy     = fs.String("policy", "both", "multi-job slot arbitration: fifo|fair|weighted|priority|both")
 		jobs       = fs.Int("jobs", 3, "multi-job experiment: jobs per run")
@@ -252,7 +251,7 @@ func printLists(w io.Writer) error {
   -arrivals    %s
 `,
 		strings.Join(scenario.Experiments, "|"),
-		strings.Join(harness.AblationNames, "|"),
+		strings.Join(scenario.AblationNames, "|"),
 		strings.Join(mapred.JobPolicyNames(), "|"),
 		strings.Join(scenario.ArrivalProcesses, "|"))
 	return err

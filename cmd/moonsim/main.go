@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var (
 		opts  core.Options
-		w     workload.Spec
+		m     workload.MultiSpec // the one job, as the stream of one
 		label = *policy
 		spec  *scenario.Spec
 	)
@@ -98,12 +98,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		v, err := pickVariant(spec, *variant)
-		if err != nil {
+		var cell harness.SimCell
+		if label, cell, err = pickVariant(spec, *variant); err != nil {
 			return err
 		}
-		label = v.Label
-		opts, w = v.Build(core.ClusterSpec{UnavailabilityRate: *rate, Seed: *seed})
+		opts, m = cell.Build(core.ClusterSpec{UnavailabilityRate: *rate, Seed: *seed}), cell.Workload
 	} else {
 		cs := core.ClusterSpec{
 			VolatileNodes:      *volatiles,
@@ -124,6 +123,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 
 		slots := (*volatiles + *dedicated) * 2
+		var w workload.Spec
 		switch *app {
 		case "sort":
 			w = workload.Sort(slots)
@@ -137,8 +137,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("unknown app %q", *app)
 		}
 		w.Job.IntermediateFactor = dfs.Factor{D: *interD, V: *interV}
+		m = workload.Single(w)
 	}
-	w = workload.Scale(w, *scale)
+	m = workload.ScaleMulti(m, *scale)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -157,14 +158,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		col = metrics.New(*metricsBkt)
 		opts.Metrics = col
 	}
-	s, err := core.NewForWorkload(opts, w)
+	s, err := core.NewForWorkload(opts, m)
 	if err != nil {
 		return err
 	}
-	res, err := s.RunWorkload(w)
+	res, err := s.RunWorkload(m)
 	if err != nil {
 		return err
 	}
+	job := res.Jobs[0]
 
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
@@ -187,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			report.Scenario = spec.Name
 			report.SpecHash = spec.Hash()
 		}
-		report.Add(fmt.Sprintf("moonsim %s", w.Job.Name), label, *rate, 1, col.Snapshot())
+		report.Add(fmt.Sprintf("moonsim %s", m.Jobs[0].Spec.Job.Name), label, *rate, 1, col.Snapshot())
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return err
@@ -199,10 +201,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	p := res.Profile
+	p := job.Profile
 	fmt.Fprintf(stdout, "job            %s (policy %s, rate %.2f, %dV+%dD, seed %d)\n",
 		p.Job, label, *rate, opts.Cluster.VolatileNodes, opts.Cluster.DedicatedNodes, *seed)
-	fmt.Fprintf(stdout, "state          %v%s\n", p.State, capped(res.HitHorizon))
+	fmt.Fprintf(stdout, "state          %v%s\n", p.State, capped(job.HitHorizon))
 	fmt.Fprintf(stdout, "makespan       %.0f s\n", p.Makespan)
 	fmt.Fprintf(stdout, "avg map        %.1f s\n", p.AvgMapTime)
 	fmt.Fprintf(stdout, "avg shuffle    %.1f s\n", p.AvgShuffleTime)
@@ -219,39 +221,40 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// pickVariant compiles the scenario and selects one single-job variant by
-// label (or the first one). Multi-job lines need the sweep harness: point
-// the user at moonbench.
-func pickVariant(spec *scenario.Spec, label string) (harness.Variant, error) {
+// pickVariant compiles the scenario and selects one single-job line by
+// label (or the first one). Job streams need the sweep harness: point the
+// user at moonbench.
+func pickVariant(spec *scenario.Spec, label string) (string, harness.SimCell, error) {
+	fail := func(format string, args ...any) (string, harness.SimCell, error) {
+		return "", harness.SimCell{}, fmt.Errorf(format, args...)
+	}
 	if spec.Execution == "live" {
-		return harness.Variant{}, fmt.Errorf(
-			"scenario %q runs the live engine; run it with moonbench -scenario", spec.Name)
+		return fail("scenario %q runs the live engine; run it with moonbench -scenario", spec.Name)
 	}
 	plan, err := scenario.Compile(spec)
 	if err != nil {
-		return harness.Variant{}, err
+		return "", harness.SimCell{}, err
 	}
 	var labels []string
 	for _, run := range plan.Runs {
 		for _, v := range run.Variants {
+			cell := v.Cell.(harness.SimCell) // a sim scenario compiles to simulated cells only
+			if cell.Stream {
+				if v.Label == label {
+					return fail("variant %q of scenario %q is a multi-job line; run it with moonbench -scenario", label, spec.Name)
+				}
+				continue
+			}
 			if label == "" || v.Label == label {
-				return v, nil
+				return v.Label, cell, nil
 			}
 			labels = append(labels, v.Label)
 		}
-		for _, mv := range run.Multi {
-			if mv.Label == label {
-				return harness.Variant{}, fmt.Errorf(
-					"variant %q of scenario %q is a multi-job line; run it with moonbench -scenario", label, spec.Name)
-			}
-		}
 	}
 	if label == "" {
-		return harness.Variant{}, fmt.Errorf(
-			"scenario %q has no single-job variants; run it with moonbench -scenario", spec.Name)
+		return fail("scenario %q has no single-job variants; run it with moonbench -scenario", spec.Name)
 	}
-	return harness.Variant{}, fmt.Errorf("scenario %q has no variant %q (have: %s)",
-		spec.Name, label, strings.Join(labels, ", "))
+	return fail("scenario %q has no variant %q (have: %s)", spec.Name, label, strings.Join(labels, ", "))
 }
 
 func capped(hit bool) string {

@@ -30,11 +30,11 @@ func main() {
 		opts := core.MOONPreset(cs, true /* hybrid-aware scheduling */)
 		opts.Sched.JobPolicy = policy
 
-		s, err := core.NewForMultiWorkload(opts, stream)
+		s, err := core.NewForWorkload(opts, stream)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := s.RunMultiWorkload(stream)
+		res, err := s.RunWorkload(stream)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,16 +27,18 @@ func main() {
 	// instant; workload.Sort(slots) is the paper's full configuration.
 	w := workload.Scale(workload.Sort(2*(cs.VolatileNodes+cs.DedicatedNodes)), 4)
 
-	s, err := core.NewForWorkload(opts, w)
+	// A run takes a job stream; one job is the stream of one.
+	stream := workload.Single(w)
+	s, err := core.NewForWorkload(opts, stream)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.RunWorkload(w)
+	res, err := s.RunWorkload(stream)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	p := res.Profile
+	p := res.Jobs[0].Profile
 	fmt.Printf("%-22s %v\n", "job", p.Job)
 	fmt.Printf("%-22s %v\n", "state", p.State)
 	fmt.Printf("%-22s %.0f s\n", "makespan", p.Makespan)

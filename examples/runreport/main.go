@@ -26,7 +26,7 @@ func main() {
 	}, true)
 	opts.Metrics = col
 
-	w := workload.Scale(workload.Sort(2*66), 8)
+	w := workload.Single(workload.Scale(workload.Sort(2*66), 8))
 	s, err := core.NewForWorkload(opts, w)
 	if err != nil {
 		fatal(err)
@@ -35,7 +35,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("job %s finished in %.0f s (state %v)\n\n", res.Profile.Job, res.Profile.Makespan, res.Profile.State)
+	p := res.Jobs[0].Profile
+	fmt.Printf("job %s finished in %.0f s (state %v)\n\n", p.Job, p.Makespan, p.State)
 
 	snap := col.Snapshot()
 

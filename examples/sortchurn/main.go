@@ -51,7 +51,7 @@ func main() {
 				UnavailabilityRate: rate,
 				Seed:               7,
 			}
-			w := workload.Scale(workload.SleepApp(workload.Sort(2*33)), *scale)
+			w := workload.Single(workload.Scale(workload.SleepApp(workload.Sort(2*33)), *scale))
 			s, err := core.NewForWorkload(v.build(cs), w)
 			if err != nil {
 				log.Fatal(err)
@@ -60,7 +60,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			p := res.Profile
+			p := res.Jobs[0].Profile
 			fmt.Fprintf(tw, "%.1f\t%s\t%.0f\t%d\t%d\n",
 				rate, v.name, p.Makespan, p.DuplicatedTasks, p.KilledMaps)
 		}

@@ -10,8 +10,9 @@
 //		VolatileNodes: 60, DedicatedNodes: 6,
 //		UnavailabilityRate: 0.5, Seed: 1,
 //	}, true /* hybrid */)
-//	s, _ := core.NewSimulation(opts)
-//	profile, _ := s.RunWorkload(workload.Sort(s.ReduceSlots()))
+//	w := workload.Single(workload.Sort(2 * 66))
+//	s, _ := core.NewForWorkload(opts, w)
+//	res, _ := s.RunWorkload(w) // res.Jobs[0].Profile is the job's
 package core
 
 import (
@@ -189,52 +190,131 @@ func (s *Simulation) StageInput(name string, size float64, factor dfs.Factor) er
 	return err
 }
 
-// Result is the outcome of one job run: the runtime profile plus DFS-level
-// metrics accumulated during the run.
-type Result struct {
+// JobResult is the outcome of one job of a run.
+type JobResult struct {
 	Profile mapred.Profile
-	DFS     dfs.Metrics
-	// Horizon reports whether the run hit the simulation horizon before
-	// the job finished (the paper's "unable to finish" cases).
+	// HitHorizon marks a job still unfinished at the trace horizon; its
+	// Makespan is then the time from submission to the horizon.
 	HitHorizon bool
 }
 
-// RunWorkload stages the workload's input and runs its job to completion
-// (or to the trace horizon). The input file is staged with exactly one
-// block per map: the DFS block size must equal InputSize / NumMaps, which
-// NewForWorkload arranges.
-func (s *Simulation) RunWorkload(w workload.Spec) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := s.StageInput(w.Job.InputFile, w.InputSize, w.InputFactor); err != nil {
-		return Result{}, err
-	}
-	var finished *mapred.Job
-	job, err := s.JT.Submit(w.Job, func(j *mapred.Job) {
-		finished = j
-		s.Sim.Stop() // nothing after the job matters to the experiment
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	s.Sim.RunUntil(s.opts.Cluster.Horizon)
-	res := Result{DFS: s.FS.Metrics}
-	if finished == nil {
-		res.HitHorizon = true
-		res.Profile = job.Profile()
-		res.Profile.Makespan = s.opts.Cluster.Horizon
-		return res, nil
-	}
-	res.Profile = finished.Profile()
-	return res, nil
+// Result is the outcome of one run of a job stream; a single job is the
+// stream of one (workload.Single) and reads Jobs[0].
+type Result struct {
+	// Jobs lists per-job outcomes in submission order.
+	Jobs []JobResult
+	DFS  dfs.Metrics
+	// Span is run start → last job completion (the horizon when capped);
+	// the denominator of Throughput.
+	Span float64
+	// Completed counts jobs that succeeded.
+	Completed int
+	// Throughput is completed jobs per hour of span.
+	Throughput float64
 }
 
 // NewForWorkload builds a simulation whose DFS block size matches the
-// workload's input split (so map i reads input block i, as in Hadoop).
-func NewForWorkload(opts Options, w workload.Spec) (*Simulation, error) {
-	if w.Job.NumMaps > 0 {
-		opts.DFS.BlockSize = w.InputSize / float64(w.Job.NumMaps)
+// workload's common input split, so map i reads input block i, as in
+// Hadoop (jobs that skip input reads impose no constraint;
+// MultiSpec.Validate enforces that the rest agree).
+func NewForWorkload(opts Options, m workload.MultiSpec) (*Simulation, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if split := m.SplitSize(); split > 0 {
+		opts.DFS.BlockSize = split
 	}
 	return NewSimulation(opts)
+}
+
+// RunWorkload stages every job's input up front (no simulated cost, as the
+// paper does before each measured run), submits each job at its offset
+// (relative to the simulation clock at call time), and runs until all
+// jobs finish or the trace horizon ends. Each input file is staged with
+// one block per map, which NewForWorkload arranges. Job arbitration
+// follows the scheduler's configured JobPolicy.
+func (s *Simulation) RunWorkload(m workload.MultiSpec) (Result, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, err
+	}
+	origin := s.Sim.Now()
+	for _, mj := range m.Jobs {
+		if err := s.StageInput(mj.Spec.Job.InputFile, mj.Spec.InputSize, mj.Spec.InputFactor); err != nil {
+			return Result{}, err
+		}
+	}
+
+	jobs := make([]*mapred.Job, len(m.Jobs))
+	var submitErr error
+	remaining := len(m.Jobs)
+	onDone := func(*mapred.Job) {
+		remaining--
+		if remaining == 0 {
+			s.Sim.Stop() // nothing after the last job matters to the experiment
+		}
+	}
+	for i, mj := range m.Jobs {
+		i, mj := i, mj
+		submit := func() {
+			j, err := s.JT.Submit(mj.Spec.Job, onDone)
+			if err != nil {
+				submitErr = fmt.Errorf("core: submit %s at t=%v: %w", mj.Spec.Job.Name, mj.Offset, err)
+				s.Sim.Stop()
+				return
+			}
+			jobs[i] = j
+		}
+		if mj.Offset == 0 {
+			submit()
+		} else {
+			s.Sim.Schedule(origin+mj.Offset, "core.submit", submit)
+		}
+		if submitErr != nil {
+			return Result{}, submitErr
+		}
+	}
+
+	horizon := s.opts.Cluster.Horizon
+	s.Sim.RunUntil(horizon)
+	if submitErr != nil {
+		return Result{}, submitErr
+	}
+
+	res := Result{DFS: s.FS.Metrics}
+	anyUnfinished := false
+	for i, j := range jobs {
+		if j == nil {
+			// The horizon ended before this job's submission offset; like
+			// any capped job it reports submission → horizon (zero here).
+			mk := horizon - (origin + m.Jobs[i].Offset)
+			if mk < 0 {
+				mk = 0
+			}
+			res.Jobs = append(res.Jobs, JobResult{HitHorizon: true,
+				Profile: mapred.Profile{Job: m.Jobs[i].Spec.Job.Name, Makespan: mk}})
+			anyUnfinished = true
+			continue
+		}
+		jr := JobResult{Profile: j.Profile()}
+		if !j.Done() {
+			jr.HitHorizon = true
+			jr.Profile.Makespan = horizon - j.SubmittedAt()
+			anyUnfinished = true
+		} else if sp := j.FinishedAt() - origin; sp > res.Span {
+			// Failed jobs end the run's activity too; only jobs still
+			// unfinished at the horizon stretch the span to it.
+			res.Span = sp
+		}
+		res.Jobs = append(res.Jobs, jr)
+		if j.State() == mapred.JobSucceeded {
+			res.Completed++
+		}
+	}
+	if anyUnfinished {
+		res.Span = horizon - origin
+	}
+	if res.Span > 0 {
+		res.Throughput = float64(res.Completed) / (res.Span / 3600)
+	}
+	return res, nil
 }

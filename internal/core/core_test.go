@@ -46,30 +46,43 @@ func TestPresets(t *testing.T) {
 
 func TestRunWorkloadEndToEnd(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3, Seed: 3}
-	w := smallSpec()
-	s, err := NewForWorkload(MOONPreset(cs, true), w)
-	if err != nil {
-		t.Fatal(err)
+	res := runSingle(t, cs)
+	job := res.Jobs[0]
+	if job.Profile.State != mapred.JobSucceeded {
+		t.Fatalf("state %v", job.Profile.State)
 	}
-	res, err := s.RunWorkload(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Profile.State != mapred.JobSucceeded {
-		t.Fatalf("state %v", res.Profile.State)
-	}
-	if res.HitHorizon {
+	if job.HitHorizon {
 		t.Fatal("tiny job hit the 8-hour horizon")
 	}
-	if res.Profile.Makespan <= 0 {
+	if job.Profile.Makespan <= 0 {
 		t.Fatal("non-positive makespan")
 	}
+	// The run-level numbers of a stream of one are the job's.
+	if res.Completed != 1 || res.Span != job.Profile.Makespan || res.Throughput <= 0 {
+		t.Fatalf("completed %d span %v throughput %v for makespan %v",
+			res.Completed, res.Span, res.Throughput, job.Profile.Makespan)
+	}
+}
+
+// runSingle runs smallSpec as the stream of one on a MOON-Hybrid stack.
+func runSingle(t *testing.T, cs ClusterSpec) Result {
+	t.Helper()
+	m := workload.Single(smallSpec())
+	s, err := NewForWorkload(MOONPreset(cs, true), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunWorkload(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestNewForWorkloadSetsBlockSize(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 4, DedicatedNodes: 1, Seed: 1}
 	w := smallSpec()
-	s, err := NewForWorkload(MOONPreset(cs, true), w)
+	s, err := NewForWorkload(MOONPreset(cs, true), workload.Single(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +133,18 @@ func TestRunWorkloadRejectsBadSpec(t *testing.T) {
 	}
 	w := smallSpec()
 	w.InputSize = -1
-	if _, err := s.RunWorkload(w); err == nil {
+	if _, err := s.RunWorkload(workload.Single(w)); err == nil {
 		t.Fatal("bad spec accepted")
+	}
+	if _, err := NewForWorkload(MOONPreset(cs, true), workload.Single(w)); err == nil {
+		t.Fatal("NewForWorkload accepted a bad spec")
 	}
 }
 
 func TestDeterministicAcrossConstructions(t *testing.T) {
 	run := func() float64 {
 		cs := ClusterSpec{VolatileNodes: 8, DedicatedNodes: 2, UnavailabilityRate: 0.4, Seed: 11}
-		w := smallSpec()
-		s, err := NewForWorkload(MOONPreset(cs, true), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.RunWorkload(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Profile.Makespan
+		return runSingle(t, cs).Jobs[0].Profile.Makespan
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
@@ -147,16 +154,7 @@ func TestDeterministicAcrossConstructions(t *testing.T) {
 func TestDistinctSeedsDistinctChurn(t *testing.T) {
 	mk := func(seed uint64) float64 {
 		cs := ClusterSpec{VolatileNodes: 8, DedicatedNodes: 2, UnavailabilityRate: 0.4, Seed: seed}
-		w := smallSpec()
-		s, err := NewForWorkload(MOONPreset(cs, true), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.RunWorkload(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Profile.Makespan
+		return runSingle(t, cs).Jobs[0].Profile.Makespan
 	}
 	if mk(1) == mk(2) && mk(3) == mk(4) && mk(5) == mk(6) {
 		t.Fatal("all seed pairs identical; churn not seed-driven")
@@ -166,20 +164,12 @@ func TestDistinctSeedsDistinctChurn(t *testing.T) {
 func TestHorizonCap(t *testing.T) {
 	// A tiny horizon forces HitHorizon.
 	cs := ClusterSpec{VolatileNodes: 4, DedicatedNodes: 1, Seed: 1, Horizon: 5}
-	w := smallSpec()
-	s, err := NewForWorkload(MOONPreset(cs, true), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunWorkload(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HitHorizon {
+	res := runSingle(t, cs)
+	if !res.Jobs[0].HitHorizon {
 		t.Fatal("job claimed completion within a 5-second horizon")
 	}
-	if res.Profile.Makespan != 5 {
-		t.Fatalf("capped makespan %v, want horizon 5", res.Profile.Makespan)
+	if res.Jobs[0].Profile.Makespan != 5 || res.Span != 5 {
+		t.Fatalf("capped makespan %v span %v, want horizon 5", res.Jobs[0].Profile.Makespan, res.Span)
 	}
 }
 

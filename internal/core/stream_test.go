@@ -7,17 +7,17 @@ import (
 	"repro/internal/workload"
 )
 
-func TestRunMultiWorkloadEndToEnd(t *testing.T) {
+func TestRunWorkloadStreamEndToEnd(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3, Seed: 3}
 	m := workload.Staggered(smallSpec(), 3, 120)
 	for _, pol := range []mapred.SchedPolicy{mapred.FIFO(), mapred.FairShare()} {
 		opts := MOONPreset(cs, true)
 		opts.Sched.JobPolicy = pol
-		s, err := NewForMultiWorkload(opts, m)
+		s, err := NewForWorkload(opts, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.RunMultiWorkload(m)
+		res, err := s.RunWorkload(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,18 +38,18 @@ func TestRunMultiWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunMultiWorkloadHorizonCaps: jobs that cannot finish (or even
+// TestRunWorkloadStreamHorizonCaps: jobs that cannot finish (or even
 // submit) before the trace horizon report submission→horizon makespans
 // and a horizon-bounded span.
-func TestRunMultiWorkloadHorizonCaps(t *testing.T) {
+func TestRunWorkloadStreamHorizonCaps(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3,
 		Seed: 3, Horizon: 600}
 	m := workload.Staggered(smallSpec(), 3, 500) // job 2 submits at t=1000 > horizon
-	s, err := NewForMultiWorkload(MOONPreset(cs, true), m)
+	s, err := NewForWorkload(MOONPreset(cs, true), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunMultiWorkload(m)
+	res, err := s.RunWorkload(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,39 +66,5 @@ func TestRunMultiWorkloadHorizonCaps(t *testing.T) {
 	mid := res.Jobs[1] // submitted at t=500, cannot finish in 100s
 	if !mid.HitHorizon || mid.Profile.Makespan != 100 {
 		t.Fatalf("mid job capped=%v makespan=%v, want capped with 100s", mid.HitHorizon, mid.Profile.Makespan)
-	}
-}
-
-// TestRunMultiWorkloadSingleMatchesRunWorkload: a one-job multi run under
-// FIFO reproduces the single-job path's profile exactly.
-func TestRunMultiWorkloadSingleMatchesRunWorkload(t *testing.T) {
-	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3, Seed: 7}
-	w := smallSpec()
-
-	single, err := NewForWorkload(MOONPreset(cs, true), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := single.RunWorkload(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m := workload.MultiSpec{Name: "single", Jobs: []workload.MultiJob{{Spec: w}}}
-	multi, err := NewForMultiWorkload(MOONPreset(cs, true), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := multi.RunMultiWorkload(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mp := mres.Jobs[0].Profile
-	mp.Job = sres.Profile.Job // names differ only by harness labeling
-	sp := sres.Profile
-	mp.Job, sp.Job = "", ""
-	if mp != sp {
-		t.Fatalf("single-job multi run diverged:\nmulti:  %+v\nsingle: %+v", mp, sp)
 	}
 }

@@ -1,27 +1,27 @@
-// Package harness defines and runs the paper's experiments: every figure
-// and table of the evaluation section (Figures 1, 4, 5, 6, 7 and Table II)
-// maps to one experiment that sweeps the same configurations the authors
-// swept and prints the same rows/series they report.
+// Package harness is the sweep runner: the one experiment shape of MOON's
+// evaluation, variant × unavailability rate × seed → a table. A Variant is
+// a label and the Cell it runs at every (rate, seed): a simulated job
+// stream (SimCell; a single job is the stream of one) or a live-engine
+// cell (LiveCell). Config.RunSweep runs them all into one Sweep of
+// seed-averaged Stats, which renders as the paper's tables. What the lines
+// of a figure are is internal/scenario's to say; the only figure this
+// package knows is Fig 1's trace table, which is no sweep.
 //
-// Sweeps are embarrassingly parallel: every (variant, rate, seed) cell is an
-// independent single-threaded simulation sharing no state with its siblings,
-// so RunSweep fans the cells out over a bounded worker pool and reassembles
-// the results in the serial order. Output — cell statistics, progress lines,
-// and error selection — is byte-identical at every Parallelism setting.
+// Sweeps are embarrassingly parallel: every (variant, rate, seed) cell is
+// independent and shares no state with its siblings, so RunSweep fans the
+// cells out over a bounded worker pool and reassembles the results in the
+// serial order. Output — cell statistics, progress lines, and error
+// selection — is byte-identical at every Parallelism setting.
 package harness
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
-	"repro/internal/mapred"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // Config controls experiment execution.
@@ -44,7 +44,7 @@ type Config struct {
 	// MetricsBucket, when > 0, attaches a metrics.Collector with this
 	// series bucket width (seconds) to every run; the per-seed snapshots
 	// are merged into one seed-averaged report per (variant, rate) cell
-	// on Sweep.Metrics / MultiSweep.Metrics. Collection never perturbs a
+	// on Sweep.Metrics. Collection never perturbs a
 	// run: cell statistics are byte-identical with metrics on or off
 	// (pinned in regression_test.go).
 	MetricsBucket float64
@@ -77,15 +77,21 @@ func (c Config) withDefaults() Config {
 
 // Validate rejects sweep configurations that would silently produce garbage
 // instead of the paper's matrices: NaN or out-of-range unavailability
-// rates, zero or duplicate churn seeds (a duplicate seed double-counts one
-// realization in every averaged cell), a negative scale divisor, and a
-// non-finite metrics bucket. RunSweep and RunMultiSweep enforce it after
+// rates, a repeated rate (every cell of it would run, print and report
+// twice under one key), zero or duplicate churn seeds (a duplicate seed
+// double-counts one realization in every averaged cell), a negative scale
+// divisor, and a non-finite metrics bucket. RunSweep enforces it after
 // defaulting, so the zero Config stays valid.
 func (c Config) Validate() error {
+	rates := make(map[float64]bool, len(c.Rates))
 	for _, r := range c.Rates {
 		if math.IsNaN(r) || r < 0 || r >= 1 {
 			return fmt.Errorf("harness: unavailability rate %v outside [0,1)", r)
 		}
+		if rates[r] {
+			return fmt.Errorf("harness: duplicate unavailability rate %v", r)
+		}
+		rates[r] = true
 	}
 	seen := make(map[uint64]bool, len(c.Seeds))
 	for _, s := range c.Seeds {
@@ -121,128 +127,46 @@ func (c Config) workers(n int) int {
 	return p
 }
 
-// RunStats is a seed-averaged run outcome.
-type RunStats struct {
-	Makespan float64
-	// Capped marks runs that hit the simulation horizon before the job
-	// finished (the paper's "could not complete" cases); Makespan is
-	// then the horizon.
-	Capped bool
-
-	AvgMapTime     float64
-	AvgShuffleTime float64
-	AvgReduceTime  float64
-	KilledMaps     float64
-	KilledReduces  float64
-	Duplicated     float64
-	Invalidations  float64
-
-	ReplicationBytes float64
-	Runs             int
-}
-
-// Variant is one configuration line in a figure (e.g. "Hadoop1Min" or
-// "HA-V1"). Build returns the stack options and workload for a given
-// cluster spec; the harness fills in churn rate and seed.
+// Variant is one configuration line of a sweep (e.g. "Hadoop1Min" or
+// "live-fair"): a label and the cell run at every (rate, seed).
 type Variant struct {
 	Label string
-	Build func(cs core.ClusterSpec) (core.Options, workload.Spec)
+	Cell  Cell
 }
 
-// runOne executes a single simulation.
-func runOne(opts core.Options, w workload.Spec) (core.Result, error) {
-	s, err := core.NewForWorkload(opts, w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return s.RunWorkload(w)
+// Cell is what a line runs for one churn realization: a SimCell or a
+// LiveCell. run executes it with the runner's collector (nil when metrics
+// are off) and returns the realization's stats and, when c.Progress is
+// set, the tail of its progress line. Cells share nothing, so the worker
+// pool may run any number at once.
+type Cell interface {
+	run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error)
 }
 
-// seedOutcome is one sweep cell's result: the run statistics plus the
-// run's metrics snapshot (zero when collection is off).
-type seedOutcome struct {
-	stats RunStats
+// outcome is one cell's result plus its metrics snapshot (zero when
+// collection is off).
+type outcome struct {
+	stats Stats
 	snap  metrics.Snapshot
 }
 
-// runSeed executes the simulation for one sweep cell, returning the cell's
-// stats and its formatted progress line ("" when Progress is nil). It is
-// safe to call from multiple goroutines: every simulation owns its clock,
-// rng, cluster, runtime and metrics collector, and shares nothing.
-func (c Config) runSeed(v Variant, rate float64, seed uint64) (seedOutcome, string, error) {
-	cs := core.ClusterSpec{UnavailabilityRate: rate, Seed: seed}
-	opts, w := v.Build(cs)
-	w = workload.Scale(w, c.Scale)
+// runCell executes one sweep cell: it makes the cell's collector, names
+// the cell in its error or its progress line ("" when Progress is nil),
+// and snapshots the collector once the cell has returned.
+func (c Config) runCell(v Variant, rate float64, seed uint64) (outcome, string, error) {
 	var col *metrics.Collector
 	if c.MetricsBucket > 0 {
 		col = metrics.New(c.MetricsBucket)
 		col.SetSink(c.MetricsSink)
-		opts.Metrics = col
 	}
-	res, err := runOne(opts, w)
+	st, line, err := v.Cell.run(c, rate, seed, col)
 	if err != nil {
-		return seedOutcome{}, "", fmt.Errorf("%s rate=%.1f seed=%d: %w", v.Label, rate, seed, err)
+		return outcome{}, "", fmt.Errorf("%s rate=%.1f seed=%d: %w", v.Label, rate, seed, err)
 	}
-	p := res.Profile
-	st := RunStats{
-		Makespan:         p.Makespan,
-		AvgMapTime:       p.AvgMapTime,
-		AvgShuffleTime:   p.AvgShuffleTime,
-		AvgReduceTime:    p.AvgReduceTime,
-		KilledMaps:       float64(p.KilledMaps),
-		KilledReduces:    float64(p.KilledReduces),
-		Duplicated:       float64(p.DuplicatedTasks),
-		Invalidations:    float64(p.MapInvalidations),
-		ReplicationBytes: res.DFS.ReplicationBytes,
-		Runs:             1,
-	}
-	if res.HitHorizon || p.State != mapred.JobSucceeded {
-		st.Capped = true
-	}
-	out := seedOutcome{stats: st, snap: col.Snapshot()}
-	progress := ""
 	if c.Progress != nil {
-		progress = fmt.Sprintf("%-14s rate=%.1f seed=%d makespan=%.0fs dup=%d killedM=%d capped=%v "+
-			"map=%.0fs shuffle=%.0fs reduce=%.0fs declines=%d raises=%d repGB=%.1f stalls=%d",
-			v.Label, rate, seed, p.Makespan, p.DuplicatedTasks, p.KilledMaps, res.HitHorizon,
-			p.AvgMapTime, p.AvgShuffleTime, p.AvgReduceTime,
-			res.DFS.DedicatedDeclines, res.DFS.AdaptiveRaises, res.DFS.ReplicationBytes/1e9,
-			res.DFS.ReadStalls)
+		line = fmt.Sprintf("%-14s rate=%.1f seed=%d %s", v.Label, rate, seed, line)
 	}
-	return out, progress, nil
-}
-
-// mergeSeeds folds per-seed runs into the averaged cell statistics. The
-// accumulation order is the seed order, so the floating-point result is
-// bit-identical to a serial sweep.
-func mergeSeeds(runs []RunStats) RunStats {
-	var st RunStats
-	for _, r := range runs {
-		st.Makespan += r.Makespan
-		st.AvgMapTime += r.AvgMapTime
-		st.AvgShuffleTime += r.AvgShuffleTime
-		st.AvgReduceTime += r.AvgReduceTime
-		st.KilledMaps += r.KilledMaps
-		st.KilledReduces += r.KilledReduces
-		st.Duplicated += r.Duplicated
-		st.Invalidations += r.Invalidations
-		st.ReplicationBytes += r.ReplicationBytes
-		if r.Capped {
-			st.Capped = true
-		}
-		st.Runs += r.Runs
-	}
-	n := float64(st.Runs)
-	st.Makespan /= n
-	st.AvgMapTime /= n
-	st.AvgShuffleTime /= n
-	st.AvgReduceTime /= n
-	st.KilledMaps /= n
-	st.KilledReduces /= n
-	st.Duplicated /= n
-	st.Invalidations /= n
-	st.ReplicationBytes /= n
-	return st
+	return outcome{stats: st, snap: col.Snapshot()}, line, nil
 }
 
 // orderedProgress re-serializes progress lines from concurrent workers into
@@ -279,66 +203,29 @@ func (p *orderedProgress) done(i int, line string) {
 	}
 }
 
-// Sweep is a complete figure's data: variant × rate → stats.
-type Sweep struct {
-	Title    string
-	Variants []string
-	Rates    []float64
-	Cells    map[string]map[float64]RunStats
-	// Metrics holds one seed-averaged metrics snapshot per cell when the
-	// sweep ran with Config.MetricsBucket > 0 (nil otherwise).
-	Metrics map[string]map[float64]metrics.Snapshot
-}
-
-// AppendMetrics adds the sweep's collected cell reports to an Export, one
-// Experiment entry per (variant, rate) in sweep order. A sweep run without
-// metrics contributes nothing.
-func (sw *Sweep) AppendMetrics(e *metrics.Export, runs int) {
-	appendCellMetrics(e, sw.Title, sw.Variants, sw.Rates, sw.Metrics, runs)
-}
-
-// appendCellMetrics is the shared AppendMetrics body of Sweep and
-// MultiSweep: one Experiment entry per (variant, rate) cell, in sweep
-// order; a nil metrics map contributes nothing.
-func appendCellMetrics(e *metrics.Export, title string, variants []string, rates []float64,
-	cells map[string]map[float64]metrics.Snapshot, runs int) {
-	if cells == nil {
-		return
-	}
-	for _, v := range variants {
-		for _, rate := range rates {
-			e.Add(title, v, rate, runs, cells[v][rate])
-		}
-	}
-}
-
-// assembleCells folds per-seed sweep outcomes into per-cell aggregates in
-// serial (variant, rate, seed) order — the deterministic assembly shared
-// by RunSweep and RunMultiSweep, so statistics and metrics merging cannot
-// drift between the two sweep kinds. split extracts one outcome's stats
-// and snapshot; merge folds the seeds of one cell. The metrics map is nil
-// unless the sweep collected metrics.
-func assembleCells[S, O any](c Config, labels []string, results []O,
-	split func(O) (S, metrics.Snapshot), merge func([]S) S,
-) (map[string]map[float64]S, map[string]map[float64]metrics.Snapshot) {
-	cells := make(map[string]map[float64]S)
+// assembleCells folds per-seed outcomes into per-cell aggregates in
+// serial (variant, rate, seed) order. The metrics map is nil unless the
+// sweep collected metrics.
+func assembleCells(c Config, labels []string, results []outcome,
+) (map[string]map[float64]Stats, map[string]map[float64]metrics.Snapshot) {
+	cells := make(map[string]map[float64]Stats)
 	var mcells map[string]map[float64]metrics.Snapshot
 	if c.MetricsBucket > 0 {
 		mcells = make(map[string]map[float64]metrics.Snapshot)
 	}
-	stats := make([]S, len(c.Seeds))
+	stats := make([]Stats, len(c.Seeds))
 	snaps := make([]metrics.Snapshot, len(c.Seeds))
 	k := 0
 	for _, label := range labels {
-		cells[label] = make(map[float64]S)
+		cells[label] = make(map[float64]Stats)
 		if mcells != nil {
 			mcells[label] = make(map[float64]metrics.Snapshot)
 		}
 		for _, rate := range c.Rates {
 			for i, out := range results[k : k+len(c.Seeds)] {
-				stats[i], snaps[i] = split(out)
+				stats[i], snaps[i] = out.stats, out.snap
 			}
-			cells[label][rate] = merge(stats)
+			cells[label][rate] = mergeSeeds(stats)
 			if mcells != nil {
 				mcells[label][rate] = metrics.Merge(snaps)
 			}
@@ -434,55 +321,29 @@ func (c Config) sweepCells(nVariants int) []sweepCell {
 // RunSweep evaluates every variant at every rate across every seed, running
 // the independent cells on a worker pool of Config.Parallelism goroutines.
 // Cell statistics, progress ordering and error selection are identical to a
-// serial sweep.
+// serial sweep. (A live cell executes in wall-clock time, so its numbers
+// are not reproducible; the structure of its sweep is.)
 func (c Config) RunSweep(title string, variants []Variant) (*Sweep, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	sw := &Sweep{Title: title, Rates: c.Rates, Cells: make(map[string]map[float64]RunStats)}
+	sw := &Sweep{Title: title, Rates: c.Rates, Cells: make(map[string]map[float64]Stats)}
 	for _, v := range variants {
 		sw.Variants = append(sw.Variants, v.Label)
-		sw.Cells[v.Label] = make(map[float64]RunStats)
+		sw.Cells[v.Label] = make(map[float64]Stats)
 	}
 	cells := c.sweepCells(len(variants))
 	if len(cells) == 0 {
 		return sw, nil
 	}
-
-	results, err := fanOut(c, len(cells), func(i int) (seedOutcome, string, error) {
+	results, err := fanOut(c, len(cells), func(i int) (outcome, string, error) {
 		cell := cells[i]
-		return c.runSeed(variants[cell.variant], cell.rate, cell.seed)
+		return c.runCell(variants[cell.variant], cell.rate, cell.seed)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Deterministic assembly: fold seeds per cell in serial order.
-	sw.Cells, sw.Metrics = assembleCells(c, sw.Variants, results,
-		func(o seedOutcome) (RunStats, metrics.Snapshot) { return o.stats, o.snap }, mergeSeeds)
+	sw.Cells, sw.Metrics = assembleCells(c, sw.Variants, results)
 	return sw, nil
-}
-
-// Get returns the stats for a variant/rate cell.
-func (sw *Sweep) Get(label string, rate float64) RunStats { return sw.Cells[label][rate] }
-
-// Best returns the variant with the lowest makespan at a rate, restricted
-// to labels with the given prefix (e.g. the paper's "best VO
-// configuration").
-func (sw *Sweep) Best(prefix string, rate float64) (string, RunStats) {
-	bestLabel, best := "", RunStats{Makespan: -1}
-	var labels []string
-	labels = append(labels, sw.Variants...)
-	sort.Strings(labels)
-	for _, l := range labels {
-		if len(l) < len(prefix) || l[:len(prefix)] != prefix {
-			continue
-		}
-		st := sw.Cells[l][rate]
-		if best.Makespan < 0 || st.Makespan < best.Makespan {
-			bestLabel, best = l, st
-		}
-	}
-	return bestLabel, best
 }

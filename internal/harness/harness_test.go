@@ -12,53 +12,11 @@ func tinyConfig() Config {
 	return Config{Seeds: []uint64{1}, Scale: 16, Rates: []float64{0.1, 0.5}}
 }
 
-func TestSchedulingVariantsComplete(t *testing.T) {
-	vs := SchedulingVariants("sort")
-	if len(vs) != 5 {
-		t.Fatalf("got %d scheduling variants", len(vs))
-	}
-	labels := map[string]bool{}
-	for _, v := range vs {
-		labels[v.Label] = true
-	}
-	for _, want := range []string{"Hadoop10Min", "Hadoop5Min", "Hadoop1Min", "MOON", "MOON-Hybrid"} {
-		if !labels[want] {
-			t.Fatalf("missing variant %s", want)
-		}
-	}
-}
-
-func TestReplicationVariantsComplete(t *testing.T) {
-	vs := ReplicationVariants("wordcount")
-	if len(vs) != 8 {
-		t.Fatalf("got %d replication variants, want 8 (VO-V1..5, HA-V1..3)", len(vs))
-	}
-}
-
-func TestOverallVariantsComplete(t *testing.T) {
-	vs := OverallVariants("sort", 3)
-	if len(vs) != 4 {
-		t.Fatalf("got %d overall variants", len(vs))
-	}
-	if vs[0].Label != "Hadoop-VO" {
-		t.Fatalf("first variant %s, want Hadoop-VO", vs[0].Label)
-	}
-}
-
-func TestUnknownAppPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown app did not panic")
-		}
-	}()
-	appSpec("nosuch")
-}
-
 func TestRunSweepAndRender(t *testing.T) {
 	cfg := tinyConfig()
 	var progress []string
 	cfg.Progress = func(s string) { progress = append(progress, s) }
-	sw, err := cfg.RunSweep("test sweep", SchedulingVariants("sort")[2:4]) // Hadoop1Min, MOON
+	sw, err := cfg.RunSweep("test sweep", schedLines()[:2]) // Hadoop1Min, MOON
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +29,7 @@ func TestRunSweepAndRender(t *testing.T) {
 	for _, v := range sw.Variants {
 		for _, r := range sw.Rates {
 			st := sw.Get(v, r)
-			if st.Runs != 1 || st.Makespan <= 0 {
+			if st.Runs != 1 || len(st.Jobs) != 1 || st.Jobs[0].Makespan <= 0 {
 				t.Fatalf("cell %s/%v = %+v", v, r, st)
 			}
 		}
@@ -97,10 +55,10 @@ func TestSweepBest(t *testing.T) {
 	sw := &Sweep{
 		Variants: []string{"VO-V1", "VO-V2", "HA-V1"},
 		Rates:    []float64{0.5},
-		Cells: map[string]map[float64]RunStats{
-			"VO-V1": {0.5: {Makespan: 300}},
-			"VO-V2": {0.5: {Makespan: 200}},
-			"HA-V1": {0.5: {Makespan: 100}},
+		Cells: map[string]map[float64]Stats{
+			"VO-V1": {0.5: {Jobs: []JobStats{{Makespan: 300}}}},
+			"VO-V2": {0.5: {Jobs: []JobStats{{Makespan: 200}}}},
+			"HA-V1": {0.5: {Jobs: []JobStats{{Makespan: 100}}}},
 		},
 	}
 	label, st := sw.Best("VO", 0.5)
@@ -117,23 +75,25 @@ func TestSweepBest(t *testing.T) {
 }
 
 func TestRenderTable2(t *testing.T) {
+	policies := []string{"VO-V1", "VO-V3", "VO-V5", "HA-V1"}
 	sw := &Sweep{
-		Variants: Table2Policies,
-		Rates:    []float64{0.5},
-		Cells:    map[string]map[float64]RunStats{},
+		Variants: policies[:3], // HA-V1 is named but was not run: a column of zeros
+		Rates:    []float64{0.1, 0.5},
+		Cells:    map[string]map[float64]Stats{},
 	}
-	for i, p := range Table2Policies {
-		sw.Cells[p] = map[float64]RunStats{0.5: {
+	for i, p := range sw.Variants {
+		sw.Cells[p] = map[float64]Stats{0.5: {Jobs: []JobStats{{
 			AvgMapTime: float64(20 + i), AvgShuffleTime: 100, AvgReduceTime: 50,
 			KilledMaps: float64(10 * i), KilledReduces: 1,
-		}}
+		}}}}
 	}
 	var buf bytes.Buffer
-	if err := RenderTable2(&buf, "sort", sw); err != nil {
+	if err := sw.RenderTable2(&buf, "sort", policies); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Avg Map Time", "Avg Shuffle Time", "Avg #Killed Maps", "VO-V1", "HA-V1"} {
+	for _, want := range []string{"Table II (sort)", "at 0.5 unavailability", "Avg Map Time", "Avg Shuffle Time",
+		"Avg #Killed Maps", "VO-V1", "HA-V1", "22.0", "0.0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table II missing %q:\n%s", want, out)
 		}
@@ -157,7 +117,7 @@ func TestCappedRendering(t *testing.T) {
 	sw := &Sweep{
 		Variants: []string{"X"},
 		Rates:    []float64{0.5},
-		Cells:    map[string]map[float64]RunStats{"X": {0.5: {Makespan: 28800, Capped: true}}},
+		Cells:    map[string]map[float64]Stats{"X": {0.5: {Jobs: []JobStats{{Makespan: 28800}}, Span: 28800, Capped: true}}},
 	}
 	var buf bytes.Buffer
 	if err := sw.RenderTimes(&buf); err != nil {
@@ -165,6 +125,13 @@ func TestCappedRendering(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), ">28800") {
 		t.Fatalf("capped cell not marked: %s", buf.String())
+	}
+	buf.Reset()
+	if err := sw.RenderStream(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), ">28800") {
+		t.Fatalf("capped stream cell not marked: %s", buf.String())
 	}
 }
 

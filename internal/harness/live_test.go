@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,11 +10,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestRunLiveSweepEndToEnd drives the live goroutine engine through the
-// shared sweep harness: (policy × rate × seed) cells on the fanOut pool,
-// trace-compressed churn per cell, per-job profiles aggregated into
-// LiveStats, and engine-layer metrics merged per cell.
-func TestRunLiveSweepEndToEnd(t *testing.T) {
+// TestLiveCellsEndToEnd drives the live goroutine engine through the
+// shared sweep runner: (policy × rate × seed) cells on the fanOut pool,
+// trace-compressed churn per cell, per-job profiles folded into the
+// cell's job rows, and engine-layer metrics merged per cell.
+func TestLiveCellsEndToEnd(t *testing.T) {
 	lc := DefaultLiveConfig()
 	lc.HorizonSeconds = 60
 	lc.Jobs = 3
@@ -25,7 +27,7 @@ func TestRunLiveSweepEndToEnd(t *testing.T) {
 	var lines []string
 	cfg.Progress = func(s string) { lines = append(lines, s) }
 
-	sw, err := cfg.RunLiveSweep("live smoke", lc, LiveVariants([]string{"fifo", "fair"}, nil, nil))
+	sw, err := cfg.RunSweep("live smoke", LiveVariants(lc, []string{"fifo", "fair"}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,19 +42,19 @@ func TestRunLiveSweepEndToEnd(t *testing.T) {
 		if st.Completed != float64(lc.Jobs) {
 			t.Fatalf("%s completed %v of %d jobs", v, st.Completed, lc.Jobs)
 		}
-		if len(st.JobMakespans) != lc.Jobs || len(st.JobQueueWaits) != lc.Jobs {
-			t.Fatalf("%s per-job profiles: %d makespans, %d waits", v, len(st.JobMakespans), len(st.JobQueueWaits))
+		if len(st.Jobs) != lc.Jobs {
+			t.Fatalf("%s has %d job rows, want %d", v, len(st.Jobs), lc.Jobs)
 		}
-		for i, mk := range st.JobMakespans {
-			if mk <= 0 {
-				t.Errorf("%s job %d makespan %v", v, i, mk)
+		for i, job := range st.Jobs {
+			if job.Makespan <= 0 {
+				t.Errorf("%s job %d makespan %v", v, i, job.Makespan)
 			}
-			if st.JobQueueWaits[i] < 0 || st.JobQueueWaits[i] > mk {
-				t.Errorf("%s job %d queue wait %v vs makespan %v", v, i, st.JobQueueWaits[i], mk)
+			if job.QueueWait < 0 || job.QueueWait > job.Makespan {
+				t.Errorf("%s job %d queue wait %v vs makespan %v", v, i, job.QueueWait, job.Makespan)
 			}
-		}
-		if st.MapAttempts < float64(lc.Jobs*lc.SplitsPerJob) {
-			t.Errorf("%s map attempts %v below input count", v, st.MapAttempts)
+			if job.MapAttempts < float64(lc.SplitsPerJob) {
+				t.Errorf("%s job %d map attempts %v below its input count", v, i, job.MapAttempts)
+			}
 		}
 
 		// Engine-layer metrics merged per cell: fleet counters, per-job
@@ -88,7 +90,7 @@ func TestRunLiveSweepEndToEnd(t *testing.T) {
 
 	// Render produces the matrix without error.
 	var sb strings.Builder
-	if err := sw.Render(&sb); err != nil {
+	if err := sw.RenderLive(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "live-fifo") || !strings.Contains(sb.String(), "per-job makespan") {
@@ -99,13 +101,24 @@ func TestRunLiveSweepEndToEnd(t *testing.T) {
 // TestLiveVariantsDefaultsAndSelectors: the default comparison is
 // fifo vs fair; weights and priorities attach only to their policies.
 func TestLiveVariantsDefaultsAndSelectors(t *testing.T) {
-	def := LiveVariants(nil, nil, nil)
+	lc := DefaultLiveConfig()
+	cells := func(vs []Variant) []LiveCell {
+		out := make([]LiveCell, len(vs))
+		for i, v := range vs {
+			out[i] = v.Cell.(LiveCell)
+			if out[i].Config != lc {
+				t.Fatalf("line %s lost the cell shape: %+v", v.Label, out[i].Config)
+			}
+		}
+		return out
+	}
+	def := cells(LiveVariants(lc, nil, nil, nil))
 	if len(def) != 2 || def[0].Policy != "fifo" || def[1].Policy != "fair" {
 		t.Fatalf("default variants %+v", def)
 	}
 	w := map[string]float64{"live-j0": 3}
 	p := map[string]int{"live-j1": 9}
-	vs := LiveVariants([]string{"weighted", "priority", "fifo"}, w, p)
+	vs := cells(LiveVariants(lc, []string{"weighted", "priority", "fifo"}, w, p))
 	if vs[0].Weights == nil || vs[0].Priorities != nil {
 		t.Fatalf("weighted variant %+v", vs[0])
 	}
@@ -118,15 +131,16 @@ func TestLiveVariantsDefaultsAndSelectors(t *testing.T) {
 
 	// Alias spellings canonicalize and still carry their selectors — a
 	// "strict-priority" line must not silently run with everyone at rank 0.
-	alias := LiveVariants([]string{"weighted-fair", "strict-priority"}, w, p)
+	aliasLines := LiveVariants(lc, []string{"weighted-fair", "strict-priority"}, w, p)
+	alias := cells(aliasLines)
 	if alias[0].Policy != "weighted" || alias[0].Weights == nil {
 		t.Fatalf("weighted alias dropped weights: %+v", alias[0])
 	}
 	if alias[1].Policy != "priority" || alias[1].Priorities == nil {
 		t.Fatalf("priority alias dropped priorities: %+v", alias[1])
 	}
-	if alias[1].Label != "live-priority" {
-		t.Fatalf("alias label %q", alias[1].Label)
+	if aliasLines[1].Label != "live-priority" {
+		t.Fatalf("alias label %q", aliasLines[1].Label)
 	}
 }
 
@@ -182,7 +196,7 @@ func TestLiveArrivalOffsets(t *testing.T) {
 	}
 }
 
-func TestLiveSweepWithArrivalOffsets(t *testing.T) {
+func TestLiveCellsWithArrivalOffsets(t *testing.T) {
 	lc := DefaultLiveConfig()
 	lc.HorizonSeconds = 60
 	lc.Jobs = 3
@@ -194,7 +208,7 @@ func TestLiveSweepWithArrivalOffsets(t *testing.T) {
 	lc.ArrivalInterval = 20 // 20 ms of wall clock at 1 ms compression
 
 	cfg := Config{Seeds: []uint64{1}, Rates: []float64{0.2}}
-	sw, err := cfg.RunLiveSweep("live arrivals", lc, LiveVariants([]string{"fifo"}, nil, nil))
+	sw, err := cfg.RunSweep("live arrivals", LiveVariants(lc, []string{"fifo"}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +219,42 @@ func TestLiveSweepWithArrivalOffsets(t *testing.T) {
 	// The span covers at least the last arrival offset: 40 ms.
 	if st.Span < 0.040 {
 		t.Fatalf("span %v shorter than the last arrival offset", st.Span)
+	}
+}
+
+// TestLiveJobIsTheParentsJob: job i of a live cell is byte for byte the job
+// harness.liveWordCountJob built before the constructor moved to
+// internal/engine: same name, same corpus, same counts.
+func TestLiveJobIsTheParentsJob(t *testing.T) {
+	vocab := []string{"moon", "map", "reduce", "volunteer", "hadoop", "churn", "node", "data",
+		"shuffle", "backup", "hybrid", "dedicated"}
+	lc := DefaultLiveConfig()
+	lc.SplitsPerJob, lc.WordsPerSplit, lc.ReducesPerJob = 5, 73, 2
+	for i := 0; i < 4; i++ {
+		job := lc.job(i)
+		if job.Name != fmt.Sprintf("live-j%d", i) || job.Reduces != 2 || len(job.Inputs) != 5 {
+			t.Fatalf("job %d: name %q, %d reduces, %d inputs", i, job.Name, job.Reduces, len(job.Inputs))
+		}
+		for s, input := range job.Inputs {
+			var b strings.Builder
+			for w := 0; w < lc.WordsPerSplit; w++ {
+				b.WriteString(vocab[(i*17+s*31+w*7)%len(vocab)])
+				b.WriteByte(' ')
+			}
+			if input != b.String() {
+				t.Fatalf("job %d split %d:\n%q\nparent built:\n%q", i, s, input, b.String())
+			}
+			var got, want []string
+			job.Map(input, func(k, v string) { got = append(got, k+"="+v) })
+			for _, w := range strings.Fields(input) {
+				want = append(want, w+"=1")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("job %d split %d: map emitted %v, want %v", i, s, got, want)
+			}
+		}
+		if got := job.Reduce("moon", make([]string, 12)); got != "12" {
+			t.Fatalf("reduce of 12 values = %q", got)
+		}
 	}
 }

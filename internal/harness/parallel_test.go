@@ -3,19 +3,19 @@ package harness
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
 // TestParallelSweepMatchesSerial is the determinism guard for the worker
-// pool: a multi-seed Fig4-style sweep must produce identical RunStats,
+// pool: a multi-seed Fig4-style sweep must produce identical Stats,
 // identical rendered tables, and identically ordered progress lines at
 // Parallelism 1 and 8.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	base := Config{Seeds: []uint64{1, 2, 3}, Scale: 16, Rates: []float64{0.1, 0.5}}
-	variants := SchedulingVariants("sort")[2:4] // Hadoop1Min, MOON
+	variants := schedLines()[:2] // Hadoop1Min, MOON
 
 	run := func(parallelism int) (*Sweep, []string) {
 		cfg := base
@@ -35,7 +35,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	for _, v := range serial.Variants {
 		for _, r := range serial.Rates {
 			a, b := serial.Get(v, r), parallel.Get(v, r)
-			if a != b {
+			if !reflect.DeepEqual(a, b) {
 				t.Errorf("cell %s/%v differs:\nserial:   %+v\nparallel: %+v", v, r, a, b)
 			}
 		}
@@ -66,7 +66,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // across repeated (and concurrent) sweeps.
 func TestSeedRepeatability(t *testing.T) {
 	cfg := Config{Seeds: []uint64{7}, Scale: 16, Rates: []float64{0.3}, Parallelism: 4}
-	variants := SchedulingVariants("sort")[3:4] // MOON
+	variants := schedLines()[1:2] // MOON
 
 	first, err := cfg.RunSweep("repeat-a", variants)
 	if err != nil {
@@ -76,8 +76,8 @@ func TestSeedRepeatability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := first.Get("MOON", 0.3).Makespan
-	b := second.Get("MOON", 0.3).Makespan
+	a := first.Get("MOON", 0.3).Jobs[0].Makespan
+	b := second.Get("MOON", 0.3).Jobs[0].Makespan
 	if math.Float64bits(a) != math.Float64bits(b) {
 		t.Fatalf("same seed produced different makespans: %v vs %v", a, b)
 	}
@@ -103,15 +103,11 @@ func TestEmptySweep(t *testing.T) {
 // serial order, independent of worker scheduling.
 func TestSweepErrorSelection(t *testing.T) {
 	bad := func(label string) Variant {
-		v := SchedulingVariants("sort")[3]
-		v.Label = label
-		build := v.Build
-		v.Build = func(cs core.ClusterSpec) (core.Options, workload.Spec) {
-			opts, w := build(cs)
-			w.Job.MapCPU = -1 // fails job validation inside the run
-			return opts, w
-		}
-		return v
+		cell := schedLines()[1].Cell.(SimCell)
+		w := sleepSort()
+		w.Job.MapCPU = -1 // fails job validation inside the run
+		cell.Workload = workload.Single(w)
+		return Variant{Label: label, Cell: cell}
 	}
 	cfg := Config{Seeds: []uint64{1, 2}, Scale: 16, Rates: []float64{0.1}, Parallelism: 8}
 	_, err := cfg.RunSweep("errors", []Variant{bad("BAD-A"), bad("BAD-B")})

@@ -33,29 +33,38 @@ func TestSingleJobRunStatsUnchanged(t *testing.T) {
 	}
 
 	cfg := Config{Seeds: []uint64{1, 2, 3}, Scale: 16, Rates: []float64{0.1, 0.5}}
-	sw, err := cfg.RunSweep("golden", SchedulingVariants("sort")[2:5])
+	sw, err := cfg.RunSweep("golden", schedLines())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range golden {
 		st := sw.Get(g.variant, g.rate)
-		if got := math.Float64bits(st.Makespan); got != g.makespan {
+		if len(st.Jobs) != 1 {
+			t.Fatalf("%s/%v has %d job rows, want 1", g.variant, g.rate, len(st.Jobs))
+		}
+		job := st.Jobs[0]
+		if got := math.Float64bits(job.Makespan); got != g.makespan {
 			t.Errorf("%s/%v makespan %v (bits %#x), want bits %#x",
-				g.variant, g.rate, st.Makespan, got, g.makespan)
+				g.variant, g.rate, job.Makespan, got, g.makespan)
 		}
-		if got := math.Float64bits(st.AvgMapTime); got != g.avgMapTime {
+		if got := math.Float64bits(job.AvgMapTime); got != g.avgMapTime {
 			t.Errorf("%s/%v avg map time %v (bits %#x), want bits %#x",
-				g.variant, g.rate, st.AvgMapTime, got, g.avgMapTime)
+				g.variant, g.rate, job.AvgMapTime, got, g.avgMapTime)
 		}
-		if got := math.Float64bits(st.Duplicated); got != g.duplicated {
+		if got := math.Float64bits(job.Duplicated); got != g.duplicated {
 			t.Errorf("%s/%v duplicated %v (bits %#x), want bits %#x",
-				g.variant, g.rate, st.Duplicated, got, g.duplicated)
+				g.variant, g.rate, job.Duplicated, got, g.duplicated)
 		}
-		if st.KilledMaps != g.killedMaps {
-			t.Errorf("%s/%v killed maps %v, want %v", g.variant, g.rate, st.KilledMaps, g.killedMaps)
+		if job.KilledMaps != g.killedMaps {
+			t.Errorf("%s/%v killed maps %v, want %v", g.variant, g.rate, job.KilledMaps, g.killedMaps)
 		}
 		if st.Capped != g.capped {
 			t.Errorf("%s/%v capped %v, want %v", g.variant, g.rate, st.Capped, g.capped)
+		}
+		// A single job is a stream of one: the run-level numbers are its own.
+		if st.Span != job.Makespan || st.Completed != 1 {
+			t.Errorf("%s/%v span %v completed %v for a one-job makespan %v",
+				g.variant, g.rate, st.Span, st.Completed, job.Makespan)
 		}
 	}
 }
@@ -84,7 +93,7 @@ func TestMultiJobPolicySweepUnchanged(t *testing.T) {
 	}
 
 	cfg := Config{Seeds: []uint64{1, 2}, Scale: 8, Rates: []float64{0.3}}
-	sw, err := cfg.RunMultiSweep("golden-multi", MultiVariants("sort", 4, 0,
+	sw, err := cfg.RunSweep("golden-multi", streamLines(4, 0,
 		mapred.FIFO(), mapred.FairShare(), mapred.WeightedFair(map[string]float64{"sleep-sort-j0": 4})))
 	if err != nil {
 		t.Fatal(err)
@@ -97,12 +106,12 @@ func TestMultiJobPolicySweepUnchanged(t *testing.T) {
 		if got := math.Float64bits(st.Throughput); got != g.throughput {
 			t.Errorf("%s/%v throughput %v (bits %#x), want bits %#x", g.variant, g.rate, st.Throughput, got, g.throughput)
 		}
-		if len(st.JobMakespans) != len(g.makespans) {
-			t.Fatalf("%s/%v has %d job makespans, want %d", g.variant, g.rate, len(st.JobMakespans), len(g.makespans))
+		if len(st.Jobs) != len(g.makespans) {
+			t.Fatalf("%s/%v has %d job rows, want %d", g.variant, g.rate, len(st.Jobs), len(g.makespans))
 		}
-		for i, mk := range st.JobMakespans {
-			if got := math.Float64bits(mk); got != g.makespans[i] {
-				t.Errorf("%s/%v job %d makespan %v (bits %#x), want bits %#x", g.variant, g.rate, i, mk, got, g.makespans[i])
+		for i, job := range st.Jobs {
+			if got := math.Float64bits(job.Makespan); got != g.makespans[i] {
+				t.Errorf("%s/%v job %d makespan %v (bits %#x), want bits %#x", g.variant, g.rate, i, job.Makespan, got, g.makespans[i])
 			}
 		}
 		if st.Capped != g.capped {
@@ -111,9 +120,9 @@ func TestMultiJobPolicySweepUnchanged(t *testing.T) {
 	}
 }
 
-// sameBits compares two RunStats field-by-field at the bit level: metrics
+// sameBits compares two cells number by number at the bit level: metrics
 // collection must not shift a single ulp anywhere.
-func sameBits(t *testing.T, label string, a, b RunStats) {
+func sameBits(t *testing.T, label string, a, b Stats) {
 	t.Helper()
 	cmp := func(name string, x, y float64) {
 		if math.Float64bits(x) != math.Float64bits(y) {
@@ -121,14 +130,19 @@ func sameBits(t *testing.T, label string, a, b RunStats) {
 				label, name, x, math.Float64bits(x), y, math.Float64bits(y))
 		}
 	}
-	cmp("makespan", a.Makespan, b.Makespan)
-	cmp("avgMapTime", a.AvgMapTime, b.AvgMapTime)
-	cmp("avgShuffleTime", a.AvgShuffleTime, b.AvgShuffleTime)
-	cmp("avgReduceTime", a.AvgReduceTime, b.AvgReduceTime)
-	cmp("killedMaps", a.KilledMaps, b.KilledMaps)
-	cmp("killedReduces", a.KilledReduces, b.KilledReduces)
-	cmp("duplicated", a.Duplicated, b.Duplicated)
-	cmp("invalidations", a.Invalidations, b.Invalidations)
+	if len(a.Jobs) != 1 || len(b.Jobs) != 1 {
+		t.Fatalf("%s: %d and %d job rows, want 1 each", label, len(a.Jobs), len(b.Jobs))
+	}
+	names := []string{"makespan", "queueWait", "avgMapTime", "avgShuffleTime", "avgReduceTime",
+		"killedMaps", "killedReduces", "duplicated", "invalidations",
+		"mapAttempts", "reduceAttempts", "backupCopies", "mapReexecs", "fetchFailures"}
+	bf := b.Jobs[0].fields()
+	for i, f := range a.Jobs[0].fields() {
+		cmp(names[i], *f, *bf[i])
+	}
+	cmp("span", a.Span, b.Span)
+	cmp("throughput", a.Throughput, b.Throughput)
+	cmp("completed", a.Completed, b.Completed)
 	cmp("replicationBytes", a.ReplicationBytes, b.ReplicationBytes)
 	if a.Capped != b.Capped || a.Runs != b.Runs {
 		t.Errorf("%s: capped/runs differ with metrics on: %v/%d vs %v/%d",
@@ -138,13 +152,13 @@ func sameBits(t *testing.T, label string, a, b RunStats) {
 
 // TestMetricsCollectionDoesNotPerturbRuns pins the tentpole invariant of
 // the metrics subsystem: attaching a collector to every run of a sweep must
-// leave every cell's RunStats byte-identical to the uninstrumented sweep —
+// leave every cell's Stats byte-identical to the uninstrumented sweep —
 // collection is observation, never interference. It also asserts the
 // collected reports actually carry non-zero series from the sim, cluster,
 // dfs and mapred layers, so the invariant is not vacuously met by an idle
 // collector.
 func TestMetricsCollectionDoesNotPerturbRuns(t *testing.T) {
-	variants := SchedulingVariants("sort")[3:5] // MOON, MOON-Hybrid
+	variants := schedLines()[1:] // MOON, MOON-Hybrid
 	cfg := Config{Seeds: []uint64{1, 2}, Scale: 16, Rates: []float64{0.5}}
 	plain, err := cfg.RunSweep("plain", variants)
 	if err != nil {

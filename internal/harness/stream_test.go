@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/mapred"
 )
 
 // multiTestConfig keeps the multi-job sweep fast: heavily scaled jobs, two
@@ -13,11 +15,11 @@ func multiTestConfig() Config {
 	return Config{Seeds: []uint64{1, 2}, Scale: 16, Rates: []float64{0.1, 0.5}}
 }
 
-// TestMultiSweepCompletes: the canonical multi-job experiment completes
-// all jobs under both policies and reports coherent per-job makespans.
-func TestMultiSweepCompletes(t *testing.T) {
+// TestStreamSweepCompletes: a stream sweep completes all jobs under both
+// policies and reports one coherent row per job.
+func TestStreamSweepCompletes(t *testing.T) {
 	cfg := multiTestConfig()
-	sw, err := cfg.Multi("sort", 3, 60)
+	sw, err := cfg.RunSweep("streams", streamLines(3, 60, mapred.FIFO(), mapred.FairShare()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +35,12 @@ func TestMultiSweepCompletes(t *testing.T) {
 			if st.Completed != 3 {
 				t.Errorf("%s/%v completed %v, want 3", v, rate, st.Completed)
 			}
-			if len(st.JobMakespans) != 3 {
-				t.Fatalf("%s/%v job makespans %v", v, rate, st.JobMakespans)
+			if len(st.Jobs) != 3 {
+				t.Fatalf("%s/%v job rows %+v", v, rate, st.Jobs)
 			}
-			for i, mk := range st.JobMakespans {
-				if mk <= 0 {
-					t.Errorf("%s/%v job %d makespan %v", v, rate, i, mk)
+			for i, job := range st.Jobs {
+				if job.Makespan <= 0 {
+					t.Errorf("%s/%v job %d makespan %v", v, rate, i, job.Makespan)
 				}
 			}
 			if st.Span <= 0 || st.Throughput <= 0 {
@@ -48,20 +50,20 @@ func TestMultiSweepCompletes(t *testing.T) {
 	}
 }
 
-// TestParallelMultiSweepMatchesSerial is the determinism guard for the
-// multi-job experiment on the shared worker pool: identical cells,
+// TestParallelStreamSweepMatchesSerial is the determinism guard for stream
+// cells on the worker pool: identical cells,
 // identical rendered tables, identically ordered progress lines at
 // Parallelism 1 and 8.
-func TestParallelMultiSweepMatchesSerial(t *testing.T) {
+func TestParallelStreamSweepMatchesSerial(t *testing.T) {
 	base := multiTestConfig()
-	variants := MultiVariants("sort", 3, 60)
+	variants := streamLines(3, 60, mapred.FIFO(), mapred.FairShare())
 
-	run := func(parallelism int) (*MultiSweep, []string) {
+	run := func(parallelism int) (*Sweep, []string) {
 		cfg := base
 		cfg.Parallelism = parallelism
 		var progress []string
 		cfg.Progress = func(s string) { progress = append(progress, s) }
-		sw, err := cfg.RunMultiSweep("determinism", variants)
+		sw, err := cfg.RunSweep("determinism", variants)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -81,10 +83,10 @@ func TestParallelMultiSweepMatchesSerial(t *testing.T) {
 	}
 
 	var bufA, bufB bytes.Buffer
-	if err := serial.Render(&bufA); err != nil {
+	if err := serial.RenderStream(&bufA); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.Render(&bufB); err != nil {
+	if err := parallel.RenderStream(&bufB); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
@@ -94,31 +96,13 @@ func TestParallelMultiSweepMatchesSerial(t *testing.T) {
 	if len(serialLines) != len(parallelLines) {
 		t.Fatalf("progress line count: serial %d, parallel %d", len(serialLines), len(parallelLines))
 	}
+	// A stream line reports the stream, not job 0's profile.
+	if !strings.Contains(serialLines[0], "span=") || !strings.Contains(serialLines[0], "done=3/3") {
+		t.Errorf("stream progress line %q", serialLines[0])
+	}
 	for i := range serialLines {
 		if serialLines[i] != parallelLines[i] {
 			t.Errorf("progress line %d differs:\nserial:   %s\nparallel: %s", i, serialLines[i], parallelLines[i])
 		}
-	}
-}
-
-// TestFIFOFavorsEarlyJobsFairShareBalances: in the same staggered stream,
-// FIFO gives the first job at least as good a makespan as fair-share does
-// (it never shares slots away from the head of the queue). A cheap sanity
-// check that the policy knob actually reaches the scheduler through every
-// layer of the harness.
-func TestFIFOFavorsEarlyJobsFairShareBalances(t *testing.T) {
-	cfg := Config{Seeds: []uint64{1}, Scale: 16, Rates: []float64{0.3}}
-	sw, err := cfg.Multi("sort", 3, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fifo := sw.Get("MOON-fifo", 0.3)
-	fair := sw.Get("MOON-fair", 0.3)
-	if fifo.JobMakespans[0] > fair.JobMakespans[0]+1e-9 {
-		t.Errorf("FIFO first-job makespan %v worse than fair-share %v",
-			fifo.JobMakespans[0], fair.JobMakespans[0])
-	}
-	if math.IsNaN(fair.Throughput) || fair.Throughput <= 0 {
-		t.Errorf("fair throughput %v", fair.Throughput)
 	}
 }

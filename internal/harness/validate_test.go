@@ -21,6 +21,7 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"nan rate", func(c *Config) { c.Rates = []float64{math.NaN()} }, "rate"},
 		{"negative rate", func(c *Config) { c.Rates = []float64{-0.1} }, "rate"},
 		{"rate at one", func(c *Config) { c.Rates = []float64{1} }, "rate"},
+		{"duplicate rate", func(c *Config) { c.Rates = []float64{0.5, 0.1, 0.5} }, "duplicate unavailability rate 0.5"},
 		{"zero seed", func(c *Config) { c.Seeds = []uint64{0} }, "seed 0"},
 		{"duplicate seed", func(c *Config) { c.Seeds = []uint64{3, 3} }, "duplicate seed"},
 		{"negative scale", func(c *Config) { c.Scale = -2 }, "scale"},
@@ -45,15 +46,17 @@ func TestConfigValidateRejections(t *testing.T) {
 	}
 }
 
-// TestRunSweepEnforcesValidate pins that both sweep entry points actually
-// call Validate (after defaulting, so the zero Config still runs).
+// TestRunSweepEnforcesValidate pins that the sweep entry point actually
+// calls Validate (after defaulting, so the zero Config still runs). A
+// repeated rate used to run, print and report every cell of it twice.
 func TestRunSweepEnforcesValidate(t *testing.T) {
 	bad := Config{Seeds: []uint64{7, 7}, Rates: []float64{0.1}}
-	if _, err := bad.RunSweep("bad", SchedulingVariants("sort")[:1]); err == nil {
+	if _, err := bad.RunSweep("bad", schedLines()[:1]); err == nil {
 		t.Error("RunSweep accepted duplicate seeds")
 	}
-	if _, err := bad.RunMultiSweep("bad", MultiVariants("sort", 2, 60)); err == nil {
-		t.Error("RunMultiSweep accepted duplicate seeds")
+	bad = Config{Scale: 16, Rates: []float64{0.5, 0.5}}
+	if _, err := bad.RunSweep("bad", schedLines()[:1]); err == nil {
+		t.Error("RunSweep accepted a repeated rate")
 	}
 	bad = Config{Scale: -1}
 	if _, err := bad.RunSweep("bad", nil); err == nil {

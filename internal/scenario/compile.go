@@ -24,6 +24,7 @@ const (
 	RenderDuplicates
 	RenderTable2
 	RenderMulti
+	RenderLive
 )
 
 // Render is one table to print from a run's sweep; Blank appends an empty
@@ -33,17 +34,9 @@ type Render struct {
 	Blank bool
 }
 
-// LivePlan is one compiled live-engine sweep: the engine/churn shape plus
-// the policy variant lines. Executing it runs real Map/Reduce code.
-type LivePlan struct {
-	Config   harness.LiveConfig
-	Variants []harness.LiveVariant
-}
-
-// PlanRun is one compiled experiment: the Figure 1 trace table, a
-// single-job sweep (Variants), a multi-job sweep (Multi) or a live-engine
-// sweep (Live), plus the tables to render from it (live sweeps render
-// their own matrix).
+// PlanRun is one compiled experiment: the Figure 1 trace table, or a sweep
+// of variant lines (simulated or live cells) plus the tables to render
+// from it.
 type PlanRun struct {
 	// Fig1 runs the availability-trace figure instead of a sweep.
 	Fig1 bool
@@ -52,8 +45,6 @@ type PlanRun struct {
 	// App labels Table II renders.
 	App      string
 	Variants []harness.Variant
-	Multi    []harness.MultiVariant
-	Live     *LivePlan
 	Renders  []Render
 }
 
@@ -74,12 +65,16 @@ func Compile(s *Spec) (*Plan, error) {
 	d := s.withDefaults()
 	p := &Plan{Config: s.harnessConfig()}
 	for i := range d.Experiments {
+		e := &d.Experiments[i]
 		var run PlanRun
 		var err error
-		if d.Execution == "live" {
-			run, err = compileLive(&d.Experiments[i], d.Live)
-		} else {
-			run, err = compileExperiment(&d.Experiments[i], &d)
+		switch {
+		case d.Execution == "live":
+			run = compileLive(e, d.Live)
+		case e.Figure == "fig1":
+			run = PlanRun{Fig1: true}
+		default:
+			run, err = compileSweep(e.lower(), e.Renders)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %q experiment %d: %w", d.Name, i, err)
@@ -91,7 +86,7 @@ func Compile(s *Spec) (*Plan, error) {
 
 // liveConfig lowers the LiveSpec to the harness.LiveConfig every cell of
 // a live sweep runs (zero fields keep the harness defaults); compileLive
-// fills in the job count. Validation reuses this lowering, so a spec that
+// fills in the job count and the arrival process. Validation reuses this lowering, so a spec that
 // validates is exactly a spec whose lowered engine configuration does.
 func (l *LiveSpec) liveConfig() harness.LiveConfig {
 	lc := harness.DefaultLiveConfig()
@@ -159,8 +154,8 @@ func millis(ms float64) time.Duration {
 
 // compileLive lowers one live multi-job experiment: the LiveSpec becomes a
 // harness.LiveConfig (zero fields keep the harness defaults) and the
-// policy list becomes live variant lines.
-func compileLive(e *Experiment, l *LiveSpec) (PlanRun, error) {
+// policy list becomes live variant lines, which render their own matrix.
+func compileLive(e *Experiment, l *LiveSpec) PlanRun {
 	m := e.Multi
 	lc := l.liveConfig()
 	lc.Jobs = m.Jobs
@@ -179,9 +174,10 @@ func compileLive(e *Experiment, l *LiveSpec) (PlanRun, error) {
 	return PlanRun{
 		Title: fmt.Sprintf("Live engine: %d concurrent word-count jobs, %dv+%dd workers",
 			lc.Jobs, lc.VolatileWorkers, lc.DedicatedWorkers),
-		App:  "wordcount",
-		Live: &LivePlan{Config: lc, Variants: harness.LiveVariants(m.Policies, m.Weights, m.Priorities)},
-	}, nil
+		App:      "wordcount",
+		Variants: harness.LiveVariants(lc, m.Policies, m.Weights, m.Priorities),
+		Renders:  []Render{{Kind: RenderLive, Blank: true}},
+	}
 }
 
 // Execute runs every compiled run in order, appending each sweep's
@@ -193,60 +189,32 @@ func (p *Plan) Execute(stdout io.Writer, report *metrics.Export) error {
 		cfg.MetricsBucket = 0
 	}
 	for _, run := range p.Runs {
-		switch {
-		case run.Live != nil:
-			sw, err := cfg.RunLiveSweep(run.Title, run.Live.Config, run.Live.Variants)
-			if err != nil {
-				return err
-			}
-			if report != nil {
-				sw.AppendMetrics(report, len(cfg.Seeds))
-			}
-			if err := sw.Render(stdout); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintln(stdout); err != nil {
-				return err
-			}
-		case run.Fig1:
+		if run.Fig1 {
 			if err := harness.Fig1(stdout, cfg.Seeds[0]); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintln(stdout); err != nil {
 				return err
 			}
-		case run.Multi != nil:
-			sw, err := cfg.RunMultiSweep(run.Title, run.Multi)
-			if err != nil {
+			continue
+		}
+		sw, err := cfg.RunSweep(run.Title, run.Variants)
+		if err != nil {
+			return err
+		}
+		if report != nil {
+			sw.AppendMetrics(report, len(cfg.Seeds))
+		}
+		for _, r := range run.Renders {
+			if err := render(stdout, sw, run.App, r); err != nil {
 				return err
-			}
-			if report != nil {
-				sw.AppendMetrics(report, len(cfg.Seeds))
-			}
-			for _, r := range run.Renders {
-				if err := renderMulti(stdout, sw, r); err != nil {
-					return err
-				}
-			}
-		default:
-			sw, err := cfg.RunSweep(run.Title, run.Variants)
-			if err != nil {
-				return err
-			}
-			if report != nil {
-				sw.AppendMetrics(report, len(cfg.Seeds))
-			}
-			for _, r := range run.Renders {
-				if err := renderSingle(stdout, sw, run.App, r); err != nil {
-					return err
-				}
 			}
 		}
 	}
 	return nil
 }
 
-func renderSingle(w io.Writer, sw *harness.Sweep, app string, r Render) error {
+func render(w io.Writer, sw *harness.Sweep, app string, r Render) error {
 	var err error
 	switch r.Kind {
 	case RenderTimes:
@@ -254,97 +222,16 @@ func renderSingle(w io.Writer, sw *harness.Sweep, app string, r Render) error {
 	case RenderDuplicates:
 		err = sw.RenderDuplicates(w)
 	case RenderTable2:
-		err = harness.RenderTable2(w, app, sw)
-	default:
-		err = fmt.Errorf("scenario: render kind %d does not apply to a single-job sweep", r.Kind)
+		err = sw.RenderTable2(w, app, table2Policies)
+	case RenderMulti:
+		err = sw.RenderStream(w)
+	case RenderLive:
+		err = sw.RenderLive(w)
 	}
 	if err == nil && r.Blank {
 		_, err = fmt.Fprintln(w)
 	}
 	return err
-}
-
-func renderMulti(w io.Writer, sw *harness.MultiSweep, r Render) error {
-	if r.Kind != RenderMulti {
-		return fmt.Errorf("scenario: render kind %d does not apply to a multi-job sweep", r.Kind)
-	}
-	if err := sw.Render(w); err != nil {
-		return err
-	}
-	if r.Blank {
-		_, err := fmt.Fprintln(w)
-		return err
-	}
-	return nil
-}
-
-func compileExperiment(e *Experiment, s *Spec) (PlanRun, error) {
-	switch {
-	case e.Figure == "fig1":
-		return PlanRun{Fig1: true}, nil
-	case e.Figure != "":
-		return compileFigure(e)
-	case e.Ablation != "":
-		vs, err := harness.AblationVariants(e.Ablation, e.App)
-		if err != nil {
-			return PlanRun{}, err
-		}
-		renders := e.Renders
-		if len(renders) == 0 {
-			renders = []string{"times"}
-			if e.Ablation == "homestretch" || e.Ablation == "speccap" {
-				renders = append(renders, "duplicates")
-			}
-		}
-		return PlanRun{
-			Title:    harness.AblationTitle(e.Ablation, e.App),
-			App:      e.App,
-			Variants: vs,
-			// The ablation tables group as one block: blank after the
-			// last render only (the historical CLI layout).
-			Renders: lowerRenders(renders, false),
-		}, nil
-	case e.Correlated:
-		return PlanRun{
-			Title:    harness.CorrelatedTitle(e.App),
-			App:      e.App,
-			Variants: harness.CorrelatedVariants(e.App),
-			Renders:  lowerRenders(defaultRenders(e.Renders, "times"), true),
-		}, nil
-	case e.Multi != nil:
-		return compileMulti(e)
-	default:
-		return compileCustom(e, s)
-	}
-}
-
-func compileFigure(e *Experiment) (PlanRun, error) {
-	run := PlanRun{App: e.App}
-	var def string
-	switch e.Figure {
-	case "fig4":
-		run.Title, run.Variants, def = harness.Fig4Title(e.App), harness.SchedulingVariants(e.App), "times"
-	case "fig5":
-		run.Title, run.Variants, def = harness.Fig4Title(e.App), harness.SchedulingVariants(e.App), "duplicates"
-	case "fig6":
-		run.Title, run.Variants, def = harness.Fig6Title(e.App), harness.ReplicationVariants(e.App), "times"
-	case "table2":
-		run.Title, run.Variants, def = harness.Fig6Title(e.App), harness.ReplicationVariants(e.App), "table2"
-	case "fig7":
-		run.Title, run.Variants, def = harness.Fig7Title(e.App), harness.OverallVariants(e.App, 3), "times"
-	default:
-		return PlanRun{}, fmt.Errorf("unknown figure %q", e.Figure)
-	}
-	run.Renders = lowerRenders(defaultRenders(e.Renders, def), true)
-	return run, nil
-}
-
-// defaultRenders substitutes the kind's default when the spec names none.
-func defaultRenders(renders []string, def ...string) []string {
-	if len(renders) > 0 {
-		return renders
-	}
-	return def
 }
 
 // lowerRenders resolves render names; blankEach controls whether every
@@ -362,46 +249,13 @@ func lowerRenders(names []string, blankEach bool) []Render {
 	return out
 }
 
-func compileMulti(e *Experiment) (PlanRun, error) {
-	m := e.Multi
-	arr := harness.ArrivalSpec{
-		Process:    m.Arrivals,
-		Interval:   m.IntervalSeconds,
-		Seed:       m.ArrivalSeed,
-		Priorities: m.Priorities,
+// canonicalPolicy returns the canonical spelling of a policy name that
+// Validate has resolved.
+func canonicalPolicy(name string) string {
+	if pol, err := mapred.JobPolicyByName(name); err == nil {
+		return pol.Name()
 	}
-	if arr.Process == "" {
-		arr.Process = "staggered"
-	}
-	if m.LambdaPerHour > 0 {
-		arr.Interval = 3600 / m.LambdaPerHour
-	}
-	policies, err := resolvePolicies(m.Policies, m.Weights)
-	if err != nil {
-		return PlanRun{}, err
-	}
-	return PlanRun{
-		Title: fmt.Sprintf("Multi-job (%s): %d jobs, %s arrivals every ~%.0fs",
-			e.App, m.Jobs, arr.Process, arr.Interval),
-		App:     e.App,
-		Multi:   harness.MultiArrivalVariants(e.App, m.Jobs, arr, policies...),
-		Renders: lowerRenders(defaultRenders(e.Renders, "multi"), true),
-	}, nil
-}
-
-// resolvePolicies lowers policy names; an empty list keeps
-// MultiArrivalVariants' default comparison (FIFO vs fair-share). Weights
-// only shape the weighted policy.
-func resolvePolicies(names []string, weights map[string]float64) ([]mapred.SchedPolicy, error) {
-	var out []mapred.SchedPolicy
-	for _, n := range names {
-		pol, err := resolvePolicy(n, weights)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pol)
-	}
-	return out, nil
+	return name
 }
 
 func resolvePolicy(name string, weights map[string]float64) (mapred.SchedPolicy, error) {
@@ -419,67 +273,66 @@ func resolvePolicy(name string, weights map[string]float64) (mapred.SchedPolicy,
 	return pol, nil
 }
 
-func compileCustom(e *Experiment, s *Spec) (PlanRun, error) {
-	c := e.Custom
-	run := PlanRun{Title: c.Title, App: c.Workload.App}
-	multi := c.Workload.Jobs > 1
-	def := "times"
-	if multi {
-		def = "multi"
+// compileSweep compiles a lowered experiment: one simulated line per
+// variant, each with its own cluster, workload and stack deltas.
+func compileSweep(l lowered, renders []string) (PlanRun, error) {
+	c := l.custom
+	if len(renders) == 0 {
+		renders = l.renders // the kind's default when the spec names none
 	}
-	run.Renders = lowerRenders(defaultRenders(e.Renders, def), true)
-
+	run := PlanRun{Title: c.Title, App: l.app, Renders: lowerRenders(renders, !l.block)}
 	for i := range c.Variants {
 		v := &c.Variants[i]
-		cl := v.Cluster
-		if cl == nil {
-			cl = c.Cluster
+		cl, ws := c.Cluster, &c.Workload
+		if v.Cluster != nil {
+			cl = v.Cluster
 		}
-		w, err := buildWorkload(&c.Workload, v, cl)
+		if v.workload != nil {
+			ws = v.workload
+		}
+		cell, err := buildCell(v, cl, ws)
 		if err != nil {
 			return PlanRun{}, fmt.Errorf("variant %q: %w", v.Label, err)
 		}
-		if multi {
-			mv, err := buildMultiVariant(v, cl, &c.Workload, w)
-			if err != nil {
-				return PlanRun{}, fmt.Errorf("variant %q: %w", v.Label, err)
-			}
-			run.Multi = append(run.Multi, mv)
-		} else {
-			run.Variants = append(run.Variants, buildSingleVariant(v, cl, w))
-		}
+		run.Variants = append(run.Variants, harness.Variant{Label: v.Label, Cell: cell})
 	}
 	return run, nil
 }
 
-// buildSingleVariant lowers a variant spec to a harness.Variant whose
-// Build closure applies the cluster spec and stack deltas per sweep cell.
-func buildSingleVariant(v *VariantSpec, cl *ClusterSpec, w workload.Spec) harness.Variant {
-	v2, cl2 := *v, cloneCluster(cl) // closures outlive the spec
-	return harness.Variant{Label: v.Label, Build: func(cs core.ClusterSpec) (core.Options, workload.Spec) {
-		return buildOptions(&v2, cl2, cs), w
-	}}
-}
-
-func buildMultiVariant(v *VariantSpec, cl *ClusterSpec, ws *WorkloadSpec, base workload.Spec) (harness.MultiVariant, error) {
+// buildCell lowers a variant spec to a simulated cell: the job stream it
+// runs, and a Build closure that applies the cluster spec and stack deltas
+// per sweep cell.
+func buildCell(v *VariantSpec, cl *ClusterSpec, ws *WorkloadSpec) (harness.SimCell, error) {
+	base, err := buildWorkload(ws, v, cl)
+	if err != nil {
+		return harness.SimCell{}, err
+	}
 	pol, err := variantPolicy(v)
 	if err != nil {
-		return harness.MultiVariant{}, err
+		return harness.SimCell{}, err
 	}
-	var m workload.MultiSpec
-	if ws.MixScale > 1 {
-		m = workload.MixedSizes(base, ws.Jobs, ws.IntervalSeconds, ws.MixScale)
-	} else {
-		arr := harness.ArrivalSpec{Process: ws.Arrivals, Interval: ws.IntervalSeconds, Seed: ws.ArrivalSeed}
-		m = arr.Stream(base, ws.Jobs)
+	m := workload.Single(base)
+	if ws.isStream() {
+		switch {
+		case ws.MixScale > 1:
+			m = workload.MixedSizes(base, ws.Jobs, ws.IntervalSeconds, ws.MixScale)
+		case ws.Arrivals == "poisson":
+			m = workload.PoissonArrivals(base, ws.Jobs, ws.IntervalSeconds, ws.ArrivalSeed)
+		default:
+			m = workload.Staggered(base, ws.Jobs, ws.IntervalSeconds)
+		}
+		m = workload.WithPriorities(workload.WithPriorities(m, ws.priorities), v.Priorities)
 	}
-	m = workload.WithPriorities(m, v.Priorities)
-	v2, cl2 := *v, cloneCluster(cl)
-	return harness.MultiVariant{Label: v.Label, Build: func(cs core.ClusterSpec) (core.Options, workload.MultiSpec) {
-		opts := buildOptions(&v2, cl2, cs)
-		opts.Sched.JobPolicy = pol
-		return opts, m
-	}}, nil
+	v2, cl2 := *v, cloneCluster(cl) // the closure outlives the spec
+	return harness.SimCell{
+		Build: func(cs core.ClusterSpec) core.Options {
+			opts := buildOptions(&v2, cl2, cs)
+			opts.Sched.JobPolicy = pol
+			return opts
+		},
+		Workload: m,
+		Stream:   ws.isStream(),
+	}, nil
 }
 
 // variantPolicy resolves a variant's job-arbitration policy (nil = the

@@ -7,8 +7,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfs"
+	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
+
+// buildSingle lowers a compiled single-job line to the stack and the job
+// of one sweep cell.
+func buildSingle(t *testing.T, v harness.Variant, cs core.ClusterSpec) (core.Options, workload.Spec) {
+	t.Helper()
+	cell, ok := v.Cell.(harness.SimCell)
+	if !ok || cell.Stream || len(cell.Workload.Jobs) != 1 || cell.Workload.Jobs[0].Offset != 0 {
+		t.Fatalf("line %s is not one plain simulated job: %+v", v.Label, v.Cell)
+	}
+	return cell.Build(cs), cell.Workload.Jobs[0].Spec
+}
 
 // TestFromFlagsAllShape pins the compiled shape of the legacy default
 // invocation (-experiment all): fig1 first, then per app the shared
@@ -56,8 +69,8 @@ func TestFromFlagsAllShape(t *testing.T) {
 		t.Errorf("replication run renders %+v app %q", repl.Renders, repl.App)
 	}
 	multi := plan.Runs[4]
-	if len(multi.Multi) != 2 { // both => fifo + fair
-		t.Errorf("multi run variants %d, want 2", len(multi.Multi))
+	if len(multi.Variants) != 2 || multi.Renders[0].Kind != RenderMulti { // both => fifo + fair
+		t.Errorf("multi run: %d variants, renders %+v", len(multi.Variants), multi.Renders)
 	}
 	// The config carries the sweep axes with defaults applied.
 	if got := plan.Config.MetricsBucket; got != metrics.DefaultBucket {
@@ -157,7 +170,7 @@ func TestCompileCustomAppliesDeltas(t *testing.T) {
 	if v.Label != "tweaked" {
 		t.Fatalf("label %q", v.Label)
 	}
-	opts, w := v.Build(core.ClusterSpec{UnavailabilityRate: 0.3, Seed: 7})
+	opts, w := buildSingle(t, v, core.ClusterSpec{UnavailabilityRate: 0.3, Seed: 7})
 
 	cs := opts.Cluster
 	if cs.VolatileNodes != 30 || cs.DedicatedNodes != 2 || cs.Horizon != 7200 {
@@ -254,7 +267,7 @@ func TestCompileScaleSweep(t *testing.T) {
 			t.Errorf("variant %d label %q, want %q", i, v.Label, w.label)
 			continue
 		}
-		opts, wl := v.Build(core.ClusterSpec{UnavailabilityRate: 0.3, Seed: 1})
+		opts, wl := buildSingle(t, v, core.ClusterSpec{UnavailabilityRate: 0.3, Seed: 1})
 		cs := opts.Cluster
 		if cs.VolatileNodes != w.vol || cs.DedicatedNodes != w.ded {
 			t.Errorf("%s: fleet %dV+%dD, want %dV+%dD",
@@ -277,13 +290,17 @@ func TestCompileCustomMulti(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := plan.Runs[0]
-	if len(run.Multi) != 2 || run.Multi[0].Label != "fair" || run.Multi[1].Label != "weighted-j0x3" {
-		t.Fatalf("multi variants %+v", run.Multi)
+	if len(run.Variants) != 2 || run.Variants[0].Label != "fair" || run.Variants[1].Label != "weighted-j0x3" {
+		t.Fatalf("multi variants %+v", run.Variants)
 	}
 	if run.Renders[0].Kind != RenderMulti {
 		t.Errorf("renders %+v", run.Renders)
 	}
-	opts, m := run.Multi[1].Build(core.ClusterSpec{UnavailabilityRate: 0.1, Seed: 1})
+	cell := run.Variants[1].Cell.(harness.SimCell)
+	if !cell.Stream {
+		t.Error("a multi-job line is not marked as a stream")
+	}
+	opts, m := cell.Build(core.ClusterSpec{UnavailabilityRate: 0.1, Seed: 1}), cell.Workload
 	if opts.Sched.JobPolicy == nil || opts.Sched.JobPolicy.Name() != "weighted" {
 		t.Errorf("job policy %v", opts.Sched.JobPolicy)
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/harness"
 	"repro/internal/mapred"
 )
 
@@ -53,90 +52,53 @@ func FromFlags(f Flags) (*Spec, error) {
 	default:
 		return nil, fmt.Errorf("unknown app %q", f.App)
 	}
-
-	// The live experiment runs the goroutine engine: real word counts
-	// under churn. Jobs are submitted together unless arrival flags were
-	// explicitly given, which stagger submissions in compressed
-	// wall-clock time.
-	if f.Experiment == "live" {
-		if f.App == "sort" {
-			return nil, fmt.Errorf("-experiment live executes real word counts (-app wordcount)")
-		}
-		policies, err := livePolicies(f.Policy)
-		if err != nil {
-			return nil, err
-		}
-		liveMulti := &MultiExperiment{Jobs: f.Jobs, Policies: policies}
-		if f.ExplicitArrivals {
-			liveMulti.Arrivals = f.Arrivals
-			switch f.Arrivals {
-			case "staggered":
-				liveMulti.IntervalSeconds = f.Stagger
-			case "poisson":
-				if f.Lambda <= 0 {
-					return nil, fmt.Errorf("poisson arrivals need -lambda > 0 (got %v)", f.Lambda)
-				}
-				liveMulti.IntervalSeconds = 3600 / f.Lambda
-				liveMulti.ArrivalSeed = f.ArrivalSeed
-			default:
-				return nil, fmt.Errorf("unknown arrival process %q (want staggered or poisson)", f.Arrivals)
-			}
-		}
-		return &Spec{
-			Schema:      Schema,
-			Name:        "moonbench-live",
-			Description: "Assembled from moonbench flags.",
-			Execution:   "live",
-			Sweep: SweepSpec{
-				Seeds:       f.Seeds,
-				Rates:       f.Rates,
-				Scale:       f.Scale,
-				Parallelism: f.Parallel,
-			},
-			Metrics: MetricsSpec{BucketSeconds: f.MetricsBucket},
-			Experiments: []Experiment{{
-				App:   "wordcount",
-				Multi: liveMulti,
-			}},
-		}, nil
+	live := f.Experiment == "live"
+	if live && f.App == "sort" {
+		return nil, fmt.Errorf("-experiment live executes real word counts (-app wordcount)")
 	}
 
-	// Validate the policy flag up front, like the legacy CLI: a typo must
-	// fail loudly even when the multi experiment is not selected this run.
-	var policies []string
+	// Validate the policy and arrival flags up front, like the legacy CLI:
+	// a typo must fail loudly even when the multi experiment is not
+	// selected this run. "both" keeps the default fifo-vs-fair comparison.
+	multi := MultiExperiment{Jobs: f.Jobs}
 	if f.Policy != "both" {
 		if _, err := mapred.JobPolicyByName(f.Policy); err != nil {
 			return nil, err
 		}
-		policies = []string{f.Policy}
+		multi.Policies = []string{f.Policy}
 	}
-	multi := MultiExperiment{
-		Jobs:        f.Jobs,
-		Arrivals:    f.Arrivals,
-		ArrivalSeed: f.ArrivalSeed,
-		Policies:    policies,
-	}
-	switch f.Arrivals {
-	case "staggered":
-		multi.IntervalSeconds = f.Stagger
-	case "poisson":
-		if f.Lambda <= 0 {
-			return nil, fmt.Errorf("poisson arrivals need -lambda > 0 (got %v)", f.Lambda)
+	// The live experiment runs the goroutine engine: real word counts
+	// under churn. Its jobs are submitted together unless arrival flags
+	// were explicitly given, which stagger submissions in compressed
+	// wall-clock time; the simulated stream's arrivals always apply.
+	if !live || f.ExplicitArrivals {
+		multi.Arrivals = f.Arrivals
+		switch f.Arrivals {
+		case "staggered":
+			multi.IntervalSeconds = f.Stagger
+		case "poisson":
+			if f.Lambda <= 0 {
+				return nil, fmt.Errorf("poisson arrivals need -lambda > 0 (got %v)", f.Lambda)
+			}
+			multi.IntervalSeconds = 3600 / f.Lambda
+		default:
+			return nil, fmt.Errorf("unknown arrival process %q (want staggered or poisson)", f.Arrivals)
 		}
-		multi.IntervalSeconds = 3600 / f.Lambda
-	default:
-		return nil, fmt.Errorf("unknown arrival process %q (want staggered or poisson)", f.Arrivals)
+		// A live spec records the seed only with the process that draws.
+		if !live || f.Arrivals == "poisson" {
+			multi.ArrivalSeed = f.ArrivalSeed
+		}
 	}
 
-	if f.Experiment == "ablation" && !slices.Contains(harness.AblationNames, f.Ablation) {
-		return nil, fmt.Errorf("unknown ablation %q (want %s)", f.Ablation, strings.Join(harness.AblationNames, "|"))
+	if f.Experiment == "ablation" && !slices.Contains(AblationNames, f.Ablation) {
+		return nil, fmt.Errorf("unknown ablation %q (want %s)", f.Ablation, strings.Join(AblationNames, "|"))
 	}
 
 	name := "moonbench-" + f.Experiment
 	if f.Experiment == "ablation" {
 		name += "-" + f.Ablation
 	}
-	if f.App != "both" {
+	if f.App != "both" && !live {
 		name += "-" + f.App
 	}
 	s := &Spec{
@@ -150,6 +112,11 @@ func FromFlags(f Flags) (*Spec, error) {
 			Parallelism: f.Parallel,
 		},
 		Metrics: MetricsSpec{BucketSeconds: f.MetricsBucket},
+	}
+	if live {
+		s.Execution = "live"
+		s.Experiments = []Experiment{{App: "wordcount", Multi: &multi}}
+		return s, nil
 	}
 
 	run := func(name string) bool { return f.Experiment == name || f.Experiment == "all" }
@@ -186,17 +153,4 @@ func FromFlags(f Flags) (*Spec, error) {
 		}
 	}
 	return s, nil
-}
-
-// livePolicies lowers the -policy flag for the live experiment: "both"
-// keeps the engine's default fifo-vs-fair comparison, anything else must
-// resolve (hard error on a typo, like every policy entry point).
-func livePolicies(policy string) ([]string, error) {
-	if policy == "both" {
-		return nil, nil
-	}
-	if _, err := mapred.JobPolicyByName(policy); err != nil {
-		return nil, err
-	}
-	return []string{policy}, nil
 }

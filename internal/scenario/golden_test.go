@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 const scenariosDir = "../../scenarios"
@@ -59,16 +61,15 @@ func TestShippedScenarioFiles(t *testing.T) {
 			// The shipped file itself is canonical: its bytes equal its
 			// own export, so hashes computed from either agree.
 			if !bytes.Equal(raw, exported.Bytes()) {
-				t.Error("file is not in canonical form; regenerate with `go run ./scripts/genscenarios`")
+				t.Error("file is not in canonical form; `moonbench -scenario <file> -dump-scenario -` prints it")
 			}
 		})
 	}
 }
 
-// TestScenarioDirMatchesBuiltins pins the shipped directory to the code
-// registry in both directions: every builtin has its canonical file, and
-// every file is a builtin export (scripts/genscenarios keeps them in
-// sync).
+// TestScenarioDirMatchesBuiltins: the registry is the shipped directory.
+// Builtins lists exactly the files the scenarios package embeds, each under
+// its file's name, and the embedded bytes are the files on disk.
 func TestScenarioDirMatchesBuiltins(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(scenariosDir, "*.json"))
 	if err != nil {
@@ -81,7 +82,7 @@ func TestScenarioDirMatchesBuiltins(t *testing.T) {
 	for _, s := range Builtins() {
 		file := s.Name + ".json"
 		if !onDisk[file] {
-			t.Errorf("builtin %q has no shipped file; run `go run ./scripts/genscenarios`", s.Name)
+			t.Errorf("builtin %q is not a file of %s", s.Name, scenariosDir)
 			continue
 		}
 		delete(onDisk, file)
@@ -89,15 +90,45 @@ func TestScenarioDirMatchesBuiltins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := s.WriteJSON(&want); err != nil {
+		var got bytes.Buffer
+		if err := s.WriteJSON(&got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, want.Bytes()) {
-			t.Errorf("%s drifted from the builtin; run `go run ./scripts/genscenarios`", file)
+		if !bytes.Equal(raw, got.Bytes()) {
+			t.Errorf("builtin %q does not export %s byte for byte", s.Name, file)
 		}
 	}
 	for extra := range onDisk {
-		t.Errorf("%s is not a builtin export (builtins own scenarios/; put ad-hoc specs elsewhere)", extra)
+		t.Errorf("%s is shipped but not listed: add it to builtinNames (scenarios/ holds named scenarios only)", extra)
+	}
+}
+
+// TestPaperFiguresIsTheDefaultInvocation pins what the paper-figures file
+// used to be by construction: the spec `moonbench -experiment all`
+// assembles, renamed and described.
+func TestPaperFiguresIsTheDefaultInvocation(t *testing.T) {
+	s, err := FromFlags(Flags{
+		Experiment: "all", App: "both", Policy: "both",
+		Jobs: 3, Stagger: 60, Arrivals: "staggered", ArrivalSeed: 1,
+		MetricsBucket: metrics.DefaultBucket,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, ok := Lookup("paper-figures")
+	if !ok {
+		t.Fatal("paper-figures builtin missing")
+	}
+	s.Name, s.Description = shipped.Name, shipped.Description
+	var got bytes.Buffer
+	if err := s.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(scenariosDir, "paper-figures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, got.Bytes()) {
+		t.Errorf("-experiment all no longer exports paper-figures.json:\n%s", got.String())
 	}
 }

@@ -25,7 +25,10 @@ func TestLargeFleetPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 4 100-node simulation")
 	}
-	spec := scale100k()
+	spec, ok := Lookup("scale-100k")
+	if !ok {
+		t.Fatal("scale-100k builtin missing")
+	}
 	spec.Sweep.Seeds = []uint64{1}
 	spec.Sweep.Scale = 32
 	c := spec.Experiments[0].Custom

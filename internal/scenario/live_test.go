@@ -7,7 +7,26 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 )
+
+// liveCells returns the live cells of a compiled live run, every line on
+// the same cell shape.
+func liveCells(t *testing.T, run PlanRun) []harness.LiveCell {
+	t.Helper()
+	var cells []harness.LiveCell
+	for _, v := range run.Variants {
+		cell, ok := v.Cell.(harness.LiveCell)
+		if !ok {
+			t.Fatalf("line %s of a live run is a %T", v.Label, v.Cell)
+		}
+		if len(cells) > 0 && cell.Config != cells[0].Config {
+			t.Fatalf("line %s runs a different cell shape", v.Label)
+		}
+		cells = append(cells, cell)
+	}
+	return cells
+}
 
 func liveSpec() *Spec {
 	s, ok := Lookup("live-mix")
@@ -131,10 +150,11 @@ func TestCompileLiveLowersPlan(t *testing.T) {
 		t.Fatalf("runs %d", len(plan.Runs))
 	}
 	run := plan.Runs[0]
-	if run.Live == nil || run.Variants != nil || run.Multi != nil || run.Fig1 {
+	if run.Fig1 || len(run.Renders) != 1 || run.Renders[0].Kind != RenderLive {
 		t.Fatalf("live plan shape: %+v", run)
 	}
-	lc := run.Live.Config
+	vs := liveCells(t, run)
+	lc := vs[0].Config
 	if lc.Jobs != 3 || lc.VolatileWorkers != 4 || lc.DedicatedWorkers != 1 {
 		t.Fatalf("live config %+v", lc)
 	}
@@ -147,7 +167,6 @@ func TestCompileLiveLowersPlan(t *testing.T) {
 	if lc.Arrivals != "staggered" || lc.ArrivalInterval != 10 {
 		t.Fatalf("arrivals not lowered: %+v", lc)
 	}
-	vs := run.Live.Variants
 	if len(vs) != 3 || vs[0].Policy != "fifo" || vs[1].Policy != "fair" || vs[2].Policy != "priority" {
 		t.Fatalf("live variants %+v", vs)
 	}
@@ -189,10 +208,10 @@ func TestCompileChaosLiveLowersFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Runs) != 1 || plan.Runs[0].Live == nil {
+	if len(plan.Runs) != 1 {
 		t.Fatalf("chaos-live plan shape: %+v", plan.Runs)
 	}
-	lc := plan.Runs[0].Live.Config
+	lc := liveCells(t, plan.Runs[0])[0].Config
 	if lc.Link.SessionExpiry != 150*time.Millisecond {
 		t.Fatalf("session expiry %v, want 150ms", lc.Link.SessionExpiry)
 	}

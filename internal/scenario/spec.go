@@ -12,6 +12,14 @@
 // on top of this package (FromFlags builds a Spec), so a flag invocation
 // and the equivalent scenario file produce byte-identical output — there
 // is exactly one source of truth for experiment assembly.
+//
+// There is also one vocabulary for a variant line: a VariantSpec, a preset
+// plus deltas. The built-in kinds (the paper's figures, the ablations, the
+// correlated study, the multi-job policy comparison) are abbreviations:
+// paper.go lowers each to the CustomExperiment it stands for, and every
+// kind compiles through the one loop custom experiments use, to
+// harness.Variant lines the one sweep runner executes. The built-in
+// scenario registry is the shipped scenarios/ directory, embedded.
 package scenario
 
 import (
@@ -299,7 +307,18 @@ type WorkloadSpec struct {
 	// IntermediateClass is "opportunistic" or "reliable".
 	IntermediateClass string      `json:"intermediate_class,omitempty"`
 	OutputFactor      *FactorSpec `json:"output_factor,omitempty"`
+
+	// Set only where a built-in kind lowers to its custom form (paper.go),
+	// never from JSON. stream makes the workload a renamed job stream even
+	// at one job (the multi kind); priorities are ranks applied to the
+	// stream under every variant.
+	stream     bool
+	priorities map[string]int
 }
+
+// isStream reports whether the workload runs and renders as a job stream
+// rather than as one plain job.
+func (w *WorkloadSpec) isStream() bool { return w.Jobs > 1 || w.stream }
 
 // FactorSpec is MOON's two-dimensional replication factor {d,v}.
 type FactorSpec struct {
@@ -330,6 +349,10 @@ type VariantSpec struct {
 	// Priorities are per-job-name strict-priority ranks; they require
 	// Policy "priority".
 	Priorities map[string]int `json:"priorities,omitempty"`
+
+	// workload, set only by a built-in kind's lowering (paper.go), replaces
+	// the experiment's workload for this line.
+	workload *WorkloadSpec
 }
 
 // ClusterSpec describes the emulated fleet and its churn. Volatile and
@@ -649,7 +672,7 @@ func (e *Experiment) validate() error {
 		return fmt.Errorf("app %q is set but unused here (custom experiments name the app in their workload; fig1 has none)", e.App)
 	}
 
-	multi := e.Multi != nil || e.Custom != nil && e.Custom.Workload.Jobs > 1
+	multi := e.Multi != nil || e.Custom != nil && e.Custom.Workload.isStream()
 	for _, r := range e.Renders {
 		if !slices.Contains(Renders, r) {
 			return fmt.Errorf("unknown render %q (want %s)", r, joinOr(Renders))
@@ -675,8 +698,8 @@ func (e *Experiment) validate() error {
 			return fmt.Errorf("unknown figure %q (want fig1, fig4, fig5, fig6, table2 or fig7)", e.Figure)
 		}
 	case e.Ablation != "":
-		if !slices.Contains(harness.AblationNames, e.Ablation) {
-			return fmt.Errorf("unknown ablation %q (want %s)", e.Ablation, joinOr(harness.AblationNames))
+		if !slices.Contains(AblationNames, e.Ablation) {
+			return fmt.Errorf("unknown ablation %q (want %s)", e.Ablation, joinOr(AblationNames))
 		}
 	case e.Multi != nil:
 		return e.Multi.validate()
@@ -748,7 +771,7 @@ func (c *CustomExperiment) validate() error {
 			return fmt.Errorf("custom %q duplicates variant label %q", c.Title, v.Label)
 		}
 		labels[v.Label] = true
-		if err := v.validate(c.Workload.Jobs > 1); err != nil {
+		if err := v.validate(c.Workload.isStream()); err != nil {
 			return fmt.Errorf("variant %q: %w", v.Label, err)
 		}
 	}
@@ -762,7 +785,7 @@ func (w *WorkloadSpec) validate() error {
 	if w.Jobs < 0 {
 		return fmt.Errorf("workload jobs %d", w.Jobs)
 	}
-	if w.Jobs > 1 {
+	if w.isStream() {
 		if err := validateArrivals(w.Arrivals, w.IntervalSeconds, 0); err != nil {
 			return err
 		}

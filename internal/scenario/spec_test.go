@@ -107,6 +107,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad rate", func(s *Spec) { s.Sweep.Rates = []float64{1.5} }, "rate"},
 		{"zero seed", func(s *Spec) { s.Sweep.Seeds = []uint64{0} }, "seed"},
 		{"dup seed", func(s *Spec) { s.Sweep.Seeds = []uint64{2, 2} }, "seed"},
+		{"dup rate", func(s *Spec) { s.Sweep.Rates = []float64{0.5, 0.5} }, "duplicate unavailability rate"},
 		{"negative scale", func(s *Spec) { s.Sweep.Scale = -1 }, "scale"},
 		{"two kinds", func(s *Spec) { s.Experiments[0].Ablation = "speccap" }, "exactly one"},
 		{"no kind", func(s *Spec) { s.Experiments[0].Figure = "" }, "exactly one"},

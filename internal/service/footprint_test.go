@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,5 +147,37 @@ func TestRejectedRequestCostsNothing(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("a 429 allocated %d bytes", got)
+	}
+}
+
+// TestRequestJobIsTheParentsJob: a request lowers to the job it lowered to
+// when this package built the corpus itself — the scheme the live sweeps
+// use, unsalted — and explicit inputs pass through untouched.
+func TestRequestJobIsTheParentsJob(t *testing.T) {
+	vocab := []string{"moon", "map", "reduce", "volunteer", "hadoop", "churn", "node", "data",
+		"shuffle", "backup", "hybrid", "dedicated"}
+	job := JobRequest{Name: "wc", Reduces: 3, Priority: 4, Splits: 6, WordsPerSplit: 41}.job("17")
+	if job.Name != "s17.wc" || job.Reduces != 3 || job.Priority != 4 || len(job.Inputs) != 6 {
+		t.Fatalf("job %q: %d reduces, priority %d, %d inputs", job.Name, job.Reduces, job.Priority, len(job.Inputs))
+	}
+	for s, input := range job.Inputs {
+		var b strings.Builder
+		for w := 0; w < 41; w++ {
+			b.WriteString(vocab[(s*31+w*7)%len(vocab)])
+			b.WriteByte(' ')
+		}
+		if input != b.String() {
+			t.Fatalf("split %d:\n%q\nparent built:\n%q", s, input, b.String())
+		}
+	}
+	var got []string
+	job.Map("a  b\ta\n", func(k, v string) { got = append(got, k+"="+v) })
+	if strings.Join(got, " ") != "a=1 b=1 a=1" || job.Reduce("a", []string{"1", "1"}) != "2" {
+		t.Fatalf("map emitted %v, reduce of two = %q", got, job.Reduce("a", []string{"1", "1"}))
+	}
+
+	explicit := JobRequest{Name: "x", Reduces: 1, Inputs: []string{"one two", "three"}}.job("2")
+	if len(explicit.Inputs) != 2 || explicit.Inputs[0] != "one two" || explicit.Inputs[1] != "three" {
+		t.Fatalf("explicit inputs became %q", explicit.Inputs)
 	}
 }

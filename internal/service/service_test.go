@@ -412,6 +412,9 @@ func TestStructuredErrors(t *testing.T) {
 		{http.MethodPost, "/v1/jobs", []byte(`{"name": "x", "bogus": 1}`), http.StatusBadRequest, "bad_request", ""},
 		{http.MethodPost, "/v1/jobs", []byte(`{"name": "x"}`), http.StatusBadRequest, "bad_request", ""},
 		{http.MethodPost, "/v1/scenarios", []byte(`{"schema": "wrong"}`), http.StatusBadRequest, "bad_request", ""},
+		// A repeated rate would run every cell of it twice on the daemon's CPU.
+		{http.MethodPost, "/v1/scenarios", []byte(`{"schema": "moon-scenario/v1", "name": "twice", "sweep": {"rates": [0.5, 0.5], "scale": 32},
+			"experiments": [{"figure": "fig4", "app": "sort"}]}`), http.StatusBadRequest, "bad_request", ""},
 	}
 	for _, tc := range cases {
 		resp, raw := do(t, tc.method, ts.URL+tc.path, tc.body, nil)

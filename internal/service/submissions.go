@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/engine"
@@ -245,46 +244,12 @@ func (req *JobRequest) validate() error {
 // if it asks for one. The engine name is prefixed with the submission ID:
 // engine jobs are keyed by name, and two tenants may both call theirs "sort".
 func (req JobRequest) job(subID string) engine.Job {
-	inputs := req.Inputs
-	if req.Splits > 0 {
-		inputs = syntheticCorpus(req.Splits, req.WordsPerSplit)
+	j := engine.WordCountJob("s"+subID+"."+req.Name, 0, req.Splits, req.WordsPerSplit, req.Reduces)
+	if req.Splits == 0 {
+		j.Inputs = req.Inputs
 	}
-	return engine.Job{
-		Name:     "s" + subID + "." + req.Name,
-		Inputs:   inputs,
-		Reduces:  req.Reduces,
-		Priority: req.Priority,
-		Map: func(input string, emit func(k, v string)) {
-			for w := range strings.FieldsSeq(input) {
-				emit(w, "1")
-			}
-		},
-		Reduce: func(key string, values []string) string {
-			return strconv.Itoa(len(values))
-		},
-	}
-}
-
-// syntheticCorpus generates deterministic word-count input, same scheme as
-// the harness's live jobs.
-func syntheticCorpus(splits, wordsPerSplit int) []string {
-	vocab := []string{"moon", "map", "reduce", "volunteer", "hadoop", "churn", "node", "data",
-		"shuffle", "backup", "hybrid", "dedicated"}
-	inputs := make([]string, splits)
-	for s := range inputs {
-		size := 0
-		for w := 0; w < wordsPerSplit; w++ {
-			size += len(vocab[(s*31+w*7)%len(vocab)]) + 1
-		}
-		var b strings.Builder
-		b.Grow(size) // one allocation a split, at its final size
-		for w := 0; w < wordsPerSplit; w++ {
-			b.WriteString(vocab[(s*31+w*7)%len(vocab)])
-			b.WriteByte(' ')
-		}
-		inputs[s] = b.String()
-	}
-	return inputs
+	j.Priority = req.Priority
+	return j
 }
 
 // handleSubmitJob accepts one direct job: decode strictly, validate, admit

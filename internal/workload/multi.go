@@ -22,6 +22,12 @@ type MultiSpec struct {
 	Jobs []MultiJob
 }
 
+// Single is the stream of one: the spec, not renamed, submitted at the run
+// start. Every single-job experiment is this stream.
+func Single(s Spec) MultiSpec {
+	return MultiSpec{Name: s.Job.Name, Jobs: []MultiJob{{Spec: s}}}
+}
+
 // Validate rejects impossible multi-job workloads: every member spec must
 // validate, names and input files must be unique (attempt outputs and
 // staged inputs are DFS files keyed by them), offsets must be
@@ -72,7 +78,7 @@ func (m MultiSpec) Validate() error {
 // SplitSize returns the common input split (block) size of the jobs that
 // read real input. When every job skips input reads the block size only
 // affects staged-file replication; the first job's split is returned then,
-// matching what the single-job path (core.NewForWorkload) would pick.
+// which is the one job's split when the stream holds one job.
 func (m MultiSpec) SplitSize() float64 {
 	for _, mj := range m.Jobs {
 		if !mj.Spec.Job.SkipInputRead && mj.Spec.Job.NumMaps > 0 {
@@ -180,14 +186,20 @@ func WithPriorities(m MultiSpec, priorities map[string]int) MultiSpec {
 }
 
 // ScaleMulti shrinks every job of a multi-job workload by factor k
-// (offsets preserved); ScaleMulti(m, 1) is the identity.
+// (offsets preserved); ScaleMulti(m, 1) is the identity. Each job keeps its
+// original split, so the stream keeps its one DFS block size; a stream of
+// one has no common block to protect and scales exactly as Scale does.
 func ScaleMulti(m MultiSpec, k int) MultiSpec {
 	if k <= 1 {
 		return m
 	}
 	out := MultiSpec{Name: m.Name}
 	for _, mj := range m.Jobs {
-		out.Jobs = append(out.Jobs, MultiJob{Spec: rescaleInput(mj.Spec, Scale(mj.Spec, k)), Offset: mj.Offset})
+		scaled := Scale(mj.Spec, k)
+		if len(m.Jobs) > 1 {
+			scaled = rescaleInput(mj.Spec, scaled)
+		}
+		out.Jobs = append(out.Jobs, MultiJob{Spec: scaled, Offset: mj.Offset})
 	}
 	return out
 }

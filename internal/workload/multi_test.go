@@ -147,4 +147,10 @@ func TestScaleMulti(t *testing.T) {
 	if id := ScaleMulti(m, 1); len(id.Jobs) != 2 || id.Jobs[0].Spec.Job.NumMaps != m.Jobs[0].Spec.Job.NumMaps {
 		t.Fatal("ScaleMulti(1) is not the identity")
 	}
+	// A stream of one scales exactly as Scale does, non-dividing factors
+	// included: no second job shares its block size.
+	one := Sort(132)
+	if got := ScaleMulti(Single(one), 7).Jobs[0].Spec; got != Scale(one, 7) {
+		t.Fatalf("stream of one scaled to %+v, Scale gives %+v", got, Scale(one, 7))
+	}
 }
