@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestPinnedOutputs holds moonbench's stdout to the bytes it printed before
@@ -80,5 +85,58 @@ func TestRepeatedRateRejected(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("moonbench %s printed before rejecting:\n%s", strings.Join(args, " "), out.String())
 		}
+	}
+}
+
+// TestDueSetCounts is the netmodel's due-set gate, read off a -metrics report
+// of the sort benchmark's run (fig7 sort at -scale 2, rate 0.5, seed 1001).
+// Completions wait in the network's own ordered set and only the next one is
+// queued, so the run cancels fewer events than it fires (one event per flow
+// canceled 52 for each fired on this command). A pass over a flow only draws a
+// number and the rate is computed where the set is re-keyed, at the barrier, so
+// rate_refreshes exceeds due_rekeys only by the refreshes of flows under the
+// floor (the gate allows 1 %; a rate per pass read three times the re-keys).
+// The set orders owners, not flows, and finds an owner's head again by walking
+// its lists: the entries those rescans read stay within 2.5 per key stored.
+// Every count repeats exactly for a seed, so the five that no change to the
+// netmodel's bookkeeping may move are pinned.
+func TestDueSetCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	runCLI(t, strings.Fields("-experiment fig7 -app sort -scale 2 -rates 0.5 -seeds 1001 -parallel 1 -metrics "+path)...)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report metrics.Export
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	sum := map[string]float64{}
+	for _, e := range report.Experiments {
+		for _, c := range e.Counters {
+			sum[c.Layer+"."+c.Name] += c.Value
+		}
+	}
+	for name, want := range map[string]float64{
+		"net.rate_refreshes": 1042245, "net.due_rekeys": 1041975, "net.completions_scheduled": 49157,
+		"sim.events_fired": 58058, "sim.events_canceled": 2456,
+	} {
+		if sum[name] != want {
+			t.Errorf("%s = %v, want %v", name, sum[name], want)
+		}
+	}
+	rekeys := sum["net.due_rekeys"]
+	if sum["sim.events_canceled"] > sum["sim.events_fired"] {
+		t.Errorf("%v events canceled for %v fired", sum["sim.events_canceled"], sum["sim.events_fired"])
+	}
+	if got := sum["net.rate_refreshes"]; got > rekeys*1.01 {
+		t.Errorf("%v rates computed for %v keys stored: passes plan on the spot again", got, rekeys)
+	}
+	if got := sum["net.due_rescan_visits"]; got == 0 || got > 2.5*rekeys {
+		t.Errorf("%v list entries read by %v rescans for %v keys stored, want at most 2.5 a key",
+			got, sum["net.due_rescans"], rekeys)
 	}
 }

@@ -27,6 +27,20 @@ import (
 	"repro/internal/service"
 )
 
+// A client that opens a connection and never finishes its request headers is
+// dropped after readHeaderTimeout, a kept-alive connection nobody uses after
+// idleTimeout. There is no write timeout: /v1/events streams for as long as
+// its client listens (request bodies are capped by the handlers).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer is the daemon's HTTP front for h.
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "moonbenchd:", err)
@@ -76,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// :0 can discover the port.
 	fmt.Fprintf(stdout, "moonbenchd listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := newServer(srv, readHeaderTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

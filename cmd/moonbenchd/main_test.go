@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // syncBuffer serializes writes so the test can read stdout while the
@@ -97,5 +100,58 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	}
 	if s := stderr.String(); strings.Contains(s, "drain incomplete") {
 		t.Errorf("drain did not finish in-flight work:\n%s", s)
+	}
+}
+
+// TestSlowHeaderClientIsDropped: the daemon used to serve with no timeout at
+// all, so a client that opened a connection and never finished its request
+// line held it, and its goroutine, for good. The server newServer builds
+// closes that connection once the header timeout has run out, while a submit
+// on a second connection is served as ever.
+func TestSlowHeaderClientIsDropped(t *testing.T) {
+	srv, err := service.New(service.Config{VolatileWorkers: 2, DedicatedWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newServer(srv, 100*time.Millisecond)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := slow.Write([]byte("POST /v1/jobs HT")); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/jobs", "application/json",
+		strings.NewReader(`{"name": "beside-slow", "splits": 2, "words_per_split": 20}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit beside the slow client: %d %s", resp.StatusCode, raw)
+	}
+
+	// The server answers an unfinished header with 408 or just hangs up; either
+	// way the read ends long before the 10 s the test is willing to wait.
+	if err := slow.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("the slow client's connection was not closed by the server: %v", err)
 	}
 }

@@ -2,49 +2,119 @@ package netmodel
 
 import "repro/internal/sim"
 
-// dueSet is the network's ordered set of pending flow completions: an
-// indexed binary min-heap of the flows that currently have a rate. Entries
-// hold their key inline — the (at, seq) queue position the flow reserved,
-// copied in when the network's barrier (or an insert) sifts it — and name
-// the flow by its slot in the network's flow table, so a sift compares and
-// moves plain words: no *flow is loaded and no write barrier is taken. idx
-// maps a slot to its heap position (-1 outside the set), which is what lets
-// a re-key sift in place and a removal find its entry.
+// The due-set is the network's ordered set of pending flow completions: every
+// flow that has a rate, at the (at, seq) queue position the barrier last stored
+// for it. The flows of one sink are re-planned together and only the earliest
+// can be the simulation's next event, so the set has two levels. A flow holds
+// its stored key (flow.key, keyed) and is owned by its destination, a local
+// copy by its node; the owner records the earliest stored key among the flows
+// it owns (nodeState.head, headSlot); dueHeap orders the owners that have one.
 //
-// Between two barriers a stored key can be older than its flow.due;
-// the heap is ordered by the stored keys throughout, and nothing but the
-// head's time is read from it until the barrier has brought them up to date.
-type dueSet struct {
-	es  []dueEntry
-	idx []int32
+// Storing a key is one compare against the owner's head and moves nothing. A
+// key that becomes its owner's head leaves the owner's heap entry stale; a head
+// re-keyed later, or taken out of the set, leaves the head itself unknown too.
+// dueHead, the one place the order is read, first brings stale owners up to
+// date: it walks a rescan owner's remote and local lists once for the earliest
+// key it owns, and sifts each owner once, however many of its flows moved.
+//
+// The order is that of the stored keys, not of flow.due: a refresh under the
+// floor rewrites flow.due on the spot, and until the barrier stores it the set
+// answers as the queue it stands for would, from the positions it was told.
+
+type dueKey struct {
+	at  sim.Time
+	seq uint64
 }
 
-type dueEntry struct {
-	at   sim.Time
-	seq  uint64
-	slot int32
-}
-
-func (a *dueEntry) before(b *dueEntry) bool {
+// before is a strict total order: no two flows hold one seq.
+func (a *dueKey) before(b *dueKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// head returns the slot of the flow whose completion comes first, or -1.
-func (d *dueSet) head() int32 {
-	if len(d.es) == 0 {
-		return -1
+// key stores r as the flow's position in the set, which the flow enters if new.
+func (n *Network) key(f *flow, r sim.Reservation) {
+	f.key, f.keyed = dueKey{r.At(), r.Seq()}, true
+	o := &n.nodes[f.dst]
+	switch {
+	case o.headSlot == f.slot && o.head.before(&f.key):
+		n.staleOwner(f.dst, o, true)
+	case o.headSlot == f.slot || o.headSlot < 0 || f.key.before(&o.head):
+		o.head, o.headSlot = f.key, f.slot
+		n.staleOwner(f.dst, o, false)
 	}
-	return d.es[0].slot
 }
 
-// fix moves the slot's entry to position r, inserting it if the slot is not
-// in the set.
-func (d *dueSet) fix(slot int32, r sim.Reservation) {
-	e := dueEntry{at: r.At(), seq: r.Seq(), slot: slot}
-	i := int(d.idx[slot])
+// unkey takes the flow out of the set; one that is not in it is left alone.
+func (n *Network) unkey(f *flow) {
+	if o := &n.nodes[f.dst]; f.keyed && o.headSlot == f.slot {
+		n.staleOwner(f.dst, o, true)
+	}
+	f.keyed = false
+}
+
+// staleOwner lists the owner for dueHead: the heap does not hold it under its
+// head, which with rescan is the key stored since (if any) or one a walk finds.
+func (n *Network) staleOwner(id int32, o *nodeState, rescan bool) {
+	if rescan {
+		o.rescan, o.headSlot = true, -1
+	}
+	if !o.stale {
+		o.stale = true
+		n.stale = append(n.stale, id)
+	}
+}
+
+// dueHead returns the slot of the flow whose completion comes first and the
+// time of that completion, or -1 and -1.
+func (n *Network) dueHead() (slot int32, at sim.Time) {
+	for _, id := range n.stale {
+		o := &n.nodes[id]
+		if o.rescan {
+			for _, slots := range [2][]int32{o.remote, o.local} {
+				for _, s := range slots {
+					if f := n.flows[s]; f.keyed && f.dst == id && (o.headSlot < 0 || f.key.before(&o.head)) {
+						o.head, o.headSlot = f.key, s
+					}
+				}
+			}
+			n.mRescans.Inc()
+			n.mVisits.Add(float64(len(o.remote) + len(o.local)))
+		}
+		o.stale, o.rescan = false, false
+		if o.headSlot < 0 {
+			n.due.remove(id)
+		} else {
+			n.due.fix(dueEntry{o.head, id})
+		}
+	}
+	n.stale = n.stale[:0]
+	if len(n.due.es) == 0 {
+		return -1, -1
+	}
+	return n.nodes[n.due.es[0].id].headSlot, n.due.es[0].at
+}
+
+// dueHeap is an indexed binary min-heap of keys. Entries hold their key inline
+// and name its holder, a node, by id, so a sift compares and moves plain
+// words: no pointer is loaded and no write barrier is taken. idx maps an id to
+// its heap position (-1 outside the heap), which is what lets a re-key sift in
+// place and a removal find its entry.
+type dueHeap struct {
+	es  []dueEntry
+	idx []int32
+}
+
+type dueEntry struct {
+	dueKey
+	id int32
+}
+
+// fix gives e.id's entry e's key, inserting it if the id is not in the heap.
+func (d *dueHeap) fix(e dueEntry) {
+	i := int(d.idx[e.id])
 	if i < 0 {
 		i = len(d.es)
 		d.es = append(d.es, e)
@@ -57,16 +127,16 @@ func (d *dueSet) fix(slot int32, r sim.Reservation) {
 	}
 }
 
-// remove takes the slot out of the set; one that is not in it is left alone.
-func (d *dueSet) remove(slot int32) {
-	i := int(d.idx[slot])
+// remove takes the id out of the heap; one that is not in it is left alone.
+func (d *dueHeap) remove(id int32) {
+	i := int(d.idx[id])
 	if i < 0 {
 		return
 	}
 	last := len(d.es) - 1
 	moved := d.es[last]
 	d.es = d.es[:last]
-	d.idx[slot] = -1
+	d.idx[id] = -1
 	if i == last {
 		return
 	}
@@ -77,25 +147,25 @@ func (d *dueSet) remove(slot int32) {
 }
 
 // up sifts position i towards the root and reports whether it moved.
-func (d *dueSet) up(i int) bool {
+func (d *dueHeap) up(i int) bool {
 	e := d.es[i]
 	start := i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.before(&d.es[p]) {
+		if !e.before(&d.es[p].dueKey) {
 			break
 		}
 		d.es[i] = d.es[p]
-		d.idx[d.es[i].slot] = int32(i)
+		d.idx[d.es[i].id] = int32(i)
 		i = p
 	}
 	d.es[i] = e
-	d.idx[e.slot] = int32(i)
+	d.idx[e.id] = int32(i)
 	return i != start
 }
 
 // down sifts position i towards the leaves.
-func (d *dueSet) down(i int) {
+func (d *dueHeap) down(i int) {
 	e := d.es[i]
 	n := len(d.es)
 	for {
@@ -103,16 +173,16 @@ func (d *dueSet) down(i int) {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && d.es[r].before(&d.es[c]) {
+		if r := c + 1; r < n && d.es[r].before(&d.es[c].dueKey) {
 			c = r
 		}
-		if !d.es[c].before(&e) {
+		if !d.es[c].before(&e.dueKey) {
 			break
 		}
 		d.es[i] = d.es[c]
-		d.idx[d.es[i].slot] = int32(i)
+		d.idx[d.es[i].id] = int32(i)
 		i = c
 	}
 	d.es[i] = e
-	d.idx[e.slot] = int32(i)
+	d.idx[e.id] = int32(i)
 }

@@ -521,6 +521,12 @@ type dueSetCases struct {
 	// A Transfer was given the slot, and so the object, of a flow that ended
 	// at the same instant.
 	reusedInInstant int
+	// The two-level set. An owner's head went to a flow whose stored key had
+	// not moved since the harness last looked: no key stored made it the head,
+	// so a rescan found it, and the barrier had not re-planned it. An owner that
+	// was in the heap has no keyed flow left and is out of it, others staying.
+	rescanChoseUnplanned int
+	ownerLeftHeap        int
 }
 
 // bindNetwork drives the real Network, checks the due-set's, the slot
@@ -550,6 +556,9 @@ func bindNetwork(t testing.TB, cfg Config, seen *dueSetCases) func(*sim.Simulati
 		var ended []bool
 		endedAt := map[int32]float64{} // slot -> when the flow that last held it ended
 		displaced := map[int]sim.Reservation{}
+		// What the set held when between last looked: each keyed flow's stored
+		// key and each owner's head, flows named by handle.
+		lastKey, lastHead := map[Flow]dueKey{}, map[int]Flow{}
 
 		// latest is the order number the flow would be planned with were the
 		// barrier to run now: its own, or a later one out of a block.
@@ -659,8 +668,9 @@ func bindNetwork(t testing.TB, cfg Config, seen *dueSetCases) func(*sim.Simulati
 					delete(endedAt, h.slot)
 				}
 				return func() {
+					head, _ := n.dueHead()
 					switch f := n.lookup(h); {
-					case f != nil && n.due.head() == f.slot && f.completion.Pending():
+					case f != nil && head == f.slot && f.completion.Pending():
 						seen.canceledQueuedHead++
 					case f == nil && h != (Flow{}) && !n.flows[h.slot].finished:
 						seen.canceledStale++
@@ -706,19 +716,6 @@ func bindNetwork(t testing.TB, cfg Config, seen *dueSetCases) func(*sim.Simulati
 						t.Fatalf("after a barrier: node %d awaits resolution or is mid-walk: %+v", id, n.nodes[id])
 					}
 				}
-				inSet := 0
-				for slot, i := range n.due.idx {
-					if i < 0 {
-						continue
-					}
-					inSet++
-					if int(i) >= len(n.due.es) || n.due.es[i].slot != int32(slot) {
-						t.Fatalf("slot %d indexed at heap position %d, which does not hold it", slot, i)
-					}
-				}
-				if inSet != len(n.due.es) {
-					t.Fatalf("%d slots indexed into a heap of %d", inSet, len(n.due.es))
-				}
 				// A handle names its flow until the flow's done has run, and
 				// nothing after; idOf finds the harness flow of a live slot.
 				idOf := map[int32]int{}
@@ -736,32 +733,50 @@ func bindNetwork(t testing.TB, cfg Config, seen *dueSetCases) func(*sim.Simulati
 						live++
 					}
 				}
-				if live != len(n.due.es) {
-					t.Fatalf("%d live flows have a rate, due-set holds %d", live, len(n.due.es))
+				// The keyed flows are exactly the live flows with a rate, each
+				// planned and stored at the position its plan reserved; the owners'
+				// heads and their heap are what those keys imply (checkOwners).
+				if keyed := checkOwners(t, n); keyed != live {
+					t.Fatalf("%d live flows have a rate, %d flows are keyed under their owners", live, keyed)
 				}
-				for i, e := range n.due.es {
-					f := n.flows[e.slot]
-					if f.slot != e.slot || f.finished || f.rate <= 0 || f.touched || f.deferred {
-						t.Fatalf("due-set position %d (slot %d) holds %+v", i, e.slot, f)
+				head, _ := n.dueHead()
+				key := map[Flow]dueKey{}
+				for slot, f := range n.flows {
+					if !f.keyed {
+						continue
 					}
-					if e.at != f.due.At() || e.seq != f.due.Seq() {
-						t.Fatalf("due-set position %d keyed (%v, %d), its flow reserved (%v, %d)",
-							i, e.at, e.seq, f.due.At(), f.due.Seq())
+					if f.finished || f.rate <= 0 || f.touched || f.deferred {
+						t.Fatalf("slot %d is keyed and holds %+v", slot, f)
 					}
-					if i > 0 && e.before(&n.due.es[(i-1)/2]) {
-						t.Fatalf("due-set position %d sorts before its parent", i)
+					if f.key != (dueKey{f.due.At(), f.due.Seq()}) {
+						t.Fatalf("slot %d keyed %+v, its flow reserved (%v, %d)", slot, f.key, f.due.At(), f.due.Seq())
 					}
-					if i > 0 && f.completion.Pending() {
-						displaced[idOf[e.slot]] = f.due
+					if int32(slot) != head && f.completion.Pending() {
+						displaced[idOf[f.slot]] = f.due
+					}
+					key[Flow{f.slot, f.gen}] = f.key
+				}
+				for id := range n.nodes {
+					was, had := lastHead[id]
+					delete(lastHead, id)
+					if slot := n.nodes[id].headSlot; slot >= 0 {
+						h := Flow{slot, n.flows[slot].gen}
+						if k, keyed := lastKey[h]; had && was != h && keyed && k == key[h] {
+							seen.rescanChoseUnplanned++
+						}
+						lastHead[id] = h
+					} else if had && len(n.due.es) > 0 {
+						seen.ownerLeftHeap++
 					}
 				}
+				lastKey = key
 				// Every slot keeps one object for good. A free slot's object is
 				// a finished flow with nothing left attached; with no slot
 				// retired, every other slot's is in flight.
 				free := map[int32]bool{}
 				for _, slot := range n.free {
 					f := n.flows[slot]
-					if free[slot] || !f.finished || f.done != nil || n.due.idx[slot] >= 0 ||
+					if free[slot] || !f.finished || f.done != nil || f.keyed ||
 						f.stall.Pending() || f.completion.Pending() {
 						t.Fatalf("free slot %d: listed twice, or its object is not a finished, detached flow: %+v", slot, f)
 					}
@@ -931,6 +946,19 @@ var seedPrograms = map[string]*program{
 	// such a flow in the same place; top-level it is the other way round); the
 	// handle check in between is what failed.
 	"sub-epsilon-follow-up-inside-pass": realProg(8).transfer(0, 0, 1, thenTransfer|12<<2).advance(4),
+
+	// The two-level due-set, one program per way an owner's head is lost.
+	//
+	// Node 3 owns f0 (0->3, due t=2) and f1 (1->3, due t=3). From t=1 node 0
+	// sends more and more, and each pass over it re-plans f0 later — node 3 is
+	// never passed, so f1 keeps the key it has. With four flows on node 0, f0 is
+	// due at t=3 too, behind f1's older number: the rescan that follows the
+	// head's re-key picks f1, which no barrier has planned since t=0.
+	"rescan-finds-unplanned-flow": prog(6).transfer(0, 3, 5, 0).transfer(1, 3, 7, 0).advance(7).transfer(0, 2, 11, 0).
+		transfer(0, 4, 11, 0).transfer(0, 5, 11, 0).advance(10).advance(13),
+	// Node 1's only flow ends at t=1 while node 3's runs on: node 1 leaves the
+	// heap, node 3 stays and becomes its root.
+	"owner-leaves-heap": prog(4).transfer(0, 1, 5, 0).transfer(2, 3, 11, 0).advance(8).advance(13),
 }
 
 // compareWithEager runs p one operation a callback against Network (tallying
@@ -1054,6 +1082,12 @@ func TestSeedCorpusCoversDueSetCases(t *testing.T) {
 	}
 	if _, seen := run("sub-epsilon-follow-up-inside-pass"); seen.startedInsidePass == 0 {
 		t.Fatal("sub-epsilon-follow-up-inside-pass: no transfer started under a settle pass")
+	}
+	if _, seen := run("rescan-finds-unplanned-flow"); seen.rescanChoseUnplanned != 1 {
+		t.Fatalf("rescan-finds-unplanned-flow: %d heads went to a flow no barrier had re-planned, want 1", seen.rescanChoseUnplanned)
+	}
+	if _, seen := run("owner-leaves-heap"); seen.ownerLeftHeap != 1 {
+		t.Fatalf("owner-leaves-heap: %d owners left a heap that others stayed in, want 1", seen.ownerLeftHeap)
 	}
 	// Two need their operations in one callback, where there is no reference.
 	together := func(name string) (seen dueSetCases) {

@@ -27,14 +27,16 @@
 // gives the flow a new completion time, and most of those are superseded by
 // the next long before the clock gets there (a shuffle-heavy sort passes a
 // flow some sixty times for every completion that fires). So completions live
-// in the due-set, an indexed min-heap over the (at, seq) positions their
-// events would take, and only its head, the one completion that can be the
-// simulation's next event, is queued, by the barrier. Positions are drawn at
-// the program points where events used to be scheduled and the queued head
-// sits where its own event would have, so the simulator fires exactly the
-// events it fired with one event per flow, in the same order, and never stores
-// the rest. FuzzNetworkVsEager holds Network to that against a test-only model
-// that does keep one event per flow and settles on every change.
+// in the due-set, ordered by the (at, seq) positions their events would take —
+// a key stored with each flow, the earliest of them with the node the flow
+// goes to, and an indexed min-heap of those nodes (dueset.go) — and only its
+// head, the one completion that can be the simulation's next event, is queued,
+// by the barrier. Positions are drawn at the program points where events used
+// to be scheduled and the queued head sits where its own event would have, so
+// the simulator fires exactly the events it fired with one event per flow, in
+// the same order, and never stores the rest. FuzzNetworkVsEager holds Network
+// to that against a test-only model that does keep one event per flow and
+// settles on every change.
 //
 // A node is passed many times in one callback — equal fetches finish k at an
 // instant, each finish passes both its nodes, each done callback starts the
@@ -49,7 +51,7 @@
 // once: its rate from the list lengths and availability the callback ended
 // with — every change of either is followed by a pass over the node, so it is
 // the rate the last eager refresh computed — the time now + remaining/rate,
-// and one sift in the due-set to (that time, the flow's last number).
+// and one key stored in the due-set, (that time, the flow's last number).
 //
 // A repeat pass is O(1): a node remembers the instant at which a pass last
 // left every flow on it settled with nothing queued, and a further pass at
@@ -166,16 +168,18 @@ type flow struct {
 	// order, the number the new plan's event would have taken (a node's block
 	// may hold a later one), and rate and due are the barrier's to work out;
 	// without it — a flow under the floor — they are the new plan's already.
-	order                       uint64
-	finished, touched, deferred bool
-	done                        func(error)
+	order                              uint64
+	finished, touched, deferred, keyed bool
+	done                               func(error)
 
-	// due is the queue position of the flow's completion as the due-set was
-	// last told it. completion is pending only once the barrier has found the
-	// flow at the head of the set and queued complete — made on first use, one
-	// closure a slot: it captures the object, so it outlives the flows that
-	// pass through — at that position.
+	// due is the queue position of the flow's completion as its last plan left
+	// it, key the one the barrier last stored in the due-set (while keyed).
+	// completion is pending only once the barrier has found the flow at the
+	// head of the set and queued complete — made on first use, one closure a
+	// slot: it captures the object, so it outlives the flows that pass through
+	// — at that position.
 	due        sim.Reservation
+	key        dueKey
 	completion sim.Event
 	stall      sim.Event
 	complete   func()
@@ -205,6 +209,11 @@ type nodeState struct {
 	// yet and no walk has started since (the node is on Network.blocked).
 	base     uint64
 	hasBlock bool
+	// head is the earliest key the due-set holds for a flow the node owns and
+	// headSlot that flow, or -1; stale and rescan are dueHead's (dueset.go).
+	head          dueKey
+	headSlot      int32
+	stale, rescan bool
 }
 
 const unsettled, walking = -1.0, -2.0 // nodeState.settledAt, when not an instant
@@ -237,15 +246,16 @@ type Network struct {
 	inDirty  []bool
 	flushing bool
 
-	// due orders every flow that has a rate by the (at, seq) position of its
-	// completion; only the head is a sim event, queued by the barrier before
-	// the next callback runs. A pass does not move the flow inside the set; it
-	// puts it on touched (once, flow.touched), or its node on blocked, and the
-	// barrier plans and sifts each such flow. reservedNow says some refresh
-	// since the last barrier planned a flow under the floor for the current
-	// instant — the one fact about the up-to-date order that dueNow needs
-	// before then.
-	due         dueSet
+	// The due-set orders every flow that has a rate by the (at, seq) position
+	// of its completion (dueset.go: due is its heap of owners, stale the ones
+	// to sift); only the head is a sim event, queued by the barrier before the
+	// next callback runs. A pass does not move the flow inside the set; it puts
+	// it on touched (once, flow.touched), or its node on blocked, and the
+	// barrier plans and keys each such flow. reservedNow says some refresh since
+	// the last barrier planned a flow under the floor for the current instant —
+	// the one fact about the up-to-date order that dueNow needs before then.
+	due         dueHeap
+	stale       []int32
 	touched     []int32
 	blocked     []int32 // nodes whose hasBlock is set, repeats allowed
 	reservedNow bool
@@ -271,6 +281,8 @@ type Network struct {
 	mStalls    *metrics.Counter
 	mRefreshes *metrics.Counter
 	mRekeys    *metrics.Counter
+	mRescans   *metrics.Counter
+	mVisits    *metrics.Counter
 	mScheduled *metrics.Counter
 }
 
@@ -280,8 +292,9 @@ type Network struct {
 // walk does not make) and stall failures, all time-bucketed; and how much work
 // the due-set absorbed — rate_refreshes counts the rates turned into a
 // completion time (by the barrier, and by a refresh under the floor),
-// due_rekeys the heap sifts the barrier made for them, completions_scheduled
-// the positions that became sim events.
+// due_rekeys the keys the barrier stored for them, due_rescans the owners
+// whose head had to be looked for and due_rescan_visits the list entries those
+// searches read, completions_scheduled the positions that became sim events.
 func (n *Network) Instrument(c *metrics.Collector) {
 	if c == nil {
 		return
@@ -291,6 +304,8 @@ func (n *Network) Instrument(c *metrics.Collector) {
 	n.mStalls = c.TimedCounter(metrics.LayerNet, "flow_stalls", "")
 	n.mRefreshes = c.Counter(metrics.LayerNet, "rate_refreshes", "")
 	n.mRekeys = c.Counter(metrics.LayerNet, "due_rekeys", "")
+	n.mRescans = c.Counter(metrics.LayerNet, "due_rescans", "")
+	n.mVisits = c.Counter(metrics.LayerNet, "due_rescan_visits", "")
 	n.mScheduled = c.Counter(metrics.LayerNet, "completions_scheduled", "")
 }
 
@@ -307,9 +322,11 @@ func New(s *sim.Simulation, c *cluster.Cluster, cfg Config) *Network {
 		inDirty:   make([]bool, len(c.Nodes)),
 		floorRate: max(cfg.NodeBandwidth, cfg.DiskBandwidth) / (1 << 50),
 	}
+	n.due.idx = make([]int32, len(c.Nodes))
 	for _, node := range c.Nodes {
 		n.nodes[node.ID].up = node.Available()
 		n.nodes[node.ID].settledAt = unsettled
+		n.nodes[node.ID].headSlot, n.due.idx[node.ID] = -1, -1
 		node.Watch(func(nd *cluster.Node, _ bool) { n.nodeChanged(nd) })
 	}
 	s.Barrier(n.barrier)
@@ -397,7 +414,6 @@ func (n *Network) Transfer(src, dst *cluster.Node, bytes float64, done func(erro
 	} else {
 		f = &flow{slot: int32(len(n.flows)), gen: 1}
 		n.flows = append(n.flows, f)
-		n.due.idx = append(n.due.idx, -1)
 	}
 	*f = flow{slot: f.slot, src: int32(src.ID), dst: int32(dst.ID), gen: f.gen,
 		remaining: bytes, done: done, lastUpdate: now, complete: f.complete}
@@ -544,7 +560,10 @@ func (n *Network) markDirty(nodeID int) {
 // is current.
 func (n *Network) dueNow(nodeID int) bool {
 	now, st := n.sim.Now(), &n.nodes[nodeID]
-	if st.settledAt == now || !n.reservedNow && (len(n.due.es) == 0 || n.due.es[0].at != now) {
+	if st.settledAt == now {
+		return false
+	}
+	if _, at := n.dueHead(); !n.reservedNow && at != now {
 		return false
 	}
 	for _, slots := range [2][]int32{st.remote, st.local} {
@@ -561,7 +580,7 @@ func (n *Network) dueNow(nodeID int) bool {
 // hands out the blocks of nodes whose last pass did not walk; plans every flow
 // a pass has touched since the last barrier, however often — its rate as the
 // callback left it, the time that gives, the last number drawn for it — with
-// one sift in the due-set each (a flow left without a rate leaves the set);
+// one key stored in the due-set each (one left without a rate leaves the set);
 // releases the slots of finished flows, which no snapshot can name any more;
 // and makes sure the head of the set — the one completion that can be the
 // simulation's next event — is queued at its position. A head displaced by an
@@ -594,17 +613,17 @@ func (n *Network) barrier() bool {
 			}
 		}
 		if f.rate > 0 {
-			n.due.fix(slot, f.due)
+			n.key(f, f.due)
 			n.mRekeys.Inc()
 		} else {
-			n.due.remove(slot)
+			n.unkey(f)
 		}
 	}
 	n.touched = n.touched[:0]
 	n.reservedNow = false
 	n.reclaim()
 
-	slot := n.due.head()
+	slot, _ := n.dueHead()
 	if slot < 0 {
 		return did
 	}
@@ -659,7 +678,7 @@ func (n *Network) reclaim() {
 // is the earliest in the queue and the head of the due-set is always queued,
 // so the flow must be that head; anything else means the two orders diverged.
 func (n *Network) completionFired(f *flow) {
-	switch n.due.head() {
+	switch slot, _ := n.dueHead(); slot {
 	case f.slot:
 		n.finish(f, nil)
 	case -1:
@@ -759,11 +778,11 @@ func (n *Network) refresh(f *flow, now float64) (settled bool) {
 	case f.remaining <= 1e-6:
 		// Out of the set before finish, not just inside it: finish flushes
 		// first, and a mark made during that flush must not find f due.
-		n.due.remove(f.slot)
+		n.unkey(f)
 		n.finish(f, nil)
 		return true
 	case f.rate == 0:
-		n.due.remove(f.slot)
+		n.unkey(f)
 		return f.remaining > n.floorRate*now // or it may come back unable to defer
 	case f.remaining > n.floorRate*now:
 		f.deferred = true
@@ -836,7 +855,7 @@ func (n *Network) finish(f *flow, err error) {
 	n.sim.Cancel(f.completion)
 	n.sim.Cancel(f.stall)
 	f.completion, f.stall = sim.Event{}, sim.Event{}
-	n.due.remove(f.slot)
+	n.unkey(f)
 	n.retired = append(n.retired, f.slot)
 	if f.local() {
 		removeSlot(&n.nodes[f.src].local, f.slot)

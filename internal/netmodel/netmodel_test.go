@@ -356,8 +356,8 @@ func TestDueNowSeesPositionReservedThisInstant(t *testing.T) {
 		n.Transfer(c.Node(1), c.Node(3), 1e6, func(error) {
 			now := s.Now()
 			g := n.lookup(gh)
-			if g == nil || g.remaining <= 1e-6 || g.due.At() != now || n.due.es[0].at == now {
-				t.Fatalf("set-up: g %+v, stored head %v, now %v", g, n.due.es[0].at, now)
+			if _, head := n.dueHead(); g == nil || g.remaining <= 1e-6 || g.due.At() != now || head == now {
+				t.Fatalf("set-up: g %+v, stored head %v, now %v", g, head, now)
 			}
 			if !n.dueNow(3) {
 				t.Error("dueNow(3) = false with g's completion reserved at the current instant")
