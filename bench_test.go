@@ -21,12 +21,7 @@ import (
 // benchConfig bounds an experiment for benchmarking. Parallelism 0 lets the
 // harness worker pool use every core; results are identical to a serial run.
 func benchConfig(scale int, rates ...float64) harness.Config {
-	cfg := harness.DefaultConfig()
-	cfg.Seeds = []uint64{1}
-	cfg.Scale = scale
-	cfg.Rates = rates
-	cfg.Parallelism = 0
-	return cfg
+	return harness.Config{Seeds: []uint64{1}, Scale: scale, Rates: rates}
 }
 
 // figure compiles one of the paper's figures and returns its lines.

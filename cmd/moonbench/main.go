@@ -33,11 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
+	"repro/internal/harness"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -197,40 +196,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		plan.Config.Progress = func(line string) { fmt.Fprintln(stderr, line) }
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	var report *metrics.Export
 	if *metricsOut != "" {
-		report = metrics.NewExport("moonbench")
-		report.Scenario = spec.Name
-		report.SpecHash = spec.Hash()
+		report = spec.NewReport("moonbench")
 	}
-	if err := plan.Execute(stdout, report); err != nil {
+	err = harness.Profiled(*cpuProf, *memProf, func() error { return plan.Execute(stdout, report) })
+	if err != nil {
 		return err
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // settle retained heap before the snapshot
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("memprofile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 	}
 	if report != nil {
 		if err := writeReport(report, *metricsOut); err != nil {

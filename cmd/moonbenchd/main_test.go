@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/service"
 )
 
@@ -34,10 +37,10 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestDaemonServesAndDrains boots the daemon on a free port, runs one job
-// through submit → poll → report, then cancels the run context (the
-// signal path) and checks the graceful drain: in-flight work finished and
-// the process exited cleanly.
+// TestDaemonServesAndDrains boots the daemon on a free port, submits one
+// job, runs a shipped scenario through submit → event stream → poll →
+// report, then cancels the run context (the signal path) and checks the
+// graceful drain: in-flight work finished and the process exited cleanly.
 func TestDaemonServesAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -88,6 +91,82 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("bad submit body %q: %v", raw, err)
 	}
+
+	// A shipped scenario end to end, as a client sees it: post the embedded
+	// live-mix with its sweep cut to one cell a line, watch /v1/events carry
+	// metric frames while it runs, poll to done, fetch the report.
+	spec, err := scenario.Load("live-mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Sweep.Seeds, spec.Sweep.Rates = []uint64{1}, []float64{0.3}
+	var body bytes.Buffer
+	if err := spec.WriteJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	events, err := http.Get(base + "/v1/events") // returns once the stream is subscribed
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawMetric := make(chan struct{})
+	go func() {
+		for sc := bufio.NewScanner(events.Body); sc.Scan(); {
+			if sc.Text() == "event: metric" {
+				close(sawMetric)
+				return
+			}
+		}
+	}()
+	resp, err = http.Post(base+"/v1/scenarios", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit scenario: %d %s", resp.StatusCode, raw)
+	}
+	var sub struct {
+		ID, State, Error string
+	}
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatalf("bad scenario submit body %q: %v", raw, err)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	for deadline := time.Now().Add(time.Minute); sub.State != "done"; time.Sleep(5 * time.Millisecond) {
+		if err := json.Unmarshal(get("/v1/jobs/"+sub.ID), &sub); err != nil {
+			t.Fatal(err)
+		}
+		if sub.State == "failed" || time.Now().After(deadline) {
+			t.Fatalf("scenario %s is %s: %s", sub.ID, sub.State, sub.Error)
+		}
+	}
+	var report metrics.Export
+	if err := json.Unmarshal(get("/v1/jobs/"+sub.ID+"/report"), &report); err != nil {
+		t.Fatalf("report is not JSON: %v", err)
+	}
+	if report.Schema != metrics.Schema || report.Scenario != "live-mix" || len(report.Experiments) == 0 {
+		t.Errorf("report schema %q scenario %q with %d experiments, want %s, live-mix and at least one",
+			report.Schema, report.Scenario, len(report.Experiments), metrics.Schema)
+	}
+	select {
+	case <-sawMetric:
+	case <-time.After(10 * time.Second):
+		t.Error("/v1/events delivered no metric frame during the scenario's run")
+	}
+	events.Body.Close()
 
 	// Trigger the signal path while the job may still be in flight.
 	cancel()

@@ -9,10 +9,14 @@
 //	moonsim -scenario scale-sweep -variant 528-nodes -cpuprofile cpu.out
 //	moonsim -list-scenarios
 //
-// With -scenario, moonsim runs one cell of a compiled scenario: the
-// variant selected by -variant (default: the first single-job line) at
-// the -rate/-seed cell, scaled by -scale — the drill-down view of a line
-// moonbench sweeps in aggregate.
+// Every invocation runs one cell of a compiled scenario — the drill-down
+// view of a line moonbench sweeps in aggregate. The shaping flags (-app,
+// -policy, -expiry, -volatile, -dedicated, -all-volatile, -inter-d,
+// -inter-v) abbreviate a one-variant custom spec; -scenario loads a spec
+// and -variant picks its line (default: the first single-job line). Either
+// way -rate, -seed and -scale become the spec's sweep axes, the spec is
+// validated and compiled like any other, and the cell runs through the
+// sweep's own runner: a flag run prints the bytes its scenario file does.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run; a single
 // cell of the scale-sweep scenario is the intended profiling subject for
@@ -24,16 +28,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/dfs"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -43,197 +42,162 @@ func main() {
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("moonsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		app        = fs.String("app", "sort", "sort|wordcount|sleep-sort|sleep-wordcount")
-		policy     = fs.String("policy", "moon-hybrid", "hadoop|moon|moon-hybrid")
-		expiry     = fs.Float64("expiry", 600, "Hadoop TrackerExpiryInterval (seconds)")
-		rate       = fs.Float64("rate", 0.3, "machine-unavailability rate")
-		volatiles  = fs.Int("volatile", 60, "volatile node count")
-		dedicated  = fs.Int("dedicated", 6, "dedicated node count")
-		allVol     = fs.Bool("all-volatile", false, "treat every machine as volatile (Hadoop baseline)")
-		seed       = fs.Uint64("seed", 1, "churn seed")
-		interD     = fs.Int("inter-d", 1, "intermediate dedicated replicas")
-		interV     = fs.Int("inter-v", 1, "intermediate volatile replicas")
-		scale      = fs.Int("scale", 1, "divide workload size by this factor")
-		scenFlag   = fs.String("scenario", "", "run one cell of a scenario spec (path to a .json file, or a built-in name)")
-		variant    = fs.String("variant", "", "with -scenario: the variant label to run (default: the first single-job line)")
-		listScen   = fs.Bool("list-scenarios", false, "print the built-in named scenarios and exit")
-		metricsOut = fs.String("metrics", "", "write this run's cross-layer metrics snapshot to this JSON file")
-		metricsBkt = fs.Float64("metrics-bucket", metrics.DefaultBucket, "metrics series bucket width, seconds")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	if *listScen {
-		return scenario.List(stdout)
-	}
-
-	var (
-		opts  core.Options
-		m     workload.MultiSpec // the one job, as the stream of one
-		label = *policy
-		spec  *scenario.Spec
-	)
-	if *scenFlag != "" {
-		// The spec owns the stack and workload shape: reject the legacy
-		// shaping flags instead of silently ignoring them.
-		var flagErr error
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "app", "policy", "expiry", "volatile", "dedicated", "all-volatile", "inter-d", "inter-v":
-				flagErr = fmt.Errorf("-%s shapes the run and cannot be combined with -scenario (pick a cell with -variant/-rate/-seed/-scale)", f.Name)
-			}
-		})
-		if flagErr != nil {
-			return flagErr
-		}
-		var err error
-		spec, err = scenario.Load(*scenFlag)
-		if err != nil {
-			return err
-		}
-		var cell harness.SimCell
-		if label, cell, err = pickVariant(spec, *variant); err != nil {
-			return err
-		}
-		opts, m = cell.Build(core.ClusterSpec{UnavailabilityRate: *rate, Seed: *seed}), cell.Workload
-	} else {
-		cs := core.ClusterSpec{
-			VolatileNodes:      *volatiles,
-			DedicatedNodes:     *dedicated,
-			UnavailabilityRate: *rate,
-			TreatAllVolatile:   *allVol,
-			Seed:               *seed,
-		}
-		switch *policy {
-		case "hadoop":
-			opts = core.HadoopPreset(cs, *expiry)
-		case "moon":
-			opts = core.MOONPreset(cs, false)
-		case "moon-hybrid":
-			opts = core.MOONPreset(cs, true)
-		default:
-			return fmt.Errorf("unknown policy %q", *policy)
-		}
-
-		slots := (*volatiles + *dedicated) * 2
-		var w workload.Spec
-		switch *app {
-		case "sort":
-			w = workload.Sort(slots)
-		case "wordcount":
-			w = workload.WordCount()
-		case "sleep-sort":
-			w = workload.SleepApp(workload.Sort(slots))
-		case "sleep-wordcount":
-			w = workload.SleepApp(workload.WordCount())
-		default:
-			return fmt.Errorf("unknown app %q", *app)
-		}
-		w.Job.IntermediateFactor = dfs.Factor{D: *interD, V: *interV}
-		m = workload.Single(w)
-	}
-	m = workload.ScaleMulti(m, *scale)
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	var col *metrics.Collector
-	if *metricsOut != "" {
-		col = metrics.New(*metricsBkt)
-		opts.Metrics = col
-	}
-	s, err := core.NewForWorkload(opts, m)
-	if err != nil {
-		return err
-	}
-	res, err := s.RunWorkload(m)
-	if err != nil {
-		return err
-	}
-	job := res.Jobs[0]
-
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // settle retained heap before the snapshot
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("memprofile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-
-	if col != nil {
-		report := metrics.NewExport("moonsim")
-		if spec != nil {
-			report.Scenario = spec.Name
-			report.SpecHash = spec.Hash()
-		}
-		report.Add(fmt.Sprintf("moonsim %s", m.Jobs[0].Spec.Job.Name), label, *rate, 1, col.Snapshot())
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	p := job.Profile
-	fmt.Fprintf(stdout, "job            %s (policy %s, rate %.2f, %dV+%dD, seed %d)\n",
-		p.Job, label, *rate, opts.Cluster.VolatileNodes, opts.Cluster.DedicatedNodes, *seed)
-	fmt.Fprintf(stdout, "state          %v%s\n", p.State, capped(job.HitHorizon))
-	fmt.Fprintf(stdout, "makespan       %.0f s\n", p.Makespan)
-	fmt.Fprintf(stdout, "avg map        %.1f s\n", p.AvgMapTime)
-	fmt.Fprintf(stdout, "avg shuffle    %.1f s\n", p.AvgShuffleTime)
-	fmt.Fprintf(stdout, "avg reduce     %.1f s\n", p.AvgReduceTime)
-	fmt.Fprintf(stdout, "killed maps    %d\n", p.KilledMaps)
-	fmt.Fprintf(stdout, "killed reduces %d\n", p.KilledReduces)
-	fmt.Fprintf(stdout, "duplicated     %d\n", p.DuplicatedTasks)
-	fmt.Fprintf(stdout, "invalidations  %d\n", p.MapInvalidations)
-	fmt.Fprintf(stdout, "dfs            declines=%d adaptiveRaises=%d hibernations=%d expirations=%d\n",
-		res.DFS.DedicatedDeclines, res.DFS.AdaptiveRaises, res.DFS.Hibernations, res.DFS.Expirations)
-	fmt.Fprintf(stdout, "replication    %d transfers, %.2f GB (thrash %d), trimmed %d\n",
-		res.DFS.ReplicationsIssued, res.DFS.ReplicationBytes/1e9, res.DFS.ThrashReplications, res.DFS.TrimmedReplicas)
-	fmt.Fprintf(stdout, "read stalls    %d, fetch failures %d\n", res.DFS.ReadStalls, res.DFS.FetchFailures)
-	return nil
+// cli is moonsim's parsed flag surface.
+type cli struct {
+	shape      scenario.SimFlags
+	shaped     string // a shaping flag given explicitly, "" when none was
+	rate       float64
+	seed       uint64
+	scale      int
+	scenario   string
+	variant    string
+	list       bool
+	metricsOut string
+	metricsBkt float64
+	cpuProf    string
+	memProf    string
 }
 
-// pickVariant compiles the scenario and selects one single-job line by
-// label (or the first one). Job streams need the sweep harness: point the
-// user at moonbench.
-func pickVariant(spec *scenario.Spec, label string) (string, harness.SimCell, error) {
-	fail := func(format string, args ...any) (string, harness.SimCell, error) {
-		return "", harness.SimCell{}, fmt.Errorf(format, args...)
+func parseFlags(args []string, stderr io.Writer) (*cli, error) {
+	c := &cli{}
+	fs := flag.NewFlagSet("moonsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.shape.App, "app", "sort", "sort|wordcount|sleep-sort|sleep-wordcount")
+	fs.StringVar(&c.shape.Policy, "policy", "moon-hybrid", "hadoop|moon|moon-hybrid")
+	fs.Float64Var(&c.shape.Expiry, "expiry", 600, "Hadoop TrackerExpiryInterval (seconds)")
+	fs.Float64Var(&c.rate, "rate", 0.3, "machine-unavailability rate")
+	fs.IntVar(&c.shape.Volatile, "volatile", 60, "volatile node count")
+	fs.IntVar(&c.shape.Dedicated, "dedicated", 6, "dedicated node count")
+	fs.BoolVar(&c.shape.AllVolatile, "all-volatile", false, "treat every machine as volatile (Hadoop baseline)")
+	fs.Uint64Var(&c.seed, "seed", 1, "churn seed")
+	fs.IntVar(&c.shape.InterD, "inter-d", 1, "intermediate dedicated replicas")
+	fs.IntVar(&c.shape.InterV, "inter-v", 1, "intermediate volatile replicas")
+	fs.IntVar(&c.scale, "scale", 1, "divide workload size by this factor")
+	fs.StringVar(&c.scenario, "scenario", "", "run one cell of a scenario spec (path to a .json file, or a built-in name)")
+	fs.StringVar(&c.variant, "variant", "", "with -scenario: the variant label to run (default: the first single-job line)")
+	fs.BoolVar(&c.list, "list-scenarios", false, "print the built-in named scenarios and exit")
+	fs.StringVar(&c.metricsOut, "metrics", "", "write this run's cross-layer metrics snapshot to this JSON file")
+	fs.Float64Var(&c.metricsBkt, "metrics-bucket", metrics.DefaultBucket, "metrics series bucket width, seconds")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile taken after the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "app", "policy", "expiry", "volatile", "dedicated", "all-volatile", "inter-d", "inter-v":
+			c.shaped = f.Name
+		}
+	})
+	return c, nil
+}
+
+// spec returns the scenario the invocation names: the loaded -scenario, or
+// the one-variant custom spec the shaping flags abbreviate.
+func (c *cli) spec() (*scenario.Spec, error) {
+	if c.scenario == "" {
+		return scenario.FromSimFlags(c.shape), nil
+	}
+	// The spec owns the stack and workload shape: reject the shaping flags
+	// instead of silently ignoring them.
+	if c.shaped != "" {
+		return nil, fmt.Errorf("-%s shapes the run and cannot be combined with -scenario (pick a cell with -variant/-rate/-seed/-scale)", c.shaped)
+	}
+	return scenario.Load(c.scenario)
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	c, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	if c.list {
+		return scenario.List(stdout)
+	}
+	spec, err := c.spec()
+	if err != nil {
+		return err
 	}
 	if spec.Execution == "live" {
-		return fail("scenario %q runs the live engine; run it with moonbench -scenario", spec.Name)
+		return fmt.Errorf("scenario %q runs the live engine; run it with moonbench -scenario", spec.Name)
 	}
-	plan, err := scenario.Compile(spec)
+
+	// The cell is the spec with its sweep narrowed to one realization. The
+	// axes are checked as given, before a zero can read as "the default".
+	axes := harness.Config{Seeds: []uint64{c.seed}, Rates: []float64{c.rate}, Scale: c.scale}
+	if err := axes.Validate(); err != nil {
+		return err
+	}
+	cell := *spec
+	cell.Sweep = scenario.SweepSpec{Seeds: axes.Seeds, Rates: axes.Rates, Scale: axes.Scale}
+	cell.Metrics.BucketSeconds = c.metricsBkt
+	plan, err := scenario.Compile(&cell)
 	if err != nil {
-		return "", harness.SimCell{}, err
+		return err
+	}
+	label, sc, err := pickVariant(plan, spec.Name, c.variant)
+	if err != nil {
+		return err
+	}
+
+	cfg := plan.Config
+	rate, seed := cfg.Rates[0], cfg.Seeds[0]
+	var col *metrics.Collector
+	if c.metricsOut != "" {
+		col = metrics.New(cfg.MetricsBucket)
+	}
+	return harness.Profiled(c.cpuProf, c.memProf, func() error {
+		opts, res, err := sc.Run(cfg.Scale, rate, seed, col)
+		if err != nil {
+			return err
+		}
+		job, d := res.Jobs[0], res.DFS
+		p := job.Profile
+		if col != nil {
+			report := spec.NewReport("moonsim")
+			report.Add("moonsim "+p.Job, label, rate, 1, col.Snapshot())
+			f, err := os.Create(c.metricsOut)
+			if err != nil {
+				return err
+			}
+			if err := report.WriteJSON(f); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		capped := ""
+		if job.HitHorizon {
+			capped = " (hit simulation horizon)"
+		}
+		fmt.Fprintf(stdout, "job            %s (policy %s, rate %.2f, %dV+%dD, seed %d)\n",
+			p.Job, label, rate, opts.Cluster.VolatileNodes, opts.Cluster.DedicatedNodes, seed)
+		fmt.Fprintf(stdout, "state          %v%s\n", p.State, capped)
+		fmt.Fprintf(stdout, "makespan       %.0f s\n", p.Makespan)
+		fmt.Fprintf(stdout, "avg map        %.1f s\n", p.AvgMapTime)
+		fmt.Fprintf(stdout, "avg shuffle    %.1f s\n", p.AvgShuffleTime)
+		fmt.Fprintf(stdout, "avg reduce     %.1f s\n", p.AvgReduceTime)
+		fmt.Fprintf(stdout, "killed maps    %d\n", p.KilledMaps)
+		fmt.Fprintf(stdout, "killed reduces %d\n", p.KilledReduces)
+		fmt.Fprintf(stdout, "duplicated     %d\n", p.DuplicatedTasks)
+		fmt.Fprintf(stdout, "invalidations  %d\n", p.MapInvalidations)
+		fmt.Fprintf(stdout, "dfs            declines=%d adaptiveRaises=%d hibernations=%d expirations=%d\n",
+			d.DedicatedDeclines, d.AdaptiveRaises, d.Hibernations, d.Expirations)
+		fmt.Fprintf(stdout, "replication    %d transfers, %.2f GB (thrash %d), trimmed %d\n",
+			d.ReplicationsIssued, d.ReplicationBytes/1e9, d.ThrashReplications, d.TrimmedReplicas)
+		fmt.Fprintf(stdout, "read stalls    %d, fetch failures %d\n", d.ReadStalls, d.FetchFailures)
+		return nil
+	})
+}
+
+// pickVariant selects one single-job line of the compiled scenario by
+// label (or the first one). Job streams need the sweep harness: point the
+// user at moonbench.
+func pickVariant(plan *scenario.Plan, name, label string) (string, harness.SimCell, error) {
+	fail := func(format string, args ...any) (string, harness.SimCell, error) {
+		return "", harness.SimCell{}, fmt.Errorf(format, args...)
 	}
 	var labels []string
 	for _, run := range plan.Runs {
@@ -241,7 +205,7 @@ func pickVariant(spec *scenario.Spec, label string) (string, harness.SimCell, er
 			cell := v.Cell.(harness.SimCell) // a sim scenario compiles to simulated cells only
 			if cell.Stream {
 				if v.Label == label {
-					return fail("variant %q of scenario %q is a multi-job line; run it with moonbench -scenario", label, spec.Name)
+					return fail("variant %q of scenario %q is a multi-job line; run it with moonbench -scenario", label, name)
 				}
 				continue
 			}
@@ -252,14 +216,7 @@ func pickVariant(spec *scenario.Spec, label string) (string, harness.SimCell, er
 		}
 	}
 	if label == "" {
-		return fail("scenario %q has no single-job variants; run it with moonbench -scenario", spec.Name)
+		return fail("scenario %q has no single-job variants; run it with moonbench -scenario", name)
 	}
-	return fail("scenario %q has no variant %q (have: %s)", spec.Name, label, strings.Join(labels, ", "))
-}
-
-func capped(hit bool) string {
-	if hit {
-		return " (hit simulation horizon)"
-	}
-	return ""
+	return fail("scenario %q has no variant %q (have: %s)", name, label, strings.Join(labels, ", "))
 }

@@ -56,7 +56,7 @@ func TestLoadModule(t *testing.T) {
 	for _, p := range pkgs {
 		byPath[p.Path] = p
 	}
-	for _, want := range []string{"repro/internal/sim", "repro/internal/analysis", "repro/cmd/moonvet", "repro/scripts/servicesmoke", "repro/scenarios"} {
+	for _, want := range []string{"repro/internal/sim", "repro/internal/analysis", "repro/cmd/moonvet", "repro/examples/quickstart", "repro/scenarios"} {
 		if byPath[want] == nil {
 			t.Errorf("module load missed package %s", want)
 		}

@@ -112,8 +112,8 @@ func runChaosJobs(t *testing.T, c *Cluster, n int) []map[string]string {
 
 // TestConfigValidate pins the configuration gate: the default is valid,
 // and each protocol-breaking setting — a heartbeat that cannot fit inside
-// the suspension timeout, malformed link clocks, out-of-range fault rates
-// — is rejected before any goroutine starts.
+// the lease (either one left to its default), malformed link clocks,
+// out-of-range fault rates — is rejected before any goroutine starts.
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -123,8 +123,8 @@ func TestConfigValidate(t *testing.T) {
 		edit func(*Config)
 	}{
 		{"no workers", func(c *Config) { c.VolatileWorkers, c.DedicatedWorkers = 0, 0 }},
-		{"heartbeat at suspension timeout", func(c *Config) { c.HeartbeatInterval = c.SuspensionTimeout }},
-		{"heartbeat past suspension timeout", func(c *Config) { c.HeartbeatInterval = 2 * c.SuspensionTimeout }},
+		{"heartbeat at the default lease", func(c *Config) { c.Link.HeartbeatInterval = 50 * time.Millisecond }},
+		{"lease under the default heartbeat", func(c *Config) { c.Link.LeaseDuration = 5 * time.Millisecond }},
 		{"unknown policy", func(c *Config) { c.JobPolicy = "lottery" }},
 		{"link heartbeat at lease", func(c *Config) {
 			c.Link.HeartbeatInterval = 30 * time.Millisecond

@@ -70,16 +70,6 @@ type Config struct {
 	VolatileWorkers  int
 	DedicatedWorkers int
 
-	// SuspensionTimeout is how long a worker may be silent before its
-	// running tasks are considered frozen and backup copies are issued.
-	SuspensionTimeout time.Duration
-
-	// HeartbeatInterval is the worker heartbeat period.
-	HeartbeatInterval time.Duration
-
-	// FetchTimeout bounds one intermediate-data fetch.
-	FetchTimeout time.Duration
-
 	// ReplicateToDedicated stores a copy of every map output on a
 	// dedicated worker's store (MOON's hybrid-aware intermediate
 	// replication). Without it, a suspended map worker makes its output
@@ -110,11 +100,12 @@ type Config struct {
 	// protocol. See transport.FaultConfig.
 	Faults *transport.FaultConfig
 
-	// Link tunes the failure-handling protocol: per-operation timeouts,
-	// retry budget and backoff, heartbeat-lease clocks, session expiry.
-	// Zero fields default — notably HeartbeatInterval and LeaseDuration
-	// inherit the engine's HeartbeatInterval and SuspensionTimeout, so the
-	// lease clock is the suspension clock unless tuned apart.
+	// Link holds every clock of the engine: the worker heartbeat period,
+	// the lease a heartbeat keeps fresh (a volatile worker silent longer is
+	// considered suspended, its running tasks frozen, and backup copies are
+	// issued), the per-operation timeouts (an intermediate-data fetch is
+	// one send and one receive), the retry budget and backoff, and session
+	// expiry. Zero fields take transport.DefaultLinkConfig's values.
 	Link transport.LinkConfig
 
 	// Metrics, when non-nil, receives engine-layer instrumentation
@@ -132,27 +123,17 @@ func DefaultConfig() Config {
 	return Config{
 		VolatileWorkers:      4,
 		DedicatedWorkers:     1,
-		SuspensionTimeout:    50 * time.Millisecond,
-		HeartbeatInterval:    10 * time.Millisecond,
-		FetchTimeout:         50 * time.Millisecond,
 		ReplicateToDedicated: true,
 	}
 }
 
 // Validate rejects configurations the protocol cannot run: an empty pool,
-// non-positive clocks, a heartbeat period that cannot fit inside the
-// suspension timeout (the master would declare every worker frozen between
-// beats), an unknown policy, or invalid link/fault settings.
+// an unknown policy, or invalid link clocks (a heartbeat period that cannot
+// fit inside the lease: the master would declare every worker frozen
+// between beats) or fault settings.
 func (c Config) Validate() error {
 	if c.VolatileWorkers+c.DedicatedWorkers < 1 {
 		return errors.New("engine: need at least one worker")
-	}
-	if c.SuspensionTimeout <= 0 || c.HeartbeatInterval <= 0 || c.FetchTimeout <= 0 {
-		return errors.New("engine: timeouts must be positive")
-	}
-	if c.HeartbeatInterval >= c.SuspensionTimeout {
-		return fmt.Errorf("engine: HeartbeatInterval %v must be shorter than SuspensionTimeout %v (a worker must fit several beats into one lease)",
-			c.HeartbeatInterval, c.SuspensionTimeout)
 	}
 	if c.JobPolicy != "" {
 		if _, err := sched.PolicyByName[*liveJob](c.JobPolicy); err != nil {
@@ -171,33 +152,28 @@ func (c Config) Validate() error {
 }
 
 // link resolves the protocol clocks: explicit Link fields win, zero fields
-// fall back to sane defaults, and the heartbeat/lease pair inherits the
-// engine's own churn clocks so suspension detection keeps one time base.
+// take the defaults. A zero SessionExpiry stays zero: sessions then never
+// expire on silence alone.
 func (c Config) link() transport.LinkConfig {
-	l := c.Link
-	d := transport.DefaultLinkConfig()
-	if l.ConnectTimeout == 0 {
-		l.ConnectTimeout = d.ConnectTimeout
-	}
-	if l.SendTimeout == 0 {
-		l.SendTimeout = d.SendTimeout
-	}
-	if l.RecvTimeout == 0 {
-		l.RecvTimeout = d.RecvTimeout
-	}
-	if l.HeartbeatInterval == 0 {
-		l.HeartbeatInterval = c.HeartbeatInterval
-	}
-	if l.LeaseDuration == 0 {
-		l.LeaseDuration = c.SuspensionTimeout
+	l, d := c.Link, transport.DefaultLinkConfig()
+	for _, f := range []struct {
+		v   *time.Duration
+		def time.Duration
+	}{
+		{&l.ConnectTimeout, d.ConnectTimeout},
+		{&l.SendTimeout, d.SendTimeout},
+		{&l.RecvTimeout, d.RecvTimeout},
+		{&l.HeartbeatInterval, d.HeartbeatInterval},
+		{&l.LeaseDuration, d.LeaseDuration},
+		{&l.RetryBackoff, d.RetryBackoff},
+	} {
+		if *f.v == 0 {
+			*f.v = f.def
+		}
 	}
 	if l.MaxRetries == 0 {
 		l.MaxRetries = d.MaxRetries
 	}
-	if l.RetryBackoff == 0 {
-		l.RetryBackoff = d.RetryBackoff
-	}
-	// SessionExpiry 0 means sessions never expire on silence alone.
 	return l
 }
 
@@ -280,7 +256,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	total := cfg.VolatileWorkers + cfg.DedicatedWorkers
 	for i := 0; i < total; i++ {
-		w := newWorker(i, i >= cfg.VolatileWorkers, cfg, c.link, tr, &c.retries, c.cleared)
+		w := newWorker(i, i >= cfg.VolatileWorkers, c.link, tr, &c.retries, c.cleared)
 		lis, err := tr.Listen(WorkerAddr(i))
 		if err != nil {
 			masterLis.Close()

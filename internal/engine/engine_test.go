@@ -253,9 +253,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("empty pool accepted")
 	}
 	bad = DefaultConfig()
-	bad.FetchTimeout = 0
+	bad.Link.RecvTimeout = -time.Millisecond
 	if _, err := New(bad); err == nil {
-		t.Fatal("zero fetch timeout accepted")
+		t.Fatal("negative fetch receive timeout accepted")
 	}
 }
 

@@ -220,7 +220,7 @@ func (m *master) run() {
 	defer close(m.c.masterDone)
 	defer m.shutdown()
 	go m.acceptLoop()
-	check := time.NewTicker(m.c.cfg.SuspensionTimeout / 2)
+	check := time.NewTicker(m.link.LeaseDuration / 2)
 	defer check.Stop()
 
 	for {

@@ -91,7 +91,6 @@ func (s *clearedSet) has(job int) bool {
 type worker struct {
 	id        int
 	dedicated bool
-	cfg       Config
 	link      transport.LinkConfig
 	tr        transport.Transport
 	gate      *gate
@@ -122,11 +121,10 @@ type storeKey struct {
 	job, mapID, attempt, partition int
 }
 
-func newWorker(id int, dedicated bool, cfg Config, link transport.LinkConfig, tr transport.Transport, retries *atomic.Int64, cleared *clearedSet) *worker {
+func newWorker(id int, dedicated bool, link transport.LinkConfig, tr transport.Transport, retries *atomic.Int64, cleared *clearedSet) *worker {
 	return &worker{
 		id:        id,
 		dedicated: dedicated,
-		cfg:       cfg,
 		link:      link,
 		tr:        tr,
 		gate:      newGate(),
@@ -418,10 +416,10 @@ func (w *worker) fetch(holder, job, mapID, attempt, part int) (partition, bool) 
 		return partition{}, false
 	}
 	defer conn.Close()
-	if err := conn.Send(msgFetchReq{job: job, mapID: mapID, attempt: attempt, partition: part}, w.cfg.FetchTimeout); err != nil {
+	if err := conn.Send(msgFetchReq{job: job, mapID: mapID, attempt: attempt, partition: part}, w.link.SendTimeout); err != nil {
 		return partition{}, false
 	}
-	m, err := conn.Recv(w.cfg.FetchTimeout)
+	m, err := conn.Recv(w.link.RecvTimeout)
 	if err != nil {
 		return partition{}, false
 	}

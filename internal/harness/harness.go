@@ -57,12 +57,11 @@ type Config struct {
 	MetricsSink metrics.Sink
 }
 
-// DefaultConfig mirrors the paper's sweep with a single seed.
-func DefaultConfig() Config {
-	return Config{Seeds: []uint64{1}, Scale: 1, Rates: []float64{0.1, 0.3, 0.5}}
-}
-
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero sweep axes with the paper's sweep: one churn
+// seed, full Table I scale, and the unavailability rates 0.1, 0.3 and 0.5.
+// These defaults are stated here and nowhere else; a scenario spec's empty
+// axes lower to a zero Config and pass through this.
+func (c Config) WithDefaults() Config {
 	if len(c.Seeds) == 0 {
 		c.Seeds = []uint64{1}
 	}
@@ -324,7 +323,7 @@ func (c Config) sweepCells(nVariants int) []sweepCell {
 // serial sweep. (A live cell executes in wall-clock time, so its numbers
 // are not reproducible; the structure of its sweep is.)
 func (c Config) RunSweep(title string, variants []Variant) (*Sweep, error) {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

@@ -136,13 +136,12 @@ func TestCappedRendering(t *testing.T) {
 }
 
 func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}.WithDefaults()
 	if len(cfg.Rates) != 3 || cfg.Scale != 1 || len(cfg.Seeds) != 1 {
 		t.Fatalf("default config %+v", cfg)
 	}
-	var zero Config
-	z := zero.withDefaults()
-	if len(z.Rates) == 0 || z.Scale == 0 || len(z.Seeds) == 0 {
-		t.Fatalf("withDefaults left zeros: %+v", z)
+	set := Config{Seeds: []uint64{7}, Scale: 4, Rates: []float64{0.2}}.WithDefaults()
+	if set.Seeds[0] != 7 || set.Scale != 4 || set.Rates[0] != 0.2 {
+		t.Fatalf("WithDefaults overwrote set axes: %+v", set)
 	}
 }

@@ -24,15 +24,24 @@ type SimCell struct {
 	Stream bool
 }
 
-func (sc SimCell) run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error) {
+// Run builds the stack for one churn realization (rate, seed), runs the
+// stream on it at 1/scale size, and returns the options it ran under with
+// the outcome. It is the one way a simulated cell executes: the sweep's
+// cells and moonsim's single cell both come through here.
+func (sc SimCell) Run(scale int, rate float64, seed uint64, col *metrics.Collector) (core.Options, core.Result, error) {
 	opts := sc.Build(core.ClusterSpec{UnavailabilityRate: rate, Seed: seed})
 	opts.Metrics = col
-	m := workload.ScaleMulti(sc.Workload, c.Scale)
+	m := workload.ScaleMulti(sc.Workload, scale)
 	s, err := core.NewForWorkload(opts, m)
 	if err != nil {
-		return Stats{}, "", err
+		return opts, core.Result{}, err
 	}
 	res, err := s.RunWorkload(m)
+	return opts, res, err
+}
+
+func (sc SimCell) run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error) {
+	_, res, err := sc.Run(c.Scale, rate, seed, col)
 	if err != nil {
 		return Stats{}, "", err
 	}

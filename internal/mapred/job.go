@@ -185,6 +185,3 @@ func (j *Job) ReducesCompleted() int { return j.reducesCompleted }
 // Tasks returns the job's map and reduce task lists (read-only view for
 // monitoring and tests).
 func (j *Job) Tasks() (maps, reduces []*Task) { return j.maps, j.reduces }
-
-// AttemptsOf exposes a task's historical attempt count (diagnostics).
-func AttemptsOf(t *Task) int { return t.attempts }

@@ -31,13 +31,6 @@ var histBounds = func() []float64 {
 	return b
 }()
 
-// HistogramBounds returns a copy of the fixed bucket upper bounds.
-func HistogramBounds() []float64 {
-	out := make([]float64, len(histBounds))
-	copy(out, histBounds)
-	return out
-}
-
 // Histogram counts observations into the fixed log-spaced buckets and
 // tracks the exact sum, count, min and max. Like every instrument,
 // methods on a nil histogram are no-ops, so instrumented code runs

@@ -148,7 +148,7 @@ func TestHistogramExportJSON(t *testing.T) {
 }
 
 func TestHistogramBoundsFixedAndSorted(t *testing.T) {
-	b := HistogramBounds()
+	b := histBounds
 	if len(b) != HistBuckets || b[0] != HistMinBound {
 		t.Fatalf("bounds %v", b)
 	}

@@ -8,6 +8,45 @@ import (
 	"repro/internal/mapred"
 )
 
+// SimFlags mirrors moonsim's shaping flags: one job on one stack.
+type SimFlags struct {
+	App         string  // sort|wordcount|sleep-sort|sleep-wordcount
+	Policy      string  // hadoop|moon|moon-hybrid
+	Expiry      float64 // Hadoop's TrackerExpiryInterval, seconds
+	Volatile    int
+	Dedicated   int
+	AllVolatile bool
+	InterD      int // intermediate replication {d,v}
+	InterV      int
+}
+
+// FromSimFlags lowers moonsim's shaping flags to the custom spec they
+// abbreviate: one experiment, one variant labeled by the policy. Nothing is
+// checked here; Compile validates the spec like any other, so a bad flag
+// value is refused in the validator's words.
+func FromSimFlags(f SimFlags) *Spec {
+	app, sleep := strings.CutPrefix(f.App, "sleep-")
+	v := VariantSpec{
+		Label:              f.Policy,
+		Preset:             f.Policy,
+		IntermediateFactor: &FactorSpec{D: f.InterD, V: f.InterV},
+	}
+	if f.Policy == "hadoop" {
+		v.Sched = &SchedDelta{TrackerExpirySeconds: &f.Expiry}
+	}
+	return &Spec{
+		Schema:      Schema,
+		Name:        "moonsim-" + f.Policy + "-" + f.App,
+		Description: "Assembled from moonsim flags.",
+		Experiments: []Experiment{{Custom: &CustomExperiment{
+			Title:    "moonsim " + f.App,
+			Cluster:  &ClusterSpec{Volatile: &f.Volatile, Dedicated: &f.Dedicated, AllVolatile: f.AllVolatile},
+			Workload: WorkloadSpec{App: app, Sleep: sleep},
+			Variants: []VariantSpec{v},
+		}}},
+	}
+}
+
 // Flags mirrors the legacy moonbench flag surface. FromFlags lowers it to
 // a Spec — the flag path and the scenario-file path share every line of
 // experiment assembly, so the two are byte-identical by construction.

@@ -8,10 +8,11 @@
 // Specs decode strictly (unknown fields are rejected), validate, default,
 // and round-trip losslessly: Parse(WriteJSON(spec)) == spec, byte for byte
 // on re-export. Compile lowers a Spec to a harness.Config plus a Plan of
-// sweeps; Execute runs the plan. The moonbench flag surface is implemented
-// on top of this package (FromFlags builds a Spec), so a flag invocation
-// and the equivalent scenario file produce byte-identical output — there
-// is exactly one source of truth for experiment assembly.
+// sweeps; Execute runs the plan. Both flag surfaces are implemented on top
+// of this package (FromFlags builds moonbench's Spec, FromSimFlags
+// moonsim's), so a flag invocation and the equivalent scenario file produce
+// byte-identical output — there is exactly one source of truth for
+// experiment assembly.
 //
 // There is also one vocabulary for a variant line: a VariantSpec, a preset
 // plus deltas. The built-in kinds (the paper's figures, the ablations, the
@@ -143,8 +144,8 @@ type LiveSpec struct {
 
 // LinkSpec is the failure-handling protocol's knob block, in milliseconds.
 // Zero fields inherit the engine defaults (50 ms operation deadlines,
-// heartbeat/lease from the engine's churn clocks, 3 retries backing off
-// from 2 ms, sessions that never expire on silence).
+// 10 ms heartbeats against a 50 ms lease, 3 retries backing off from 2 ms,
+// sessions that never expire on silence).
 type LinkSpec struct {
 	// ConnectTimeoutMS bounds one dial including its handshake.
 	ConnectTimeoutMS float64 `json:"connect_timeout_ms,omitempty"`
@@ -467,22 +468,14 @@ func (s *Spec) Hash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// withDefaults returns a copy with the sweep and metrics defaults filled
-// in. The stored spec is never mutated: defaults apply at validation and
-// compile time, so round-tripping a sparse spec stays lossless.
+// withDefaults returns a copy with the schema and metrics defaults filled
+// in (the sweep axes default in harnessConfig). The stored spec is never
+// mutated: defaults apply at validation and compile time, so round-tripping
+// a sparse spec stays lossless.
 func (s *Spec) withDefaults() Spec {
 	out := *s
 	if out.Schema == "" {
 		out.Schema = Schema
-	}
-	if len(out.Sweep.Seeds) == 0 {
-		out.Sweep.Seeds = []uint64{1}
-	}
-	if len(out.Sweep.Rates) == 0 {
-		out.Sweep.Rates = []float64{0.1, 0.3, 0.5}
-	}
-	if out.Sweep.Scale == 0 {
-		out.Sweep.Scale = 1
 	}
 	if out.Metrics.BucketSeconds == 0 {
 		out.Metrics.BucketSeconds = metrics.DefaultBucket
@@ -490,16 +483,25 @@ func (s *Spec) withDefaults() Spec {
 	return out
 }
 
-// harnessConfig lowers the sweep axes to a harness.Config.
+// harnessConfig lowers the sweep axes to a harness.Config; empty axes take
+// the harness's defaults.
 func (s *Spec) harnessConfig() harness.Config {
-	d := s.withDefaults()
 	return harness.Config{
-		Seeds:         d.Sweep.Seeds,
-		Scale:         d.Sweep.Scale,
-		Rates:         d.Sweep.Rates,
-		Parallelism:   d.Sweep.Parallelism,
-		MetricsBucket: d.Metrics.BucketSeconds,
-	}
+		Seeds:         s.Sweep.Seeds,
+		Scale:         s.Sweep.Scale,
+		Rates:         s.Sweep.Rates,
+		Parallelism:   s.Sweep.Parallelism,
+		MetricsBucket: s.withDefaults().Metrics.BucketSeconds,
+	}.WithDefaults()
+}
+
+// NewReport returns an empty metrics report for the given tool, stamped
+// with the scenario's name and spec hash.
+func (s *Spec) NewReport(tool string) *metrics.Export {
+	report := metrics.NewExport(tool)
+	report.Scenario = s.Name
+	report.SpecHash = s.Hash()
+	return report
 }
 
 // Validate checks the whole spec statically: schema, sweep axes (via

@@ -361,9 +361,7 @@ func (s *Server) startScenario(sub *submission, spec *scenario.Spec, plan *scena
 	go func() {
 		defer s.wg.Done()
 		var out bytes.Buffer
-		report := metrics.NewExport("moonbench")
-		report.Scenario = spec.Name
-		report.SpecHash = spec.Hash()
+		report := spec.NewReport("moonbench")
 		err := plan.Execute(&out, report)
 		var doc []byte
 		if err == nil {

@@ -116,26 +116,6 @@ func TestCancelDuringOwnCallback(t *testing.T) {
 	}
 }
 
-// TestRescheduleCanceledEvent: a canceled-but-undrained event still carries
-// its callback, so Reschedule revives it; a stale handle returns zero.
-func TestRescheduleCanceledEvent(t *testing.T) {
-	s := New()
-	fired := 0
-	e := s.Schedule(1, "x", func() { fired++ })
-	s.Cancel(e)
-	e2 := s.Reschedule(e, 3)
-	if !e2.Pending() {
-		t.Fatal("rescheduled canceled event not pending")
-	}
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
-	}
-	if got := s.Reschedule(e2, 5); got.Pending() {
-		t.Fatal("rescheduling a fired (stale) handle produced a pending event")
-	}
-}
-
 // TestEventPathAllocatesNothing is the allocation gate: once the free list
 // and the heap's backing slice are warm, scheduling, firing and canceling
 // allocate nothing, at any backlog.

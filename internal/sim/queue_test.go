@@ -27,7 +27,7 @@ type refEvent struct {
 
 type handle struct {
 	ev Event
-	id int // names the callback, which survives Reschedule
+	id int // names the callback, which survives reschedule
 }
 
 // heldPosition is a reservation drawn and not yet queued: one Reserve
@@ -45,7 +45,7 @@ type queueDiff struct {
 	t   testing.TB
 	s   *Simulation
 	ref []refEvent
-	// evs is every handle the run was given, in order. Reschedule picks
+	// evs is every handle the run was given, in order. reschedule picks
 	// among the latest, which are a mix of pending, canceled and fired.
 	evs    []handle
 	held   []heldPosition
@@ -60,7 +60,7 @@ type queueDiff struct {
 	lateAtNow   int // reservations queued at the current instant behind a younger event
 	fromBlock   int // positions queued that were built from a number of a block
 	compactions int
-	revived     int // canceled, unreclaimed events that Reschedule brought back
+	revived     int // canceled, unreclaimed events that reschedule brought back
 }
 
 func (d *queueDiff) refMin() int {
@@ -87,7 +87,21 @@ func (d *queueDiff) refRemove(i int) {
 	d.ref = d.ref[:len(d.ref)-1]
 }
 
-// refFind locates a pending event by its handle; ids repeat once Reschedule
+// reschedule is the driver's move op, a Cancel and a Schedule of the same
+// callback (no model code moves events; the simulator had it as Reschedule
+// until nothing called it). A canceled event not yet reclaimed still has
+// its callback and is revived; a zero or stale handle — the event fired —
+// yields the zero Event and queues nothing.
+func (s *Simulation) reschedule(e Event, at Time) Event {
+	if !e.live() || e.n.fn == nil {
+		return Event{}
+	}
+	fn, name := e.n.fn, e.n.name
+	s.Cancel(e)
+	return s.Schedule(at, name, fn)
+}
+
+// refFind locates a pending event by its handle; ids repeat once reschedule
 // has revived a corpse whose callback it had already moved.
 func (d *queueDiff) refFind(h handle) int {
 	for i := range d.ref {
@@ -164,7 +178,7 @@ func delayOf(v byte) Time {
 
 // Opcode bytes below each bound select the op; uniform random bytes give
 // roughly 44 % schedule, 7 % reserve, 3 % block draw, 10 % late
-// ScheduleReserved, 15 % cancel, 5 % Reschedule, 13 % Step and 3 % RunUntil.
+// ScheduleReserved, 15 % cancel, 5 % reschedule, 13 % Step and 3 % RunUntil.
 const (
 	opSchedule      = 112
 	opReserve       = 130
@@ -251,14 +265,14 @@ func runQueueProgram(t testing.TB, prog []byte) *queueDiff {
 			switch {
 			case h.ev.Pending():
 				d.refRemove(d.refFind(h))
-				d.cancelVia(func() { h.ev = s.Reschedule(h.ev, at) })
+				d.cancelVia(func() { h.ev = s.reschedule(h.ev, at) })
 			case h.ev.live():
 				// Canceled and not yet reclaimed: the callback is still
-				// there, and Reschedule revives it.
-				h.ev = s.Reschedule(h.ev, at)
+				// there, and reschedule revives it.
+				h.ev = s.reschedule(h.ev, at)
 				d.revived++
 			default:
-				if got := s.Reschedule(h.ev, at); got != (Event{}) || s.nextSeq != seq {
+				if got := s.reschedule(h.ev, at); got != (Event{}) || s.nextSeq != seq {
 					t.Fatalf("Reschedule of the stale handle of event %d queued something", h.id)
 				}
 				continue

@@ -406,19 +406,6 @@ func (s *Simulation) compact() {
 	s.mCompactions.Inc()
 }
 
-// Reschedule moves a pending event to a new time, preserving its callback.
-// If the event was canceled but not yet reclaimed, a fresh event with the
-// same callback is scheduled. A zero or stale handle (the event already
-// fired) returns the zero Event: the callback is gone.
-func (s *Simulation) Reschedule(e Event, at Time) Event {
-	if !e.live() || e.n.fn == nil {
-		return Event{}
-	}
-	fn, name := e.n.fn, e.n.name
-	s.Cancel(e)
-	return s.Schedule(at, name, fn)
-}
-
 // Stop makes Run return after the currently executing event completes.
 func (s *Simulation) Stop() { s.stopped = true }
 

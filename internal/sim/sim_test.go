@@ -96,17 +96,6 @@ func TestCancelDuringRun(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	s := New()
-	var at float64
-	e := s.Schedule(1, "move", func() { at = s.Now() })
-	s.Reschedule(e, 7)
-	s.Run()
-	if at != 7 {
-		t.Fatalf("rescheduled event fired at %v, want 7", at)
-	}
-}
-
 func TestRunUntilDeadline(t *testing.T) {
 	s := New()
 	var fired []float64

@@ -118,16 +118,3 @@ func mergeOutage(t Trace, iv Interval) Trace {
 	t.Outages = merged
 	return t
 }
-
-// PeakUnavailability returns the maximum fraction of nodes simultaneously
-// unavailable over the horizon, sampled at the given interval — the
-// quantity the paper bounds at "as many as 90%".
-func PeakUnavailability(traces []Trace, bucket, duration float64) float64 {
-	peak := 0.0
-	for _, v := range AggregateUnavailability(traces, bucket, duration) {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
-}

@@ -10,11 +10,6 @@ import (
 // unavailability rate in [0, 1).
 type Profile func(at float64) float64
 
-// ConstantProfile returns a profile pinned at rate.
-func ConstantProfile(rate float64) Profile {
-	return func(float64) float64 { return rate }
-}
-
 // WorkdayProfile models the SDSC production volunteer-computing trace from
 // the paper's Figure 1: measurements run 9:00AM-5:00PM, unavailability
 // averages around 0.4 across days, dips mid-morning and late afternoon and

@@ -161,7 +161,7 @@ func TestAggregateUnavailability(t *testing.T) {
 func TestGenerateMarkovRateTracksProfile(t *testing.T) {
 	r := rng.New(11)
 	const horizon = 200 * 3600 // long horizon to converge
-	tr := GenerateMarkov(r, ConstantProfile(0.4), 409, horizon)
+	tr := GenerateMarkov(r, func(float64) float64 { return 0.4 }, 409, horizon)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
