@@ -57,7 +57,7 @@ func first(sw *harness.Sweep, label string, rate float64) harness.JobStats {
 func BenchmarkFig1Trace(b *testing.B) {
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		days := trace.GenerateFig1(rng.New(uint64(i+1)), trace.DefaultFig1Config())
+		days := trace.GenerateFig1(rng.New(uint64(i + 1)))
 		sum, n := 0.0, 0
 		for _, d := range days {
 			for _, v := range d.Series {

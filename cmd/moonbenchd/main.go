@@ -51,17 +51,18 @@ func main() {
 // run is the testable daemon body: it serves until ctx ends or a signal
 // arrives, then drains and shuts the listener down.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	d := service.DefaultConfig()
 	fs := flag.NewFlagSet("moonbenchd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
-	volatile := fs.Int("volatile", 4, "volatile (volunteer) workers in the persistent cluster")
-	dedicated := fs.Int("dedicated", 1, "dedicated workers in the persistent cluster")
+	volatile := fs.Int("volatile", d.VolatileWorkers, "volatile (volunteer) workers in the persistent cluster")
+	dedicated := fs.Int("dedicated", d.DedicatedWorkers, "dedicated workers in the persistent cluster")
 	policy := fs.String("policy", "", "job arbitration policy: fifo (default), fair, weighted, priority")
-	maxConcurrent := fs.Int("max-concurrent", 4, "per-tenant concurrent submissions (<= 0 unlimited)")
-	maxQueued := fs.Int("max-queued", 16, "per-tenant queued submissions beyond the concurrent cap (<= 0 rejects instead of queueing)")
+	maxConcurrent := fs.Int("max-concurrent", d.Quota.MaxConcurrent, "per-tenant concurrent submissions (<= 0 unlimited)")
+	maxQueued := fs.Int("max-queued", d.Quota.MaxQueued, "per-tenant queued submissions beyond the concurrent cap (<= 0 rejects instead of queueing)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long a signal-triggered drain may wait for in-flight work")
-	eventBuffer := fs.Int("event-buffer", 4096, "buffered updates per event stream before frames drop")
-	bucket := fs.Float64("metrics-bucket", 1, "metrics series bucket width in seconds")
+	eventBuffer := fs.Int("event-buffer", d.EventBuffer, "buffered updates per event stream before frames drop")
+	bucket := fs.Float64("metrics-bucket", d.MetricsBucket, "metrics series bucket width in seconds")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -4,7 +4,8 @@
 //
 //	moontrace -rate 0.4 -nodes 60 -out traces/          # one file per node
 //	moontrace -rate 0.5 -stats                          # print statistics
-//	moontrace -fig1                                     # diurnal SDSC-like study
+//
+// The diurnal study of the paper's Figure 1 is `moonbench -experiment fig1`.
 package main
 
 import (
@@ -25,21 +26,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		out      = flag.String("out", "", "directory to write node-<i>.trace files (omit for stdout stats)")
 		stats    = flag.Bool("stats", false, "print per-node statistics")
-		fig1     = flag.Bool("fig1", false, "print the diurnal 7-day study of the paper's Figure 1")
 	)
 	flag.Parse()
-
-	if *fig1 {
-		days := trace.GenerateFig1(rng.New(*seed), trace.DefaultFig1Config())
-		for _, d := range days {
-			fmt.Printf("DAY%d (base %.2f):", d.Day, d.Base)
-			for _, v := range d.Series {
-				fmt.Printf(" %3.0f", v*100)
-			}
-			fmt.Println()
-		}
-		return
-	}
 
 	traces, err := trace.GenerateFleet(rng.New(*seed), trace.DefaultOutageConfig(*rate), *duration, *nodes)
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 func main() {
 	// Part 1: Figure 1-style diurnal study.
 	fmt.Println("== Diurnal unavailability (cf. paper Figure 1) ==")
-	days := trace.GenerateFig1(rng.New(1), trace.DefaultFig1Config())
+	days := trace.GenerateFig1(rng.New(1))
 	sum, n := 0.0, 0
 	for _, d := range days {
 		lo, hi := 1.0, 0.0

@@ -21,28 +21,22 @@ func (m Mode) String() string {
 	return "hadoop"
 }
 
-// Config parameterizes the file system. Zero values are filled from
-// DefaultConfig by New.
+// Config parameterizes the file system. Every field is used as given: start
+// from DefaultConfig and change what differs.
 type Config struct {
 	Mode Mode
 
 	// BlockSize is the fixed block size in bytes (Hadoop 0.17: 64 MB).
 	BlockSize float64
 
-	// HeartbeatInterval is the DataNode heartbeat period in seconds.
-	HeartbeatInterval float64
-
 	// NodeExpiryInterval: a DataNode silent this long is declared dead
 	// and its replicas are deregistered and re-replicated.
 	NodeExpiryInterval float64
 
 	// NodeHibernateInterval (MOON): a DataNode silent this long enters
-	// hibernate — much shorter than NodeExpiryInterval.
+	// hibernate — much shorter than NodeExpiryInterval. Zero means no
+	// hibernate state.
 	NodeHibernateInterval float64
-
-	// ReplicationScanInterval is the NameNode's under-replication scan
-	// period.
-	ReplicationScanInterval float64
 
 	// MaxReplicationStreams caps concurrent re-replication transfers.
 	MaxReplicationStreams int
@@ -54,54 +48,52 @@ type Config struct {
 
 	// MaxAdaptiveV clamps the adaptive degree (replication storms guard).
 	MaxAdaptiveV int
-
-	// PSampleInterval is how often the NameNode samples the fraction of
-	// unavailable volatile DataNodes; PWindow is how many samples form
-	// the estimate of p (the "past interval I" of the paper).
-	PSampleInterval float64
-	PWindow         int
-
-	// Throttling (Algorithm 1) of dedicated DataNodes.
-	ThrottleSampleInterval float64 // bandwidth sampling period (seconds)
-	ThrottleWindow         int     // W: window size in samples
-	ThrottleThreshold      float64 // Tb: relative margin
-	// ThrottleFloor (bytes/s): a node is only eligible for the throttled
-	// state while its measured bandwidth exceeds this floor. Algorithm 1
-	// compares a sample against the window average, which at light load
-	// would flag any small plateau as saturation; the floor restricts
-	// the detector to the saturation regime the paper designed it for.
-	ThrottleFloor float64
-
-	// WriteRetries bounds per-block placement retries before a write
-	// fails.
-	WriteRetries int
-
-	// WriteRetryBackoff is the pause before retrying a failed block
-	// write, seconds.
-	WriteRetryBackoff float64
 }
+
+// Settings of the NameNode that no experiment of the paper varies.
+const (
+	// replicationScanInterval is the under-replication scan period
+	// (seconds).
+	replicationScanInterval = 3
+
+	// The NameNode samples the fraction of unavailable volatile DataNodes
+	// every pSampleInterval seconds; the last pWindow samples form the
+	// estimate of p (the "past interval I" of the paper).
+	pSampleInterval = 30
+	pWindow         = 20
+
+	// Throttling (Algorithm 1) of dedicated DataNodes: a bandwidth sample
+	// every throttleSampleInterval seconds, compared against the average
+	// of the last throttleWindow (W) samples with relative margin
+	// throttleThreshold (Tb).
+	throttleSampleInterval = 10
+	throttleWindow         = 6
+	throttleThreshold      = 0.15
+	// throttleFloor (bytes/s, half a 1 GbE NIC's payload rate): a node is
+	// only eligible for the throttled state while its measured bandwidth
+	// reaches this floor. Algorithm 1 compares a sample against the window
+	// average, which at light load would flag any small plateau as
+	// saturation; the floor restricts the detector to the saturation
+	// regime the paper designed it for.
+	throttleFloor = 58e6
+
+	// A block write retries placement up to writeRetries times, pausing
+	// writeRetryBackoff seconds before each, before the write fails.
+	writeRetries      = 20
+	writeRetryBackoff = 5
+)
 
 // DefaultConfig returns the parameters used throughout the paper's
 // evaluation for the given mode.
 func DefaultConfig(mode Mode) Config {
 	cfg := Config{
-		Mode:                    mode,
-		BlockSize:               64e6,
-		HeartbeatInterval:       3,
-		NodeExpiryInterval:      600,
-		NodeHibernateInterval:   60,
-		ReplicationScanInterval: 3,
-		MaxReplicationStreams:   8,
-		AvailabilityTarget:      0.9,
-		MaxAdaptiveV:            6,
-		PSampleInterval:         30,
-		PWindow:                 20,
-		ThrottleSampleInterval:  10,
-		ThrottleWindow:          6,
-		ThrottleThreshold:       0.15,
-		ThrottleFloor:           58e6, // half a 1 GbE NIC's payload rate
-		WriteRetries:            20,
-		WriteRetryBackoff:       5,
+		Mode:                  mode,
+		BlockSize:             64e6,
+		NodeExpiryInterval:    600,
+		NodeHibernateInterval: 60,
+		MaxReplicationStreams: 8,
+		AvailabilityTarget:    0.9,
+		MaxAdaptiveV:          6,
 	}
 	if mode == ModeHadoop {
 		cfg.NodeHibernateInterval = 0 // no hibernate state
@@ -118,65 +110,13 @@ func DefaultConfig(mode Mode) Config {
 	return cfg
 }
 
-// fillDefaults replaces zero values with defaults so callers can override
-// selectively.
-func (c Config) fillDefaults() Config {
-	d := DefaultConfig(c.Mode)
-	if c.BlockSize == 0 {
-		c.BlockSize = d.BlockSize
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = d.HeartbeatInterval
-	}
-	if c.NodeExpiryInterval == 0 {
-		c.NodeExpiryInterval = d.NodeExpiryInterval
-	}
-	if c.NodeHibernateInterval == 0 && c.Mode == ModeMOON {
-		c.NodeHibernateInterval = d.NodeHibernateInterval
-	}
-	if c.ReplicationScanInterval == 0 {
-		c.ReplicationScanInterval = d.ReplicationScanInterval
-	}
-	if c.MaxReplicationStreams == 0 {
-		c.MaxReplicationStreams = d.MaxReplicationStreams
-	}
-	if c.AvailabilityTarget == 0 {
-		c.AvailabilityTarget = d.AvailabilityTarget
-	}
-	if c.MaxAdaptiveV == 0 {
-		c.MaxAdaptiveV = d.MaxAdaptiveV
-	}
-	if c.PSampleInterval == 0 {
-		c.PSampleInterval = d.PSampleInterval
-	}
-	if c.PWindow == 0 {
-		c.PWindow = d.PWindow
-	}
-	if c.ThrottleSampleInterval == 0 {
-		c.ThrottleSampleInterval = d.ThrottleSampleInterval
-	}
-	if c.ThrottleWindow == 0 {
-		c.ThrottleWindow = d.ThrottleWindow
-	}
-	if c.ThrottleThreshold == 0 {
-		c.ThrottleThreshold = d.ThrottleThreshold
-	}
-	if c.ThrottleFloor == 0 {
-		c.ThrottleFloor = d.ThrottleFloor
-	}
-	if c.WriteRetries == 0 {
-		c.WriteRetries = d.WriteRetries
-	}
-	if c.WriteRetryBackoff == 0 {
-		c.WriteRetryBackoff = d.WriteRetryBackoff
-	}
-	return c
-}
-
 // Validate rejects incoherent configurations.
 func (c Config) Validate() error {
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("dfs: block size %v", c.BlockSize)
+	}
+	if c.NodeExpiryInterval <= 0 {
+		return fmt.Errorf("dfs: expiry interval %v must be positive", c.NodeExpiryInterval)
 	}
 	if c.Mode == ModeMOON && c.NodeHibernateInterval >= c.NodeExpiryInterval {
 		return fmt.Errorf("dfs: hibernate interval %v must be < expiry interval %v",
@@ -185,8 +125,9 @@ func (c Config) Validate() error {
 	if c.AvailabilityTarget < 0 || c.AvailabilityTarget >= 1 {
 		return fmt.Errorf("dfs: availability target %v outside [0,1)", c.AvailabilityTarget)
 	}
-	if c.ThrottleWindow < 1 {
-		return fmt.Errorf("dfs: throttle window %d", c.ThrottleWindow)
+	if c.MaxAdaptiveV < 1 || c.MaxReplicationStreams < 1 {
+		return fmt.Errorf("dfs: max adaptive v %d and max replication streams %d must be >= 1",
+			c.MaxAdaptiveV, c.MaxReplicationStreams)
 	}
 	return nil
 }

@@ -650,15 +650,23 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.NodeHibernateInterval = cfg.NodeExpiryInterval + 1
-	if bad.Validate() == nil {
-		t.Fatal("hibernate >= expiry accepted")
-	}
-	bad = cfg
-	bad.AvailabilityTarget = 1.5
-	if bad.Validate() == nil {
-		t.Fatal("availability target 1.5 accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"hibernate >= expiry", func(c *Config) { c.NodeHibernateInterval = c.NodeExpiryInterval + 1 }},
+		{"availability target 1.5", func(c *Config) { c.AvailabilityTarget = 1.5 }},
+		{"negative expiry", func(c *Config) { *c = DefaultConfig(ModeHadoop); c.NodeExpiryInterval = -5 }},
+		{"zero expiry", func(c *Config) { c.NodeExpiryInterval, c.NodeHibernateInterval = 0, 0 }},
+		{"max adaptive v 0", func(c *Config) { c.MaxAdaptiveV = 0 }},
+		{"max adaptive v -2", func(c *Config) { c.MaxAdaptiveV = -2 }},
+		{"max replication streams 0", func(c *Config) { c.MaxReplicationStreams = 0 }},
+	} {
+		bad := cfg
+		tc.mutate(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -135,7 +135,6 @@ func (fs *FileSystem) Instrument(c *metrics.Collector) {
 // NameNode's periodic services (replication scan, p estimator, throttling
 // monitor, expiry tracking).
 func New(s *sim.Simulation, cl *cluster.Cluster, net *netmodel.Network, cfg Config) (*FileSystem, error) {
-	cfg = cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -145,7 +144,7 @@ func New(s *sim.Simulation, cl *cluster.Cluster, net *netmodel.Network, cfg Conf
 		net:      net,
 		cfg:      cfg,
 		files:    make(map[string]*File),
-		pSamples: make([]float64, cfg.PWindow),
+		pSamples: make([]float64, pWindow),
 	}
 	for _, n := range cl.Nodes {
 		v := &dnView{node: n, dedicated: n.IsDedicated()}
@@ -158,9 +157,9 @@ func New(s *sim.Simulation, cl *cluster.Cluster, net *netmodel.Network, cfg Conf
 		n.Watch(fs.nodeChanged)
 	}
 	fs.scan = fs.replicationScan
-	s.Ticker(cfg.ReplicationScanInterval, "dfs.scan", func() { fs.scan() })
-	s.Ticker(cfg.PSampleInterval, "dfs.psample", fs.sampleP)
-	s.Ticker(cfg.ThrottleSampleInterval, "dfs.throttle", fs.sampleThrottle)
+	s.Ticker(replicationScanInterval, "dfs.scan", func() { fs.scan() })
+	s.Ticker(pSampleInterval, "dfs.psample", fs.sampleP)
+	s.Ticker(throttleSampleInterval, "dfs.throttle", fs.sampleThrottle)
 	return fs, nil
 }
 

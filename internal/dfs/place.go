@@ -126,7 +126,7 @@ func (fs *FileSystem) sampleThrottle() {
 	for _, id := range fs.dedicated {
 		v := fs.dn[id]
 		consumed := fs.net.Consumed(id)
-		bw := (consumed - v.lastConsumed) / fs.cfg.ThrottleSampleInterval
+		bw := (consumed - v.lastConsumed) / throttleSampleInterval
 		v.lastConsumed = consumed
 		fs.throttleStep(v, bw)
 	}
@@ -138,15 +138,14 @@ func (fs *FileSystem) sampleThrottle() {
 // Falling below the (1-Tb) margin releases it. The avg > 0 guard keeps an
 // idle node from being declared saturated by zero-vs-zero comparisons.
 func (fs *FileSystem) throttleStep(v *dnView, bw float64) {
-	W := fs.cfg.ThrottleWindow
+	const W, Tb = throttleWindow, throttleThreshold
 	if len(v.bwWindow) >= W {
 		avg := 0.0
 		for _, x := range v.bwWindow[len(v.bwWindow)-W:] {
 			avg += x
 		}
 		avg /= float64(W)
-		Tb := fs.cfg.ThrottleThreshold
-		if bw > avg && avg > 0 && bw >= fs.cfg.ThrottleFloor {
+		if bw > avg && avg > 0 && bw >= throttleFloor {
 			if !v.throttled && bw < avg*(1+Tb) {
 				v.throttled = true
 			}

@@ -12,23 +12,23 @@ func throttleRig(t *testing.T) (*FileSystem, *dnView) {
 	return r.fs, r.fs.dn[4] // dedicated node
 }
 
-// feed pushes a bandwidth sample through Algorithm 1.
-func feed(fs *FileSystem, v *dnView, bw float64) { fs.throttleStep(v, bw) }
+// feed pushes a bandwidth sample of mbps MB/s through Algorithm 1: the
+// samples below sit on either side of throttleFloor (58 MB/s) on purpose.
+func feed(fs *FileSystem, v *dnView, mbps float64) { fs.throttleStep(v, mbps*1e6) }
 
 func TestThrottleEntersOnPlateauAtSaturation(t *testing.T) {
 	fs, v := throttleRig(t)
-	fs.cfg.ThrottleFloor = 50
 	// Ramp up past the floor, then plateau: rising but within (1+Tb) of
 	// the window average -> saturated.
-	for _, bw := range []float64{10, 20, 40, 60, 80, 100} {
+	for _, bw := range []float64{20, 40, 60, 80, 100, 120} {
 		feed(fs, v, bw)
 	}
 	if v.throttled {
 		t.Fatal("throttled during steep ramp")
 	}
-	// Window avg of the last 6 samples ≈ 51.7; a sample of 55 is rising
-	// (> avg) but within 15%: plateau at saturation.
-	feed(fs, v, 55)
+	// Window avg of the last 6 samples = 70; a sample of 75 is rising
+	// (> avg), within 15% and above the floor: plateau at saturation.
+	feed(fs, v, 75)
 	if !v.throttled {
 		t.Fatal("plateau at saturation not throttled")
 	}
@@ -36,11 +36,10 @@ func TestThrottleEntersOnPlateauAtSaturation(t *testing.T) {
 
 func TestThrottleReleasesOnFall(t *testing.T) {
 	fs, v := throttleRig(t)
-	fs.cfg.ThrottleFloor = 50
-	for _, bw := range []float64{10, 20, 40, 60, 80, 100} {
+	for _, bw := range []float64{20, 40, 60, 80, 100, 120} {
 		feed(fs, v, bw)
 	}
-	feed(fs, v, 55) // throttle
+	feed(fs, v, 75) // throttle
 	if !v.throttled {
 		t.Fatal("setup failed")
 	}
@@ -51,10 +50,9 @@ func TestThrottleReleasesOnFall(t *testing.T) {
 	}
 }
 
-func TestThrottleFloorPreventsIdleFlapping(t *testing.T) {
+func TestThrottleIgnoresIdleLoadBelowFloor(t *testing.T) {
 	fs, v := throttleRig(t)
-	fs.cfg.ThrottleFloor = 1000 // far above any sample below
-	// Low, noisy traffic: plateaus everywhere, but below the floor.
+	// Low, noisy traffic: plateaus everywhere, but far below the floor.
 	for _, bw := range []float64{5, 6, 5, 7, 6, 5, 6, 6, 5, 7, 6, 6} {
 		feed(fs, v, bw)
 		if v.throttled {
@@ -65,7 +63,6 @@ func TestThrottleFloorPreventsIdleFlapping(t *testing.T) {
 
 func TestThrottleHysteresis(t *testing.T) {
 	fs, v := throttleRig(t)
-	fs.cfg.ThrottleFloor = 0.5
 	// Stabilize around 100 then oscillate mildly within ±Tb: once
 	// throttled, mild oscillation must not release.
 	for i := 0; i < 8; i++ {
@@ -88,7 +85,7 @@ func TestThrottleWindowBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		feed(fs, v, float64(i%37))
 	}
-	if len(v.bwWindow) > 4*fs.cfg.ThrottleWindow {
+	if len(v.bwWindow) > 4*throttleWindow {
 		t.Fatalf("window grew unbounded: %d", len(v.bwWindow))
 	}
 }

@@ -22,7 +22,7 @@
 //     dedicated copy, eliminating the replication thrashing that transient
 //     outages cause in stock HDFS.
 //
-// The NameNode's replication scan runs every ReplicationScanInterval and
+// The NameNode's replication scan runs every replicationScanInterval and
 // visits the blocks something has touched since it last looked. A block whose
 // visit found nothing to do — no deficit, no excess, not under construction,
 // not backing off — is *quiet*, and stays skipped until one of the things a

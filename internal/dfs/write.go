@@ -211,14 +211,14 @@ func (op *WriteOp) stageFailed(failedNode int) {
 	fs.Metrics.WriteRetries++
 	fs.inst.writeRetries.IncAt(fs.sim.Now())
 	op.attempts++
-	if op.attempts > fs.cfg.WriteRetries {
+	if op.attempts > writeRetries {
 		op.finish(ErrWriteFailed)
 		return
 	}
 	if !containsInt(op.failed, failedNode) {
 		op.failed = append(op.failed, failedNode)
 	}
-	op.backoff = fs.sim.After(fs.cfg.WriteRetryBackoff, "dfs.writeRetry", func() {
+	op.backoff = fs.sim.After(writeRetryBackoff, "dfs.writeRetry", func() {
 		op.backoff = sim.Event{}
 		op.writeStage()
 	})

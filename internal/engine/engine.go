@@ -87,17 +87,13 @@ type Config struct {
 	// job without an entry runs at weight 1.
 	JobWeights map[string]float64
 
-	// Transport is the message fabric carrying all master↔worker traffic
-	// (join handshakes, heartbeats, assignments, result events,
-	// intermediate-data fetches). Nil selects the in-process loopback:
-	// ordered, lossless, effectively instant — the default under which the
-	// engine behaves exactly as it did with bare channels.
-	Transport transport.Transport
-
-	// Faults, when non-nil, wraps Transport with deterministic seeded
+	// Faults, when non-nil, wraps the in-process loopback that carries all
+	// master↔worker traffic (join handshakes, heartbeats, assignments,
+	// result events, intermediate-data fetches) with deterministic seeded
 	// fault injection (drops, duplicates, delays, connection resets, timed
 	// partition windows) — chaos testing for the failure-handling
-	// protocol. See transport.FaultConfig.
+	// protocol. See transport.FaultConfig. Without it the loopback is
+	// ordered, lossless and effectively instant.
 	Faults *transport.FaultConfig
 
 	// Link holds every clock of the engine: the worker heartbeat period,
@@ -223,8 +219,8 @@ type Cluster struct {
 }
 
 // New starts the worker goroutine pool and the master loop, wired through
-// Config.Transport (loopback by default, optionally wrapped with fault
-// injection).
+// the in-process loopback (wrapped with fault injection when Config.Faults
+// is set).
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -238,10 +234,7 @@ func New(cfg Config) (*Cluster, error) {
 		drains:     make(chan chan struct{}),
 		masterDone: make(chan struct{}),
 	}
-	tr := cfg.Transport
-	if tr == nil {
-		tr = transport.NewLoopback()
-	}
+	var tr transport.Transport = transport.NewLoopback()
 	if cfg.Faults != nil {
 		ftr, err := transport.NewFlaky(tr, *cfg.Faults)
 		if err != nil {

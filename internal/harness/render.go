@@ -145,7 +145,7 @@ func (sw *Sweep) RenderLive(w io.Writer) error {
 // per-day percentage of unavailable resources, sampled every 10 minutes
 // over a 9AM-5PM window.
 func Fig1(w io.Writer, seed uint64) error {
-	days := trace.GenerateFig1(rng.New(seed), trace.DefaultFig1Config())
+	days := trace.GenerateFig1(rng.New(seed))
 	fmt.Fprintln(w, "Fig 1: percentage of unavailable resources (10-minute samples, 9AM-5PM)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "time")

@@ -101,77 +101,74 @@ type SchedConfig struct {
 	HomestretchH float64
 	HomestretchR int
 
-	// Straggler criteria (Hadoop): running longer than
-	// StragglerMinRuntime with progress at least StragglerGap behind the
-	// average.
-	StragglerMinRuntime float64
-	StragglerGap        float64
-
 	// ReduceSlowstart launches reduces once this fraction of maps
-	// finished.
+	// finished (Hadoop 0.05). It is a field, not a constant, because the
+	// map-output-loss tests raise it to 1 so that no reduce starts before
+	// every map has finished, a regime 0.05 does not reach.
 	ReduceSlowstart float64
 
 	// ParallelCopies is the reducer's concurrent fetch limit (Hadoop 5).
+	// It is a field because FuzzPumpVsScan's rig lowers it to 2, so the
+	// candidate walk is cut off at the copy limit often.
 	ParallelCopies int
 
 	// FetchRetryInterval is the pause before a reducer retries a failed
-	// fetch.
+	// fetch and before a map re-polls the DFS for its input (15 s). It is
+	// a field because the map-output-loss tests shorten it to 5 s.
 	FetchRetryInterval float64
 
-	// FetchReportThreshold: a reducer notifies the JobTracker about a
-	// map output only after this many failed fetch attempts of its own
-	// (Hadoop reducers penalize and retry a host several times before
-	// sending a fetch-failure notification).
-	FetchReportThreshold int
-
-	// HadoopFetchFailureFraction: re-execute a map when more than this
-	// fraction of running reducers report fetch failures against it.
-	HadoopFetchFailureFraction float64
-
-	// MoonFetchFailureCount: after this many fetch failures for one map
-	// output, MOON queries the DFS for live replicas and re-executes the
-	// map immediately if none exist.
-	MoonFetchFailureCount int
-
-	// FastFetchReaction applies the MOON query rule above even under the
-	// Hadoop policy. The paper found stock Hadoop's >50%-of-reducers
-	// rule so slow that "a typical job runs for hours" and patched the
-	// same remedy into its augmented Hadoop baseline (Section VI-B); the
-	// Hadoop-VO runs of Figure 7 use this flag.
+	// FastFetchReaction applies MOON's query-the-DFS rule for lost map
+	// outputs even under the Hadoop policy. The paper found stock Hadoop's
+	// >50%-of-reducers rule so slow that "a typical job runs for hours"
+	// and patched the same remedy into its augmented Hadoop baseline
+	// (Section VI-B); the Hadoop-VO runs of Figure 7 use this flag.
 	FastFetchReaction bool
-
-	// InputReadRetries bounds how many times a map attempt re-polls the
-	// DFS for its input block during churn before the attempt fails.
-	InputReadRetries int
-
-	// MaxTaskAttempts aborts the job when any single task fails this
-	// many times (Hadoop kills a job after 4 failed attempts of a task).
-	MaxTaskAttempts int
 }
+
+// Settings that no experiment of the paper varies (Hadoop 0.17's values
+// unless noted).
+const (
+	// A task is a straggler once it has run stragglerMinRuntime seconds
+	// and its progress is at least stragglerGap behind its type's average.
+	stragglerMinRuntime = 60
+	stragglerGap        = 0.2
+
+	// A reducer notifies the JobTracker about a map output only after
+	// fetchReportThreshold failed fetches of its own (Hadoop reducers
+	// penalize and retry a host several times before notifying).
+	fetchReportThreshold = 3
+	// Hadoop re-executes a map once more than hadoopFetchFailureFraction
+	// of the running reducers report fetch failures against it.
+	hadoopFetchFailureFraction = 0.5
+	// After moonFetchFailureCount failures for one map output, MOON asks
+	// the DFS for a live replica and re-executes the map if none exists.
+	moonFetchFailureCount = 3
+
+	// inputReadRetries bounds how many times a map attempt re-polls the
+	// DFS for its input block during churn before the attempt fails.
+	inputReadRetries = 40
+	// maxTaskAttempts aborts the job once any single task has failed
+	// this many times (Hadoop kills a job after 4 failed attempts of a
+	// task).
+	maxTaskAttempts = 12
+)
 
 // DefaultSchedConfig returns the paper's settings for each policy.
 func DefaultSchedConfig(p Policy) SchedConfig {
 	cfg := SchedConfig{
-		Policy:                     p,
-		MapSlotsPerNode:            2,
-		ReduceSlotsPerNode:         2,
-		HeartbeatInterval:          3,
-		TrackerExpiry:              600, // Hadoop default: 10 min
-		SuspensionInterval:         0,
-		SpeculativeCap:             1,
-		SpecSlotFraction:           0.2,
-		HomestretchH:               20,
-		HomestretchR:               2,
-		StragglerMinRuntime:        60,
-		StragglerGap:               0.2,
-		ReduceSlowstart:            0.05,
-		ParallelCopies:             5,
-		FetchRetryInterval:         15,
-		FetchReportThreshold:       3,
-		HadoopFetchFailureFraction: 0.5,
-		InputReadRetries:           40,
-		MoonFetchFailureCount:      3,
-		MaxTaskAttempts:            12,
+		Policy:             p,
+		MapSlotsPerNode:    2,
+		ReduceSlotsPerNode: 2,
+		HeartbeatInterval:  3,
+		TrackerExpiry:      600, // Hadoop default: 10 min
+		SuspensionInterval: 0,
+		SpeculativeCap:     1,
+		SpecSlotFraction:   0.2,
+		HomestretchH:       20,
+		HomestretchR:       2,
+		ReduceSlowstart:    0.05,
+		ParallelCopies:     5,
+		FetchRetryInterval: 15,
 	}
 	if p == PolicyMOON {
 		cfg.TrackerExpiry = 1800 // 30 min
@@ -185,6 +182,9 @@ func (c SchedConfig) Validate() error {
 	if c.MapSlotsPerNode <= 0 || c.ReduceSlotsPerNode <= 0 {
 		return fmt.Errorf("mapred: slots per node must be positive")
 	}
+	if c.TrackerExpiry <= 0 {
+		return fmt.Errorf("mapred: tracker expiry %v must be positive", c.TrackerExpiry)
+	}
 	if c.Policy == PolicyMOON && c.SuspensionInterval >= c.TrackerExpiry {
 		return fmt.Errorf("mapred: suspension interval %v must be < tracker expiry %v",
 			c.SuspensionInterval, c.TrackerExpiry)
@@ -192,8 +192,9 @@ func (c SchedConfig) Validate() error {
 	if c.HeartbeatInterval <= 0 {
 		return fmt.Errorf("mapred: heartbeat interval must be positive")
 	}
-	if c.MaxTaskAttempts < 1 {
-		return fmt.Errorf("mapred: max task attempts must be >= 1")
+	if c.HomestretchR < 0 || c.SpeculativeCap < 0 || c.SpecSlotFraction < 0 {
+		return fmt.Errorf("mapred: homestretch R %d, speculative cap %d and slot fraction %v must be >= 0",
+			c.HomestretchR, c.SpeculativeCap, c.SpecSlotFraction)
 	}
 	return nil
 }

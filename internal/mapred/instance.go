@@ -82,7 +82,7 @@ func (jt *JobTracker) startMap(in *Instance) {
 			// the DFS client, wait out the churn and retry with a fresh
 			// replica list before giving up on the attempt.
 			retries++
-			if retries > jt.cfg.InputReadRetries {
+			if retries > inputReadRetries {
 				jt.failInstance(in, fmt.Sprintf("input unavailable: %v", err))
 				return
 			}
@@ -293,7 +293,7 @@ func (jt *JobTracker) failInstance(in *Instance, reason string) {
 	if in.speculative {
 		jt.inst.specWasted.Inc()
 	}
-	if in.task.attempts >= jt.cfg.MaxTaskAttempts && !in.task.completed {
+	if in.task.attempts >= maxTaskAttempts && !in.task.completed {
 		jt.failJob(in.task.job, fmt.Sprintf("task %s failed %d attempts (last: %s)",
 			in.task.ID(), in.task.attempts, reason))
 	}
@@ -354,14 +354,14 @@ func (jt *JobTracker) reportFetchFailure(in *Instance, mapIndex, attemptFails in
 	if !mt.completed {
 		return // already being re-executed
 	}
-	if attemptFails < jt.cfg.FetchReportThreshold {
+	if attemptFails < fetchReportThreshold {
 		return // the reducer keeps retrying before notifying the master
 	}
 	jt.inst.fetchReports.IncAt(jt.sim.Now())
 	if jt.cfg.Policy == PolicyMOON || jt.cfg.FastFetchReaction {
-		// After MoonFetchFailureCount failures, ask the DFS whether any
+		// After moonFetchFailureCount failures, ask the DFS whether any
 		// replica is actually alive; if not, re-execute immediately.
-		if attemptFails >= jt.cfg.MoonFetchFailureCount {
+		if attemptFails >= moonFetchFailureCount {
 			block := dfs.BlockID{File: mt.output, Index: 0}
 			if !jt.fs.HasLiveReplica(block) {
 				jt.invalidateMapOutput(mt)
@@ -381,7 +381,7 @@ func (jt *JobTracker) reportFetchFailure(in *Instance, mapIndex, attemptFails in
 			running++
 		}
 	}
-	if running > 0 && float64(len(j.fetchReporters[mapIndex])) > jt.cfg.HadoopFetchFailureFraction*float64(running) {
+	if running > 0 && float64(len(j.fetchReporters[mapIndex])) > hadoopFetchFailureFraction*float64(running) {
 		jt.invalidateMapOutput(mt)
 	}
 }

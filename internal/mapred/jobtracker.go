@@ -539,10 +539,10 @@ func (jt *JobTracker) isStraggler(t *Task, avg float64) bool {
 			oldest = in.startedAt
 		}
 	}
-	if now-oldest < jt.cfg.StragglerMinRuntime {
+	if now-oldest < stragglerMinRuntime {
 		return false
 	}
-	return t.progress(now) < avg-jt.cfg.StragglerGap
+	return t.progress(now) < avg-stragglerGap
 }
 
 // pickSpeculativeHadoop: stragglers in original scheduling order, one

@@ -498,9 +498,20 @@ func TestSchedConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("suspension >= expiry accepted")
 	}
-	bad = good
-	bad.MapSlotsPerNode = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero slots accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*SchedConfig)
+	}{
+		{"zero slots", func(c *SchedConfig) { c.MapSlotsPerNode = 0 }},
+		{"zero tracker expiry", func(c *SchedConfig) { c.TrackerExpiry, c.SuspensionInterval = 0, -1 }},
+		{"negative homestretch R", func(c *SchedConfig) { c.HomestretchR = -1 }},
+		{"negative speculative cap", func(c *SchedConfig) { c.SpeculativeCap = -1 }},
+		{"negative slot fraction", func(c *SchedConfig) { c.SpecSlotFraction = -0.1 }},
+	} {
+		bad = good
+		tc.mutate(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

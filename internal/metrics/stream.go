@@ -72,12 +72,8 @@ type StreamSink struct {
 	dropped atomic.Uint64
 }
 
-// NewStreamSink returns a sink buffering up to size updates (size <= 0
-// selects 1024).
+// NewStreamSink returns a sink buffering up to size updates.
 func NewStreamSink(size int) *StreamSink {
-	if size <= 0 {
-		size = 1024
-	}
 	return &StreamSink{ch: make(chan Update, size)}
 }
 

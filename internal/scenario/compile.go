@@ -283,14 +283,11 @@ func compileSweep(l lowered, renders []string) (PlanRun, error) {
 	run := PlanRun{Title: c.Title, App: l.app, Renders: lowerRenders(renders, !l.block)}
 	for i := range c.Variants {
 		v := &c.Variants[i]
-		cl, ws := c.Cluster, &c.Workload
-		if v.Cluster != nil {
-			cl = v.Cluster
-		}
+		ws := &c.Workload
 		if v.workload != nil {
 			ws = v.workload
 		}
-		cell, err := buildCell(v, cl, ws)
+		cell, err := buildCell(v, c.clusterOf(v), ws)
 		if err != nil {
 			return PlanRun{}, fmt.Errorf("variant %q: %w", v.Label, err)
 		}
@@ -343,6 +340,15 @@ func variantPolicy(v *VariantSpec) (mapred.SchedPolicy, error) {
 		return nil, nil
 	}
 	return resolvePolicy(v.Policy, v.Weights)
+}
+
+// clusterOf is the fleet a variant line runs on: its own, else the
+// experiment's.
+func (c *CustomExperiment) clusterOf(v *VariantSpec) *ClusterSpec {
+	if v.Cluster != nil {
+		return v.Cluster
+	}
+	return c.Cluster
 }
 
 func cloneCluster(cl *ClusterSpec) *ClusterSpec {

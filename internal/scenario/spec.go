@@ -32,6 +32,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
@@ -199,9 +200,9 @@ type PartitionSpec struct {
 
 // MetricsSpec configures cross-layer metrics collection.
 type MetricsSpec struct {
-	// BucketSeconds is the time-series bucket width (default 600). The
-	// CLI only collects when an output path is given (-metrics); the
-	// spec fixes how, not whether.
+	// BucketSeconds is the time-series bucket width (default 300,
+	// metrics.DefaultBucket). The CLI only collects when an output path
+	// is given (-metrics); the spec fixes how, not whether.
 	BucketSeconds float64 `json:"bucket_seconds,omitempty"`
 }
 
@@ -547,11 +548,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: %q execution %q (want sim or live)", s.Name, s.Execution)
 	}
 	for i := range s.Experiments {
+		e := &s.Experiments[i]
 		var err error
 		if live {
-			err = s.Experiments[i].validateLive()
-		} else {
-			err = s.Experiments[i].validate()
+			err = e.validateLive()
+		} else if err = e.validate(); err == nil && e.Figure != "fig1" { // fig1 has no stack
+			err = e.lower().custom.validateStacks()
 		}
 		if err != nil {
 			return fmt.Errorf("scenario: %q experiment %d: %w", s.Name, i, err)
@@ -780,6 +782,25 @@ func (c *CustomExperiment) validate() error {
 	return nil
 }
 
+// validateStacks builds each line's stack options once, as its cells will,
+// and validates them, so a delta the model cannot run (a suspension
+// interval past the tracker expiry, a zero adaptive clamp, a negative
+// expiry) is rejected before the first cell runs instead of mid-sweep.
+func (c *CustomExperiment) validateStacks() error {
+	for i := range c.Variants {
+		v := &c.Variants[i]
+		opts := buildOptions(v, c.clusterOf(v), core.ClusterSpec{})
+		err := opts.Sched.Validate()
+		if err == nil {
+			err = opts.DFS.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("variant %q: %w", v.Label, err)
+		}
+	}
+	return nil
+}
+
 func (w *WorkloadSpec) validate() error {
 	if !slices.Contains(Apps, w.App) {
 		return fmt.Errorf("workload app %q (want sort or wordcount)", w.App)
@@ -874,22 +895,9 @@ func (v *VariantSpec) validate(multi bool) error {
 				return fmt.Errorf("sched %s %v", f.name, *f.p)
 			}
 		}
-		if s.SpeculativeCap != nil && *s.SpeculativeCap < 0 {
-			return fmt.Errorf("sched speculative_cap %d", *s.SpeculativeCap)
-		}
-		if s.MapSlotsPerNode != nil && *s.MapSlotsPerNode < 1 ||
-			s.ReduceSlotsPerNode != nil && *s.ReduceSlotsPerNode < 1 {
-			return fmt.Errorf("sched slots per node must be >= 1")
-		}
 	}
-	if v.DFS != nil {
-		d := v.DFS
-		if d.Mode != nil && *d.Mode != "hadoop" && *d.Mode != "moon" {
-			return fmt.Errorf("dfs mode %q (want hadoop or moon)", *d.Mode)
-		}
-		if d.AvailabilityTarget != nil && (*d.AvailabilityTarget < 0 || *d.AvailabilityTarget >= 1) {
-			return fmt.Errorf("dfs availability_target %v outside [0,1)", *d.AvailabilityTarget)
-		}
+	if d := v.DFS; d != nil && d.Mode != nil && *d.Mode != "hadoop" && *d.Mode != "moon" {
+		return fmt.Errorf("dfs mode %q (want hadoop or moon)", *d.Mode)
 	}
 	if v.Net != nil {
 		n := v.Net

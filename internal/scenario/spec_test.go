@@ -97,6 +97,20 @@ func TestValidateRejections(t *testing.T) {
 	valid := func() *Spec {
 		return mustParse(t, `{"schema":"moon-scenario/v1","name":"v","experiments":[{"figure":"fig4","app":"sort"}]}`)
 	}
+	// badLine swaps in a custom sweep of two moon-hybrid lines, "ok" and
+	// "bad", the second carrying a stack delta the model cannot run. Each
+	// such spec used to compile, run the "ok" cells and then fail mid-sweep,
+	// run to exit 0, or (max_adaptive_v 0) run as the default 6.
+	badLine := func(delta VariantSpec) func(*Spec) {
+		return func(s *Spec) {
+			delta.Label, delta.Preset = "bad", "moon-hybrid"
+			s.Experiments = []Experiment{{Custom: &CustomExperiment{
+				Title:    "t",
+				Workload: WorkloadSpec{App: "sort"},
+				Variants: []VariantSpec{{Label: "ok", Preset: "moon-hybrid"}, delta},
+			}}}
+		}
+	}
 	cases := []struct {
 		name string
 		mut  func(*Spec)
@@ -118,6 +132,16 @@ func TestValidateRejections(t *testing.T) {
 		{"bad render", func(s *Spec) { s.Experiments[0].Renders = []string{"pie"} }, "render"},
 		{"multi render on single", func(s *Spec) { s.Experiments[0].Renders = []string{"multi"} }, "render"},
 		{"table2 render off the replication sweep", func(s *Spec) { s.Experiments[0].Renders = []string{"table2"} }, "table2"},
+		{"suspension past tracker expiry", badLine(VariantSpec{Sched: &SchedDelta{SuspensionIntervalSeconds: floatp(2000)}}),
+			`variant "bad": mapred: suspension interval 2000`},
+		{"hibernate past dfs expiry", badLine(VariantSpec{DFS: &DFSDelta{HibernateIntervalSeconds: floatp(2000)}}),
+			"hibernate interval 2000"},
+		{"negative dfs expiry", badLine(VariantSpec{DFS: &DFSDelta{ExpiryIntervalSeconds: floatp(-5)}}), "expiry interval -5"},
+		{"negative max adaptive v", badLine(VariantSpec{DFS: &DFSDelta{MaxAdaptiveV: intp(-2)}}), "max adaptive v -2"},
+		{"zero max adaptive v", badLine(VariantSpec{DFS: &DFSDelta{MaxAdaptiveV: intp(0)}}), "max adaptive v 0"},
+		{"negative replication streams", badLine(VariantSpec{DFS: &DFSDelta{MaxReplicationStreams: intp(-1)}}),
+			"max replication streams -1"},
+		{"negative homestretch r", badLine(VariantSpec{Sched: &SchedDelta{HomestretchR: intp(-1)}}), "homestretch R -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

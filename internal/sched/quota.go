@@ -9,7 +9,7 @@ import (
 // The queue and policies decide which running job gets the next slot;
 // Admission decides whether a tenant may add to the job stream at all —
 // how many of its submissions may run concurrently and how many more may
-// wait queued behind them. The accounting is backend-agnostic (it counts
+// wait parked behind them. The accounting is backend-agnostic (it counts
 // submissions, not task attempts) and concurrency-safe, because admission
 // decisions arrive from many client connections at once.
 
@@ -38,108 +38,80 @@ func (e *QuotaError) Error() string {
 	return fmt.Sprintf("sched: tenant %q exceeded %s quota (%d)", e.Tenant, e.Kind, e.Limit)
 }
 
-// Admission tracks per-tenant running/queued submission counts against
-// quotas. The zero value is not usable; create with NewAdmission. All
-// methods are safe for concurrent use.
-type Admission struct {
-	mu        sync.Mutex
-	def       QuotaConfig
-	overrides map[string]QuotaConfig
-	use       map[string]*Usage
+// Admission applies one quota to every tenant and owns each tenant's
+// waiting room: the items admitted past the concurrency cap, oldest first.
+// Admitting-or-parking is one step and so is retiring-and-promoting, so a
+// tenant never runs more than MaxConcurrent items and a parked item is
+// never overtaken by a later one. The zero value is not usable; create
+// with NewAdmission. All methods are safe for concurrent use.
+type Admission[T any] struct {
+	mu      sync.Mutex
+	q       QuotaConfig
+	tenants map[string]*tenantUse[T]
 }
 
-// Usage is one tenant's current admission footprint.
-type Usage struct {
-	Running int `json:"running"`
-	Queued  int `json:"queued"`
+// tenantUse is one tenant's running count and waiting room; a tenant with
+// neither has no entry.
+type tenantUse[T any] struct {
+	running int
+	parked  []T
 }
 
-// NewAdmission returns an admission controller applying def to every
-// tenant, with optional per-tenant overrides keyed by tenant name.
-func NewAdmission(def QuotaConfig, overrides map[string]QuotaConfig) *Admission {
-	a := &Admission{def: def, use: make(map[string]*Usage)}
-	if len(overrides) > 0 {
-		a.overrides = make(map[string]QuotaConfig, len(overrides))
-		for k, v := range overrides {
-			a.overrides[k] = v
-		}
-	}
-	return a
+// NewAdmission returns an admission controller applying q to every tenant.
+func NewAdmission[T any](q QuotaConfig) *Admission[T] {
+	return &Admission[T]{q: q, tenants: make(map[string]*tenantUse[T])}
 }
 
-// Quota returns the config governing the tenant.
-func (a *Admission) Quota(tenant string) QuotaConfig {
-	if q, ok := a.overrides[tenant]; ok {
-		return q
-	}
-	return a.def
-}
-
-func (a *Admission) usage(tenant string) *Usage {
-	u := a.use[tenant]
-	if u == nil {
-		u = &Usage{}
-		a.use[tenant] = u
-	}
-	return u
-}
-
-// TryAcquire admits one submission for the tenant. It returns run=true
-// when the submission may start immediately (counted running), run=false
-// when it was admitted into the wait queue (counted queued; the caller
-// parks it and later pairs it with Promote), or a *QuotaError when both
-// the concurrency cap and the queue are full.
-func (a *Admission) TryAcquire(tenant string) (run bool, err error) {
+// Acquire admits item for the tenant. It returns run=true when the item may
+// start now (counted running), run=false when it was parked (a later
+// Release hands it back, counted running, for the caller to start), or a
+// *QuotaError — keeping nothing — when both the concurrency cap and the
+// waiting room are full.
+func (a *Admission[T]) Acquire(tenant string, item T) (run bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	q := a.Quota(tenant)
-	u := a.usage(tenant)
-	if q.MaxConcurrent <= 0 || u.Running < q.MaxConcurrent {
-		u.Running++
+	u := a.tenants[tenant]
+	if u == nil {
+		u = &tenantUse[T]{}
+		a.tenants[tenant] = u
+	}
+	if a.q.MaxConcurrent <= 0 || u.running < a.q.MaxConcurrent {
+		u.running++
 		return true, nil
 	}
-	if u.Queued < q.MaxQueued {
-		u.Queued++
+	if len(u.parked) < a.q.MaxQueued {
+		u.parked = append(u.parked, item)
 		return false, nil
 	}
-	kind, limit := "queued", q.MaxQueued
-	if q.MaxQueued <= 0 {
-		kind, limit = "concurrent", q.MaxConcurrent
+	kind, limit := "queued", a.q.MaxQueued
+	if a.q.MaxQueued <= 0 {
+		kind, limit = "concurrent", a.q.MaxConcurrent
 	}
 	return false, &QuotaError{Tenant: tenant, Kind: kind, Limit: limit}
 }
 
-// Promote moves one queued submission to running — the caller decided to
-// start a parked submission (normally after Release reported room).
-func (a *Admission) Promote(tenant string) {
+// Release retires one of the tenant's running items. If that leaves room
+// for the tenant's oldest parked item, the item takes the slot (counted
+// running) and is returned with ok=true; the caller starts it.
+func (a *Admission[T]) Release(tenant string) (next T, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	u := a.usage(tenant)
-	if u.Queued > 0 {
-		u.Queued--
+	u := a.tenants[tenant]
+	if u == nil {
+		return next, false
 	}
-	u.Running++
-}
-
-// Release retires one running submission and reports whether a queued
-// submission of the same tenant can now be promoted.
-func (a *Admission) Release(tenant string) (promote bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	q := a.Quota(tenant)
-	u := a.usage(tenant)
-	if u.Running > 0 {
-		u.Running--
+	if u.running > 0 {
+		u.running--
 	}
-	return u.Queued > 0 && (q.MaxConcurrent <= 0 || u.Running < q.MaxConcurrent)
-}
-
-// Use returns a copy of the tenant's current footprint.
-func (a *Admission) Use(tenant string) Usage {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if u := a.use[tenant]; u != nil {
-		return *u
+	if len(u.parked) > 0 && (a.q.MaxConcurrent <= 0 || u.running < a.q.MaxConcurrent) {
+		next, ok = u.parked[0], true
+		var zero T
+		u.parked[0] = zero // the slice's backing array must not pin it
+		u.parked = u.parked[1:]
+		u.running++
 	}
-	return Usage{}
+	if u.running == 0 && len(u.parked) == 0 {
+		delete(a.tenants, tenant)
+	}
+	return next, ok
 }

@@ -25,9 +25,6 @@ type hub struct {
 }
 
 func newHub(buffer int) *hub {
-	if buffer <= 0 {
-		buffer = 256
-	}
 	return &hub{buffer: buffer, subs: make(map[chan event]struct{})}
 }
 

@@ -95,23 +95,24 @@ func TestSubmissionFootprint(t *testing.T) {
 
 // TestRejectedRequestCostsNothing: a request answered 400 takes no
 // submission id, one answered 429 has built no split, and a parked
-// submission holds its request, not its corpus. The pool's one worker is
-// suspended throughout, so nothing runs and the heap holds still under
+// submission holds its request, not its corpus. Each server's one worker
+// is suspended throughout, so nothing runs and the heap holds still under
 // the measurements.
 func TestRejectedRequestCostsNothing(t *testing.T) {
-	s, err := New(Config{
-		VolatileWorkers: 1,
-		Quota:           sched.QuotaConfig{MaxConcurrent: 1, MaxQueued: 64},
-		QuotaOverrides:  map[string]sched.QuotaConfig{"no-queue": {MaxConcurrent: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	stalled := func(q sched.QuotaConfig) *Server {
+		t.Helper()
+		s, err := New(Config{VolatileWorkers: 1, Quota: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if err := s.cluster.Suspend(0); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	defer s.Close()
-	if err := s.cluster.Suspend(0); err != nil {
-		t.Fatal(err)
-	}
-	submit := func(tenant, body string, want int) Status {
+	s := stalled(sched.QuotaConfig{MaxConcurrent: 1, MaxQueued: 64})
+	submit := func(s *Server, tenant, body string, want int) Status {
 		t.Helper()
 		rec := call(s, http.MethodPost, "/v1/jobs", body, map[string]string{"X-Moon-Tenant": tenant})
 		if rec.Code != want {
@@ -120,17 +121,17 @@ func TestRejectedRequestCostsNothing(t *testing.T) {
 		return decodeStatus(t, rec.Body.Bytes())
 	}
 
-	first := submit("a", svcOpenJob, http.StatusAccepted)
-	submit("a", `{"name":"wc","splits":8,"inputs":["x"]}`, http.StatusBadRequest)
-	if next := submit("a", svcOpenJob, http.StatusAccepted); first.ID != "1" || next.ID != "2" {
+	first := submit(s, "a", svcOpenJob, http.StatusAccepted)
+	submit(s, "a", `{"name":"wc","splits":8,"inputs":["x"]}`, http.StatusBadRequest)
+	if next := submit(s, "a", svcOpenJob, http.StatusAccepted); first.ID != "1" || next.ID != "2" {
 		t.Errorf("ids %s then %s across a rejected request, want 1 then 2", first.ID, next.ID)
 	}
 
-	submit("b", svcOpenJob, http.StatusAccepted) // holds tenant b's one run slot
+	submit(s, "b", svcOpenJob, http.StatusAccepted) // holds tenant b's one run slot
 	const parked = 50
 	live0, _ := settledHeap()
 	for i := 0; i < parked; i++ {
-		if st := submit("b", svcOpenJob, http.StatusAccepted); st.State != subQueued {
+		if st := submit(s, "b", svcOpenJob, http.StatusAccepted); st.State != subQueued {
 			t.Fatalf("submission %s is %s, want parked", st.ID, st.State)
 		}
 	}
@@ -140,10 +141,11 @@ func TestRejectedRequestCostsNothing(t *testing.T) {
 	}
 
 	// 64 splits of 50 000 words are 20 MB the 429 must not have generated.
-	submit("no-queue", svcOpenJob, http.StatusAccepted)
+	noQueue := stalled(sched.QuotaConfig{MaxConcurrent: 1})
+	submit(noQueue, "a", svcOpenJob, http.StatusAccepted)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	submit("no-queue", `{"name":"big","splits":64,"words_per_split":50000}`, http.StatusTooManyRequests)
+	submit(noQueue, "a", `{"name":"big","splits":64,"words_per_split":50000}`, http.StatusTooManyRequests)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("a 429 allocated %d bytes", got)

@@ -53,14 +53,12 @@ type Config struct {
 	VolatileWorkers  int
 	DedicatedWorkers int
 	// JobPolicy arbitrates the persistent cluster's slots between
-	// concurrent jobs ("fifo" default, "fair", "weighted", "priority").
-	JobPolicy  string
-	JobWeights map[string]float64
+	// concurrent jobs ("fifo" default, "fair", "weighted" at weight 1,
+	// "priority").
+	JobPolicy string
 
-	// Quota is the default per-tenant admission quota; QuotaOverrides
-	// replaces it for named tenants.
-	Quota          sched.QuotaConfig
-	QuotaOverrides map[string]sched.QuotaConfig
+	// Quota is every tenant's admission quota.
+	Quota sched.QuotaConfig
 
 	// MetricsBucket is the series bucket width (seconds) of the
 	// persistent cluster's collector and of scenario-run cells.
@@ -108,7 +106,7 @@ type Server struct {
 	cluster *engine.Cluster
 	sink    *metrics.StreamSink
 	hub     *hub
-	adm     *sched.Admission
+	adm     *sched.Admission[*submission]
 	reg     *registry
 
 	draining atomic.Bool
@@ -126,7 +124,6 @@ func New(cfg Config) (*Server, error) {
 	ecfg.VolatileWorkers = cfg.VolatileWorkers
 	ecfg.DedicatedWorkers = cfg.DedicatedWorkers
 	ecfg.JobPolicy = cfg.JobPolicy
-	ecfg.JobWeights = cfg.JobWeights
 	ecfg.Metrics = col
 	cluster, err := engine.New(ecfg)
 	if err != nil {
@@ -138,7 +135,7 @@ func New(cfg Config) (*Server, error) {
 		cluster: cluster,
 		sink:    sink,
 		hub:     newHub(cfg.EventBuffer),
-		adm:     sched.NewAdmission(cfg.Quota, cfg.QuotaOverrides),
+		adm:     sched.NewAdmission[*submission](cfg.Quota),
 		reg:     newRegistry(),
 	}
 	s.wg.Add(1)
@@ -282,36 +279,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 	})
 }
 
-// admit asks admission control first and registers the submission only if
-// it may run or queue; it is then started or parked. A rejection (429 with
-// Retry-After) is answered here, returns nil and registers nothing.
+// admit registers the submission if admission control lets it run or park,
+// and starts it if it may run. A rejection (429 with Retry-After) is
+// answered here, returns nil and registers nothing.
 func (s *Server) admit(w http.ResponseWriter, kind, tenant, name string, start func(*submission)) *submission {
-	run, err := s.adm.TryAcquire(tenant)
+	sub, run, err := s.reg.admit(s.adm, kind, tenant, name, start)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, "quota_exceeded", err.Error())
 		return nil
 	}
-	sub := s.reg.add(kind, tenant, name, start)
 	if run {
 		sub.fire()
-	} else {
-		s.reg.park(sub)
 	}
 	return sub
 }
 
-// release retires one running submission and promotes the tenant's oldest
-// parked submission when the quota has room again. The promote decision
-// and the pop are not one atomic step, so a racing TryAcquire can briefly
-// push a tenant one submission over its cap — bounded, and resolved at
-// the next release.
+// release retires one running submission of the tenant and starts the
+// parked submission admission control hands its slot to, if any.
 func (s *Server) release(tenant string) {
-	if s.adm.Release(tenant) {
-		if next := s.reg.popParked(tenant); next != nil {
-			s.adm.Promote(tenant)
-			next.fire()
-		}
+	if next, ok := s.adm.Release(tenant); ok {
+		next.fire()
 	}
 }
 

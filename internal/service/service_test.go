@@ -376,7 +376,10 @@ func TestEventsStreamDuringRun(t *testing.T) {
 			current = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
 			events[current]++
-			if current == "job" && strings.Contains(line, `"state":"done"`) {
+			// The submission's own state, not the engine snapshot's: a job
+			// the engine finished before the running frame was built
+			// carries "state":"done" inside that frame's engine object.
+			if current == "job" && decodeStatus(t, []byte(strings.TrimPrefix(line, "data: "))).State == subDone {
 				sawDone = true
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 )
 
 // Submission states. Queued submissions passed admission but wait for a
@@ -26,9 +27,9 @@ const (
 
 // submission is one accepted unit of work: a direct engine job or a full
 // scenario run. start (armed at creation, a closure over the decoded
-// request) is consumed when admission fires it, now or on promotion from
-// the tenant's pending queue; the engine handle is held while the job runs
-// and dropped at finish for a copy of its last status.
+// request) is consumed when it fires: at admission, or when a release
+// hands the parked submission its slot. The engine handle is held while
+// the job runs and dropped at finish for a copy of its last status.
 type submission struct {
 	id     string
 	kind   string // "job" or "scenario"
@@ -115,28 +116,34 @@ func (b *submission) status() Status {
 	return st
 }
 
-// registry tracks every accepted submission plus the per-tenant FIFO
-// queues of parked (admitted-but-not-running) submissions.
+// registry tracks every accepted submission; admission control holds the
+// parked ones until a slot frees.
 type registry struct {
-	mu      sync.Mutex
-	seq     int
-	subs    map[string]*submission
-	order   []string
-	pending map[string][]*submission
+	mu    sync.Mutex
+	seq   int
+	subs  map[string]*submission
+	order []string
 }
 
 func newRegistry() *registry {
-	return &registry{subs: make(map[string]*submission), pending: make(map[string][]*submission)}
+	return &registry{subs: make(map[string]*submission)}
 }
 
-func (r *registry) add(kind, tenant, name string, start func(*submission)) *submission {
+// admit asks adm to run or park a new submission and registers it unless
+// it was rejected. The submission carries the next id before adm sees it,
+// because a concurrent release may start it the moment it is parked;
+// holding r.mu keeps that id the next one, and a rejection takes none.
+func (r *registry) admit(adm *sched.Admission[*submission], kind, tenant, name string, start func(*submission)) (b *submission, run bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	b = &submission{id: strconv.Itoa(r.seq + 1), kind: kind, tenant: tenant, name: name, start: start, state: subQueued}
+	if run, err = adm.Acquire(tenant, b); err != nil {
+		return nil, false, err
+	}
 	r.seq++
-	b := &submission{id: strconv.Itoa(r.seq), kind: kind, tenant: tenant, name: name, start: start, state: subQueued}
 	r.subs[b.id] = b
 	r.order = append(r.order, b.id)
-	return b
+	return b, run, nil
 }
 
 func (r *registry) get(id string) *submission {
@@ -163,24 +170,6 @@ func (r *registry) count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.subs)
-}
-
-func (r *registry) park(b *submission) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pending[b.tenant] = append(r.pending[b.tenant], b)
-}
-
-func (r *registry) popParked(tenant string) *submission {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q := r.pending[tenant]
-	if len(q) == 0 {
-		return nil
-	}
-	b := q[0]
-	r.pending[tenant] = q[1:]
-	return b
 }
 
 // idle reports whether every accepted submission is terminal.

@@ -81,52 +81,38 @@ func GenerateMarkov(r *rng.Rand, profile Profile, meanOutage, duration float64) 
 // Fig1Day is one day's aggregated unavailability series.
 type Fig1Day struct {
 	Day    int
-	Base   float64   // the day's base unavailability
 	Series []float64 // fraction unavailable per 10-minute bucket
 }
 
-// Fig1Config parameterizes the Figure 1 reproduction.
-type Fig1Config struct {
-	Nodes      int     // fleet size (paper's SDSC system; we default to 60)
-	Days       int     // number of measured days (7 in the paper)
-	DaySeconds float64 // measured window per day (8 h = 28800 s)
-	Bucket     float64 // sampling interval (10 min = 600 s)
-	MeanOutage float64 // mean outage duration (409 s)
-	Amplitude  float64 // diurnal swing amplitude
-}
-
-// DefaultFig1Config mirrors the paper's measurement setup.
-func DefaultFig1Config() Fig1Config {
-	return Fig1Config{
-		Nodes:      60,
-		Days:       7,
-		DaySeconds: 8 * 3600,
-		Bucket:     600,
-		MeanOutage: 409,
-		Amplitude:  0.35,
-	}
-}
+// The paper's Figure 1 measurement setup.
+const (
+	fig1Nodes      = 60       // fleet size (the paper's SDSC system; 60 here)
+	fig1Days       = 7        // measured days
+	fig1DaySeconds = 8 * 3600 // measured window per day (9:00AM-5:00PM)
+	fig1Bucket     = 600      // sampling interval (10 min)
+	fig1MeanOutage = 409      // mean outage duration (seconds)
+	fig1Amplitude  = 0.35     // diurnal swing amplitude
+)
 
 // GenerateFig1 produces the per-day aggregated unavailability series of the
 // paper's Figure 1 from the diurnal Markov model. Day bases are spread
 // around 0.4 so the across-trace average matches the paper's reported
 // average unavailability.
-func GenerateFig1(r *rng.Rand, cfg Fig1Config) []Fig1Day {
+func GenerateFig1(r *rng.Rand) []Fig1Day {
 	// Base rates roughly centered on 0.4 with day-to-day spread, echoing
 	// the visibly different day curves in Figure 1.
-	days := make([]Fig1Day, cfg.Days)
+	days := make([]Fig1Day, fig1Days)
 	for d := range days {
 		base := 0.15 + 0.26*r.Float64() // 0.15..0.41; plus the diurnal
 		// bump this yields a fleet average near the paper's ~0.4
-		profile := WorkdayProfile(base, cfg.Amplitude, cfg.DaySeconds)
-		traces := make([]Trace, cfg.Nodes)
+		profile := WorkdayProfile(base, fig1Amplitude, fig1DaySeconds)
+		traces := make([]Trace, fig1Nodes)
 		for i := range traces {
-			traces[i] = GenerateMarkov(r.Split(), profile, cfg.MeanOutage, cfg.DaySeconds)
+			traces[i] = GenerateMarkov(r.Split(), profile, fig1MeanOutage, fig1DaySeconds)
 		}
 		days[d] = Fig1Day{
 			Day:    d + 1,
-			Base:   base,
-			Series: AggregateUnavailability(traces, cfg.Bucket, cfg.DaySeconds),
+			Series: AggregateUnavailability(traces, fig1Bucket, fig1DaySeconds),
 		}
 	}
 	return days

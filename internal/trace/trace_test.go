@@ -172,7 +172,7 @@ func TestGenerateMarkovRateTracksProfile(t *testing.T) {
 }
 
 func TestGenerateFig1ResemblesPaper(t *testing.T) {
-	days := GenerateFig1(rng.New(2026), DefaultFig1Config())
+	days := GenerateFig1(rng.New(2026))
 	if len(days) != 7 {
 		t.Fatalf("got %d days", len(days))
 	}
