@@ -72,7 +72,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.Uint64Var(&c.seed, "seed", 1, "churn seed")
 	fs.IntVar(&c.shape.InterD, "inter-d", 1, "intermediate dedicated replicas")
 	fs.IntVar(&c.shape.InterV, "inter-v", 1, "intermediate volatile replicas")
-	fs.IntVar(&c.scale, "scale", 1, "divide workload size by this factor")
+	fs.IntVar(&c.scale, "scale", 1, "divide workload size by this factor (1 = paper scale; 0 reads as 1)")
 	fs.StringVar(&c.scenario, "scenario", "", "run one cell of a scenario spec (path to a .json file, or a built-in name)")
 	fs.StringVar(&c.variant, "variant", "", "with -scenario: the variant label to run (default: the first single-job line)")
 	fs.BoolVar(&c.list, "list-scenarios", false, "print the built-in named scenarios and exit")
@@ -122,14 +122,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("scenario %q runs the live engine; run it with moonbench -scenario", spec.Name)
 	}
 
-	// The cell is the spec with its sweep narrowed to one realization. The
-	// axes are checked as given, before a zero can read as "the default".
-	axes := harness.Config{Seeds: []uint64{c.seed}, Rates: []float64{c.rate}, Scale: c.scale}
-	if err := axes.Validate(); err != nil {
-		return err
-	}
+	// The cell is the spec with its sweep narrowed to one realization.
 	cell := *spec
-	cell.Sweep = scenario.SweepSpec{Seeds: axes.Seeds, Rates: axes.Rates, Scale: axes.Scale}
+	cell.Sweep = scenario.SweepSpec{Seeds: []uint64{c.seed}, Rates: []float64{c.rate}, Scale: c.scale}
 	cell.Metrics.BucketSeconds = c.metricsBkt
 	plan, err := scenario.Compile(&cell)
 	if err != nil {

@@ -49,7 +49,7 @@ func TestRunFlagErrors(t *testing.T) {
 		want string
 	}{
 		{"unknown policy", []string{"-policy", "nope"}, `preset "nope" (want hadoop, moon or moon-hybrid)`},
-		{"unknown app", []string{"-app", "nope"}, `workload app "nope" (want sort or wordcount)`},
+		{"unknown app", []string{"-app", "nope"}, `custom.workload: app "nope" (want sort or wordcount)`},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"scenario+app", []string{"-scenario", "scale-sweep", "-app", "sort"},
 			"-app shapes the run and cannot be combined with -scenario"},
@@ -110,18 +110,19 @@ func TestListScenarios(t *testing.T) {
 
 // TestBadFlagValuesRejected: the flag path used to assemble and run its
 // simulation by hand and skipped every check the scenario path makes, so a
-// zero seed, a zero or negative scale, a fleet of 60V+-1D and a negative
-// tracker expiry each ran to a full profile. The flags lower to a spec now
-// and the spec's validator refuses them, naming the value.
+// zero seed, a negative scale, a fleet of 60V+-1D and a negative tracker
+// expiry each ran to a full profile. The flags lower to a spec now and the
+// spec's validator refuses them, naming the value. A zero scale is not among
+// them: a spec cannot tell "scale": 0 from no scale, so -scale 0 is the
+// default 1 here as it is in moonbench, and prints the bytes -scale 1 does.
 func TestBadFlagValuesRejected(t *testing.T) {
 	cases := []struct{ args, want string }{
 		{"-seed 0", "seed 0"},
-		{"-scale 0", "scale 0"},
 		{"-scale -3", "scale -3"},
 		{"-dedicated -1", "60 volatile, -1 dedicated"},
-		{"-expiry -5 -policy hadoop", "tracker_expiry_seconds -5"},
+		{"-expiry -5 -policy hadoop", "tracker expiry -5"},
+		{"-expiry NaN -policy hadoop", "tracker expiry NaN"},
 		{"-volatile 0 -dedicated 0", "0 volatile, 0 dedicated"},
-		{"-scenario scale-sweep -scale 0", "scale 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) {
@@ -132,6 +133,15 @@ func TestBadFlagValuesRejected(t *testing.T) {
 			}
 			if out.Len() != 0 {
 				t.Errorf("moonsim %s printed before rejecting:\n%s", tc.args, out.String())
+			}
+		})
+	}
+	for _, args := range []string{"-scale 0", "-scenario scale-sweep -scale 0"} {
+		t.Run(args, func(t *testing.T) {
+			zero := runCLI(t, strings.Fields(args)...)
+			one := runCLI(t, strings.Fields(strings.Replace(args, "-scale 0", "-scale 1", 1))...)
+			if zero != one {
+				t.Errorf("moonsim %s differs from -scale 1:\n--- 0\n%s--- 1\n%s", args, zero, one)
 			}
 		})
 	}

@@ -68,6 +68,15 @@ func (c ClusterSpec) withDefaults() ClusterSpec {
 	return c
 }
 
+// outage is the independent outage model the volatile traces are drawn
+// from, when Correlated does not replace it.
+func (c ClusterSpec) outage() trace.OutageConfig {
+	if c.Outage != nil {
+		return *c.Outage
+	}
+	return trace.DefaultOutageConfig(c.UnavailabilityRate)
+}
+
 // Options assembles a full simulation configuration.
 type Options struct {
 	Cluster ClusterSpec
@@ -81,6 +90,35 @@ type Options struct {
 	// same run without one, and a nil collector leaves every hot path
 	// allocation-free.
 	Metrics *metrics.Collector
+}
+
+// Validate rejects options NewSimulation cannot build, or could build only
+// into a run that fails part way: an empty fleet or a negative node count, a
+// horizon that is not positive, and whatever the owners of the churn model,
+// the fabric, the file system and the scheduler reject. It builds nothing.
+func (o Options) Validate() error {
+	cs := o.Cluster.withDefaults()
+	if cs.VolatileNodes < 0 || cs.DedicatedNodes < 0 || cs.VolatileNodes+cs.DedicatedNodes == 0 {
+		return fmt.Errorf("core: cluster needs nodes (got %d volatile, %d dedicated)",
+			cs.VolatileNodes, cs.DedicatedNodes)
+	}
+	if !(cs.Horizon > 0) {
+		return fmt.Errorf("core: horizon %v must be positive", cs.Horizon)
+	}
+	churn := cs.outage().Validate
+	if cs.Correlated != nil {
+		churn = cs.Correlated.Validate
+	}
+	if err := churn(); err != nil {
+		return err
+	}
+	if err := o.Net.Validate(); err != nil {
+		return err
+	}
+	if err := o.DFS.Validate(); err != nil {
+		return err
+	}
+	return o.Sched.Validate()
 }
 
 // HadoopPreset configures stock Hadoop with the given TrackerExpiryInterval
@@ -123,16 +161,12 @@ type Simulation struct {
 // NewSimulation builds the whole stack: traces, cluster, network, DFS and
 // JobTracker.
 func NewSimulation(opts Options) (*Simulation, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	cs := opts.Cluster.withDefaults()
 	opts.Cluster = cs
-	if cs.VolatileNodes < 0 || cs.VolatileNodes+cs.DedicatedNodes == 0 {
-		return nil, fmt.Errorf("core: cluster needs nodes (got %d volatile, %d dedicated)",
-			cs.VolatileNodes, cs.DedicatedNodes)
-	}
-	ocfg := trace.DefaultOutageConfig(cs.UnavailabilityRate)
-	if cs.Outage != nil {
-		ocfg = *cs.Outage
-	}
+	ocfg := cs.outage()
 	r := rng.New(cs.Seed)
 	s := sim.New()
 	s.Instrument(opts.Metrics)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dfs"
 	"repro/internal/mapred"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,6 +22,50 @@ func TestNewSimulationValidation(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: -1}
 	if _, err := NewSimulation(MOONPreset(cs, true)); err == nil {
 		t.Fatal("negative volatile count accepted")
+	}
+	// Options.Validate is the check NewSimulation makes, and it reaches every
+	// owner: the fleet and horizon, the churn model, the fabric, the DFS and
+	// the scheduler.
+	good := ClusterSpec{VolatileNodes: 4, DedicatedNodes: 1, UnavailabilityRate: 0.3}
+	if err := MOONPreset(good, true).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"negative dedicated count", func(o *Options) { o.Cluster.DedicatedNodes = -1 }},
+		{"negative horizon", func(o *Options) { o.Cluster.Horizon = -5 }},
+		{"inverted outage clamp", func(o *Options) {
+			ocfg := trace.DefaultOutageConfig(0.3)
+			ocfg.MinOutage = 4000
+			o.Cluster.Outage = &ocfg
+		}},
+		{"bad correlated model", func(o *Options) {
+			corr := trace.DefaultCorrelatedConfig()
+			corr.GroupSize = 0
+			o.Cluster.Correlated = &corr
+		}},
+		{"zero stall timeout", func(o *Options) { o.Net.StallTimeout = 0 }},
+		{"NaN node bandwidth", func(o *Options) { o.Net.NodeBandwidth = math.NaN() }},
+		{"NaN horizon", func(o *Options) { o.Cluster.Horizon = math.NaN() }},
+		{"NaN outage stddev", func(o *Options) {
+			ocfg := trace.DefaultOutageConfig(0.3)
+			ocfg.StddevOutage = math.NaN()
+			o.Cluster.Outage = &ocfg
+		}},
+		{"NaN dfs expiry", func(o *Options) { o.DFS.NodeExpiryInterval = math.NaN() }},
+		{"dfs hibernate past expiry", func(o *Options) { o.DFS.NodeHibernateInterval = o.DFS.NodeExpiryInterval }},
+		{"sched suspension past expiry", func(o *Options) { o.Sched.SuspensionInterval = o.Sched.TrackerExpiry }},
+	} {
+		opts := MOONPreset(good, true)
+		tc.edit(&opts)
+		if opts.Validate() == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		if _, err := NewSimulation(opts); err == nil {
+			t.Errorf("%s: NewSimulation accepted it", tc.name)
+		}
 	}
 }
 

@@ -110,19 +110,19 @@ func DefaultConfig(mode Mode) Config {
 	return cfg
 }
 
-// Validate rejects incoherent configurations.
+// Validate rejects incoherent configurations (NaN included).
 func (c Config) Validate() error {
-	if c.BlockSize <= 0 {
+	if !(c.BlockSize > 0) {
 		return fmt.Errorf("dfs: block size %v", c.BlockSize)
 	}
-	if c.NodeExpiryInterval <= 0 {
+	if !(c.NodeExpiryInterval > 0) {
 		return fmt.Errorf("dfs: expiry interval %v must be positive", c.NodeExpiryInterval)
 	}
-	if c.Mode == ModeMOON && c.NodeHibernateInterval >= c.NodeExpiryInterval {
+	if c.Mode == ModeMOON && !(c.NodeHibernateInterval < c.NodeExpiryInterval) {
 		return fmt.Errorf("dfs: hibernate interval %v must be < expiry interval %v",
 			c.NodeHibernateInterval, c.NodeExpiryInterval)
 	}
-	if c.AvailabilityTarget < 0 || c.AvailabilityTarget >= 1 {
+	if !(c.AvailabilityTarget >= 0 && c.AvailabilityTarget < 1) {
 		return fmt.Errorf("dfs: availability target %v outside [0,1)", c.AvailabilityTarget)
 	}
 	if c.MaxAdaptiveV < 1 || c.MaxReplicationStreams < 1 {

@@ -137,6 +137,13 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-duration partition", func(c *Config) {
 			c.Faults = &transport.FaultConfig{Partitions: []transport.Partition{{Start: time.Second}}}
 		}},
+		{"negative worker count", func(c *Config) { c.VolatileWorkers, c.DedicatedWorkers = -1, 3 }},
+		{"partition cuts a worker the pool lacks", func(c *Config) {
+			c.Faults = &transport.FaultConfig{Partitions: []transport.Partition{{Duration: time.Second, Addrs: []string{WorkerAddr(5)}}}}
+		}},
+		{"partition cuts a malformed address", func(c *Config) {
+			c.Faults = &transport.FaultConfig{Partitions: []transport.Partition{{Duration: time.Second, Addrs: []string{"worker--1"}}}}
+		}},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

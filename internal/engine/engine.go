@@ -35,6 +35,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,13 +125,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects configurations the protocol cannot run: an empty pool,
-// an unknown policy, or invalid link clocks (a heartbeat period that cannot
-// fit inside the lease: the master would declare every worker frozen
-// between beats) or fault settings.
+// Validate rejects configurations the protocol cannot run: an empty pool or
+// a negative worker count, an unknown policy, invalid link clocks (a
+// heartbeat period that cannot fit inside the lease: the master would
+// declare every worker frozen between beats) or fault settings, and a
+// partition window that cuts an address no endpoint of this pool has.
 func (c Config) Validate() error {
-	if c.VolatileWorkers+c.DedicatedWorkers < 1 {
-		return errors.New("engine: need at least one worker")
+	if c.VolatileWorkers < 0 || c.DedicatedWorkers < 0 || c.VolatileWorkers+c.DedicatedWorkers < 1 {
+		return fmt.Errorf("engine: need at least one worker (got %d volatile, %d dedicated)",
+			c.VolatileWorkers, c.DedicatedWorkers)
 	}
 	if c.JobPolicy != "" {
 		if _, err := sched.PolicyByName[*liveJob](c.JobPolicy); err != nil {
@@ -143,8 +147,22 @@ func (c Config) Validate() error {
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
+		for i, p := range c.Faults.Partitions {
+			for _, addr := range p.Addrs {
+				if !c.endpoint(addr) {
+					return fmt.Errorf("engine: partition %d cuts %q, which is not the master or a worker of this pool", i, addr)
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// endpoint reports whether addr is the master's or one of the pool's
+// workers' transport address.
+func (c Config) endpoint(addr string) bool {
+	i, err := strconv.Atoi(strings.TrimPrefix(addr, "worker-"))
+	return addr == masterAddr || err == nil && i >= 0 && i < c.VolatileWorkers+c.DedicatedWorkers && WorkerAddr(i) == addr
 }
 
 // link resolves the protocol clocks: explicit Link fields win, zero fields

@@ -79,8 +79,8 @@ func (c Config) WithDefaults() Config {
 // rates, a repeated rate (every cell of it would run, print and report
 // twice under one key), zero or duplicate churn seeds (a duplicate seed
 // double-counts one realization in every averaged cell), a negative scale
-// divisor, and a non-finite metrics bucket. RunSweep enforces it after
-// defaulting, so the zero Config stays valid.
+// divisor or pool size, and a non-finite metrics bucket. RunSweep enforces
+// it after defaulting, so the zero Config stays valid.
 func (c Config) Validate() error {
 	rates := make(map[float64]bool, len(c.Rates))
 	for _, r := range c.Rates {
@@ -104,6 +104,9 @@ func (c Config) Validate() error {
 	}
 	if c.Scale < 1 {
 		return fmt.Errorf("harness: scale %d (want >= 1)", c.Scale)
+	}
+	if c.Parallelism < 0 {
+		return fmt.Errorf("harness: parallelism %d (want >= 0; 0 is every core)", c.Parallelism)
 	}
 	if math.IsNaN(c.MetricsBucket) || c.MetricsBucket < 0 {
 		return fmt.Errorf("harness: metrics bucket %v (want >= 0)", c.MetricsBucket)
@@ -137,9 +140,33 @@ type Variant struct {
 // LiveCell. run executes it with the runner's collector (nil when metrics
 // are off) and returns the realization's stats and, when c.Progress is
 // set, the tail of its progress line. Cells share nothing, so the worker
-// pool may run any number at once.
+// pool may run any number at once. check builds what run would run at rate
+// and validates it with its owners' validators, without running anything.
 type Cell interface {
 	run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error)
+	check(c Config, rate float64) error
+}
+
+// ValidateLines checks a sweep's lines the way RunSweep does before its
+// first cell: every label is unique (a repeat would merge two lines' cells
+// under one key), and every line's cell validates at every rate of the
+// defaulted c. On failure it returns the index of the line at fault and the
+// rate it fails at, so a caller can say where the line came from.
+func (c Config) ValidateLines(variants []Variant) (line int, rate float64, err error) {
+	c = c.WithDefaults()
+	seen := make(map[string]bool, len(variants))
+	for i, v := range variants {
+		if seen[v.Label] {
+			return i, c.Rates[0], fmt.Errorf("harness: line label %q repeats", v.Label)
+		}
+		seen[v.Label] = true
+		for _, rate := range c.Rates {
+			if err := v.Cell.check(c, rate); err != nil {
+				return i, rate, err
+			}
+		}
+	}
+	return -1, 0, nil
 }
 
 // outcome is one cell's result plus its metrics snapshot (zero when
@@ -321,11 +348,16 @@ func (c Config) sweepCells(nVariants int) []sweepCell {
 // the independent cells on a worker pool of Config.Parallelism goroutines.
 // Cell statistics, progress ordering and error selection are identical to a
 // serial sweep. (A live cell executes in wall-clock time, so its numbers
-// are not reproducible; the structure of its sweep is.)
+// are not reproducible; the structure of its sweep is.) A bad axis or line
+// fails before the first cell runs (Validate, ValidateLines), named by the
+// first cell of the line, the one a serial sweep would have failed in.
 func (c Config) RunSweep(title string, variants []Variant) (*Sweep, error) {
 	c = c.WithDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	if i, rate, err := c.ValidateLines(variants); err != nil {
+		return nil, fmt.Errorf("%s rate=%.1f seed=%d: %w", variants[i].Label, rate, c.Seeds[0], err)
 	}
 	sw := &Sweep{Title: title, Rates: c.Rates, Cells: make(map[string]map[float64]Stats)}
 	for _, v := range variants {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -88,11 +87,22 @@ func DefaultLiveConfig() LiveConfig {
 	}
 }
 
-// Validate checks the arrival process and the engine configuration every
-// cell runs, so link/fault mistakes (heartbeat not shorter than the
-// suspension timeout, malformed rates or partition windows) surface at
-// compile time rather than mid-sweep.
-func (lc LiveConfig) Validate() error {
+// Validate checks the cell shape (positive clocks and sizes, the arrival
+// process) and the engine configuration every cell runs, so link/fault
+// mistakes (heartbeat not shorter than the suspension timeout, malformed
+// rates or partition windows) surface at compile time rather than
+// mid-sweep. A line's cell adds its policy (LiveCell.check).
+func (lc LiveConfig) Validate() error { return lc.validate(lc.engineConfig()) }
+
+func (lc LiveConfig) validate(ecfg engine.Config) error {
+	if lc.HorizonSeconds <= 0 || lc.Compression <= 0 || lc.Timeout <= 0 {
+		return fmt.Errorf("harness: live horizon %vs, compression %v and timeout %v must be positive",
+			lc.HorizonSeconds, lc.Compression, lc.Timeout)
+	}
+	if lc.Jobs < 1 || lc.SplitsPerJob < 1 || lc.WordsPerSplit < 1 || lc.ReducesPerJob < 1 {
+		return fmt.Errorf("harness: live jobs %d, splits %d, words per split %d and reduces %d must be >= 1",
+			lc.Jobs, lc.SplitsPerJob, lc.WordsPerSplit, lc.ReducesPerJob)
+	}
 	switch lc.Arrivals {
 	case "", "staggered", "poisson":
 	default:
@@ -101,7 +111,7 @@ func (lc LiveConfig) Validate() error {
 	if lc.Arrivals != "" && lc.ArrivalInterval < 0 {
 		return fmt.Errorf("harness: live arrival interval %v must be >= 0", lc.ArrivalInterval)
 	}
-	return lc.engineConfig().Validate()
+	return ecfg.Validate()
 }
 
 // engineConfig lowers the cell shape to the engine's configuration; a cell
@@ -129,21 +139,18 @@ type LiveCell struct {
 	Priorities map[string]int
 }
 
-// LiveVariants builds one live line per policy name (default when empty:
-// fifo vs fair, mirroring the simulator's multi-job default), every one on
-// the same cell shape. Names are canonicalized first, so alias spellings
-// ("weighted-fair", "strict-priority") still carry their
-// weights/priorities; a name that does not resolve passes through and
-// fails hard in the engine's config validation at run time.
+// LiveVariants builds one live line per canonical policy name (default
+// when empty: fifo vs fair, mirroring the simulator's multi-job default),
+// every one on the same cell shape, with the weights on the "weighted" line
+// and the priorities on the "priority" line. Resolving alias spellings is
+// the caller's; a name the engine does not know fails the line's check
+// before any cell runs.
 func LiveVariants(lc LiveConfig, policies []string, weights map[string]float64, priorities map[string]int) []Variant {
 	if len(policies) == 0 {
 		policies = []string{"fifo", "fair"}
 	}
 	var out []Variant
 	for _, p := range policies {
-		if pol, err := mapred.JobPolicyByName(p); err == nil {
-			p = pol.Name()
-		}
 		cell := LiveCell{Config: lc, Policy: p}
 		if p == "weighted" {
 			cell.Weights = weights
@@ -190,6 +197,20 @@ func (lc LiveConfig) arrivalOffsets() []float64 {
 	return off
 }
 
+// engineConfig is the configuration the cell's engine cluster runs: the
+// cell shape, the line's policy and the runner's collector.
+func (v LiveCell) engineConfig(col *metrics.Collector) engine.Config {
+	ecfg := v.Config.engineConfig()
+	ecfg.JobPolicy = v.Policy
+	ecfg.JobWeights = v.Weights
+	ecfg.Metrics = col
+	return ecfg
+}
+
+// check validates the cell shape and the engine configuration the cell
+// would run, the line's policy included.
+func (v LiveCell) check(Config, float64) error { return v.Config.validate(v.engineConfig(nil)) }
+
 // run executes one live cell: its own engine cluster and its own churn
 // traces (seeded like the simulator's cluster layer). It drains and closes
 // the cluster before it returns, because the runner snapshots the
@@ -202,11 +223,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 		return Stats{}, "", err
 	}
 
-	ecfg := lc.engineConfig()
-	ecfg.JobPolicy = v.Policy
-	ecfg.JobWeights = v.Weights
-	ecfg.Metrics = col
-	cl, err := engine.New(ecfg)
+	cl, err := engine.New(v.engineConfig(col))
 	if err != nil {
 		return Stats{}, "", err
 	}

@@ -129,18 +129,11 @@ func TestLiveVariantsDefaultsAndSelectors(t *testing.T) {
 		t.Fatalf("fifo variant %+v", vs[2])
 	}
 
-	// Alias spellings canonicalize and still carry their selectors — a
-	// "strict-priority" line must not silently run with everyone at rank 0.
-	aliasLines := LiveVariants(lc, []string{"weighted-fair", "strict-priority"}, w, p)
-	alias := cells(aliasLines)
-	if alias[0].Policy != "weighted" || alias[0].Weights == nil {
-		t.Fatalf("weighted alias dropped weights: %+v", alias[0])
-	}
-	if alias[1].Policy != "priority" || alias[1].Priorities == nil {
-		t.Fatalf("priority alias dropped priorities: %+v", alias[1])
-	}
-	if aliasLines[1].Label != "live-priority" {
-		t.Fatalf("alias label %q", aliasLines[1].Label)
+	// Names are the caller's to resolve (scenario canonicalizes alias
+	// spellings, TestLiveSpecAliasPoliciesCarryPrioritiesAndWeights); one
+	// the engine does not know fails its line's check before any cell runs.
+	if _, _, err := (Config{}).ValidateLines(LiveVariants(lc, []string{"fifo", "lottery"}, nil, nil)); err == nil {
+		t.Fatal("a line with an unknown policy passed its check")
 	}
 }
 
@@ -193,6 +186,24 @@ func TestLiveArrivalOffsets(t *testing.T) {
 	lc.ArrivalInterval = -1
 	if err := lc.Validate(); err == nil {
 		t.Fatal("negative arrival interval validated")
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*LiveConfig)
+	}{
+		{"zero horizon", func(c *LiveConfig) { c.HorizonSeconds = 0 }},
+		{"negative compression", func(c *LiveConfig) { c.Compression = -time.Millisecond }},
+		{"zero timeout", func(c *LiveConfig) { c.Timeout = 0 }},
+		{"zero jobs", func(c *LiveConfig) { c.Jobs = 0 }},
+		{"negative splits", func(c *LiveConfig) { c.SplitsPerJob = -1 }},
+		{"zero words per split", func(c *LiveConfig) { c.WordsPerSplit = 0 }},
+		{"zero reduces", func(c *LiveConfig) { c.ReducesPerJob = 0 }},
+	} {
+		lc := DefaultLiveConfig()
+		tc.edit(&lc)
+		if lc.Validate() == nil {
+			t.Errorf("%s validated", tc.name)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
-	"repro/internal/workload"
+	"repro/internal/metrics"
 )
 
 // TestParallelSweepMatchesSerial is the determinism guard for the worker
@@ -99,20 +101,28 @@ func TestEmptySweep(t *testing.T) {
 	}
 }
 
+// failCell passes its check and fails its run, as a cell does whose failure
+// only the run meets (trace generation, dfs.New, the live engine). The
+// seed-1 cell fails last, so the first error a pool sees is not the one to
+// report.
+type failCell struct{}
+
+func (failCell) check(Config, float64) error { return nil }
+
+func (failCell) run(_ Config, _ float64, seed uint64, _ *metrics.Collector) (Stats, string, error) {
+	if seed == 1 {
+		time.Sleep(20 * time.Millisecond)
+	}
+	return Stats{}, "", errors.New("run-time failure")
+}
+
 // TestSweepErrorSelection: the reported error is the first failing cell in
 // serial order, independent of worker scheduling.
 func TestSweepErrorSelection(t *testing.T) {
-	bad := func(label string) Variant {
-		cell := schedLines()[1].Cell.(SimCell)
-		w := sleepSort()
-		w.Job.MapCPU = -1 // fails job validation inside the run
-		cell.Workload = workload.Single(w)
-		return Variant{Label: label, Cell: cell}
-	}
 	cfg := Config{Seeds: []uint64{1, 2}, Scale: 16, Rates: []float64{0.1}, Parallelism: 8}
-	_, err := cfg.RunSweep("errors", []Variant{bad("BAD-A"), bad("BAD-B")})
+	_, err := cfg.RunSweep("errors", []Variant{{"BAD-A", failCell{}}, {"BAD-B", failCell{}}})
 	if err == nil {
-		t.Fatal("sweep with invalid workload did not fail")
+		t.Fatal("sweep of failing cells did not fail")
 	}
 	want := "BAD-A rate=0.1 seed=1"
 	if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {

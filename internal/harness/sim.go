@@ -40,6 +40,16 @@ func (sc SimCell) Run(scale int, rate float64, seed uint64, col *metrics.Collect
 	return opts, res, err
 }
 
+// check builds the stack and the scaled stream a cell at rate would run and
+// validates both, the way core.NewForWorkload does, without generating a
+// trace or simulating.
+func (sc SimCell) check(c Config, rate float64) error {
+	if err := sc.Build(core.ClusterSpec{UnavailabilityRate: rate}).Validate(); err != nil {
+		return err
+	}
+	return workload.ScaleMulti(sc.Workload, c.Scale).Validate()
+}
+
 func (sc SimCell) run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error) {
 	_, res, err := sc.Run(c.Scale, rate, seed, col)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestConfigValidateRejections covers every class of garbage sweep input
@@ -25,6 +27,7 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"zero seed", func(c *Config) { c.Seeds = []uint64{0} }, "seed 0"},
 		{"duplicate seed", func(c *Config) { c.Seeds = []uint64{3, 3} }, "duplicate seed"},
 		{"negative scale", func(c *Config) { c.Scale = -2 }, "scale"},
+		{"negative parallelism", func(c *Config) { c.Parallelism = -1 }, "parallelism -1"},
 		{"nan metrics bucket", func(c *Config) { c.MetricsBucket = math.NaN() }, "metrics bucket"},
 		{"negative metrics bucket", func(c *Config) { c.MetricsBucket = -600 }, "metrics bucket"},
 	}
@@ -66,5 +69,36 @@ func TestRunSweepEnforcesValidate(t *testing.T) {
 	// return an empty sweep, not an error.
 	if _, err := (Config{}).RunSweep("empty", nil); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+}
+
+// TestRunSweepChecksLinesFirst: a line the model cannot run, or a repeated
+// label, fails the sweep before its first cell runs, named by the cell a
+// serial sweep would have failed in; ValidateLines says which line and rate.
+func TestRunSweepChecksLinesFirst(t *testing.T) {
+	lines := schedLines()
+	bad := lines[2].Cell.(SimCell)
+	build := bad.Build
+	bad.Build = func(cs core.ClusterSpec) core.Options {
+		opts := build(cs)
+		opts.Sched.SuspensionInterval = opts.Sched.TrackerExpiry
+		return opts
+	}
+	lines[2].Cell = bad
+	var ran []string
+	cfg := Config{Seeds: []uint64{3}, Scale: 16, Rates: []float64{0.1, 0.5}, Progress: func(l string) { ran = append(ran, l) }}
+	_, err := cfg.RunSweep("bad", lines)
+	if err == nil || !strings.HasPrefix(err.Error(), "MOON-Hybrid rate=0.1 seed=3: mapred: suspension interval") {
+		t.Fatalf("error %v does not name the bad line's first cell", err)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("%d cells ran before the bad line was refused", len(ran))
+	}
+	if n, rate, _ := cfg.ValidateLines(lines); n != 2 || rate != 0.1 {
+		t.Errorf("ValidateLines blamed line %d at rate %v, want line 2 at 0.1", n, rate)
+	}
+	if n, _, err := cfg.ValidateLines(append(schedLines(), schedLines()[0])); n != 3 || err == nil ||
+		!strings.Contains(err.Error(), `line label "Hadoop1Min" repeats`) {
+		t.Errorf("repeated label: line %d, %v", n, err)
 	}
 }

@@ -177,24 +177,31 @@ func DefaultSchedConfig(p Policy) SchedConfig {
 	return cfg
 }
 
-// Validate rejects incoherent scheduler configurations.
+// Validate rejects incoherent scheduler configurations. The rules on times
+// and fractions are written so that NaN fails them too (moonsim's -expiry
+// is a float flag, and a NaN-timed event would break the event queue's
+// order).
 func (c SchedConfig) Validate() error {
 	if c.MapSlotsPerNode <= 0 || c.ReduceSlotsPerNode <= 0 {
 		return fmt.Errorf("mapred: slots per node must be positive")
 	}
-	if c.TrackerExpiry <= 0 {
+	if !(c.TrackerExpiry > 0) {
 		return fmt.Errorf("mapred: tracker expiry %v must be positive", c.TrackerExpiry)
 	}
-	if c.Policy == PolicyMOON && c.SuspensionInterval >= c.TrackerExpiry {
+	if c.Policy == PolicyMOON && !(c.SuspensionInterval < c.TrackerExpiry) {
 		return fmt.Errorf("mapred: suspension interval %v must be < tracker expiry %v",
 			c.SuspensionInterval, c.TrackerExpiry)
 	}
-	if c.HeartbeatInterval <= 0 {
-		return fmt.Errorf("mapred: heartbeat interval must be positive")
+	if !(c.HeartbeatInterval > 0) {
+		return fmt.Errorf("mapred: heartbeat interval %v must be positive", c.HeartbeatInterval)
 	}
-	if c.HomestretchR < 0 || c.SpeculativeCap < 0 || c.SpecSlotFraction < 0 {
+	if c.HomestretchR < 0 || c.SpeculativeCap < 0 || !(c.SpecSlotFraction >= 0) {
 		return fmt.Errorf("mapred: homestretch R %d, speculative cap %d and slot fraction %v must be >= 0",
 			c.HomestretchR, c.SpeculativeCap, c.SpecSlotFraction)
+	}
+	if !(c.HomestretchH >= 0) || !(c.SuspensionInterval >= 0) {
+		return fmt.Errorf("mapred: homestretch H %v and suspension interval %v must be >= 0",
+			c.HomestretchH, c.SuspensionInterval)
 	}
 	return nil
 }
@@ -251,11 +258,11 @@ func (c JobConfig) Validate() error {
 	if c.IntermediatePerMap < 0 || c.OutputPerReduce < 0 {
 		return fmt.Errorf("mapred: job %q has negative data sizes", c.Name)
 	}
-	if err := c.IntermediateFactor.Validate(); err != nil && c.IntermediatePerMap > 0 {
+	// A factor is checked even where no byte is written at it (the sleep
+	// app's empty output): a factor that can never be satisfied is a
+	// mistake in the description, not a setting that happens to go unused.
+	if err := c.IntermediateFactor.Validate(); err != nil {
 		return err
 	}
-	if err := c.OutputFactor.Validate(); err != nil && c.OutputPerReduce > 0 && c.NumReduces > 0 {
-		return err
-	}
-	return nil
+	return c.OutputFactor.Validate()
 }

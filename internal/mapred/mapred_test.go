@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -507,6 +508,15 @@ func TestSchedConfigValidate(t *testing.T) {
 		{"negative homestretch R", func(c *SchedConfig) { c.HomestretchR = -1 }},
 		{"negative speculative cap", func(c *SchedConfig) { c.SpeculativeCap = -1 }},
 		{"negative slot fraction", func(c *SchedConfig) { c.SpecSlotFraction = -0.1 }},
+		{"negative homestretch H", func(c *SchedConfig) { c.HomestretchH = -1 }},
+		{"negative suspension interval", func(c *SchedConfig) { c.SuspensionInterval = -1 }},
+		// NaN fails every comparison, so each rule must be one NaN fails
+		// (`moonsim -policy hadoop -expiry NaN` reaches the first).
+		{"NaN hadoop tracker expiry", func(c *SchedConfig) { c.Policy, c.TrackerExpiry = PolicyHadoop, math.NaN() }},
+		{"NaN heartbeat", func(c *SchedConfig) { c.HeartbeatInterval = math.NaN() }},
+		{"NaN hadoop suspension interval", func(c *SchedConfig) { c.Policy, c.SuspensionInterval = PolicyHadoop, math.NaN() }},
+		{"NaN slot fraction", func(c *SchedConfig) { c.SpecSlotFraction = math.NaN() }},
+		{"NaN homestretch H", func(c *SchedConfig) { c.HomestretchH = math.NaN() }},
 	} {
 		bad = good
 		tc.mutate(&bad)

@@ -138,6 +138,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects a fabric that cannot move a byte or never stalls: every
+// capacity and the stall timeout must be positive (NaN is not).
+func (c Config) Validate() error {
+	if !(c.NodeBandwidth > 0) || !(c.DiskBandwidth > 0) || !(c.StallTimeout > 0) {
+		return fmt.Errorf("netmodel: node bandwidth %v, disk bandwidth %v and stall timeout %v must be positive",
+			c.NodeBandwidth, c.DiskBandwidth, c.StallTimeout)
+	}
+	return nil
+}
+
 // Flow is a generation-checked handle for a transfer in flight. The zero
 // Flow names nothing and behaves like a transfer that already ended: Cancel
 // is a no-op. So does a handle whose transfer has finished, failed or been

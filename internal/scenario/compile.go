@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -56,75 +57,99 @@ type Plan struct {
 	Runs   []PlanRun
 }
 
-// Compile validates a spec and lowers it to a Plan. The compiled plan is
-// self-contained: executing it does not read the spec again.
+// Compile validates a spec and lowers it to a Plan: the top level and each
+// experiment's shape by the schema's rules, then every line of every
+// experiment at every sweep rate by its owners' validators
+// (harness.Config.ValidateLines), a rejection naming the JSON path of the
+// line. A spec that compiles runs. The compiled plan is self-contained:
+// executing it does not read the spec again.
 func Compile(s *Spec) (*Plan, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	d := s.withDefaults()
 	p := &Plan{Config: s.harnessConfig()}
+	if err := p.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %q: %w", d.Name, err)
+	}
+	live, err := d.Live.liveConfig()
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %q: %w", d.Name, at("live", err))
+	}
 	for i := range d.Experiments {
-		e := &d.Experiments[i]
-		var run PlanRun
-		var err error
-		switch {
-		case d.Execution == "live":
-			run = compileLive(e, d.Live)
-		case e.Figure == "fig1":
-			run = PlanRun{Fig1: true}
-		default:
-			run, err = compileSweep(e.lower(), e.Renders)
-		}
+		run, err := d.compileExperiment(&d.Experiments[i], p.Config, live)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %q experiment %d: %w", d.Name, i, err)
+			return nil, fmt.Errorf("scenario: %q: %w", d.Name, at(fmt.Sprintf("experiments[%d]", i), err))
 		}
 		p.Runs = append(p.Runs, run)
 	}
 	return p, nil
 }
 
+// compileExperiment lowers one experiment to its run and checks every line
+// of the run at every rate of cfg; a live experiment runs on live, the
+// spec's lowered live block.
+func (s *Spec) compileExperiment(e *Experiment, cfg harness.Config, live harness.LiveConfig) (PlanRun, error) {
+	var run PlanRun
+	var err error
+	switch {
+	case s.Execution == "live":
+		run, err = compileLive(e, live)
+	case e.Figure == "fig1":
+		run, err = PlanRun{Fig1: true}, e.validate()
+	default:
+		run, err = compileSweep(e)
+	}
+	if err != nil {
+		return PlanRun{}, err
+	}
+	if n, _, err := cfg.ValidateLines(run.Variants); err != nil {
+		return PlanRun{}, e.lineErr(n, err)
+	}
+	return run, nil
+}
+
+// orDefault is v, or def when v is zero: a zero field of a spec keeps the
+// default, and every other value reaches the validator of the package that
+// owns it.
+func orDefault[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
+}
+
 // liveConfig lowers the LiveSpec to the harness.LiveConfig every cell of
-// a live sweep runs (zero fields keep the harness defaults); compileLive
-// fills in the job count and the arrival process. Validation reuses this lowering, so a spec that
-// validates is exactly a spec whose lowered engine configuration does.
-func (l *LiveSpec) liveConfig() harness.LiveConfig {
+// a live sweep runs; compileLive fills in the job count and the arrival
+// process. Its one error is a time no Duration can hold.
+func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
 	lc := harness.DefaultLiveConfig()
 	if l == nil {
-		return lc
+		return lc, nil
 	}
-	if l.VolatileWorkers > 0 || l.DedicatedWorkers > 0 {
+	var d durations
+	ms := func(field string, v float64) time.Duration { return d.of(field, v, time.Millisecond) }
+	if l.VolatileWorkers != 0 || l.DedicatedWorkers != 0 {
 		lc.VolatileWorkers, lc.DedicatedWorkers = l.VolatileWorkers, l.DedicatedWorkers
 	}
 	lc.NoDedicatedReplication = l.NoDedicatedReplication
-	if l.HorizonSeconds > 0 {
-		lc.HorizonSeconds = l.HorizonSeconds
-	}
-	if l.CompressionMS > 0 {
-		lc.Compression = millis(l.CompressionMS)
-	}
-	if l.SplitsPerJob > 0 {
-		lc.SplitsPerJob = l.SplitsPerJob
-	}
-	if l.WordsPerSplit > 0 {
-		lc.WordsPerSplit = l.WordsPerSplit
-	}
-	if l.ReducesPerJob > 0 {
-		lc.ReducesPerJob = l.ReducesPerJob
-	}
-	if l.TimeoutSeconds > 0 {
-		lc.Timeout = time.Duration(l.TimeoutSeconds * float64(time.Second))
-	}
+	lc.HorizonSeconds = orDefault(l.HorizonSeconds, lc.HorizonSeconds)
+	lc.Compression = orDefault(ms("compression_ms", l.CompressionMS), lc.Compression)
+	lc.SplitsPerJob = orDefault(l.SplitsPerJob, lc.SplitsPerJob)
+	lc.WordsPerSplit = orDefault(l.WordsPerSplit, lc.WordsPerSplit)
+	lc.ReducesPerJob = orDefault(l.ReducesPerJob, lc.ReducesPerJob)
+	lc.Timeout = orDefault(d.of("timeout_seconds", l.TimeoutSeconds, time.Second), lc.Timeout)
 	if lk := l.Link; lk != nil {
 		lc.Link = transport.LinkConfig{
-			ConnectTimeout:    millis(lk.ConnectTimeoutMS),
-			SendTimeout:       millis(lk.SendTimeoutMS),
-			RecvTimeout:       millis(lk.RecvTimeoutMS),
-			HeartbeatInterval: millis(lk.HeartbeatIntervalMS),
-			LeaseDuration:     millis(lk.LeaseDurationMS),
+			ConnectTimeout:    ms("link.connect_timeout_ms", lk.ConnectTimeoutMS),
+			SendTimeout:       ms("link.send_timeout_ms", lk.SendTimeoutMS),
+			RecvTimeout:       ms("link.recv_timeout_ms", lk.RecvTimeoutMS),
+			HeartbeatInterval: ms("link.heartbeat_interval_ms", lk.HeartbeatIntervalMS),
+			LeaseDuration:     ms("link.lease_duration_ms", lk.LeaseDurationMS),
 			MaxRetries:        lk.MaxRetries,
-			RetryBackoff:      millis(lk.RetryBackoffMS),
-			SessionExpiry:     millis(lk.SessionExpiryMS),
+			RetryBackoff:      ms("link.retry_backoff_ms", lk.RetryBackoffMS),
+			SessionExpiry:     ms("link.session_expiry_ms", lk.SessionExpiryMS),
 		}
 	}
 	if f := l.Faults; f != nil {
@@ -133,11 +158,14 @@ func (l *LiveSpec) liveConfig() harness.LiveConfig {
 			DropRate:  f.DropRate,
 			DupRate:   f.DupRate,
 			DelayRate: f.DelayRate,
-			Delay:     millis(f.DelayMS),
+			Delay:     ms("faults.delay_ms", f.DelayMS),
 			ResetRate: f.ResetRate,
 		}
-		for _, p := range f.Partitions {
-			tp := transport.Partition{Start: millis(p.StartMS), Duration: millis(p.DurationMS)}
+		for i, p := range f.Partitions {
+			tp := transport.Partition{
+				Start:    ms(fmt.Sprintf("faults.partitions[%d].start_ms", i), p.StartMS),
+				Duration: ms(fmt.Sprintf("faults.partitions[%d].duration_ms", i), p.DurationMS),
+			}
 			for _, w := range p.Workers {
 				tp.Addrs = append(tp.Addrs, engine.WorkerAddr(w))
 			}
@@ -145,19 +173,39 @@ func (l *LiveSpec) liveConfig() harness.LiveConfig {
 		}
 		lc.Faults = fc
 	}
-	return lc
+	return lc, d.err
 }
 
-func millis(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
+// durations converts a spec's times to Durations, rounding down: a negative
+// value stays negative however small, so it reaches the validator that
+// rejects it instead of reading as zero ("keep the default"). A value
+// outside the range a Duration holds is an error naming its field (Go leaves
+// such a float-to-int conversion to the platform); the first one is kept.
+type durations struct{ err error }
+
+func (d *durations) of(field string, v float64, unit time.Duration) time.Duration {
+	f := math.Floor(v * float64(unit))
+	if !(f >= math.MinInt64 && f < math.MaxInt64) {
+		if d.err == nil {
+			d.err = fmt.Errorf("%s %v is outside the range of a duration", field, v)
+		}
+		return 0
+	}
+	return time.Duration(f)
 }
 
-// compileLive lowers one live multi-job experiment: the LiveSpec becomes a
-// harness.LiveConfig (zero fields keep the harness defaults) and the
-// policy list becomes live variant lines, which render their own matrix.
-func compileLive(e *Experiment, l *LiveSpec) PlanRun {
+// compileLive lowers one live multi-job experiment on lc, the spec's
+// lowered live block (zero fields keep the harness defaults): the policy
+// list becomes live variant lines, which render their own matrix.
+func compileLive(e *Experiment, lc harness.LiveConfig) (PlanRun, error) {
+	if err := e.validateLive(); err != nil {
+		return PlanRun{}, err
+	}
 	m := e.Multi
-	lc := l.liveConfig()
+	policies, err := m.policies()
+	if err != nil {
+		return PlanRun{}, at("multi", err)
+	}
 	lc.Jobs = m.Jobs
 	// An explicit arrival process lowers to compressed wall-clock
 	// submission offsets; none keeps the submit-together default.
@@ -169,15 +217,13 @@ func compileLive(e *Experiment, l *LiveSpec) PlanRun {
 			lc.ArrivalInterval = 3600 / m.LambdaPerHour
 		}
 	}
-	// Validate() already resolved every policy name; LiveVariants attaches
-	// weights/priorities to the policies that read them.
 	return PlanRun{
 		Title: fmt.Sprintf("Live engine: %d concurrent word-count jobs, %dv+%dd workers",
 			lc.Jobs, lc.VolatileWorkers, lc.DedicatedWorkers),
 		App:      "wordcount",
-		Variants: harness.LiveVariants(lc, m.Policies, m.Weights, m.Priorities),
+		Variants: harness.LiveVariants(lc, policies, m.Weights, m.Priorities),
 		Renders:  []Render{{Kind: RenderLive, Blank: true}},
-	}
+	}, nil
 }
 
 // Execute runs every compiled run in order, appending each sweep's
@@ -249,34 +295,16 @@ func lowerRenders(names []string, blankEach bool) []Render {
 	return out
 }
 
-// canonicalPolicy returns the canonical spelling of a policy name that
-// Validate has resolved.
-func canonicalPolicy(name string) string {
-	if pol, err := mapred.JobPolicyByName(name); err == nil {
-		return pol.Name()
-	}
-	return name
-}
-
-func resolvePolicy(name string, weights map[string]float64) (mapred.SchedPolicy, error) {
-	// Resolve first, then attach weights by *canonical* name: the alias
-	// spellings ("wfair", "weighted-fair") must not silently drop the
-	// configured weights, and an unknown name is a hard error on every
-	// path.
-	pol, err := mapred.JobPolicyByName(name)
+// compileSweep lowers a simulated experiment to its custom form and
+// compiles that: one simulated line per variant, each with its own cluster,
+// workload and stack deltas.
+func compileSweep(e *Experiment) (PlanRun, error) {
+	l, err := e.lower()
 	if err != nil {
-		return nil, err
+		return PlanRun{}, err
 	}
-	if pol.Name() == "weighted" && len(weights) > 0 {
-		return mapred.WeightedFair(weights), nil
-	}
-	return pol, nil
-}
-
-// compileSweep compiles a lowered experiment: one simulated line per
-// variant, each with its own cluster, workload and stack deltas.
-func compileSweep(l lowered, renders []string) (PlanRun, error) {
 	c := l.custom
+	renders := e.Renders
 	if len(renders) == 0 {
 		renders = l.renders // the kind's default when the spec names none
 	}
@@ -289,7 +317,7 @@ func compileSweep(l lowered, renders []string) (PlanRun, error) {
 		}
 		cell, err := buildCell(v, c.clusterOf(v), ws)
 		if err != nil {
-			return PlanRun{}, fmt.Errorf("variant %q: %w", v.Label, err)
+			return PlanRun{}, e.lineErr(i, err)
 		}
 		run.Variants = append(run.Variants, harness.Variant{Label: v.Label, Cell: cell})
 	}
@@ -334,12 +362,12 @@ func buildCell(v *VariantSpec, cl *ClusterSpec, ws *WorkloadSpec) (harness.SimCe
 
 // variantPolicy resolves a variant's job-arbitration policy (nil = the
 // tracker's FIFO default; weights require the explicit "weighted" policy,
-// enforced by Validate).
+// which VariantSpec.validate enforces).
 func variantPolicy(v *VariantSpec) (mapred.SchedPolicy, error) {
 	if v.Policy == "" {
 		return nil, nil
 	}
-	return resolvePolicy(v.Policy, v.Weights)
+	return jobPolicy(v.Policy, v.Weights)
 }
 
 // clusterOf is the fleet a variant line runs on: its own, else the
@@ -381,18 +409,10 @@ func buildOptions(v *VariantSpec, cl *ClusterSpec, cs core.ClusterSpec) core.Opt
 		cs.Horizon = cl.HorizonSeconds
 		ocfg := trace.DefaultOutageConfig(cs.UnavailabilityRate)
 		if o := cl.Outage; o != nil {
-			if o.MeanSeconds > 0 {
-				ocfg.MeanOutage = o.MeanSeconds
-			}
-			if o.StddevSeconds > 0 {
-				ocfg.StddevOutage = o.StddevSeconds
-			}
-			if o.MinSeconds > 0 {
-				ocfg.MinOutage = o.MinSeconds
-			}
-			if o.MaxSeconds > 0 {
-				ocfg.MaxOutage = o.MaxSeconds
-			}
+			ocfg.MeanOutage = orDefault(o.MeanSeconds, ocfg.MeanOutage)
+			ocfg.StddevOutage = orDefault(o.StddevSeconds, ocfg.StddevOutage)
+			ocfg.MinOutage = orDefault(o.MinSeconds, ocfg.MinOutage)
+			ocfg.MaxOutage = orDefault(o.MaxSeconds, ocfg.MaxOutage)
 			cs.Outage = &ocfg
 		}
 		if cc := cl.Correlated; cc != nil {
@@ -400,21 +420,11 @@ func buildOptions(v *VariantSpec, cl *ClusterSpec, cs core.ClusterSpec) core.Opt
 			// The sweep's rate drives the independent component (with
 			// any outage overrides); the session model layers on top.
 			corr.Base = ocfg
-			if cc.GroupSize > 0 {
-				corr.GroupSize = cc.GroupSize
-			}
-			if cc.SessionsPerGroup > 0 {
-				corr.SessionsPerGroup = cc.SessionsPerGroup
-			}
-			if cc.SessionMeanSeconds > 0 {
-				corr.SessionMean = cc.SessionMeanSeconds
-			}
-			if cc.SessionStddevSeconds > 0 {
-				corr.SessionStddev = cc.SessionStddevSeconds
-			}
-			if cc.Participation > 0 {
-				corr.Participation = cc.Participation
-			}
+			corr.GroupSize = orDefault(cc.GroupSize, corr.GroupSize)
+			corr.SessionsPerGroup = orDefault(cc.SessionsPerGroup, corr.SessionsPerGroup)
+			corr.SessionMean = orDefault(cc.SessionMeanSeconds, corr.SessionMean)
+			corr.SessionStddev = orDefault(cc.SessionStddevSeconds, corr.SessionStddev)
+			corr.Participation = orDefault(cc.Participation, corr.Participation)
 			cs.Correlated = &corr
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"repro/internal/mapred"
 )
 
 // SimFlags mirrors moonsim's shaping flags: one job on one stack.
@@ -101,7 +99,7 @@ func FromFlags(f Flags) (*Spec, error) {
 	// selected this run. "both" keeps the default fifo-vs-fair comparison.
 	multi := MultiExperiment{Jobs: f.Jobs}
 	if f.Policy != "both" {
-		if _, err := mapred.JobPolicyByName(f.Policy); err != nil {
+		if _, err := jobPolicy(f.Policy, nil); err != nil {
 			return nil, err
 		}
 		multi.Policies = []string{f.Policy}

@@ -114,6 +114,12 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 		}},
 		{"negative link retries", func(s *Spec) { s.Live.Link = &LinkSpec{MaxRetries: -1} }},
 		{"negative link timeout", func(s *Spec) { s.Live.Link = &LinkSpec{SendTimeoutMS: -5} }},
+		// Past a Duration's range is an error on every platform, not
+		// whatever the float-to-int conversion gives there.
+		{"timeout past a duration", func(s *Spec) { s.Live.TimeoutSeconds = 1e300 }},
+		{"partition start past a duration", func(s *Spec) {
+			s.Live.Faults = &FaultSpec{Partitions: []PartitionSpec{{StartMS: 1e300, DurationMS: 10}}}
+		}},
 	}
 	for _, tc := range cases {
 		s := liveSpec()
@@ -122,22 +128,37 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}
+	s := liveSpec()
+	s.Live.Link = &LinkSpec{LeaseDurationMS: -1e300}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "live: link.lease_duration_ms -1e+300 is outside the range of a duration") {
+		t.Errorf("err = %v, want the field and its JSON path", err)
+	}
 }
 
 func TestLiveSpecAliasPoliciesCarryPrioritiesAndWeights(t *testing.T) {
 	// Canonicalized alias spellings must satisfy the weights/priorities
-	// policy requirement (the silent-fall-through fix).
+	// policy requirement (the silent-fall-through fix), and their lines run
+	// the canonical policy with its selectors: a "strict-priority" line must
+	// not run with everyone at rank 0.
+	lineOf := func(s *Spec) harness.LiveCell {
+		t.Helper()
+		plan, err := Compile(s)
+		if err != nil {
+			t.Fatalf("alias %v rejected: %v", s.Experiments[0].Multi.Policies, err)
+		}
+		return liveCells(t, plan.Runs[0])[0]
+	}
 	s := liveSpec()
 	s.Experiments[0].Multi.Policies = []string{"strict-priority"}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("alias strict-priority rejected: %v", err)
+	if c := lineOf(s); c.Policy != "priority" || c.Priorities == nil {
+		t.Fatalf("priority alias dropped its priorities: %+v", c)
 	}
 	s = liveSpec()
 	s.Experiments[0].Multi.Policies = []string{"weighted-fair"}
 	s.Experiments[0].Multi.Priorities = nil
 	s.Experiments[0].Multi.Weights = map[string]float64{"live-j0": 2}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("alias weighted-fair rejected: %v", err)
+	if c := lineOf(s); c.Policy != "weighted" || c.Weights == nil {
+		t.Fatalf("weighted alias dropped its weights: %+v", c)
 	}
 }
 

@@ -44,24 +44,27 @@ func hadoopOnMOON(label string, expiry float64) VariantSpec {
 	}
 }
 
-// lower returns the custom form of any experiment but fig1 (which is no
-// sweep). The experiment has passed validate.
-func (e *Experiment) lower() lowered {
+// lower checks the experiment's shape and returns the custom form of any
+// experiment but fig1 (which is no sweep).
+func (e *Experiment) lower() (lowered, error) {
+	if err := e.validate(); err != nil {
+		return lowered{}, err
+	}
 	switch {
 	case e.Custom != nil:
 		def := "times"
 		if e.Custom.Workload.isStream() {
 			def = "multi"
 		}
-		return lowered{custom: e.Custom, app: e.Custom.Workload.App, renders: []string{def}}
+		return lowered{custom: e.Custom, app: e.Custom.Workload.App, renders: []string{def}}, nil
 	case e.Multi != nil:
 		return lowerMulti(e.App, e.Multi)
 	case e.Ablation != "":
-		return lowerAblation(e.Ablation, e.App)
+		return lowerAblation(e.Ablation, e.App), nil
 	case e.Correlated:
-		return lowerCorrelated(e.App)
+		return lowerCorrelated(e.App), nil
 	}
-	return lowerFigure(e.Figure, e.App)
+	return lowerFigure(e.Figure, e.App), nil
 }
 
 func lowerFigure(figure, app string) lowered {
@@ -251,7 +254,14 @@ func lowerCorrelated(app string) lowered {
 // line per arbitration policy (default: FIFO against fair-share). Unlike a
 // custom workload with "jobs": 1, it is a stream at any length: renamed
 // jobs, the stream table, the stream's progress line.
-func lowerMulti(app string, m *MultiExperiment) lowered {
+func lowerMulti(app string, m *MultiExperiment) (lowered, error) {
+	policies, err := m.policies()
+	if err != nil {
+		return lowered{}, at("multi", err)
+	}
+	if len(policies) == 0 {
+		policies = []string{"fifo", "fair"}
+	}
 	ws := WorkloadSpec{
 		App: app, Sleep: true,
 		Jobs: m.Jobs, Arrivals: m.Arrivals, IntervalSeconds: m.IntervalSeconds, ArrivalSeed: m.ArrivalSeed,
@@ -271,17 +281,12 @@ func lowerMulti(app string, m *MultiExperiment) lowered {
 			app, m.Jobs, ws.Arrivals, ws.IntervalSeconds),
 		Workload: ws,
 	}
-	policies := m.Policies
-	if len(policies) == 0 {
-		policies = []string{"fifo", "fair"}
-	}
-	for _, p := range policies {
-		name := canonicalPolicy(p)
+	for _, name := range policies {
 		v := VariantSpec{Label: "MOON-" + name, Preset: "moon-hybrid", Policy: name}
 		if name == "weighted" {
 			v.Weights = m.Weights
 		}
 		c.Variants = append(c.Variants, v)
 	}
-	return lowered{custom: c, app: app, renders: []string{"multi"}}
+	return lowered{custom: c, app: app, renders: []string{"multi"}}, nil
 }

@@ -40,10 +40,10 @@ func kinds() map[string]Experiment {
 // from the three unexported fields, to something a spec file could say.
 func TestLoweredKindsAreCustomExperiments(t *testing.T) {
 	for name, e := range kinds() {
-		if err := e.validate(); err != nil {
+		l, err := e.lower()
+		if err != nil {
 			t.Fatalf("%s: test experiment invalid: %v", name, err)
 		}
-		l := e.lower()
 		if err := l.custom.validate(); err != nil {
 			t.Errorf("%s lowers to an invalid custom experiment: %v", name, err)
 		}
@@ -62,10 +62,20 @@ func TestLoweredKindsAreCustomExperiments(t *testing.T) {
 	}
 }
 
+// mustLower lowers an experiment that is valid.
+func mustLower(t *testing.T, e Experiment) lowered {
+	t.Helper()
+	l, err := e.lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // line compiles an experiment and returns the named line's cell.
 func line(t *testing.T, e Experiment, label string) harness.SimCell {
 	t.Helper()
-	run, err := compileSweep(e.lower(), e.Renders)
+	run, err := compileSweep(&e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func TestExpirySweepRespellsFig4(t *testing.T) {
 		t.Fatalf("%q has no Hadoop1Min line", c.Title)
 		return nil
 	}
-	lowered := fig4.lower().custom
+	lowered := mustLower(t, fig4).custom
 	if want, got := find(lowered), find(shipped.Custom); !reflect.DeepEqual(want, got) {
 		t.Fatalf("Hadoop1Min: shipped %+v, fig4 lowers to %+v", got, want)
 	}
@@ -156,7 +166,7 @@ func TestMultiKindIsAStreamAtOneJob(t *testing.T) {
 	if !c.Stream || len(c.Workload.Jobs) != 1 || c.Workload.Jobs[0].Spec.Job.Name != "sleep-sort-j0" {
 		t.Errorf("multi kind at one job: stream %v, jobs %+v", c.Stream, c.Workload.Jobs)
 	}
-	if r := multi.lower().renders; len(r) != 1 || r[0] != "multi" {
+	if r := mustLower(t, multi).renders; len(r) != 1 || r[0] != "multi" {
 		t.Errorf("multi kind renders %v", r)
 	}
 	custom := Experiment{Custom: &CustomExperiment{
@@ -168,7 +178,7 @@ func TestMultiKindIsAStreamAtOneJob(t *testing.T) {
 	if c.Stream || len(c.Workload.Jobs) != 1 || c.Workload.Jobs[0].Spec.Job.Name != "sleep-sort" {
 		t.Errorf("custom jobs:1: stream %v, jobs %+v", c.Stream, c.Workload.Jobs)
 	}
-	if r := custom.lower().renders; len(r) != 1 || r[0] != "times" {
+	if r := mustLower(t, custom).renders; len(r) != 1 || r[0] != "times" {
 		t.Errorf("custom jobs:1 renders %v", r)
 	}
 }
@@ -178,7 +188,7 @@ func TestMultiKindIsAStreamAtOneJob(t *testing.T) {
 // every line, and a Poisson rate lowered to its mean interval.
 func TestMultiKindLines(t *testing.T) {
 	e := kinds()["multi poisson"]
-	if title := e.lower().custom.Title; title != "Multi-job (sort): 4 jobs, poisson arrivals every ~180s" {
+	if title := mustLower(t, e).custom.Title; title != "Multi-job (sort): 4 jobs, poisson arrivals every ~180s" {
 		t.Errorf("title %q", title)
 	}
 	for label, policy := range map[string]string{"MOON-fifo": "fifo", "MOON-weighted": "weighted", "MOON-priority": "priority"} {
@@ -194,7 +204,7 @@ func TestMultiKindLines(t *testing.T) {
 			t.Errorf("%s: offsets %v … %v", label, c.Workload.Jobs[0].Offset, c.Workload.Jobs[3].Offset)
 		}
 	}
-	for _, v := range e.lower().custom.Variants {
+	for _, v := range mustLower(t, e).custom.Variants {
 		if (v.Weights != nil) != (v.Label == "MOON-weighted") {
 			t.Errorf("line %s weights %v", v.Label, v.Weights)
 		}
@@ -231,10 +241,10 @@ func TestAblationLinesLowerTheirDelta(t *testing.T) {
 		t.Errorf("target0.99: %v", o.DFS.AvailabilityTarget)
 	}
 	speccap, adaptive := abl("speccap"), abl("adaptive")
-	if l := speccap.lower(); !l.block || !reflect.DeepEqual(l.renders, []string{"times", "duplicates"}) {
+	if l := mustLower(t, speccap); !l.block || !reflect.DeepEqual(l.renders, []string{"times", "duplicates"}) {
 		t.Errorf("speccap layout: block %v renders %v", l.block, l.renders)
 	}
-	if l := adaptive.lower(); !l.block || !reflect.DeepEqual(l.renders, []string{"times"}) {
+	if l := mustLower(t, adaptive); !l.block || !reflect.DeepEqual(l.renders, []string{"times"}) {
 		t.Errorf("adaptive layout: block %v renders %v", l.block, l.renders)
 	}
 }

@@ -29,10 +29,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
@@ -505,29 +506,33 @@ func (s *Spec) NewReport(tool string) *metrics.Export {
 	return report
 }
 
-// Validate checks the whole spec statically: schema, sweep axes (via
-// harness.Config.Validate), and every experiment's vocabulary and shape.
-// A valid spec always compiles.
+// Validate reports whether the spec runs: it is Compile without the run.
+// The scenario states only what the schema alone knows (names and
+// vocabularies, one kind per experiment, fields that exclude or need each
+// other) and lowers every experiment the way Compile does. Every line it
+// lowers to is then checked at every sweep rate by the validators of the
+// packages that own its values (harness.Config.ValidateLines), so a valid
+// spec runs, and a rejection names the JSON path of the line it came from.
 func (s *Spec) Validate() error {
+	_, err := Compile(s)
+	return err
+}
+
+// validate checks the spec's top level: the schema line, the name, and the
+// backend with the blocks it takes.
+func (s *Spec) validate() error {
 	if s.Schema != Schema {
 		return fmt.Errorf("scenario: schema %q (want %q)", s.Schema, Schema)
 	}
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
-	if err := s.harnessConfig().Validate(); err != nil {
-		return err
-	}
-	if s.Sweep.Scale < 0 || s.Sweep.Parallelism < 0 || s.Sweep.ShardWorkers < 0 {
-		return fmt.Errorf("scenario: negative sweep scale/parallelism/shard_workers")
-	}
-	if s.Metrics.BucketSeconds < 0 || math.IsNaN(s.Metrics.BucketSeconds) {
-		return fmt.Errorf("scenario: metrics bucket %v", s.Metrics.BucketSeconds)
+	if s.Sweep.ShardWorkers < 0 {
+		return fmt.Errorf("scenario: %q sweep.shard_workers %d (want >= 0)", s.Name, s.Sweep.ShardWorkers)
 	}
 	if len(s.Experiments) == 0 {
 		return fmt.Errorf("scenario: %q has no experiments", s.Name)
 	}
-	live := false
 	switch s.Execution {
 	case "", "sim":
 		if s.Live != nil && s.Live.Faults != nil {
@@ -540,86 +545,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: %q has live settings but execution %q (want \"live\")", s.Name, s.Execution)
 		}
 	case "live":
-		live = true
-		if err := s.Live.validate(); err != nil {
-			return fmt.Errorf("scenario: %q: %w", s.Name, err)
-		}
 	default:
 		return fmt.Errorf("scenario: %q execution %q (want sim or live)", s.Name, s.Execution)
-	}
-	for i := range s.Experiments {
-		e := &s.Experiments[i]
-		var err error
-		if live {
-			err = e.validateLive()
-		} else if err = e.validate(); err == nil && e.Figure != "fig1" { // fig1 has no stack
-			err = e.lower().custom.validateStacks()
-		}
-		if err != nil {
-			return fmt.Errorf("scenario: %q experiment %d: %w", s.Name, i, err)
-		}
-	}
-	return nil
-}
-
-func (l *LiveSpec) validate() error {
-	if l == nil {
-		return nil
-	}
-	if l.VolatileWorkers < 0 || l.DedicatedWorkers < 0 {
-		return fmt.Errorf("live worker counts (%d volatile, %d dedicated)", l.VolatileWorkers, l.DedicatedWorkers)
-	}
-	for _, f := range []namedFloat{
-		{"horizon_seconds", l.HorizonSeconds},
-		{"compression_ms", l.CompressionMS},
-		{"timeout_seconds", l.TimeoutSeconds},
-	} {
-		if f.v < 0 || math.IsNaN(f.v) {
-			return fmt.Errorf("live %s %v", f.name, f.v)
-		}
-	}
-	if l.SplitsPerJob < 0 || l.WordsPerSplit < 0 || l.ReducesPerJob < 0 {
-		return fmt.Errorf("live job sizing must be >= 0")
-	}
-	if lk := l.Link; lk != nil {
-		for _, f := range []namedFloat{
-			{"connect_timeout_ms", lk.ConnectTimeoutMS},
-			{"send_timeout_ms", lk.SendTimeoutMS},
-			{"recv_timeout_ms", lk.RecvTimeoutMS},
-			{"heartbeat_interval_ms", lk.HeartbeatIntervalMS},
-			{"lease_duration_ms", lk.LeaseDurationMS},
-			{"retry_backoff_ms", lk.RetryBackoffMS},
-			{"session_expiry_ms", lk.SessionExpiryMS},
-		} {
-			if f.v < 0 || math.IsNaN(f.v) {
-				return fmt.Errorf("live link %s %v (want >= 0)", f.name, f.v)
-			}
-		}
-		if lk.MaxRetries < 0 {
-			return fmt.Errorf("live link max_retries %d (want >= 0)", lk.MaxRetries)
-		}
-	}
-	if f := l.Faults; f != nil {
-		if math.IsNaN(f.DelayMS) || f.DelayMS < 0 {
-			return fmt.Errorf("live faults delay_ms %v (want >= 0)", f.DelayMS)
-		}
-		for i, p := range f.Partitions {
-			if math.IsNaN(p.StartMS) || math.IsNaN(p.DurationMS) {
-				return fmt.Errorf("live faults partition %d has a NaN window", i)
-			}
-			for _, w := range p.Workers {
-				if w < 0 {
-					return fmt.Errorf("live faults partition %d worker index %d (want >= 0)", i, w)
-				}
-			}
-		}
-	}
-	// Deep check: lower to the engine configuration a cell would run and
-	// validate it, so clock mistakes (heartbeat at or past the lease,
-	// out-of-range fault rates, malformed partition windows) fail at
-	// compile time, not mid-sweep.
-	if err := l.liveConfig().Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -631,11 +558,8 @@ func (l *LiveSpec) validate() error {
 // compressed wall-clock time; with none, jobs are submitted together (the
 // historical live default).
 func (e *Experiment) validateLive() error {
-	if e.Multi == nil {
+	if e.Multi == nil || e.Figure != "" || e.Ablation != "" || e.Correlated || e.Custom != nil {
 		return fmt.Errorf("live execution runs multi-job experiments only (figure/ablation/correlated/custom are simulator sweeps)")
-	}
-	if e.Figure != "" || e.Ablation != "" || e.Correlated || e.Custom != nil {
-		return fmt.Errorf("live execution runs multi-job experiments only")
 	}
 	if e.App != "" && e.App != "wordcount" {
 		return fmt.Errorf("live app %q (the engine executes real word counts; want wordcount or empty)", e.App)
@@ -644,17 +568,14 @@ func (e *Experiment) validateLive() error {
 		return fmt.Errorf("renders do not apply to live execution")
 	}
 	m := e.Multi
-	if m.Jobs < 1 {
-		return fmt.Errorf("live multi needs jobs >= 1 (got %d)", m.Jobs)
-	}
 	if m.Arrivals == "" {
 		if m.IntervalSeconds != 0 || m.LambdaPerHour != 0 || m.ArrivalSeed != 0 {
-			return fmt.Errorf("live arrival fields need an explicit arrivals process (\"staggered\" or \"poisson\"; empty submits every job together)")
+			return at("multi", fmt.Errorf("arrival fields need an explicit arrivals process (\"staggered\" or \"poisson\"; empty submits every job together)"))
 		}
 	} else if err := validateArrivals(m.Arrivals, m.IntervalSeconds, m.LambdaPerHour); err != nil {
-		return err
+		return at("multi", err)
 	}
-	return m.validatePolicies()
+	return nil
 }
 
 func (e *Experiment) validate() error {
@@ -706,96 +627,68 @@ func (e *Experiment) validate() error {
 			return fmt.Errorf("unknown ablation %q (want %s)", e.Ablation, joinOr(AblationNames))
 		}
 	case e.Multi != nil:
-		return e.Multi.validate()
+		if err := validateArrivals(e.Multi.Arrivals, e.Multi.IntervalSeconds, e.Multi.LambdaPerHour); err != nil {
+			return at("multi", err)
+		}
 	case e.Custom != nil:
-		return e.Custom.validate()
+		if err := e.Custom.validate(); err != nil {
+			return at("custom", err)
+		}
 	}
 	return nil
 }
 
-func (m *MultiExperiment) validate() error {
-	if m.Jobs < 1 {
-		return fmt.Errorf("multi needs jobs >= 1 (got %d)", m.Jobs)
+// policies resolves the policy list to canonical names, so that alias
+// spellings ("weighted-fair", "strict-priority") carry their weights and
+// priorities too, and checks that weights and priorities come with the
+// policy that reads them. An empty list stays empty (the lowering picks the
+// default comparison).
+func (m *MultiExperiment) policies() ([]string, error) {
+	names := make([]string, len(m.Policies))
+	for i, p := range m.Policies {
+		pol, err := jobPolicy(p, nil)
+		if err != nil {
+			return nil, at(fmt.Sprintf("policies[%d]", i), err)
+		}
+		names[i] = pol.Name()
 	}
-	if err := validateArrivals(m.Arrivals, m.IntervalSeconds, m.LambdaPerHour); err != nil {
-		return err
+	if len(m.Weights) > 0 && !slices.Contains(names, "weighted") {
+		return nil, fmt.Errorf("weights need the \"weighted\" policy in policies")
 	}
-	return m.validatePolicies()
+	if len(m.Priorities) > 0 && !slices.Contains(names, "priority") {
+		return nil, fmt.Errorf("priorities need the \"priority\" policy in policies")
+	}
+	return names, validateWeights(m.Weights)
 }
 
-// validatePolicies checks the policy list (every name must resolve — a
-// typo is a hard error, never a silent FIFO) and that weights/priorities
-// only appear alongside the policy that reads them. Policy names are
-// canonicalized, so alias spellings ("weighted-fair", "strict-priority")
-// carry their weights/priorities too.
-func (m *MultiExperiment) validatePolicies() error {
-	canonical := make([]string, 0, len(m.Policies))
-	for _, p := range m.Policies {
-		pol, err := mapred.JobPolicyByName(p)
-		if err != nil {
-			return err
-		}
-		if slices.Contains(canonical, pol.Name()) {
-			// Variant lines are labeled (and sweep cells keyed) by the
-			// canonical policy name; a duplicate would silently clobber
-			// the first line's results.
-			return fmt.Errorf("policy %q duplicates %q", p, pol.Name())
-		}
-		canonical = append(canonical, pol.Name())
+// jobPolicy resolves a job-policy name, alias spellings included, with the
+// weights attached when it is the weighted policy. It is the one place a
+// spec's or a flag's policy name is read, and an unknown name is an error
+// on every path, never a silent FIFO.
+func jobPolicy(name string, weights map[string]float64) (mapred.SchedPolicy, error) {
+	pol, err := mapred.JobPolicyByName(name)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.Weights) > 0 && !slices.Contains(canonical, "weighted") {
-		return fmt.Errorf("weights need the \"weighted\" policy in policies")
+	if pol.Name() == "weighted" && len(weights) > 0 {
+		return mapred.WeightedFair(weights), nil
 	}
-	if len(m.Priorities) > 0 && !slices.Contains(canonical, "priority") {
-		return fmt.Errorf("priorities need the \"priority\" policy in policies")
-	}
-	return validateWeights(m.Weights)
+	return pol, nil
 }
 
 func (c *CustomExperiment) validate() error {
 	if c.Title == "" {
 		return fmt.Errorf("custom needs a title")
 	}
-	if err := c.Cluster.validate(); err != nil {
-		return err
-	}
 	if err := c.Workload.validate(); err != nil {
-		return err
+		return at("workload", err)
 	}
 	if len(c.Variants) == 0 {
 		return fmt.Errorf("custom %q has no variants", c.Title)
 	}
-	labels := make(map[string]bool, len(c.Variants))
 	for i := range c.Variants {
-		v := &c.Variants[i]
-		if v.Label == "" {
-			return fmt.Errorf("custom %q variant %d has no label", c.Title, i)
-		}
-		if labels[v.Label] {
-			return fmt.Errorf("custom %q duplicates variant label %q", c.Title, v.Label)
-		}
-		labels[v.Label] = true
-		if err := v.validate(c.Workload.isStream()); err != nil {
-			return fmt.Errorf("variant %q: %w", v.Label, err)
-		}
-	}
-	return nil
-}
-
-// validateStacks builds each line's stack options once, as its cells will,
-// and validates them, so a delta the model cannot run (a suspension
-// interval past the tracker expiry, a zero adaptive clamp, a negative
-// expiry) is rejected before the first cell runs instead of mid-sweep.
-func (c *CustomExperiment) validateStacks() error {
-	for i := range c.Variants {
-		v := &c.Variants[i]
-		opts := buildOptions(v, c.clusterOf(v), core.ClusterSpec{})
-		err := opts.Sched.Validate()
-		if err == nil {
-			err = opts.DFS.Validate()
-		}
-		if err != nil {
-			return fmt.Errorf("variant %q: %w", v.Label, err)
+		if err := c.Variants[i].validate(c.Workload.isStream()); err != nil {
+			return at(fmt.Sprintf("variants[%d]", i), err)
 		}
 	}
 	return nil
@@ -803,10 +696,10 @@ func (c *CustomExperiment) validateStacks() error {
 
 func (w *WorkloadSpec) validate() error {
 	if !slices.Contains(Apps, w.App) {
-		return fmt.Errorf("workload app %q (want sort or wordcount)", w.App)
+		return fmt.Errorf("app %q (want sort or wordcount)", w.App)
 	}
 	if w.Jobs < 0 {
-		return fmt.Errorf("workload jobs %d", w.Jobs)
+		return fmt.Errorf("jobs %d", w.Jobs)
 	}
 	if w.isStream() {
 		if err := validateArrivals(w.Arrivals, w.IntervalSeconds, 0); err != nil {
@@ -834,40 +727,22 @@ func (w *WorkloadSpec) validate() error {
 	default:
 		return fmt.Errorf("intermediate_class %q (want opportunistic or reliable)", w.IntermediateClass)
 	}
-	for _, f := range []*FactorSpec{w.InputFactor, w.IntermediateFactor, w.OutputFactor} {
-		if err := f.validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-func (f *FactorSpec) validate() error {
-	if f == nil {
-		return nil
+func (v *VariantSpec) validate(stream bool) error {
+	if v.Label == "" {
+		return fmt.Errorf("variant has no label")
 	}
-	if f.D < 0 || f.V < 0 || f.D+f.V == 0 {
-		return fmt.Errorf("replication factor {%d,%d} (want d,v >= 0, d+v > 0)", f.D, f.V)
-	}
-	return nil
-}
-
-func (v *VariantSpec) validate(multi bool) error {
 	if !slices.Contains(Presets, v.Preset) {
 		return fmt.Errorf("preset %q (want %s)", v.Preset, joinOr(Presets))
 	}
-	if err := v.Cluster.validate(); err != nil {
-		return err
-	}
-	if err := v.IntermediateFactor.validate(); err != nil {
-		return err
-	}
 	policyName := ""
 	if v.Policy != "" {
-		if !multi {
+		if !stream {
 			return fmt.Errorf("policy %q needs a multi-job workload", v.Policy)
 		}
-		pol, err := mapred.JobPolicyByName(v.Policy)
+		pol, err := jobPolicy(v.Policy, nil)
 		if err != nil {
 			return err
 		}
@@ -882,71 +757,18 @@ func (v *VariantSpec) validate(multi bool) error {
 	if err := validateWeights(v.Weights); err != nil {
 		return err
 	}
-	if v.Sched != nil {
-		s := v.Sched
-		for _, f := range []namedFloatPtr{
-			{"tracker_expiry_seconds", s.TrackerExpirySeconds},
-			{"heartbeat_interval_seconds", s.HeartbeatIntervalSeconds},
-			{"suspension_interval_seconds", s.SuspensionIntervalSeconds},
-			{"spec_slot_fraction", s.SpecSlotFraction},
-			{"homestretch_h", s.HomestretchH},
-		} {
-			if f.p != nil && (*f.p < 0 || math.IsNaN(*f.p)) {
-				return fmt.Errorf("sched %s %v", f.name, *f.p)
-			}
-		}
-	}
 	if d := v.DFS; d != nil && d.Mode != nil && *d.Mode != "hadoop" && *d.Mode != "moon" {
 		return fmt.Errorf("dfs mode %q (want hadoop or moon)", *d.Mode)
 	}
-	if v.Net != nil {
-		n := v.Net
-		for _, f := range []namedFloatPtr{
-			{"node_bandwidth_bytes", n.NodeBandwidthBytes},
-			{"disk_bandwidth_bytes", n.DiskBandwidthBytes},
-			{"stall_timeout_seconds", n.StallTimeoutSeconds},
-		} {
-			if f.p != nil && (*f.p <= 0 || math.IsNaN(*f.p)) {
-				return fmt.Errorf("net %s %v (want > 0)", f.name, *f.p)
-			}
-		}
-	}
 	return nil
 }
 
-func (c *ClusterSpec) validate() error {
-	if c == nil {
-		return nil
-	}
-	vol, ded := 60, 6
-	if c.Volatile != nil {
-		vol = *c.Volatile
-	}
-	if c.Dedicated != nil {
-		ded = *c.Dedicated
-	}
-	if vol < 0 || ded < 0 || vol+ded == 0 {
-		return fmt.Errorf("cluster needs nodes (got %d volatile, %d dedicated)", vol, ded)
-	}
-	if c.HorizonSeconds < 0 {
-		return fmt.Errorf("cluster horizon %v", c.HorizonSeconds)
-	}
-	if o := c.Outage; o != nil {
-		if o.MeanSeconds < 0 || o.StddevSeconds < 0 || o.MinSeconds < 0 ||
-			o.MaxSeconds < 0 || o.MaxSeconds > 0 && o.MaxSeconds < o.MinSeconds {
-			return fmt.Errorf("outage model [%v,%v] mean %v stddev %v",
-				o.MinSeconds, o.MaxSeconds, o.MeanSeconds, o.StddevSeconds)
-		}
-	}
-	if cc := c.Correlated; cc != nil {
-		if cc.GroupSize < 0 || cc.SessionsPerGroup < 0 || cc.SessionMeanSeconds < 0 ||
-			cc.SessionStddevSeconds < 0 || cc.Participation < 0 || cc.Participation > 1 {
-			return fmt.Errorf("correlated model: negative field or participation outside [0,1]")
-		}
-	}
-	return nil
-}
-
+// validateArrivals checks what only the schema knows of an arrival
+// process: its name, and that a Poisson process is spelled by exactly one of
+// a mean interval or a rate per hour (positive) where a staggered one has no
+// rate. A flag can carry a NaN here (JSON cannot), so NaN is refused too.
+// The interval's range is checked where it becomes submission offsets
+// (workload.MultiSpec, harness.LiveConfig).
 func validateArrivals(process string, interval, lambda float64) error {
 	if math.IsNaN(interval) || math.IsNaN(lambda) {
 		return fmt.Errorf("NaN arrival interval/lambda")
@@ -956,15 +778,9 @@ func validateArrivals(process string, interval, lambda float64) error {
 		if lambda != 0 {
 			return fmt.Errorf("lambda_per_hour needs poisson arrivals")
 		}
-		if interval < 0 {
-			return fmt.Errorf("interval_seconds %v", interval)
-		}
 	case "poisson":
-		if (interval > 0) == (lambda > 0) {
+		if !(interval > 0 && lambda == 0 || lambda > 0 && interval == 0) {
 			return fmt.Errorf("poisson arrivals need exactly one of interval_seconds or lambda_per_hour > 0")
-		}
-		if interval < 0 || lambda < 0 {
-			return fmt.Errorf("negative arrival interval/lambda")
 		}
 	default:
 		return fmt.Errorf("unknown arrival process %q (want staggered or poisson)", process)
@@ -972,49 +788,52 @@ func validateArrivals(process string, interval, lambda float64) error {
 	return nil
 }
 
+// validateWeights checks the weights a spec gives the weighted policy,
+// which would read a non-positive one as weight 1.
 func validateWeights(w map[string]float64) error {
 	// Sorted keys so the reported weight is deterministic when several
 	// are invalid (detrange-pinned).
-	names := make([]string, 0, len(w))
-	for name := range w {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		if wt := w[name]; wt <= 0 || math.IsNaN(wt) {
+	for _, name := range slices.Sorted(maps.Keys(w)) {
+		if wt := w[name]; !(wt > 0) {
 			return fmt.Errorf("weight %v for job %q (want > 0)", wt, name)
 		}
 	}
 	return nil
 }
 
-// namedFloat and namedFloatPtr order the field tables the validators
-// iterate: ranging a map literal here would make which invalid field
-// gets reported depend on randomized map order.
-type namedFloat struct {
-	name string
-	v    float64
+// pathError is a rejection at a JSON path of the spec.
+type pathError struct {
+	path string
+	err  error
 }
 
-type namedFloatPtr struct {
-	name string
-	p    *float64
+func (e *pathError) Error() string { return e.path + ": " + e.err.Error() }
+
+// at places err under path: at("experiments[0]", at("custom", err)) reads
+// "experiments[0].custom: " followed by err.
+func at(path string, err error) error {
+	if pe, ok := err.(*pathError); ok {
+		return &pathError{path + "." + pe.path, pe.err}
+	}
+	return &pathError{path, err}
+}
+
+// lineErr places the error of line n of the experiment's run under what the
+// line was lowered from: a custom variant, or the multi block.
+func (e *Experiment) lineErr(n int, err error) error {
+	switch {
+	case e.Custom != nil:
+		return at(fmt.Sprintf("custom.variants[%d]", n), err)
+	case e.Multi != nil:
+		return at("multi", err)
+	}
+	return err
 }
 
 // joinOr renders a vocabulary list for error messages: "a, b or c".
 func joinOr(names []string) string {
-	switch len(names) {
-	case 0:
-		return ""
-	case 1:
-		return names[0]
+	if len(names) < 2 {
+		return strings.Join(names, "")
 	}
-	out := ""
-	for i, n := range names[:len(names)-1] {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out + " or " + names[len(names)-1]
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
 }

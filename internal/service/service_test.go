@@ -418,6 +418,12 @@ func TestStructuredErrors(t *testing.T) {
 		// A repeated rate would run every cell of it twice on the daemon's CPU.
 		{http.MethodPost, "/v1/scenarios", []byte(`{"schema": "moon-scenario/v1", "name": "twice", "sweep": {"rates": [0.5, 0.5], "scale": 32},
 			"experiments": [{"figure": "fig4", "app": "sort"}]}`), http.StatusBadRequest, "bad_request", ""},
+		// An outage clamp that is only wrong merged with the paper's model
+		// ([4000 s, 3600 s]) used to be accepted and fail in its first cell.
+		{http.MethodPost, "/v1/scenarios", []byte(`{"schema": "moon-scenario/v1", "name": "clamp", "sweep": {"rates": [0.5], "scale": 32},
+			"experiments": [{"custom": {"title": "t", "cluster": {"outage": {"min_seconds": 4000}},
+			"workload": {"app": "sort", "sleep": true}, "variants": [{"label": "a", "preset": "moon-hybrid"}]}}]}`),
+			http.StatusBadRequest, "bad_request", ""},
 	}
 	for _, tc := range cases {
 		resp, raw := do(t, tc.method, ts.URL+tc.path, tc.body, nil)

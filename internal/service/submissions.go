@@ -175,10 +175,9 @@ func (r *registry) count() int {
 // idle reports whether every accepted submission is terminal.
 func (r *registry) idle() bool {
 	r.mu.Lock()
-	subs := make([]*submission, 0, len(r.subs))
-	for _, b := range r.subs {
-		//moonvet:allow detrange order-insensitive: idle() reduces the collected set with AND, so collection order is unobservable
-		subs = append(subs, b)
+	subs := make([]*submission, 0, len(r.order))
+	for _, id := range r.order {
+		subs = append(subs, r.subs[id])
 	}
 	r.mu.Unlock()
 	for _, b := range subs {

@@ -53,10 +53,13 @@ func (c CorrelatedConfig) Validate() error {
 	if c.SessionsPerGroup < 0 {
 		return fmt.Errorf("trace: sessions per group %d", c.SessionsPerGroup)
 	}
-	if c.SessionMean <= 0 && c.SessionsPerGroup > 0 {
+	if !(c.SessionMean > 0) && c.SessionsPerGroup > 0 {
 		return fmt.Errorf("trace: session mean %v", c.SessionMean)
 	}
-	if c.Participation < 0 || c.Participation > 1 {
+	if !(c.SessionStddev >= 0) {
+		return fmt.Errorf("trace: session stddev %v", c.SessionStddev)
+	}
+	if !(c.Participation >= 0 && c.Participation <= 1) {
 		return fmt.Errorf("trace: participation %v", c.Participation)
 	}
 	return nil

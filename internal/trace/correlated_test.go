@@ -84,6 +84,11 @@ func TestCorrelatedValidation(t *testing.T) {
 	if _, err := GenerateCorrelatedFleet(rng.New(1), bad, 100, 10); err == nil {
 		t.Fatal("zero session mean accepted")
 	}
+	bad = DefaultCorrelatedConfig()
+	bad.SessionStddev = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative session stddev accepted")
+	}
 	if _, err := GenerateCorrelatedFleet(rng.New(1), DefaultCorrelatedConfig(), 100, -1); err == nil {
 		t.Fatal("negative fleet size accepted")
 	}

@@ -59,15 +59,19 @@ func DefaultOutageConfig(rate float64) OutageConfig {
 	}
 }
 
-// Validate reports a descriptive error for nonsensical configurations.
+// Validate reports a descriptive error for nonsensical configurations (a
+// NaN fails every rule it reaches).
 func (c OutageConfig) Validate() error {
-	if c.TargetRate < 0 || c.TargetRate >= 1 {
+	if !(c.TargetRate >= 0 && c.TargetRate < 1) {
 		return fmt.Errorf("trace: target rate %v outside [0,1)", c.TargetRate)
 	}
-	if c.TargetRate > 0 && c.MeanOutage <= 0 {
+	if !(c.MeanOutage >= 0) || c.TargetRate > 0 && c.MeanOutage == 0 {
 		return fmt.Errorf("trace: mean outage %v must be positive", c.MeanOutage)
 	}
-	if c.MinOutage < 0 || (c.MaxOutage > 0 && c.MaxOutage < c.MinOutage) {
+	if !(c.StddevOutage >= 0) {
+		return fmt.Errorf("trace: outage stddev %v must be >= 0", c.StddevOutage)
+	}
+	if !(c.MinOutage >= 0) || !(c.MaxOutage >= 0) || (c.MaxOutage > 0 && c.MaxOutage < c.MinOutage) {
 		return fmt.Errorf("trace: bad outage clamp [%v,%v]", c.MinOutage, c.MaxOutage)
 	}
 	return nil

@@ -77,6 +77,20 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(r, cfg, 100); err == nil {
 		t.Fatal("inverted clamp accepted")
 	}
+	for _, tc := range []struct {
+		name string
+		edit func(*OutageConfig)
+	}{
+		{"negative stddev", func(c *OutageConfig) { c.StddevOutage = -1 }},
+		{"negative max", func(c *OutageConfig) { c.MaxOutage = -1 }},
+		{"negative mean at rate 0", func(c *OutageConfig) { c.TargetRate, c.MeanOutage = 0, -1 }},
+	} {
+		cfg = DefaultOutageConfig(0.3)
+		tc.edit(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
 	// A negative fleet size is an error, not a makeslice panic (it is
 	// `moontrace -nodes -1`).
 	if _, err := GenerateFleet(r, DefaultOutageConfig(0.3), 100, -1); err == nil {

@@ -31,10 +31,13 @@ type Spec struct {
 	InputFactor dfs.Factor
 }
 
-// Validate checks the job portion of the spec.
+// Validate checks the input staging and the job portion of the spec.
 func (s Spec) Validate() error {
 	if s.InputSize <= 0 {
 		return fmt.Errorf("workload: input size %v", s.InputSize)
+	}
+	if err := s.InputFactor.Validate(); err != nil {
+		return err
 	}
 	return s.Job.Validate()
 }

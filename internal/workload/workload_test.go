@@ -114,4 +114,16 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	if w.Validate() == nil {
 		t.Fatal("zero maps accepted")
 	}
+	w = Sort(132)
+	w.InputFactor = dfs.Factor{}
+	if w.Validate() == nil {
+		t.Fatal("unsatisfiable input factor accepted")
+	}
+	// The sleep app writes no output, and its output factor is still held
+	// to being satisfiable.
+	w = SleepApp(Sort(132))
+	w.Job.OutputFactor = dfs.Factor{}
+	if w.Validate() == nil {
+		t.Fatal("unsatisfiable output factor on the sleep app accepted")
+	}
 }
