@@ -104,16 +104,7 @@ func TestDueSetCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	path := filepath.Join(t.TempDir(), "report.json")
-	runCLI(t, strings.Fields("-experiment fig7 -app sort -scale 2 -rates 0.5 -seeds 1001 -parallel 1 -metrics "+path)...)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report metrics.Export
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatal(err)
-	}
+	report := runMetrics(t, "-experiment fig7 -app sort -scale 2 -rates 0.5 -seeds 1001 -parallel 1")
 	sum := map[string]float64{}
 	for _, e := range report.Experiments {
 		for _, c := range e.Counters {
@@ -139,4 +130,56 @@ func TestDueSetCounts(t *testing.T) {
 		t.Errorf("%v list entries read by %v rescans for %v keys stored, want at most 2.5 a key",
 			got, sum["net.due_rescans"], rekeys)
 	}
+}
+
+// TestChurnCursorCounts is the cluster's churn-cursor gate, read off a
+// -metrics report of the word-count benchmark's run (fig7 word count at rates
+// 0.3 and 0.5, seed 1001, paper scale). A volatile node keeps only its next
+// transition queued, so no cell's event queue holds more than 300 events
+// (209-239; with every transition queued at t = 0 it peaked at 2 661-4 726).
+// The cursor fires each transition where up-front scheduling fired it, so the
+// fired and canceled event counts are pinned.
+func TestChurnCursorCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
+	report := runMetrics(t, "-experiment fig7 -app wordcount -rates 0.3,0.5 -seeds 1001 -parallel 1")
+	sum := map[string]float64{}
+	for _, e := range report.Experiments {
+		for _, c := range e.Counters {
+			sum[c.Layer+"."+c.Name] += c.Value
+		}
+		depth := -1.0
+		for _, s := range e.Series {
+			if s.Layer == "sim" && s.Name == "queue_depth" {
+				for _, p := range s.Points {
+					depth = max(depth, p.Max)
+				}
+			}
+		}
+		if depth < 0 || depth > 300 {
+			t.Errorf("%s rate %v: queue depth peaked at %v, want a sample and at most 300", e.Variant, e.Rate, depth)
+		}
+	}
+	for name, want := range map[string]float64{"sim.events_fired": 62294, "sim.events_canceled": 2668} {
+		if sum[name] != want {
+			t.Errorf("%s = %v, want %v", name, sum[name], want)
+		}
+	}
+}
+
+// runMetrics runs moonbench with args and -metrics and returns the report.
+func runMetrics(t *testing.T, args string) metrics.Export {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "report.json")
+	runCLI(t, strings.Fields(args+" -metrics "+path)...)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report metrics.Export
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatal(err)
+	}
+	return report
 }

@@ -7,6 +7,13 @@
 // heartbeats, but keeps its disk contents — exactly the semantics the paper
 // assumes for a volunteer PC reclaimed by its owner (e.g. a paused virtual
 // machine). Subsystems subscribe to availability transitions with Watch.
+//
+// A volatile node replays its trace as a cursor: only its next transition is
+// queued, by the previous one's callback, at the position (sim.ReservedAt)
+// it would have held had New queued the whole trace; New draws those order
+// numbers. Fire and watcher order are up-front scheduling's (the reference
+// of FuzzChurnCursorVsUpfront), with one queued event per node, not two per
+// outage. A trace whose transition times go back cannot be replayed.
 package cluster
 
 import (
@@ -27,17 +34,6 @@ const (
 	Dedicated
 )
 
-func (t NodeType) String() string {
-	switch t {
-	case Volatile:
-		return "volatile"
-	case Dedicated:
-		return "dedicated"
-	default:
-		return fmt.Sprintf("NodeType(%d)", int(t))
-	}
-}
-
 // Watcher observes a node availability transition.
 type Watcher func(n *Node, available bool)
 
@@ -50,6 +46,13 @@ type Node struct {
 	trace     trace.Trace
 	available bool
 	watchers  []Watcher
+
+	// The replay cursor: transition k is the suspend at Outages[k/2].Start
+	// (k even) or the resume at its End (k odd), held at order number
+	// seq0+k. next is the one queued; step is transition, bound once.
+	next int
+	seq0 uint64
+	step func()
 
 	// Statistics.
 	suspensions   int
@@ -91,17 +94,26 @@ func (n *Node) setAvailable(av bool) {
 	}
 }
 
-// scheduleTransitions walks the node's trace, scheduling suspend/resume
-// events.
-func (n *Node) scheduleTransitions() {
-	if n.Type == Dedicated || len(n.trace.Outages) == 0 {
+// queue queues transition n.next, if the trace has one left.
+func (n *Node) queue() {
+	k := n.next
+	if k == 2*len(n.trace.Outages) {
 		return
 	}
-	for _, iv := range n.trace.Outages {
-		iv := iv
-		n.sim.Schedule(iv.Start, "node.suspend", func() { n.setAvailable(false) })
-		n.sim.Schedule(iv.End, "node.resume", func() { n.setAvailable(true) })
+	at, name := n.trace.Outages[k/2].Start, "node.suspend"
+	if k%2 == 1 {
+		at, name = n.trace.Outages[k/2].End, "node.resume"
 	}
+	r := n.sim.ReservedAt(at, n.seq0+uint64(k))
+	n.sim.ScheduleReserved(&r, name, n.step)
+}
+
+// transition fires transition n.next: it queues the next, then flips the node.
+func (n *Node) transition() {
+	up := n.next%2 == 1
+	n.next++
+	n.queue()
+	n.setAvailable(up)
 }
 
 // Config describes a cluster to build.
@@ -129,15 +141,35 @@ type Cluster struct {
 	volatileDown int
 }
 
-// New builds a cluster on s per cfg and schedules all availability
-// transitions. Volatile nodes get IDs 0..V-1; dedicated nodes follow.
+// New builds a cluster on s per cfg and queues each volatile node's first
+// availability transition. Volatile nodes get IDs 0..V-1; dedicated nodes
+// follow. It panics on a trace whose outages are unsorted, overlap, end
+// before they start or start before the clock: the cursor cannot replay it.
 func New(s *sim.Simulation, cfg Config) *Cluster {
+	c := build(s, cfg)
+	// build draws no order numbers, so these are the ones the up-front
+	// Schedule calls drew: two per outage, node after node.
+	for _, n := range c.Volatile {
+		n.seq0, n.step = s.DrawOrder(2*len(n.trace.Outages)), n.transition
+		n.queue()
+	}
+	return c
+}
+
+// build is New without the transitions: the nodes and the tally watchers.
+func build(s *sim.Simulation, cfg Config) *Cluster {
 	c := &Cluster{Sim: s}
 	for i, tr := range cfg.VolatileTraces {
-		n := &Node{ID: i, Type: Volatile, sim: s, trace: tr, available: tr.AvailableAt(0)}
-		n.scheduleTransitions()
+		prev := s.Now()
+		for j, iv := range tr.Outages {
+			if !(iv.Start >= prev && iv.End >= iv.Start) {
+				panic(fmt.Sprintf("cluster: node %d outage %d [%v, %v] starts before %v or ends before it starts", i, j, iv.Start, iv.End, prev))
+			}
+			prev = iv.End
+		}
 		// A trace may start inside an outage; reflect that without firing
 		// watchers (none are registered yet).
+		n := &Node{ID: i, Type: Volatile, sim: s, trace: tr, available: tr.AvailableAt(0)}
 		c.Nodes = append(c.Nodes, n)
 		c.Volatile = append(c.Volatile, n)
 	}

@@ -72,6 +72,9 @@ type FileSystem struct {
 	// placement (scanBlock consumes each choice before the next call).
 	scanTargets []int
 
+	// reads are the free read records (ReadBlock).
+	reads []*read
+
 	Metrics Metrics
 	inst    fsInstruments
 }

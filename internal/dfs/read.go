@@ -37,17 +37,43 @@ func (fs *FileSystem) ReadBlock(from *cluster.Node, id BlockID, bytes float64, e
 		fs.inst.fetchFailures.IncAt(fs.sim.Now())
 		return netmodel.Flow{}, ErrNoReplica
 	}
-	flow := fs.net.Transfer(fs.dn[src].node, from, bytes, func(err error) {
-		if err == netmodel.ErrStalled {
-			fs.Metrics.ReadStalls++
-			fs.inst.readStalls.IncAt(fs.sim.Now())
-		}
-		if err == nil {
-			fs.inst.readBytes.AddAt(fs.sim.Now(), bytes)
-		}
-		done(tag, src, err)
-	})
-	return flow, nil
+	var r *read
+	if k := len(fs.reads); k > 0 {
+		r = fs.reads[k-1]
+		fs.reads = fs.reads[:k-1]
+	} else {
+		r = &read{fs: fs}
+		r.finish = r.end
+	}
+	r.bytes, r.tag, r.src, r.done = bytes, tag, src, done
+	return fs.net.Transfer(fs.dn[src].node, from, bytes, r.finish), nil
+}
+
+// read is one ReadBlock in flight. Records are pooled per FileSystem and
+// finish, the callback the transfer gets, is end bound once, so a read
+// allocates nothing at steady state.
+type read struct {
+	fs       *FileSystem
+	bytes    float64
+	tag, src int
+	done     func(tag, src int, err error)
+	finish   func(error)
+}
+
+// end books the read and hands it to the caller. The record is back on the
+// free list before done runs, which may start the next read.
+func (r *read) end(err error) {
+	fs, bytes, tag, src, done := r.fs, r.bytes, r.tag, r.src, r.done
+	r.done = nil
+	fs.reads = append(fs.reads, r)
+	if err == netmodel.ErrStalled {
+		fs.Metrics.ReadStalls++
+		fs.inst.readStalls.IncAt(fs.sim.Now())
+	}
+	if err == nil {
+		fs.inst.readBytes.AddAt(fs.sim.Now(), bytes)
+	}
+	done(tag, src, err)
 }
 
 // pickReadSource returns the chosen replica holder, or -1. It iterates the

@@ -6,9 +6,9 @@ import "testing"
 // fabric's is the test of the same name in internal/netmodel): at steady
 // state one whole fetch — pump finds the map, ReadBlock picks a source and
 // starts the transfer, the transfer runs to completion, fetchDone books it and
-// pumps again — costs at most one heap object, the closure the DFS wraps the
-// shuffle's callback in. The flow is a slot's reused object and the shuffle
-// passes the same bound callback for every fetch.
+// pumps again — allocates nothing. The flow is a slot's reused object, the
+// DFS's read record a pooled one, and the shuffle passes the same bound
+// callback for every fetch.
 func TestFetchPathAllocations(t *testing.T) {
 	w := newPumpWorld(t, pumpProg(2), false)
 	w.completeMap(0)
@@ -28,8 +28,8 @@ func TestFetchPathAllocations(t *testing.T) {
 		sh.fetched--
 	}
 	cycle() // the first fetch grows the slot table, the node lists and the due-set
-	if got := testing.AllocsPerRun(200, cycle); got > 1 {
-		t.Errorf("%v allocs per shuffle fetch, want at most 1", got)
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("%v allocs per shuffle fetch, want 0", got)
 	}
 	if w.fs.Metrics.FetchFailures+w.fs.Metrics.ReadStalls != 0 || fetches < 200 {
 		t.Fatalf("%d fetches, DFS metrics %+v: the cycle did not measure clean fetches", fetches, w.fs.Metrics)

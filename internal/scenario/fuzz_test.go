@@ -129,7 +129,7 @@ func buildable(opts core.Options, m workload.MultiSpec) bool {
 			return false
 		}
 	}
-	if !(ocfg.MinOutage >= 1) || nodes*horizon/ocfg.MinOutage > fuzzMaxDraws {
+	if nodes*horizon/ocfg.MinOutage > fuzzMaxDraws {
 		return false
 	}
 	blocks := 0

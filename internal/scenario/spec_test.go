@@ -163,6 +163,10 @@ var validateRejections = []struct {
 	{"outage max under the default min", outage(OutageSpec{MaxSeconds: 10}),
 		"experiments[0].custom.variants[0]: trace: bad outage clamp [30,10]"},
 	{"negative outage stddev", outage(OutageSpec{StddevSeconds: -1}), "outage stddev -1"},
+	// Outages under Generate's one-second resolution: the traces took about
+	// budget/length draws per node to generate, without practical end.
+	{"outage sub-second", outage(OutageSpec{MinSeconds: 1e-9, MeanSeconds: 1e-9, StddevSeconds: 1e-9}),
+		"experiments[0].custom.variants[0]: trace: outage clamp [1e-09,3600] must have max >= min >= 1 s"},
 	{"negative parallelism", func(s *Spec) { s.Sweep.Parallelism = -1 }, "parallelism -1"},
 	{"negative shard workers", func(s *Spec) { s.Sweep.ShardWorkers = -1 }, "shard_workers"},
 	{"negative metrics bucket", func(s *Spec) { s.Metrics.BucketSeconds = -5 }, "metrics bucket -5"},

@@ -25,7 +25,10 @@
 //     block (DrawOrder) is n such numbers drawn in one call with no times
 //     attached, for a model that knows at a program point how many plans it
 //     would have made there and works the times out later: ReservedAt turns
-//     one number of a block and a time into the position to queue.
+//     one number of a block and a time into the position to queue. The
+//     cluster is the second user: it draws the numbers of every churn
+//     transition a node's trace holds when it is built, and queues each
+//     transition from the callback of the one before.
 //
 // The heap was kept on end-to-end evidence (PR 16): sim-fleet/sim-sort/
 // sim-wordcount op_ms did not resolve a difference from the bucket queue
@@ -343,9 +346,11 @@ func (s *Simulation) ReservedAt(at Time, seq uint64) Reservation {
 
 // ScheduleReserved queues fn at the position r holds. The caller must queue
 // the position before any event behind it fires — in practice from a Barrier,
-// which runs before every callback. The reserved time may be the current
-// instant: the event then fires ahead of younger events already queued for
-// it, as its older seq demands.
+// which runs before every callback, or from the callback that fires the
+// preceding position of the same chain (a chain whose positions never go
+// back in time, as a node's churn transitions). The reserved time may be the
+// current instant: the event then fires ahead of younger events already
+// queued for it, as its older seq demands.
 func (s *Simulation) ScheduleReserved(r *Reservation, name string, fn func()) Event {
 	switch {
 	case r.state == resQueued:

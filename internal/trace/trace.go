@@ -29,6 +29,12 @@ func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 // Trace is one node's availability schedule over [0, Duration). Outages are
 // sorted, non-overlapping, and contained in the trace horizon. A node is
 // available at any instant not covered by an outage.
+//
+// The order is load-bearing: the cluster replays a trace as a cursor, each
+// transition queued by the one before, so cluster.New panics on a trace whose
+// transition times go back (an outage that starts before the previous one
+// ends, or ends before it starts). A zero-length outage replays fine there,
+// though Validate refuses it.
 type Trace struct {
 	Duration float64
 	Outages  []Interval
@@ -73,6 +79,13 @@ func (c OutageConfig) Validate() error {
 	}
 	if !(c.MinOutage >= 0) || !(c.MaxOutage >= 0) || (c.MaxOutage > 0 && c.MaxOutage < c.MinOutage) {
 		return fmt.Errorf("trace: bad outage clamp [%v,%v]", c.MinOutage, c.MaxOutage)
+	}
+	// Generate resolves outage time to one second (it drops a shorter
+	// remainder). A clamp below that fills a node's budget in budget/length
+	// draws, without practical end, and an upper end of 0 barely fills it.
+	if c.TargetRate > 0 && !(c.MaxOutage >= c.MinOutage && c.MinOutage >= 1) {
+		return fmt.Errorf("trace: outage clamp [%v,%v] must have max >= min >= 1 s at rate %v",
+			c.MinOutage, c.MaxOutage, c.TargetRate)
 	}
 	return nil
 }

@@ -84,11 +84,33 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		{"negative stddev", func(c *OutageConfig) { c.StddevOutage = -1 }},
 		{"negative max", func(c *OutageConfig) { c.MaxOutage = -1 }},
 		{"negative mean at rate 0", func(c *OutageConfig) { c.TargetRate, c.MeanOutage = 0, -1 }},
+		// Generate's resolution is one second: shorter outages take
+		// budget/length draws per node.
+		{"sub-second clamp", func(c *OutageConfig) { c.MinOutage, c.MeanOutage, c.StddevOutage = 1e-9, 1e-9, 1e-9 }},
+		{"zero min", func(c *OutageConfig) { c.MinOutage = 0 }},
+		{"min just under a second", func(c *OutageConfig) { c.MinOutage = 0.999 }},
+		{"zero max", func(c *OutageConfig) { c.MaxOutage = 0 }},
+		{"zero clamp", func(c *OutageConfig) { c.MinOutage, c.MaxOutage = 0, 0 }},
+		{"NaN min", func(c *OutageConfig) { c.MinOutage = math.NaN() }},
 	} {
 		cfg = DefaultOutageConfig(0.3)
 		tc.edit(&cfg)
 		if cfg.Validate() == nil {
 			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*OutageConfig)
+	}{
+		{"one-second clamp", func(c *OutageConfig) { c.MinOutage, c.MaxOutage = 1, 1 }},
+		{"zero clamp at rate 0", func(c *OutageConfig) { c.TargetRate, c.MinOutage, c.MaxOutage = 0, 0, 0 }},
+		{"sub-second min at rate 0", func(c *OutageConfig) { c.TargetRate, c.MinOutage = 0, 1e-9 }},
+	} {
+		cfg = DefaultOutageConfig(0.3)
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", tc.name, err)
 		}
 	}
 	// A negative fleet size is an error, not a makeslice panic (it is
