@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +46,16 @@ func main() {
 		inputs[i] = b.String()
 	}
 
+	// Summing counts is its own combiner: each map stores one partial count
+	// per word, and the reduce sums those.
+	sum := func(key string, values []string) string {
+		total := 0
+		for _, v := range values {
+			n, _ := strconv.Atoi(v)
+			total += n
+		}
+		return strconv.Itoa(total)
+	}
 	job := engine.Job{
 		Name:    "livewordcount",
 		Inputs:  inputs,
@@ -54,14 +65,8 @@ func main() {
 				emit(w, "1")
 			}
 		},
-		Reduce: func(key string, values []string) string {
-			total := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(v)
-				total += n
-			}
-			return strconv.Itoa(total)
-		},
+		Combine: sum,
+		Reduce:  sum,
 	}
 
 	// Churn injector: every 20 ms suspend a random volatile worker for
@@ -99,7 +104,7 @@ func main() {
 		words = append(words, w)
 	}
 	sort.Strings(words)
-	ok := true
+	ok := len(results) == len(expected) // a lost word is wrong too
 	for _, w := range words {
 		want := strconv.Itoa(expected[w])
 		marker := ""
@@ -113,9 +118,9 @@ func main() {
 		stats.MapAttempts, len(inputs), stats.ReduceAttempts, job.Reduces)
 	fmt.Printf("frozen-task backups %d, map re-executions %d, fetch failures %d\n",
 		stats.BackupCopies, stats.MapReexecs, stats.FetchFailures)
-	if ok {
-		fmt.Println("all counts exact: churn did not corrupt the computation")
-	} else {
+	if !ok {
 		fmt.Println("MISMATCH — this should never happen")
+		os.Exit(1)
 	}
+	fmt.Println("all counts exact: churn did not corrupt the computation")
 }

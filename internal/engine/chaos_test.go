@@ -73,6 +73,9 @@ func runChaosJobs(t *testing.T, c *Cluster, n int) []map[string]string {
 	for i := 0; i < n; i++ {
 		job, want := wordCountJob(6+i, 200, 2)
 		job.Name = fmt.Sprintf("chaos-job-%d", i)
+		if i%2 == 1 { // every fault class meets stored runs and combined counts
+			job.Combine = job.Reduce
+		}
 		h, err := c.Submit(job)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)

@@ -60,6 +60,12 @@ type Job struct {
 	Map     MapFunc
 	Reduce  ReduceFunc
 
+	// Combine, when set, folds each map's values per key before they are
+	// stored, so a map keeps one value per distinct key. It must not change
+	// the result: Reduce(k, vs) equals Reduce(k, [Combine(k, run₁), …,
+	// Combine(k, runₘ)]) for any split of vs into ordered runs.
+	Combine ReduceFunc
+
 	// Priority is the job's strict-priority rank (higher wins every slot
 	// offer under the "priority" policy; other policies ignore it).
 	Priority int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,6 +91,41 @@ func TestWordCountQuietCluster(t *testing.T) {
 	}
 	if stats.MapReexecs != 0 || stats.BackupCopies != 0 {
 		t.Fatalf("quiet cluster recovered from nothing: %+v", stats)
+	}
+}
+
+// TestCombinedMapStoresOneValuePerKey: a WordCountJob map attempt stores
+// one value per distinct word across its partitions, the word's count in
+// the split; the same map without a combiner stores every emission.
+func TestCombinedMapStoresOneValuePerKey(t *testing.T) {
+	job := WordCountJob("wc", 5, 1, 500, 3)
+	want := map[string]int{}
+	for _, w := range strings.Fields(job.Inputs[0]) {
+		want[w]++
+	}
+	for _, combine := range []ReduceFunc{job.Combine, nil} {
+		w := newWorker(0, false, DefaultConfig().link(), nil, new(atomic.Int64), newClearedSet())
+		w.runMap(assignment{reduces: job.Reduces, input: job.Inputs[0], mapFn: job.Map, combineFn: combine, replicateTo: -1}, newGrouper())
+		if len(w.store) != job.Reduces {
+			t.Fatalf("combine %v: %d partitions stored, want %d", combine != nil, len(w.store), job.Reduces)
+		}
+		keys, vals := 0, 0
+		for _, p := range w.store {
+			keys += len(p.keys)
+			vals += len(p.vals)
+			for i, k := range p.keys {
+				if combine != nil && p.values(i)[0] != strconv.Itoa(want[k]) {
+					t.Errorf("%q stored as %q, counted %d", k, p.values(i)[0], want[k])
+				}
+			}
+		}
+		wantVals := len(want)
+		if combine == nil {
+			wantVals = 500
+		}
+		if keys != len(want) || vals != wantVals {
+			t.Errorf("combine %v: %d keys and %d values stored, want %d and %d", combine != nil, keys, vals, len(want), wantVals)
+		}
 	}
 }
 

@@ -844,6 +844,7 @@ func (m *master) launchMap(j *liveJob, t *taskState, workerID int) {
 		reduces:     j.spec.Reduces,
 		input:       j.spec.Inputs[t.id],
 		mapFn:       j.spec.Map,
+		combineFn:   j.spec.Combine,
 		replicateTo: replicateTo,
 	})
 }

@@ -1,6 +1,9 @@
 package engine
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // partition is intermediate data in the one form it takes between a map's
 // emit and a reduce's ReduceFunc — a worker's store, a fetch reply, a
@@ -35,6 +38,7 @@ type grouper struct {
 	count []int          // id → values counted, then the write cursor
 	part  []int          // id → reduce partition (map side)
 	log   []emission     // map side: every emission, in order
+	runs  []string       // map side: the log's values, key by key in id order
 }
 
 type emission struct {
@@ -48,14 +52,15 @@ func newGrouper() *grouper { return &grouper{ids: make(map[string]int)} }
 // keys and values; scratch an outsized attempt grew (past 1.5 MB of log) is
 // dropped, not kept for the life of the worker.
 func (g *grouper) reset() {
-	if max(len(g.log), len(g.keys)) > 1<<16 {
+	if max(len(g.log), len(g.keys), len(g.runs)) > 1<<16 {
 		*g = *newGrouper()
 		return
 	}
 	clear(g.ids)
 	clear(g.keys)
 	clear(g.log)
-	g.keys, g.count, g.part, g.log = g.keys[:0], g.count[:0], g.part[:0], g.log[:0]
+	clear(g.runs)
+	g.keys, g.count, g.part, g.log, g.runs = g.keys[:0], g.count[:0], g.part[:0], g.log[:0], g.runs[:0]
 }
 
 // id returns key's dense id. The first sight of a key assigns the next id,
@@ -82,33 +87,47 @@ func (g *grouper) emit(key, value string, reduces int) {
 	g.log = append(g.log, emission{id, value})
 }
 
-// split lays the recorded emissions out one partition per reduce, every
-// slice allocated at its final size, keys and values in emission order.
-func (g *grouper) split(reduces int) []partition {
+// split lays the recorded emissions out one partition per reduce, keys in
+// first-seen order, every slice allocated at its final size. Each key's run —
+// its values in emission order — is laid out in g.runs first; the partition
+// then stores the run, or with a combiner the one value combine(key, run).
+func (g *grouper) split(reduces int, combine ReduceFunc) []partition {
+	total := 0
+	for id, n := range g.count {
+		g.count[id] = total
+		total += n
+	}
+	g.runs = slices.Grow(g.runs, total)[:total]
+	for _, e := range g.log {
+		g.runs[g.count[e.key]] = e.val
+		g.count[e.key]++
+	}
+	runs := partition{ends: g.count, vals: g.runs} // count[id] is now id's end
 	nKeys, nVals := make([]int, reduces), make([]int, reduces)
 	for id, p := range g.part {
 		nKeys[p]++
-		nVals[p] += g.count[id]
+		nVals[p] += len(runs.values(id))
 	}
 	parts := make([]partition, reduces)
 	for p := range parts {
+		if combine != nil {
+			nVals[p] = nKeys[p]
+		}
 		parts[p] = partition{
 			keys: make([]string, 0, nKeys[p]),
 			ends: make([]int, 0, nKeys[p]),
-			vals: make([]string, nVals[p]),
+			vals: make([]string, 0, nVals[p]),
 		}
-		nVals[p] = 0 // from here on, how much of vals is laid out
 	}
 	for id, p := range g.part {
-		n := g.count[id]
-		g.count[id] = nVals[p]
-		nVals[p] += n
-		parts[p].keys = append(parts[p].keys, g.keys[id])
-		parts[p].ends = append(parts[p].ends, nVals[p])
-	}
-	for _, e := range g.log {
-		parts[g.part[e.key]].vals[g.count[e.key]] = e.val
-		g.count[e.key]++
+		part := &parts[p]
+		if combine != nil {
+			part.vals = append(part.vals, combine(g.keys[id], runs.values(id)))
+		} else {
+			part.vals = append(part.vals, runs.values(id)...)
+		}
+		part.keys = append(part.keys, g.keys[id])
+		part.ends = append(part.ends, len(part.vals))
 	}
 	return parts
 }

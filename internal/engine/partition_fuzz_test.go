@@ -44,6 +44,16 @@ func refMerge(sources []map[string][]string) map[string][]string {
 	return merged
 }
 
+// refCombine folds each key's values in one map's partitions into one, in
+// the order the map emitted them.
+func refCombine(parts []map[string][]string, combine ReduceFunc) {
+	for _, part := range parts {
+		for k, vs := range part {
+			part[k] = []string{combine(k, vs)}
+		}
+	}
+}
+
 func refReduce(merged map[string][]string, reduceFn ReduceFunc) map[string]string {
 	keys := make([]string, 0, len(merged))
 	for k := range merged {
@@ -61,9 +71,10 @@ type emitted struct{ key, val string }
 
 // shuffleProgram is one decoded fuzz input: a job's emissions, map by map.
 type shuffleProgram struct {
-	reduces int
-	appends bool        // the ReduceFunc appends to its values before folding them
-	maps    [][]emitted // emission streams, one per map task, in source order
+	reduces  int
+	appends  bool        // the ReduceFunc (and the combiner) append to their values before folding them
+	combines bool        // the job has a combiner
+	maps     [][]emitted // emission streams, one per map task, in source order
 }
 
 // fuzzBacking is the one string every fuzzed key is a substring of, the
@@ -74,9 +85,10 @@ const fuzzBacking = "moonmapreducemoon"
 var fuzzValues = []string{"1", "", "v", "moon", "1"}
 
 // decodeShuffleProgram reads reduces (1–7, the low bits), the append flag
-// (the top bit) and the map count (1–4) from the first two bytes, then one
-// emission per byte pair: the first picks the map task (top two bits) and
-// the key (a start and a length into fuzzBacking), the second the value.
+// (the top bit), the combine flag (the next bit) and the map count (1–4)
+// from the first two bytes, then one emission per byte pair: the first
+// picks the map task (top two bits) and the key (a start and a length into
+// fuzzBacking), the second the value.
 func decodeShuffleProgram(data []byte) shuffleProgram {
 	p := shuffleProgram{reduces: 1, maps: make([][]emitted, 1)}
 	if len(data) < 2 {
@@ -84,6 +96,7 @@ func decodeShuffleProgram(data []byte) shuffleProgram {
 	}
 	p.reduces = int(data[0]&0x07)%7 + 1
 	p.appends = data[0]&0x80 != 0
+	p.combines = data[0]&0x40 != 0
 	p.maps = make([][]emitted, data[1]%4+1)
 	for rest := data[2:]; len(rest) >= 2; rest = rest[2:] {
 		m := int(rest[0]>>6) % len(p.maps)
@@ -101,6 +114,8 @@ type shuffleSeen struct {
 	singleKeyMerges int // merges of one key holding every value
 	lateKeys        int // keys whose first source is the last one
 	appendsToValues int // ReduceFunc calls that appended
+	combinedRuns    int // combiner calls on a run of two or more values (both shapes call it)
+	appendsToRuns   int // combiner calls that appended (both shapes call it)
 }
 
 // runShuffleProgram pushes the program through both shapes and fails on the
@@ -114,6 +129,21 @@ func runShuffleProgram(t testing.TB, p shuffleProgram) shuffleSeen {
 		}
 		return key + "=" + strings.Join(values, ",")
 	}
+	// The combiner is order-sensitive, so a run that reached it out of
+	// emission order, or not whole, reads differently from the reference's.
+	var combine ReduceFunc
+	if p.combines {
+		combine = func(key string, values []string) string {
+			if len(values) > 1 {
+				seen.combinedRuns++
+			}
+			if p.appends {
+				values = append(values, "appended")
+				seen.appendsToRuns++
+			}
+			return fmt.Sprintf("%d:%s", len(values), strings.Join(values, "|"))
+		}
+	}
 
 	g := newGrouper()
 	stored := make([][]partition, len(p.maps))
@@ -122,9 +152,12 @@ func runShuffleProgram(t testing.TB, p shuffleProgram) shuffleSeen {
 		for _, e := range emissions {
 			g.emit(e.key, e.val, p.reduces)
 		}
-		stored[m] = g.split(p.reduces)
+		stored[m] = g.split(p.reduces, combine)
 		g.reset()
 		want[m] = refMap(emissions, p.reduces)
+		if combine != nil {
+			refCombine(want[m], combine)
+		}
 		for r, part := range stored[m] {
 			checkPartitionShape(t, part, fmt.Sprintf("map %d partition %d", m, r))
 			if len(part.keys) == 0 {
@@ -218,10 +251,13 @@ func em(mapTask, start, halfLen, value int) []byte {
 	return []byte{byte(mapTask<<6 | halfLen<<4 | start), byte(value)}
 }
 
-func shuffleInput(reduces int, appends bool, maps int, emissions ...[]byte) []byte {
+func shuffleInput(reduces int, appends, combines bool, maps int, emissions ...[]byte) []byte {
 	head := byte(reduces - 1)
 	if appends {
 		head |= 0x80
+	}
+	if combines {
+		head |= 0x40
 	}
 	return append([]byte{head, byte(maps - 1)}, slices.Concat(emissions...)...)
 }
@@ -230,20 +266,30 @@ func shuffleInput(reduces int, appends bool, maps int, emissions ...[]byte) []by
 // reaches (TestPartitionCorpus holds them to it).
 var partitionSeeds = map[string][]byte{
 	// Seven reduces, two distinct keys: most stored partitions have no key.
-	"empty-partition": shuffleInput(7, false, 2, em(0, 0, 2, 0), em(1, 4, 2, 0), em(0, 0, 2, 2)),
+	"empty-partition": shuffleInput(7, false, false, 2, em(0, 0, 2, 0), em(1, 4, 2, 0), em(0, 0, 2, 2)),
 	// No emission at all: every partition of every map is empty.
-	"zero-emissions": shuffleInput(3, false, 2),
+	"zero-emissions": shuffleInput(3, false, false, 2),
 	// One reduce, one key, values from three maps: the merge is one run.
-	"single-key-all-values": shuffleInput(1, false, 3,
+	"single-key-all-values": shuffleInput(1, false, false, 3,
 		em(0, 0, 2, 0), em(1, 0, 2, 1), em(2, 0, 2, 2), em(0, 0, 2, 3), em(2, 0, 2, 0)),
 	// The last source brings a key no earlier source has: its id is assigned
 	// after every other key's count is already in.
-	"key-only-in-last-source": shuffleInput(1, false, 3,
+	"key-only-in-last-source": shuffleInput(1, false, false, 3,
 		em(0, 0, 2, 0), em(1, 0, 2, 0), em(2, 4, 3, 2), em(2, 0, 2, 3)),
 	// The ReduceFunc appends to its values: without the capacity limit the
 	// append lands on the next key's first value.
-	"reducer-appends-to-values": shuffleInput(1, true, 2,
+	"reducer-appends-to-values": shuffleInput(1, true, false, 2,
 		em(0, 0, 2, 0), em(0, 4, 2, 2), em(1, 0, 2, 3), em(1, 8, 1, 0), em(0, 0, 0, 1)),
+	// A combiner over interleaved keys: each key's run is gathered from
+	// between the other keys' emissions and must reach the combiner whole
+	// and in order.
+	"combine-interleaved-runs": shuffleInput(2, false, true, 2,
+		em(0, 0, 2, 0), em(0, 4, 2, 2), em(0, 0, 2, 3), em(0, 8, 1, 1), em(0, 4, 2, 0),
+		em(0, 0, 2, 2), em(1, 4, 2, 3), em(1, 4, 2, 1)),
+	// A combiner that appends to its run: without the capacity limit the
+	// append lands on the next key's first value in the grouper's scratch.
+	"combiner-appends-to-run": shuffleInput(1, true, true, 1,
+		em(0, 0, 2, 0), em(0, 0, 2, 3), em(0, 4, 2, 2), em(0, 4, 2, 0)),
 }
 
 const partitionCorpusDir = "testdata/fuzz/FuzzPartitionVsMap"
@@ -284,14 +330,20 @@ func TestPartitionCorpus(t *testing.T) {
 	if s := seen["reducer-appends-to-values"]; s.appendsToValues < 3 {
 		t.Errorf("reducer-appends-to-values: the ReduceFunc appended %d times", s.appendsToValues)
 	}
+	if s := seen["combine-interleaved-runs"]; s.combinedRuns < 3 {
+		t.Errorf("combine-interleaved-runs: %d runs of two or more combined", s.combinedRuns)
+	}
+	if s := seen["combiner-appends-to-run"]; s.appendsToRuns < 2 {
+		t.Errorf("combiner-appends-to-run: the combiner appended %d times", s.appendsToRuns)
+	}
 }
 
 // FuzzPartitionVsMap runs random emission streams — repeated keys, empty
 // keys and values, one to seven reduces, keys that are substrings of one
-// backing string, no emission at all — through the grouper's map-side
-// split and reduce-side merge and through the map-of-slices code they
-// replaced; per reduce, the key set, each key's values in order and the
-// reduce outputs must match.
+// backing string, no emission at all, with and without a combiner — through
+// the grouper's map-side split and reduce-side merge and through the
+// map-of-slices code they replaced; per reduce, the key set, each key's
+// values in order and the reduce outputs must match.
 func FuzzPartitionVsMap(f *testing.F) {
 	for _, data := range partitionSeeds {
 		f.Add(data)

@@ -89,8 +89,9 @@ type assignment struct {
 	reduces  int
 
 	// Map attempts.
-	input string
-	mapFn MapFunc
+	input     string
+	mapFn     MapFunc
+	combineFn ReduceFunc // nil: store every emission
 	// replicateTo is the dedicated worker holding the hybrid replica of
 	// this map's output (-1: no replication).
 	replicateTo int

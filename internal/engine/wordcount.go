@@ -14,21 +14,31 @@ var wordCountVocab = []string{"moon", "map", "reduce", "volunteer", "hadoop", "c
 // vocabulary entry salt+31s+7w, so a salt per job gives sibling jobs
 // different corpora and every rerun the identical one), counted into
 // reduces partitions. With splits == 0 the caller supplies Inputs.
+//
+// The splits are substrings of one tape of words+11 words whose word k is
+// entry 7k: split s starts at tape word 7(salt+31s) mod 12, since 7 is its
+// own inverse mod 12. The job holds one split's text, not splits of them.
 func WordCountJob(name string, salt, splits, words, reduces int) Job {
+	n := len(wordCountVocab)
+	word := func(k int) string { return wordCountVocab[k*7%n] }
+	// The tape repeats every n words, so a word's offset is whole periods plus first.
+	first, period := make([]int, n), 0
+	for k := range first {
+		first[k] = period
+		period += len(word(k)) + 1
+	}
+	offset := func(k int) int { return k/n*period + first[k%n] }
+	var b strings.Builder
+	b.Grow(offset(words + n - 1)) // one allocation, at its final size
+	for k := 0; k < words+n-1; k++ {
+		b.WriteString(word(k))
+		b.WriteByte(' ')
+	}
+	tape := b.String()
 	inputs := make([]string, splits)
 	for s := range inputs {
-		word := func(w int) string { return wordCountVocab[(salt+s*31+w*7)%len(wordCountVocab)] }
-		size := 0
-		for w := 0; w < words; w++ {
-			size += len(word(w)) + 1
-		}
-		var b strings.Builder
-		b.Grow(size) // one allocation a split, at its final size
-		for w := 0; w < words; w++ {
-			b.WriteString(word(w))
-			b.WriteByte(' ')
-		}
-		inputs[s] = b.String()
+		k := 7 * ((salt + 31*s) % n) % n
+		inputs[s] = tape[offset(k):offset(k+words)]
 	}
 	return Job{
 		Name:    name,
@@ -39,8 +49,18 @@ func WordCountJob(name string, salt, splits, words, reduces int) Job {
 				emit(w, "1")
 			}
 		},
-		Reduce: func(key string, values []string) string {
-			return strconv.Itoa(len(values))
-		},
+		Combine: sumCounts,
+		Reduce:  sumCounts,
 	}
+}
+
+// sumCounts adds decimal counts: word count's combiner and its reducer. A
+// value is a "1" the map emitted or a sum this returned, so it parses.
+func sumCounts(_ string, values []string) string {
+	total := 0
+	for _, v := range values {
+		n, _ := strconv.Atoi(v)
+		total += n
+	}
+	return strconv.Itoa(total)
 }

@@ -338,8 +338,8 @@ func (s *workerSession) sendEvent(ev workerEvent) bool {
 }
 
 // runMap executes one map attempt: record the emissions, lay them out one
-// partition per reduce, store those locally (plus the hybrid dedicated
-// replica), report the holders.
+// partition per reduce (combined, if the job has a combiner), store those
+// locally (plus the hybrid dedicated replica), report the holders.
 func (w *worker) runMap(a assignment, g *grouper) workerEvent {
 	defer g.reset()
 	a.mapFn(a.input, func(key, value string) {
@@ -351,7 +351,7 @@ func (w *worker) runMap(a assignment, g *grouper) workerEvent {
 	if a.replicateTo >= 0 && a.replicateTo != w.id {
 		replica = w.peers[a.replicateTo]
 	}
-	for p, data := range g.split(a.reduces) {
+	for p, data := range g.split(a.reduces, a.combineFn) {
 		w.putPartition(a.jobID, a.taskID, a.attempt, p, data)
 		if replica != nil {
 			replica.putPartition(a.jobID, a.taskID, a.attempt, p, data)

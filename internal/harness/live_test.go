@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -264,8 +265,15 @@ func TestLiveJobIsTheParentsJob(t *testing.T) {
 				t.Fatalf("job %d split %d: map emitted %v, want %v", i, s, got, want)
 			}
 		}
-		if got := job.Reduce("moon", make([]string, 12)); got != "12" {
-			t.Fatalf("reduce of 12 values = %q", got)
+		twelve := slices.Repeat([]string{"1"}, 12)
+		if got := job.Reduce("moon", twelve); got != "12" {
+			t.Fatalf("reduce of twelve 1s = %q", got)
+		}
+		if got := job.Reduce("moon", []string{"5", "7"}); got != "12" {
+			t.Fatalf("reduce of 5 and 7 = %q", got)
+		}
+		if job.Combine == nil || job.Combine("moon", twelve) != "12" || job.Combine("moon", []string{"5", "7"}) != "12" {
+			t.Fatal("the combiner is not the summing reduce")
 		}
 	}
 }
