@@ -1,29 +1,19 @@
-// Command moonvet machine-checks the repo's determinism and concurrency
-// invariants: a multichecker over the project-specific analyzer suite in
-// internal/analysis (wallclock, globalrand, detrange, nilmetrics,
-// lockatomic).
+// Command moonvet machine-checks the repo's determinism invariants: a
+// multichecker over the project-specific analyzer suite in
+// internal/analysis (wallclock, globalrand, detrange), run over the whole
+// module it is started in.
 //
 // Usage:
 //
-//	go run ./cmd/moonvet ./...        # check the whole module
-//	go run ./cmd/moonvet ./internal/sim ./internal/scenario/...
-//	go run ./cmd/moonvet -list        # describe the analyzers
+//	go run ./cmd/moonvet        # check the whole module
+//	go run ./cmd/moonvet -list  # describe the analyzers
 //
 // moonvet exits 0 when the tree is clean, 1 when it has findings, 2 on
-// usage or load errors. Findings can be suppressed, one line at a time,
-// with a mandatory-reason directive:
-//
-//	//moonvet:allow <analyzer>[,<analyzer>] <reason>
-//
-// written at the end of the offending line, or alone on the line above
-// it. Suppressions are counted in a summary (written to the file named
-// by -summary, or appended to $GITHUB_STEP_SUMMARY in CI) so their
-// growth stays visible; a directive that suppresses nothing, names an
-// unknown analyzer, or omits its reason is itself a finding.
+// usage or load errors. It takes no package patterns, and no finding can
+// be suppressed: a finding is a bug to fix.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -31,38 +21,10 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "describe the analyzers in the suite and exit")
-	summaryPath := flag.String("summary", "", "append the suppression summary to this file (defaults to $GITHUB_STEP_SUMMARY if set)")
-	flag.Parse()
-
-	if *list {
-		for _, a := range moonvet.Suite() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	summary := os.Stderr
-	if *summaryPath == "" {
-		*summaryPath = os.Getenv("GITHUB_STEP_SUMMARY")
-	}
-	if *summaryPath != "" {
-		f, err := os.OpenFile(*summaryPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "moonvet:", err)
-			os.Exit(2)
-		}
-		summary = f
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "moonvet:", err)
 		os.Exit(2)
 	}
-	code := moonvet.Main(cwd, flag.Args(), os.Stdout, summary)
-	if summary != os.Stderr {
-		summary.Close()
-	}
-	os.Exit(code)
+	os.Exit(moonvet.Main(cwd, os.Args[1:], os.Stdout))
 }

@@ -2,13 +2,15 @@
 // on golang.org/x/tools/go/analysis, built only on the standard library's
 // go/ast, go/parser and go/types so the repo stays dependency-free.
 //
-// It exists to machine-check the determinism and concurrency invariants
-// everything in this reproduction rests on — byte-identical goldens,
-// seed-pinned fault schedules, metrics-off bit-identity — which otherwise
-// live only in reviewers' heads and in golden tests that catch violations
-// after they ship. The project-specific analyzers live in subpackages
-// (wallclock, globalrand, detrange, nilmetrics, lockatomic); cmd/moonvet
-// is the multichecker driver that runs the whole suite over the module.
+// It exists to machine-check the determinism invariants everything in
+// this reproduction rests on — byte-identical goldens, seed-pinned fault
+// schedules, metrics-off bit-identity — which golden tests alone catch
+// only after a violation ships. The project-specific analyzers live in
+// subpackages (wallclock, globalrand, detrange); cmd/moonvet is the
+// multichecker that runs the whole suite over the module. What another check already guarantees
+// stays with that check: lock copies with go vet's copylocks, data races
+// with go test -race, the metrics nil-handle contract with
+// internal/metrics' TestNilHandlesAreNoOps.
 //
 // The API mirrors go/analysis deliberately: an Analyzer owns a Run
 // function over a Pass (one analyzer × one type-checked package), and
@@ -26,8 +28,8 @@ import (
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //moonvet:allow directives. It must be a single lowercase word.
+	// Name identifies the analyzer in findings. It must be a single
+	// lowercase word.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced,
 	// shown by `moonvet -list`.
@@ -58,12 +60,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Analyzer is the reporting analyzer's name (filled by the runner).
-	Analyzer string
 }
 
-// Finding is a positioned diagnostic resolved against the file set,
-// ready for printing and for suppression matching.
+// Finding is a diagnostic resolved against the file set and tagged with
+// the analyzer that reported it, ready for printing.
 type Finding struct {
 	Position token.Position
 	Analyzer string
@@ -75,9 +75,7 @@ func (f Finding) String() string {
 }
 
 // Run applies each analyzer to each package and returns all findings
-// sorted by file position. Suppression directives are not applied here —
-// that is the multichecker's job (see Check) — so tests can assert on the
-// raw findings.
+// sorted by file position, then analyzer name.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, pkg := range pkgs {
@@ -101,13 +99,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 			}
 		}
 	}
-	sortFindings(out)
-	return out, nil
-}
-
-func sortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.Position.Filename != b.Position.Filename {
 			return a.Position.Filename < b.Position.Filename
 		}
@@ -119,4 +112,5 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return out, nil
 }

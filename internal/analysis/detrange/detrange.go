@@ -34,24 +34,30 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // orderSensitiveCalls are callee names whose invocation order is
-// observable: event scheduling, job submission, queue mutation and
-// output writing.
+// observable: everything that draws a simulation order number
+// (internal/sim's Schedule, After, Ticker, Reserve, DrawOrder,
+// ScheduleReserved), job submission, a FIFO position (sched's Acquire),
+// queue mutation and output writing.
 var orderSensitiveCalls = map[string]bool{
-	"Schedule":    true,
-	"ScheduleAt":  true,
-	"Submit":      true,
-	"Enqueue":     true,
-	"Push":        true,
-	"Print":       true,
-	"Printf":      true,
-	"Println":     true,
-	"Fprint":      true,
-	"Fprintf":     true,
-	"Fprintln":    true,
-	"Write":       true,
-	"WriteString": true,
-	"WriteByte":   true,
-	"WriteRune":   true,
+	"Schedule":         true,
+	"After":            true,
+	"Ticker":           true,
+	"Reserve":          true,
+	"DrawOrder":        true,
+	"ScheduleReserved": true,
+	"Submit":           true,
+	"Acquire":          true,
+	"Push":             true,
+	"Print":            true,
+	"Printf":           true,
+	"Println":          true,
+	"Fprint":           true,
+	"Fprintf":          true,
+	"Fprintln":         true,
+	"Write":            true,
+	"WriteString":      true,
+	"WriteByte":        true,
+	"WriteRune":        true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -58,6 +58,34 @@ func scheduleAll(q *queue, m map[string]int) {
 	}
 }
 
+// clock stands in for internal/sim's Simulation, whose every scheduling
+// call draws the next order number, and for sched's Admission, whose
+// Acquire takes the next FIFO position.
+type clock struct{ seq uint64 }
+
+type reservation struct{ seq uint64 }
+
+func (c *clock) After(d float64, name string, fn func()) { c.seq++ }
+
+func (c *clock) ScheduleReserved(r *reservation, name string, fn func()) { c.seq++ }
+
+func (c *clock) Acquire(tenant string, item int) (bool, error) { c.seq++; return true, nil }
+
+func timersInMapOrder(c *clock, m map[string]float64, rs map[string]*reservation) {
+	for k, d := range m {
+		c.After(d, k, nil) // want `After called in map-iteration order`
+	}
+	for k, r := range rs {
+		c.ScheduleReserved(r, k, nil) // want `ScheduleReserved called in map-iteration order`
+	}
+}
+
+func admitInMapOrder(c *clock, m map[string]int) {
+	for tenant, item := range m {
+		c.Acquire(tenant, item) // want `Acquire called in map-iteration order`
+	}
+}
+
 // --- allowed patterns ---
 
 // sortedKeys is the canonical fix: collect, sort, then iterate the

@@ -14,21 +14,15 @@ import (
 	"strings"
 )
 
-// Package is one parsed and type-checked package, plus the suppression
-// directives found in its files.
+// Package is one parsed and type-checked package.
 type Package struct {
 	// Path is the import path ("repro/internal/sim", or for fixture
 	// trees the path relative to the tree root, e.g. "internal/sim").
-	Path string
-	// Dir is the absolute directory the files came from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Directives are the //moonvet:allow comments found in the
-	// package's files (including malformed ones; see Directive.Err).
-	Directives []*Directive
 }
 
 // LoadModule parses and type-checks every non-test package under the
@@ -134,7 +128,6 @@ func (l *loader) parseDir(root, prefix, dir string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var srcs [][]byte
 	pkgName := ""
 	for _, e := range entries {
 		name := e.Name()
@@ -142,12 +135,7 @@ func (l *loader) parseDir(root, prefix, dir string) (*Package, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		fname := filepath.Join(dir, name)
-		src, err := os.ReadFile(fname)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(l.fset, fname, src, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +145,6 @@ func (l *loader) parseDir(root, prefix, dir string) (*Package, error) {
 			return nil, fmt.Errorf("analysis: %s: mixed packages %q and %q", dir, pkgName, f.Name.Name)
 		}
 		files = append(files, f)
-		srcs = append(srcs, src)
 	}
 	if len(files) == 0 {
 		return nil, nil
@@ -173,11 +160,7 @@ func (l *loader) parseDir(root, prefix, dir string) (*Package, error) {
 		}
 		path += filepath.ToSlash(rel)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files}
-	for i, f := range files {
-		pkg.Directives = append(pkg.Directives, parseDirectives(l.fset, f, srcs[i])...)
-	}
-	return pkg, nil
+	return &Package{Path: path, Fset: l.fset, Files: files}, nil
 }
 
 // check type-checks path (and, recursively, its module-local imports
@@ -257,49 +240,4 @@ func (l *loader) Import(path string) (*types.Package, error) {
 // ImportFrom implements types.ImporterFrom.
 func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	return l.Import(path)
-}
-
-// Filter returns the packages matching the given go-tool-style patterns,
-// resolved against the module root: "./..." keeps everything, "./x/..."
-// keeps x and its subpackages, "./x" keeps x exactly. With no patterns
-// everything is kept.
-func Filter(pkgs []*Package, root string, patterns []string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		return pkgs, nil
-	}
-	keep := make(map[*Package]bool)
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-		}
-		if pat == "." || pat == "./" {
-			pat = ""
-		} else {
-			pat = strings.TrimPrefix(pat, "./")
-		}
-		dir := filepath.Join(root, filepath.FromSlash(pat))
-		matched := false
-		for _, p := range pkgs {
-			switch {
-			case p.Dir == dir:
-				keep[p] = true
-				matched = true
-			case recursive && strings.HasPrefix(p.Dir, dir+string(filepath.Separator)):
-				keep[p] = true
-				matched = true
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("analysis: pattern %q matched no packages", pat+map[bool]string{true: "/...", false: ""}[recursive])
-		}
-	}
-	var out []*Package
-	for _, p := range pkgs {
-		if keep[p] {
-			out = append(out, p)
-		}
-	}
-	return out, nil
 }

@@ -1,92 +1,94 @@
 package analysis_test
 
 import (
+	"go/ast"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 )
 
-// TestLoadTree pins the loader basics on the allow fixture: packages
-// are parsed, type-checked and carry their directives.
+// TestLoadTree pins the loader basics on the wallclock fixture tree:
+// packages get their path relative to the root (no prefix) and are
+// type-checked.
 func TestLoadTree(t *testing.T) {
-	pkgs, err := analysis.LoadTree("testdata/allow/src", "")
+	pkgs, err := analysis.LoadTree("wallclock/testdata/src", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	p := pkgs[0]
-	if p.Path != "p" {
-		t.Errorf("package path %q, want %q", p.Path, "p")
-	}
-	if p.Types == nil || p.Info == nil {
-		t.Fatal("package not type-checked")
-	}
-	if p.Types.Name() != "p" {
-		t.Errorf("type-checked name %q, want %q", p.Types.Name(), "p")
-	}
-	if len(p.Directives) != 5 {
-		t.Errorf("found %d directives, want 5", len(p.Directives))
-	}
-	malformed := 0
-	for _, d := range p.Directives {
-		if d.Err != "" {
-			malformed++
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+		if p.Types == nil || p.Info == nil {
+			t.Errorf("%s not type-checked", p.Path)
+		} else if p.Types.Name() != filepath.Base(p.Path) {
+			t.Errorf("%s type-checked as package %q", p.Path, p.Types.Name())
 		}
 	}
-	if malformed != 1 {
-		t.Errorf("found %d malformed directives, want 1 (the reasonless one)", malformed)
+	if want := []string{"internal/engine", "internal/sim"}; !reflect.DeepEqual(paths, want) {
+		t.Errorf("loaded %v, want %v", paths, want)
 	}
 }
 
-// TestLoadModule loads this repo's own module and spot-checks that the
-// prefix is applied, test files are excluded and testdata is skipped.
+// TestLoadModule loads the fixture module and pins that the module path
+// prefixes every package, that module-local imports resolve, and that
+// neither _test.go files nor testdata trees are loaded.
 func TestLoadModule(t *testing.T) {
-	root, err := filepath.Abs("../..")
+	pkgs, err := analysis.LoadModule("testdata/badmod")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPath := make(map[string]*analysis.Package)
+	var paths []string
 	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	for _, want := range []string{"repro/internal/sim", "repro/internal/analysis", "repro/cmd/moonvet", "repro/examples/quickstart", "repro/scenarios"} {
-		if byPath[want] == nil {
-			t.Errorf("module load missed package %s", want)
+		paths = append(paths, p.Path)
+		for _, f := range p.Files {
+			if name := p.Fset.Position(f.Pos()).Filename; strings.HasSuffix(name, "_test.go") {
+				t.Errorf("loader picked up test file %s", name)
+			}
 		}
 	}
-	for path := range byPath {
-		if filepath.Base(path) == "testdata" {
-			t.Errorf("loaded a testdata package: %s", path)
-		}
+	want := []string{"badmod/cmd/tool", "badmod/internal/sim", "badmod/internal/util"}
+	if !reflect.DeepEqual(paths, want) {
+		t.Errorf("loaded %v, want %v (no testdata package)", paths, want)
 	}
-	sim := byPath["repro/internal/sim"]
-	if sim == nil {
-		t.Fatal("no sim package")
-	}
-	for _, f := range sim.Files {
-		name := sim.Fset.Position(f.Pos()).Filename
-		if filepath.Base(name) == "sim_test.go" {
-			t.Errorf("loader picked up test file %s", name)
-		}
-	}
+}
 
-	// Filter: exact, recursive, and failing patterns.
-	got, err := analysis.Filter(pkgs, root, []string{"./internal/sim"})
-	if err != nil || len(got) != 1 || got[0] != sim {
-		t.Errorf("Filter exact = %v pkgs, err %v", len(got), err)
+// TestRun pins the runner: every analyzer sees every package, and the
+// findings come back tagged with their analyzer and sorted by position,
+// then analyzer name.
+func TestRun(t *testing.T) {
+	funcs := func(name string) *analysis.Analyzer {
+		return &analysis.Analyzer{Name: name, Run: func(pass *analysis.Pass) error {
+			for _, f := range pass.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						pass.Reportf(fd.Pos(), "func %s", fd.Name.Name)
+					}
+				}
+			}
+			return nil
+		}}
 	}
-	got, err = analysis.Filter(pkgs, root, []string{"./internal/..."})
-	if err != nil || len(got) < 10 {
-		t.Errorf("Filter recursive = %v pkgs, err %v", len(got), err)
+	pkgs, err := analysis.LoadTree("wallclock/testdata/src", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := analysis.Filter(pkgs, root, []string{"./nonexistent/..."}); err == nil {
-		t.Error("Filter accepted a pattern matching nothing")
+	findings, err := analysis.Run(pkgs, []*analysis.Analyzer{funcs("zeta"), funcs("alpha")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, filepath.Base(f.Position.Filename)+" "+f.Analyzer+" "+f.Message)
+	}
+	want := []string{
+		"live.go alpha func heartbeat", "live.go zeta func heartbeat",
+		"clock.go alpha func bad", "clock.go zeta func bad",
+		"clock.go alpha func good", "clock.go zeta func good",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("findings:\n%v\nwant:\n%v", got, want)
 	}
 }

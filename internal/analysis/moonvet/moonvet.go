@@ -1,7 +1,6 @@
 // Package moonvet assembles the project's analyzer suite and implements
 // the multichecker driver behind cmd/moonvet: load the module, run every
-// analyzer, apply //moonvet:allow suppressions, print findings and the
-// suppression summary.
+// analyzer, print the findings.
 //
 // It sits between the framework (internal/analysis) and the concrete
 // analyzers so the dependency arrow stays one-way:
@@ -9,6 +8,7 @@
 package moonvet
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -17,8 +17,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/detrange"
 	"repro/internal/analysis/globalrand"
-	"repro/internal/analysis/lockatomic"
-	"repro/internal/analysis/nilmetrics"
 	"repro/internal/analysis/wallclock"
 )
 
@@ -28,8 +26,6 @@ func Suite() []*analysis.Analyzer {
 		wallclock.Analyzer,
 		globalrand.Analyzer,
 		detrange.Analyzer,
-		nilmetrics.Analyzer,
-		lockatomic.Analyzer,
 	}
 }
 
@@ -52,17 +48,27 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// Main runs the suite over the module containing dir, restricted to the
-// go-tool-style package patterns (all packages when none are given), and
-// writes findings to out and the suppression summary to summary (either
-// may be nil). It returns the process exit code: 0 clean, 1 findings,
-// 2 usage or load failure.
-func Main(dir string, patterns []string, out, summary io.Writer) int {
-	if out == nil {
-		out = io.Discard
+// Main is the moonvet command line run in dir with the given arguments:
+// with none it checks the whole module containing dir and writes each
+// finding to out; -list describes the analyzers instead. It takes no
+// package patterns. It returns the process exit code: 0 clean,
+// 1 findings, 2 usage or load failure.
+func Main(dir string, args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("moonvet", flag.ContinueOnError)
+	fs.SetOutput(out)
+	list := fs.Bool("list", false, "describe the analyzers in the suite and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if summary == nil {
-		summary = io.Discard
+	if fs.NArg() > 0 {
+		fmt.Fprintln(out, "usage: moonvet [-list] (checks the whole module it runs in; package patterns are not accepted)")
+		return 2
+	}
+	if *list {
+		for _, a := range Suite() {
+			fmt.Fprintf(out, "%-12s %s\n", a.Name, a.Doc)
+		}
+		return 0
 	}
 	root, err := FindModuleRoot(dir)
 	if err != nil {
@@ -74,25 +80,15 @@ func Main(dir string, patterns []string, out, summary io.Writer) int {
 		fmt.Fprintln(out, err)
 		return 2
 	}
-	pkgs, err = analysis.Filter(pkgs, root, patterns)
+	findings, err := analysis.Run(pkgs, Suite())
 	if err != nil {
 		fmt.Fprintln(out, err)
 		return 2
 	}
-	res, err := analysis.Check(pkgs, Suite())
-	if err != nil {
-		fmt.Fprintln(out, err)
-		return 2
-	}
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		fmt.Fprintln(out, f)
 	}
-	if s := res.Summary(); s != "" {
-		fmt.Fprint(summary, s)
-	} else {
-		fmt.Fprintln(summary, "0 suppressions")
-	}
-	if !res.Ok() {
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0

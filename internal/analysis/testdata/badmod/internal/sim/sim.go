@@ -1,6 +1,6 @@
 // Package sim violates the wallclock invariant (it is named like a
-// deterministic package) and shows a correctly suppressed detrange
-// finding; the moonvet driver tests assert on both.
+// deterministic package) and the detrange invariant; moonvet's tests
+// assert on both.
 package sim
 
 import (
@@ -14,11 +14,10 @@ func Tick() time.Time {
 	return time.Now()
 }
 
-// Keys collects map keys without sorting, excused with a reason.
+// Keys collects map keys without sorting: flagged.
 func Keys(m map[string]int) []string {
 	var keys []string
 	for k := range m {
-		//moonvet:allow detrange fixture exercises a documented suppression
 		keys = append(keys, k)
 	}
 	return util.Identity(keys)

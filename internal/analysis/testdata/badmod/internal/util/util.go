@@ -1,5 +1,5 @@
 // Package util is clean: it exists so the fixture module exercises
-// module-local imports and a zero-finding package for pattern filtering.
+// module-local imports and a package with no findings.
 package util
 
 // Identity returns its argument.

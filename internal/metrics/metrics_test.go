@@ -8,6 +8,90 @@ import (
 	"testing"
 )
 
+// TestNilHandlesAreNoOps holds the metrics-off contract: a nil Collector
+// hands out nil handles, and every exported method of every handle type,
+// called on a nil receiver, neither panics nor allocates. That is what
+// lets instrumented hot paths run bit-identically and at 0 allocs/op with
+// collection off. Each row calls one method on a nil receiver and reports
+// whether the result is the no-op one (a nil handle, a zero value).
+// Reflection over the method sets keeps the table complete: a method
+// without a row fails, and so does a row without a method.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var (
+		c   *Collector
+		ctr *Counter
+		g   *Gauge
+		s   *Series
+		h   *Histogram
+		ss  *StreamSink
+	)
+	rows := []struct {
+		method string
+		call   func() bool
+	}{
+		{"Collector.Bucket", func() bool { return c.Bucket() == 0 }},
+		{"Collector.Counter", func() bool { return c.Counter(LayerSim, "x", "") == nil }},
+		{"Collector.TimedCounter", func() bool { return c.TimedCounter(LayerSim, "x", "") == nil }},
+		{"Collector.Gauge", func() bool { return c.Gauge(LayerSim, "x", "") == nil }},
+		{"Collector.RateSeries", func() bool { return c.RateSeries(LayerSim, "x", "") == nil }},
+		{"Collector.SampleSeries", func() bool { return c.SampleSeries(LayerSim, "x", "") == nil }},
+		{"Collector.Histogram", func() bool { return c.Histogram(LayerSim, "x", "") == nil }},
+		{"Collector.Snapshot", func() bool { return c.Snapshot().Empty() }},
+		{"Collector.SetSink", func() bool { c.SetSink(ss); return true }},
+		{"Counter.Inc", func() bool { ctr.Inc(); return true }},
+		{"Counter.Add", func() bool { ctr.Add(2); return true }},
+		{"Counter.AddAt", func() bool { ctr.AddAt(10, 5); return true }},
+		{"Counter.IncAt", func() bool { ctr.IncAt(10); return true }},
+		{"Counter.Value", func() bool { return ctr.Value() == 0 }},
+		{"Gauge.Set", func() bool { g.Set(3); return true }},
+		{"Gauge.Value", func() bool { return g.Value() == 0 }},
+		{"Series.Add", func() bool { s.Add(1, 2); return true }},
+		{"Series.Observe", func() bool { s.Observe(1, 2); return true }},
+		{"Histogram.Observe", func() bool { h.Observe(1); return true }},
+		{"Histogram.Count", func() bool { return h.Count() == 0 }},
+		{"Histogram.Sum", func() bool { return h.Sum() == 0 }},
+		{"StreamSink.Push", func() bool { ss.Push(Update{Name: "x"}); return true }},
+		{"StreamSink.Updates", func() bool { return ss.Updates() == nil }},
+		{"StreamSink.Dropped", func() bool { return ss.Dropped() == 0 }},
+		{"StreamSink.Close", func() bool { ss.Close(); return true }},
+	}
+
+	methods := make(map[string]bool)
+	for _, handle := range []any{c, ctr, g, s, h, ss} {
+		typ := reflect.TypeOf(handle)
+		for i := 0; i < typ.NumMethod(); i++ {
+			methods[typ.Elem().Name()+"."+typ.Method(i).Name] = true
+		}
+	}
+	for _, r := range rows {
+		if !methods[r.method] {
+			t.Errorf("row %s has no method", r.method)
+			continue
+		}
+		delete(methods, r.method)
+		ok, panicked := callNil(r.call)
+		if panicked != nil {
+			t.Errorf("%s on nil panics: %v", r.method, panicked)
+			continue
+		}
+		if !ok {
+			t.Errorf("%s on nil is not a no-op", r.method)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { r.call() }); allocs != 0 {
+			t.Errorf("%s on nil allocates %v times", r.method, allocs)
+		}
+	}
+	for m := range methods {
+		t.Errorf("exported method %s has no nil-receiver row", m)
+	}
+}
+
+// callNil runs one row of TestNilHandlesAreNoOps, recovering a panic.
+func callNil(call func() bool) (ok bool, panicked any) {
+	defer func() { panicked = recover() }()
+	return call(), nil
+}
+
 func TestNilCollectorAndInstrumentsAreNoOps(t *testing.T) {
 	var c *Collector
 	ctr := c.TimedCounter(LayerSim, "x", "")
