@@ -202,10 +202,6 @@ func (v *dnView) wakeBlocks() {
 // View returns the NameNode's state for a DataNode.
 func (fs *FileSystem) View(nodeID int) DNState { return fs.dn[nodeID].state }
 
-// Throttled reports whether the dedicated DataNode is currently declining
-// opportunistic writes.
-func (fs *FileSystem) Throttled(nodeID int) bool { return fs.dn[nodeID].throttled }
-
 // Config returns the effective configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 

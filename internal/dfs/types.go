@@ -172,15 +172,6 @@ func (f *File) wake() {
 	}
 }
 
-// Size returns the file's total bytes.
-func (f *File) Size() float64 {
-	s := 0.0
-	for _, b := range f.Blocks {
-		s += b.Size
-	}
-	return s
-}
-
 // Errors surfaced to DFS clients.
 var (
 	// ErrNoReplica means no live replica of the requested block exists

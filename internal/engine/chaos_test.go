@@ -295,15 +295,15 @@ func TestLoopbackGoldenQuietCluster(t *testing.T) {
 	}
 	var maps, reds, backups, reexecs int
 	for i, h := range handles {
-		got, prof, err := h.Wait(ctx)
+		got, st, err := h.Wait(ctx)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 		checkResults(t, got, wants[i])
-		maps += prof.Stats.MapAttempts
-		reds += prof.Stats.ReduceAttempts
-		backups += prof.Stats.BackupCopies
-		reexecs += prof.Stats.MapReexecs
+		maps += st.Stats.MapAttempts
+		reds += st.Stats.ReduceAttempts
+		backups += st.Stats.BackupCopies
+		reexecs += st.Stats.MapReexecs
 	}
 	if err := c.Drain(ctx); err != nil {
 		t.Fatal(err)

@@ -17,9 +17,18 @@
 // jobs on one persistent master, and the shared scheduling core
 // (internal/sched — the same queue and policy family the simulator's
 // JobTracker arbitrates with) decides which job each idle worker is
-// offered. Every job gets its own result set and JobProfile (queue wait,
+// offered. Every job gets its own result set and JobStatus (queue wait,
 // makespan, per-job attempt statistics); Run remains the one-shot
 // submit-and-wait convenience wrapper.
+//
+// A worker holds at most one unsettled attempt, and the master records it
+// on the worker: task, session and the assignment's resend clock. Who is
+// idle, who is silent and which task still has a live copy are lookups in
+// that record. It is settled by that attempt's own result (the session
+// that delivers a result names the worker; the event does not), by the
+// assignment's last unacknowledged resend, or by its session's death; a
+// result of an attempt the master gave up on still decides its task but
+// settles nothing.
 //
 // The cluster outlives its jobs by a long way, so what a job costs is kept
 // a property of the job. Intermediate data — the paper's class of its own:
@@ -342,20 +351,6 @@ type Stats struct {
 	FetchFailures  int // intermediate fetches that timed out or missed
 }
 
-// JobProfile is the live engine's per-job execution profile — the
-// wall-clock counterpart of the simulator's mapred.Profile.
-type JobProfile struct {
-	Job      string
-	Priority int
-	// QueueWait is submission → first attempt launch: how long the job
-	// waited for its first slot under the arbitration policy.
-	QueueWait time.Duration
-	// Makespan is submission → completion.
-	Makespan time.Duration
-	// Stats are the job's own attempt statistics.
-	Stats Stats
-}
-
 // JobState is the lifecycle phase a job status snapshot reports.
 type JobState string
 
@@ -375,6 +370,8 @@ func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 // by the master at every transition (submit, first launch, each task
 // completion, finish/failure). Reads are lock-free, so status polling —
 // the service's hottest endpoint — never contends with the master loop.
+// The final snapshot is the live engine's per-job execution profile, the
+// wall-clock counterpart of the simulator's mapred.Profile.
 type JobStatus struct {
 	ID       int      `json:"id"`
 	Job      string   `json:"job"`
@@ -388,8 +385,10 @@ type JobStatus struct {
 
 	Stats Stats `json:"stats"`
 
-	// QueueWait is meaningful once the job launched; Makespan once it
-	// finished.
+	// QueueWait is submission → first attempt launch (how long the job
+	// waited for its first slot under the arbitration policy), meaningful
+	// once the job launched; Makespan is submission → completion, set once
+	// it finished.
 	QueueWait time.Duration `json:"queue_wait_ns"`
 	Makespan  time.Duration `json:"makespan_ns"`
 
@@ -402,7 +401,6 @@ type JobStatus struct {
 // Status returns the latest progress snapshot without blocking.
 type JobHandle struct {
 	id   int
-	name string
 	done chan struct{}
 
 	// status is republished by the master at every transition.
@@ -411,12 +409,8 @@ type JobHandle struct {
 	// Written by the master before done closes; read only after. Result
 	// keys are the map side's clones (grouper.id), not substrings of a split.
 	results map[string]string
-	profile JobProfile
 	err     error
 }
-
-// Name returns the job's name.
-func (h *JobHandle) Name() string { return h.name }
 
 // ID returns the job's cluster-unique numeric ID.
 func (h *JobHandle) ID() int { return h.id }
@@ -429,14 +423,15 @@ func (h *JobHandle) Status() JobStatus { return *h.status.Load() }
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the job finishes and returns its reduce outputs and
-// profile. If ctx ends first, the job keeps running (there is no
-// preemption) and Wait returns ctx.Err(); Wait again to re-await it.
-func (h *JobHandle) Wait(ctx context.Context) (map[string]string, JobProfile, error) {
+// final status. If ctx ends first, the job keeps running (there is no
+// preemption) and Wait returns the latest status and ctx.Err(); Wait again
+// to re-await it.
+func (h *JobHandle) Wait(ctx context.Context) (map[string]string, JobStatus, error) {
 	select {
 	case <-ctx.Done():
-		return nil, JobProfile{}, ctx.Err()
+		return nil, h.Status(), ctx.Err()
 	case <-h.done:
-		return h.results, h.profile, h.err
+		return h.results, h.Status(), h.err
 	}
 }
 
@@ -504,6 +499,6 @@ func (c *Cluster) Run(ctx context.Context, job Job) (map[string]string, Stats, e
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	res, prof, err := h.Wait(ctx)
-	return res, prof.Stats, err
+	res, st, err := h.Wait(ctx)
+	return res, st.Stats, err
 }

@@ -23,16 +23,21 @@ type liveJob struct {
 	maps    []*taskState
 	reduces []*taskState
 
+	// mapsDone and reducesDone count the decided tasks of each phase; a
+	// re-executed map takes its count back.
+	mapsDone, reducesDone int
+
 	stats Stats
 
 	// attempts is the shared live-attempt accounting: Live counts the
-	// job's outstanding attempts (maintained at launch/retire), Inactive
+	// job's unsettled attempts (maintained at launch/settle), Inactive
 	// the subset on silent workers (refreshed before each scheduling
 	// pass). Fair-share ranks jobs by the active difference.
 	attempts sched.Attempts
 
 	submittedAt time.Time
 	launchedAt  time.Time
+	makespan    time.Duration // set when the job finishes
 	launched    bool
 	finished    bool
 
@@ -48,24 +53,6 @@ func (j *liveJob) Done() bool          { return j.finished }
 func (j *liveJob) ActiveAttempts() int { return j.attempts.Active() }
 func (j *liveJob) Priority() int       { return j.spec.Priority }
 
-func (j *liveJob) allMapsDone() bool {
-	for _, t := range j.maps {
-		if !t.done {
-			return false
-		}
-	}
-	return true
-}
-
-func (j *liveJob) allReducesDone() bool {
-	for _, t := range j.reduces {
-		if !t.done {
-			return false
-		}
-	}
-	return true
-}
-
 type eventKind int
 
 const (
@@ -74,14 +61,21 @@ const (
 	evReduceStuck
 )
 
-// attemptRef tracks one outstanding attempt, pinned to the session it was
-// assigned under: if that session dies, the attempt's result can never be
-// accepted and the ref is force-retired.
+// attemptRef is a worker's one unsettled attempt: its task, the session it
+// was assigned under (if that session dies, the attempt's result can never
+// be accepted and the record is force-retired), and the assignment's resend
+// clock, which stops once the worker acks it.
 type attemptRef struct {
+	job     *liveJob
+	task    *taskState
 	attempt int
-	worker  int
 	session uint64
 	started time.Time
+
+	msg     msgAssign
+	acked   bool
+	sentAt  time.Time
+	resends int
 }
 
 // taskState is the master's record of one map or reduce task.
@@ -91,15 +85,16 @@ type taskState struct {
 	done        bool
 	winAttempt  int
 	holders     []int
-	outstanding []attemptRef
 	nextAttempt int
+	// copies counts the task's unsettled attempts, live the subset on
+	// fresh-lease workers as of the last refreshInactive.
+	copies, live int
 }
 
 // session is the master's side of one worker epoch: the connection, the
-// lease clock, the unacked assignments awaiting resend, and the dedup
-// state that commits each result event at most once. Only the master
-// goroutine touches its fields; the read/write loops own just the conn,
-// outbox and done channel.
+// lease clock, and the dedup state that commits each result event at most
+// once. Only the master goroutine touches its fields; the read/write loops
+// own just the conn, outbox and done channel.
 type session struct {
 	worker int
 	id     uint64
@@ -118,14 +113,6 @@ type session struct {
 	// stop-and-wait), so an id at or below it is a resend or a duplicate.
 	lastEvent    uint64
 	nextAssignID uint64
-	pending      map[uint64]*pendingAssign
-}
-
-// pendingAssign is one assignment awaiting its ack.
-type pendingAssign struct {
-	msg     msgAssign
-	sentAt  time.Time
-	resends int
 }
 
 // inMsg is one message (or connection-death notice) routed into the
@@ -154,6 +141,14 @@ type master struct {
 	sessions    map[int]*session
 	nextSession uint64
 	jobsByID    map[int]*liveJob
+
+	// running holds each worker's unsettled attempt, nil when it has none.
+	// A record is pinned to the worker's current session: killing the
+	// session settles it.
+	running []*attemptRef
+	// replicateTo is the dedicated worker every map output is replicated
+	// to, -1 without hybrid replication.
+	replicateTo int
 
 	nextJobID int
 	retired   int // jobs that left through clearJob, each audited balanced
@@ -186,13 +181,18 @@ func (m *master) elapsed() float64 { return time.Since(m.start).Seconds() }
 
 func newMaster(c *Cluster, lis transport.Listener) *master {
 	m := &master{
-		c:        c,
-		link:     c.link,
-		lis:      lis,
-		msgs:     make(chan inMsg, 4*len(c.workers)+16),
-		sessions: make(map[int]*session),
-		jobsByID: make(map[int]*liveJob),
-		start:    time.Now(),
+		c:           c,
+		link:        c.link,
+		lis:         lis,
+		msgs:        make(chan inMsg, 4*len(c.workers)+16),
+		sessions:    make(map[int]*session),
+		jobsByID:    make(map[int]*liveJob),
+		running:     make([]*attemptRef, len(c.workers)),
+		replicateTo: -1,
+		start:       time.Now(),
+	}
+	if c.cfg.ReplicateToDedicated && c.cfg.DedicatedWorkers > 0 {
+		m.replicateTo = c.cfg.VolatileWorkers // workers are numbered volatile first
 	}
 	m.queue = sched.NewQueue(c.cfg.policy(), nil)
 	if mc := c.cfg.Metrics; mc != nil {
@@ -307,7 +307,9 @@ func (m *master) handleMsg(im inMsg) {
 		}
 	case msgAck:
 		if s := im.sess; s != nil && s.alive {
-			delete(s.pending, msg.id)
+			if ref := m.running[s.worker]; ref != nil && ref.msg.id == msg.id {
+				ref.acked = true
+			}
 		}
 	case msgEvent:
 		m.handleEvent(im.sess, msg)
@@ -338,7 +340,6 @@ func (m *master) admit(conn transport.Conn, workerID int) {
 		done:     make(chan struct{}),
 		alive:    true,
 		lastBeat: time.Now(),
-		pending:  make(map[uint64]*pendingAssign),
 	}
 	m.sessions[workerID] = s
 	go m.writeLoop(s)
@@ -346,7 +347,7 @@ func (m *master) admit(conn transport.Conn, workerID int) {
 	s.outbox <- msgWelcome{session: s.id}
 }
 
-// killSession ends one worker epoch: close the connection, retire every
+// killSession ends one worker epoch: close the connection, settle the
 // attempt assigned under it (their results can no longer be accepted), and
 // count the reset unless this is cluster shutdown.
 func (m *master) killSession(s *session, countReset bool) {
@@ -365,32 +366,12 @@ func (m *master) killSession(s *session, countReset bool) {
 	m.forceRetire(s)
 }
 
-// forceRetire drops every outstanding attempt pinned to a dead session
-// from the accounting, so abandoned work is rescheduled instead of
-// wedging Drain.
+// forceRetire settles the attempt pinned to a dead session, so abandoned
+// work is rescheduled instead of wedging Drain. A record of the worker's
+// newer session is not the dead one's to settle.
 func (m *master) forceRetire(s *session) {
-	clear(s.pending)
-	var drained []*liveJob // cleared after the walk: clearing shifts Jobs()
-	for _, j := range m.queue.Jobs() {
-		for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
-			for _, t := range tasks {
-				kept := t.outstanding[:0]
-				for _, ref := range t.outstanding {
-					if ref.worker == s.worker && ref.session == s.id {
-						j.attempts.Live--
-						continue
-					}
-					kept = append(kept, ref)
-				}
-				t.outstanding = kept
-			}
-		}
-		if j.finished && j.attempts.Live == 0 {
-			drained = append(drained, j)
-		}
-	}
-	for _, j := range drained {
-		m.clearJob(j)
+	if ref := m.running[s.worker]; ref != nil && ref.session == s.id {
+		m.settle(s.worker)
 	}
 }
 
@@ -468,48 +449,23 @@ func (m *master) expireSessions() {
 }
 
 // resendPending re-sends unacked assignments with linear backoff and
-// retires the ones that exhausted their retries — the worker plainly is
+// settles the ones that exhausted their retries — the worker plainly is
 // not receiving, so the attempt is abandoned and rescheduled elsewhere.
 func (m *master) resendPending() {
 	now := time.Now()
-	for _, s := range m.sessions {
-		if !s.alive {
+	for w, ref := range m.running {
+		if ref == nil || ref.acked || now.Sub(ref.sentAt) < m.link.SendTimeout+time.Duration(ref.resends)*m.link.RetryBackoff {
 			continue
 		}
-		for id, p := range s.pending {
-			wait := m.link.SendTimeout + time.Duration(p.resends)*m.link.RetryBackoff
-			if now.Sub(p.sentAt) < wait {
-				continue
-			}
-			if p.resends >= m.link.MaxRetries {
-				delete(s.pending, id)
-				m.retireLost(p)
-				continue
-			}
-			p.resends++
-			p.sentAt = now
-			m.mRetries.IncAt(m.elapsed())
-			m.enqueue(s, p.msg)
-			if !s.alive {
-				break // enqueue killed the session; pending is gone
-			}
+		if ref.resends >= m.link.MaxRetries {
+			m.settle(w)
+			continue
 		}
+		ref.resends++
+		ref.sentAt = now
+		m.mRetries.IncAt(m.elapsed())
+		m.enqueue(m.sessions[w], ref.msg)
 	}
-}
-
-// retireLost retires the attempt of an assignment the worker never
-// acknowledged.
-func (m *master) retireLost(p *pendingAssign) {
-	a := p.msg.task
-	j := m.jobsByID[a.jobID]
-	if j == nil {
-		return // the job finished and left without this attempt
-	}
-	t := j.maps
-	if a.isReduce {
-		t = j.reduces
-	}
-	m.retire(j, t[a.taskID], a.attempt)
 }
 
 // handleEvent commits one worker result event — exactly once, and only
@@ -535,7 +491,7 @@ func (m *master) handleEvent(s *session, me msgEvent) {
 	if j == nil {
 		return // a stale attempt of an already-swept job
 	}
-	m.handle(j, me.ev)
+	m.handle(j, s.worker, me.ev)
 }
 
 // notifyDrained releases Drain callers once every job has finished and
@@ -557,7 +513,7 @@ func (m *master) submit(job Job) submitResp {
 		id:          m.nextJobID,
 		spec:        job,
 		submittedAt: time.Now(),
-		handle:      &JobHandle{id: m.nextJobID, name: job.Name, done: make(chan struct{}), results: make(map[string]string)},
+		handle:      &JobHandle{id: m.nextJobID, done: make(chan struct{}), results: make(map[string]string)},
 	}
 	for i := range job.Inputs {
 		j.maps = append(j.maps, &taskState{id: i})
@@ -584,18 +540,9 @@ func (m *master) submit(job Job) submitResp {
 func (m *master) publishStatus(j *liveJob) {
 	st := &JobStatus{
 		ID: j.id, Job: j.spec.Name, Priority: j.spec.Priority,
-		MapsTotal: len(j.maps), ReducesTotal: len(j.reduces),
-		Stats: j.stats,
-	}
-	for _, t := range j.maps {
-		if t.done {
-			st.MapsDone++
-		}
-	}
-	for _, t := range j.reduces {
-		if t.done {
-			st.ReducesDone++
-		}
+		MapsDone: j.mapsDone, MapsTotal: len(j.maps),
+		ReducesDone: j.reducesDone, ReducesTotal: len(j.reduces),
+		Stats: j.stats, Makespan: j.makespan,
 	}
 	switch {
 	case j.finished && j.handle.err != nil:
@@ -610,9 +557,6 @@ func (m *master) publishStatus(j *liveJob) {
 	}
 	if j.launched {
 		st.QueueWait = j.launchedAt.Sub(j.submittedAt)
-	}
-	if j.finished {
-		st.Makespan = j.handle.profile.Makespan
 	}
 	j.handle.status.Store(st)
 }
@@ -670,59 +614,49 @@ func (m *master) live(worker int) bool {
 	return time.Since(s.lastBeat) < m.link.LeaseDuration
 }
 
-// refreshInactive recounts, per running job, the outstanding attempts
-// sitting on silent workers — the shared accounting's Inactive side, so
-// fair-share ranks by *active* attempts only (a churn-stalled job is not
-// deprioritized for the backups that would unfreeze it). Live is
-// maintained incrementally at launch/retire.
+// refreshInactive recounts the unsettled attempts sitting on silent
+// workers: per job, the shared accounting's Inactive side, so fair-share
+// ranks by *active* attempts only (a churn-stalled job is not deprioritized
+// for the backups that would unfreeze it); per task, the copies still live.
+// Live is maintained incrementally at launch/settle.
 func (m *master) refreshInactive() {
 	for _, j := range m.queue.Jobs() {
-		inactive := 0
-		for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
-			for _, t := range tasks {
-				for _, ref := range t.outstanding {
-					if !m.live(ref.worker) {
-						inactive++
-					}
-				}
-			}
+		j.attempts.Inactive = 0
+	}
+	for _, ref := range m.running {
+		if ref != nil {
+			ref.task.live = 0
 		}
-		j.attempts.Inactive = inactive
+	}
+	for w, ref := range m.running {
+		if ref == nil {
+			continue
+		}
+		if m.live(w) {
+			ref.task.live++
+		} else {
+			ref.job.attempts.Inactive++
+		}
 	}
 }
 
-// idleWorkers returns live workers with no outstanding attempt of any
-// job — finished jobs included (one stays queued until its last attempt
-// retires). A session therefore carries one unsettled assignment at a time,
+// idleWorkers returns live workers with no unsettled attempt of any job —
+// finished jobs included (one stays queued until its last attempt
+// settles). A session therefore carries one unsettled assignment at a time,
 // which the worker's dedup relies on. A straggler copy of an already-decided
-// task still occupies its worker until it retires, and booking new work
+// task still occupies its worker until it settles, and booking new work
 // behind it would invisibly stall that work for the straggler's whole
-// remaining runtime. Dedicated workers sort last so original copies
-// prefer the volatile pool (dedicated capacity is reserved for backups,
-// the MOON hybrid policy).
+// remaining runtime. Workers are numbered volatile first, so dedicated
+// ones sort last and original copies prefer the volatile pool (dedicated
+// capacity is reserved for backups, the MOON hybrid policy).
 func (m *master) idleWorkers() []int {
-	busy := make(map[int]bool)
-	for _, j := range m.queue.Jobs() {
-		for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
-			for _, t := range tasks {
-				for _, ref := range t.outstanding {
-					busy[ref.worker] = true
-				}
-			}
+	var idle []int
+	for w, ref := range m.running {
+		if ref == nil && m.live(w) {
+			idle = append(idle, w)
 		}
 	}
-	var vol, ded []int
-	for i := range m.c.workers {
-		if busy[i] || !m.live(i) {
-			continue
-		}
-		if m.c.workers[i].dedicated {
-			ded = append(ded, i)
-		} else {
-			vol = append(vol, i)
-		}
-	}
-	return append(vol, ded...)
+	return idle
 }
 
 // schedule offers every idle worker to the jobs in policy order: pending
@@ -749,17 +683,17 @@ func (m *master) schedule() {
 func (m *master) offer(w int) bool {
 	for _, j := range m.queue.Order() {
 		for _, t := range j.maps {
-			if !t.done && len(t.outstanding) == 0 {
-				m.launchMap(j, t, w)
+			if !t.done && t.copies == 0 {
+				m.launch(j, t, w)
 				return true
 			}
 		}
-		if !j.allMapsDone() {
+		if j.mapsDone < len(j.maps) {
 			continue
 		}
 		for _, t := range j.reduces {
-			if !t.done && len(t.outstanding) == 0 {
-				m.launchReduce(j, t, w)
+			if !t.done && t.copies == 0 {
+				m.launch(j, t, w)
 				return true
 			}
 		}
@@ -767,160 +701,111 @@ func (m *master) offer(w int) bool {
 	return false
 }
 
-// checkFrozen issues backup copies for tasks whose every outstanding
+// checkFrozen issues backup copies for tasks whose every unsettled
 // attempt sits on a silent worker, across all running jobs in policy
 // order (frozen tasks of a high-ranked job win the spare workers first).
 func (m *master) checkFrozen() {
 	m.refreshInactive()
+	idle := m.idleWorkers()
 	for _, j := range m.queue.Order() {
 		for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
 			for _, t := range tasks {
-				if t.done || len(t.outstanding) == 0 {
+				if t.done || t.copies == 0 || t.live > 0 {
 					continue
 				}
-				anyLive := false
-				for _, ref := range t.outstanding {
-					if m.live(ref.worker) {
-						anyLive = true
-						break
-					}
-				}
-				if anyLive {
-					continue
-				}
-				// Frozen: place a backup, preferring dedicated workers.
-				idle := m.idleWorkers()
+				// Frozen: place a backup, preferring dedicated workers
+				// (they sort last in idleWorkers).
 				if len(idle) == 0 {
 					return
 				}
-				target := idle[len(idle)-1] // dedicated sort last in idleWorkers
+				target := idle[len(idle)-1]
+				idle = idle[:len(idle)-1]
 				j.stats.BackupCopies++
 				m.mBackups.IncAt(m.elapsed())
 				m.mFrozenChecks.Inc()
-				if t.isReduce {
-					m.launchReduce(j, t, target)
-				} else {
-					m.launchMap(j, t, target)
-				}
+				m.launch(j, t, target)
 			}
 		}
 	}
 }
 
-// noteLaunch updates the job's accounting for one new attempt; the first
-// launch of the whole job ends its queue wait.
-func (m *master) noteLaunch(j *liveJob) {
+// launch assigns t's next attempt to worker w's current session and
+// records it on the worker; the first launch of the whole job ends its
+// queue wait. A reduce attempt carries a snapshot of the job's winning map
+// attempts and their holders.
+func (m *master) launch(j *liveJob, t *taskState, w int) {
+	s := m.sessions[w] // non-nil: the caller picked a live worker
+	a := assignment{jobID: j.id, taskID: t.id, attempt: t.nextAttempt, isReduce: t.isReduce, reduces: j.spec.Reduces, replicateTo: -1}
+	if t.isReduce {
+		j.stats.ReduceAttempts++
+		m.mRedAttempts.IncAt(m.elapsed())
+		a.reduceFn = j.spec.Reduce
+		a.sources = make([]reduceSource, 0, len(j.maps))
+		for _, mt := range j.maps {
+			a.sources = append(a.sources, reduceSource{mapID: mt.id, attempt: mt.winAttempt, holders: append([]int(nil), mt.holders...)})
+		}
+	} else {
+		j.stats.MapAttempts++
+		m.mMapAttempts.IncAt(m.elapsed())
+		a.input, a.mapFn, a.combineFn, a.replicateTo = j.spec.Inputs[t.id], j.spec.Map, j.spec.Combine, m.replicateTo
+	}
+	t.nextAttempt++
+	t.copies++
 	j.attempts.Live++
+	now := time.Now()
 	if !j.launched {
 		j.launched = true
-		j.launchedAt = time.Now()
+		j.launchedAt = now
 		j.mQueueWait.Set(j.launchedAt.Sub(j.submittedAt).Seconds())
 	}
-	m.publishStatus(j)
-}
-
-// launchMap assigns a map attempt to a worker's current session.
-func (m *master) launchMap(j *liveJob, t *taskState, workerID int) {
-	s := m.sessions[workerID] // non-nil: the caller picked a live worker
-	attempt := t.nextAttempt
-	t.nextAttempt++
-	t.outstanding = append(t.outstanding, attemptRef{attempt: attempt, worker: workerID, session: s.id, started: time.Now()})
-	m.noteLaunch(j)
-	j.stats.MapAttempts++
-	m.mMapAttempts.IncAt(m.elapsed())
-	replicateTo := -1
-	if m.c.cfg.ReplicateToDedicated {
-		for _, w := range m.c.workers {
-			if w.dedicated {
-				replicateTo = w.id
-				break
-			}
-		}
-	}
-	m.assign(s, assignment{
-		jobID:       j.id,
-		taskID:      t.id,
-		attempt:     attempt,
-		reduces:     j.spec.Reduces,
-		input:       j.spec.Inputs[t.id],
-		mapFn:       j.spec.Map,
-		combineFn:   j.spec.Combine,
-		replicateTo: replicateTo,
-	})
-}
-
-// launchReduce assigns a reduce attempt with a snapshot of the job's
-// winning map attempts and their holders.
-func (m *master) launchReduce(j *liveJob, t *taskState, workerID int) {
-	s := m.sessions[workerID]
-	attempt := t.nextAttempt
-	t.nextAttempt++
-	t.outstanding = append(t.outstanding, attemptRef{attempt: attempt, worker: workerID, session: s.id, started: time.Now()})
-	m.noteLaunch(j)
-	j.stats.ReduceAttempts++
-	m.mRedAttempts.IncAt(m.elapsed())
-
-	sources := make([]reduceSource, 0, len(j.maps))
-	for _, mt := range j.maps {
-		sources = append(sources, reduceSource{mapID: mt.id, attempt: mt.winAttempt, holders: append([]int(nil), mt.holders...)})
-	}
-	m.assign(s, assignment{
-		jobID:       j.id,
-		taskID:      t.id,
-		attempt:     attempt,
-		isReduce:    true,
-		reduces:     j.spec.Reduces,
-		reduceFn:    j.spec.Reduce,
-		sources:     sources,
-		replicateTo: -1,
-	})
-}
-
-// assign registers one assignment as pending and sends it.
-func (m *master) assign(s *session, a assignment) {
 	s.nextAssignID++
-	msg := msgAssign{id: s.nextAssignID, session: s.id, task: a}
-	s.pending[msg.id] = &pendingAssign{msg: msg, sentAt: time.Now()}
-	m.enqueue(s, msg)
+	ref := &attemptRef{job: j, task: t, attempt: a.attempt, session: s.id, started: now,
+		msg: msgAssign{id: s.nextAssignID, session: s.id, task: a}, sentAt: now}
+	m.running[w] = ref
+	m.publishStatus(j)
+	m.enqueue(s, ref.msg)
 }
 
-// handle integrates one worker event of a job still on the master.
-func (m *master) handle(j *liveJob, ev workerEvent) {
+// handle integrates one event of a job still on the master, delivered by
+// worker w's current session.
+func (m *master) handle(j *liveJob, w int, ev workerEvent) {
 	switch ev.kind {
 	case evMapDone:
 		t := j.maps[ev.taskID]
-		ref, ok := m.retire(j, t, ev.attempt)
+		ref := m.retire(w, t, ev.attempt)
 		if t.done || j.finished {
 			return // a sibling already won, or the job completed elsewhere
 		}
 		t.done = true
+		j.mapsDone++
 		t.winAttempt = ev.attempt
 		t.holders = ev.holders
-		if ok {
+		if ref != nil {
 			m.mMapDur.Observe(time.Since(ref.started).Seconds())
 		}
 		m.publishStatus(j)
 	case evReduceDone:
 		t := j.reduces[ev.taskID]
-		ref, ok := m.retire(j, t, ev.attempt)
+		ref := m.retire(w, t, ev.attempt)
 		if t.done || j.finished {
 			return
 		}
 		t.done = true
+		j.reducesDone++
 		for k, v := range ev.output {
 			j.handle.results[k] = v
 		}
-		if ok {
+		if ref != nil {
 			m.mReduceDur.Observe(time.Since(ref.started).Seconds())
 		}
-		if j.allReducesDone() {
+		if j.reducesDone == len(j.reduces) {
 			m.finishJob(j)
 		} else {
 			m.publishStatus(j)
 		}
 	case evReduceStuck:
 		t := j.reduces[ev.taskID]
-		m.retire(j, t, ev.attempt)
+		m.retire(w, t, ev.attempt)
 		j.stats.FetchFailures += len(ev.missing)
 		m.mFetchFails.AddAt(m.elapsed(), float64(len(ev.missing)))
 		if t.done || j.finished {
@@ -933,6 +818,7 @@ func (m *master) handle(j *liveJob, ev workerEvent) {
 			if mt.done {
 				mt.done = false
 				mt.holders = nil
+				j.mapsDone--
 				j.stats.MapReexecs++
 				m.mReexecs.IncAt(m.elapsed())
 			}
@@ -941,39 +827,42 @@ func (m *master) handle(j *liveJob, ev workerEvent) {
 	}
 }
 
-// retire removes one outstanding attempt and balances the job's live
-// count; once a finished job's last attempt drains, its intermediate
-// stores are released.
-func (m *master) retire(j *liveJob, t *taskState, attempt int) (attemptRef, bool) {
-	ref, ok := t.removeOutstanding(attempt)
-	if ok {
-		j.attempts.Live--
-		if j.finished && j.attempts.Live == 0 {
-			m.clearJob(j)
-		}
+// retire settles worker w's record when it is exactly that attempt of t.
+// The result of an attempt the master gave up on (its assignment lost, or
+// its session dead, and the worker since handed other work) still decides
+// its task, but settles nothing.
+func (m *master) retire(w int, t *taskState, attempt int) *attemptRef {
+	ref := m.running[w]
+	if ref == nil || ref.task != t || ref.attempt != attempt {
+		return nil
 	}
-	return ref, ok
+	m.settle(w)
+	return ref
 }
 
-// finishJob completes a job: profile, per-job gauges, handle, and — once
-// no attempt is still in flight — intermediate-store cleanup.
+// settle clears worker w's record and balances its job's live count; once
+// a finished job's last attempt settles, the job leaves the master.
+func (m *master) settle(w int) {
+	ref := m.running[w]
+	m.running[w] = nil
+	ref.task.copies--
+	j := ref.job
+	j.attempts.Live--
+	if j.finished && j.attempts.Live == 0 {
+		m.clearJob(j)
+	}
+}
+
+// finishJob completes a job: final status, per-job gauges, handle, and —
+// once no attempt is still in flight — intermediate-store cleanup.
 func (m *master) finishJob(j *liveJob) {
 	j.finished = true
-	now := time.Now()
-	prof := JobProfile{
-		Job:       j.spec.Name,
-		Priority:  j.spec.Priority,
-		QueueWait: j.launchedAt.Sub(j.submittedAt),
-		Makespan:  now.Sub(j.submittedAt),
-		Stats:     j.stats,
-	}
-	j.mQueueWait.Set(prof.QueueWait.Seconds())
-	j.mMakespan.Set(prof.Makespan.Seconds())
+	j.makespan = time.Since(j.submittedAt)
+	j.mQueueWait.Set(j.launchedAt.Sub(j.submittedAt).Seconds())
+	j.mMakespan.Set(j.makespan.Seconds())
 	m.mRunningJobs.Observe(m.elapsed(), float64(m.queue.Running()))
-	h := j.handle
-	h.profile = prof
 	m.publishStatus(j)
-	close(h.done)
+	close(j.handle.done)
 	if j.attempts.Live == 0 {
 		m.clearJob(j)
 	}
@@ -983,19 +872,20 @@ func (m *master) finishJob(j *liveJob) {
 // it is in flight: out of the queue and the id index — so every walk over
 // jobs, and the master's time per job, covers the live ones and not the
 // cluster's history — and out of every worker store; only the handle, with
-// results and profile, outlives the call. Marking the job in the cleared
+// results and final status, outlives the call. Marking the job in the cleared
 // set first fences stale attempts still executing: their late putPartition
 // writes are refused, so the sweep is final. Leaving is also where the
-// attempt accounting is audited: Live, kept at launch and retire, against
-// the lists it summarizes — a ref still listed would be stranded.
+// attempt accounting is audited: Live, kept at launch and settle, against
+// the worker records it summarizes — a record still pointing at the job
+// would be stranded.
 func (m *master) clearJob(j *liveJob) {
 	if !m.queue.Remove(j) {
 		return
 	}
 	j.attempts.Inactive = 0
-	for _, tasks := range [2][]*taskState{j.maps, j.reduces} {
-		for _, t := range tasks {
-			j.attempts.Inactive += len(t.outstanding)
+	for _, ref := range m.running {
+		if ref != nil && ref.job == j {
+			j.attempts.Inactive++
 		}
 	}
 	if !j.attempts.Balanced() {
@@ -1007,14 +897,4 @@ func (m *master) clearJob(j *liveJob) {
 	for _, w := range m.c.workers {
 		w.clearJob(j.id)
 	}
-}
-
-func (t *taskState) removeOutstanding(attempt int) (attemptRef, bool) {
-	for i, ref := range t.outstanding {
-		if ref.attempt == attempt {
-			t.outstanding = append(t.outstanding[:i], t.outstanding[i+1:]...)
-			return ref, true
-		}
-	}
-	return attemptRef{}, false
 }

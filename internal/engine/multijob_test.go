@@ -15,7 +15,7 @@ import (
 // TestConcurrentJobsUnderChurn is the live engine's multi-tenancy
 // acceptance test: N jobs submitted together on one cluster under
 // trace-driven churn must all complete with exact results, populated
-// per-job profiles, and balanced queue accounting (no leaked live-attempt
+// per-job statuses, and balanced queue accounting (no leaked live-attempt
 // counts, no retained intermediate stores). Run with -race in CI.
 func TestConcurrentJobsUnderChurn(t *testing.T) {
 	const jobs = 4
@@ -62,22 +62,22 @@ func TestConcurrentJobsUnderChurn(t *testing.T) {
 	}
 
 	for i, s := range subs {
-		got, prof, err := s.h.Wait(ctx)
+		got, st, err := s.h.Wait(ctx)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 		checkResults(t, got, s.want)
-		if prof.Job != fmt.Sprintf("churn-job-%d", i) {
-			t.Errorf("job %d profile name %q", i, prof.Job)
+		if st.Job != fmt.Sprintf("churn-job-%d", i) {
+			t.Errorf("job %d status name %q", i, st.Job)
 		}
-		if prof.Makespan <= 0 || prof.Makespan < prof.QueueWait {
-			t.Errorf("job %d profile times: makespan %v, queue wait %v", i, prof.Makespan, prof.QueueWait)
+		if st.Makespan <= 0 || st.Makespan < st.QueueWait {
+			t.Errorf("job %d status times: makespan %v, queue wait %v", i, st.Makespan, st.QueueWait)
 		}
-		if prof.Stats.MapAttempts < 8+i {
-			t.Errorf("job %d map attempts %d < %d inputs", i, prof.Stats.MapAttempts, 8+i)
+		if st.Stats.MapAttempts < 8+i {
+			t.Errorf("job %d map attempts %d < %d inputs", i, st.Stats.MapAttempts, 8+i)
 		}
-		if prof.Stats.ReduceAttempts < 2+i%2 {
-			t.Errorf("job %d reduce attempts %d", i, prof.Stats.ReduceAttempts)
+		if st.Stats.ReduceAttempts < 2+i%2 {
+			t.Errorf("job %d reduce attempts %d", i, st.Stats.ReduceAttempts)
 		}
 	}
 	<-churnDone
@@ -349,24 +349,24 @@ func TestPriorityPolicyFavorsHighPriorityJob(t *testing.T) {
 	}
 	close(gate)
 
-	gotHigh, profHigh, err := hHigh.Wait(ctx)
+	gotHigh, stHigh, err := hHigh.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResults(t, gotHigh, highWant)
-	gotLow, profLow, err := hLow.Wait(ctx)
+	gotLow, stLow, err := hLow.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResults(t, gotLow, lowWant)
-	if profHigh.Priority != 3 || profLow.Priority != 0 {
-		t.Fatalf("profile priorities %d/%d", profHigh.Priority, profLow.Priority)
+	if stHigh.Priority != 3 || stLow.Priority != 0 {
+		t.Fatalf("status priorities %d/%d", stHigh.Priority, stLow.Priority)
 	}
 	// The high job took over from the low job's initial grab (the low job
 	// held at most the 2 slots it won before the high submission) and
 	// finished first.
-	if profHigh.Makespan > profLow.Makespan {
-		t.Errorf("high-priority makespan %v above low-priority %v", profHigh.Makespan, profLow.Makespan)
+	if stHigh.Makespan > stLow.Makespan {
+		t.Errorf("high-priority makespan %v above low-priority %v", stHigh.Makespan, stLow.Makespan)
 	}
 }
 

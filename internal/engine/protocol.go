@@ -109,12 +109,13 @@ type reduceSource struct {
 }
 
 // workerEvent is anything a worker reports back (the payload of msgEvent).
+// It does not name the worker: the master knows it from the session that
+// delivered the event.
 type workerEvent struct {
 	kind    eventKind
 	jobID   int
 	taskID  int
 	attempt int
-	worker  int
 	holders []int             // mapDone: workers holding the output
 	output  map[string]string // reduceDone: final key→value pairs
 	missing []int             // reduceStuck: map IDs with no reachable output

@@ -61,11 +61,11 @@ func TestFinishedJobsLeaveTheMaster(t *testing.T) {
 		}
 	}
 	// Both dedup states are one integer a session (lastEvent here,
-	// lastAssign on the worker); what a session awaits acks for is the
-	// assignments in flight, none after Drain.
-	for w, s := range m.sessions {
-		if n := len(s.pending); n != 0 {
-			t.Errorf("worker %d's session awaits %d acks", w, n)
+	// lastAssign on the worker); what a worker holds is its one unsettled
+	// attempt, none after Drain.
+	for w, ref := range m.running {
+		if ref != nil {
+			t.Errorf("worker %d still holds attempt %d of task %d", w, ref.attempt, ref.task.id)
 		}
 	}
 }
@@ -218,5 +218,131 @@ func BenchmarkTinyJobStream(b *testing.B) {
 	b.ReportMetric(float64(first.Microseconds())/float64(tenth), "first-tenth-us/job")
 	if b.N >= 2*tenth {
 		b.ReportMetric(float64(last.Microseconds())/float64(tenth), "last-tenth-us/job")
+	}
+}
+
+// bareMaster is a master with no loop, listener or worker goroutines, over
+// n volatile workers: a test calls launch, resendPending and handle itself
+// and reads the assignments off the sessions' outboxes.
+func bareMaster(n int) *master {
+	cfg := DefaultConfig()
+	cfg.VolatileWorkers, cfg.DedicatedWorkers = n, 0
+	c := &Cluster{cfg: cfg, link: cfg.link(), cleared: newClearedSet()}
+	for i := 0; i < n; i++ {
+		c.workers = append(c.workers, newWorker(i, false, c.link, nil, &c.retries, c.cleared))
+	}
+	return newMaster(c, nil)
+}
+
+// join opens worker w's next session as admit does, minus the connection.
+func join(m *master, w int) *session {
+	m.nextSession++
+	s := &session{worker: w, id: m.nextSession, outbox: make(chan any, 128), done: make(chan struct{}), alive: true, lastBeat: time.Now()}
+	m.sessions[w] = s
+	return s
+}
+
+// held names what a worker record holds, for failure messages.
+func held(ref *attemptRef) string {
+	if ref == nil {
+		return "nothing"
+	}
+	kind := "map"
+	if ref.task.isReduce {
+		kind = "reduce"
+	}
+	return fmt.Sprintf("%s %d attempt %d (session %d)", kind, ref.task.id, ref.attempt, ref.session)
+}
+
+// TestGivenUpAssignmentSettlesOnlyItself drives the per-worker record
+// through an assignment the worker never acks: it is resent MaxRetries
+// times and then settled, so its task is offered again; the given-up
+// attempt's late result decides its task but leaves the worker's newer
+// attempt — another task of the same job, with the same attempt number —
+// recorded; a result settles only the record of the worker whose session
+// delivered it; and a dead session settles nothing recorded under a newer
+// one.
+func TestGivenUpAssignmentSettlesOnlyItself(t *testing.T) {
+	m := bareMaster(2)
+	s0, s1 := join(m, 0), join(m, 1)
+	if resp := m.submit(tinyJob(0)); resp.err != nil {
+		t.Fatal(resp.err)
+	}
+	j := m.jobsByID[0]
+	m.launch(j, j.maps[0], 0)
+	lost := m.running[0]
+	due := func(ref *attemptRef) { ref.sentAt = ref.sentAt.Add(-time.Hour) }
+
+	for i := 0; i < m.link.MaxRetries; i++ {
+		due(lost)
+		m.resendPending()
+		m.resendPending() // the next resend waits out its backoff
+	}
+	if lost.resends != m.link.MaxRetries || len(s0.outbox) != 1+m.link.MaxRetries {
+		t.Fatalf("%d resends, %d sends, want %d and %d", lost.resends, len(s0.outbox), m.link.MaxRetries, 1+m.link.MaxRetries)
+	}
+	for len(s0.outbox) > 0 {
+		if a, ok := (<-s0.outbox).(msgAssign); !ok || a.id != lost.msg.id || a.task.taskID != 0 || a.task.attempt != 0 {
+			t.Fatalf("sent %+v, want assignment %d (map 0, attempt 0)", a, lost.msg.id)
+		}
+	}
+	due(lost)
+	m.resendPending()
+	if m.running[0] != nil || len(s0.outbox) != 0 || j.maps[0].copies != 0 || j.attempts.Live != 0 {
+		t.Fatalf("after the last retry: worker 0 holds %s, %d sends, %d copies, %d live", held(m.running[0]), len(s0.outbox), j.maps[0].copies, j.attempts.Live)
+	}
+
+	// Map 0 is offered again; worker 0 takes map 1's first attempt, whose
+	// number is the given-up one's.
+	m.offer(1)
+	m.offer(0)
+	retry, sibling := m.running[1], m.running[0]
+	if retry == nil || retry.task != j.maps[0] || retry.attempt != 1 {
+		t.Fatalf("worker 1 holds %s, want map 0 attempt 1", held(retry))
+	}
+	if sibling == nil || sibling.task != j.maps[1] || sibling.attempt != 0 {
+		t.Fatalf("worker 0 holds %s, want map 1 attempt 0", held(sibling))
+	}
+	m.handleMsg(inMsg{sess: s1, m: msgAck{id: retry.msg.id}})
+	due(retry)
+	m.resendPending()
+	if !retry.acked || len(s1.outbox) != 1 {
+		t.Fatalf("acked %v, %d sends to worker 1, want the ack recorded and no resend", retry.acked, len(s1.outbox))
+	}
+
+	// A result names no worker: the session that delivers it does.
+	deliver := func(s *session, id uint64, task int) {
+		ev := workerEvent{kind: evMapDone, jobID: j.id, taskID: task, attempt: 0, holders: []int{s.worker}}
+		m.handleMsg(inMsg{sess: s, m: msgEvent{id: id, session: s.id, ev: ev}})
+	}
+	deliver(s0, 1, 0)
+	if !j.maps[0].done || j.mapsDone != 1 {
+		t.Fatalf("the late result did not decide map 0 (done %v, %d maps done)", j.maps[0].done, j.mapsDone)
+	}
+	if m.running[0] != sibling || m.running[1] != retry || j.attempts.Live != 2 {
+		t.Fatalf("the late result settled a newer attempt: workers hold %s and %s, %d live", held(m.running[0]), held(m.running[1]), j.attempts.Live)
+	}
+	deliver(s1, 1, 1) // worker 1's session reports the attempt worker 0 holds
+	if !j.maps[1].done || m.running[0] != sibling || m.running[1] != retry {
+		t.Fatalf("worker 1's result settled another worker's record: workers hold %s and %s", held(m.running[0]), held(m.running[1]))
+	}
+
+	deliver(s0, 2, 1)
+	if m.running[0] != nil || j.attempts.Live != 1 {
+		t.Fatalf("worker 0's own result left it holding %s, %d live", held(m.running[0]), j.attempts.Live)
+	}
+	stale, fresh := s0, join(m, 0)
+	m.offer(0)
+	reduce := m.running[0]
+	if reduce == nil || reduce.task != j.reduces[0] || reduce.session != fresh.id {
+		t.Fatalf("worker 0 holds %s, want reduce 0 under session %d", held(reduce), fresh.id)
+	}
+	m.forceRetire(stale)
+	if m.running[0] != reduce {
+		t.Fatal("a dead session settled the attempt of the worker's newer session")
+	}
+	m.forceRetire(fresh)
+	if m.running[0] != nil || j.attempts.Live != 1 {
+		t.Fatalf("the session's own attempt survived it: worker 0 holds %s, %d live", held(m.running[0]), j.attempts.Live)
 	}
 }

@@ -31,7 +31,7 @@ func TestJobStatusLifecycle(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	got, prof, err := h.Wait(ctx)
+	got, waited, err := h.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,11 @@ func TestJobStatusLifecycle(t *testing.T) {
 	if fin.MapsDone != 4 || fin.ReducesDone != 2 {
 		t.Fatalf("final progress = %d/%d maps, %d/%d reduces", fin.MapsDone, fin.MapsTotal, fin.ReducesDone, fin.ReducesTotal)
 	}
-	if fin.Makespan != prof.Makespan {
-		t.Fatalf("status makespan %v != profile makespan %v", fin.Makespan, prof.Makespan)
+	if fin != waited {
+		t.Fatalf("Status() = %+v after Wait returned %+v", fin, waited)
+	}
+	if fin.Makespan <= 0 || fin.Makespan < fin.QueueWait {
+		t.Fatalf("makespan %v, queue wait %v", fin.Makespan, fin.QueueWait)
 	}
 	if fin.ID != 0 || fin.Job != "wc" {
 		t.Fatalf("identity = %d %q", fin.ID, fin.Job)

@@ -361,7 +361,7 @@ func (w *worker) runMap(a assignment, g *grouper) workerEvent {
 	if replica != nil {
 		holders = append(holders, replica.id)
 	}
-	return workerEvent{kind: evMapDone, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, worker: w.id, holders: holders}
+	return workerEvent{kind: evMapDone, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, holders: holders}
 }
 
 // runReduce executes one reduce attempt: shuffle every source partition
@@ -394,7 +394,7 @@ func (w *worker) runReduce(a assignment, g *grouper) workerEvent {
 		srcs = append(srcs, data)
 	}
 	if len(missing) > 0 {
-		return workerEvent{kind: evReduceStuck, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, worker: w.id, missing: missing}
+		return workerEvent{kind: evReduceStuck, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, missing: missing}
 	}
 	defer g.reset()
 	merged := g.merge(srcs)
@@ -403,7 +403,7 @@ func (w *worker) runReduce(a assignment, g *grouper) workerEvent {
 		w.gate.wait()
 		out[k] = a.reduceFn(k, merged.values(g.ids[k]))
 	}
-	return workerEvent{kind: evReduceDone, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, worker: w.id, output: out}
+	return workerEvent{kind: evReduceDone, jobID: a.jobID, taskID: a.taskID, attempt: a.attempt, output: out}
 }
 
 // fetch requests one map output partition from a holder over the

@@ -266,54 +266,48 @@ func assembleCells(c Config, labels []string, results []outcome,
 // returns its result plus a pre-formatted progress line, emitted in serial
 // order through c.Progress. On failure the error of the lowest-indexed
 // failing cell is returned and no cell after the first failure starts
-// (in-flight cells finish) — exactly the serial fail-fast behavior.
+// (in-flight cells finish) — exactly the serial fail-fast behavior, which
+// a pool of one is. The calling goroutine is one of the pool's workers, so
+// a serial sweep starts no goroutine.
 func fanOut[T any](c Config, n int, run func(int) (T, string, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
 	progress := newOrderedProgress(c.Progress)
 
-	if par := c.workers(n); par == 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for {
+			// Check before claiming: a claimed index always runs, so every
+			// cell below the first failure is recorded and the
+			// minimum-index error matches a serial sweep.
+			if failed.Load() {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			var line string
 			results[i], line, errs[i] = run(i)
 			if errs[i] != nil {
-				break // fail fast, like the serial sweep always did
+				// Fail fast: in-flight cells finish, but no new ones start.
+				failed.Store(true)
+				return
 			}
 			progress.done(i, line)
 		}
-	} else {
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					// Check before claiming: a claimed index always runs,
-					// so every cell below the first failure is recorded and
-					// the minimum-index error matches a serial sweep.
-					if failed.Load() {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					var line string
-					results[i], line, errs[i] = run(i)
-					if errs[i] != nil {
-						// Fail fast: in-flight cells finish, but no new
-						// ones start.
-						failed.Store(true)
-						return
-					}
-					progress.done(i, line)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for range c.workers(n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 
 	// A serial sweep stops at the first failing cell; report the same one.
 	for _, err := range errs {

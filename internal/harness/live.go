@@ -265,18 +265,18 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 	var last time.Time
 	var backups, reexecs float64
 	for i, h := range handles {
-		_, prof, err := h.Wait(ctx)
+		_, status, err := h.Wait(ctx)
 		if err != nil {
 			return Stats{}, "", fmt.Errorf("job %d: %w", i, err)
 		}
 		js := JobStats{
-			Makespan:       prof.Makespan.Seconds(),
-			QueueWait:      prof.QueueWait.Seconds(),
-			MapAttempts:    float64(prof.Stats.MapAttempts),
-			ReduceAttempts: float64(prof.Stats.ReduceAttempts),
-			BackupCopies:   float64(prof.Stats.BackupCopies),
-			MapReexecs:     float64(prof.Stats.MapReexecs),
-			FetchFailures:  float64(prof.Stats.FetchFailures),
+			Makespan:       status.Makespan.Seconds(),
+			QueueWait:      status.QueueWait.Seconds(),
+			MapAttempts:    float64(status.Stats.MapAttempts),
+			ReduceAttempts: float64(status.Stats.ReduceAttempts),
+			BackupCopies:   float64(status.Stats.BackupCopies),
+			MapReexecs:     float64(status.Stats.MapReexecs),
+			FetchFailures:  float64(status.Stats.FetchFailures),
 		}
 		st.Jobs = append(st.Jobs, js)
 		st.Completed++
@@ -284,7 +284,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 		reexecs += js.MapReexecs
 		// Span is first submission → last completion: each job's end is
 		// anchored to its own (possibly offset) submission time.
-		if end := submitted[i].Add(prof.Makespan); end.After(last) {
+		if end := submitted[i].Add(status.Makespan); end.After(last) {
 			last = end
 		}
 	}

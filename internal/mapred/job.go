@@ -90,17 +90,11 @@ type Job struct {
 	onDone func(*Job)
 }
 
-// Config returns the job's configuration.
-func (j *Job) Config() JobConfig { return j.cfg }
-
 // State returns the job's current state.
 func (j *Job) State() JobState { return j.state }
 
 // Done reports whether the job reached a terminal state.
 func (j *Job) Done() bool { return j.state == JobSucceeded || j.state == JobFailed }
-
-// FailReason describes why a failed job failed.
-func (j *Job) FailReason() string { return j.failReason }
 
 // SubmittedAt returns the simulation time the job was submitted.
 func (j *Job) SubmittedAt() float64 { return j.submittedAt }
@@ -178,10 +172,3 @@ func (j *Job) remainingTasks() int {
 
 // MapsCompleted returns the number of completed (and not invalidated) maps.
 func (j *Job) MapsCompleted() int { return j.mapsCompleted }
-
-// ReducesCompleted returns the number of completed reduces.
-func (j *Job) ReducesCompleted() int { return j.reducesCompleted }
-
-// Tasks returns the job's map and reduce task lists (read-only view for
-// monitoring and tests).
-func (j *Job) Tasks() (maps, reduces []*Task) { return j.maps, j.reduces }

@@ -177,15 +177,8 @@ func (jt *JobTracker) Job() *Job {
 	return j
 }
 
-// Jobs returns every submitted job in submission order, terminal jobs
-// included (read-only view).
-func (jt *JobTracker) Jobs() []*Job { return jt.queue.Jobs() }
-
 // RunningJobs counts jobs that have not reached a terminal state.
 func (jt *JobTracker) RunningJobs() int { return jt.queue.Running() }
-
-// Policy returns the active slot-arbitration policy.
-func (jt *JobTracker) Policy() SchedPolicy { return jt.queue.Policy() }
 
 // --- tracker liveness -------------------------------------------------------
 

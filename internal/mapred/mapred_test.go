@@ -105,7 +105,7 @@ func TestJobCompletesOnStableCluster(t *testing.T) {
 	r.stage(t, cfg, dfs.Factor{D: 1, V: 2})
 	j := r.runJob(t, cfg, 1e5)
 	if j.State() != JobSucceeded {
-		t.Fatalf("job state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("job state %v: %s", j.State(), j.failReason)
 	}
 	p := j.Profile()
 	if p.Makespan <= 0 {
@@ -137,7 +137,7 @@ func TestJobCompletesUnderHadoopPolicy(t *testing.T) {
 	r.stage(t, cfg, dfs.Factor{V: 2})
 	j := r.runJob(t, cfg, 1e5)
 	if j.State() != JobSucceeded {
-		t.Fatalf("job state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("job state %v: %s", j.State(), j.failReason)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestTrackerExpiryKillsAndReschedules(t *testing.T) {
 	r.stage(t, cfg, dfs.Factor{V: 3})
 	j := r.runJob(t, cfg, 1e5)
 	if j.State() != JobSucceeded {
-		t.Fatalf("job state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("job state %v: %s", j.State(), j.failReason)
 	}
 	p := j.Profile()
 	if p.KilledMaps == 0 && p.KilledReduces == 0 {
@@ -326,7 +326,7 @@ func TestMapOutputLossTriggersReexecutionMOON(t *testing.T) {
 	r.stage(t, cfg, dfs.Factor{D: 1, V: 2})
 	j := r.runJob(t, cfg, 2e5)
 	if j.State() != JobSucceeded {
-		t.Fatalf("job state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("job state %v: %s", j.State(), j.failReason)
 	}
 	p := j.Profile()
 	if p.MapInvalidations == 0 {
@@ -350,7 +350,7 @@ func TestMapOutputLossTriggersReexecutionHadoop(t *testing.T) {
 	r.stage(t, cfg, dfs.Factor{V: 3})
 	j := r.runJob(t, cfg, 2e5)
 	if j.State() != JobSucceeded {
-		t.Fatalf("job state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("job state %v: %s", j.State(), j.failReason)
 	}
 	if j.Profile().MapInvalidations == 0 {
 		t.Fatal("lost map outputs never invalidated under the >50% reporter rule")

@@ -56,13 +56,13 @@ func TestTwoOverlappingJobsCompleteUnderChurn(t *testing.T) {
 			}
 			for _, j := range []*Job{ja, *jb} {
 				if j.State() != JobSucceeded {
-					t.Fatalf("%s: job %s state %v: %s", pol.Name(), j.Config().Name, j.State(), j.FailReason())
+					t.Fatalf("%s: job %s state %v: %s", pol.Name(), j.cfg.Name, j.State(), j.failReason)
 				}
 				if !j.attempts.Balanced() {
-					t.Fatalf("%s: job %s leaked attempts %+v", pol.Name(), j.Config().Name, j.attempts)
+					t.Fatalf("%s: job %s leaked attempts %+v", pol.Name(), j.cfg.Name, j.attempts)
 				}
 				if p := j.Profile(); p.Makespan <= 0 {
-					t.Fatalf("%s: job %s makespan %v", pol.Name(), j.Config().Name, p.Makespan)
+					t.Fatalf("%s: job %s makespan %v", pol.Name(), j.cfg.Name, p.Makespan)
 				}
 			}
 			if got := r.jt.RunningJobs(); got != 0 {

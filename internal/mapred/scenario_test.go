@@ -33,7 +33,7 @@ func TestWordCountShapedJobUnderChurn(t *testing.T) {
 	r.stage(t, cfg, dfs.Factor{D: 1, V: 3})
 	j := r.runJob(t, cfg, 2e5)
 	if j.State() != JobSucceeded {
-		t.Fatalf("state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("state %v: %s", j.State(), j.failReason)
 	}
 	for _, rt := range j.reduces {
 		if !r.fs.FileFullyReplicated(rt.Output()) {
@@ -72,7 +72,7 @@ func TestCommitPhaseWaitsForReplication(t *testing.T) {
 	r.s.RunUntil(1e5)
 	stop()
 	if j.State() != JobSucceeded {
-		t.Fatalf("state %v: %s", j.State(), j.FailReason())
+		t.Fatalf("state %v: %s", j.State(), j.failReason)
 	}
 	if !sawCommitting {
 		t.Skip("outputs met their factor immediately; commit was instantaneous")

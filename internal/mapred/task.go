@@ -57,9 +57,6 @@ type Task struct {
 // ID renders a stable task name.
 func (t *Task) ID() string { return fmt.Sprintf("%s-%s%d", t.job.cfg.Name, t.Type, t.Index) }
 
-// Completed reports whether the task has a surviving successful attempt.
-func (t *Task) Completed() bool { return t.completed }
-
 // Output returns the DFS file name of the winning attempt, or "".
 func (t *Task) Output() string { return t.output }
 
@@ -216,34 +213,4 @@ func (in *Instance) progress(now float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// elapsed returns how long the attempt has existed.
-func (in *Instance) elapsed(now float64) float64 { return now - in.startedAt }
-
-// InstanceDetails summarizes the task's running attempts for diagnostics:
-// one "phase[/inactive]" string per live attempt.
-func (t *Task) InstanceDetails(now float64) []string {
-	var out []string
-	for _, in := range t.instances {
-		if !in.running() {
-			continue
-		}
-		d := ""
-		switch in.phase {
-		case phaseRead:
-			d = "read"
-		case phaseShuffle:
-			d = fmt.Sprintf("shuffle(%d/%d)", in.shuffle.fetched, len(in.shuffle.state))
-		case phaseCompute:
-			d = "compute"
-		case phaseWrite:
-			d = "write"
-		}
-		if in.inactive {
-			d += "/inactive"
-		}
-		out = append(out, d)
-	}
-	return out
 }

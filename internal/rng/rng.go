@@ -106,11 +106,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Perm returns a uniform random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

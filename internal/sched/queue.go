@@ -13,8 +13,9 @@ import (
 // order. Removal is the owner's call because only the owner knows who still
 // reads a terminal job: the simulator's JobTracker never removes (the
 // harness reads every profile after a finite run), the live engine removes
-// a job once its last attempt has retired (the handle carries the profile,
-// and a daemon's job stream does not end). A walk costs what the owner kept.
+// a job once its last attempt has retired (the handle carries the final
+// status, and a daemon's job stream does not end). A walk costs what the
+// owner kept.
 //
 // The order is recomputed on every offer — fair-share ranks by live
 // attempts, which change with each launch, and a job may finish or leave
@@ -93,9 +94,6 @@ func (q *Queue[J]) Running() int {
 	}
 	return n
 }
-
-// Policy returns the active slot-arbitration policy.
-func (q *Queue[J]) Policy() Policy[J] { return q.policy }
 
 // Order returns the runnable jobs in the policy's slot-offer order. The
 // returned slice is scratch owned by the queue: it is valid until the next

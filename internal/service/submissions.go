@@ -280,12 +280,11 @@ func (s *Server) startJob(sub *submission, req JobRequest) {
 	go func() {
 		defer s.wg.Done()
 		<-h.Done()
-		_, prof, err := h.Wait(context.Background())
+		_, final, err := h.Wait(context.Background())
 		var report []byte
 		if err == nil {
-			report = jobReport(sub, prof, s.cfg.MetricsBucket)
+			report = jobReport(sub, final, s.cfg.MetricsBucket)
 		}
-		final := h.Status()
 		sub.finish(err, &final, report, "")
 		s.hub.broadcast("job", sub.status())
 		s.release(sub.tenant)
@@ -293,17 +292,17 @@ func (s *Server) startJob(sub *submission, req JobRequest) {
 }
 
 // jobReport synthesizes a one-experiment moon-metrics/v1 document from a
-// finished job's profile, using the same instrument names the engine
+// finished job's final status, using the same instrument names the engine
 // publishes so service reports read like CLI ones.
-func jobReport(sub *submission, prof engine.JobProfile, bucket float64) []byte {
+func jobReport(sub *submission, st engine.JobStatus, bucket float64) []byte {
 	col := metrics.New(bucket)
-	col.Counter(metrics.LayerEngine, "map_attempts", "").Add(float64(prof.Stats.MapAttempts))
-	col.Counter(metrics.LayerEngine, "reduce_attempts", "").Add(float64(prof.Stats.ReduceAttempts))
-	col.Counter(metrics.LayerEngine, "map_reexecs", "").Add(float64(prof.Stats.MapReexecs))
-	col.Counter(metrics.LayerEngine, "backup_copies", "").Add(float64(prof.Stats.BackupCopies))
-	col.Counter(metrics.LayerEngine, "fetch_failures", "").Add(float64(prof.Stats.FetchFailures))
-	col.Gauge(metrics.LayerEngine, "queue_wait_seconds", sub.name).Set(prof.QueueWait.Seconds())
-	col.Gauge(metrics.LayerEngine, "makespan_seconds", sub.name).Set(prof.Makespan.Seconds())
+	col.Counter(metrics.LayerEngine, "map_attempts", "").Add(float64(st.Stats.MapAttempts))
+	col.Counter(metrics.LayerEngine, "reduce_attempts", "").Add(float64(st.Stats.ReduceAttempts))
+	col.Counter(metrics.LayerEngine, "map_reexecs", "").Add(float64(st.Stats.MapReexecs))
+	col.Counter(metrics.LayerEngine, "backup_copies", "").Add(float64(st.Stats.BackupCopies))
+	col.Counter(metrics.LayerEngine, "fetch_failures", "").Add(float64(st.Stats.FetchFailures))
+	col.Gauge(metrics.LayerEngine, "queue_wait_seconds", sub.name).Set(st.QueueWait.Seconds())
+	col.Gauge(metrics.LayerEngine, "makespan_seconds", sub.name).Set(st.Makespan.Seconds())
 	report := metrics.NewExport("moonbenchd")
 	report.Scenario = "job:" + sub.name
 	report.Add("direct job", sub.name, 0, 1, col.Snapshot())

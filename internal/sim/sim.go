@@ -301,17 +301,9 @@ const (
 func (r Reservation) At() Time { return r.at }
 
 // Seq returns the reserved schedule-order number: with At, the whole key
-// Before compares, for a caller that keeps the key outside the Reservation.
+// of the queue's total order (earlier time first, then lower number), for a
+// caller that keeps the key outside the Reservation.
 func (r Reservation) Seq() uint64 { return r.seq }
-
-// Before reports whether r's position precedes o's in the queue's total
-// order.
-func (r Reservation) Before(o Reservation) bool {
-	if r.at != o.at {
-		return r.at < o.at
-	}
-	return r.seq < o.seq
-}
 
 // Reserve draws the position Schedule(at, ...) would have given an event
 // queued right now, consuming one schedule-order number, and queues nothing.

@@ -168,7 +168,6 @@ type flakyListener struct {
 	inner Listener
 }
 
-func (l *flakyListener) Addr() string { return l.inner.Addr() }
 func (l *flakyListener) Close() error { return l.inner.Close() }
 
 func (l *flakyListener) Accept(timeout time.Duration) (Conn, error) {

@@ -86,8 +86,6 @@ type loopListener struct {
 	once    sync.Once
 }
 
-func (l *loopListener) Addr() string { return l.addr }
-
 func (l *loopListener) Accept(timeout time.Duration) (Conn, error) {
 	select {
 	case c := <-l.accepts:

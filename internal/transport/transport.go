@@ -44,7 +44,6 @@ type Conn interface {
 // Listener accepts inbound connections at one address.
 type Listener interface {
 	Accept(timeout time.Duration) (Conn, error)
-	Addr() string
 	Close() error
 }
 
