@@ -6,7 +6,7 @@
 //
 // SIGTERM or SIGINT drains gracefully: new submissions get 503 while
 // in-flight work runs to completion (bounded by -drain-timeout), then the
-// listener closes.
+// event streams end and the listener closes.
 package main
 
 import (
@@ -92,6 +92,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "moonbenchd listening on http://%s\n", ln.Addr())
 
 	hs := newServer(srv, readHeaderTimeout)
+	// Shutdown waits for every connection to go idle, and an event stream
+	// never does: end the streams once the drain is over and Shutdown starts.
+	hs.RegisterOnShutdown(srv.CloseEvents)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

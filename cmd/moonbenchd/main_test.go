@@ -37,6 +37,26 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// startDaemon runs the daemon on a free port until ctx ends and returns its
+// base URL, discovered from the startup line, and the channel run's error
+// arrives on.
+func startDaemon(t *testing.T, ctx context.Context, stdout, stderr *syncBuffer, drainTimeout string) (string, <-chan error) {
+	t.Helper()
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run(ctx, []string{"-addr", "127.0.0.1:0", "-drain-timeout", drainTimeout}, stdout, stderr)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never reported its address:\n%s%s", stdout.String(), stderr.String())
+		}
+		if out := stdout.String(); strings.Contains(out, "listening on ") {
+			line := out[strings.Index(out, "listening on ")+len("listening on "):]
+			return strings.TrimSpace(strings.Split(line, "\n")[0]), runErr
+		}
+	}
+}
+
 // TestDaemonServesAndDrains boots the daemon on a free port, submits one
 // job, runs a shipped scenario through submit → event stream → poll →
 // report, then cancels the run context (the signal path) and checks the
@@ -45,24 +65,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var stdout, stderr syncBuffer
-	runErr := make(chan error, 1)
-	go func() {
-		runErr <- run(ctx, []string{"-addr", "127.0.0.1:0", "-drain-timeout", "30s"}, &stdout, &stderr)
-	}()
-
-	// Discover the bound address from the startup line.
-	var base string
-	for deadline := time.Now().Add(10 * time.Second); base == ""; {
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never reported its address:\n%s%s", stdout.String(), stderr.String())
-		}
-		if out := stdout.String(); strings.Contains(out, "listening on ") {
-			line := out[strings.Index(out, "listening on ")+len("listening on "):]
-			base = strings.TrimSpace(strings.Split(line, "\n")[0])
-		} else {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+	base, runErr := startDaemon(t, ctx, &stdout, &stderr, "30s")
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -179,6 +182,40 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	}
 	if s := stderr.String(); strings.Contains(s, "drain incomplete") {
 		t.Errorf("drain did not finish in-flight work:\n%s", s)
+	}
+}
+
+// TestShutdownEndsEventStreams: with a /v1/events client connected, the
+// signal path used to wait out the whole drain timeout (60 s by default),
+// because Shutdown waits for every connection to go idle and the streams
+// were only ended after it returned. An idle daemon now stops at once, and
+// the client's stream ends.
+func TestShutdownEndsEventStreams(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr syncBuffer
+	base, runErr := startDaemon(t, ctx, &stdout, &stderr, "10s")
+	events, err := http.Get(base + "/v1/events") // returns once the stream is subscribed
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer events.Body.Close()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run: %v\n%s", err, stderr.String())
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the daemon did not stop")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("the daemon took %v to stop with an event stream open; the drain timeout is 10s", took)
+	}
+	if _, err := io.ReadAll(events.Body); err != nil {
+		t.Errorf("the event stream did not end cleanly: %v", err)
 	}
 }
 

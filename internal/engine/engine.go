@@ -123,11 +123,13 @@ type Config struct {
 
 	// Metrics, when non-nil, receives engine-layer instrumentation
 	// (attempt launches, backup copies, frozen-task detections, map
-	// re-executions, fetch failures, per-job queue-wait and makespan
-	// gauges, task-duration histograms) from the master loop. Series are
-	// bucketed by wall-clock seconds since the cluster started. The
-	// collector is only touched from the master goroutine; Close the
-	// cluster (which waits for the master to exit) before snapshotting.
+	// re-executions, fetch failures, task-duration histograms) from the
+	// master loop. Every instrument is cluster-wide, so the collector's
+	// size does not grow with the jobs run; a job's queue wait and makespan
+	// travel in its JobStatus. Series are bucketed by wall-clock seconds
+	// since the cluster started. The collector is only touched from the
+	// master goroutine; Close the cluster (which waits for the master to
+	// exit) before snapshotting.
 	Metrics *metrics.Collector
 }
 

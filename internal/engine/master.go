@@ -42,10 +42,6 @@ type liveJob struct {
 	finished    bool
 
 	handle *JobHandle
-
-	// Per-job gauges, scoped by job name (nil without a collector).
-	mQueueWait *metrics.Gauge
-	mMakespan  *metrics.Gauge
 }
 
 func (j *liveJob) Name() string        { return j.spec.Name }
@@ -526,10 +522,6 @@ func (m *master) submit(job Job) submitResp {
 	}
 	m.nextJobID++
 	m.jobsByID[j.id] = j
-	if mc := m.c.cfg.Metrics; mc != nil {
-		j.mQueueWait = mc.Gauge(metrics.LayerEngine, "queue_wait_seconds", job.Name)
-		j.mMakespan = mc.Gauge(metrics.LayerEngine, "makespan_seconds", job.Name)
-	}
 	m.mRunningJobs.Observe(m.elapsed(), float64(m.queue.Running()))
 	m.publishStatus(j)
 	return submitResp{h: j.handle}
@@ -756,7 +748,6 @@ func (m *master) launch(j *liveJob, t *taskState, w int) {
 	if !j.launched {
 		j.launched = true
 		j.launchedAt = now
-		j.mQueueWait.Set(j.launchedAt.Sub(j.submittedAt).Seconds())
 	}
 	s.nextAssignID++
 	ref := &attemptRef{job: j, task: t, attempt: a.attempt, session: s.id, started: now,
@@ -853,13 +844,11 @@ func (m *master) settle(w int) {
 	}
 }
 
-// finishJob completes a job: final status, per-job gauges, handle, and —
-// once no attempt is still in flight — intermediate-store cleanup.
+// finishJob completes a job: final status, handle, and — once no attempt
+// is still in flight — intermediate-store cleanup.
 func (m *master) finishJob(j *liveJob) {
 	j.finished = true
 	j.makespan = time.Since(j.submittedAt)
-	j.mQueueWait.Set(j.launchedAt.Sub(j.submittedAt).Seconds())
-	j.mMakespan.Set(j.makespan.Seconds())
 	m.mRunningJobs.Observe(m.elapsed(), float64(m.queue.Running()))
 	m.publishStatus(j)
 	close(j.handle.done)

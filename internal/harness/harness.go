@@ -49,11 +49,10 @@ type Config struct {
 	// (pinned in regression_test.go).
 	MetricsBucket float64
 	// MetricsSink, when non-nil (and MetricsBucket > 0), receives every
-	// cell collector's instrument writes as they happen — the live
-	// streaming feed the service's /v1/events endpoint fans out. Cells
-	// run concurrently, so the sink must be safe for concurrent pushes
-	// (metrics.StreamSink is). Streaming never changes what a collector
-	// records.
+	// cell collector's instrument writes as they happen — the service's
+	// event hub, which offers each one to its /v1/events subscribers.
+	// Cells run concurrently, so Push must be safe for concurrent use and
+	// must not block. Streaming never changes what a collector records.
 	MetricsSink metrics.Sink
 }
 

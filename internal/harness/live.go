@@ -264,11 +264,13 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 	st := Stats{Runs: 1}
 	var last time.Time
 	var backups, reexecs float64
+	finals := make([]engine.JobStatus, len(handles))
 	for i, h := range handles {
 		_, status, err := h.Wait(ctx)
 		if err != nil {
 			return Stats{}, "", fmt.Errorf("job %d: %w", i, err)
 		}
+		finals[i] = status
 		js := JobStats{
 			Makespan:       status.Makespan.Seconds(),
 			QueueWait:      status.QueueWait.Seconds(),
@@ -299,6 +301,12 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 		_ = cl.Drain(drainCtx)
 		drainCancel()
 		cl.Close()
+		// The engine mints no instrument per job; the cell's report keeps
+		// one queue wait and one makespan per job, from its final status.
+		for _, fs := range finals {
+			col.Gauge(metrics.LayerEngine, "queue_wait_seconds", fs.Job).Set(fs.QueueWait.Seconds())
+			col.Gauge(metrics.LayerEngine, "makespan_seconds", fs.Job).Set(fs.Makespan.Seconds())
+		}
 	}
 	line := ""
 	if c.Progress != nil {

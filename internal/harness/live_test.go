@@ -61,17 +61,19 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 		// Engine-layer metrics merged per cell: fleet counters, per-job
 		// gauges, and the task-duration histogram.
 		snap := sw.Metrics[v][0.3]
-		var sawAttempts, sawGauge, sawHist bool
+		var sawAttempts, sawHist bool
 		for _, c := range snap.Counters {
 			if c.Layer == string(metrics.LayerEngine) && c.Name == "map_attempts" && c.Value > 0 {
 				sawAttempts = true
 			}
 		}
+		gauges := map[string]int{}
 		for _, g := range snap.Gauges {
-			if g.Layer == string(metrics.LayerEngine) && g.Name == "makespan_seconds" {
-				sawGauge = true
+			if g.Layer == string(metrics.LayerEngine) {
+				gauges[g.Name]++
 			}
 		}
+		sawGauge := gauges["makespan_seconds"] == lc.Jobs && gauges["queue_wait_seconds"] == lc.Jobs
 		for _, h := range snap.Histograms {
 			if h.Layer == string(metrics.LayerEngine) && h.Name == "task_duration_seconds" && h.Count > 0 {
 				sawHist = true

@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Streaming sink: the push half of the metrics bus. A Collector stays
 // strictly passive and single-threaded, but it can optionally be wired to a
 // Sink that observes every instrument write as it happens. This is how the
@@ -58,74 +53,5 @@ func (c *Collector) SetSink(sink Sink) {
 	}
 	for _, h := range c.histograms {
 		h.sink = sink
-	}
-}
-
-// StreamSink is a channel-backed Sink for live subscribers. Pushes are
-// non-blocking: when the buffer is full the update is dropped and counted,
-// so a stalled reader can never back-pressure the run. Close the sink when
-// the consumer is done; pushes after Close are dropped.
-type StreamSink struct {
-	mu      sync.RWMutex
-	ch      chan Update
-	closed  bool
-	dropped atomic.Uint64
-}
-
-// NewStreamSink returns a sink buffering up to size updates.
-func NewStreamSink(size int) *StreamSink {
-	return &StreamSink{ch: make(chan Update, size)}
-}
-
-// Push enqueues the update, dropping it if the buffer is full or the sink
-// is closed. Safe for concurrent use and never blocks.
-func (s *StreamSink) Push(u Update) {
-	if s == nil {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		s.dropped.Add(1)
-		return
-	}
-	select {
-	case s.ch <- u:
-	default:
-		s.dropped.Add(1)
-	}
-}
-
-// Updates is the consumer side. The channel is closed by Close once no
-// in-flight Push can still be delivering, so ranging over it is safe.
-// A nil sink returns a nil channel (which never delivers), keeping the
-// whole handle surface nil-safe.
-func (s *StreamSink) Updates() <-chan Update {
-	if s == nil {
-		return nil
-	}
-	return s.ch
-}
-
-// Dropped reports how many updates were discarded because the buffer was
-// full or the sink closed (0 for a nil sink).
-func (s *StreamSink) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped.Load()
-}
-
-// Close marks the sink closed (subsequent pushes drop) and closes the
-// Updates channel after any in-flight Push completes. Idempotent.
-func (s *StreamSink) Close() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.ch)
 	}
 }

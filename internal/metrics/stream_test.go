@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -52,38 +51,5 @@ func TestSinkDoesNotChangeSnapshot(t *testing.T) {
 	plain, streamed := run(nil), run(&recSink{})
 	if !reflect.DeepEqual(plain, streamed) {
 		t.Fatalf("snapshot changed by sink:\nplain    %+v\nstreamed %+v", plain, streamed)
-	}
-}
-
-func TestStreamSinkDropsWhenFullAndClosesSafely(t *testing.T) {
-	s := NewStreamSink(2)
-	for i := 0; i < 5; i++ {
-		s.Push(Update{Value: float64(i)})
-	}
-	if got := s.Dropped(); got != 3 {
-		t.Fatalf("dropped = %d, want 3", got)
-	}
-
-	// Concurrent pushers racing Close must neither panic nor deadlock.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				s.Push(Update{Value: float64(j)})
-			}
-		}()
-	}
-	s.Close()
-	s.Close() // idempotent
-	wg.Wait()
-
-	n := 0
-	for range s.Updates() { // closed channel: range terminates
-		n++
-	}
-	if n > 2 {
-		t.Fatalf("drained %d updates from a 2-buffer sink", n)
 	}
 }

@@ -5,20 +5,24 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"repro/internal/metrics"
 )
 
 // event is one Server-Sent Events frame: name becomes the `event:` field,
-// data the JSON `data:` payload.
+// data the `data:` payload, which the subscriber's own handler encodes as
+// JSON — a frame nobody is listening for is never encoded.
 type event struct {
 	name string
-	data []byte
+	data any
 }
 
-// hub fans events out to /v1/events subscribers. Like the metrics sink,
-// delivery never blocks a run: a subscriber that falls behind its buffer
-// drops frames.
+// hub fans events out to /v1/events subscribers, and it is the metrics.Sink
+// of the persistent cluster's collector and of every scenario cell. Delivery
+// never blocks a run: a subscriber that falls behind its buffer drops
+// frames, and with no subscriber a write costs a read lock and nothing else.
 type hub struct {
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	buffer int
 	closed bool
 	subs   map[chan event]struct{}
@@ -49,21 +53,28 @@ func (h *hub) unsubscribe(ch chan event) {
 	h.mu.Unlock()
 }
 
-// broadcast marshals v once and offers it to every subscriber.
-func (h *hub) broadcast(name string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
+// Push offers one instrument write to every subscriber as a metric frame.
+func (h *hub) Push(u metrics.Update) { h.broadcast("metric", func() any { return u }) }
+
+// publish offers a submission's status to every subscriber as a job frame.
+func (h *hub) publish(sub *submission) { h.broadcast("job", func() any { return sub.status() }) }
+
+// broadcast offers the frame data builds to every subscriber that has room.
+// With no subscriber it builds nothing. The read lock keeps every channel
+// open under the sends.
+func (h *hub) broadcast(name string, data func() any) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if len(h.subs) == 0 {
 		return
 	}
-	ev := event{name: name, data: data}
-	h.mu.Lock()
+	ev := event{name: name, data: data()}
 	for ch := range h.subs {
 		select {
 		case ch <- ev:
 		default: // subscriber full: drop rather than stall the run
 		}
 	}
-	h.mu.Unlock()
 }
 
 // closeAll ends every active stream (server shutdown).
@@ -105,7 +116,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data); err != nil {
+			data, err := json.Marshal(ev.data)
+			if err != nil {
+				continue // a value JSON cannot carry (NaN): skip the frame
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, data); err != nil {
 				return
 			}
 			fl.Flush()

@@ -24,9 +24,11 @@
 // was never registered and built nothing; a parked submission holds its
 // decoded request (the corpus is generated when it starts); a running job
 // holds its engine handle; a terminal submission holds what a client can
-// still ask for — identity, state, a copy of the engine's last status, the
-// report (a couple of kB) — and not the handle, the results or the input.
-// The registry still keeps every terminal submission (ROADMAP item 6).
+// still ask for — identity, state, a copy of the engine's last status — and
+// not the handle, the results or the input. A direct job's report is
+// rendered from that status when it is asked for; a scenario's, which comes
+// from a run, is kept. The registry still keeps every terminal submission
+// (ROADMAP item 9).
 package service
 
 import (
@@ -45,7 +47,7 @@ import (
 )
 
 // Config shapes the daemon: the persistent engine pool serving direct job
-// submissions, the default per-tenant quotas, and the streaming buffer.
+// submissions, the default per-tenant quotas, and each event stream's buffer.
 type Config struct {
 	// VolatileWorkers / DedicatedWorkers size the persistent cluster
 	// direct job submissions run on (scenario submissions build their own
@@ -63,9 +65,9 @@ type Config struct {
 	// MetricsBucket is the series bucket width (seconds) of the
 	// persistent cluster's collector and of scenario-run cells.
 	MetricsBucket float64
-	// EventBuffer bounds the streaming sink and each /v1/events
-	// subscriber (updates drop rather than block a run; <= 0 selects
-	// 4096).
+	// EventBuffer bounds each /v1/events subscriber's queue of frames
+	// (a subscriber that falls behind drops frames rather than block a
+	// run; <= 0 selects 4096).
 	EventBuffer int
 }
 
@@ -99,26 +101,31 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the HTTP service: one persistent multi-tenant engine master,
-// an admission controller, a submission registry, and the streaming hub.
+// an admission controller, a submission registry, and the event hub.
 // Create with New, mount as an http.Handler, Drain then Close to stop.
 type Server struct {
 	cfg     Config
 	cluster *engine.Cluster
-	sink    *metrics.StreamSink
-	hub     *hub
-	adm     *sched.Admission[*submission]
-	reg     *registry
+	// col is the persistent cluster's collector. Its instrument set is
+	// fixed, whatever the number of jobs run; its writes stream through
+	// hub, and the master goroutine is its only writer, so it is read only
+	// after Close.
+	col *metrics.Collector
+	hub *hub
+	adm *sched.Admission[*submission]
+	reg *registry
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
 }
 
-// New starts the persistent engine cluster and the event pump.
+// New starts the persistent engine cluster, its collector wired to the
+// event hub.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	sink := metrics.NewStreamSink(cfg.EventBuffer)
+	events := newHub(cfg.EventBuffer)
 	col := metrics.New(cfg.MetricsBucket)
-	col.SetSink(sink)
+	col.SetSink(events)
 
 	ecfg := engine.DefaultConfig()
 	ecfg.VolatileWorkers = cfg.VolatileWorkers
@@ -130,17 +137,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
 		cluster: cluster,
-		sink:    sink,
-		hub:     newHub(cfg.EventBuffer),
+		col:     col,
+		hub:     events,
 		adm:     sched.NewAdmission[*submission](cfg.Quota),
 		reg:     newRegistry(),
-	}
-	s.wg.Add(1)
-	go s.pumpEvents()
-	return s, nil
+	}, nil
 }
 
 // Draining reports whether the server has stopped accepting submissions.
@@ -157,23 +161,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.cluster.Drain(ctx)
 }
 
-// Close stops the engine cluster and the event stream and waits for every
-// service goroutine (watchers, scenario runs, the pump) to exit. Undrained
+// CloseEvents ends every /v1/events stream and refuses new ones. An HTTP
+// server's Shutdown waits for each connection to go idle, and a stream
+// never does on its own, so a daemon calls this as its shutdown begins.
+func (s *Server) CloseEvents() { s.hub.closeAll() }
+
+// Close stops the engine cluster and the event streams and waits for every
+// service goroutine (watchers, scenario runs) to exit. Undrained
 // submissions fail with the cluster closure.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.cluster.Close()
-	s.sink.Close()
 	s.hub.closeAll()
 	s.wg.Wait()
-}
-
-// pumpEvents fans the metrics sink out to every /v1/events subscriber.
-func (s *Server) pumpEvents() {
-	defer s.wg.Done()
-	for u := range s.sink.Updates() {
-		s.hub.broadcast("metric", u)
-	}
 }
 
 // apiError is the structured body of every 4xx/5xx response.

@@ -29,7 +29,8 @@ const (
 // scenario run. start (armed at creation, a closure over the decoded
 // request) is consumed when it fires: at admission, or when a release
 // hands the parked submission its slot. The engine handle is held while
-// the job runs and dropped at finish for a copy of its last status.
+// the job runs and dropped at finish for a copy of its last status, from
+// which the job's report is rendered when a client asks for it.
 type submission struct {
 	id     string
 	kind   string // "job" or "scenario"
@@ -42,7 +43,7 @@ type submission struct {
 	errMsg string
 	handle *engine.JobHandle // kind "job", while running
 	engine *engine.JobStatus // kind "job", the final status once terminal
-	report []byte            // finished moon-metrics/v1 document
+	report []byte            // kind "scenario": the run's moon-metrics/v1 document
 	output string            // kind "scenario": the rendered run text
 }
 
@@ -63,8 +64,9 @@ func (b *submission) setRunning(h *engine.JobHandle) {
 }
 
 // finish makes the submission terminal. final is a direct job's last
-// engine status (nil otherwise): polls and lists read the copy from here
-// on, and the handle — with results the service never serves — is garbage.
+// engine status (nil otherwise): polls, lists and reports read the copy from
+// here on, and the handle — with results the service never serves — is
+// garbage.
 func (b *submission) finish(err error, final *engine.JobStatus, report []byte, output string) {
 	b.mu.Lock()
 	if err != nil {
@@ -77,12 +79,6 @@ func (b *submission) finish(err error, final *engine.JobStatus, report []byte, o
 	b.report = report
 	b.output = output
 	b.mu.Unlock()
-}
-
-func (b *submission) terminal() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == subDone || b.state == subFailed
 }
 
 // Status is the wire form of one submission, shared by the list, status
@@ -117,12 +113,15 @@ func (b *submission) status() Status {
 }
 
 // registry tracks every accepted submission; admission control holds the
-// parked ones until a slot frees.
+// parked ones until a slot frees. active counts the accepted submissions
+// not yet terminal (admit adds one, settle takes it back), so idle is a
+// read, not a walk over every submission ever accepted.
 type registry struct {
-	mu    sync.Mutex
-	seq   int
-	subs  map[string]*submission
-	order []string
+	mu     sync.Mutex
+	seq    int
+	subs   map[string]*submission
+	order  []string
+	active int
 }
 
 func newRegistry() *registry {
@@ -143,7 +142,15 @@ func (r *registry) admit(adm *sched.Admission[*submission], kind, tenant, name s
 	r.seq++
 	r.subs[b.id] = b
 	r.order = append(r.order, b.id)
+	r.active++
 	return b, run, nil
+}
+
+// settle takes back the count of a submission that became terminal.
+func (r *registry) settle() {
+	r.mu.Lock()
+	r.active--
+	r.mu.Unlock()
 }
 
 func (r *registry) get(id string) *submission {
@@ -175,17 +182,8 @@ func (r *registry) count() int {
 // idle reports whether every accepted submission is terminal.
 func (r *registry) idle() bool {
 	r.mu.Lock()
-	subs := make([]*submission, 0, len(r.order))
-	for _, id := range r.order {
-		subs = append(subs, r.subs[id])
-	}
-	r.mu.Unlock()
-	for _, b := range subs {
-		if !b.terminal() {
-			return false
-		}
-	}
-	return true
+	defer r.mu.Unlock()
+	return r.active == 0
 }
 
 // JobRequest is the POST /v1/jobs body: a word-count job over explicit
@@ -265,47 +263,49 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// finish makes sub terminal, takes it off the registry's active count,
+// announces it on the event streams and hands its tenant's slot on.
+func (s *Server) finish(sub *submission, err error, final *engine.JobStatus, report []byte, output string) {
+	sub.finish(err, final, report, output)
+	s.reg.settle()
+	s.hub.publish(sub)
+	s.release(sub.tenant)
+}
+
 // startJob builds the job, submits it and watches for completion.
 func (s *Server) startJob(sub *submission, req JobRequest) {
 	h, err := s.cluster.Submit(req.job(sub.id))
 	if err != nil {
-		sub.finish(fmt.Errorf("submit: %w", err), nil, nil, "")
-		s.hub.broadcast("job", sub.status())
-		s.release(sub.tenant)
+		s.finish(sub, fmt.Errorf("submit: %w", err), nil, nil, "")
 		return
 	}
 	sub.setRunning(h)
-	s.hub.broadcast("job", sub.status())
+	s.hub.publish(sub)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		<-h.Done()
 		_, final, err := h.Wait(context.Background())
-		var report []byte
-		if err == nil {
-			report = jobReport(sub, final, s.cfg.MetricsBucket)
-		}
-		sub.finish(err, &final, report, "")
-		s.hub.broadcast("job", sub.status())
-		s.release(sub.tenant)
+		s.finish(sub, err, &final, nil, "")
 	}()
 }
 
 // jobReport synthesizes a one-experiment moon-metrics/v1 document from a
 // finished job's final status, using the same instrument names the engine
-// publishes so service reports read like CLI ones.
-func jobReport(sub *submission, st engine.JobStatus, bucket float64) []byte {
+// and the live cells publish so service reports read like CLI ones. It
+// carries no timestamp: the same status renders the same bytes.
+func jobReport(name string, st engine.JobStatus, bucket float64) []byte {
 	col := metrics.New(bucket)
 	col.Counter(metrics.LayerEngine, "map_attempts", "").Add(float64(st.Stats.MapAttempts))
 	col.Counter(metrics.LayerEngine, "reduce_attempts", "").Add(float64(st.Stats.ReduceAttempts))
 	col.Counter(metrics.LayerEngine, "map_reexecs", "").Add(float64(st.Stats.MapReexecs))
 	col.Counter(metrics.LayerEngine, "backup_copies", "").Add(float64(st.Stats.BackupCopies))
 	col.Counter(metrics.LayerEngine, "fetch_failures", "").Add(float64(st.Stats.FetchFailures))
-	col.Gauge(metrics.LayerEngine, "queue_wait_seconds", sub.name).Set(st.QueueWait.Seconds())
-	col.Gauge(metrics.LayerEngine, "makespan_seconds", sub.name).Set(st.Makespan.Seconds())
+	col.Gauge(metrics.LayerEngine, "queue_wait_seconds", name).Set(st.QueueWait.Seconds())
+	col.Gauge(metrics.LayerEngine, "makespan_seconds", name).Set(st.Makespan.Seconds())
 	report := metrics.NewExport("moonbenchd")
-	report.Scenario = "job:" + sub.name
-	report.Add("direct job", sub.name, 0, 1, col.Snapshot())
+	report.Scenario = "job:" + name
+	report.Add("direct job", name, 0, 1, col.Snapshot())
 	var buf bytes.Buffer
 	_ = report.WriteJSON(&buf)
 	return buf.Bytes()
@@ -330,7 +330,7 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Stream every cell's instrument updates to /v1/events subscribers.
-	plan.Config.MetricsSink = s.sink
+	plan.Config.MetricsSink = s.hub
 
 	sub := s.admit(w, "scenario", tenantOf(r), spec.Name, func(sub *submission) { s.startScenario(sub, spec, plan) })
 	if sub != nil {
@@ -343,7 +343,7 @@ func (s *Server) startScenario(sub *submission, spec *scenario.Spec, plan *scena
 	sub.mu.Lock()
 	sub.state = subRunning
 	sub.mu.Unlock()
-	s.hub.broadcast("job", sub.status())
+	s.hub.publish(sub)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -359,9 +359,7 @@ func (s *Server) startScenario(sub *submission, spec *scenario.Spec, plan *scena
 				doc = buf.Bytes()
 			}
 		}
-		sub.finish(err, nil, doc, out.String())
-		s.hub.broadcast("job", sub.status())
-		s.release(sub.tenant)
+		s.finish(sub, err, nil, doc, out.String())
 	}()
 }
 
@@ -378,8 +376,10 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusOK, sub.status())
 }
 
-// handleJobReport serves the finished moon-metrics/v1 document; 409 until
-// the submission is terminal, 502-style failure detail if it failed.
+// handleJobReport serves the finished moon-metrics/v1 document — a
+// scenario's as its run wrote it, a direct job's rendered from its final
+// status — and a structured 409 until the submission is done, or once it
+// failed.
 func (s *Server) handleJobReport(w http.ResponseWriter, id string) {
 	sub := s.reg.get(id)
 	if sub == nil {
@@ -387,12 +387,15 @@ func (s *Server) handleJobReport(w http.ResponseWriter, id string) {
 		return
 	}
 	sub.mu.Lock()
-	state, errMsg, report := sub.state, sub.errMsg, sub.report
+	state, errMsg, report, final := sub.state, sub.errMsg, sub.report, sub.engine
 	sub.mu.Unlock()
 	switch state {
 	case subFailed:
 		writeErr(w, http.StatusConflict, "failed", "submission failed: "+errMsg)
 	case subDone:
+		if final != nil {
+			report = jobReport(sub.name, *final, s.cfg.MetricsBucket)
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(report)
