@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/service"
 )
 
 // runCLI invokes the full CLI and returns stdout.
@@ -241,5 +247,60 @@ func TestScenarioRejectsShapingFlags(t *testing.T) {
 	err := run([]string{"-scenario", "poisson-mix", "-experiment", "fig4"}, &out, &errb)
 	if err == nil || !strings.Contains(err.Error(), "-experiment") {
 		t.Fatalf("want a -experiment/-scenario conflict error, got %v", err)
+	}
+}
+
+// TestMetricsBucketWidthIsBounded: a series bucket width is 0 (the default)
+// or finite and at least 1 s, the rule metrics.CheckBucket states. Series
+// buckets are dense from t = 0, so a width of 1e-5 s ran moonbench out of
+// memory, +Inf failed only when the report was written after the whole
+// sweep, and NaN panicked the daemon's master goroutine on its first job.
+// Each row is refused by the CLI before any cell runs (-v prints a line per
+// run), by POST /v1/scenarios with a 400 (for the widths JSON can carry),
+// and by service.New.
+func TestMetricsBucketWidthIsBounded(t *testing.T) {
+	srv, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, w := range []string{"0.00001", "0.5", "-1", "+Inf", "NaN"} {
+		t.Run(w, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			report := filepath.Join(t.TempDir(), "r.json")
+			err := run(strings.Fields("-experiment fig4 -app sort -scale 16 -rates 0.5 -v -metrics "+report+" -metrics-bucket "+w), &out, &errb)
+			if err == nil || !strings.Contains(err.Error(), "metrics bucket") {
+				t.Errorf("moonbench: err = %v, want a metrics bucket rejection", err)
+			}
+			if out.Len()+errb.Len() > 0 {
+				t.Errorf("moonbench ran before rejecting:\n%s%s", out.String(), errb.String())
+			}
+
+			width, err := strconv.ParseFloat(w, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, err := service.New(service.Config{MetricsBucket: width}); err == nil {
+				s.Close()
+				t.Error("service.New accepted it")
+			}
+
+			if math.IsInf(width, 0) || math.IsNaN(width) {
+				return // no JSON number
+			}
+			spec := `{"schema": "moon-scenario/v1", "name": "bucket", "sweep": {"rates": [0.5], "scale": 32},
+				"metrics": {"bucket_seconds": ` + w + `}, "experiments": [{"figure": "fig4", "app": "sort"}]}`
+			resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "metrics bucket") {
+				t.Errorf("POST /v1/scenarios: %d %s, want a 400 naming the metrics bucket", resp.StatusCode, body)
+			}
+		})
 	}
 }

@@ -20,7 +20,9 @@ import (
 // a single job must keep workload.Scale's rule at every scale, and no
 // golden sees it when only dividing scales are pinned. About half a second
 // in all; the slow hashes (paper-figures -scale 4, scale-100k, the
-// bench/workloads ones) stay in .claude/skills/verify/SKILL.md.
+// bench/workloads ones) stay in .claude/skills/verify/SKILL.md. A row in
+// reports also runs with -metrics and pins the report and its timeline:
+// two seeds a cell, so metrics.Merge's seed average is in the bytes.
 func TestPinnedOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
@@ -38,15 +40,41 @@ func TestPinnedOutputs(t *testing.T) {
 		{"-experiment fig7 -app sort -scale 7 -rates 0.5", "9e4e28b69170"},
 		{"-experiment fig6 -app wordcount -scale 3 -rates 0.5", "f10156f851fd"},
 	}
+	reports := map[string][2]string{
+		"-experiment all -scale 16 -seeds 1,2": {"7dd9382537bb", "b8350e064a6e"},
+	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) {
-			out := runCLI(t, append(strings.Fields(tc.args), "-parallel", "1")...)
-			sum := sha256.Sum256([]byte(out))
-			if got := hex.EncodeToString(sum[:])[:len(tc.sha)]; got != tc.sha {
+			args := append(strings.Fields(tc.args), "-parallel", "1")
+			path := filepath.Join(t.TempDir(), "r.json")
+			pins, pinned := reports[tc.args]
+			if pinned {
+				args = append(args, "-metrics", path)
+			}
+			out := runCLI(t, args...)
+			if got := sha(out); got[:len(tc.sha)] != tc.sha {
 				t.Errorf("stdout sha256 %s, want %s\n%s", got, tc.sha, out)
+			}
+			if !pinned {
+				return
+			}
+			for file, want := range map[string]string{path: pins[0], strings.TrimSuffix(path, ".json") + ".timeline.csv": pins[1]} {
+				raw, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha(string(raw)); got[:len(want)] != want {
+					t.Errorf("%s sha256 %s, want %s", filepath.Base(file), got, want)
+				}
 			}
 		})
 	}
+}
+
+// sha is the hex sha256 of s.
+func sha(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
 // TestStreamOfOnePrintsTheStreamLine: the multi kind at one job still
@@ -108,7 +136,7 @@ func TestDueSetCounts(t *testing.T) {
 	sum := map[string]float64{}
 	for _, e := range report.Experiments {
 		for _, c := range e.Counters {
-			sum[c.Layer+"."+c.Name] += c.Value
+			sum[string(c.Layer)+"."+c.Name] += c.Value
 		}
 	}
 	for name, want := range map[string]float64{
@@ -147,7 +175,7 @@ func TestChurnCursorCounts(t *testing.T) {
 	sum := map[string]float64{}
 	for _, e := range report.Experiments {
 		for _, c := range e.Counters {
-			sum[c.Layer+"."+c.Name] += c.Value
+			sum[string(c.Layer)+"."+c.Name] += c.Value
 		}
 		depth := -1.0
 		for _, s := range e.Series {

@@ -42,7 +42,7 @@ func main() {
 
 	fmt.Println("slot occupancy over time (mapred/slot_occupancy):")
 	for _, sd := range snap.Series {
-		if sd.Layer != string(metrics.LayerMapred) || sd.Name != "slot_occupancy" {
+		if sd.Layer != metrics.LayerMapred || sd.Name != "slot_occupancy" {
 			continue
 		}
 		for _, pt := range sd.Points {

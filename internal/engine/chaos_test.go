@@ -15,7 +15,7 @@ import (
 func transportCounter(t *testing.T, snap metrics.Snapshot, name string) float64 {
 	t.Helper()
 	for _, p := range snap.Counters {
-		if p.Layer == string(metrics.LayerTransport) && p.Name == name {
+		if p.Layer == metrics.LayerTransport && p.Name == name {
 			return p.Value
 		}
 	}

@@ -421,7 +421,7 @@ func TestEngineMetricsCollection(t *testing.T) {
 	snap := col.Snapshot()
 	find := func(name string) float64 {
 		for _, p := range snap.Counters {
-			if p.Layer == string(metrics.LayerEngine) && p.Name == name {
+			if p.Layer == metrics.LayerEngine && p.Name == name {
 				return p.Value
 			}
 		}

@@ -132,7 +132,7 @@ func TestConcurrentJobsUnderChurn(t *testing.T) {
 	}
 	var durCount int64
 	for _, hd := range snap.Histograms {
-		if hd.Layer == string(metrics.LayerEngine) && hd.Name == "task_duration_seconds" {
+		if hd.Layer == metrics.LayerEngine && hd.Name == "task_duration_seconds" {
 			durCount += hd.Count
 		}
 	}

@@ -78,8 +78,9 @@ func (c Config) WithDefaults() Config {
 // rates, a repeated rate (every cell of it would run, print and report
 // twice under one key), zero or duplicate churn seeds (a duplicate seed
 // double-counts one realization in every averaged cell), a negative scale
-// divisor or pool size, and a non-finite metrics bucket. RunSweep enforces
-// it after defaulting, so the zero Config stays valid.
+// divisor or pool size, and a metrics bucket width metrics.CheckBucket
+// refuses. RunSweep enforces it after defaulting, so the zero Config stays
+// valid.
 func (c Config) Validate() error {
 	rates := make(map[float64]bool, len(c.Rates))
 	for _, r := range c.Rates {
@@ -107,8 +108,8 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("harness: parallelism %d (want >= 0; 0 is every core)", c.Parallelism)
 	}
-	if math.IsNaN(c.MetricsBucket) || c.MetricsBucket < 0 {
-		return fmt.Errorf("harness: metrics bucket %v (want >= 0)", c.MetricsBucket)
+	if err := metrics.CheckBucket(c.MetricsBucket); err != nil {
+		return fmt.Errorf("harness: %w", err)
 	}
 	return nil
 }

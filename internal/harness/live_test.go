@@ -63,19 +63,19 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 		snap := sw.Metrics[v][0.3]
 		var sawAttempts, sawHist bool
 		for _, c := range snap.Counters {
-			if c.Layer == string(metrics.LayerEngine) && c.Name == "map_attempts" && c.Value > 0 {
+			if c.Layer == metrics.LayerEngine && c.Name == "map_attempts" && c.Value > 0 {
 				sawAttempts = true
 			}
 		}
 		gauges := map[string]int{}
 		for _, g := range snap.Gauges {
-			if g.Layer == string(metrics.LayerEngine) {
+			if g.Layer == metrics.LayerEngine {
 				gauges[g.Name]++
 			}
 		}
 		sawGauge := gauges["makespan_seconds"] == lc.Jobs && gauges["queue_wait_seconds"] == lc.Jobs
 		for _, h := range snap.Histograms {
-			if h.Layer == string(metrics.LayerEngine) && h.Name == "task_duration_seconds" && h.Count > 0 {
+			if h.Layer == metrics.LayerEngine && h.Name == "task_duration_seconds" && h.Count > 0 {
 				sawHist = true
 			}
 		}

@@ -183,7 +183,7 @@ func TestMetricsCollectionDoesNotPerturbRuns(t *testing.T) {
 		t.Fatal("instrumented sweep has no metrics report")
 	}
 	snap := inst.Metrics["MOON"][0.5]
-	nonZero := map[string]bool{}
+	nonZero := map[metrics.Layer]bool{}
 	for _, sd := range snap.Series {
 		for _, pt := range sd.Points {
 			if pt.Value != 0 {
@@ -192,7 +192,7 @@ func TestMetricsCollectionDoesNotPerturbRuns(t *testing.T) {
 			}
 		}
 	}
-	for _, layer := range []string{"sim", "cluster", "dfs", "mapred"} {
+	for _, layer := range []metrics.Layer{metrics.LayerSim, metrics.LayerCluster, metrics.LayerDFS, metrics.LayerMapred} {
 		if !nonZero[layer] {
 			t.Errorf("no non-zero series collected from layer %q", layer)
 		}
@@ -203,7 +203,7 @@ func TestMetricsCollectionDoesNotPerturbRuns(t *testing.T) {
 	// The merged cell must carry the per-job gauges too.
 	var sawMakespan bool
 	for _, g := range snap.Gauges {
-		if g.Layer == string(metrics.LayerMapred) && g.Name == "makespan_seconds" {
+		if g.Layer == metrics.LayerMapred && g.Name == "makespan_seconds" {
 			sawMakespan = g.Value > 0
 		}
 	}

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Schema is the versioned identifier of the run-report JSON format. Bump
@@ -13,25 +15,17 @@ const Schema = "moon-metrics/v1"
 
 // CounterPoint is one counter's exported total.
 type CounterPoint struct {
-	Layer string  `json:"layer"`
-	Name  string  `json:"name"`
-	Scope string  `json:"scope,omitempty"`
+	Key
 	Value float64 `json:"value"`
 }
 
-func (p CounterPoint) key() Key { return Key{Layer: Layer(p.Layer), Name: p.Name, Scope: p.Scope} }
-
 // GaugePoint is one gauge's exported state.
 type GaugePoint struct {
-	Layer string  `json:"layer"`
-	Name  string  `json:"name"`
-	Scope string  `json:"scope,omitempty"`
+	Key
 	Value float64 `json:"value"`
 	Min   float64 `json:"min"`
 	Max   float64 `json:"max"`
 }
-
-func (p GaugePoint) key() Key { return Key{Layer: Layer(p.Layer), Name: p.Name, Scope: p.Scope} }
 
 // SeriesPoint is one non-empty series bucket. T is the bucket's start time
 // in simulated seconds; Value is the bucket sum (rate series) or mean
@@ -47,15 +41,11 @@ type SeriesPoint struct {
 
 // SeriesData is one exported time series.
 type SeriesData struct {
-	Layer  string        `json:"layer"`
-	Name   string        `json:"name"`
-	Scope  string        `json:"scope,omitempty"`
+	Key
 	Kind   string        `json:"kind"`
 	Bucket float64       `json:"bucket_seconds"`
 	Points []SeriesPoint `json:"points"`
 }
-
-func (s SeriesData) key() Key { return Key{Layer: Layer(s.Layer), Name: s.Name, Scope: s.Scope} }
 
 // HistogramBucket is one non-empty histogram bucket: the count of
 // observations at or below UpperBound (and above the previous bound).
@@ -71,17 +61,13 @@ type HistogramBucket struct {
 // buckets, with its exact sum, count and extremes. Only non-empty buckets
 // are exported, in ascending bound order.
 type HistogramData struct {
-	Layer   string            `json:"layer"`
-	Name    string            `json:"name"`
-	Scope   string            `json:"scope,omitempty"`
+	Key
 	Count   int64             `json:"count"`
 	Sum     float64           `json:"sum"`
 	Min     float64           `json:"min"`
 	Max     float64           `json:"max"`
 	Buckets []HistogramBucket `json:"buckets"`
 }
-
-func (h HistogramData) key() Key { return Key{Layer: Layer(h.Layer), Name: h.Name, Scope: h.Scope} }
 
 // Snapshot is one run's (or one merged cell's) full metric state.
 type Snapshot struct {
@@ -92,190 +78,107 @@ type Snapshot struct {
 	Histograms []HistogramData `json:"histograms,omitempty"`
 }
 
-// Empty reports whether the snapshot carries no instruments.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Series) == 0 && len(s.Histograms) == 0
-}
-
 // Merge folds repeated runs of one configuration (e.g. the seeds of a sweep
 // cell) into a seed-averaged snapshot: counter totals, gauge values and
 // series bucket values are averaged across the n runs (an instrument absent
-// from a run contributes 0), gauge/bucket min and max are the extremes over
-// all runs, and bucket counts are summed. Inputs are folded in slice order,
-// so the result is deterministic. Merging an empty slice yields the zero
-// Snapshot.
+// from a run contributes 0, and a sample bucket averages the runs' means),
+// gauge/bucket min and max are the extremes over all runs, and bucket
+// counts are summed. Histograms aggregate rather than average: the merged
+// cell reports the distribution over every observation of every run,
+// because "the task-duration distribution across the cell's seeds" is the
+// question a histogram answers; bucket layouts are fixed, so merging is
+// exact. Inputs are folded in slice order, so the result is deterministic.
+// Merging an empty slice yields the zero Snapshot.
 func Merge(snaps []Snapshot) Snapshot {
 	if len(snaps) == 0 {
 		return Snapshot{}
 	}
-	if len(snaps) == 1 {
-		return snaps[0]
-	}
 	n := float64(len(snaps))
-	out := Snapshot{Bucket: snaps[0].Bucket}
+	return Snapshot{
+		Bucket: snaps[0].Bucket,
+		Counters: fold(snaps, func(s Snapshot) []CounterPoint { return s.Counters }, CounterPoint.id, Key.compare,
+			func(g []CounterPoint) CounterPoint {
+				p := g[0]
+				for _, q := range g[1:] {
+					p.Value += q.Value
+				}
+				p.Value /= n
+				return p
+			}),
+		Gauges: fold(snaps, func(s Snapshot) []GaugePoint { return s.Gauges }, GaugePoint.id, Key.compare,
+			func(g []GaugePoint) GaugePoint {
+				p := g[0]
+				for _, q := range g[1:] {
+					p.Value += q.Value
+					widen(&p.Min, &p.Max, q.Min, q.Max)
+				}
+				p.Value /= n
+				return p
+			}),
+		Series: fold(snaps, func(s Snapshot) []SeriesData { return s.Series }, SeriesData.id, Key.compare,
+			func(g []SeriesData) SeriesData {
+				sd := g[0]
+				sd.Points = fold(g, func(sd SeriesData) []SeriesPoint { return sd.Points },
+					func(p SeriesPoint) float64 { return p.T }, cmp.Compare[float64],
+					func(g []SeriesPoint) SeriesPoint {
+						p := g[0]
+						for _, q := range g[1:] {
+							p.Value += q.Value
+							p.Count += q.Count
+							widen(&p.Min, &p.Max, q.Min, q.Max)
+						}
+						p.Value /= n
+						return p
+					})
+				return sd
+			}),
+		Histograms: fold(snaps, func(s Snapshot) []HistogramData { return s.Histograms }, HistogramData.id, Key.compare,
+			func(g []HistogramData) HistogramData {
+				hd := g[0]
+				for _, x := range g[1:] {
+					hd.Count += x.Count
+					hd.Sum += x.Sum
+					widen(&hd.Min, &hd.Max, x.Min, x.Max)
+				}
+				hd.Buckets = fold(g, func(hd HistogramData) []HistogramBucket { return hd.Buckets },
+					func(b HistogramBucket) float64 {
+						if b.Overflow {
+							return math.Inf(1) // reports the last bound, sorts past it
+						}
+						return b.UpperBound
+					}, cmp.Compare[float64],
+					func(g []HistogramBucket) HistogramBucket {
+						b := g[0]
+						for _, x := range g[1:] {
+							b.Count += x.Count
+						}
+						return b
+					})
+				return hd
+			}),
+	}
+}
 
-	counters := make(map[Key]*CounterPoint)
-	var cOrder []Key
-	for _, s := range snaps {
-		for _, p := range s.Counters {
-			k := p.key()
-			if cp := counters[k]; cp != nil {
-				cp.Value += p.Value
-			} else {
-				p := p
-				counters[k] = &p
-				cOrder = append(cOrder, k)
+// fold is Merge at every level: it groups the records that recs lists in
+// each of srcs by key, in input order, and returns one merged record per
+// key, in key order. A key missing from the first source still lands in
+// order.
+func fold[S, R any, K comparable](srcs []S, recs func(S) []R, key func(R) K, order func(a, b K) int, merge func([]R) R) []R {
+	groups := make(map[K][]R)
+	var keys []K
+	for _, s := range srcs {
+		for _, r := range recs(s) {
+			k := key(r)
+			if groups[k] == nil {
+				keys = append(keys, k)
 			}
+			groups[k] = append(groups[k], r)
 		}
 	}
-	sort.Slice(cOrder, func(i, j int) bool { return cOrder[i].less(cOrder[j]) })
-	for _, k := range cOrder {
-		p := *counters[k]
-		p.Value /= n
-		out.Counters = append(out.Counters, p)
-	}
-
-	gauges := make(map[Key]*GaugePoint)
-	var gOrder []Key
-	for _, s := range snaps {
-		for _, p := range s.Gauges {
-			k := p.key()
-			if gp := gauges[k]; gp != nil {
-				gp.Value += p.Value
-				if p.Min < gp.Min {
-					gp.Min = p.Min
-				}
-				if p.Max > gp.Max {
-					gp.Max = p.Max
-				}
-			} else {
-				p := p
-				gauges[k] = &p
-				gOrder = append(gOrder, k)
-			}
-		}
-	}
-	sort.Slice(gOrder, func(i, j int) bool { return gOrder[i].less(gOrder[j]) })
-	for _, k := range gOrder {
-		p := *gauges[k]
-		p.Value /= n
-		out.Gauges = append(out.Gauges, p)
-	}
-
-	type seriesAcc struct {
-		data    SeriesData
-		buckets map[float64]*SeriesPoint
-		order   []float64
-	}
-	series := make(map[Key]*seriesAcc)
-	var sOrder []Key
-	for _, s := range snaps {
-		for _, sd := range s.Series {
-			k := sd.key()
-			acc := series[k]
-			if acc == nil {
-				acc = &seriesAcc{
-					data:    SeriesData{Layer: sd.Layer, Name: sd.Name, Scope: sd.Scope, Kind: sd.Kind, Bucket: sd.Bucket},
-					buckets: make(map[float64]*SeriesPoint),
-				}
-				series[k] = acc
-				sOrder = append(sOrder, k)
-			}
-			for _, pt := range sd.Points {
-				if bp := acc.buckets[pt.T]; bp != nil {
-					bp.Value += pt.Value
-					bp.Count += pt.Count
-					if pt.Min < bp.Min {
-						bp.Min = pt.Min
-					}
-					if pt.Max > bp.Max {
-						bp.Max = pt.Max
-					}
-				} else {
-					pt := pt
-					acc.buckets[pt.T] = &pt
-					acc.order = append(acc.order, pt.T)
-				}
-			}
-		}
-	}
-	sort.Slice(sOrder, func(i, j int) bool { return sOrder[i].less(sOrder[j]) })
-	for _, k := range sOrder {
-		acc := series[k]
-		sort.Float64s(acc.order)
-		for _, t := range acc.order {
-			pt := *acc.buckets[t]
-			pt.Value /= n
-			acc.data.Points = append(acc.data.Points, pt)
-		}
-		out.Series = append(out.Series, acc.data)
-	}
-
-	// Histograms aggregate rather than average: the merged cell reports
-	// the distribution over every observation of every run (bucket counts,
-	// totals and counts summed; min/max the extremes), because "the task-
-	// duration distribution across the cell's seeds" is the question a
-	// histogram answers. Bucket layouts are fixed, so merging is exact.
-	type histAcc struct {
-		data    HistogramData
-		buckets map[float64]*HistogramBucket // keyed by bound; overflow keyed separately
-		over    *HistogramBucket
-		order   []float64
-	}
-	hists := make(map[Key]*histAcc)
-	var hOrder []Key
-	for _, s := range snaps {
-		for _, hd := range s.Histograms {
-			k := hd.key()
-			acc := hists[k]
-			if acc == nil {
-				acc = &histAcc{
-					data: HistogramData{Layer: hd.Layer, Name: hd.Name, Scope: hd.Scope,
-						Min: hd.Min, Max: hd.Max},
-					buckets: make(map[float64]*HistogramBucket),
-				}
-				hists[k] = acc
-				hOrder = append(hOrder, k)
-			}
-			acc.data.Count += hd.Count
-			acc.data.Sum += hd.Sum
-			if hd.Min < acc.data.Min {
-				acc.data.Min = hd.Min
-			}
-			if hd.Max > acc.data.Max {
-				acc.data.Max = hd.Max
-			}
-			for _, b := range hd.Buckets {
-				if b.Overflow {
-					if acc.over == nil {
-						b := b
-						acc.over = &b
-					} else {
-						acc.over.Count += b.Count
-					}
-					continue
-				}
-				if bp := acc.buckets[b.UpperBound]; bp != nil {
-					bp.Count += b.Count
-				} else {
-					b := b
-					acc.buckets[b.UpperBound] = &b
-					acc.order = append(acc.order, b.UpperBound)
-				}
-			}
-		}
-	}
-	sort.Slice(hOrder, func(i, j int) bool { return hOrder[i].less(hOrder[j]) })
-	for _, k := range hOrder {
-		acc := hists[k]
-		sort.Float64s(acc.order)
-		for _, ub := range acc.order {
-			acc.data.Buckets = append(acc.data.Buckets, *acc.buckets[ub])
-		}
-		if acc.over != nil {
-			acc.data.Buckets = append(acc.data.Buckets, *acc.over)
-		}
-		out.Histograms = append(out.Histograms, acc.data)
+	slices.SortFunc(keys, order)
+	var out []R
+	for _, k := range keys {
+		out = append(out, merge(groups[k]))
 	}
 	return out
 }

@@ -1,32 +1,31 @@
 package metrics
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Histogram buckets are fixed and log-spaced: bucket i spans
-// (bounds[i-1], bounds[i]] with bounds[i] = HistMinBound × 2^i, plus one
+// (bounds[i-1], bounds[i]] with bounds[i] = histMinBound × 2^i, plus one
 // overflow bucket above the last bound. Fixing the layout (rather than
 // sizing it per run) keeps snapshots deterministic and makes histograms
 // from different runs, seeds and backends mergeable bucket-by-bucket —
 // the property Merge relies on.
 const (
-	// HistMinBound is the first upper bound, in the instrument's unit
+	// histMinBound is the first upper bound, in the instrument's unit
 	// (seconds for duration histograms): observations at or below 1 ms
 	// land in bucket 0.
-	HistMinBound = 0.001
-	// HistBuckets is the number of bounded buckets; with factor-2 spacing
+	histMinBound = 0.001
+	// histBuckets is the number of bounded buckets; with factor-2 spacing
 	// the last bound is ~1.1e9 s, far beyond any task duration, so the
 	// overflow bucket only catches pathological values.
-	HistBuckets = 41
+	histBuckets = 41
 )
 
-// histBounds is the shared upper-bound table (computed once; len
-// HistBuckets).
-var histBounds = func() []float64 {
-	b := make([]float64, HistBuckets)
-	v := HistMinBound
+// histBounds is the shared upper-bound table.
+var histBounds = func() (b [histBuckets]float64) {
 	for i := range b {
-		b[i] = v
-		v *= 2
+		b[i] = math.Ldexp(histMinBound, i)
 	}
 	return b
 }()
@@ -36,13 +35,9 @@ var histBounds = func() []float64 {
 // methods on a nil histogram are no-ops, so instrumented code runs
 // bit-identically and allocation-free with collection off.
 type Histogram struct {
-	key    Key
-	counts []int64 // len HistBuckets+1; last is overflow
-	sum    float64
-	count  int64
-	min    float64
-	max    float64
-	sink   Sink
+	inst
+	counts []int64 // len histBuckets+1; last is overflow
+	agg
 }
 
 // Histogram returns the histogram registered under (layer, name, scope),
@@ -52,14 +47,9 @@ func (c *Collector) Histogram(layer Layer, name, scope string) *Histogram {
 	if c == nil {
 		return nil
 	}
-	k := Key{Layer: layer, Name: name, Scope: scope}
-	if h := c.hIndex[k]; h != nil {
-		return h
-	}
-	h := &Histogram{key: k, counts: make([]int64, HistBuckets+1), sink: c.sink}
-	c.hIndex[k] = h
-	c.histograms = append(c.histograms, h)
-	return h
+	return c.histograms.get(c.sink, layer, name, scope, func() *Histogram {
+		return &Histogram{counts: make([]int64, histBuckets+1)}
+	})
 }
 
 // Observe records one value. Negative observations clamp to the first
@@ -68,38 +58,21 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	idx := sort.SearchFloat64s(histBounds, v)
-	h.counts[idx]++ // idx == HistBuckets means overflow
-	if h.count == 0 {
-		h.min, h.max = v, v
-	} else {
-		if v < h.min {
-			h.min = v
-		}
-		if v > h.max {
-			h.max = v
-		}
-	}
-	h.sum += v
-	h.count++
-	if h.sink != nil {
-		h.sink.Push(Update{Layer: h.key.Layer, Name: h.key.Name, Scope: h.key.Scope,
-			Kind: "histogram", Time: -1, Value: v})
-	}
+	h.counts[sort.SearchFloat64s(histBounds[:], v)]++ // index histBuckets is overflow
+	h.observe(v)
+	h.push("histogram", -1, v)
 }
 
-// Count returns the number of observations (0 for a nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
+// data exports the histogram's totals and non-empty buckets; the overflow
+// bucket reports the last bound.
+func (h *Histogram) data() HistogramData {
+	hd := HistogramData{Key: h.key, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	for i, n := range h.counts {
+		if n > 0 {
+			hd.Buckets = append(hd.Buckets, HistogramBucket{
+				UpperBound: histBounds[min(i, histBuckets-1)], Overflow: i == histBuckets, Count: n,
+			})
+		}
 	}
-	return h.count
-}
-
-// Sum returns the sum of observations (0 for a nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
+	return hd
 }

@@ -16,18 +16,14 @@ func TestHistogramBucketsObservationsLogSpaced(t *testing.T) {
 	h.Observe(0.0015)
 	h.Observe(5)
 	h.Observe(5)
-	if h.Count() != 4 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if got, want := h.Sum(), 0.001+0.0015+10; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sum %v, want %v", got, want)
-	}
-
 	snap := c.Snapshot()
 	if len(snap.Histograms) != 1 {
 		t.Fatalf("histograms in snapshot: %d", len(snap.Histograms))
 	}
 	hd := snap.Histograms[0]
+	if got, want := hd.Sum, 0.001+0.0015+10; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("sum %v, want %v", got, want)
+	}
 	if hd.Layer != "engine" || hd.Name != "task_duration_seconds" || hd.Scope != "map" {
 		t.Fatalf("histogram key %s/%s/%s", hd.Layer, hd.Name, hd.Scope)
 	}
@@ -72,7 +68,7 @@ func TestHistogramOverflowAndNegative(t *testing.T) {
 	if !sawOverflow {
 		t.Fatal("overflow bucket missing")
 	}
-	if hd.Buckets[0].UpperBound != HistMinBound || hd.Buckets[0].Count != 1 {
+	if hd.Buckets[0].UpperBound != histMinBound || hd.Buckets[0].Count != 1 {
 		t.Fatalf("negative observation not in first bucket: %+v", hd.Buckets[0])
 	}
 }
@@ -84,9 +80,6 @@ func TestNilHistogramIsNoOp(t *testing.T) {
 		t.Fatal("nil collector returned a histogram")
 	}
 	h.Observe(1) // must not panic
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram reported observations")
-	}
 }
 
 func TestHistogramMergeSumsBuckets(t *testing.T) {
@@ -148,8 +141,8 @@ func TestHistogramExportJSON(t *testing.T) {
 }
 
 func TestHistogramBoundsFixedAndSorted(t *testing.T) {
-	b := histBounds
-	if len(b) != HistBuckets || b[0] != HistMinBound {
+	b := histBounds[:]
+	if len(b) != histBuckets || b[0] != histMinBound {
 		t.Fatalf("bounds %v", b)
 	}
 	for i := 1; i < len(b); i++ {

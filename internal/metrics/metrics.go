@@ -1,34 +1,50 @@
 // Package metrics is the cross-layer instrumentation bus of the MOON
-// reproduction: typed counters, gauges and time-bucketed series keyed by
-// (layer, name, scope), collected per simulation run and exportable as a
-// schema-versioned run report.
+// reproduction: typed counters, gauges, time-bucketed series and histograms
+// named by a Key (layer, name, scope), collected per simulation run and
+// exportable as a schema-versioned run report. Every exported record —
+// CounterPoint, GaugePoint, SeriesData, HistogramData and Update — embeds
+// the Key, so an instrument's identity is stated once.
 //
 // The design is allocation-conscious and strictly passive:
 //
 //   - Instruments are resolved once, at wiring time, into typed handles
-//     (*Counter, *Gauge, *Series). The hot path is a field update behind a
-//     nil check — a nil handle (no collector attached) is a no-op, so
-//     instrumented code runs bit-identically and allocation-free whether or
-//     not metrics are collected.
+//     (*Counter, *Gauge, *Series, *Histogram). The hot path is a field
+//     update behind a nil check — a nil handle (no collector attached) is a
+//     no-op, so instrumented code runs bit-identically and allocation-free
+//     whether or not metrics are collected.
 //   - Collection never touches model state, draws no randomness, and
 //     schedules no simulation events, so enabling a collector cannot
 //     perturb a run: profiles and run statistics are byte-identical with
 //     metrics on or off (pinned by internal/harness/regression_test.go).
-//   - Snapshots are deterministic: instruments are exported in sorted
-//     (layer, name, scope) order regardless of registration order, and
-//     series buckets are indexed by time, so equal runs produce equal
-//     reports.
+//   - Snapshots are deterministic: instruments are exported in Key order
+//     regardless of registration order, and series buckets are indexed by
+//     time, so equal runs produce equal reports.
 //
 // A Collector is single-threaded, like the simulation it observes; in
 // parallel sweeps every cell owns its own Collector and the harness merges
 // the resulting Snapshots deterministically.
 package metrics
 
-import "sort"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // DefaultBucket is the default series bucket width in seconds: 300 s gives
 // ~100 buckets over the paper's 8-hour trace horizon.
 const DefaultBucket = 300
+
+// CheckBucket is the rule for a series bucket width in seconds: 0 (the
+// default) or finite and at least 1 s. Series buckets are dense from t = 0,
+// so a width w costs 32 B × horizon / w per series.
+func CheckBucket(w float64) error {
+	if w == 0 || w >= 1 && !math.IsInf(w, 1) {
+		return nil
+	}
+	return fmt.Errorf("metrics bucket %v (want 0 for the default, or finite and >= 1 s)", w)
+}
 
 // Layer identifies the subsystem that owns an instrument.
 type Layer string
@@ -51,19 +67,16 @@ const (
 // Key names one instrument: the owning layer, the metric name, and an
 // optional scope (a job name, a node label, or "" for fleet-wide).
 type Key struct {
-	Layer Layer
-	Name  string
-	Scope string
+	Layer Layer  `json:"layer"`
+	Name  string `json:"name"`
+	Scope string `json:"scope,omitempty"`
 }
 
-func (k Key) less(o Key) bool {
-	if k.Layer != o.Layer {
-		return k.Layer < o.Layer
-	}
-	if k.Name != o.Name {
-		return k.Name < o.Name
-	}
-	return k.Scope < o.Scope
+// id is how generic code reads the identity of a record that embeds a Key.
+func (k Key) id() Key { return k }
+
+func (k Key) compare(o Key) int {
+	return cmp.Or(cmp.Compare(k.Layer, o.Layer), cmp.Compare(k.Name, o.Name), cmp.Compare(k.Scope, o.Scope))
 }
 
 // Collector gathers one run's instruments. The zero value is not usable;
@@ -73,15 +86,10 @@ type Collector struct {
 	bucket float64
 	sink   Sink // optional push sink (stream.go); nil = no streaming
 
-	counters   []*Counter
-	gauges     []*Gauge
-	series     []*Series
-	histograms []*Histogram
-
-	cIndex map[Key]*Counter
-	gIndex map[Key]*Gauge
-	sIndex map[Key]*Series
-	hIndex map[Key]*Histogram
+	counters   registry[*Counter]
+	gauges     registry[*Gauge]
+	series     registry[*Series]
+	histograms registry[*Histogram]
 }
 
 // New returns an empty collector whose series use the given bucket width in
@@ -90,21 +98,51 @@ func New(bucket float64) *Collector {
 	if bucket <= 0 {
 		bucket = DefaultBucket
 	}
-	return &Collector{
-		bucket: bucket,
-		cIndex: make(map[Key]*Counter),
-		gIndex: make(map[Key]*Gauge),
-		sIndex: make(map[Key]*Series),
-		hIndex: make(map[Key]*Histogram),
+	return &Collector{bucket: bucket}
+}
+
+// inst is what every instrument carries: its key and the collector's sink.
+type inst struct {
+	key  Key
+	sink Sink
+}
+
+func (i *inst) base() *inst { return i } // how registry reaches the fields
+
+// push offers one write to the sink, if any.
+func (i *inst) push(kind string, t, v float64) {
+	if i.sink != nil {
+		i.sink.Push(Update{Key: i.key, Kind: kind, Time: t, Value: v})
 	}
 }
 
-// Bucket returns the series bucket width in seconds (0 for a nil collector).
-func (c *Collector) Bucket() float64 {
-	if c == nil {
-		return 0
+// registry is one instrument kind's index plus its registration order.
+type registry[P interface{ base() *inst }] struct {
+	index map[Key]P
+	list  []P
+}
+
+// get returns the instrument registered under (layer, name, scope), making
+// it with mk and wiring in the key and sink on first use.
+func (r *registry[P]) get(sink Sink, layer Layer, name, scope string, mk func() P) P {
+	k := Key{Layer: layer, Name: name, Scope: scope}
+	if p, ok := r.index[k]; ok {
+		return p
 	}
-	return c.bucket
+	p := mk()
+	*p.base() = inst{key: k, sink: sink}
+	if r.index == nil {
+		r.index = make(map[Key]P)
+	}
+	r.index[k] = p
+	r.list = append(r.list, p)
+	return p
+}
+
+func (r *registry[P]) setSink(sink Sink) {
+	for _, p := range r.list {
+		p.base().sink = sink
+	}
 }
 
 // Counter returns the counter registered under (layer, name, scope),
@@ -113,26 +151,19 @@ func (c *Collector) Counter(layer Layer, name, scope string) *Counter {
 	if c == nil {
 		return nil
 	}
-	k := Key{Layer: layer, Name: name, Scope: scope}
-	if ctr := c.cIndex[k]; ctr != nil {
-		return ctr
-	}
-	ctr := &Counter{key: k, sink: c.sink}
-	c.cIndex[k] = ctr
-	c.counters = append(c.counters, ctr)
-	return ctr
+	return c.counters.get(c.sink, layer, name, scope, func() *Counter { return new(Counter) })
 }
 
 // TimedCounter returns a counter that also accumulates a rate series (same
-// key) bucketed over time, so totals come with a timeline. A nil collector
-// returns nil.
+// key) bucketed over time, so totals come with a timeline: a bucket's
+// exported value is the sum added in it. A nil collector returns nil.
 func (c *Collector) TimedCounter(layer Layer, name, scope string) *Counter {
 	if c == nil {
 		return nil
 	}
 	ctr := c.Counter(layer, name, scope)
 	if ctr.series == nil {
-		ctr.series = c.RateSeries(layer, name, scope)
+		ctr.series = c.newSeries(layer, name, scope, kindRate)
 	}
 	return ctr
 }
@@ -143,60 +174,64 @@ func (c *Collector) Gauge(layer Layer, name, scope string) *Gauge {
 	if c == nil {
 		return nil
 	}
-	k := Key{Layer: layer, Name: name, Scope: scope}
-	if g := c.gIndex[k]; g != nil {
-		return g
-	}
-	g := &Gauge{key: k, sink: c.sink}
-	c.gIndex[k] = g
-	c.gauges = append(c.gauges, g)
-	return g
-}
-
-// RateSeries returns a time-bucketed series with sum semantics: Add(t, v)
-// accumulates v into t's bucket, and the bucket's exported value is the
-// sum (a per-bucket rate, e.g. bytes replicated per bucket).
-func (c *Collector) RateSeries(layer Layer, name, scope string) *Series {
-	return c.newSeries(layer, name, scope, KindRate)
+	return c.gauges.get(c.sink, layer, name, scope, func() *Gauge { return new(Gauge) })
 }
 
 // SampleSeries returns a time-bucketed series with sample semantics:
 // Observe(t, v) records v in t's bucket, and the bucket's exported value is
 // the mean of its observations (e.g. slot occupancy sampled per heartbeat).
 func (c *Collector) SampleSeries(layer Layer, name, scope string) *Series {
-	return c.newSeries(layer, name, scope, KindSample)
-}
-
-func (c *Collector) newSeries(layer Layer, name, scope, kind string) *Series {
 	if c == nil {
 		return nil
 	}
-	k := Key{Layer: layer, Name: name, Scope: scope}
-	if s := c.sIndex[k]; s != nil {
-		return s
-	}
-	s := &Series{key: k, kind: kind, width: c.bucket, sink: c.sink}
-	c.sIndex[k] = s
-	c.series = append(c.series, s)
-	return s
+	return c.newSeries(layer, name, scope, kindSample)
 }
 
-// Series value semantics.
+func (c *Collector) newSeries(layer Layer, name, scope, kind string) *Series {
+	return c.series.get(c.sink, layer, name, scope, func() *Series { return &Series{kind: kind, width: c.bucket} })
+}
+
+// Series value semantics: a rate bucket exports the sum of its values, a
+// sample bucket their mean.
 const (
-	// KindRate buckets export the sum of added values.
-	KindRate = "rate"
-	// KindSample buckets export the mean of observed values.
-	KindSample = "sample"
+	kindRate   = "rate"
+	kindSample = "sample"
 )
+
+// agg is a running sum, count and extremes: a series bucket, a gauge's
+// history, a histogram's totals.
+type agg struct {
+	sum      float64
+	count    int64
+	min, max float64
+}
+
+func (a *agg) observe(v float64) {
+	if a.count == 0 {
+		a.min, a.max = v, v
+	}
+	widen(&a.min, &a.max, v, v)
+	a.sum += v
+	a.count++
+}
+
+// widen stretches [*lo, *hi] to cover [l, h].
+func widen(lo, hi *float64, l, h float64) {
+	if l < *lo {
+		*lo = l
+	}
+	if h > *hi {
+		*hi = h
+	}
+}
 
 // Counter accumulates a monotonically growing total. Methods on a nil
 // counter are no-ops, so instrumented code needs no "metrics enabled"
 // branches of its own.
 type Counter struct {
-	key    Key
+	inst
 	total  float64
 	series *Series // optional timeline (TimedCounter)
-	sink   Sink
 }
 
 // Inc adds 1.
@@ -216,10 +251,7 @@ func (c *Counter) Add(v float64) {
 
 func (c *Counter) add(v float64) {
 	c.total += v
-	if c.sink != nil {
-		c.sink.Push(Update{Layer: c.key.Layer, Name: c.key.Name, Scope: c.key.Scope,
-			Kind: "counter", Time: -1, Value: c.total})
-	}
+	c.push("counter", -1, c.total)
 }
 
 // AddAt adds v to the total and, for a TimedCounter, to the bucket of time
@@ -234,10 +266,7 @@ func (c *Counter) AddAt(t, v float64) {
 func (c *Counter) addAt(t, v float64) {
 	c.total += v
 	c.series.add(t, v)
-	if c.sink != nil {
-		c.sink.Push(Update{Layer: c.key.Layer, Name: c.key.Name, Scope: c.key.Scope,
-			Kind: "counter", Time: t, Value: c.total})
-	}
+	c.push("counter", t, c.total)
 }
 
 // IncAt is AddAt(t, 1).
@@ -253,11 +282,9 @@ func (c *Counter) Value() float64 {
 
 // Gauge records a last-written value plus the min/max it has seen.
 type Gauge struct {
-	key      Key
-	v        float64
-	min, max float64
-	set      bool
-	sink     Sink
+	inst
+	v float64
+	agg
 }
 
 // Set records v.
@@ -265,22 +292,9 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	if !g.set {
-		g.min, g.max = v, v
-		g.set = true
-	} else {
-		if v < g.min {
-			g.min = v
-		}
-		if v > g.max {
-			g.max = v
-		}
-	}
+	g.observe(v)
 	g.v = v
-	if g.sink != nil {
-		g.sink.Push(Update{Layer: g.key.Layer, Name: g.key.Name, Scope: g.key.Scope,
-			Kind: "gauge", Time: -1, Value: v})
-	}
+	g.push("gauge", -1, v)
 }
 
 // Value returns the last-set value (0 for a nil or never-set gauge).
@@ -291,30 +305,14 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// bucketAgg aggregates one series bucket.
-type bucketAgg struct {
-	sum      float64
-	count    int64
-	min, max float64
-}
-
 // Series is a time-bucketed sequence of observations. Buckets are dense
 // from t=0; bucket i covers [i*width, (i+1)*width). Methods on a nil series
 // are no-ops.
 type Series struct {
-	key     Key
+	inst
 	kind    string
 	width   float64
-	buckets []bucketAgg
-	sink    Sink
-}
-
-// Add accumulates v into the bucket of time t (rate semantics).
-func (s *Series) Add(t, v float64) {
-	if s == nil {
-		return
-	}
-	s.add(t, v)
+	buckets []agg
 }
 
 // Observe records sample v at time t (sample semantics).
@@ -334,97 +332,63 @@ func (s *Series) add(t, v float64) {
 	}
 	idx := int(t / s.width)
 	for idx >= len(s.buckets) {
-		s.buckets = append(s.buckets, bucketAgg{})
+		s.buckets = append(s.buckets, agg{})
 	}
-	b := &s.buckets[idx]
-	if b.count == 0 {
-		b.min, b.max = v, v
-	} else {
-		if v < b.min {
-			b.min = v
+	s.buckets[idx].observe(v)
+	s.push(s.kind, t, v)
+}
+
+// data exports the series' non-empty buckets.
+func (s *Series) data() SeriesData {
+	sd := SeriesData{Key: s.key, Kind: s.kind, Bucket: s.width}
+	for i, b := range s.buckets {
+		if b.count == 0 {
+			continue
 		}
-		if v > b.max {
-			b.max = v
+		v := b.sum
+		if s.kind == kindSample {
+			v = b.sum / float64(b.count)
 		}
+		sd.Points = append(sd.Points, SeriesPoint{
+			T: float64(i) * s.width, Value: v, Count: b.count, Min: b.min, Max: b.max,
+		})
 	}
-	b.sum += v
-	b.count++
-	if s.sink != nil {
-		s.sink.Push(Update{Layer: s.key.Layer, Name: s.key.Name, Scope: s.key.Scope,
-			Kind: s.kind, Time: t, Value: v})
-	}
+	return sd
 }
 
 // Snapshot freezes the collector's state into a deterministic, exportable
-// report fragment: instruments sorted by (layer, name, scope), series as
-// non-empty buckets only. A nil collector snapshots to the zero Snapshot.
+// report fragment: instruments in Key order, series as non-empty buckets
+// only. A nil collector snapshots to the zero Snapshot.
 func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
 	}
-	snap := Snapshot{Bucket: c.bucket}
-	for _, ctr := range c.counters {
-		snap.Counters = append(snap.Counters, CounterPoint{
-			Layer: string(ctr.key.Layer), Name: ctr.key.Name, Scope: ctr.key.Scope,
-			Value: ctr.total,
-		})
+	return Snapshot{
+		Bucket: c.bucket,
+		Counters: export(c.counters.list, func(x *Counter) (CounterPoint, bool) {
+			return CounterPoint{Key: x.key, Value: x.total}, true
+		}),
+		Gauges: export(c.gauges.list, func(g *Gauge) (GaugePoint, bool) {
+			return GaugePoint{Key: g.key, Value: g.v, Min: g.min, Max: g.max}, g.count > 0
+		}),
+		Series: export(c.series.list, func(s *Series) (SeriesData, bool) {
+			return s.data(), len(s.buckets) > 0 // a bucket exists once one is observed
+		}),
+		Histograms: export(c.histograms.list, func(h *Histogram) (HistogramData, bool) {
+			return h.data(), h.count > 0
+		}),
 	}
-	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].key().less(snap.Counters[j].key()) })
-	for _, g := range c.gauges {
-		if !g.set {
-			continue
+}
+
+// export renders every instrument that has something to report, in Key
+// order.
+func export[P any, R interface{ id() Key }](list []P, render func(P) (R, bool)) []R {
+	var out []R
+	for _, p := range list {
+		if r, ok := render(p); ok {
+			out = append(out, r)
 		}
-		snap.Gauges = append(snap.Gauges, GaugePoint{
-			Layer: string(g.key.Layer), Name: g.key.Name, Scope: g.key.Scope,
-			Value: g.v, Min: g.min, Max: g.max,
-		})
 	}
-	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].key().less(snap.Gauges[j].key()) })
-	for _, s := range c.series {
-		sd := SeriesData{
-			Layer: string(s.key.Layer), Name: s.key.Name, Scope: s.key.Scope,
-			Kind: s.kind, Bucket: s.width,
-		}
-		for i, b := range s.buckets {
-			if b.count == 0 {
-				continue
-			}
-			v := b.sum
-			if s.kind == KindSample {
-				v = b.sum / float64(b.count)
-			}
-			sd.Points = append(sd.Points, SeriesPoint{
-				T: float64(i) * s.width, Value: v, Count: b.count, Min: b.min, Max: b.max,
-			})
-		}
-		if len(sd.Points) == 0 {
-			continue
-		}
-		snap.Series = append(snap.Series, sd)
-	}
-	sort.Slice(snap.Series, func(i, j int) bool { return snap.Series[i].key().less(snap.Series[j].key()) })
-	for _, h := range c.histograms {
-		if h.count == 0 {
-			continue
-		}
-		hd := HistogramData{
-			Layer: string(h.key.Layer), Name: h.key.Name, Scope: h.key.Scope,
-			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-		}
-		for i, n := range h.counts {
-			if n == 0 {
-				continue
-			}
-			ub := histBounds[HistBuckets-1] // overflow reports the last bound
-			if i < HistBuckets {
-				ub = histBounds[i]
-			}
-			hd.Buckets = append(hd.Buckets, HistogramBucket{
-				UpperBound: ub, Overflow: i == HistBuckets, Count: n,
-			})
-		}
-		snap.Histograms = append(snap.Histograms, hd)
-	}
-	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].key().less(snap.Histograms[j].key()) })
-	return snap
+	slices.SortFunc(out, func(a, b R) int { return a.id().compare(b.id()) })
+	return out
 }

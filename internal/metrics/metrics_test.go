@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,14 +29,12 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		method string
 		call   func() bool
 	}{
-		{"Collector.Bucket", func() bool { return c.Bucket() == 0 }},
 		{"Collector.Counter", func() bool { return c.Counter(LayerSim, "x", "") == nil }},
 		{"Collector.TimedCounter", func() bool { return c.TimedCounter(LayerSim, "x", "") == nil }},
 		{"Collector.Gauge", func() bool { return c.Gauge(LayerSim, "x", "") == nil }},
-		{"Collector.RateSeries", func() bool { return c.RateSeries(LayerSim, "x", "") == nil }},
 		{"Collector.SampleSeries", func() bool { return c.SampleSeries(LayerSim, "x", "") == nil }},
 		{"Collector.Histogram", func() bool { return c.Histogram(LayerSim, "x", "") == nil }},
-		{"Collector.Snapshot", func() bool { return c.Snapshot().Empty() }},
+		{"Collector.Snapshot", func() bool { return empty(c.Snapshot()) }},
 		{"Collector.SetSink", func() bool { c.SetSink(nil); return true }},
 		{"Counter.Inc", func() bool { ctr.Inc(); return true }},
 		{"Counter.Add", func() bool { ctr.Add(2); return true }},
@@ -44,11 +43,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		{"Counter.Value", func() bool { return ctr.Value() == 0 }},
 		{"Gauge.Set", func() bool { g.Set(3); return true }},
 		{"Gauge.Value", func() bool { return g.Value() == 0 }},
-		{"Series.Add", func() bool { s.Add(1, 2); return true }},
 		{"Series.Observe", func() bool { s.Observe(1, 2); return true }},
 		{"Histogram.Observe", func() bool { h.Observe(1); return true }},
-		{"Histogram.Count", func() bool { return h.Count() == 0 }},
-		{"Histogram.Sum", func() bool { return h.Sum() == 0 }},
 	}
 
 	methods := make(map[string]bool)
@@ -81,6 +77,11 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 }
 
+// empty reports whether s is the zero Snapshot.
+func empty(s Snapshot) bool {
+	return s.Bucket == 0 && s.Counters == nil && s.Gauges == nil && s.Series == nil && s.Histograms == nil
+}
+
 // callNil runs one row of TestNilHandlesAreNoOps, recovering a panic.
 func callNil(call func() bool) (ok bool, panicked any) {
 	defer func() { panicked = recover() }()
@@ -102,11 +103,8 @@ func TestNilCollectorAndInstrumentsAreNoOps(t *testing.T) {
 	if v := g.Value(); v != 0 {
 		t.Fatalf("nil gauge value %v", v)
 	}
-	if !c.Snapshot().Empty() {
+	if !empty(c.Snapshot()) {
 		t.Fatal("nil collector snapshot not empty")
-	}
-	if c.Bucket() != 0 {
-		t.Fatal("nil collector bucket")
 	}
 }
 
@@ -117,7 +115,7 @@ func TestInstrumentsAreIdempotentPerKey(t *testing.T) {
 	if a != b {
 		t.Fatal("same key resolved to distinct counters")
 	}
-	if c.RateSeries(LayerDFS, "bytes", "") != c.RateSeries(LayerDFS, "bytes", "") {
+	if c.SampleSeries(LayerDFS, "bytes", "") != c.SampleSeries(LayerDFS, "bytes", "") {
 		t.Fatal("same key resolved to distinct series")
 	}
 	a.Add(2)
@@ -146,10 +144,10 @@ func TestSnapshotDeterministicAcrossRegistrationOrder(t *testing.T) {
 
 func TestSeriesBucketing(t *testing.T) {
 	c := New(100)
-	rate := c.RateSeries(LayerDFS, "rep_bytes", "")
-	rate.Add(10, 5)
-	rate.Add(90, 7)
-	rate.Add(250, 1)
+	rate := c.TimedCounter(LayerDFS, "rep_bytes", "")
+	rate.AddAt(10, 5)
+	rate.AddAt(90, 7)
+	rate.AddAt(250, 1)
 	sample := c.SampleSeries(LayerMapred, "occ", "")
 	sample.Observe(10, 0.5)
 	sample.Observe(20, 1.5)
@@ -194,30 +192,58 @@ func TestTimedCounterFeedsSeries(t *testing.T) {
 	}
 }
 
+// TestMergeAveragesAcrossRuns: each row merges a few runs' snapshots and
+// checks one rule of Merge. The last three are cases the pinned reports
+// reach none of.
 func TestMergeAveragesAcrossRuns(t *testing.T) {
-	run := func(v float64) Snapshot {
+	run := func(record func(c *Collector)) Snapshot {
 		c := New(100)
-		c.Counter(LayerDFS, "n", "").Add(v)
-		c.Gauge(LayerCluster, "g", "").Set(v)
-		c.RateSeries(LayerSim, "s", "").Add(50, v)
+		record(c)
 		return c.Snapshot()
 	}
-	m := Merge([]Snapshot{run(2), run(4)})
-	if m.Counters[0].Value != 3 {
-		t.Fatalf("merged counter %v, want 3", m.Counters[0].Value)
+	avg := func(v float64) Snapshot {
+		return run(func(c *Collector) {
+			c.Counter(LayerDFS, "n", "").Add(v)
+			c.Gauge(LayerCluster, "g", "").Set(v)
+			c.TimedCounter(LayerSim, "s", "").AddAt(50, v)
+		})
 	}
-	if m.Gauges[0].Value != 3 || m.Gauges[0].Min != 2 || m.Gauges[0].Max != 4 {
-		t.Fatalf("merged gauge %+v", m.Gauges[0])
+	hist := func(v float64) Snapshot {
+		return run(func(c *Collector) { c.Histogram(LayerEngine, "h", "").Observe(v) })
 	}
-	if m.Series[0].Points[0].Value != 3 || m.Series[0].Points[0].Count != 2 {
-		t.Fatalf("merged series %+v", m.Series[0].Points[0])
+	last := histBounds[histBuckets-1]
+	rows := []struct {
+		name string
+		runs []Snapshot
+		want string // the merged snapshot, %+v
+		got  func(m Snapshot) any
+	}{
+		{"counters, gauges and rate buckets average", []Snapshot{avg(2), avg(4)},
+			"[[{Key:{Layer:dfs Name:n Scope:} Value:3} {Key:{Layer:sim Name:s Scope:} Value:3}] " +
+				"[{Key:{Layer:cluster Name:g Scope:} Value:3 Min:2 Max:4}] [{T:0 Value:3 Count:2 Min:2 Max:4}]]",
+			func(m Snapshot) any { return []any{m.Counters, m.Gauges, m.Series[0].Points} }},
+		{"an instrument absent from a run averages against 0", []Snapshot{
+			run(func(c *Collector) { c.Counter(LayerDFS, "only", "").Add(6) }), {Bucket: 100}},
+			"[{Key:{Layer:dfs Name:only Scope:} Value:3}]",
+			func(m Snapshot) any { return m.Counters }},
+		{"a sample bucket averages the runs' means", []Snapshot{
+			run(func(c *Collector) { s := c.SampleSeries(LayerMapred, "occ", ""); s.Observe(0, 1); s.Observe(0, 3) }),
+			run(func(c *Collector) { c.SampleSeries(LayerMapred, "occ", "").Observe(0, 10) })},
+			"[{T:0 Value:6 Count:3 Min:1 Max:10}]",
+			func(m Snapshot) any { return m.Series[0].Points }},
+		{"an instrument missing from the first run lands in key order", []Snapshot{
+			run(func(c *Collector) { c.Counter(LayerDFS, "b", "").Add(2) }),
+			run(func(c *Collector) { c.Counter(LayerDFS, "a", "").Add(4); c.Counter(LayerDFS, "b", "").Add(2) })},
+			"[{Key:{Layer:dfs Name:a Scope:} Value:2} {Key:{Layer:dfs Name:b Scope:} Value:2}]",
+			func(m Snapshot) any { return m.Counters }},
+		{"the last bounded bucket and the overflow stay apart, overflow last", []Snapshot{hist(1e12), hist(1e9)},
+			fmt.Sprintf("[{UpperBound:%v Overflow:false Count:1} {UpperBound:%v Overflow:true Count:1}]", last, last),
+			func(m Snapshot) any { return m.Histograms[0].Buckets }},
 	}
-	// An instrument absent from one run averages against 0.
-	c := New(100)
-	c.Counter(LayerDFS, "only", "").Add(6)
-	m = Merge([]Snapshot{c.Snapshot(), {Bucket: 100}})
-	if m.Counters[0].Value != 3 {
-		t.Fatalf("partial merge counter %v, want 3", m.Counters[0].Value)
+	for _, r := range rows {
+		if got := fmt.Sprintf("%+v", r.got(Merge(r.runs))); got != r.want {
+			t.Errorf("%s:\n got %s\nwant %s", r.name, got, r.want)
+		}
 	}
 }
 

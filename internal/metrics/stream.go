@@ -11,11 +11,9 @@ package metrics
 
 // Update is one pushed instrument write.
 type Update struct {
-	Layer Layer  `json:"layer"`
-	Name  string `json:"name"`
-	Scope string `json:"scope,omitempty"`
+	Key
 	// Kind is "counter", "gauge", "histogram", or the series kind
-	// (KindRate / KindSample).
+	// ("rate" for a TimedCounter's timeline, "sample").
 	Kind string `json:"kind"`
 	// Time is the instrument timestamp in simulated/run seconds, or -1
 	// for untimed writes (plain counter adds, gauge sets, histogram
@@ -42,16 +40,8 @@ func (c *Collector) SetSink(sink Sink) {
 		return
 	}
 	c.sink = sink
-	for _, ctr := range c.counters {
-		ctr.sink = sink
-	}
-	for _, g := range c.gauges {
-		g.sink = sink
-	}
-	for _, s := range c.series {
-		s.sink = sink
-	}
-	for _, h := range c.histograms {
-		h.sink = sink
-	}
+	c.counters.setSink(sink)
+	c.gauges.setSink(sink)
+	c.series.setSink(sink)
+	c.histograms.setSink(sink)
 }

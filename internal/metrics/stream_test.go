@@ -19,15 +19,16 @@ func TestSinkReceivesEveryInstrumentKind(t *testing.T) {
 	pre.Add(2)
 	c.Counter(LayerEngine, "jobs", "j1").IncAt(3)
 	c.Gauge(LayerCluster, "nodes", "").Set(7)
-	c.RateSeries(LayerNet, "bytes", "").Add(12, 100)
+	c.TimedCounter(LayerNet, "bytes", "").AddAt(12, 100)
 	c.Histogram(LayerMapred, "task", "").Observe(0.5)
 
 	want := []Update{
-		{Layer: LayerEngine, Name: "pre", Kind: "counter", Time: -1, Value: 2},
-		{Layer: LayerEngine, Name: "jobs", Scope: "j1", Kind: "counter", Time: 3, Value: 1},
-		{Layer: LayerCluster, Name: "nodes", Kind: "gauge", Time: -1, Value: 7},
-		{Layer: LayerNet, Name: "bytes", Kind: KindRate, Time: 12, Value: 100},
-		{Layer: LayerMapred, Name: "task", Kind: "histogram", Time: -1, Value: 0.5},
+		{Key: Key{Layer: LayerEngine, Name: "pre"}, Kind: "counter", Time: -1, Value: 2},
+		{Key: Key{Layer: LayerEngine, Name: "jobs", Scope: "j1"}, Kind: "counter", Time: 3, Value: 1},
+		{Key: Key{Layer: LayerCluster, Name: "nodes"}, Kind: "gauge", Time: -1, Value: 7},
+		{Key: Key{Layer: LayerNet, Name: "bytes"}, Kind: "rate", Time: 12, Value: 100},
+		{Key: Key{Layer: LayerNet, Name: "bytes"}, Kind: "counter", Time: 12, Value: 100},
+		{Key: Key{Layer: LayerMapred, Name: "task"}, Kind: "histogram", Time: -1, Value: 0.5},
 	}
 	if len(sink.ups) != len(want) {
 		t.Fatalf("got %d updates, want %d: %+v", len(sink.ups), len(want), sink.ups)

@@ -8,7 +8,10 @@
 // scheduling jitter) draw from decorrelated sequences without sharing state.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator. It is not safe for
 // concurrent use; split one stream per goroutine instead.
@@ -80,30 +83,15 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's multiply-shift rejection method, debiased.
 	un := uint64(n)
 	v := r.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			v = r.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // Perm returns a uniform random permutation of [0, n).

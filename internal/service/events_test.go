@@ -15,17 +15,17 @@ import (
 // deadlocks (raced in CI).
 func TestEventHubDropsWhenFullAndPushRacesSafely(t *testing.T) {
 	h := newHub(2)
-	if allocs := testing.AllocsPerRun(100, func() { h.Push(metrics.Update{Name: "unheard"}) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { h.Push(metrics.Update{Key: metrics.Key{Name: "unheard"}}) }); allocs != 0 {
 		t.Errorf("a Push nobody hears allocates %v times", allocs)
 	}
 	ch := h.subscribe()
 	for i := 0; i < 5; i++ {
-		h.Push(metrics.Update{Name: "x", Value: float64(i)})
+		h.Push(metrics.Update{Key: metrics.Key{Name: "x"}, Value: float64(i)})
 	}
 	if len(ch) != 2 {
 		t.Fatalf("a 2-frame subscriber holds %d frames after 5 pushes", len(ch))
 	}
-	if ev := <-ch; ev.name != "metric" || ev.data != (metrics.Update{Name: "x", Value: 0}) {
+	if ev := <-ch; ev.name != "metric" || ev.data != (metrics.Update{Key: metrics.Key{Name: "x"}, Value: 0}) {
 		t.Fatalf("first frame %+v, want the first push as a metric frame", ev)
 	}
 	h.unsubscribe(ch)
@@ -36,7 +36,7 @@ func TestEventHubDropsWhenFullAndPushRacesSafely(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				h.Push(metrics.Update{Name: "race", Value: float64(i)})
+				h.Push(metrics.Update{Key: metrics.Key{Name: "race"}, Value: float64(i)})
 			}
 		}()
 	}

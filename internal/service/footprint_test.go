@@ -216,10 +216,10 @@ func TestCollectorDoesNotGrowWithJobs(t *testing.T) {
 		snap := s.col.Snapshot()
 		var keys []string
 		for _, c := range snap.Counters {
-			keys = append(keys, "counter "+c.Layer+"/"+c.Name+"{"+c.Scope+"}")
+			keys = append(keys, "counter "+string(c.Layer)+"/"+c.Name+"{"+c.Scope+"}")
 		}
 		for _, g := range snap.Gauges {
-			keys = append(keys, "gauge "+g.Layer+"/"+g.Name+"{"+g.Scope+"}")
+			keys = append(keys, "gauge "+string(g.Layer)+"/"+g.Name+"{"+g.Scope+"}")
 		}
 		scopes := map[string]bool{}
 		for _, sd := range snap.Series {
@@ -229,7 +229,7 @@ func TestCollectorDoesNotGrowWithJobs(t *testing.T) {
 			keys = append(keys, "series scope {"+scope+"}")
 		}
 		for _, h := range snap.Histograms {
-			keys = append(keys, "histogram "+h.Layer+"/"+h.Name+"{"+h.Scope+"}")
+			keys = append(keys, "histogram "+string(h.Layer)+"/"+h.Name+"{"+h.Scope+"}")
 		}
 		sort.Strings(keys)
 		return keys

@@ -63,7 +63,8 @@ type Config struct {
 	Quota sched.QuotaConfig
 
 	// MetricsBucket is the series bucket width (seconds) of the
-	// persistent cluster's collector and of scenario-run cells.
+	// persistent cluster's collector and of scenario-run cells; New
+	// refuses a width metrics.CheckBucket refuses.
 	MetricsBucket float64
 	// EventBuffer bounds each /v1/events subscriber's queue of frames
 	// (a subscriber that falls behind drops frames rather than block a
@@ -122,6 +123,9 @@ type Server struct {
 // New starts the persistent engine cluster, its collector wired to the
 // event hub.
 func New(cfg Config) (*Server, error) {
+	if err := metrics.CheckBucket(cfg.MetricsBucket); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	events := newHub(cfg.EventBuffer)
 	col := metrics.New(cfg.MetricsBucket)

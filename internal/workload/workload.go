@@ -159,10 +159,3 @@ func Scale(s Spec, k int) Spec {
 	out.Job.OutputPerReduce = s.Job.OutputPerReduce // per-task sizes preserved
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
