@@ -259,7 +259,7 @@ func TestScenarioRejectsShapingFlags(t *testing.T) {
 // run), by POST /v1/scenarios with a 400 (for the widths JSON can carry),
 // and by service.New.
 func TestMetricsBucketWidthIsBounded(t *testing.T) {
-	srv, err := service.New(service.Config{})
+	srv, err := service.New(service.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,9 @@ func TestMetricsBucketWidthIsBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s, err := service.New(service.Config{MetricsBucket: width}); err == nil {
+			cfg := service.DefaultConfig()
+			cfg.MetricsBucket = width
+			if s, err := service.New(cfg); err == nil {
 				s.Close()
 				t.Error("service.New accepted it")
 			}

@@ -57,6 +57,23 @@ func startDaemon(t *testing.T, ctx context.Context, stdout, stderr *syncBuffer, 
 	}
 }
 
+// TestEmptyPoolIsRefused: -volatile 0 -dedicated 0 asks for a cluster with
+// no worker, which the engine refuses; the daemon exits with that error
+// instead of serving a default pool.
+func TestEmptyPoolIsRefused(t *testing.T) {
+	// Canceled up front: a daemon that does start drains and returns at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout, stderr syncBuffer
+	err := run(ctx, []string{"-addr", "127.0.0.1:0", "-volatile", "0", "-dedicated", "0"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "need at least one worker") {
+		t.Fatalf("err = %v, want the engine's empty-pool error", err)
+	}
+	if strings.Contains(stdout.String(), "listening on") {
+		t.Fatalf("served an empty pool:\n%s", stdout.String())
+	}
+}
+
 // TestDaemonServesAndDrains boots the daemon on a free port, submits one
 // job, runs a shipped scenario through submit → event stream → poll →
 // report, then cancels the run context (the signal path) and checks the

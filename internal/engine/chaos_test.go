@@ -33,7 +33,7 @@ func chaosConfig(seed uint64, col *metrics.Collector) Config {
 	cfg.DedicatedWorkers = 2
 	cfg.JobPolicy = "fair"
 	cfg.Metrics = col
-	cfg.Link.SessionExpiry = 150 * time.Millisecond
+	cfg.SessionExpiry = 150 * time.Millisecond
 	cfg.Faults = &transport.FaultConfig{
 		Seed:      seed,
 		DropRate:  0.03,
@@ -114,27 +114,31 @@ func runChaosJobs(t *testing.T, c *Cluster, n int) []map[string]string {
 }
 
 // TestConfigValidate pins the configuration gate: the default is valid,
-// and each protocol-breaking setting — a heartbeat that cannot fit inside
-// the lease (either one left to its default), malformed link clocks,
-// out-of-range fault rates — is rejected before any goroutine starts.
+// a session expiry of 0 or at least the lease is valid, and each
+// protocol-breaking setting — a session expiry under the lease, out-of-range
+// fault rates — is rejected before any goroutine starts.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	// A heartbeat at or past the lease would lapse every fresh lease before
+	// its next refresh. Both are constants, so it is checked here, not by
+	// Validate.
+	if heartbeatInterval >= leaseDuration {
+		t.Fatalf("heartbeatInterval %v >= leaseDuration %v", heartbeatInterval, leaseDuration)
+	}
+	for _, d := range []time.Duration{0, leaseDuration} {
+		cfg := DefaultConfig()
+		cfg.SessionExpiry = d
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("session expiry %v: %v", d, err)
+		}
 	}
 	cases := []struct {
 		name string
 		edit func(*Config)
 	}{
 		{"no workers", func(c *Config) { c.VolatileWorkers, c.DedicatedWorkers = 0, 0 }},
-		{"heartbeat at the default lease", func(c *Config) { c.Link.HeartbeatInterval = 50 * time.Millisecond }},
-		{"lease under the default heartbeat", func(c *Config) { c.Link.LeaseDuration = 5 * time.Millisecond }},
 		{"unknown policy", func(c *Config) { c.JobPolicy = "lottery" }},
-		{"link heartbeat at lease", func(c *Config) {
-			c.Link.HeartbeatInterval = 30 * time.Millisecond
-			c.Link.LeaseDuration = 30 * time.Millisecond
-		}},
-		{"session expiry below lease", func(c *Config) { c.Link.SessionExpiry = 10 * time.Millisecond }},
-		{"negative link retries", func(c *Config) { c.Link.MaxRetries = -1 }},
+		{"session expiry just under the lease", func(c *Config) { c.SessionExpiry = leaseDuration - 1 }},
+		{"negative session expiry", func(c *Config) { c.SessionExpiry = -time.Millisecond }},
 		{"drop rate above one", func(c *Config) { c.Faults = &transport.FaultConfig{DropRate: 2} }},
 		{"delay rate without delay", func(c *Config) { c.Faults = &transport.FaultConfig{DelayRate: 0.5} }},
 		{"zero-duration partition", func(c *Config) {

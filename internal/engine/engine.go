@@ -113,13 +113,13 @@ type Config struct {
 	// ordered, lossless and effectively instant.
 	Faults *transport.FaultConfig
 
-	// Link holds every clock of the engine: the worker heartbeat period,
-	// the lease a heartbeat keeps fresh (a volatile worker silent longer is
-	// considered suspended, its running tasks frozen, and backup copies are
-	// issued), the per-operation timeouts (an intermediate-data fetch is
-	// one send and one receive), the retry budget and backoff, and session
-	// expiry. Zero fields take transport.DefaultLinkConfig's values.
-	Link transport.LinkConfig
+	// SessionExpiry evicts a volatile worker's session once it has been
+	// silent this long: the connection is closed, the worker must rejoin
+	// under a new session, and results of the old one are discarded. It is
+	// the protocol's one setting (every other clock is a constant in
+	// protocol.go); zero disables expiry, so a returning worker resumes
+	// its session.
+	SessionExpiry time.Duration
 
 	// Metrics, when non-nil, receives engine-layer instrumentation
 	// (attempt launches, backup copies, frozen-task detections, map
@@ -143,10 +143,10 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects configurations the protocol cannot run: an empty pool or
-// a negative worker count, an unknown policy, invalid link clocks (a
-// heartbeat period that cannot fit inside the lease: the master would
-// declare every worker frozen between beats) or fault settings, and a
-// partition window that cuts an address no endpoint of this pool has.
+// a negative worker count, an unknown policy, a session expiry that is
+// neither 0 nor at least the lease (sessions would be evicted while their
+// lease is still trusted), invalid fault settings, and a partition window
+// that cuts an address no endpoint of this pool has.
 func (c Config) Validate() error {
 	if c.VolatileWorkers < 0 || c.DedicatedWorkers < 0 || c.VolatileWorkers+c.DedicatedWorkers < 1 {
 		return fmt.Errorf("engine: need at least one worker (got %d volatile, %d dedicated)",
@@ -157,8 +157,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("engine: %w", err)
 		}
 	}
-	if err := c.link().Validate(); err != nil {
-		return fmt.Errorf("engine: %w", err)
+	if c.SessionExpiry != 0 && c.SessionExpiry < leaseDuration {
+		return fmt.Errorf("engine: SessionExpiry %v is neither 0 nor >= the %v lease (sessions would expire while their lease is still trusted)",
+			c.SessionExpiry, leaseDuration)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -182,32 +183,6 @@ func (c Config) endpoint(addr string) bool {
 	return addr == masterAddr || err == nil && i >= 0 && i < c.VolatileWorkers+c.DedicatedWorkers && WorkerAddr(i) == addr
 }
 
-// link resolves the protocol clocks: explicit Link fields win, zero fields
-// take the defaults. A zero SessionExpiry stays zero: sessions then never
-// expire on silence alone.
-func (c Config) link() transport.LinkConfig {
-	l, d := c.Link, transport.DefaultLinkConfig()
-	for _, f := range []struct {
-		v   *time.Duration
-		def time.Duration
-	}{
-		{&l.ConnectTimeout, d.ConnectTimeout},
-		{&l.SendTimeout, d.SendTimeout},
-		{&l.RecvTimeout, d.RecvTimeout},
-		{&l.HeartbeatInterval, d.HeartbeatInterval},
-		{&l.LeaseDuration, d.LeaseDuration},
-		{&l.RetryBackoff, d.RetryBackoff},
-	} {
-		if *f.v == 0 {
-			*f.v = f.def
-		}
-	}
-	if l.MaxRetries == 0 {
-		l.MaxRetries = d.MaxRetries
-	}
-	return l
-}
-
 // policy resolves the configured arbitration policy (validated in New).
 func (c Config) policy() sched.Policy[*liveJob] {
 	name := c.JobPolicy
@@ -229,8 +204,7 @@ func (c Config) policy() sched.Policy[*liveJob] {
 // New, submit concurrent jobs with Submit (or run one with Run), inject
 // churn with Suspend/Resume, and Close when done.
 type Cluster struct {
-	cfg  Config
-	link transport.LinkConfig
+	cfg Config
 	// tr is the message fabric every master↔worker exchange crosses.
 	tr transport.Transport
 	// retries totals protocol retries made outside the master goroutine
@@ -262,7 +236,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:        cfg,
-		link:       cfg.link(),
 		cleared:    newClearedSet(),
 		closed:     make(chan struct{}),
 		submits:    make(chan submitReq),
@@ -284,7 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	total := cfg.VolatileWorkers + cfg.DedicatedWorkers
 	for i := 0; i < total; i++ {
-		w := newWorker(i, i >= cfg.VolatileWorkers, c.link, tr, &c.retries, c.cleared)
+		w := newWorker(i, i >= cfg.VolatileWorkers, tr, &c.retries, c.cleared)
 		lis, err := tr.Listen(WorkerAddr(i))
 		if err != nil {
 			masterLis.Close()

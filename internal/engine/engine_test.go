@@ -104,7 +104,7 @@ func TestCombinedMapStoresOneValuePerKey(t *testing.T) {
 		want[w]++
 	}
 	for _, combine := range []ReduceFunc{job.Combine, nil} {
-		w := newWorker(0, false, DefaultConfig().link(), nil, new(atomic.Int64), newClearedSet())
+		w := newWorker(0, false, nil, new(atomic.Int64), newClearedSet())
 		w.runMap(assignment{reduces: job.Reduces, input: job.Inputs[0], mapFn: job.Map, combineFn: combine, replicateTo: -1}, newGrouper())
 		if len(w.store) != job.Reduces {
 			t.Fatalf("combine %v: %d partitions stored, want %d", combine != nil, len(w.store), job.Reduces)
@@ -287,11 +287,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.VolatileWorkers, bad.DedicatedWorkers = 0, 0
 	if _, err := New(bad); err == nil {
 		t.Fatal("empty pool accepted")
-	}
-	bad = DefaultConfig()
-	bad.Link.RecvTimeout = -time.Millisecond
-	if _, err := New(bad); err == nil {
-		t.Fatal("negative fetch receive timeout accepted")
 	}
 }
 

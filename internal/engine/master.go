@@ -130,7 +130,6 @@ type master struct {
 	c     *Cluster
 	queue *sched.Queue[*liveJob]
 
-	link transport.LinkConfig
 	lis  transport.Listener
 	msgs chan inMsg
 
@@ -178,7 +177,6 @@ func (m *master) elapsed() float64 { return time.Since(m.start).Seconds() }
 func newMaster(c *Cluster, lis transport.Listener) *master {
 	m := &master{
 		c:           c,
-		link:        c.link,
 		lis:         lis,
 		msgs:        make(chan inMsg, 4*len(c.workers)+16),
 		sessions:    make(map[int]*session),
@@ -216,7 +214,7 @@ func (m *master) run() {
 	defer close(m.c.masterDone)
 	defer m.shutdown()
 	go m.acceptLoop()
-	check := time.NewTicker(m.link.LeaseDuration / 2)
+	check := time.NewTicker(leaseDuration / 2)
 	defer check.Stop()
 
 	for {
@@ -263,7 +261,7 @@ func (m *master) acceptLoop() {
 }
 
 func (m *master) greet(conn transport.Conn) {
-	msg, err := conn.Recv(m.link.ConnectTimeout)
+	msg, err := conn.Recv(connectTimeout)
 	if err != nil {
 		conn.Close()
 		return
@@ -379,10 +377,10 @@ func (m *master) writeLoop(s *session) {
 		case <-s.done:
 			return
 		case msg := <-s.outbox:
-			err := s.conn.Send(msg, m.link.SendTimeout)
-			for r := 0; errors.Is(err, transport.ErrTimeout) && r < m.link.MaxRetries; r++ {
+			err := s.conn.Send(msg, sendTimeout)
+			for r := 0; errors.Is(err, transport.ErrTimeout) && r < maxRetries; r++ {
 				m.c.retries.Add(1)
-				err = s.conn.Send(msg, m.link.SendTimeout)
+				err = s.conn.Send(msg, sendTimeout)
 			}
 			if err != nil && !errors.Is(err, transport.ErrTimeout) {
 				m.report(inMsg{sess: s, m: connDead{}})
@@ -433,11 +431,11 @@ func (m *master) expireSessions() {
 			continue
 		}
 		silence := now.Sub(s.lastBeat)
-		if silence >= m.link.LeaseDuration && !s.leaseLapsed {
+		if silence >= leaseDuration && !s.leaseLapsed {
 			s.leaseLapsed = true
 			m.mLeaseExp.IncAt(m.elapsed())
 		}
-		if m.link.SessionExpiry > 0 && silence >= m.link.SessionExpiry {
+		if m.c.cfg.SessionExpiry > 0 && silence >= m.c.cfg.SessionExpiry {
 			m.enqueue(s, msgExpired{}) // best-effort eviction notice
 			m.killSession(s, true)
 		}
@@ -450,10 +448,10 @@ func (m *master) expireSessions() {
 func (m *master) resendPending() {
 	now := time.Now()
 	for w, ref := range m.running {
-		if ref == nil || ref.acked || now.Sub(ref.sentAt) < m.link.SendTimeout+time.Duration(ref.resends)*m.link.RetryBackoff {
+		if ref == nil || ref.acked || now.Sub(ref.sentAt) < sendTimeout+time.Duration(ref.resends)*retryBackoff {
 			continue
 		}
-		if ref.resends >= m.link.MaxRetries {
+		if ref.resends >= maxRetries {
 			m.settle(w)
 			continue
 		}
@@ -603,7 +601,7 @@ func (m *master) live(worker int) bool {
 	if m.c.workers[worker].dedicated {
 		return true
 	}
-	return time.Since(s.lastBeat) < m.link.LeaseDuration
+	return time.Since(s.lastBeat) < leaseDuration
 }
 
 // refreshInactive recounts the unsettled attempts sitting on silent

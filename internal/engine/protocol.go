@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // The master↔worker protocol. Everything the master and workers exchange
 // travels over the cluster's transport as one of the message types below;
@@ -10,8 +13,8 @@ import "fmt"
 //
 // Reliability is split by message class. Heartbeats are fire-and-forget:
 // losing one only ages the lease. Assignments (master→worker) and events
-// (worker→master) are acknowledged by id and resent with exponential
-// backoff up to LinkConfig.MaxRetries; receivers deduplicate by id, so a
+// (worker→master) are acknowledged by id and resent with backoff up to
+// maxRetries times; receivers deduplicate by id, so a
 // resend or a fault-injected duplicate applies once. A message abandoned
 // after the last retry ends the attempt, not the job: the master
 // force-retires and reschedules, the worker reconnects under a fresh
@@ -22,6 +25,35 @@ import "fmt"
 // The master accepts events only from the worker's current, alive
 // session — results of an expired or replaced session are discarded
 // (counted as duplicate_result_discards), never committed.
+
+// The protocol's clocks. No caller varies them, so they are constants; the
+// one clock a caller does vary, session expiry, is Config.SessionExpiry.
+const (
+	// connectTimeout bounds one dial and each message of the hello/welcome
+	// handshake (the master's first receive on a new connection too).
+	connectTimeout = 50 * time.Millisecond
+	// sendTimeout and recvTimeout bound one message send and receive; an
+	// intermediate-data fetch is one of each, and an assignment or event
+	// is resent once sendTimeout plus its backoff passes unacknowledged.
+	sendTimeout = 50 * time.Millisecond
+	recvTimeout = 50 * time.Millisecond
+	// heartbeatInterval is the worker's lease-refresh period: five beats
+	// per lease, so one or two lost heartbeats never lapse a lease.
+	heartbeatInterval = 10 * time.Millisecond
+	// leaseDuration is how long a heartbeat keeps a worker trusted (the
+	// paper's SuspensionInterval, scaled to milliseconds): a volatile
+	// worker silent longer is suspended, its running tasks frozen and
+	// eligible for backup copies. The master checks leases at half of it.
+	leaseDuration = 50 * time.Millisecond
+	// maxRetries bounds the resends of one unacknowledged message. One
+	// still unacknowledged after the last resend is abandoned: the master
+	// force-retires the attempt, the worker reconnects under a fresh
+	// session.
+	maxRetries = 3
+	// retryBackoff is the first resend's (and redial's) backoff: a worker
+	// doubles it per retry, the master adds one more per resend.
+	retryBackoff = 2 * time.Millisecond
+)
 
 // masterAddr is the master's listen address on the cluster transport.
 const masterAddr = "master"

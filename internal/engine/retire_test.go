@@ -109,7 +109,7 @@ func TestAssignmentDedupIsAHighWaterMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &workerSession{w: &worker{link: DefaultConfig().link()}, conn: conn, id: 7}
+	s := &workerSession{w: &worker{}, conn: conn, id: 7}
 	arrivals := []uint64{1, 1, 2, 3, 2, 3, 3, 5, 4, 5, 6} // 4 was given up on before 5 was issued
 	for _, id := range arrivals {
 		if !s.handleMsg(msgAssign{id: id, session: 7}) {
@@ -227,9 +227,9 @@ func BenchmarkTinyJobStream(b *testing.B) {
 func bareMaster(n int) *master {
 	cfg := DefaultConfig()
 	cfg.VolatileWorkers, cfg.DedicatedWorkers = n, 0
-	c := &Cluster{cfg: cfg, link: cfg.link(), cleared: newClearedSet()}
+	c := &Cluster{cfg: cfg, cleared: newClearedSet()}
 	for i := 0; i < n; i++ {
-		c.workers = append(c.workers, newWorker(i, false, c.link, nil, &c.retries, c.cleared))
+		c.workers = append(c.workers, newWorker(i, false, nil, &c.retries, c.cleared))
 	}
 	return newMaster(c, nil)
 }
@@ -255,7 +255,7 @@ func held(ref *attemptRef) string {
 }
 
 // TestGivenUpAssignmentSettlesOnlyItself drives the per-worker record
-// through an assignment the worker never acks: it is resent MaxRetries
+// through an assignment the worker never acks: it is resent maxRetries
 // times and then settled, so its task is offered again; the given-up
 // attempt's late result decides its task but leaves the worker's newer
 // attempt — another task of the same job, with the same attempt number —
@@ -273,13 +273,13 @@ func TestGivenUpAssignmentSettlesOnlyItself(t *testing.T) {
 	lost := m.running[0]
 	due := func(ref *attemptRef) { ref.sentAt = ref.sentAt.Add(-time.Hour) }
 
-	for i := 0; i < m.link.MaxRetries; i++ {
+	for i := 0; i < maxRetries; i++ {
 		due(lost)
 		m.resendPending()
 		m.resendPending() // the next resend waits out its backoff
 	}
-	if lost.resends != m.link.MaxRetries || len(s0.outbox) != 1+m.link.MaxRetries {
-		t.Fatalf("%d resends, %d sends, want %d and %d", lost.resends, len(s0.outbox), m.link.MaxRetries, 1+m.link.MaxRetries)
+	if lost.resends != maxRetries || len(s0.outbox) != 1+maxRetries {
+		t.Fatalf("%d resends, %d sends, want %d and %d", lost.resends, len(s0.outbox), maxRetries, 1+maxRetries)
 	}
 	for len(s0.outbox) > 0 {
 		if a, ok := (<-s0.outbox).(msgAssign); !ok || a.id != lost.msg.id || a.task.taskID != 0 || a.task.attempt != 0 {

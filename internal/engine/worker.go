@@ -91,7 +91,6 @@ func (s *clearedSet) has(job int) bool {
 type worker struct {
 	id        int
 	dedicated bool
-	link      transport.LinkConfig
 	tr        transport.Transport
 	gate      *gate
 
@@ -121,11 +120,10 @@ type storeKey struct {
 	job, mapID, attempt, partition int
 }
 
-func newWorker(id int, dedicated bool, link transport.LinkConfig, tr transport.Transport, retries *atomic.Int64, cleared *clearedSet) *worker {
+func newWorker(id int, dedicated bool, tr transport.Transport, retries *atomic.Int64, cleared *clearedSet) *worker {
 	return &worker{
 		id:        id,
 		dedicated: dedicated,
-		link:      link,
 		tr:        tr,
 		gate:      newGate(),
 		retries:   retries,
@@ -142,7 +140,7 @@ func newWorker(id int, dedicated bool, link transport.LinkConfig, tr transport.T
 func (w *worker) run(closed chan struct{}) {
 	go w.serveFetches(closed)
 	scratch := newGrouper()
-	backoff := w.link.RetryBackoff
+	backoff := retryBackoff
 	for {
 		if isClosed(closed) {
 			return
@@ -152,7 +150,7 @@ func (w *worker) run(closed chan struct{}) {
 		if !ok {
 			continue
 		}
-		backoff = w.link.RetryBackoff
+		backoff = retryBackoff
 		s := &workerSession{
 			w:       w,
 			conn:    conn,
@@ -169,11 +167,11 @@ func (w *worker) run(closed chan struct{}) {
 // failure it backs off (doubling, capped) so a partitioned worker does not
 // spin; the backoff resets once a session is established.
 func (w *worker) connect(closed chan struct{}, backoff *time.Duration) (transport.Conn, uint64, bool) {
-	conn, err := w.tr.Dial(WorkerAddr(w.id), masterAddr, w.link.ConnectTimeout)
+	conn, err := w.tr.Dial(WorkerAddr(w.id), masterAddr, connectTimeout)
 	if err == nil {
-		if err = conn.Send(msgHello{worker: w.id}, w.link.SendTimeout); err == nil {
+		if err = conn.Send(msgHello{worker: w.id}, sendTimeout); err == nil {
 			var m any
-			if m, err = conn.Recv(w.link.RecvTimeout); err == nil {
+			if m, err = conn.Recv(recvTimeout); err == nil {
 				if wel, ok := m.(msgWelcome); ok {
 					return conn, wel.session, true
 				}
@@ -233,11 +231,11 @@ func (s *workerSession) loop() {
 		}
 		now := time.Now()
 		if !now.Before(nextBeat) {
-			err := s.conn.Send(msgHeartbeat{session: s.id}, w.link.SendTimeout)
+			err := s.conn.Send(msgHeartbeat{session: s.id}, sendTimeout)
 			if err != nil && !errors.Is(err, transport.ErrTimeout) {
 				return // reset or closed: redial
 			}
-			nextBeat = now.Add(w.link.HeartbeatInterval)
+			nextBeat = now.Add(heartbeatInterval)
 		}
 		m, err := s.conn.Recv(time.Until(nextBeat))
 		if err != nil {
@@ -265,7 +263,7 @@ func (s *workerSession) handleMsg(m any) bool {
 			s.lastAssign = msg.id
 			s.queue = append(s.queue, msg)
 		}
-		err := s.conn.Send(msgAck{id: msg.id}, s.w.link.SendTimeout)
+		err := s.conn.Send(msgAck{id: msg.id}, sendTimeout)
 		if err != nil && !errors.Is(err, transport.ErrTimeout) {
 			return false
 		}
@@ -298,18 +296,18 @@ func (s *workerSession) sendEvent(ev workerEvent) bool {
 	w := s.w
 	s.nextEventID++
 	msg := msgEvent{id: s.nextEventID, session: s.id, ev: ev}
-	backoff := w.link.RetryBackoff
+	backoff := retryBackoff
 	for try := 0; ; try++ {
 		if isClosed(s.closed) {
 			return false
 		}
 		w.gate.wait()
-		err := s.conn.Send(msg, w.link.SendTimeout)
+		err := s.conn.Send(msg, sendTimeout)
 		if err != nil && !errors.Is(err, transport.ErrTimeout) {
 			return false
 		}
 		if err == nil {
-			deadline := time.Now().Add(w.link.RecvTimeout)
+			deadline := time.Now().Add(recvTimeout)
 			for {
 				m, rerr := s.conn.Recv(time.Until(deadline))
 				if rerr != nil {
@@ -326,7 +324,7 @@ func (s *workerSession) sendEvent(ev workerEvent) bool {
 				}
 			}
 		}
-		if try >= w.link.MaxRetries {
+		if try >= maxRetries {
 			return false
 		}
 		w.retries.Add(1)
@@ -411,15 +409,15 @@ func (w *worker) runReduce(a assignment, g *grouper) workerEvent {
 // reply — reads as a miss; the caller falls through to the next holder or
 // reports the map unreachable.
 func (w *worker) fetch(holder, job, mapID, attempt, part int) (partition, bool) {
-	conn, err := w.tr.Dial(WorkerAddr(w.id), WorkerAddr(holder), w.link.ConnectTimeout)
+	conn, err := w.tr.Dial(WorkerAddr(w.id), WorkerAddr(holder), connectTimeout)
 	if err != nil {
 		return partition{}, false
 	}
 	defer conn.Close()
-	if err := conn.Send(msgFetchReq{job: job, mapID: mapID, attempt: attempt, partition: part}, w.link.SendTimeout); err != nil {
+	if err := conn.Send(msgFetchReq{job: job, mapID: mapID, attempt: attempt, partition: part}, sendTimeout); err != nil {
 		return partition{}, false
 	}
-	m, err := conn.Recv(w.link.RecvTimeout)
+	m, err := conn.Recv(recvTimeout)
 	if err != nil {
 		return partition{}, false
 	}
@@ -436,7 +434,7 @@ func (w *worker) serveFetches(closed chan struct{}) {
 			return
 		}
 		w.gate.wait()
-		conn, err := w.fetchLis.Accept(w.link.RecvTimeout)
+		conn, err := w.fetchLis.Accept(recvTimeout)
 		if err != nil {
 			if errors.Is(err, transport.ErrTimeout) {
 				continue
@@ -444,12 +442,12 @@ func (w *worker) serveFetches(closed chan struct{}) {
 			return
 		}
 		w.gate.wait() // suspended workers serve nothing
-		if m, err := conn.Recv(w.link.RecvTimeout); err == nil {
+		if m, err := conn.Recv(recvTimeout); err == nil {
 			if req, ok := m.(msgFetchReq); ok {
 				w.storeMu.Lock()
 				data, found := w.store[storeKey{req.job, req.mapID, req.attempt, req.partition}]
 				w.storeMu.Unlock()
-				_ = conn.Send(msgFetchResp{ok: found, data: data}, w.link.SendTimeout)
+				_ = conn.Send(msgFetchResp{ok: found, data: data}, sendTimeout)
 			}
 		}
 		conn.Close()

@@ -24,11 +24,6 @@ type LiveConfig struct {
 	// DedicatedWorkers never churn.
 	VolatileWorkers  int
 	DedicatedWorkers int
-	// NoDedicatedReplication disables MOON's hybrid-aware intermediate
-	// replication (the inverted spelling keeps the zero LiveConfig on the
-	// documented default: map outputs are replicated to a dedicated
-	// worker, so churn recovers from the copy instead of re-executing).
-	NoDedicatedReplication bool
 
 	// HorizonSeconds is the churn-trace length in simulated seconds; the
 	// sweep's rate drives each trace's unavailable fraction exactly like
@@ -57,13 +52,9 @@ type LiveConfig struct {
 	ArrivalInterval float64
 	ArrivalSeed     uint64
 
-	// Timeout bounds one cell's wall-clock execution.
-	Timeout time.Duration
-
-	// Link tunes the engine's failure-handling protocol (per-operation
-	// timeouts, retries, lease and session clocks); zero fields inherit
-	// the engine defaults.
-	Link transport.LinkConfig
+	// SessionExpiry is the engine's session-expiry clock
+	// (engine.Config.SessionExpiry; 0 never expires a session).
+	SessionExpiry time.Duration
 	// Faults, when non-nil, runs every cell's cluster over a
 	// fault-injecting transport (seeded drops, duplicates, delays,
 	// connection resets, timed partitions). Nil keeps the lossless
@@ -83,21 +74,25 @@ func DefaultLiveConfig() LiveConfig {
 		SplitsPerJob:     8,
 		WordsPerSplit:    400,
 		ReducesPerJob:    3,
-		Timeout:          2 * time.Minute,
 	}
 }
 
+// liveCellTimeout bounds one cell's wall-clock execution, and its drain
+// after. A shipped live cell finishes in seconds; the bound only keeps a
+// wedged cell from hanging a sweep.
+const liveCellTimeout = 2 * time.Minute
+
 // Validate checks the cell shape (positive clocks and sizes, the arrival
-// process) and the engine configuration every cell runs, so link/fault
-// mistakes (heartbeat not shorter than the suspension timeout, malformed
-// rates or partition windows) surface at compile time rather than
-// mid-sweep. A line's cell adds its policy (LiveCell.check).
+// process) and the engine configuration every cell runs, so session-expiry
+// and fault mistakes (an expiry under the engine's lease, malformed rates
+// or partition windows) surface at compile time rather than mid-sweep. A
+// line's cell adds its policy (LiveCell.check).
 func (lc LiveConfig) Validate() error { return lc.validate(lc.engineConfig()) }
 
 func (lc LiveConfig) validate(ecfg engine.Config) error {
-	if lc.HorizonSeconds <= 0 || lc.Compression <= 0 || lc.Timeout <= 0 {
-		return fmt.Errorf("harness: live horizon %vs, compression %v and timeout %v must be positive",
-			lc.HorizonSeconds, lc.Compression, lc.Timeout)
+	if lc.HorizonSeconds <= 0 || lc.Compression <= 0 {
+		return fmt.Errorf("harness: live horizon %vs and compression %v must be positive",
+			lc.HorizonSeconds, lc.Compression)
 	}
 	if lc.Jobs < 1 || lc.SplitsPerJob < 1 || lc.WordsPerSplit < 1 || lc.ReducesPerJob < 1 {
 		return fmt.Errorf("harness: live jobs %d, splits %d, words per split %d and reduces %d must be >= 1",
@@ -120,8 +115,7 @@ func (lc LiveConfig) engineConfig() engine.Config {
 	ecfg := engine.DefaultConfig()
 	ecfg.VolatileWorkers = lc.VolatileWorkers
 	ecfg.DedicatedWorkers = lc.DedicatedWorkers
-	ecfg.ReplicateToDedicated = !lc.NoDedicatedReplication
-	ecfg.Link = lc.Link
+	ecfg.SessionExpiry = lc.SessionExpiry
 	ecfg.Faults = lc.Faults
 	return ecfg
 }
@@ -229,7 +223,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 	}
 	defer cl.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), lc.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), liveCellTimeout)
 	defer cancel()
 
 	churnDone := make(chan struct{})
@@ -297,7 +291,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 	if col != nil {
 		// Retire in-flight backup attempts, then stop the master so the
 		// collector is safe to snapshot.
-		drainCtx, drainCancel := context.WithTimeout(context.Background(), lc.Timeout)
+		drainCtx, drainCancel := context.WithTimeout(context.Background(), liveCellTimeout)
 		_ = cl.Drain(drainCtx)
 		drainCancel()
 		cl.Close()

@@ -22,7 +22,6 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 	lc.SplitsPerJob = 5
 	lc.WordsPerSplit = 120
 	lc.ReducesPerJob = 2
-	lc.Timeout = 45 * time.Second
 
 	cfg := Config{Seeds: []uint64{1, 2}, Rates: []float64{0.3}, MetricsBucket: 1}
 	var lines []string
@@ -196,7 +195,7 @@ func TestLiveArrivalOffsets(t *testing.T) {
 	}{
 		{"zero horizon", func(c *LiveConfig) { c.HorizonSeconds = 0 }},
 		{"negative compression", func(c *LiveConfig) { c.Compression = -time.Millisecond }},
-		{"zero timeout", func(c *LiveConfig) { c.Timeout = 0 }},
+		{"session expiry under the lease", func(c *LiveConfig) { c.SessionExpiry = time.Millisecond }},
 		{"zero jobs", func(c *LiveConfig) { c.Jobs = 0 }},
 		{"negative splits", func(c *LiveConfig) { c.SplitsPerJob = -1 }},
 		{"zero words per split", func(c *LiveConfig) { c.WordsPerSplit = 0 }},
@@ -217,7 +216,6 @@ func TestLiveCellsWithArrivalOffsets(t *testing.T) {
 	lc.SplitsPerJob = 4
 	lc.WordsPerSplit = 80
 	lc.ReducesPerJob = 2
-	lc.Timeout = 45 * time.Second
 	lc.Arrivals = "staggered"
 	lc.ArrivalInterval = 20 // 20 ms of wall clock at 1 ms compression
 

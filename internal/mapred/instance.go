@@ -257,7 +257,7 @@ func (jt *JobTracker) completeInstance(in *Instance) {
 	// Kill the losing attempts (copy the slice: killing prunes it).
 	for _, other := range append([]*Instance(nil), t.instances...) {
 		if other != in && other.running() {
-			jt.killInstance(other, "task completed elsewhere")
+			jt.killInstance(other)
 		}
 	}
 	jt.maybeFinishJob(j)
@@ -266,7 +266,7 @@ func (jt *JobTracker) completeInstance(in *Instance) {
 // killInstance terminates an attempt (tracker expiry, lost race, job end).
 // The phase changes before teardown so that cancellation callbacks firing
 // synchronously see a dead attempt and do nothing.
-func (jt *JobTracker) killInstance(in *Instance, reason string) {
+func (jt *JobTracker) killInstance(in *Instance) {
 	if !in.running() {
 		return
 	}
@@ -277,7 +277,6 @@ func (jt *JobTracker) killInstance(in *Instance, reason string) {
 	if in.speculative {
 		jt.inst.specWasted.Inc()
 	}
-	_ = reason
 }
 
 // failInstance terminates an attempt that hit an unrecoverable error and
@@ -286,13 +285,7 @@ func (jt *JobTracker) failInstance(in *Instance, reason string) {
 	if !in.running() {
 		return
 	}
-	in.phase = phaseKilled
-	jt.teardown(in)
-	jt.detach(in)
-	jt.countKill(in.task)
-	if in.speculative {
-		jt.inst.specWasted.Inc()
-	}
+	jt.killInstance(in)
 	if in.task.attempts >= maxTaskAttempts && !in.task.completed {
 		jt.failJob(in.task.job, fmt.Sprintf("task %s failed %d attempts (last: %s)",
 			in.task.ID(), in.task.attempts, reason))

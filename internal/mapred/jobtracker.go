@@ -205,7 +205,7 @@ func (jt *JobTracker) trackerChanged(n *cluster.Node, available bool) {
 			tt.expired = true
 			tt.suspected = false
 			for _, in := range append([]*Instance(nil), tt.running...) {
-				jt.killInstance(in, "tracker expired")
+				jt.killInstance(in)
 			}
 		})
 		return

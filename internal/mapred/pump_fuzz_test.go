@@ -393,7 +393,7 @@ func (w *pumpWorld) apply(o pumpOp) {
 			}
 		}
 		if len(live) > 0 {
-			w.jt.killInstance(live[o.arg%len(live)], "fuzz")
+			w.jt.killInstance(live[o.arg%len(live)])
 		}
 	case opLose:
 		if mt := j.maps[o.arg%len(j.maps)]; mt.output != "" {

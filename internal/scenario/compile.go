@@ -133,24 +133,13 @@ func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
 	if l.VolatileWorkers != 0 || l.DedicatedWorkers != 0 {
 		lc.VolatileWorkers, lc.DedicatedWorkers = l.VolatileWorkers, l.DedicatedWorkers
 	}
-	lc.NoDedicatedReplication = l.NoDedicatedReplication
 	lc.HorizonSeconds = orDefault(l.HorizonSeconds, lc.HorizonSeconds)
 	lc.Compression = orDefault(ms("compression_ms", l.CompressionMS), lc.Compression)
 	lc.SplitsPerJob = orDefault(l.SplitsPerJob, lc.SplitsPerJob)
 	lc.WordsPerSplit = orDefault(l.WordsPerSplit, lc.WordsPerSplit)
 	lc.ReducesPerJob = orDefault(l.ReducesPerJob, lc.ReducesPerJob)
-	lc.Timeout = orDefault(d.of("timeout_seconds", l.TimeoutSeconds, time.Second), lc.Timeout)
 	if lk := l.Link; lk != nil {
-		lc.Link = transport.LinkConfig{
-			ConnectTimeout:    ms("link.connect_timeout_ms", lk.ConnectTimeoutMS),
-			SendTimeout:       ms("link.send_timeout_ms", lk.SendTimeoutMS),
-			RecvTimeout:       ms("link.recv_timeout_ms", lk.RecvTimeoutMS),
-			HeartbeatInterval: ms("link.heartbeat_interval_ms", lk.HeartbeatIntervalMS),
-			LeaseDuration:     ms("link.lease_duration_ms", lk.LeaseDurationMS),
-			MaxRetries:        lk.MaxRetries,
-			RetryBackoff:      ms("link.retry_backoff_ms", lk.RetryBackoffMS),
-			SessionExpiry:     ms("link.session_expiry_ms", lk.SessionExpiryMS),
-		}
+		lc.SessionExpiry = ms("link.session_expiry_ms", lk.SessionExpiryMS)
 	}
 	if f := l.Faults; f != nil {
 		fc := &transport.FaultConfig{

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -106,17 +107,10 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 		{"negative partition worker", func(s *Spec) {
 			s.Live.Faults = &FaultSpec{Partitions: []PartitionSpec{{DurationMS: 10, Workers: []int{-1}}}}
 		}},
-		{"heartbeat at the lease", func(s *Spec) {
-			s.Live.Link = &LinkSpec{HeartbeatIntervalMS: 50, LeaseDurationMS: 50}
-		}},
-		{"session expiry below the lease", func(s *Spec) {
-			s.Live.Link = &LinkSpec{LeaseDurationMS: 50, SessionExpiryMS: 20}
-		}},
-		{"negative link retries", func(s *Spec) { s.Live.Link = &LinkSpec{MaxRetries: -1} }},
-		{"negative link timeout", func(s *Spec) { s.Live.Link = &LinkSpec{SendTimeoutMS: -5} }},
+		{"session expiry below the lease", func(s *Spec) { s.Live.Link = &LinkSpec{SessionExpiryMS: 20} }},
 		// Past a Duration's range is an error on every platform, not
 		// whatever the float-to-int conversion gives there.
-		{"timeout past a duration", func(s *Spec) { s.Live.TimeoutSeconds = 1e300 }},
+		{"session expiry past a duration", func(s *Spec) { s.Live.Link = &LinkSpec{SessionExpiryMS: 1e300} }},
 		{"partition start past a duration", func(s *Spec) {
 			s.Live.Faults = &FaultSpec{Partitions: []PartitionSpec{{StartMS: 1e300, DurationMS: 10}}}
 		}},
@@ -129,9 +123,41 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 		}
 	}
 	s := liveSpec()
-	s.Live.Link = &LinkSpec{LeaseDurationMS: -1e300}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "live: link.lease_duration_ms -1e+300 is outside the range of a duration") {
+	s.Live.Link = &LinkSpec{SessionExpiryMS: -1e300}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "live: link.session_expiry_ms -1e+300 is outside the range of a duration") {
 		t.Errorf("err = %v, want the field and its JSON path", err)
+	}
+}
+
+// TestParseRefusesRemovedLiveFields: the protocol clocks other than session
+// expiry are engine constants and a cell's timeout is the harness's, so a
+// spec that still sets one is refused by the strict decoder, which names
+// the field, instead of running with a value it would ignore.
+func TestParseRefusesRemovedLiveFields(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(live map[string]any)
+	}{
+		{"lease_duration_ms", func(live map[string]any) { live["link"] = map[string]any{"lease_duration_ms": 50} }},
+		{"timeout_seconds", func(live map[string]any) { live["timeout_seconds"] = 60 }},
+		{"no_dedicated_replication", func(live map[string]any) { live["no_dedicated_replication"] = true }},
+	} {
+		var buf bytes.Buffer
+		if err := liveSpec().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(doc["live"].(map[string]any))
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Parse error %v, want one naming the field", tc.field, err)
+		}
 	}
 }
 
@@ -182,9 +208,6 @@ func TestCompileLiveLowersPlan(t *testing.T) {
 	if lc.Compression != time.Millisecond || lc.HorizonSeconds != 120 {
 		t.Fatalf("live churn shape %+v", lc)
 	}
-	if lc.NoDedicatedReplication {
-		t.Fatal("dedicated replication off by default")
-	}
 	if lc.Arrivals != "staggered" || lc.ArrivalInterval != 10 {
 		t.Fatalf("arrivals not lowered: %+v", lc)
 	}
@@ -233,8 +256,8 @@ func TestCompileChaosLiveLowersFaults(t *testing.T) {
 		t.Fatalf("chaos-live plan shape: %+v", plan.Runs)
 	}
 	lc := liveCells(t, plan.Runs[0])[0].Config
-	if lc.Link.SessionExpiry != 150*time.Millisecond {
-		t.Fatalf("session expiry %v, want 150ms", lc.Link.SessionExpiry)
+	if lc.SessionExpiry != 150*time.Millisecond {
+		t.Fatalf("session expiry %v, want 150ms", lc.SessionExpiry)
 	}
 	f := lc.Faults
 	if f == nil {

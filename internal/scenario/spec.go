@@ -116,10 +116,6 @@ type LiveSpec struct {
 	// DedicatedWorkers never churn.
 	VolatileWorkers  int `json:"volatile_workers,omitempty"`
 	DedicatedWorkers int `json:"dedicated_workers,omitempty"`
-	// NoDedicatedReplication disables MOON's hybrid-aware intermediate
-	// replication (map outputs then live only on their worker, so churn
-	// forces re-execution).
-	NoDedicatedReplication bool `json:"no_dedicated_replication,omitempty"`
 	// HorizonSeconds is the churn-trace length in simulated seconds; the
 	// sweep's rates drive each trace's unavailable fraction.
 	HorizonSeconds float64 `json:"horizon_seconds,omitempty"`
@@ -131,11 +127,8 @@ type LiveSpec struct {
 	SplitsPerJob  int `json:"splits_per_job,omitempty"`
 	WordsPerSplit int `json:"words_per_split,omitempty"`
 	ReducesPerJob int `json:"reduces_per_job,omitempty"`
-	// TimeoutSeconds bounds one cell's wall-clock execution.
-	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
-	// Link tunes the engine's failure-handling protocol (per-operation
-	// deadlines, retries, heartbeat lease and session clocks). Zero
-	// fields keep the engine defaults.
+	// Link sets the engine's failure-handling protocol; its one setting
+	// is the session-expiry clock.
 	Link *LinkSpec `json:"link,omitempty"`
 	// Faults runs every cell over the fault-injecting transport (seeded
 	// drops, duplicates, delays, connection resets, timed partitions).
@@ -144,29 +137,15 @@ type LiveSpec struct {
 	Faults *FaultSpec `json:"faults,omitempty"`
 }
 
-// LinkSpec is the failure-handling protocol's knob block, in milliseconds.
-// Zero fields inherit the engine defaults (50 ms operation deadlines,
-// 10 ms heartbeats against a 50 ms lease, 3 retries backing off from 2 ms,
-// sessions that never expire on silence).
+// LinkSpec is the failure-handling protocol's one setting. Every other
+// clock of the protocol (operation deadlines, heartbeat and lease, retries
+// and backoff) is a constant of the engine, and Parse refuses a spec that
+// still sets one, naming the field.
 type LinkSpec struct {
-	// ConnectTimeoutMS bounds one dial including its handshake.
-	ConnectTimeoutMS float64 `json:"connect_timeout_ms,omitempty"`
-	// SendTimeoutMS / RecvTimeoutMS bound one message operation.
-	SendTimeoutMS float64 `json:"send_timeout_ms,omitempty"`
-	RecvTimeoutMS float64 `json:"recv_timeout_ms,omitempty"`
-	// HeartbeatIntervalMS is the worker's lease-refresh period; it must
-	// stay below LeaseDurationMS.
-	HeartbeatIntervalMS float64 `json:"heartbeat_interval_ms,omitempty"`
-	// LeaseDurationMS is how long a heartbeat keeps a volatile worker's
-	// lease fresh; silence beyond it marks the worker suspended.
-	LeaseDurationMS float64 `json:"lease_duration_ms,omitempty"`
-	// MaxRetries bounds the resends of one unacknowledged message.
-	MaxRetries int `json:"max_retries,omitempty"`
-	// RetryBackoffMS is the initial resend backoff; it doubles per retry.
-	RetryBackoffMS float64 `json:"retry_backoff_ms,omitempty"`
 	// SessionExpiryMS evicts a session silent this long; the worker must
 	// rejoin under a new session and its stale results are discarded.
-	// Zero never expires sessions.
+	// Zero never expires sessions; otherwise it must be at least the
+	// engine's 50 ms lease.
 	SessionExpiryMS float64 `json:"session_expiry_ms,omitempty"`
 }
 

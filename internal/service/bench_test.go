@@ -102,7 +102,7 @@ func BenchmarkServiceSubmitPoll(b *testing.B) {
 // polling one finished submission's status (the hot endpoint while a
 // dashboard watches a run).
 func BenchmarkServiceStatusPoll(b *testing.B) {
-	s, err := New(Config{})
+	s, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

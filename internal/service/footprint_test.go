@@ -82,7 +82,7 @@ func TestSubmissionFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 450 jobs")
 	}
-	s, err := New(Config{Quota: sched.QuotaConfig{MaxConcurrent: -1}})
+	s, err := New(Config{VolatileWorkers: 4, DedicatedWorkers: 1, Quota: sched.QuotaConfig{MaxConcurrent: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ const tinyJob = `{"name":"tiny","splits":2,"words_per_split":50}`
 // would carry the job's name.
 func TestCollectorDoesNotGrowWithJobs(t *testing.T) {
 	instruments := func(jobs int) []string {
-		s, err := New(Config{Quota: sched.QuotaConfig{MaxConcurrent: -1}})
+		s, err := New(Config{VolatileWorkers: 4, DedicatedWorkers: 1, Quota: sched.QuotaConfig{MaxConcurrent: -1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestCollectorDoesNotGrowWithJobs(t *testing.T) {
 // final status, not a report. Each fetch renders the report from that
 // status, so two fetches return the same bytes, and they are jobReport's.
 func TestDirectJobReportIsRenderedOnRequest(t *testing.T) {
-	s, err := New(Config{})
+	s, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

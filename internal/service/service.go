@@ -48,6 +48,8 @@ import (
 
 // Config shapes the daemon: the persistent engine pool serving direct job
 // submissions, the default per-tenant quotas, and each event stream's buffer.
+// Start from DefaultConfig: a zero pool or quota here is a zero, not a
+// default.
 type Config struct {
 	// VolatileWorkers / DedicatedWorkers size the persistent cluster
 	// direct job submissions run on (scenario submissions build their own
@@ -59,12 +61,13 @@ type Config struct {
 	// "priority").
 	JobPolicy string
 
-	// Quota is every tenant's admission quota.
+	// Quota is every tenant's admission quota (the zero quota admits
+	// everything: no concurrency cap).
 	Quota sched.QuotaConfig
 
 	// MetricsBucket is the series bucket width (seconds) of the
-	// persistent cluster's collector and of scenario-run cells; New
-	// refuses a width metrics.CheckBucket refuses.
+	// persistent cluster's collector and of scenario-run cells (0 selects
+	// 1); New refuses a width metrics.CheckBucket refuses.
 	MetricsBucket float64
 	// EventBuffer bounds each /v1/events subscriber's queue of frames
 	// (a subscriber that falls behind drops frames rather than block a
@@ -84,14 +87,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults fills the two fields whose zero is documented to mean the
+// default. Every other field is used as given: a zero pool is an error and
+// a zero quota is unlimited, as sched.QuotaConfig says.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.VolatileWorkers == 0 && c.DedicatedWorkers == 0 {
-		c.VolatileWorkers, c.DedicatedWorkers = d.VolatileWorkers, d.DedicatedWorkers
-	}
-	if c.Quota == (sched.QuotaConfig{}) {
-		c.Quota = d.Quota
-	}
 	if c.MetricsBucket <= 0 {
 		c.MetricsBucket = d.MetricsBucket
 	}

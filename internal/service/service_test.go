@@ -147,7 +147,7 @@ func TestScenarioReportMatchesCLIPath(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, ts := newTestServer(t, Config{})
+			_, ts := newTestServer(t, DefaultConfig())
 			resp, raw := do(t, http.MethodPost, ts.URL+"/v1/scenarios", []byte(tc.spec), nil)
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("submit scenario: %d %s", resp.StatusCode, raw)
@@ -173,7 +173,7 @@ func TestScenarioReportMatchesCLIPath(t *testing.T) {
 // TestDirectJobLifecycle: submit → poll → report for a direct engine job
 // on the persistent cluster.
 func TestDirectJobLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, DefaultConfig())
 	body := []byte(`{"name": "count", "splits": 4, "words_per_split": 80, "reduces": 2}`)
 	resp, raw := do(t, http.MethodPost, ts.URL+"/v1/jobs", body, map[string]string{"X-Moon-Tenant": "alice"})
 	if resp.StatusCode != http.StatusAccepted {
@@ -275,6 +275,26 @@ func TestQuotaEnforcement(t *testing.T) {
 	}
 }
 
+// TestZeroQuotaAdmitsEverything: the zero quota has no concurrency cap, as
+// sched.QuotaConfig documents, so one tenant gets past DefaultConfig's
+// 4 running + 16 queued. The only worker is suspended, so every submission
+// stays in flight.
+func TestZeroQuotaAdmitsEverything(t *testing.T) {
+	s, err := New(Config{VolatileWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.cluster.Suspend(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 21; i++ {
+		if rec := call(s, http.MethodPost, "/v1/jobs", `{"name":"wc","splits":1,"words_per_split":10}`, nil); rec.Code != http.StatusAccepted {
+			t.Fatalf("submission %d: %d %s, want 202", i, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestDrainCompletesInFlight pins satellite 1: during Drain, in-flight
 // submissions run to completion while new ones get a structured 503; the
 // drained server still serves status and reports.
@@ -343,7 +363,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 // /v1/events subscriber receives `job` transition frames and live
 // `metric` frames while a submission runs.
 func TestEventsStreamDuringRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, DefaultConfig())
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/events", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +418,7 @@ func TestEventsStreamDuringRun(t *testing.T) {
 // TestStructuredErrors pins satellite 6: every 4xx carries a structured
 // JSON body, unknown paths 404, and wrong methods 405 with Allow.
 func TestStructuredErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, DefaultConfig())
 	cases := []struct {
 		method, path string
 		body         []byte

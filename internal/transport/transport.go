@@ -14,7 +14,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -82,89 +81,4 @@ func (s *stats) snapshot() Stats {
 		Delays: s.delays.Load(),
 		Resets: s.resets.Load(),
 	}
-}
-
-// LinkConfig gathers every knob of the engine's failure-handling protocol,
-// in the style of the paper's CLUSTER_LINK_* / COORDINATOR_* family. The
-// zero value is not valid; start from DefaultLinkConfig.
-type LinkConfig struct {
-	// ConnectTimeout bounds one dial (including the hello/welcome
-	// handshake's per-message operations).
-	ConnectTimeout time.Duration
-	// SendTimeout / RecvTimeout bound one message send / receive.
-	SendTimeout time.Duration
-	RecvTimeout time.Duration
-	// HeartbeatInterval is the worker's lease-refresh period.
-	HeartbeatInterval time.Duration
-	// LeaseDuration is how long a heartbeat keeps a volatile worker's
-	// lease fresh; a worker silent longer is treated as suspended and its
-	// tasks become eligible for backup copies.
-	LeaseDuration time.Duration
-	// MaxRetries bounds the resends of one unacknowledged message (0
-	// keeps the default; retries back off exponentially from
-	// RetryBackoff). A message still unacknowledged after the last resend
-	// is abandoned: the master force-retires the attempt, the worker
-	// reconnects under a fresh session.
-	MaxRetries int
-	// RetryBackoff is the initial resend backoff; it doubles per retry.
-	RetryBackoff time.Duration
-	// SessionExpiry evicts a session silent this long: the connection is
-	// closed and the worker must rejoin under a new session ID, its
-	// in-flight results discarded. Zero disables expiry (a returning
-	// worker resumes its session, the pre-transport behavior).
-	SessionExpiry time.Duration
-}
-
-// DefaultLinkConfig mirrors the engine's millisecond-scale defaults:
-// heartbeats at 10 ms against a 50 ms lease, 50 ms per-operation
-// deadlines, three retries from a 2 ms backoff, and no session expiry.
-func DefaultLinkConfig() LinkConfig {
-	return LinkConfig{
-		ConnectTimeout:    50 * time.Millisecond,
-		SendTimeout:       50 * time.Millisecond,
-		RecvTimeout:       50 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		LeaseDuration:     50 * time.Millisecond,
-		MaxRetries:        3,
-		RetryBackoff:      2 * time.Millisecond,
-	}
-}
-
-// Validate rejects configurations under which the protocol cannot work: a
-// heartbeat period at or beyond the lease makes every fresh lease expire
-// before its next refresh, and a session expiry shorter than the lease
-// would evict workers the lease still trusts.
-func (l LinkConfig) Validate() error {
-	// Ordered so the reported knob is deterministic when several are
-	// invalid (detrange-pinned).
-	for _, p := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"ConnectTimeout", l.ConnectTimeout},
-		{"SendTimeout", l.SendTimeout},
-		{"RecvTimeout", l.RecvTimeout},
-		{"HeartbeatInterval", l.HeartbeatInterval},
-		{"LeaseDuration", l.LeaseDuration},
-		{"RetryBackoff", l.RetryBackoff},
-	} {
-		if p.d <= 0 {
-			return fmt.Errorf("transport: %s must be positive (got %v)", p.name, p.d)
-		}
-	}
-	if l.MaxRetries < 0 {
-		return fmt.Errorf("transport: MaxRetries must be >= 0 (got %d)", l.MaxRetries)
-	}
-	if l.HeartbeatInterval >= l.LeaseDuration {
-		return fmt.Errorf("transport: HeartbeatInterval %v >= LeaseDuration %v (a fresh lease would expire before its next refresh)",
-			l.HeartbeatInterval, l.LeaseDuration)
-	}
-	if l.SessionExpiry < 0 {
-		return fmt.Errorf("transport: SessionExpiry must be >= 0 (got %v)", l.SessionExpiry)
-	}
-	if l.SessionExpiry > 0 && l.SessionExpiry < l.LeaseDuration {
-		return fmt.Errorf("transport: SessionExpiry %v < LeaseDuration %v (sessions would expire while their lease is still trusted)",
-			l.SessionExpiry, l.LeaseDuration)
-	}
-	return nil
 }

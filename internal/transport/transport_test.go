@@ -99,36 +99,6 @@ func TestLoopbackRejectsDuplicateListen(t *testing.T) {
 	}
 }
 
-func TestLinkConfigValidate(t *testing.T) {
-	if err := DefaultLinkConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-
-	l := DefaultLinkConfig()
-	l.HeartbeatInterval = l.LeaseDuration
-	if err := l.Validate(); err == nil {
-		t.Fatal("heartbeat >= lease accepted")
-	}
-
-	l = DefaultLinkConfig()
-	l.SendTimeout = 0
-	if err := l.Validate(); err == nil {
-		t.Fatal("zero SendTimeout accepted")
-	}
-
-	l = DefaultLinkConfig()
-	l.SessionExpiry = l.LeaseDuration / 2
-	if err := l.Validate(); err == nil {
-		t.Fatal("SessionExpiry < LeaseDuration accepted")
-	}
-
-	l = DefaultLinkConfig()
-	l.MaxRetries = -1
-	if err := l.Validate(); err == nil {
-		t.Fatal("negative MaxRetries accepted")
-	}
-}
-
 // TestLoopbackPipeGrowsInOrderAndStopsAtDepth: a direction costs what it
 // holds — it starts at two slots and doubles — keeps FIFO order across
 // growth and wrap-around, and at pipeDepth makes Send wait for a Recv.
