@@ -66,8 +66,13 @@ type Job struct {
 	Name    string
 	Inputs  []string // one split per map task
 	Reduces int
-	Map     MapFunc
-	Reduce  ReduceFunc
+	// Map runs once per split. A map that can fold its own split should
+	// (in-mapper combining: WordCountJob's counts its words and emits each
+	// distinct word once); Combine is the path for a map that cannot. A
+	// suspended worker stops a map at its next emission, so a map that
+	// emits only after folding its split reads the whole split first.
+	Map    MapFunc
+	Reduce ReduceFunc
 
 	// Combine, when set, folds each map's values per key before they are
 	// stored, so a map keeps one value per distinct key. It must not change
@@ -289,7 +294,9 @@ func (c *Cluster) Close() {
 func (c *Cluster) Workers() int { return len(c.workers) }
 
 // Suspend pauses a volatile worker: it stops mid-task (at the next
-// checkpoint), stops heartbeating, and stops serving intermediate data.
+// checkpoint: a map's next emission, which for a map that folds its split
+// comes only once the split is read, or a reduce's next source or key),
+// stops heartbeating, and stops serving intermediate data.
 // Suspending a dedicated worker is rejected.
 func (c *Cluster) Suspend(worker int) error {
 	if worker < 0 || worker >= len(c.workers) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,37 +93,43 @@ func TestWordCountQuietCluster(t *testing.T) {
 	}
 }
 
-// TestCombinedMapStoresOneValuePerKey: a WordCountJob map attempt stores
-// one value per distinct word across its partitions, the word's count in
-// the split; the same map without a combiner stores every emission.
+// TestCombinedMapStoresOneValuePerKey: a map attempt stores one value per
+// distinct word across its partitions, the word's count in the split,
+// whether WordCountJob's map counts in the mapper or the per-word reference
+// map goes through a sumCounts combiner; the per-word map without a
+// combiner stores every emission.
 func TestCombinedMapStoresOneValuePerKey(t *testing.T) {
 	job := WordCountJob("wc", 5, 1, 500, 3)
 	want := map[string]int{}
 	for _, w := range strings.Fields(job.Inputs[0]) {
 		want[w]++
 	}
-	for _, combine := range []ReduceFunc{job.Combine, nil} {
-		w := newWorker(0, false, nil, new(atomic.Int64), newClearedSet())
-		w.runMap(assignment{reduces: job.Reduces, input: job.Inputs[0], mapFn: job.Map, combineFn: combine, replicateTo: -1}, newGrouper())
-		if len(w.store) != job.Reduces {
-			t.Fatalf("combine %v: %d partitions stored, want %d", combine != nil, len(w.store), job.Reduces)
+	for _, c := range []struct {
+		name    string
+		mapFn   MapFunc
+		combine ReduceFunc
+		perKey  bool // one value per key
+	}{{"shipped", job.Map, job.Combine, true}, {"per-word combined", perWordMap, sumCounts, true}, {"per-word", perWordMap, nil, false}} {
+		store := storeOf(job.Inputs[0], job.Reduces, c.mapFn, c.combine)
+		if len(store) != job.Reduces {
+			t.Fatalf("%s: %d partitions stored, want %d", c.name, len(store), job.Reduces)
 		}
 		keys, vals := 0, 0
-		for _, p := range w.store {
+		for _, p := range store {
 			keys += len(p.keys)
 			vals += len(p.vals)
 			for i, k := range p.keys {
-				if combine != nil && p.values(i)[0] != strconv.Itoa(want[k]) {
-					t.Errorf("%q stored as %q, counted %d", k, p.values(i)[0], want[k])
+				if c.perKey && p.values(i)[0] != strconv.Itoa(want[k]) {
+					t.Errorf("%s: %q stored as %q, counted %d", c.name, k, p.values(i)[0], want[k])
 				}
 			}
 		}
 		wantVals := len(want)
-		if combine == nil {
+		if !c.perKey {
 			wantVals = 500
 		}
 		if keys != len(want) || vals != wantVals {
-			t.Errorf("combine %v: %d keys and %d values stored, want %d and %d", combine != nil, keys, vals, len(want), wantVals)
+			t.Errorf("%s: %d keys and %d values stored, want %d and %d", c.name, keys, vals, len(want), wantVals)
 		}
 	}
 }

@@ -44,18 +44,37 @@ func WordCountJob(name string, salt, splits, words, reduces int) Job {
 		Name:    name,
 		Inputs:  inputs,
 		Reduces: reduces,
-		Map: func(input string, emit func(k, v string)) {
-			for w := range strings.FieldsSeq(input) {
-				emit(w, "1")
-			}
-		},
-		Combine: sumCounts,
+		Map:     countWords,
 		Reduce:  sumCounts,
 	}
 }
 
-// sumCounts adds decimal counts: word count's combiner and its reducer. A
-// value is a "1" the map emitted or a sum this returned, so it parses.
+// countWords is word count's map, combining in the mapper: it counts its
+// split's words in one pass, one hash lookup per word, and emits each
+// distinct word once with its count, in first-seen order. That stores, byte
+// for byte, what emitting (word, "1") per word through a sumCounts combiner
+// stores (FuzzWordCountStore), so the job needs no Combine. It emits only
+// after the whole split is counted, so a suspended worker stops at the end
+// of the split, not within a word of the suspension.
+func countWords(input string, emit func(k, v string)) {
+	index := make(map[string]int)
+	var words []string
+	var counts []int
+	for w := range strings.FieldsSeq(input) {
+		if i, ok := index[w]; ok {
+			counts[i]++
+			continue
+		}
+		index[w] = len(words)
+		words, counts = append(words, w), append(counts, 1)
+	}
+	for i, w := range words {
+		emit(w, strconv.Itoa(counts[i]))
+	}
+}
+
+// sumCounts adds decimal counts: word count's reducer. A value is a count
+// a map emitted, so it parses.
 func sumCounts(_ string, values []string) string {
 	total := 0
 	for _, v := range values {

@@ -37,8 +37,8 @@ import (
 const DefaultBucket = 300
 
 // CheckBucket is the rule for a series bucket width in seconds: 0 (the
-// default) or finite and at least 1 s. Series buckets are dense from t = 0,
-// so a width w costs 32 B × horizon / w per series.
+// default) or finite and at least 1 s. A series stores only the buckets
+// written, so a width w costs at most 40 B × horizon / w per series.
 func CheckBucket(w float64) error {
 	if w == 0 || w >= 1 && !math.IsInf(w, 1) {
 		return nil
@@ -305,14 +305,21 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Series is a time-bucketed sequence of observations. Buckets are dense
-// from t=0; bucket i covers [i*width, (i+1)*width). Methods on a nil series
-// are no-ops.
+// Series is a time-bucketed sequence of observations: bucket i covers
+// [i*width, (i+1)*width), and only buckets written are stored, in time
+// order, so an idle stretch costs nothing. Methods on a nil series are
+// no-ops.
 type Series struct {
 	inst
 	kind    string
 	width   float64
-	buckets []agg
+	buckets []bucket
+}
+
+// bucket is one written series bucket: its index and its observations.
+type bucket struct {
+	i int
+	agg
 }
 
 // Observe records sample v at time t (sample semantics).
@@ -330,27 +337,32 @@ func (s *Series) add(t, v float64) {
 	if t < 0 {
 		t = 0
 	}
-	idx := int(t / s.width)
-	for idx >= len(s.buckets) {
-		s.buckets = append(s.buckets, agg{})
+	idx, n := int(t/s.width), len(s.buckets)
+	at := n - 1 // a write lands in the last bucket, or appends, in O(1)
+	if n == 0 || s.buckets[at].i < idx {
+		s.buckets = append(s.buckets, bucket{i: idx})
+		at = n
+	} else if s.buckets[at].i > idx { // out of order: binary search
+		var found bool
+		at, found = slices.BinarySearchFunc(s.buckets, idx, func(b bucket, i int) int { return cmp.Compare(b.i, i) })
+		if !found {
+			s.buckets = slices.Insert(s.buckets, at, bucket{i: idx})
+		}
 	}
-	s.buckets[idx].observe(v)
+	s.buckets[at].observe(v)
 	s.push(s.kind, t, v)
 }
 
-// data exports the series' non-empty buckets.
+// data exports the series' buckets.
 func (s *Series) data() SeriesData {
 	sd := SeriesData{Key: s.key, Kind: s.kind, Bucket: s.width}
-	for i, b := range s.buckets {
-		if b.count == 0 {
-			continue
-		}
+	for _, b := range s.buckets {
 		v := b.sum
 		if s.kind == kindSample {
 			v = b.sum / float64(b.count)
 		}
 		sd.Points = append(sd.Points, SeriesPoint{
-			T: float64(i) * s.width, Value: v, Count: b.count, Min: b.min, Max: b.max,
+			T: float64(b.i) * s.width, Value: v, Count: b.count, Min: b.min, Max: b.max,
 		})
 	}
 	return sd

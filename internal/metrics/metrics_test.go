@@ -177,6 +177,36 @@ func TestSeriesBucketing(t *testing.T) {
 	}
 }
 
+// TestSeriesStoresOnlyWrittenBuckets: a series keeps one bucket per bucket
+// written, not one per width since t = 0, so a day idle at 1 s buckets
+// costs nothing (the dense layout kept 86 401). An earlier write lands in
+// its own bucket, in time order, or in the one it belongs to.
+func TestSeriesStoresOnlyWrittenBuckets(t *testing.T) {
+	c := New(1)
+	s := c.SampleSeries(LayerMapred, "occ", "")
+	points := func(want int) []SeriesPoint {
+		t.Helper()
+		if len(s.buckets) != want {
+			t.Fatalf("%d buckets stored, want %d", len(s.buckets), want)
+		}
+		return c.Snapshot().Series[0].Points
+	}
+	s.Observe(0, 1)
+	s.Observe(86400.5, 3)
+	if got, want := points(2), []SeriesPoint{{T: 0, Value: 1, Count: 1, Min: 1, Max: 1},
+		{T: 86400, Value: 3, Count: 1, Min: 3, Max: 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("points %+v, want %+v", got, want)
+	}
+	s.Observe(86400, 5) // the last bucket
+	s.Observe(500, 2)   // out of order, a bucket of its own
+	s.Observe(0.5, 3)   // out of order, into the first bucket
+	if got, want := points(3), []SeriesPoint{{T: 0, Value: 2, Count: 2, Min: 1, Max: 3},
+		{T: 500, Value: 2, Count: 1, Min: 2, Max: 2},
+		{T: 86400, Value: 4, Count: 2, Min: 3, Max: 5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("points %+v, want %+v", got, want)
+	}
+}
+
 func TestTimedCounterFeedsSeries(t *testing.T) {
 	c := New(100)
 	ctr := c.TimedCounter(LayerSim, "fired", "")

@@ -105,10 +105,11 @@ func TestSubmissionFootprint(t *testing.T) {
 }
 
 // TestRejectedRequestCostsNothing: a request answered 400 takes no
-// submission id, one answered 429 has built no split, and a parked
-// submission holds its request, not its corpus. Each server's one worker
-// is suspended throughout, so nothing runs and the heap holds still under
-// the measurements.
+// submission id, one over the size bounds (1 024 splits or reduces, 1<<22
+// synthetic words) is answered 400 having built nothing, one answered 429 has built
+// no split, and a parked submission holds its request, not its corpus.
+// Each server's one worker is suspended throughout, so nothing runs and
+// the heap holds still under the measurements.
 func TestRejectedRequestCostsNothing(t *testing.T) {
 	stalled := func(q sched.QuotaConfig) *Server {
 		t.Helper()
@@ -161,11 +162,39 @@ func TestRejectedRequestCostsNothing(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("a 429 allocated %d bytes", got)
 	}
+
+	// Two million map tasks from 63 bytes: refused before anything is built.
+	runtime.ReadMemStats(&before)
+	submit(s, "c", `{"name":"big","splits":2000000,"words_per_split":1,"reduces":1}`, http.StatusBadRequest)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a 400 for 2 000 000 splits allocated %d bytes", got)
+	}
+	for _, body := range []string{
+		`{"name":"big","splits":1025}`,
+		`{"name":"big","splits":1,"reduces":1025}`,
+		`{"name":"big","inputs":[""` + strings.Repeat(`,""`, 1024) + `]}`,
+		`{"name":"big","splits":1024,"words_per_split":4097}`,
+		`{"name":"big","splits":2,"words_per_split":9223372036854775807}`,
+	} {
+		submit(s, "c", body, http.StatusBadRequest)
+	}
+	// The bounds themselves pass, checked without building the corpus.
+	for _, req := range []JobRequest{
+		{Name: "edge", Splits: maxTasks, WordsPerSplit: maxCorpusWords / maxTasks, Reduces: maxTasks},
+		{Name: "edge", Inputs: make([]string, maxTasks)},
+		{Name: "edge", Splits: 1, WordsPerSplit: maxCorpusWords},
+	} {
+		if err := req.validate(); err != nil {
+			t.Errorf("%d splits × %d words, %d inputs, %d reduces: %v", req.Splits, req.WordsPerSplit, len(req.Inputs), req.Reduces, err)
+		}
+	}
 }
 
 // TestRequestJobIsTheParentsJob: a request lowers to the job it lowered to
 // when this package built the corpus itself — the scheme the live sweeps
-// use, unsalted — and explicit inputs pass through untouched.
+// use, unsalted — and explicit inputs pass through untouched. The map
+// counts its split and emits each distinct word once, in first-seen order.
 func TestRequestJobIsTheParentsJob(t *testing.T) {
 	vocab := []string{"moon", "map", "reduce", "volunteer", "hadoop", "churn", "node", "data",
 		"shuffle", "backup", "hybrid", "dedicated"}
@@ -185,7 +214,7 @@ func TestRequestJobIsTheParentsJob(t *testing.T) {
 	}
 	var got []string
 	job.Map("a  b\ta\n", func(k, v string) { got = append(got, k+"="+v) })
-	if strings.Join(got, " ") != "a=1 b=1 a=1" || job.Reduce("a", []string{"1", "1"}) != "2" {
+	if strings.Join(got, " ") != "a=2 b=1" || job.Reduce("a", []string{"1", "1"}) != "2" {
 		t.Fatalf("map emitted %v, reduce of two = %q", got, job.Reduce("a", []string{"1", "1"}))
 	}
 

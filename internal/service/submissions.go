@@ -199,6 +199,16 @@ type JobRequest struct {
 	WordsPerSplit int      `json:"words_per_split,omitempty"`
 }
 
+// A request's size bounds, checked before anything is built: each split is
+// a map task and each reduce a reduce task the master queues, and each
+// synthetic word is one a worker reads. Unbounded, one 63-byte request
+// queued two million maps. The largest request the repository sends, 64
+// splits of 50 000 words, is within them.
+const (
+	maxTasks       = 1024 // splits, and reduces
+	maxCorpusWords = 1 << 22
+)
+
 // validate rejects a malformed request and applies the defaults; it builds
 // nothing, so a rejected request has not paid for a corpus.
 func (req *JobRequest) validate() error {
@@ -222,6 +232,12 @@ func (req *JobRequest) validate() error {
 		}
 	case req.WordsPerSplit != 0:
 		return errors.New("words_per_split only applies to synthetic splits")
+	}
+	if max(req.Splits, len(req.Inputs), req.Reduces) > maxTasks {
+		return fmt.Errorf("at most %d splits and %d reduces", maxTasks, maxTasks)
+	}
+	if req.WordsPerSplit > maxCorpusWords/max(req.Splits, 1) {
+		return fmt.Errorf("a synthetic corpus holds at most %d words (splits × words_per_split)", maxCorpusWords)
 	}
 	return nil
 }
