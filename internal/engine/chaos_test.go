@@ -48,22 +48,28 @@ func chaosConfig(seed uint64, col *metrics.Collector) Config {
 	return cfg
 }
 
-// runChaosJobs submits n concurrent jobs and suspends worker 0 long enough
-// to lapse its lease and expire its session, returning each job's results.
-func runChaosJobs(t *testing.T, c *Cluster, n int) []map[string]string {
+// awaitDials waits for every worker's first dial. A worker suspended before
+// its first dial opens no session, and it is worker 0's session
+// runChaosJobs suspends to expire. Past the dial, the handshake does not
+// stop at the gate.
+func awaitDials(t *testing.T, c *Cluster) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	// A worker suspended before its first dial opens no session, and it is
-	// worker 0's session the suspension below is there to expire. Past the
-	// dial, the handshake does not stop at the gate.
-	for c.tr.Stats().Dials < int64(c.Workers()) {
-		if ctx.Err() != nil {
+	for deadline := time.Now().Add(60 * time.Second); c.tr.Stats().Dials < int64(c.Workers()); {
+		if time.Now().After(deadline) {
 			t.Fatal("workers never dialled the master")
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// runChaosJobs submits n concurrent jobs and suspends worker 0 long enough
+// to lapse its lease and expire its session, returning each job's results.
+// The caller has waited for every worker's first dial (awaitDials, or
+// synctest.Wait in a bubble).
+func runChaosJobs(t *testing.T, c *Cluster, n int) []map[string]string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 
 	type sub struct {
 		h    *JobHandle
@@ -73,8 +79,11 @@ func runChaosJobs(t *testing.T, c *Cluster, n int) []map[string]string {
 	for i := 0; i < n; i++ {
 		job, want := wordCountJob(6+i, 200, 2)
 		job.Name = fmt.Sprintf("chaos-job-%d", i)
-		if i%2 == 1 { // every fault class meets stored runs and combined counts
+		switch i % 3 { // every fault class meets stored runs, combined counts and the shipped kernel
+		case 1:
 			job.Combine = job.Reduce
+		case 2:
+			job.Map = countWords
 		}
 		h, err := c.Submit(job)
 		if err != nil {
@@ -176,6 +185,7 @@ func TestChaosExactResultsUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitDials(t, c)
 	runChaosJobs(t, c, 3)
 	c.Close()
 
@@ -216,6 +226,7 @@ func TestChaosSameSeedSameResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		awaitDials(t, c)
 		return runChaosJobs(t, c, 3)
 	}
 	a, b := run(), run()

@@ -263,7 +263,8 @@ func New(cfg Config) (*Cluster, error) {
 	total := cfg.VolatileWorkers + cfg.DedicatedWorkers
 	for i := 0; i < total; i++ {
 		w := newWorker(i, i >= cfg.VolatileWorkers, tr, &c.retries, c.cleared)
-		lis, err := tr.Listen(WorkerAddr(i))
+		w.addr = WorkerAddr(i)
+		lis, err := tr.Listen(w.addr)
 		if err != nil {
 			masterLis.Close()
 			return nil, fmt.Errorf("engine: %w", err)

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // perWordMap is the reference for WordCountJob's map: one (word, "1") per
@@ -63,24 +66,44 @@ func TestWordCountMapEmitsOncePerWord(t *testing.T) {
 	}
 }
 
-// BenchmarkWordCountMap runs one svc-open-sized split (4 000 words, three
-// reduces) through runMap with the per-word reference and its sumCounts
-// combiner, and with the shipped counting map and its combiner (none).
+// wordCountInputs are BenchmarkWordCountMap's splits, 4 000 words each:
+// svc-open's (12 distinct words, so countWords' memo hits 3 988 times),
+// every word distinct (w0 … w3999: a memo miss on every word), and a
+// seeded skewed draw from 1 000 terms (term ⌊1000u³⌋ for uniform u, so
+// t0 is a tenth of the split and the tail is long).
+func wordCountInputs() []struct{ name, split string } {
+	var distinct, skewed strings.Builder
+	r := rng.New(1)
+	for i := range 4000 {
+		fmt.Fprintf(&distinct, "w%d ", i)
+		u := r.Float64()
+		fmt.Fprintf(&skewed, "t%d ", int(1000*u*u*u))
+	}
+	return []struct{ name, split string }{
+		{"svc-open", svcOpenSplit().Inputs[0]}, {"distinct", distinct.String()}, {"skewed", skewed.String()},
+	}
+}
+
+// BenchmarkWordCountMap runs each of wordCountInputs through runMap over
+// three reduces, with the per-word reference and its sumCounts combiner
+// and with the shipped counting map and its combiner (none).
 func BenchmarkWordCountMap(b *testing.B) {
 	job := svcOpenSplit()
-	for _, v := range []struct {
-		name    string
-		mapFn   MapFunc
-		combine ReduceFunc
-	}{{"per-word", perWordMap, sumCounts}, {"counted", job.Map, job.Combine}} {
-		b.Run(v.name, func(b *testing.B) {
-			w := newWorker(0, false, nil, new(atomic.Int64), newClearedSet())
-			g := newGrouper()
-			a := assignment{reduces: job.Reduces, input: job.Inputs[0], mapFn: v.mapFn, combineFn: v.combine, replicateTo: -1}
-			b.ReportAllocs()
-			for b.Loop() {
-				w.runMap(a, g)
-			}
-		})
+	for _, in := range wordCountInputs() {
+		for _, v := range []struct {
+			name    string
+			mapFn   MapFunc
+			combine ReduceFunc
+		}{{"per-word", perWordMap, sumCounts}, {"counted", job.Map, job.Combine}} {
+			b.Run(in.name+"/"+v.name, func(b *testing.B) {
+				w := newWorker(0, false, nil, new(atomic.Int64), newClearedSet())
+				g := newGrouper()
+				a := assignment{reduces: job.Reduces, input: in.split, mapFn: v.mapFn, combineFn: v.combine, replicateTo: -1}
+				b.ReportAllocs()
+				for b.Loop() {
+					w.runMap(a, g)
+				}
+			})
+		}
 	}
 }

@@ -90,6 +90,7 @@ func (s *clearedSet) has(job int) bool {
 // and the master's end-of-job store sweep.
 type worker struct {
 	id        int
+	addr      string // WorkerAddr(id), set by New: its listen and dial identity
 	dedicated bool
 	tr        transport.Transport
 	gate      *gate
@@ -98,7 +99,7 @@ type worker struct {
 	// the hybrid replication path writes a dedicated peer's store directly.
 	peers []*worker
 
-	// fetchLis serves this worker's intermediate data at WorkerAddr(id).
+	// fetchLis serves this worker's intermediate data at addr.
 	fetchLis transport.Listener
 
 	// retries counts this worker's protocol retries into the cluster-wide
@@ -167,7 +168,7 @@ func (w *worker) run(closed chan struct{}) {
 // failure it backs off (doubling, capped) so a partitioned worker does not
 // spin; the backoff resets once a session is established.
 func (w *worker) connect(closed chan struct{}, backoff *time.Duration) (transport.Conn, uint64, bool) {
-	conn, err := w.tr.Dial(WorkerAddr(w.id), masterAddr, connectTimeout)
+	conn, err := w.tr.Dial(w.addr, masterAddr, connectTimeout)
 	if err == nil {
 		if err = conn.Send(msgHello{worker: w.id}, sendTimeout); err == nil {
 			var m any
@@ -409,7 +410,7 @@ func (w *worker) runReduce(a assignment, g *grouper) workerEvent {
 // reply — reads as a miss; the caller falls through to the next holder or
 // reports the map unreachable.
 func (w *worker) fetch(holder, job, mapID, attempt, part int) (partition, bool) {
-	conn, err := w.tr.Dial(WorkerAddr(w.id), WorkerAddr(holder), connectTimeout)
+	conn, err := w.tr.Dial(w.addr, w.peers[holder].addr, connectTimeout)
 	if err != nil {
 		return partition{}, false
 	}

@@ -25,12 +25,7 @@ func virtual(t *testing.T, f func(t *testing.T)) {
 // socket, whose I/O would not block the bubble durably.
 func TestVirtualIdleDaemonHoldsItsHeap(t *testing.T) {
 	virtual(t, func(t *testing.T) {
-		// One worker: every heartbeat the master reads leaves a stopped
-		// 1 s receive timer in the bubble's timer heap until its deadline
-		// passes, so the heap swings with the pool's beat count.
-		cfg := DefaultConfig()
-		cfg.VolatileWorkers, cfg.DedicatedWorkers = 1, 0
-		s, err := New(cfg)
+		s, err := New(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +43,8 @@ func TestVirtualIdleDaemonHoldsItsHeap(t *testing.T) {
 		elevenMinutes := idleThenJob(10 * time.Minute)
 		grew := int64(elevenMinutes) - int64(oneMinute)
 		t.Logf("heap after the job at 1 idle minute %d B, at 11: %d B (%+d B)", oneMinute, elevenMinutes, grew)
-		if grew >= 24<<10 {
-			t.Errorf("ten idle minutes grew the heap by %d B, budget 24 kB", grew)
+		if grew >= 8<<10 {
+			t.Errorf("ten idle minutes grew the heap by %d B, budget 8 kB", grew)
 		}
 	})
 }

@@ -84,6 +84,7 @@ type loopListener struct {
 	accepts chan Conn
 	done    chan struct{}
 	once    sync.Once
+	timer   *time.Timer // the acceptor's (a listener has one), reused by every blocking Accept
 }
 
 func (l *loopListener) Accept(timeout time.Duration) (Conn, error) {
@@ -97,7 +98,7 @@ func (l *loopListener) Accept(timeout time.Duration) (Conn, error) {
 	if timeout <= 0 {
 		return nil, ErrTimeout
 	}
-	timer := time.NewTimer(timeout)
+	timer := arm(&l.timer, timeout)
 	defer timer.Stop()
 	select {
 	case c := <-l.accepts:
@@ -139,8 +140,20 @@ type pipe struct {
 	// (Conn: one sender, one receiver).
 	ready, room chan struct{}
 
-	done chan struct{}
-	once sync.Once
+	done  chan struct{}
+	once  sync.Once
+	timer *time.Timer // the receiver's, reused by every blocking Recv
+}
+
+// arm returns *t set to fire after d, made on first use. Timer channels
+// are synchronous since Go 1.23: a Reset timer delivers no earlier fire.
+func arm(t **time.Timer, d time.Duration) *time.Timer {
+	if *t == nil {
+		*t = time.NewTimer(d)
+	} else {
+		(*t).Reset(d)
+	}
+	return *t
 }
 
 func newPipe() *pipe {
@@ -254,7 +267,7 @@ func (c *loopConn) Recv(timeout time.Duration) (any, error) {
 	if timeout <= 0 {
 		return nil, ErrTimeout
 	}
-	timer := time.NewTimer(timeout)
+	timer := arm(&c.in.timer, timeout)
 	defer timer.Stop()
 	for {
 		select {

@@ -89,6 +89,28 @@ func TestLoopbackTimeoutsAndClose(t *testing.T) {
 	}
 }
 
+// TestLoopbackTimeoutsReuseTheirTimer: a timed-out Recv or Accept on an
+// idle loopback allocates nothing at steady state. Each receiving end keeps
+// one timer and resets it; a timer per blocking call was a fifth of what a
+// quiet job allocated.
+func TestLoopbackTimeoutsReuseTheirTimer(t *testing.T) {
+	tr := NewLoopback()
+	lis, _ := tr.Listen("srv")
+	conn, _ := tr.Dial("cli", "srv", time.Second)
+	if _, err := lis.Accept(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for name, wait := range map[string]func() error{
+		"Recv":   func() error { _, err := conn.Recv(time.Microsecond); return err },
+		"Accept": func() error { _, err := lis.Accept(time.Microsecond); return err },
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() { err = wait() }); n != 0 || !errors.Is(err, ErrTimeout) {
+			t.Errorf("a timed-out %s allocated %v times (%v), want 0 and a timeout", name, n, err)
+		}
+	}
+}
+
 func TestLoopbackRejectsDuplicateListen(t *testing.T) {
 	tr := NewLoopback()
 	if _, err := tr.Listen("a"); err != nil {
