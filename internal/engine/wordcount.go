@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode"
@@ -61,6 +63,19 @@ const memoSlots = 256
 // any byte.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
+// lowBits and highBits hold 0x01 and 0x80 in each byte.
+const lowBits, highBits = 0x0101010101010101, 0x8080808080808080
+
+// spaceMask sets the high bit of each byte of x that asciiSpace marks, for
+// an x with every byte under 0x80: a space is a byte of x^' ' whose sum
+// with 0x7f keeps its high bit clear, and '\t'..'\r' a byte b with b+0x77
+// at or over 0x80 and b+0x72 under it. Nothing carries across bytes.
+func spaceMask(x uint64) uint64 {
+	space := ^((x ^ ' '*lowBits) + 0x7f*lowBits)
+	ctrl := (x + (0x80-'\t')*lowBits) &^ (x + (0x80-'\r'-1)*lowBits)
+	return (space | ctrl) & highBits
+}
+
 // countWords is word count's map, combining in the mapper: it counts its
 // split's words in one pass and emits each distinct word once with its
 // count, in first-seen order. That stores, byte for byte, what emitting
@@ -69,16 +84,20 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 // the whole split is counted, so a suspended worker stops at the end of
 // the split, not within a word of the suspension.
 //
-// Words are what strings.Fields finds, found by one byte scan: an ASCII
-// byte is a separator by table, a byte of 0x80 or above decodes a rune for
-// unicode.IsSpace. A memo of memoSlots words, slotted by length and first
-// and last byte, answers a repeated word with one compare before the index
-// is asked; a miss asks the index and takes the slot, so the index alone
-// decides order and takes every collision. That pays on a split of few
-// distinct words: an svc-open split's 12 words in 4 000 hit the memo 3 988
-// times, and the split counts about 1.5x faster than through FieldsSeq and
-// the index alone. Splits of 4 000 distinct words, a skewed 1 000-term
-// vocabulary or English prose read the same either way
+// Words are what strings.Fields finds, found by one scan with two strides
+// sharing the start of the current word. An 8-byte chunk with every byte
+// under 0x80 is one load and spaceMask: a few word-wide operations and a
+// step per separator, not a table load and a branch per byte. A chunk with
+// a byte of 0x80 or above, and the tail under 8 bytes, go rune by rune
+// (asciiSpace, or unicode.IsSpace on a decoded rune) to the chunk's end,
+// which a rune may overrun, and cost what the per-byte scan did. A memo of
+// memoSlots words, slotted by length and first and last byte, answers a
+// repeated word with one compare before the index is asked; a miss asks
+// the index and takes the slot, so the index alone decides order and
+// takes every collision. An svc-open split's 12 words in 4 000 hit the
+// memo 3 988 times, and the chunk stride counts that split about 1.5x
+// faster than the per-byte scan; splits of 4 000 distinct words, a skewed
+// 1 000-term vocabulary or non-ASCII terms and spaces read about the same
 // (BenchmarkWordCountMap).
 func countWords(input string, emit func(k, v string)) {
 	index := make(map[string]int)
@@ -88,32 +107,14 @@ func countWords(input string, emit func(k, v string)) {
 		word string
 		i    int
 	}
-	// separator reports whether input[pos:] starts with a space, and its width.
-	separator := func(pos int) (bool, int) {
-		if c := input[pos]; c < utf8.RuneSelf {
-			return asciiSpace[c], 1
+	count := func(w string) {
+		if w == "" {
+			return
 		}
-		r, size := utf8.DecodeRuneInString(input[pos:])
-		return unicode.IsSpace(r), size
-	}
-	for pos := 0; pos < len(input); {
-		if sep, size := separator(pos); sep {
-			pos += size
-			continue
-		}
-		start := pos
-		for pos < len(input) {
-			sep, size := separator(pos)
-			if sep {
-				break
-			}
-			pos += size
-		}
-		w := input[start:pos]
 		m := &memo[(len(w)*31+int(w[0])*7+int(w[len(w)-1]))%memoSlots]
 		if m.word == w {
 			counts[m.i]++
-			continue
+			return
 		}
 		i, ok := index[w]
 		if !ok {
@@ -124,6 +125,37 @@ func countWords(input string, emit func(k, v string)) {
 		counts[i]++
 		m.word, m.i = w, i
 	}
+	// separator reports whether input[pos:] starts with a space, and its width.
+	separator := func(pos int) (bool, int) {
+		if c := input[pos]; c < utf8.RuneSelf {
+			return asciiSpace[c], 1
+		}
+		r, size := utf8.DecodeRuneInString(input[pos:])
+		return unicode.IsSpace(r), size
+	}
+	ws := 0 // where the current word starts
+	for pos := 0; pos < len(input); {
+		if pos+8 <= len(input) {
+			if x := binary.LittleEndian.Uint64([]byte(input[pos : pos+8])); x&highBits == 0 {
+				for m := spaceMask(x); m != 0; m &= m - 1 {
+					sep := pos + bits.TrailingZeros64(m)>>3
+					count(input[ws:sep])
+					ws = sep + 1
+				}
+				pos += 8
+				continue
+			}
+		}
+		for end := min(pos+8, len(input)); pos < end; {
+			sep, size := separator(pos)
+			if sep {
+				count(input[ws:pos])
+				ws = pos + size
+			}
+			pos += size
+		}
+	}
+	count(input[ws:])
 	for i, w := range words {
 		emit(w, strconv.Itoa(counts[i]))
 	}

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/rng"
 )
@@ -43,6 +46,30 @@ func FuzzWordCountStore(f *testing.F) {
 	})
 }
 
+// TestSpaceMaskLanes: for every ASCII byte in every lane of a chunk whose
+// other lanes are all 'a' or all ' ', spaceMask sets that lane's bit
+// exactly when asciiSpace marks the byte, and the other lanes' bits say
+// what the filler is.
+func TestSpaceMaskLanes(t *testing.T) {
+	for b := range utf8.RuneSelf {
+		for lane := range 8 {
+			for _, fill := range []byte{'a', ' '} {
+				chunk := bytes.Repeat([]byte{fill}, 8)
+				chunk[lane] = byte(b)
+				got := spaceMask(binary.LittleEndian.Uint64(chunk))
+				for i, c := range chunk {
+					if set := got>>(8*i+7)&1 == 1; set != asciiSpace[c] {
+						t.Errorf("chunk %q: lane %d bit %v, want %v", chunk, i, set, asciiSpace[c])
+					}
+				}
+				if got&^highBits != 0 {
+					t.Errorf("chunk %q: mask %#x sets a bit outside the lanes' high bits", chunk, got)
+				}
+			}
+		}
+	}
+}
+
 // svcOpenSplit is one split of the job bench/svc.go posts: 4 000 words of
 // the twelve-word vocabulary, three reduces.
 func svcOpenSplit() Job { return WordCountJob("wc", 0, 1, 4000, 3) }
@@ -68,19 +95,41 @@ func TestWordCountMapEmitsOncePerWord(t *testing.T) {
 
 // wordCountInputs are BenchmarkWordCountMap's splits, 4 000 words each:
 // svc-open's (12 distinct words, so countWords' memo hits 3 988 times),
-// every word distinct (w0 … w3999: a memo miss on every word), and a
-// seeded skewed draw from 1 000 terms (term ⌊1000u³⌋ for uniform u, so
-// t0 is a tenth of the split and the tail is long).
+// every word distinct (w0 … w3999: a memo miss on every word), a seeded
+// skewed draw from 1 000 terms (term ⌊1000u³⌋ for uniform u, so t0 is a
+// tenth of the split and the tail is long), and a seeded uniform draw from
+// 200 terms of which every tenth carries a non-ASCII rune (é or —), one
+// separator in fifty being U+00A0 or U+3000, so countWords meets its rune
+// path every few chunks.
 func wordCountInputs() []struct{ name, split string } {
-	var distinct, skewed strings.Builder
+	var distinct, skewed, nonASCII strings.Builder
 	r := rng.New(1)
 	for i := range 4000 {
 		fmt.Fprintf(&distinct, "w%d ", i)
 		u := r.Float64()
 		fmt.Fprintf(&skewed, "t%d ", int(1000*u*u*u))
 	}
+	terms := make([]string, 200)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("term%d", i)
+		if i%10 == 0 {
+			terms[i] += []string{"é", "—"}[i/10%2]
+		}
+	}
+	for range 4000 {
+		nonASCII.WriteString(terms[r.Intn(len(terms))])
+		switch r.Intn(100) {
+		case 0:
+			nonASCII.WriteString("\u00a0")
+		case 1:
+			nonASCII.WriteString("\u3000")
+		default:
+			nonASCII.WriteByte(' ')
+		}
+	}
 	return []struct{ name, split string }{
 		{"svc-open", svcOpenSplit().Inputs[0]}, {"distinct", distinct.String()}, {"skewed", skewed.String()},
+		{"non-ascii", nonASCII.String()},
 	}
 }
 
