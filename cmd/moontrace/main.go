@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -19,38 +21,55 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "moontrace:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("moontrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		rate     = flag.Float64("rate", 0.4, "target machine-unavailability rate")
-		nodes    = flag.Int("nodes", 60, "number of node traces to generate")
-		duration = flag.Float64("duration", 8*3600, "trace length in seconds")
-		seed     = flag.Uint64("seed", 1, "generator seed")
-		out      = flag.String("out", "", "directory to write node-<i>.trace files (omit for stdout stats)")
-		stats    = flag.Bool("stats", false, "print per-node statistics")
+		rate     = fs.Float64("rate", 0.4, "target machine-unavailability rate")
+		nodes    = fs.Int("nodes", 60, "number of node traces to generate")
+		duration = fs.Float64("duration", 8*3600, "trace length in seconds")
+		seed     = fs.Uint64("seed", 1, "generator seed")
+		out      = fs.String("out", "", "directory to write node-<i>.trace files (omit for stdout stats)")
+		stats    = fs.Bool("stats", false, "print per-node statistics")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if *nodes < 1 {
+		return fmt.Errorf("-nodes must be at least 1, got %d", *nodes)
+	}
 
 	traces, err := trace.GenerateFleet(rng.New(*seed), trace.DefaultOutageConfig(*rate), *duration, *nodes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		for i := range traces {
-			path := filepath.Join(*out, fmt.Sprintf("node-%03d.trace", i))
-			f, err := os.Create(path)
+			f, err := os.Create(filepath.Join(*out, fmt.Sprintf("node-%03d.trace", i)))
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if _, err := traces[i].WriteTo(f); err != nil {
-				fatal(err)
+				f.Close()
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
 		}
-		fmt.Printf("wrote %d traces to %s\n", len(traces), *out)
+		fmt.Fprintf(stdout, "wrote %d traces to %s\n", len(traces), *out)
 	}
 	if *stats || *out == "" {
 		sum, outages := 0.0, 0
@@ -59,16 +78,12 @@ func main() {
 			sum += f
 			outages += len(traces[i].Outages)
 			if *stats {
-				fmt.Printf("node %3d: unavailable %.3f, %3d outages, mean outage %5.0fs\n",
+				fmt.Fprintf(stdout, "node %3d: unavailable %.3f, %3d outages, mean outage %5.0fs\n",
 					i, f, len(traces[i].Outages), traces[i].MeanOutage())
 			}
 		}
-		fmt.Printf("fleet: %d nodes, mean unavailability %.3f (target %.3f), %d outages total\n",
+		fmt.Fprintf(stdout, "fleet: %d nodes, mean unavailability %.3f (target %.3f), %d outages total\n",
 			len(traces), sum/float64(len(traces)), *rate, outages)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "moontrace:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,0 +1,38 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"strings"
+	"testing"
+)
+
+// TestRejectsEmptyFleet: a fleet of no nodes has no mean unavailability
+// to print, so -nodes below 1 is an error rather than a NaN line.
+func TestRejectsEmptyFleet(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		var out bytes.Buffer
+		if err := run([]string{"-nodes", n}, &out, io.Discard); err == nil {
+			t.Fatalf("-nodes %s succeeded and printed %q", n, out.String())
+		}
+	}
+}
+
+func TestStatsPrintsEachNodeAndTheFleet(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-nodes", "3", "-stats"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want 3 node lines and the fleet line, got:\n%s", out.String())
+	}
+	for i, l := range lines[:3] {
+		if !strings.HasPrefix(l, "node ") {
+			t.Errorf("line %d %q is not a node line", i, l)
+		}
+	}
+	if !strings.HasPrefix(lines[3], "fleet: 3 nodes, mean unavailability ") || strings.Contains(lines[3], "NaN") {
+		t.Errorf("fleet line %q", lines[3])
+	}
+}

@@ -4,15 +4,8 @@
 // Simulation value, and provides the policy presets used throughout the
 // paper's evaluation.
 //
-// A typical use:
-//
-//	opts := core.MOONPreset(core.ClusterSpec{
-//		VolatileNodes: 60, DedicatedNodes: 6,
-//		UnavailabilityRate: 0.5, Seed: 1,
-//	}, true /* hybrid */)
-//	w := workload.Single(workload.Sort(2 * 66))
-//	s, _ := core.NewForWorkload(opts, w)
-//	res, _ := s.RunWorkload(w) // res.Jobs[0].Profile is the job's
+// ExampleSimulation_RunWorkload shows a typical use, from a cluster spec
+// to a job's execution profile; go test checks its output.
 package core
 
 import (

@@ -10,6 +10,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // LiveConfig shapes a live-engine sweep cell: the goroutine worker pool,
@@ -45,7 +46,8 @@ type LiveConfig struct {
 	// job together (the historical default), "staggered" spaces
 	// submissions ArrivalInterval simulated seconds apart, "poisson"
 	// draws exponential inter-arrivals with mean ArrivalInterval from
-	// ArrivalSeed (first job at t=0, like workload.PoissonArrivals).
+	// ArrivalSeed (first job at t=0); workload.Arrivals draws them, as it
+	// does for the simulated streams.
 	// Offsets are simulated seconds, wall-clock compressed by
 	// Compression exactly like the churn traces.
 	Arrivals        string
@@ -164,33 +166,6 @@ func (lc LiveConfig) job(i int) engine.Job {
 	return engine.WordCountJob(fmt.Sprintf("live-j%d", i), i*17, lc.SplitsPerJob, lc.WordsPerSplit, lc.ReducesPerJob)
 }
 
-// arrivalOffsets returns each job's submission offset in simulated
-// seconds under the configured arrival process (all zero when jobs are
-// submitted together). Poisson offsets mirror workload.PoissonArrivals:
-// first job at t=0, seeded exponential inter-arrivals after it.
-func (lc LiveConfig) arrivalOffsets() []float64 {
-	off := make([]float64, lc.Jobs)
-	switch lc.Arrivals {
-	case "staggered":
-		for i := range off {
-			off[i] = float64(i) * lc.ArrivalInterval
-		}
-	case "poisson":
-		if lc.ArrivalInterval <= 0 {
-			break
-		}
-		r := rng.New(lc.ArrivalSeed)
-		t := 0.0
-		for i := range off {
-			if i > 0 {
-				t += r.Exponential(lc.ArrivalInterval)
-			}
-			off[i] = t
-		}
-	}
-	return off
-}
-
 // engineConfig is the configuration the cell's engine cluster runs: the
 // cell shape, the line's policy and the runner's collector.
 func (v LiveCell) engineConfig(col *metrics.Collector) engine.Config {
@@ -233,7 +208,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 	}()
 
 	start := time.Now()
-	offsets := lc.arrivalOffsets()
+	offsets := workload.Arrivals(lc.Arrivals, lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed)
 	handles := make([]*engine.JobHandle, lc.Jobs)
 	submitted := make([]time.Time, lc.Jobs)
 	for i := 0; i < lc.Jobs; i++ {

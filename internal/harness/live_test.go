@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 // TestLiveCellsEndToEnd drives the live goroutine engine through the
@@ -142,9 +143,13 @@ func TestLiveVariantsDefaultsAndSelectors(t *testing.T) {
 func TestLiveArrivalOffsets(t *testing.T) {
 	lc := DefaultLiveConfig()
 	lc.Jobs = 4
+	// The offsets the live cell submits at.
+	offsets := func() []float64 {
+		return workload.Arrivals(lc.Arrivals, lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed)
+	}
 
 	// Default: every job submitted together.
-	for i, off := range lc.arrivalOffsets() {
+	for i, off := range offsets() {
 		if off != 0 {
 			t.Fatalf("default offset %d = %v, want 0", i, off)
 		}
@@ -152,7 +157,7 @@ func TestLiveArrivalOffsets(t *testing.T) {
 
 	lc.Arrivals = "staggered"
 	lc.ArrivalInterval = 15
-	got := lc.arrivalOffsets()
+	got := offsets()
 	for i, off := range got {
 		if off != float64(i)*15 {
 			t.Fatalf("staggered offsets %v", got)
@@ -161,8 +166,8 @@ func TestLiveArrivalOffsets(t *testing.T) {
 
 	lc.Arrivals = "poisson"
 	lc.ArrivalSeed = 9
-	a := lc.arrivalOffsets()
-	b := lc.arrivalOffsets()
+	a := offsets()
+	b := offsets()
 	if a[0] != 0 {
 		t.Fatalf("poisson first offset %v, want 0", a[0])
 	}
@@ -178,6 +183,27 @@ func TestLiveArrivalOffsets(t *testing.T) {
 	}
 	if a[1] == 15 && a[2] == 30 {
 		t.Fatalf("poisson offsets look staggered: %v", a)
+	}
+	// Pinned draws: a change to the draw order moves every live cell's
+	// submissions.
+	if want := []float64{0, 89.37950334703592, 110.08482155400065, 140.40668523835987}; !slices.Equal(a, want) {
+		t.Fatalf("poisson offsets %v, want %v", a, want)
+	}
+
+	// A live cell and a simulated stream of the same (process, n,
+	// interval, seed) submit at the same offsets, bit for bit.
+	base := workload.Sort(8)
+	for process, stream := range map[string]workload.MultiSpec{
+		"staggered": workload.Staggered(base, lc.Jobs, lc.ArrivalInterval),
+		"poisson":   workload.PoissonArrivals(base, lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed),
+	} {
+		lc.Arrivals = process
+		live := offsets()
+		for i, j := range stream.Jobs {
+			if live[i] != j.Offset {
+				t.Fatalf("%s: live offsets %v, simulated job %d at %v", process, live, i, j.Offset)
+			}
+		}
 	}
 
 	lc.Arrivals = "burst"

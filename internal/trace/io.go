@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteTo serializes the trace in a line-oriented text format:
@@ -16,7 +14,7 @@ import (
 //	...
 //
 // The format is stable and human-inspectable so traces can be archived with
-// experiment results and replayed byte-identically.
+// experiment results.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -33,61 +31,4 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
-}
-
-// Read parses a trace produced by WriteTo and validates its invariants.
-func Read(r io.Reader) (Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var t Trace
-	line := 0
-	sawHeader, sawDuration := false, false
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			if line == 1 && strings.Contains(text, "moon-trace") {
-				sawHeader = true
-			}
-			continue
-		}
-		fields := strings.Fields(text)
-		switch {
-		case fields[0] == "duration":
-			if len(fields) != 2 {
-				return Trace{}, fmt.Errorf("trace: line %d: malformed duration", line)
-			}
-			d, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return Trace{}, fmt.Errorf("trace: line %d: %v", line, err)
-			}
-			t.Duration = d
-			sawDuration = true
-		case len(fields) == 2:
-			s, err1 := strconv.ParseFloat(fields[0], 64)
-			e, err2 := strconv.ParseFloat(fields[1], 64)
-			if err1 != nil || err2 != nil {
-				return Trace{}, fmt.Errorf("trace: line %d: malformed interval %q", line, text)
-			}
-			t.Outages = append(t.Outages, Interval{Start: s, End: e})
-		default:
-			return Trace{}, fmt.Errorf("trace: line %d: unrecognized %q", line, text)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Trace{}, err
-	}
-	if !sawHeader {
-		return Trace{}, fmt.Errorf("trace: missing '# moon-trace v1' header")
-	}
-	if !sawDuration {
-		return Trace{}, fmt.Errorf("trace: missing duration line")
-	}
-	if err := t.Validate(); err != nil {
-		return Trace{}, err
-	}
-	return t, nil
 }

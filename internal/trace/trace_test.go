@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -232,40 +231,24 @@ func TestGenerateFig1ResemblesPaper(t *testing.T) {
 	}
 }
 
-func TestRoundTripIO(t *testing.T) {
-	tr := mustGenerate(t, 5, 0.3, 8*3600)
+// TestWriteToFormat pins the text format moontrace -out writes: the
+// header, the duration line and one %.6f interval per outage.
+func TestWriteToFormat(t *testing.T) {
+	tr := Trace{Duration: 100, Outages: []Interval{{10, 30.5}, {40.25, 41.0000004}}}
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
+	n, err := tr.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Duration != tr.Duration || len(back.Outages) != len(tr.Outages) {
-		t.Fatalf("round trip changed shape: %d vs %d outages", len(back.Outages), len(tr.Outages))
+	const want = "# moon-trace v1\n" +
+		"duration 100.000000\n" +
+		"10.000000 30.500000\n" +
+		"40.250000 41.000000\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteTo wrote\n%s\nwant\n%s", got, want)
 	}
-	for i := range back.Outages {
-		if math.Abs(back.Outages[i].Start-tr.Outages[i].Start) > 1e-5 ||
-			math.Abs(back.Outages[i].End-tr.Outages[i].End) > 1e-5 {
-			t.Fatalf("outage %d changed: %+v vs %+v", i, back.Outages[i], tr.Outages[i])
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",                                     // empty
-		"duration 100\n1 2\n",                  // missing header
-		"# moon-trace v1\n1 2\n",               // missing duration
-		"# moon-trace v1\nduration 100\nx y\n", // bad floats
-		"# moon-trace v1\nduration 100\n5 4\n", // inverted interval
-		"# moon-trace v1\nduration 100\n1 2 3\n",
-	}
-	for i, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d: garbage accepted: %q", i, c)
-		}
+	if n != int64(len(want)) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(want))
 	}
 }
 

@@ -118,8 +118,8 @@ func rescaleInput(orig, scaled Spec) Spec {
 // identical jobs entering a busy cluster).
 func Staggered(base Spec, n int, interval float64) MultiSpec {
 	m := MultiSpec{Name: fmt.Sprintf("%s-x%d", base.Job.Name, n)}
-	for i := 0; i < n; i++ {
-		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(base, i), Offset: float64(i) * interval})
+	for i, off := range Arrivals("staggered", n, interval, 0) {
+		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(base, i), Offset: off})
 	}
 	return m
 }
@@ -131,12 +131,12 @@ func Staggered(base Spec, n int, interval float64) MultiSpec {
 func MixedSizes(base Spec, n int, interval float64, k int) MultiSpec {
 	m := MultiSpec{Name: fmt.Sprintf("%s-mix%d", base.Job.Name, n)}
 	small := rescaleInput(base, Scale(base, k))
-	for i := 0; i < n; i++ {
+	for i, off := range Arrivals("staggered", n, interval, 0) {
 		s := base
 		if i%2 == 1 {
 			s = small
 		}
-		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(s, i), Offset: float64(i) * interval})
+		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(s, i), Offset: off})
 	}
 	return m
 }
@@ -156,16 +156,36 @@ func PoissonArrivals(base Spec, n int, meanInterval float64, seed uint64) MultiS
 	if meanInterval <= 0 {
 		return Staggered(base, n, 0)
 	}
-	r := rng.New(seed)
 	m := MultiSpec{Name: fmt.Sprintf("%s-pois%d", base.Job.Name, n)}
-	t := 0.0
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			t += r.Exponential(meanInterval)
-		}
-		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(base, i), Offset: t})
+	for i, off := range Arrivals("poisson", n, meanInterval, seed) {
+		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(base, i), Offset: off})
 	}
 	return m
+}
+
+// Arrivals returns the submission offsets, in seconds, of n jobs under an
+// arrival process, the one place both the simulated streams and the live
+// cells draw them. "" submits every job at t=0; "staggered" submits job i
+// at i × interval; "poisson" submits the first job at t=0 and each later
+// one after a seeded exponential gap of mean interval, and with no positive
+// interval it submits every job at t=0.
+func Arrivals(process string, n int, interval float64, seed uint64) []float64 {
+	off := make([]float64, max(n, 0))
+	switch process {
+	case "staggered":
+		for i := range off {
+			off[i] = float64(i) * interval
+		}
+	case "poisson":
+		if interval <= 0 {
+			break
+		}
+		r := rng.New(seed)
+		for i := 1; i < len(off); i++ {
+			off[i] = off[i-1] + r.Exponential(interval)
+		}
+	}
+	return off
 }
 
 // WithPriorities returns a copy of the multi-job workload with per-job
