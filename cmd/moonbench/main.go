@@ -37,9 +37,9 @@ import (
 	"strings"
 
 	"repro/internal/harness"
-	"repro/internal/mapred"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -224,7 +224,7 @@ func printLists(w io.Writer) error {
 `,
 		strings.Join(scenario.Experiments, "|"),
 		strings.Join(scenario.AblationNames, "|"),
-		strings.Join(mapred.JobPolicyNames(), "|"),
+		strings.Join(sched.PolicyNames(), "|"),
 		strings.Join(scenario.ArrivalProcesses, "|"))
 	return err
 }

@@ -204,12 +204,6 @@ func NewSimulation(opts Options) (*Simulation, error) {
 	return &Simulation{Sim: s, Cluster: cl, Net: net, FS: fsys, JT: jt, opts: opts}, nil
 }
 
-// ReduceSlots returns the cluster's total reduce slots, the paper's basis
-// for sort's "0.9 × AvailSlots" reduce count.
-func (s *Simulation) ReduceSlots() int {
-	return len(s.Cluster.Nodes) * s.opts.Sched.ReduceSlotsPerNode
-}
-
 // StageInput materializes a job input file (no simulated cost), as the
 // paper does before each measured run.
 func (s *Simulation) StageInput(name string, size float64, factor dfs.Factor) error {

@@ -160,17 +160,6 @@ func TestTreatAllVolatile(t *testing.T) {
 	}
 }
 
-func TestReduceSlots(t *testing.T) {
-	cs := ClusterSpec{VolatileNodes: 60, DedicatedNodes: 6, Seed: 1}
-	s, err := NewSimulation(MOONPreset(cs, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ReduceSlots(); got != 132 {
-		t.Fatalf("reduce slots %d, want 132", got)
-	}
-}
-
 func TestRunWorkloadRejectsBadSpec(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 4, DedicatedNodes: 1, Seed: 1}
 	s, err := NewSimulation(MOONPreset(cs, true))

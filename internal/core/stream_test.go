@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/mapred"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 func TestRunWorkloadStreamEndToEnd(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3, Seed: 3}
 	m := workload.Staggered(smallSpec(), 3, 120)
-	for _, pol := range []mapred.SchedPolicy{mapred.FIFO(), mapred.FairShare()} {
+	for _, pol := range []sched.Policy[*mapred.Job]{sched.FIFO[*mapred.Job](), sched.FairShare[*mapred.Job]()} {
 		opts := MOONPreset(cs, true)
 		opts.Sched.JobPolicy = pol
 		s, err := NewForWorkload(opts, m)

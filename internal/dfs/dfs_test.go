@@ -595,25 +595,6 @@ func TestBlockLocations(t *testing.T) {
 	}
 }
 
-func TestReadFile(t *testing.T) {
-	r := newRig(t, ModeMOON, nil)
-	if _, err := r.fs.CreateStaged("f", 2500, Reliable, Factor{D: 1, V: 1}); err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	var errGot error
-	if err := r.fs.ReadFile(r.c.Node(3), "f", func(e error) { done, errGot = true, e }); err != nil {
-		t.Fatal(err)
-	}
-	r.s.RunUntil(10000)
-	if !done || errGot != nil {
-		t.Fatalf("ReadFile done=%v err=%v", done, errGot)
-	}
-	if err := r.fs.ReadFile(r.c.Node(3), "missing", func(error) {}); !errors.Is(err, ErrUnknownFile) {
-		t.Fatalf("ReadFile(missing) err = %v", err)
-	}
-}
-
 func TestTrimExcessReplicas(t *testing.T) {
 	r := newRig(t, ModeHadoop, nil)
 	f, err := r.fs.CreateStaged("f", 1000, Opportunistic, Factor{V: 2})

@@ -103,26 +103,3 @@ func (fs *FileSystem) pickReadSource(from *cluster.Node, b *Block, exclude []int
 	}
 	return best
 }
-
-// ReadFile reads every block of the file to the node sequentially; done
-// fires once with the first error or nil after the last block. Convenience
-// for clients that consume whole files (e.g. output validation).
-func (fs *FileSystem) ReadFile(from *cluster.Node, name string, done func(error)) error {
-	f := fs.files[name]
-	if f == nil {
-		return ErrUnknownFile
-	}
-	var step func(i, src int, err error)
-	step = func(i, _ int, err error) {
-		if err != nil || i >= len(f.Blocks) {
-			done(err)
-			return
-		}
-		// Block i's read reports as i+1: the next block to read.
-		if _, err := fs.ReadBlock(from, f.Blocks[i].ID, 0, nil, i+1, step); err != nil {
-			done(err)
-		}
-	}
-	step(0, -1, nil)
-	return nil
-}

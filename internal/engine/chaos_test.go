@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -146,6 +147,11 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"no workers", func(c *Config) { c.VolatileWorkers, c.DedicatedWorkers = 0, 0 }},
 		{"unknown policy", func(c *Config) { c.JobPolicy = "lottery" }},
+		{"alias policy spelling", func(c *Config) { c.JobPolicy = "fair-share" }},
+		{"weights with fair", func(c *Config) { c.JobPolicy, c.JobWeights = "fair", map[string]float64{"a": 2} }},
+		{"weights with the default policy", func(c *Config) { c.JobWeights = map[string]float64{"a": 2} }},
+		{"NaN weight", func(c *Config) { c.JobPolicy, c.JobWeights = "weighted", map[string]float64{"a": math.NaN()} }},
+		{"zero weight", func(c *Config) { c.JobPolicy, c.JobWeights = "weighted", map[string]float64{"a": 0} }},
 		{"session expiry just under the lease", func(c *Config) { c.SessionExpiry = leaseDuration - 1 }},
 		{"negative session expiry", func(c *Config) { c.SessionExpiry = -time.Millisecond }},
 		{"drop rate above one", func(c *Config) { c.Faults = &transport.FaultConfig{DropRate: 2} }},

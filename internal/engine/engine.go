@@ -41,6 +41,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -100,13 +101,13 @@ type Config struct {
 
 	// JobPolicy arbitrates execution slots between concurrently submitted
 	// jobs: "fifo" (the default when empty), "fair", "weighted" or
-	// "priority" — resolved through the shared scheduling core, so the
-	// spelling vocabulary (and the hard error on a typo) is exactly the
-	// simulator's.
+	// "priority" — resolved by sched.PolicyByName, so the spellings (and
+	// the hard error on a typo) are exactly the simulator's.
 	JobPolicy string
 
 	// JobWeights are the per-job-name weights of the "weighted" policy; a
-	// job without an entry runs at weight 1.
+	// job without an entry runs at weight 1. Validate refuses them with any
+	// other policy, and a weight that is not > 0.
 	JobWeights map[string]float64
 
 	// Faults, when non-nil, wraps the in-process loopback that carries all
@@ -148,19 +149,17 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects configurations the protocol cannot run: an empty pool or
-// a negative worker count, an unknown policy, a session expiry that is
-// neither 0 nor at least the lease (sessions would be evicted while their
-// lease is still trusted), invalid fault settings, and a partition window
-// that cuts an address no endpoint of this pool has.
+// a negative worker count, an unknown policy or weights it refuses, a
+// session expiry that is neither 0 nor at least the lease (sessions would be
+// evicted while their lease is still trusted), invalid fault settings, and a
+// partition window that cuts an address no endpoint of this pool has.
 func (c Config) Validate() error {
 	if c.VolatileWorkers < 0 || c.DedicatedWorkers < 0 || c.VolatileWorkers+c.DedicatedWorkers < 1 {
 		return fmt.Errorf("engine: need at least one worker (got %d volatile, %d dedicated)",
 			c.VolatileWorkers, c.DedicatedWorkers)
 	}
-	if c.JobPolicy != "" {
-		if _, err := sched.PolicyByName[*liveJob](c.JobPolicy); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
+	if _, err := c.policy(); err != nil {
+		return fmt.Errorf("engine: %w", err)
 	}
 	if c.SessionExpiry != 0 && c.SessionExpiry < leaseDuration {
 		return fmt.Errorf("engine: SessionExpiry %v is neither 0 nor >= the %v lease (sessions would expire while their lease is still trusted)",
@@ -188,21 +187,10 @@ func (c Config) endpoint(addr string) bool {
 	return addr == masterAddr || err == nil && i >= 0 && i < c.VolatileWorkers+c.DedicatedWorkers && WorkerAddr(i) == addr
 }
 
-// policy resolves the configured arbitration policy (validated in New).
-func (c Config) policy() sched.Policy[*liveJob] {
-	name := c.JobPolicy
-	if name == "" {
-		name = "fifo"
-	}
-	p, err := sched.PolicyByName[*liveJob](name)
-	if err != nil {
-		// validate() already rejected unknown names.
-		panic(err)
-	}
-	if p.Name() == "weighted" && len(c.JobWeights) > 0 {
-		return sched.WeightedFair[*liveJob](c.JobWeights)
-	}
-	return p
+// policy resolves the configured arbitration policy and its weights; an
+// empty JobPolicy is FIFO.
+func (c Config) policy() (sched.Policy[*liveJob], error) {
+	return sched.PolicyByName[*liveJob](cmp.Or(c.JobPolicy, "fifo"), c.JobWeights)
 }
 
 // Cluster is a live worker pool with one persistent master. Create with

@@ -188,7 +188,8 @@ func newMaster(c *Cluster, lis transport.Listener) *master {
 	if c.cfg.ReplicateToDedicated && c.cfg.DedicatedWorkers > 0 {
 		m.replicateTo = c.cfg.VolatileWorkers // workers are numbered volatile first
 	}
-	m.queue = sched.NewQueue(c.cfg.policy(), nil)
+	policy, _ := c.cfg.policy() // New validated it
+	m.queue = sched.NewQueue(policy, nil)
 	if mc := c.cfg.Metrics; mc != nil {
 		m.mMapAttempts = mc.TimedCounter(metrics.LayerEngine, "map_attempts", "")
 		m.mRedAttempts = mc.TimedCounter(metrics.LayerEngine, "reduce_attempts", "")

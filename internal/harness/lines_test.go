@@ -3,6 +3,7 @@ package harness
 import (
 	"repro/internal/core"
 	"repro/internal/mapred"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func schedLines() []Variant {
 
 // streamLines are one MOON-Hybrid line per arbitration policy, each running
 // the same stream of n sleep-sort jobs stagger seconds apart.
-func streamLines(n int, stagger float64, policies ...mapred.SchedPolicy) []Variant {
+func streamLines(n int, stagger float64, policies ...sched.Policy[*mapred.Job]) []Variant {
 	var vs []Variant
 	for _, pol := range policies {
 		vs = append(vs, Variant{Label: "MOON-" + pol.Name(), Cell: SimCell{

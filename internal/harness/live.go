@@ -135,12 +135,11 @@ type LiveCell struct {
 	Priorities map[string]int
 }
 
-// LiveVariants builds one live line per canonical policy name (default
-// when empty: fifo vs fair, mirroring the simulator's multi-job default),
-// every one on the same cell shape, with the weights on the "weighted" line
-// and the priorities on the "priority" line. Resolving alias spellings is
-// the caller's; a name the engine does not know fails the line's check
-// before any cell runs.
+// LiveVariants builds one live line per policy name (default when empty:
+// fifo vs fair, mirroring the simulator's multi-job default), every one on
+// the same cell shape, with the weights on the "weighted" line and the
+// priorities on the "priority" line. A name or weight the engine refuses
+// fails the line's check before any cell runs.
 func LiveVariants(lc LiveConfig, policies []string, weights map[string]float64, priorities map[string]int) []Variant {
 	if len(policies) == 0 {
 		policies = []string{"fifo", "fair"}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 )
 
 // TestSingleJobRunStatsUnchanged pins the single-job scheduling sweep to
@@ -94,7 +95,8 @@ func TestMultiJobPolicySweepUnchanged(t *testing.T) {
 
 	cfg := Config{Seeds: []uint64{1, 2}, Scale: 8, Rates: []float64{0.3}}
 	sw, err := cfg.RunSweep("golden-multi", streamLines(4, 0,
-		mapred.FIFO(), mapred.FairShare(), mapred.WeightedFair(map[string]float64{"sleep-sort-j0": 4})))
+		sched.FIFO[*mapred.Job](), sched.FairShare[*mapred.Job](),
+		sched.WeightedFair[*mapred.Job](map[string]float64{"sleep-sort-j0": 4})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mapred"
+	"repro/internal/sched"
 )
 
 // multiTestConfig keeps the multi-job sweep fast: heavily scaled jobs, two
@@ -19,7 +20,7 @@ func multiTestConfig() Config {
 // policies and reports one coherent row per job.
 func TestStreamSweepCompletes(t *testing.T) {
 	cfg := multiTestConfig()
-	sw, err := cfg.RunSweep("streams", streamLines(3, 60, mapred.FIFO(), mapred.FairShare()))
+	sw, err := cfg.RunSweep("streams", streamLines(3, 60, sched.FIFO[*mapred.Job](), sched.FairShare[*mapred.Job]()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestStreamSweepCompletes(t *testing.T) {
 // Parallelism 1 and 8.
 func TestParallelStreamSweepMatchesSerial(t *testing.T) {
 	base := multiTestConfig()
-	variants := streamLines(3, 60, mapred.FIFO(), mapred.FairShare())
+	variants := streamLines(3, 60, sched.FIFO[*mapred.Job](), sched.FairShare[*mapred.Job]())
 
 	run := func(parallelism int) (*Sweep, []string) {
 		cfg := base

@@ -7,14 +7,12 @@
 // hybrid-aware placement on dedicated nodes).
 //
 // The JobTracker is multi-tenant: Submit enqueues jobs rather than
-// rejecting concurrent submissions, and a pluggable SchedPolicy (FIFO,
-// fair-share, weighted-fair or strict-priority — the shared
-// internal/sched policy family, see policy.go) arbitrates every free
-// execution slot between the running jobs. Per-job state — tasks,
-// fetch-failure reporters, the schedule sequence, commit polling — lives
-// on the Job, so concurrent jobs are fully independent and a single job
-// under FIFO behaves exactly like the historical one-job-at-a-time
-// tracker.
+// rejecting concurrent submissions, and a sched.Policy (FIFO, fair-share,
+// weighted-fair or strict-priority) arbitrates every free execution slot
+// between the running jobs. Per-job state — tasks, fetch-failure
+// reporters, the schedule sequence, commit polling — lives on the Job, so
+// concurrent jobs are fully independent and a single job under FIFO
+// behaves exactly like the historical one-job-at-a-time tracker.
 //
 // Tasks are resource models, not user code: a map is "read an input block,
 // compute for S seconds, write I bytes of intermediate data through the
@@ -36,6 +34,7 @@ import (
 	"fmt"
 
 	"repro/internal/dfs"
+	"repro/internal/sched"
 )
 
 // Policy selects the scheduling algorithm.
@@ -60,9 +59,9 @@ type SchedConfig struct {
 	Policy Policy
 
 	// JobPolicy arbitrates execution slots across concurrently running
-	// jobs; nil selects FIFO. It is orthogonal to Policy, which governs
-	// speculative execution *within* each job.
-	JobPolicy SchedPolicy
+	// jobs; the zero value is FIFO. It is orthogonal to Policy, which
+	// governs speculative execution *within* each job.
+	JobPolicy sched.Policy[*Job]
 	// Hybrid enables MOON's awareness of dedicated nodes: speculative
 	// and homestretch copies prefer dedicated slots, and tasks that
 	// already have an active dedicated copy get the lowest replication

@@ -19,7 +19,7 @@ import (
 //
 // The tracker schedules a queue of concurrently running jobs: Submit
 // enqueues (it never rejects a job because another is running), and the
-// configured SchedPolicy — FIFO, fair-share, weighted-fair or
+// configured sched.Policy — FIFO, fair-share, weighted-fair or
 // strict-priority — arbitrates every free slot between the running jobs.
 // Queueing and arbitration are delegated to the backend-agnostic
 // scheduling core (internal/sched), the same code the live goroutine
@@ -119,7 +119,7 @@ func NewJobTracker(s *sim.Simulation, cl *cluster.Cluster, fs *dfs.FileSystem, n
 		return nil, err
 	}
 	jt := &JobTracker{sim: s, cl: cl, fs: fs, net: net, cfg: cfg}
-	// The queue arbitrates with the configured policy (nil = FIFO); only
+	// The queue arbitrates with the configured policy (zero = FIFO); only
 	// running jobs receive slots (committing jobs occupy no slots).
 	jt.queue = sched.NewQueue(cfg.JobPolicy, func(j *Job) bool { return j.state == JobRunning })
 	for _, n := range cl.Nodes {
@@ -136,7 +136,7 @@ func NewJobTracker(s *sim.Simulation, cl *cluster.Cluster, fs *dfs.FileSystem, n
 
 // Submit validates and enqueues a job; it competes for slots immediately
 // and on every subsequent heartbeat. Concurrently running jobs share the
-// cluster under the tracker's SchedPolicy. onDone fires when the job
+// cluster under the tracker's sched.Policy. onDone fires when the job
 // succeeds or fails.
 func (jt *JobTracker) Submit(cfg JobConfig, onDone func(*Job)) (*Job, error) {
 	if err := cfg.Validate(); err != nil {

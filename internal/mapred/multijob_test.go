@@ -32,13 +32,13 @@ func TestTwoOverlappingJobsCompleteUnderChurn(t *testing.T) {
 		2: {{Start: 100, End: 450}},
 		4: {{Start: 10, End: 120}, {Start: 500, End: 900}},
 	}
-	for _, pol := range []SchedPolicy{FIFO(), FairShare()} {
+	for _, pol := range []sched.Policy[*Job]{sched.FIFO[*Job](), sched.FairShare[*Job]()} {
 		pol := pol
 		t.Run(pol.Name(), func(t *testing.T) {
-			sched := DefaultSchedConfig(PolicyMOON)
-			sched.JobPolicy = pol
+			sc := DefaultSchedConfig(PolicyMOON)
+			sc.JobPolicy = pol
 			r := newRig(t, rigOpts{volatiles: 6, dedicated: 2, dfsMode: dfs.ModeMOON,
-				sched: sched, outages: outages})
+				sched: sc, outages: outages})
 			cfgA, cfgB := smallJob("churn-a"), smallJob("churn-b")
 			cfgA.NumMaps, cfgB.NumMaps = 8, 8
 			r.stage(t, cfgA, dfs.Factor{D: 1, V: 2})
@@ -87,7 +87,7 @@ func saturatingJob(name string) JobConfig {
 // under the given policy on a stable 6-node cluster and reports how many
 // maps job 2 had completed at the instant job 1 finished its map phase,
 // plus both finished jobs.
-func runContendingPair(t *testing.T, pol SchedPolicy) (j2MapsAtJ1MapsDone int, j1, j2 *Job) {
+func runContendingPair(t *testing.T, pol sched.Policy[*Job]) (j2MapsAtJ1MapsDone int, j1, j2 *Job) {
 	t.Helper()
 	sched := DefaultSchedConfig(PolicyMOON)
 	sched.JobPolicy = pol
@@ -126,8 +126,8 @@ func runContendingPair(t *testing.T, pol SchedPolicy) (j2MapsAtJ1MapsDone int, j
 // progress when job 1's map phase ends; under fair-share the two jobs
 // split the slots and advance together.
 func TestFairShareInterleavesFIFOSerializes(t *testing.T) {
-	fifoJ2, fifoJ1, fifoJ2Job := runContendingPair(t, FIFO())
-	fairJ2, fairJ1, fairJ2Job := runContendingPair(t, FairShare())
+	fifoJ2, fifoJ1, fifoJ2Job := runContendingPair(t, sched.FIFO[*Job]())
+	fairJ2, fairJ1, fairJ2Job := runContendingPair(t, sched.FairShare[*Job]())
 
 	// FIFO: job 2 starved during job 1's map phase, and job 1 finishes
 	// well before job 2.
@@ -155,9 +155,9 @@ func TestFairShareInterleavesFIFOSerializes(t *testing.T) {
 // bit-reproducible.
 func TestMultiJobDeterminism(t *testing.T) {
 	run := func() (float64, float64) {
-		sched := DefaultSchedConfig(PolicyMOON)
-		sched.JobPolicy = FairShare()
-		r := newRig(t, rigOpts{volatiles: 4, dedicated: 1, dfsMode: dfs.ModeMOON, sched: sched,
+		sc := DefaultSchedConfig(PolicyMOON)
+		sc.JobPolicy = sched.FairShare[*Job]()
+		r := newRig(t, rigOpts{volatiles: 4, dedicated: 1, dfsMode: dfs.ModeMOON, sched: sc,
 			outages: map[int][]trace.Interval{
 				0: {{Start: 30, End: 200}},
 				2: {{Start: 55, End: 400}},
@@ -189,8 +189,8 @@ func TestMultiJobDeterminism(t *testing.T) {
 // while the heavy job still has pending work.
 func TestWeightedFairProportionalSlots(t *testing.T) {
 	weighted, heavyJob, lightJob := runContendingPair(t,
-		WeightedFair(map[string]float64{"pair-a": 3, "pair-b": 1}))
-	fair, _, _ := runContendingPair(t, FairShare())
+		sched.WeightedFair[*Job](map[string]float64{"pair-a": 3, "pair-b": 1}))
+	fair, _, _ := runContendingPair(t, sched.FairShare[*Job]())
 
 	if weighted >= fair {
 		t.Errorf("weighted 3:1: light job completed %d maps before the heavy job's map phase ended; want fewer than fair-share's %d",
@@ -208,31 +208,15 @@ func TestWeightedFairProportionalSlots(t *testing.T) {
 	}
 }
 
-// TestWeightedFairOrder: ranking is active-attempts/weight, ties by
-// submission order; missing weights default to 1, so WeightedFair(nil)
-// orders exactly like FairShare.
+// TestWeightedFairOrder: the weighted policy finds a *Job's weight by its
+// configured name. a runs 6 attempts at weight 3 (ratio 2), b runs 3 at
+// weight 1 (ratio 3).
 func TestWeightedFairOrder(t *testing.T) {
 	a := &Job{cfg: JobConfig{Name: "a"}, attempts: sched.Attempts{Live: 6}}
 	b := &Job{cfg: JobConfig{Name: "b"}, attempts: sched.Attempts{Live: 3}}
-	c := &Job{cfg: JobConfig{Name: "c"}, attempts: sched.Attempts{Live: 3}}
-	running := []*Job{a, b, c}
-
-	// a runs 6 attempts at weight 3 (ratio 2), b and c run 3 at weight 1
-	// (ratio 3): a ranks first, then b before c by submission order.
-	got := WeightedFair(map[string]float64{"a": 3}).Order(nil, running)
-	if len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
+	got := sched.WeightedFair[*Job](map[string]float64{"a": 3}).Order(nil, []*Job{b, a})
+	if got[0] != a || got[1] != b {
 		t.Fatalf("weighted order wrong: %v", got)
-	}
-	if running[0] != a || running[1] != b || running[2] != c {
-		t.Fatal("input slice mutated")
-	}
-
-	uniform := WeightedFair(nil).Order(nil, running)
-	fair := FairShare().Order(nil, running)
-	for i := range fair {
-		if uniform[i] != fair[i] {
-			t.Fatalf("WeightedFair(nil) order %v, want fair-share order %v", uniform, fair)
-		}
 	}
 }
 
@@ -242,9 +226,9 @@ func TestWeightedFairOrder(t *testing.T) {
 // no map progress while the high job's map phase runs — regardless of
 // submission order. Zero-priority ties degenerate to FIFO.
 func TestStrictPriorityStarvesLowUntilHighDrains(t *testing.T) {
-	sched := DefaultSchedConfig(PolicyMOON)
-	sched.JobPolicy = StrictPriority()
-	r := newRig(t, rigOpts{volatiles: 5, dedicated: 1, dfsMode: dfs.ModeMOON, sched: sched})
+	sc := DefaultSchedConfig(PolicyMOON)
+	sc.JobPolicy = sched.StrictPriority[*Job]()
+	r := newRig(t, rigOpts{volatiles: 5, dedicated: 1, dfsMode: dfs.ModeMOON, sched: sc})
 	// The *low*-priority job is submitted first: FIFO would hand it the
 	// cluster, strict priority must not.
 	cfgLow, cfgHigh := saturatingJob("prio-low"), saturatingJob("prio-high")
@@ -284,39 +268,18 @@ func TestStrictPriorityStarvesLowUntilHighDrains(t *testing.T) {
 	}
 }
 
-// TestJobPolicyByName covers the flag-value parser.
-func TestJobPolicyByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"fifo": "fifo", "fair": "fair", "fairshare": "fair", "fair-share": "fair",
-		"weighted": "weighted", "wfair": "weighted", "weighted-fair": "weighted",
-		"priority": "priority", "strict-priority": "priority",
-	} {
-		p, err := JobPolicyByName(name)
-		if err != nil || p.Name() != want {
-			t.Fatalf("JobPolicyByName(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := JobPolicyByName("lottery"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
-// TestFairShareOrder: the policy ranks by live attempts with submission
-// order breaking ties, without touching the input slice.
+// TestFairShareOrder: a *Job ranks by its live attempts minus those
+// stranded on suspended trackers, and ordering leaves the input slice as
+// it was.
 func TestFairShareOrder(t *testing.T) {
 	a := &Job{attempts: sched.Attempts{Live: 3}}
-	b := &Job{attempts: sched.Attempts{Live: 1}}
-	c := &Job{attempts: sched.Attempts{Live: 1}}
-	running := []*Job{a, b, c}
-	got := FairShare().Order(nil, running)
-	if len(got) != 3 || got[0] != b || got[1] != c || got[2] != a {
+	b := &Job{attempts: sched.Attempts{Live: 4, Inactive: 3}}
+	running := []*Job{a, b}
+	got := sched.FairShare[*Job]().Order(nil, running)
+	if got[0] != b || got[1] != a {
 		t.Fatalf("fair-share order wrong: %v", got)
 	}
-	if running[0] != a || running[1] != b || running[2] != c {
+	if running[0] != a || running[1] != b {
 		t.Fatal("input slice mutated")
-	}
-	fifo := FIFO().Order(nil, running)
-	if fifo[0] != a || fifo[1] != b || fifo[2] != c {
-		t.Fatal("fifo order not submission order")
 	}
 }

@@ -94,25 +94,6 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a standard normal variate (Box-Muller with caching).
 func (r *Rand) NormFloat64() float64 {
 	if r.hasGauss {
@@ -173,30 +154,4 @@ func (r *Rand) ExpFloat64() float64 {
 // Exponential returns an exponential variate with the given mean.
 func (r *Rand) Exponential(mean float64) float64 {
 	return mean * r.ExpFloat64()
-}
-
-// Poisson returns a Poisson variate with the given mean lambda.
-// For small lambda it uses Knuth's product method; for large lambda the
-// normal approximation with continuity correction.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	x := r.Normal(lambda, math.Sqrt(lambda))
-	if x < 0 {
-		return 0
-	}
-	return int(x + 0.5)
 }

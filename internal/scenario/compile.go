@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -191,8 +193,7 @@ func compileLive(e *Experiment, lc harness.LiveConfig) (PlanRun, error) {
 		return PlanRun{}, err
 	}
 	m := e.Multi
-	policies, err := m.policies()
-	if err != nil {
+	if err := m.checkPolicies(); err != nil {
 		return PlanRun{}, at("multi", err)
 	}
 	lc.Jobs = m.Jobs
@@ -210,7 +211,7 @@ func compileLive(e *Experiment, lc harness.LiveConfig) (PlanRun, error) {
 		Title: fmt.Sprintf("Live engine: %d concurrent word-count jobs, %dv+%dd workers",
 			lc.Jobs, lc.VolatileWorkers, lc.DedicatedWorkers),
 		App:      "wordcount",
-		Variants: harness.LiveVariants(lc, policies, m.Weights, m.Priorities),
+		Variants: harness.LiveVariants(lc, m.Policies, m.Weights, m.Priorities),
 		Renders:  []Render{{Kind: RenderLive, Blank: true}},
 	}, nil
 }
@@ -321,7 +322,7 @@ func buildCell(v *VariantSpec, cl *ClusterSpec, ws *WorkloadSpec) (harness.SimCe
 	if err != nil {
 		return harness.SimCell{}, err
 	}
-	pol, err := variantPolicy(v)
+	pol, err := v.policy()
 	if err != nil {
 		return harness.SimCell{}, err
 	}
@@ -349,14 +350,10 @@ func buildCell(v *VariantSpec, cl *ClusterSpec, ws *WorkloadSpec) (harness.SimCe
 	}, nil
 }
 
-// variantPolicy resolves a variant's job-arbitration policy (nil = the
-// tracker's FIFO default; weights require the explicit "weighted" policy,
-// which VariantSpec.validate enforces).
-func variantPolicy(v *VariantSpec) (mapred.SchedPolicy, error) {
-	if v.Policy == "" {
-		return nil, nil
-	}
-	return jobPolicy(v.Policy, v.Weights)
+// policy resolves the variant's job-arbitration policy and weights; an
+// empty Policy is FIFO.
+func (v *VariantSpec) policy() (sched.Policy[*mapred.Job], error) {
+	return sched.PolicyByName[*mapred.Job](cmp.Or(v.Policy, "fifo"), v.Weights)
 }
 
 // clusterOf is the fleet a variant line runs on: its own, else the

@@ -301,8 +301,8 @@ func TestCompileCustomMulti(t *testing.T) {
 		t.Error("a multi-job line is not marked as a stream")
 	}
 	opts, m := cell.Build(core.ClusterSpec{UnavailabilityRate: 0.1, Seed: 1}), cell.Workload
-	if opts.Sched.JobPolicy == nil || opts.Sched.JobPolicy.Name() != "weighted" {
-		t.Errorf("job policy %v", opts.Sched.JobPolicy)
+	if opts.Sched.JobPolicy.Name() != "weighted" {
+		t.Errorf("job policy %s", opts.Sched.JobPolicy.Name())
 	}
 	if len(m.Jobs) != 3 || m.Jobs[1].Offset != 60 || m.Jobs[0].Spec.Job.Name != "sleep-sort-j0" {
 		t.Errorf("multi spec %+v", m.Jobs)

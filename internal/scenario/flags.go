@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"repro/internal/mapred"
+	"repro/internal/sched"
 )
 
 // SimFlags mirrors moonsim's shaping flags: one job on one stack.
@@ -99,7 +102,7 @@ func FromFlags(f Flags) (*Spec, error) {
 	// selected this run. "both" keeps the default fifo-vs-fair comparison.
 	multi := MultiExperiment{Jobs: f.Jobs}
 	if f.Policy != "both" {
-		if _, err := jobPolicy(f.Policy, nil); err != nil {
+		if _, err := sched.PolicyByName[*mapred.Job](f.Policy, nil); err != nil {
 			return nil, err
 		}
 		multi.Policies = []string{f.Policy}

@@ -93,7 +93,7 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 		{"zero jobs", func(s *Spec) { s.Experiments[0].Multi.Jobs = 0 }},
 		{"unknown policy", func(s *Spec) { s.Experiments[0].Multi.Policies = []string{"lottery"} }},
 		{"duplicate canonical policy", func(s *Spec) {
-			s.Experiments[0].Multi.Policies = []string{"fair", "fair-share", "priority"}
+			s.Experiments[0].Multi.Policies = []string{"fair", "fair", "priority"}
 		}},
 		{"priorities without priority policy", func(s *Spec) { s.Experiments[0].Multi.Policies = []string{"fifo"} }},
 		{"negative live horizon", func(s *Spec) { s.Live.HorizonSeconds = -1 }},
@@ -158,33 +158,6 @@ func TestParseRefusesRemovedLiveFields(t *testing.T) {
 		if _, err := Parse(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: Parse error %v, want one naming the field", tc.field, err)
 		}
-	}
-}
-
-func TestLiveSpecAliasPoliciesCarryPrioritiesAndWeights(t *testing.T) {
-	// Canonicalized alias spellings must satisfy the weights/priorities
-	// policy requirement (the silent-fall-through fix), and their lines run
-	// the canonical policy with its selectors: a "strict-priority" line must
-	// not run with everyone at rank 0.
-	lineOf := func(s *Spec) harness.LiveCell {
-		t.Helper()
-		plan, err := Compile(s)
-		if err != nil {
-			t.Fatalf("alias %v rejected: %v", s.Experiments[0].Multi.Policies, err)
-		}
-		return liveCells(t, plan.Runs[0])[0]
-	}
-	s := liveSpec()
-	s.Experiments[0].Multi.Policies = []string{"strict-priority"}
-	if c := lineOf(s); c.Policy != "priority" || c.Priorities == nil {
-		t.Fatalf("priority alias dropped its priorities: %+v", c)
-	}
-	s = liveSpec()
-	s.Experiments[0].Multi.Policies = []string{"weighted-fair"}
-	s.Experiments[0].Multi.Priorities = nil
-	s.Experiments[0].Multi.Weights = map[string]float64{"live-j0": 2}
-	if c := lineOf(s); c.Policy != "weighted" || c.Weights == nil {
-		t.Fatalf("weighted alias dropped its weights: %+v", c)
 	}
 }
 

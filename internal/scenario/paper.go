@@ -255,10 +255,10 @@ func lowerCorrelated(app string) lowered {
 // custom workload with "jobs": 1, it is a stream at any length: renamed
 // jobs, the stream table, the stream's progress line.
 func lowerMulti(app string, m *MultiExperiment) (lowered, error) {
-	policies, err := m.policies()
-	if err != nil {
+	if err := m.checkPolicies(); err != nil {
 		return lowered{}, at("multi", err)
 	}
+	policies := m.Policies
 	if len(policies) == 0 {
 		policies = []string{"fifo", "fair"}
 	}

@@ -20,7 +20,7 @@ func kinds() map[string]Experiment {
 			Jobs: 1, Arrivals: "staggered", IntervalSeconds: 60, Policies: []string{"fifo"}}},
 		"multi poisson": {App: "sort", Multi: &MultiExperiment{
 			Jobs: 4, Arrivals: "poisson", LambdaPerHour: 20, ArrivalSeed: 3,
-			Policies:   []string{"fifo", "weighted-fair", "strict-priority"},
+			Policies:   []string{"fifo", "weighted", "priority"},
 			Weights:    map[string]float64{"sleep-sort-j1": 3},
 			Priorities: map[string]int{"sleep-sort-j2": 5}}},
 	}
@@ -183,7 +183,7 @@ func TestMultiKindIsAStreamAtOneJob(t *testing.T) {
 	}
 }
 
-// TestMultiKindLines: one MOON-Hybrid line per canonical policy name, the
+// TestMultiKindLines: one MOON-Hybrid line per policy name, the
 // weights on the weighted line only, the priorities on the stream under
 // every line, and a Poisson rate lowered to its mean interval.
 func TestMultiKindLines(t *testing.T) {
@@ -194,8 +194,8 @@ func TestMultiKindLines(t *testing.T) {
 	for label, policy := range map[string]string{"MOON-fifo": "fifo", "MOON-weighted": "weighted", "MOON-priority": "priority"} {
 		c := line(t, e, label)
 		opts := c.Build(cell)
-		if !opts.Sched.Hybrid || opts.Sched.JobPolicy == nil || opts.Sched.JobPolicy.Name() != policy {
-			t.Errorf("%s: hybrid %v, job policy %v", label, opts.Sched.Hybrid, opts.Sched.JobPolicy)
+		if !opts.Sched.Hybrid || opts.Sched.JobPolicy.Name() != policy {
+			t.Errorf("%s: hybrid %v, job policy %s", label, opts.Sched.Hybrid, opts.Sched.JobPolicy.Name())
 		}
 		if len(c.Workload.Jobs) != 4 || c.Workload.Jobs[2].Spec.Job.Priority != 5 || c.Workload.Jobs[1].Spec.Job.Priority != 0 {
 			t.Errorf("%s: stream priorities not applied: %+v", label, c.Workload.Jobs)

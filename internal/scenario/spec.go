@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mapred"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 )
 
 // Schema is the versioned identifier of the scenario JSON format. Bump the
@@ -617,42 +617,26 @@ func (e *Experiment) validate() error {
 	return nil
 }
 
-// policies resolves the policy list to canonical names, so that alias
-// spellings ("weighted-fair", "strict-priority") carry their weights and
-// priorities too, and checks that weights and priorities come with the
-// policy that reads them. An empty list stays empty (the lowering picks the
-// default comparison).
-func (m *MultiExperiment) policies() ([]string, error) {
-	names := make([]string, len(m.Policies))
+// checkPolicies checks each listed policy name, with the weights on the
+// weighted line, and that weights and priorities come with the policy that
+// reads them. An empty list is the lowering's default comparison.
+func (m *MultiExperiment) checkPolicies() error {
 	for i, p := range m.Policies {
-		pol, err := jobPolicy(p, nil)
-		if err != nil {
-			return nil, at(fmt.Sprintf("policies[%d]", i), err)
+		var w map[string]float64
+		if p == "weighted" {
+			w = m.Weights
 		}
-		names[i] = pol.Name()
+		if _, err := sched.PolicyByName[*mapred.Job](p, w); err != nil {
+			return at(fmt.Sprintf("policies[%d]", i), err)
+		}
 	}
-	if len(m.Weights) > 0 && !slices.Contains(names, "weighted") {
-		return nil, fmt.Errorf("weights need the \"weighted\" policy in policies")
+	if len(m.Weights) > 0 && !slices.Contains(m.Policies, "weighted") {
+		return fmt.Errorf("weights need the \"weighted\" policy in policies")
 	}
-	if len(m.Priorities) > 0 && !slices.Contains(names, "priority") {
-		return nil, fmt.Errorf("priorities need the \"priority\" policy in policies")
+	if len(m.Priorities) > 0 && !slices.Contains(m.Policies, "priority") {
+		return fmt.Errorf("priorities need the \"priority\" policy in policies")
 	}
-	return names, validateWeights(m.Weights)
-}
-
-// jobPolicy resolves a job-policy name, alias spellings included, with the
-// weights attached when it is the weighted policy. It is the one place a
-// spec's or a flag's policy name is read, and an unknown name is an error
-// on every path, never a silent FIFO.
-func jobPolicy(name string, weights map[string]float64) (mapred.SchedPolicy, error) {
-	pol, err := mapred.JobPolicyByName(name)
-	if err != nil {
-		return nil, err
-	}
-	if pol.Name() == "weighted" && len(weights) > 0 {
-		return mapred.WeightedFair(weights), nil
-	}
-	return pol, nil
+	return nil
 }
 
 func (c *CustomExperiment) validate() error {
@@ -716,25 +700,14 @@ func (v *VariantSpec) validate(stream bool) error {
 	if !slices.Contains(Presets, v.Preset) {
 		return fmt.Errorf("preset %q (want %s)", v.Preset, joinOr(Presets))
 	}
-	policyName := ""
-	if v.Policy != "" {
-		if !stream {
-			return fmt.Errorf("policy %q needs a multi-job workload", v.Policy)
-		}
-		pol, err := jobPolicy(v.Policy, nil)
-		if err != nil {
-			return err
-		}
-		policyName = pol.Name()
+	if v.Policy != "" && !stream {
+		return fmt.Errorf("policy %q needs a multi-job workload", v.Policy)
 	}
-	if len(v.Weights) > 0 && policyName != "weighted" {
-		return fmt.Errorf("weights need policy \"weighted\"")
-	}
-	if len(v.Priorities) > 0 && policyName != "priority" {
-		return fmt.Errorf("priorities need policy \"priority\"")
-	}
-	if err := validateWeights(v.Weights); err != nil {
+	if _, err := v.policy(); err != nil {
 		return err
+	}
+	if len(v.Priorities) > 0 && v.Policy != "priority" {
+		return fmt.Errorf("priorities need policy \"priority\"")
 	}
 	if d := v.DFS; d != nil && d.Mode != nil && *d.Mode != "hadoop" && *d.Mode != "moon" {
 		return fmt.Errorf("dfs mode %q (want hadoop or moon)", *d.Mode)
@@ -763,19 +736,6 @@ func validateArrivals(process string, interval, lambda float64) error {
 		}
 	default:
 		return fmt.Errorf("unknown arrival process %q (want staggered or poisson)", process)
-	}
-	return nil
-}
-
-// validateWeights checks the weights a spec gives the weighted policy,
-// which would read a non-positive one as weight 1.
-func validateWeights(w map[string]float64) error {
-	// Sorted keys so the reported weight is deterministic when several
-	// are invalid (detrange-pinned).
-	for _, name := range slices.Sorted(maps.Keys(w)) {
-		if wt := w[name]; !(wt > 0) {
-			return fmt.Errorf("weight %v for job %q (want > 0)", wt, name)
-		}
 	}
 	return nil
 }

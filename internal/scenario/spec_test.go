@@ -223,6 +223,7 @@ var multiAndCustomRejections = []struct {
 	{"multi poisson both intervals", multiSpec(`{"jobs":2,"arrivals":"poisson","interval_seconds":10,"lambda_per_hour":30}`), "poisson"},
 	{"multi poisson neither interval", multiSpec(`{"jobs":2,"arrivals":"poisson"}`), "poisson"},
 	{"multi lambda without poisson", multiSpec(`{"jobs":2,"lambda_per_hour":30}`), "poisson"},
+	{"multi alias policy", multiSpec(`{"jobs":2,"policies":["fair-share"]}`), "policy"},
 	{"multi bad weight", multiSpec(`{"jobs":2,"policies":["weighted"],"weights":{"a-j0":-1}}`), "weight"},
 	{"multi weights without weighted policy", multiSpec(`{"jobs":2,"policies":["fifo"],"weights":{"a-j0":2}}`), "weighted"},
 	{"multi weights with default policies", multiSpec(`{"jobs":2,"weights":{"a-j0":2}}`), "weighted"},
@@ -235,6 +236,7 @@ var multiAndCustomRejections = []struct {
 	{"custom mix with poisson", customSpec(`{"title":"t","workload":{"app":"sort","jobs":4,"arrivals":"poisson","interval_seconds":30,"mix_scale":4},"variants":[{"label":"a","preset":"moon"}]}`), "mix_scale"},
 	{"custom policy on single job", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon","policy":"fair"}]}`), "policy"},
 	{"custom weights without weighted policy", customSpec(`{"title":"t","workload":{"app":"sort","jobs":2,"interval_seconds":30},"variants":[{"label":"a","preset":"moon","policy":"fair","weights":{"sort-j0":2}}]}`), "weighted"},
+	{"custom zero weight", customSpec(`{"title":"t","workload":{"app":"sort","jobs":2,"interval_seconds":30},"variants":[{"label":"a","preset":"moon","policy":"weighted","weights":{"sort-j0":0}}]}`), "weight 0"},
 	{"custom weights on single job", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon","weights":{"sort-j0":2}}]}`), "weighted"},
 	{"custom bad dfs mode", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon","dfs":{"mode":"gfs"}}]}`), "mode"},
 	{"custom empty cluster", customSpec(`{"title":"t","cluster":{"volatile":0,"dedicated":0},"workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon"}]}`), "nodes"},

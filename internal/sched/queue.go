@@ -30,13 +30,10 @@ type Queue[J Job] struct {
 	orderScratch    []J
 }
 
-// NewQueue builds a queue arbitrated by policy (nil selects FIFO).
-// runnable reports whether a job may receive slots right now; nil treats
-// every non-terminal job as runnable.
+// NewQueue builds a queue arbitrated by policy. runnable reports whether a
+// job may receive slots right now; nil treats every non-terminal job as
+// runnable.
 func NewQueue[J Job](policy Policy[J], runnable func(J) bool) *Queue[J] {
-	if policy == nil {
-		policy = FIFO[J]()
-	}
 	if runnable == nil {
 		runnable = func(j J) bool { return !j.Done() }
 	}

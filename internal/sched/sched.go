@@ -14,7 +14,12 @@
 // properties the simulator's byte-identical determinism pins rely on.
 package sched
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Job is the minimal view of a submitted job a scheduling decision needs.
 // Implementations are the backends' own job types (the simulator's
@@ -61,29 +66,47 @@ func (a Attempts) Balanced() bool { return a.Live == 0 && a.Inactive == 0 }
 // slot. The order is recomputed per offer, so policies that rank by live
 // usage (fair-share, weighted-fair) react to every launch.
 //
+// A policy is a name plus an optional ranking; the zero value is FIFO.
 // Task selection *within* a job is the backend's business: policies only
 // decide which job is offered the slot first.
-type Policy[J Job] interface {
-	// Name is the policy's flag/label spelling ("fifo", "fair",
-	// "weighted", "priority").
-	Name() string
-	// Order appends the jobs of running (given in submission order) to
-	// dst in slot-offer order and returns dst. Implementations must not
-	// retain either slice.
-	Order(dst, running []J) []J
+type Policy[J Job] struct {
+	name string
+	// before reports whether a strictly ranks ahead of b; nil keeps
+	// submission order.
+	before func(a, b J) bool
+}
+
+// Name is the policy's flag/label spelling ("fifo", "fair", "weighted",
+// "priority").
+func (p Policy[J]) Name() string { return cmp.Or(p.name, "fifo") }
+
+// Order appends the jobs of running (given in submission order) to dst in
+// slot-offer order and returns dst. It retains neither slice. Equal jobs
+// keep submission order — the tie-break every ranked policy's determinism
+// relies on. Insertion sort: job counts are small and the order barely
+// changes between consecutive offers.
+func (p Policy[J]) Order(dst, running []J) []J {
+	dst = append(dst, running...)
+	if p.before == nil {
+		return dst
+	}
+	for i := 1; i < len(dst); i++ {
+		j := dst[i]
+		k := i - 1
+		for k >= 0 && p.before(j, dst[k]) {
+			dst[k+1] = dst[k]
+			k--
+		}
+		dst[k+1] = j
+	}
+	return dst
 }
 
 // FIFO offers every free slot to the earliest-submitted running job first.
 // A later job only receives slots the earlier jobs cannot use (the policy
 // is work-conserving), so saturating jobs execute essentially serially in
 // submission order.
-func FIFO[J Job]() Policy[J] { return fifoPolicy[J]{} }
-
-type fifoPolicy[J Job] struct{}
-
-func (fifoPolicy[J]) Name() string { return "fifo" }
-
-func (fifoPolicy[J]) Order(dst, running []J) []J { return append(dst, running...) }
+func FIFO[J Job]() Policy[J] { return Policy[J]{} }
 
 // FairShare splits slots evenly between running jobs: every free slot is
 // offered to the job with the fewest *active* task attempts (attempts
@@ -91,104 +114,73 @@ func (fifoPolicy[J]) Order(dst, running []J) []J { return append(dst, running...
 // the MOON speculative budget ignores inactive copies), breaking ties by
 // submission order. Concurrent jobs therefore make interleaved progress
 // instead of queueing behind the first submission.
-func FairShare[J Job]() Policy[J] { return fairSharePolicy[J]{} }
-
-type fairSharePolicy[J Job] struct{}
-
-func (fairSharePolicy[J]) Name() string { return "fair" }
-
-func (fairSharePolicy[J]) Order(dst, running []J) []J {
-	dst = append(dst, running...)
-	sortStable(dst, func(a, b J) bool { return a.ActiveAttempts() < b.ActiveAttempts() })
-	return dst
-}
-
-// sortStable orders dst in place by before (a strictly ranks ahead of b),
-// keeping equal elements in input order — the submission-order tie-break
-// every ranked policy's determinism relies on. Insertion sort: job counts
-// are small and the order barely changes between consecutive offers.
-func sortStable[J Job](dst []J, before func(a, b J) bool) {
-	for i := 1; i < len(dst); i++ {
-		j := dst[i]
-		k := i - 1
-		for k >= 0 && before(j, dst[k]) {
-			dst[k+1] = dst[k]
-			k--
-		}
-		dst[k+1] = j
-	}
+func FairShare[J Job]() Policy[J] {
+	return Policy[J]{name: "fair", before: func(a, b J) bool { return a.ActiveAttempts() < b.ActiveAttempts() }}
 }
 
 // WeightedFair splits slots in proportion to per-job weights: every free
 // slot is offered to the running job with the smallest active-attempts to
 // weight ratio, so a weight-3 job holds three times the slots of a
-// weight-1 competitor at steady state. Ties break by submission order
-// (sort stability), and weights are looked up by job name — a job without
-// an entry (or with a non-positive weight) runs at weight 1, so
+// weight-1 competitor at steady state. Ties break by submission order,
+// and weights are looked up by job name — a job without an entry (or with
+// a non-positive weight, which PolicyByName refuses) runs at weight 1, so
 // WeightedFair(nil) degenerates to plain fair-share. Like fair-share, the
 // ratio counts only *active* attempts, so a churn-stalled job is not
 // deprioritized for the backup copies that would unfreeze it.
 func WeightedFair[J Job](weights map[string]float64) Policy[J] {
-	return &weightedFairPolicy[J]{weights: weights}
-}
-
-type weightedFairPolicy[J Job] struct {
-	weights map[string]float64
-}
-
-func (p *weightedFairPolicy[J]) Name() string { return "weighted" }
-
-func (p *weightedFairPolicy[J]) weight(j J) float64 {
-	if w, ok := p.weights[j.Name()]; ok && w > 0 {
-		return w
+	weight := func(j J) float64 {
+		if w, ok := weights[j.Name()]; ok && w > 0 {
+			return w
+		}
+		return 1
 	}
-	return 1
-}
-
-func (p *weightedFairPolicy[J]) Order(dst, running []J) []J {
-	dst = append(dst, running...)
-	sortStable(dst, func(a, b J) bool {
-		return float64(a.ActiveAttempts())/p.weight(a) < float64(b.ActiveAttempts())/p.weight(b)
-	})
-	return dst
+	return Policy[J]{name: "weighted", before: func(a, b J) bool {
+		return float64(a.ActiveAttempts())/weight(a) < float64(b.ActiveAttempts())/weight(b)
+	}}
 }
 
 // StrictPriority offers every free slot to the highest-priority running
-// job first; equal priorities tie-break by submission order (sort
-// stability), so the zero-priority default degenerates to FIFO. There is
-// no preemption: a lower-priority job keeps the attempts it already
-// holds, a higher-priority arrival merely wins every subsequent offer.
-func StrictPriority[J Job]() Policy[J] { return strictPriorityPolicy[J]{} }
-
-type strictPriorityPolicy[J Job] struct{}
-
-func (strictPriorityPolicy[J]) Name() string { return "priority" }
-
-func (strictPriorityPolicy[J]) Order(dst, running []J) []J {
-	dst = append(dst, running...)
-	sortStable(dst, func(a, b J) bool { return a.Priority() > b.Priority() })
-	return dst
+// job first; equal priorities tie-break by submission order, so the
+// zero-priority default degenerates to FIFO. There is no preemption: a
+// lower-priority job keeps the attempts it already holds, a
+// higher-priority arrival merely wins every subsequent offer.
+func StrictPriority[J Job]() Policy[J] {
+	return Policy[J]{name: "priority", before: func(a, b J) bool { return a.Priority() > b.Priority() }}
 }
 
-// PolicyNames lists the canonical PolicyByName spellings, for flag help
-// and `moonbench -list`.
+// PolicyNames lists the PolicyByName spellings, for flag help and
+// `moonbench -list`.
 func PolicyNames() []string { return []string{"fifo", "fair", "weighted", "priority"} }
 
-// PolicyByName resolves a policy flag value. Unknown names are a hard
-// error at every entry point — flag parsing, scenario validation and
-// engine configuration all route through here, so a typo'd policy can
-// never silently fall back to a default. Flag-configured weighted fair
-// runs with uniform weights; per-job weights are a programmatic API.
-func PolicyByName[J Job](name string) (Policy[J], error) {
+// PolicyByName resolves a policy setting and its per-job weights. It is the
+// only reader of one — flags, scenario specs and engine configuration all
+// route through here — so a typo'd name is a hard error everywhere and
+// never falls back to a default. The four PolicyNames are the only
+// spellings; "" is refused, and a caller where empty means FIFO passes
+// cmp.Or(name, "fifo"). Weights are allowed only with "weighted", and each
+// must be > 0 (WeightedFair would read any other as 1).
+func PolicyByName[J Job](name string, weights map[string]float64) (Policy[J], error) {
+	var p Policy[J]
 	switch name {
 	case "fifo":
-		return FIFO[J](), nil
-	case "fair", "fairshare", "fair-share":
-		return FairShare[J](), nil
-	case "weighted", "wfair", "weighted-fair":
-		return WeightedFair[J](nil), nil
-	case "priority", "strict-priority":
-		return StrictPriority[J](), nil
+	case "fair":
+		p = FairShare[J]()
+	case "weighted":
+		p = WeightedFair[J](weights)
+	case "priority":
+		p = StrictPriority[J]()
+	default:
+		return p, fmt.Errorf("sched: unknown job policy %q (want fifo, fair, weighted or priority)", name)
 	}
-	return nil, fmt.Errorf("sched: unknown job policy %q (want fifo, fair, weighted or priority)", name)
+	if len(weights) > 0 && name != "weighted" {
+		return Policy[J]{}, fmt.Errorf("sched: weights need policy \"weighted\", not %q", name)
+	}
+	// Sorted keys so the reported weight is deterministic when several
+	// are invalid.
+	for _, job := range slices.Sorted(maps.Keys(weights)) {
+		if w := weights[job]; !(w > 0) {
+			return Policy[J]{}, fmt.Errorf("sched: weight %v for job %q (want > 0)", w, job)
+		}
+	}
+	return p, nil
 }

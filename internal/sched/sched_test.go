@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -90,31 +91,66 @@ func TestStrictPriorityOrdersHighFirstWithSubmissionTies(t *testing.T) {
 }
 
 func TestPolicyByNameResolvesAndHardErrors(t *testing.T) {
-	for name, want := range map[string]string{
-		"fifo": "fifo", "fair": "fair", "fairshare": "fair", "fair-share": "fair",
-		"weighted": "weighted", "wfair": "weighted", "weighted-fair": "weighted",
-		"priority": "priority", "strict-priority": "priority",
-	} {
-		p, err := PolicyByName[*fakeJob](name)
+	for _, name := range PolicyNames() {
+		p, err := PolicyByName[*fakeJob](name, nil)
 		if err != nil {
 			t.Fatalf("PolicyByName(%q): %v", name, err)
 		}
-		if p.Name() != want {
-			t.Fatalf("PolicyByName(%q).Name() = %q, want %q", name, p.Name(), want)
+		if p.Name() != name {
+			t.Fatalf("PolicyByName(%q).Name() = %q", name, p.Name())
 		}
 	}
-	for _, bad := range []string{"", "fifoo", "FIFO", "random", "rr"} {
-		if _, err := PolicyByName[*fakeJob](bad); err == nil {
+	// The four names are the only spellings: the aliases older releases
+	// accepted are refused like any typo.
+	for _, bad := range []string{"", "fifoo", "FIFO", "random", "rr",
+		"fairshare", "fair-share", "wfair", "weighted-fair", "strict-priority"} {
+		if _, err := PolicyByName[*fakeJob](bad, nil); err == nil {
 			t.Fatalf("PolicyByName(%q) did not error", bad)
 		}
 	}
 	if len(PolicyNames()) != 4 {
 		t.Fatalf("PolicyNames() = %v", PolicyNames())
 	}
+	if zero := (Policy[*fakeJob]{}); zero.Name() != "fifo" {
+		t.Fatalf("zero Policy is %q, want fifo", zero.Name())
+	}
+}
+
+// TestPolicyByNameWeightRules: weights come only with "weighted", and
+// each is > 0; of several bad weights the first job name in sorted order
+// is reported.
+func TestPolicyByNameWeightRules(t *testing.T) {
+	p, err := PolicyByName[*fakeJob]("weighted", map[string]float64{"a": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &fakeJob{name: "a", attempts: Attempts{Live: 3}}
+	b := &fakeJob{name: "b", attempts: Attempts{Live: 2}}
+	if got := names(p.Order(nil, []*fakeJob{b, a})); got != "a,b" {
+		t.Fatalf("resolved weights are not applied: order %s", got)
+	}
+	for _, tc := range []struct {
+		name    string
+		weights map[string]float64
+		want    string
+	}{
+		{"fifo", map[string]float64{"a": 2}, `weights need policy "weighted"`},
+		{"fair", map[string]float64{"a": 2}, `weights need policy "weighted"`},
+		{"priority", map[string]float64{"a": 2}, `weights need policy "weighted"`},
+		{"weighted", map[string]float64{"a": 0}, `weight 0 for job "a"`},
+		{"weighted", map[string]float64{"a": -1}, `weight -1 for job "a"`},
+		{"weighted", map[string]float64{"a": math.NaN()}, `weight NaN for job "a"`},
+		{"weighted", map[string]float64{"z": 0, "b": -2, "m": 1}, `weight -2 for job "b"`},
+	} {
+		_, err := PolicyByName[*fakeJob](tc.name, tc.weights)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("PolicyByName(%q, %v) = %v, want an error naming %s", tc.name, tc.weights, err, tc.want)
+		}
+	}
 }
 
 func TestQueueRejectsDuplicateLiveNames(t *testing.T) {
-	q := NewQueue[*fakeJob](nil, nil)
+	q := NewQueue(FIFO[*fakeJob](), nil)
 	a := &fakeJob{name: "a"}
 	if err := q.Submit(a); err != nil {
 		t.Fatal(err)
@@ -159,7 +195,7 @@ func TestQueueOrderFiltersRunnableAndReusesScratch(t *testing.T) {
 }
 
 func TestQueueLatestEmpty(t *testing.T) {
-	q := NewQueue[*fakeJob](nil, nil)
+	q := NewQueue(FIFO[*fakeJob](), nil)
 	if _, ok := q.Latest(); ok {
 		t.Fatal("Latest on empty queue reported ok")
 	}
@@ -187,7 +223,7 @@ func TestAttemptsAccounting(t *testing.T) {
 // job named — by identity, not by name — keeps the rest in submission
 // order, and leaves no reference behind in the slot it vacated.
 func TestQueueRemoveKeepsOrderAndForgets(t *testing.T) {
-	q := NewQueue[*fakeJob](nil, nil)
+	q := NewQueue(FIFO[*fakeJob](), nil)
 	a, b, c := &fakeJob{name: "a", done: true}, &fakeJob{name: "b"}, &fakeJob{name: "c"}
 	a2 := &fakeJob{name: "a"} // reuses a finished job's name
 	for _, j := range []*fakeJob{a, b, c, a2} {

@@ -169,20 +169,6 @@ func (t *Trace) AvailableAt(at float64) bool {
 	return at < t.Outages[i].Start
 }
 
-// NextTransition returns the first time strictly after at when availability
-// changes, and the availability state that begins then. ok is false when no
-// transition remains before the horizon.
-func (t *Trace) NextTransition(at float64) (when float64, availableAfter bool, ok bool) {
-	i := sort.Search(len(t.Outages), func(i int) bool { return t.Outages[i].End > at })
-	if i == len(t.Outages) {
-		return 0, true, false
-	}
-	if at < t.Outages[i].Start {
-		return t.Outages[i].Start, false, true
-	}
-	return t.Outages[i].End, true, true
-}
-
 // UnavailableFraction returns the fraction of the horizon covered by
 // outages.
 func (t *Trace) UnavailableFraction() float64 {

@@ -135,22 +135,6 @@ func TestAvailableAt(t *testing.T) {
 	}
 }
 
-func TestNextTransition(t *testing.T) {
-	tr := Trace{Duration: 100, Outages: []Interval{{10, 20}, {50, 60}}}
-	if when, avail, ok := tr.NextTransition(0); !ok || when != 10 || avail {
-		t.Fatalf("NextTransition(0) = %v,%v,%v", when, avail, ok)
-	}
-	if when, avail, ok := tr.NextTransition(15); !ok || when != 20 || !avail {
-		t.Fatalf("NextTransition(15) = %v,%v,%v", when, avail, ok)
-	}
-	if when, avail, ok := tr.NextTransition(20); !ok || when != 50 || avail {
-		t.Fatalf("NextTransition(20) = %v,%v,%v", when, avail, ok)
-	}
-	if _, _, ok := tr.NextTransition(60); ok {
-		t.Fatal("NextTransition past last outage should report !ok")
-	}
-}
-
 func TestGenerateFleetIndependent(t *testing.T) {
 	traces, err := GenerateFleet(rng.New(7), DefaultOutageConfig(0.4), 8*3600, 10)
 	if err != nil {

@@ -16,7 +16,7 @@ type MultiJob struct {
 // MultiSpec describes a multi-job workload — the queued/overlapping job
 // streams real opportunistic clusters serve. Jobs are submitted in slice
 // order at their offsets and then compete for slots under the tracker's
-// SchedPolicy.
+// sched.Policy.
 type MultiSpec struct {
 	Name string
 	Jobs []MultiJob
