@@ -46,6 +46,7 @@ func main() {
 type cli struct {
 	shape      scenario.SimFlags
 	shaped     string // a shaping flag given explicitly, "" when none was
+	expirySet  bool   // -expiry given explicitly
 	rate       float64
 	seed       uint64
 	scale      int
@@ -64,7 +65,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 	fs.SetOutput(stderr)
 	fs.StringVar(&c.shape.App, "app", "sort", "sort|wordcount|sleep-sort|sleep-wordcount")
 	fs.StringVar(&c.shape.Policy, "policy", "moon-hybrid", "hadoop|moon|moon-hybrid")
-	fs.Float64Var(&c.shape.Expiry, "expiry", 600, "Hadoop TrackerExpiryInterval (seconds)")
+	fs.Float64Var(&c.shape.Expiry, "expiry", 600, "Hadoop TrackerExpiryInterval (seconds; -policy hadoop only)")
 	fs.Float64Var(&c.rate, "rate", 0.3, "machine-unavailability rate")
 	fs.IntVar(&c.shape.Volatile, "volatile", 60, "volatile node count")
 	fs.IntVar(&c.shape.Dedicated, "dedicated", 6, "dedicated node count")
@@ -88,6 +89,7 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 		case "app", "policy", "expiry", "volatile", "dedicated", "all-volatile", "inter-d", "inter-v":
 			c.shaped = f.Name
 		}
+		c.expirySet = c.expirySet || f.Name == "expiry"
 	})
 	return c, nil
 }
@@ -96,6 +98,10 @@ func parseFlags(args []string, stderr io.Writer) (*cli, error) {
 // the one-variant custom spec the shaping flags abbreviate.
 func (c *cli) spec() (*scenario.Spec, error) {
 	if c.scenario == "" {
+		// Only the hadoop preset reads the expiry: refuse what would be ignored.
+		if c.expirySet && c.shape.Policy != "hadoop" {
+			return nil, fmt.Errorf("-expiry applies only to -policy hadoop, not -policy %s", c.shape.Policy)
+		}
 		return scenario.FromSimFlags(c.shape), nil
 	}
 	// The spec owns the stack and workload shape: reject the shaping flags

@@ -51,6 +51,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"unknown policy", []string{"-policy", "nope"}, `preset "nope" (want hadoop, moon or moon-hybrid)`},
 		{"unknown app", []string{"-app", "nope"}, `custom.workload: app "nope" (want sort or wordcount)`},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"expiry without hadoop", []string{"-policy", "moon", "-expiry", "60"},
+			"-expiry applies only to -policy hadoop, not -policy moon"},
 		{"scenario+app", []string{"-scenario", "scale-sweep", "-app", "sort"},
 			"-app shapes the run and cannot be combined with -scenario"},
 		{"scenario+policy", []string{"-scenario", "scale-sweep", "-policy", "moon"},

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestRejectsEmptyFleet: a fleet of no nodes has no mean unavailability
-// to print, so -nodes below 1 is an error rather than a NaN line.
+// TestRejectsEmptyFleet: no nodes, or a trace length that is not positive and
+// finite, is an error rather than a NaN line (+Inf drew outages without end).
 func TestRejectsEmptyFleet(t *testing.T) {
-	for _, n := range []string{"0", "-1"} {
+	for _, args := range [][]string{{"-nodes", "0"}, {"-nodes", "-1"}, {"-duration", "NaN"}, {"-duration", "+Inf"}} {
 		var out bytes.Buffer
-		if err := run([]string{"-nodes", n}, &out, io.Discard); err == nil {
-			t.Fatalf("-nodes %s succeeded and printed %q", n, out.String())
+		if err := run(args, &out, io.Discard); err == nil {
+			t.Fatalf("%v succeeded and printed %q", args, out.String())
 		}
 	}
 }

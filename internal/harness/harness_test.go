@@ -51,29 +51,6 @@ func TestRunSweepAndRender(t *testing.T) {
 	}
 }
 
-func TestSweepBest(t *testing.T) {
-	sw := &Sweep{
-		Variants: []string{"VO-V1", "VO-V2", "HA-V1"},
-		Rates:    []float64{0.5},
-		Cells: map[string]map[float64]Stats{
-			"VO-V1": {0.5: {Jobs: []JobStats{{Makespan: 300}}}},
-			"VO-V2": {0.5: {Jobs: []JobStats{{Makespan: 200}}}},
-			"HA-V1": {0.5: {Jobs: []JobStats{{Makespan: 100}}}},
-		},
-	}
-	label, st := sw.Best("VO", 0.5)
-	if label != "VO-V2" || st.Makespan != 200 {
-		t.Fatalf("Best(VO) = %s/%v", label, st.Makespan)
-	}
-	label, _ = sw.Best("HA", 0.5)
-	if label != "HA-V1" {
-		t.Fatalf("Best(HA) = %s", label)
-	}
-	if label, _ := sw.Best("ZZ", 0.5); label != "" {
-		t.Fatalf("Best(ZZ) = %q, want empty", label)
-	}
-}
-
 func TestRenderTable2(t *testing.T) {
 	policies := []string{"VO-V1", "VO-V3", "VO-V5", "HA-V1"}
 	sw := &Sweep{

@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"sort"
-	"strings"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // JobStats is one job's seed-averaged row of a cell: what either backend
 // reports per job. A simulated job fills the makespan and the task profile
@@ -127,22 +122,4 @@ func (sw *Sweep) AppendMetrics(e *metrics.Export, runs int) {
 			e.Add(sw.Title, v, rate, runs, sw.Metrics[v][rate])
 		}
 	}
-}
-
-// Best returns the variant whose first job has the lowest makespan at a
-// rate, restricted to labels with the given prefix (e.g. the paper's "best
-// VO configuration").
-func (sw *Sweep) Best(prefix string, rate float64) (string, JobStats) {
-	bestLabel, best := "", JobStats{Makespan: -1}
-	labels := append([]string(nil), sw.Variants...)
-	sort.Strings(labels)
-	for _, l := range labels {
-		if !strings.HasPrefix(l, prefix) {
-			continue
-		}
-		if st := sw.Cells[l][rate].first(); best.Makespan < 0 || st.Makespan < best.Makespan {
-			bestLabel, best = l, st
-		}
-	}
-	return bestLabel, best
 }

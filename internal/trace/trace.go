@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/rng"
@@ -99,8 +100,9 @@ func Generate(r *rng.Rand, cfg OutageConfig, duration float64) (Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return Trace{}, err
 	}
-	if duration <= 0 {
-		return Trace{}, fmt.Errorf("trace: duration %v must be positive", duration)
+	// NaN fails the first test, and an infinite budget never fills.
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return Trace{}, fmt.Errorf("trace: duration %v must be positive and finite", duration)
 	}
 	t := Trace{Duration: duration}
 	budget := cfg.TargetRate * duration

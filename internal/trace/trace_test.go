@@ -63,8 +63,10 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(r, DefaultOutageConfig(-0.1), 100); err == nil {
 		t.Fatal("negative rate accepted")
 	}
-	if _, err := Generate(r, DefaultOutageConfig(0.3), -5); err == nil {
-		t.Fatal("negative duration accepted")
+	for _, d := range []float64{-5, math.NaN(), math.Inf(1)} {
+		if _, err := Generate(r, DefaultOutageConfig(0.3), d); err == nil {
+			t.Fatalf("duration %v accepted", d)
+		}
 	}
 	cfg := DefaultOutageConfig(0.3)
 	cfg.MeanOutage = 0

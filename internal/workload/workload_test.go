@@ -6,14 +6,9 @@ import (
 	"repro/internal/dfs"
 )
 
+// Table I's sizes and the sleep app's task times are checked by TestPaperClaims.
 func TestSortMatchesTableI(t *testing.T) {
 	w := Sort(2 * 66)
-	if w.Job.NumMaps != 384 {
-		t.Fatalf("sort maps = %d, want 384", w.Job.NumMaps)
-	}
-	if w.InputSize != 24*GB {
-		t.Fatalf("sort input = %v, want 24 GB", w.InputSize)
-	}
 	// 0.9 × 132 slots = 118 reduces.
 	if w.Job.NumReduces != 118 {
 		t.Fatalf("sort reduces = %d, want 118", w.Job.NumReduces)
@@ -35,12 +30,6 @@ func TestSortMinimumOneReduce(t *testing.T) {
 
 func TestWordCountMatchesTableI(t *testing.T) {
 	w := WordCount()
-	if w.Job.NumMaps != 320 || w.Job.NumReduces != 20 {
-		t.Fatalf("wordcount %d maps / %d reduces, want 320/20", w.Job.NumMaps, w.Job.NumReduces)
-	}
-	if w.InputSize != 20*GB {
-		t.Fatalf("wordcount input = %v, want 20 GB", w.InputSize)
-	}
 	// Word count's intermediate data is far smaller than its input.
 	if total := w.Job.IntermediatePerMap * float64(w.Job.NumMaps); total >= w.InputSize/2 {
 		t.Fatalf("wordcount intermediate %v not small relative to input", total)
@@ -74,11 +63,6 @@ func TestSleepAppProperties(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The fed-in times are the measured app averages, not raw CPU.
-	s := SleepApp(Sort(132))
-	if s.Job.MapCPU != 42 || s.Job.ReduceCPU != 85 {
-		t.Fatalf("sleep-sort times %v/%v, want 42/85", s.Job.MapCPU, s.Job.ReduceCPU)
 	}
 }
 
