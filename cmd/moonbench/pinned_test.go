@@ -19,7 +19,8 @@ import (
 // one included, and two -scale values that divide neither 384 nor 320 maps:
 // a single job must keep workload.Scale's rule at every scale, and no
 // golden sees it when only dividing scales are pinned. About half a second
-// in all; the slow hashes (paper-figures -scale 4, scale-100k, the
+// in all; the slow hashes (paper-figures -scale 4 and scale-100k, which
+// CI's "scale-100k, full size" step checks, and the
 // bench/workloads ones) stay in .claude/skills/verify/SKILL.md. A row in
 // reports also runs with -metrics and pins the report and its timeline:
 // two seeds a cell, so metrics.Merge's seed average is in the bytes.

@@ -30,7 +30,8 @@ import (
 // A client that opens a connection and never finishes its request headers is
 // dropped after readHeaderTimeout, a kept-alive connection nobody uses after
 // idleTimeout. There is no write timeout: /v1/events streams for as long as
-// its client listens (request bodies are capped by the handlers).
+// its client listens (the submit handlers cap a request body and give it a
+// read deadline).
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 120 * time.Second

@@ -71,7 +71,8 @@ func TestNewSimulationValidation(t *testing.T) {
 
 func TestPresets(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 4, DedicatedNodes: 1, UnavailabilityRate: 0.2, Seed: 1}
-	h := HadoopPreset(cs, 60)
+	h := HadoopPreset(cs)
+	h.Sched.TrackerExpiry = 60
 	if h.Sched.Policy != mapred.PolicyHadoop || h.Sched.TrackerExpiry != 60 {
 		t.Fatalf("hadoop preset sched %+v", h.Sched)
 	}
@@ -148,7 +149,7 @@ func TestNewForWorkloadSetsBlockSize(t *testing.T) {
 func TestTreatAllVolatile(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 6, DedicatedNodes: 2, UnavailabilityRate: 0.3,
 		TreatAllVolatile: true, Seed: 5}
-	s, err := NewSimulation(HadoopPreset(cs, 600))
+	s, err := NewSimulation(HadoopPreset(cs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dfs
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -110,7 +111,7 @@ func TestWritePipelineTimingAndPlacement(t *testing.T) {
 	if d != 1 || v != 1 {
 		t.Fatalf("placed {%d,%d}, want {1,1}", d, v)
 	}
-	if !containsInt(b.replicas, 0) {
+	if !slices.Contains(b.replicas, 0) {
 		t.Fatal("writer's local copy missing")
 	}
 }
@@ -236,7 +237,7 @@ func TestReadPrefersLocalThenVolatile(t *testing.T) {
 	// A volatile non-holder prefers volatile replicas over dedicated.
 	var reader *cluster.Node
 	for _, n := range r.c.Volatile {
-		if !containsInt(b.replicas, n.ID) {
+		if !slices.Contains(b.replicas, n.ID) {
 			reader = n
 			break
 		}
@@ -266,7 +267,7 @@ func TestReadFallsBackToDedicated(t *testing.T) {
 	}
 	var reader *cluster.Node
 	for _, n := range r.c.Volatile {
-		if !containsInt(b.replicas, n.ID) {
+		if !slices.Contains(b.replicas, n.ID) {
 			reader = n
 			break
 		}
@@ -311,7 +312,7 @@ func TestPartialRead(t *testing.T) {
 	b := r.fs.File("f").Blocks[0]
 	var reader *cluster.Node
 	for _, n := range r.c.Volatile {
-		if !containsInt(b.replicas, n.ID) {
+		if !slices.Contains(b.replicas, n.ID) {
 			reader = n
 		}
 	}
@@ -336,14 +337,14 @@ func TestExpiryDeregistersAndReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := r.fs.File("f").Blocks[0]
-	if !containsInt(b.replicas, 0) {
+	if !slices.Contains(b.replicas, 0) {
 		t.Skip("staging did not use node 0; cursor layout changed")
 	}
 	r.s.RunUntil(100 + r.fs.cfg.NodeExpiryInterval + 120)
 	if r.fs.View(0) != DNDead {
 		t.Fatalf("node 0 view = %v, want dead", r.fs.View(0))
 	}
-	if containsInt(b.replicas, 0) {
+	if slices.Contains(b.replicas, 0) {
 		t.Fatal("dead node's replica still registered")
 	}
 	// Replication scan must have restored {1,2} on other nodes.
@@ -366,7 +367,7 @@ func TestHibernateSuppressesReplicationWithDedicatedCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := r.fs.File("f").Blocks[0]
-	if !containsInt(b.replicas, 1) {
+	if !slices.Contains(b.replicas, 1) {
 		t.Skip("staging did not use node 1")
 	}
 	r.s.RunUntil(300)
@@ -458,7 +459,7 @@ func TestDeadNodeReRegistersOnReturn(t *testing.T) {
 	r.fs.registerReplica(b, 0)
 	r.fs.registerReplica(b, 1)
 	r.s.RunUntil(2000)
-	if containsInt(b.replicas, 0) {
+	if slices.Contains(b.replicas, 0) {
 		t.Fatal("dead node still registered")
 	}
 	r.s.RunUntil(4000)
@@ -543,7 +544,7 @@ func TestWriteRetriesOnTargetOutage(t *testing.T) {
 	if v < 3 {
 		t.Fatalf("volatile replicas = %d, want 3 (all live volatile nodes)", v)
 	}
-	if containsInt(b.replicas, 1) {
+	if slices.Contains(b.replicas, 1) {
 		t.Fatal("replica registered on dead node")
 	}
 	if r.fs.Metrics.WriteRetries == 0 {

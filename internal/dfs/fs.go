@@ -249,7 +249,9 @@ func (fs *FileSystem) expire(v *dnView) {
 	fs.Metrics.Expirations++
 	fs.inst.expirations.IncAt(v.deadSince)
 	for _, b := range v.blocks {
-		removeInt(&b.replicas, v.node.ID)
+		if i := slices.Index(b.replicas, v.node.ID); i >= 0 {
+			b.replicas = slices.Delete(b.replicas, i, i+1)
+		}
 		b.wake()
 	}
 }
@@ -259,7 +261,7 @@ func (fs *FileSystem) expire(v *dnView) {
 func (fs *FileSystem) reRegister(v *dnView) {
 	id := v.node.ID
 	for _, b := range v.blocks {
-		if !containsInt(b.replicas, id) {
+		if !slices.Contains(b.replicas, id) {
 			b.replicas = append(b.replicas, id)
 			fs.Metrics.ReRegistrations++
 			fs.inst.reRegs.Inc()
@@ -274,7 +276,7 @@ func (fs *FileSystem) registerReplica(b *Block, nodeID int) {
 	if !b.file.deleted {
 		fs.putOnDisk(b, nodeID)
 	}
-	if !containsInt(b.replicas, nodeID) {
+	if !slices.Contains(b.replicas, nodeID) {
 		b.replicas = append(b.replicas, nodeID)
 	}
 	b.wake()
@@ -282,7 +284,9 @@ func (fs *FileSystem) registerReplica(b *Block, nodeID int) {
 
 // dropReplica removes a replica both from registration and disk.
 func (fs *FileSystem) dropReplica(b *Block, nodeID int) {
-	removeInt(&b.replicas, nodeID)
+	if i := slices.Index(b.replicas, nodeID); i >= 0 {
+		b.replicas = slices.Delete(b.replicas, i, i+1)
+	}
 	fs.takeOffDisk(b, nodeID)
 	b.wake()
 }
@@ -670,7 +674,7 @@ func (fs *FileSystem) scanBlock(f *File, b *Block, av int) {
 			fs.issueReplication(b, fs.scanTargets)
 		case total > needTotal && pend == 0:
 			quiet = false
-			fs.trimExcess(b, total-needTotal, false)
+			fs.trimExcess(b, total-needTotal, true, true)
 		}
 	} else {
 		// MOON: dedicated deficit first (a reliable file's dedicated write is
@@ -690,31 +694,16 @@ func (fs *FileSystem) scanBlock(f *File, b *Block, av int) {
 		}
 		if v > needV && pend == 0 {
 			quiet = false
-			fs.trimExcess(b, v-needV, true)
+			fs.trimExcess(b, v-needV, true, false)
 		}
 		if d > needD && pend == 0 {
 			quiet = false
-			fs.trimDedicatedExcess(b, d-needD)
+			fs.trimExcess(b, d-needD, false, true)
 		}
 	}
 	if quiet {
 		b.quiet = true
 		f.awake--
-	}
-}
-
-// trimDedicatedExcess removes surplus dedicated replicas (can arise when a
-// relay write and an earlier scan both placed dedicated copies).
-func (fs *FileSystem) trimDedicatedExcess(b *Block, n int) {
-	for i := len(b.replicas) - 1; i >= 0 && n > 0; i-- {
-		id := b.replicas[i]
-		if !fs.dn[id].dedicated {
-			continue
-		}
-		fs.dropReplica(b, id)
-		fs.Metrics.TrimmedReplicas++
-		fs.inst.trims.Inc()
-		n--
 	}
 }
 
@@ -756,12 +745,14 @@ func (fs *FileSystem) issueReplication(b *Block, targets []int) {
 	})
 }
 
-// trimExcess deregisters n excess replicas; volatileOnly restricts trimming
-// to volatile holders (MOON never gives up dedicated copies).
-func (fs *FileSystem) trimExcess(b *Block, n int, volatileOnly bool) {
+// trimExcess removes n excess replicas, the last registered first, held by
+// the tiers it may trim: both under Hadoop; under MOON the volatile tier's
+// surplus, or the dedicated tier's (a relay write and an earlier scan can
+// both place a dedicated copy), never one for the other.
+func (fs *FileSystem) trimExcess(b *Block, n int, volatile, dedicated bool) {
 	for i := len(b.replicas) - 1; i >= 0 && n > 0; i-- {
 		id := b.replicas[i]
-		if volatileOnly && fs.dn[id].dedicated {
+		if fs.dn[id].dedicated && !dedicated || !fs.dn[id].dedicated && !volatile {
 			continue
 		}
 		fs.dropReplica(b, id)
@@ -793,24 +784,6 @@ func (fs *FileSystem) pickSource(b *Block) int {
 }
 
 // --- helpers ---------------------------------------------------------------
-
-func containsInt(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func removeInt(s *[]int, x int) {
-	for i, v := range *s {
-		if v == x {
-			*s = append((*s)[:i], (*s)[i+1:]...)
-			return
-		}
-	}
-}
 
 // SetThrottledForTest pins a dedicated node's throttle state; test hook.
 func (fs *FileSystem) SetThrottledForTest(nodeID int, throttled bool) {

@@ -82,7 +82,7 @@ func tierStart(tier []int, cursor int) int {
 // placeable reports whether a new replica may go to the node: believed live
 // and in neither list.
 func (fs *FileSystem) placeable(id int, exclude, dst []int) bool {
-	return fs.dn[id].state == DNLive && !containsInt(exclude, id) && !containsInt(dst, id)
+	return fs.dn[id].state == DNLive && !slices.Contains(exclude, id) && !slices.Contains(dst, id)
 }
 
 // allDedicatedThrottled reports whether every live dedicated DataNode is

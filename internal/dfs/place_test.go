@@ -26,7 +26,7 @@ func chooseFleetWalk(fs *FileSystem, dst []int, k int, exclude []int, eligible f
 		if v.state != DNLive || !eligible(v) {
 			continue
 		}
-		if containsInt(exclude, id) || containsInt(dst, id) {
+		if slices.Contains(exclude, id) || slices.Contains(dst, id) {
 			continue
 		}
 		dst = append(dst, id)
@@ -43,7 +43,7 @@ func pickFleetWalk(fs *FileSystem, exclude, alsoExclude []int) int {
 		id := (fs.cursorD + probe) % n
 		v := fs.dn[id]
 		if v.dedicated && v.state == DNLive && !v.throttled &&
-			!containsInt(exclude, id) && !containsInt(alsoExclude, id) {
+			!slices.Contains(exclude, id) && !slices.Contains(alsoExclude, id) {
 			fs.cursorD = (fs.cursorD + 1) % n
 			return id
 		}

@@ -1,6 +1,8 @@
 package dfs
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/netmodel"
 )
@@ -82,13 +84,13 @@ func (r *read) end(err error) {
 func (fs *FileSystem) pickReadSource(from *cluster.Node, b *Block, exclude []int) int {
 	// Local fast path.
 	for _, id := range b.replicas {
-		if id == from.ID && fs.dn[id].state == DNLive && !containsInt(exclude, id) {
+		if id == from.ID && fs.dn[id].state == DNLive && !slices.Contains(exclude, id) {
 			return id
 		}
 	}
 	best, bestTier, bestLoad := -1, 1<<30, 1<<30
 	for _, id := range b.replicas {
-		if fs.dn[id].state != DNLive || containsInt(exclude, id) {
+		if fs.dn[id].state != DNLive || slices.Contains(exclude, id) {
 			continue
 		}
 		tier := 0

@@ -217,7 +217,7 @@ func newScanWorld(t testing.TB, p *scanProgram, ref bool) *scanWorld {
 			}
 			for _, f := range w.fs.fileOrder {
 				for _, b := range f.Blocks {
-					if b.diskIndex(nd.ID) >= 0 && !containsInt(b.replicas, nd.ID) {
+					if b.diskIndex(nd.ID) >= 0 && !slices.Contains(b.replicas, nd.ID) {
 						w.wantReReg++
 					}
 				}
@@ -451,7 +451,7 @@ func (w *scanWorld) check(after string) {
 			if b.file.deleted {
 				t.Fatalf("%s: node %d lists %v of a deleted file", after, id, b.ID)
 			}
-			if v.state != DNDead && !containsInt(b.replicas, id) {
+			if v.state != DNDead && !slices.Contains(b.replicas, id) {
 				t.Fatalf("%s: node %d (%v) has %v on disk and is not registered for it", after, id, v.state, b.ID)
 			}
 		}

@@ -115,7 +115,7 @@ func TestNameNodeWalksFilesInCreationOrder(t *testing.T) {
 			len(zz.replicas), len(aa.replicas))
 	}
 	r.s.RunUntil(2000)
-	if containsInt(zz.replicas, 0) || containsInt(aa.replicas, 0) {
+	if slices.Contains(zz.replicas, 0) || slices.Contains(aa.replicas, 0) {
 		t.Fatal("expire left the dead node registered on a file")
 	}
 	// A delete takes the file out of the walk and keeps the others in place;
@@ -128,7 +128,7 @@ func TestNameNodeWalksFilesInCreationOrder(t *testing.T) {
 	// reRegister walks what is left: aa's copy on node 0 comes back, the
 	// deleted zz's does not, mm never had one.
 	r.s.RunUntil(2501)
-	if r.fs.Metrics.ReRegistrations != 1 || !containsInt(aa.replicas, 0) {
+	if r.fs.Metrics.ReRegistrations != 1 || !slices.Contains(aa.replicas, 0) {
 		t.Fatalf("%d re-registrations, aa replicas %v; want 1 and node 0 back",
 			r.fs.Metrics.ReRegistrations, aa.replicas)
 	}

@@ -1,6 +1,8 @@
 package dfs
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
@@ -102,7 +104,7 @@ func (op *WriteOp) plan() []int {
 	// own exclusion list.
 	targets := op.targets[:0]
 	localD, localV := 0, 0
-	if !containsInt(avoid, op.from.ID) {
+	if !slices.Contains(avoid, op.from.ID) {
 		targets = append(targets, op.from.ID)
 		if op.from.IsDedicated() {
 			localD++
@@ -215,7 +217,7 @@ func (op *WriteOp) stageFailed(failedNode int) {
 		op.finish(ErrWriteFailed)
 		return
 	}
-	if !containsInt(op.failed, failedNode) {
+	if !slices.Contains(op.failed, failedNode) {
 		op.failed = append(op.failed, failedNode)
 	}
 	op.backoff = fs.sim.After(writeRetryBackoff, "dfs.writeRetry", func() {

@@ -28,7 +28,8 @@ func schedLines() []Variant {
 	}
 	return []Variant{
 		line("Hadoop1Min", func(cs core.ClusterSpec) core.Options {
-			opts := core.HadoopPreset(testbed(cs), 60)
+			opts := core.HadoopPreset(testbed(cs))
+			opts.Sched.TrackerExpiry = 60
 			opts.DFS = core.MOONPreset(cs, false).DFS
 			return opts
 		}),

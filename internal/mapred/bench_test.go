@@ -56,34 +56,49 @@ func BenchmarkSmallJobUnderChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkHeartbeatScan measures the heartbeat's slot-availability scan,
-// the one O(trackers) pass a tick makes, over a 4 160-tracker fleet. It
-// reads tracker state only and must report 0 allocs/op.
-func BenchmarkHeartbeatScan(b *testing.B) {
+// heartbeatFleet is a 4 160-tracker MOON JobTracker over a fleet at 0.3
+// unavailability, with no job submitted.
+func heartbeatFleet(tb testing.TB) *JobTracker {
 	const volatiles = 4096
 	s := sim.New()
 	traces, err := trace.GenerateFleet(rng.New(1), trace.DefaultOutageConfig(0.3), 1e5, volatiles)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := cluster.New(s, cluster.Config{VolatileTraces: traces, DedicatedNodes: 64})
 	net := netmodel.New(s, c, netmodel.Config{NodeBandwidth: 1e6, DiskBandwidth: 4e6, StallTimeout: 30})
 	f, err := dfs.New(s, c, net, dfs.DefaultConfig(dfs.ModeMOON))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	jt, err := NewJobTracker(s, c, f, net, DefaultSchedConfig(PolicyMOON))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sink := 0
+	return jt
+}
+
+// TestHeartbeatScanAllocatesNothing: countOccupancy, the one O(trackers)
+// pass a heartbeat makes (with a collector attached), reads tracker state
+// only.
+func TestHeartbeatScanAllocatesNothing(t *testing.T) {
+	jt := heartbeatFleet(t)
+	total := 0
+	if got := testing.AllocsPerRun(100, func() { total, _ = jt.countOccupancy() }); got != 0 {
+		t.Errorf("%v allocs per occupancy scan, want 0", got)
+	}
+	if total == 0 {
+		t.Fatal("no slots counted")
+	}
+}
+
+// BenchmarkHeartbeatScan measures countOccupancy over the 4 160-tracker
+// fleet of heartbeatFleet.
+func BenchmarkHeartbeatScan(b *testing.B) {
+	jt := heartbeatFleet(b)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += jt.countAvailableSlots()
-	}
-	if sink == 0 {
-		b.Fatal("no slots counted")
+	for b.Loop() {
+		jt.countOccupancy()
 	}
 }
 

@@ -26,7 +26,7 @@ func (jt *JobTracker) launch(t *Task, tt *TaskTracker, speculative bool) *Instan
 		jt.inst.specIssued.IncAt(jt.sim.Now())
 		// Keep the tick's fleet-wide speculative count exact: the new
 		// attempt starts active (the tracker is live to receive it).
-		if jt.inTick && jt.specCached && jt.specMut == jt.tickMut {
+		if jt.inTick && jt.specCached {
 			jt.cachedSpec++
 		}
 	}
@@ -238,7 +238,6 @@ func (jt *JobTracker) completeInstance(in *Instance) {
 		jt.inst.specWon.Inc()
 	}
 	t.completed = true
-	t.completedAt = now
 	t.output = in.outputFile
 	if t.Type == MapTask {
 		j.mapsCompleted++

@@ -50,19 +50,13 @@ type JobTracker struct {
 	inst      jtInstruments
 
 	// Tick-scoped caches (see tickcache.go). Valid only between beginTick
-	// and endTick; mut-guarded entries are additionally discarded when
-	// tickMut moves (a detach or map-output invalidation ran mid-tick).
-	inTick       bool
-	tickMut      uint64
-	slotsCached  bool
-	cachedSlots  int
-	specCached   bool
-	specMut      uint64
-	cachedSpec   int
-	noPending    [2]bool // per TaskType: no job has a pending task
-	noPendingMut [2]uint64
-	noSpec       [2]bool // per TaskType: no tracker can get a backup copy
-	noSpecMut    [2]uint64
+	// and endTick, and cleared whenever a detach or map-output
+	// invalidation runs.
+	inTick     bool
+	specCached bool
+	cachedSpec int
+	noPending  [2]bool // per TaskType: no job has a pending task
+	noSpec     [2]bool // per TaskType: no tracker can get a backup copy
 }
 
 // jtInstruments are the scheduler's metric handles: slot occupancy per
@@ -123,8 +117,7 @@ func NewJobTracker(s *sim.Simulation, cl *cluster.Cluster, fs *dfs.FileSystem, n
 	// running jobs receive slots (committing jobs occupy no slots).
 	jt.queue = sched.NewQueue(cfg.JobPolicy, func(j *Job) bool { return j.state == JobRunning })
 	for _, n := range cl.Nodes {
-		tt := &TaskTracker{node: n, mapSlots: cfg.MapSlotsPerNode, reduceSlots: cfg.ReduceSlotsPerNode}
-		jt.trackers = append(jt.trackers, tt)
+		jt.trackers = append(jt.trackers, &TaskTracker{node: n})
 		node := n
 		n.Watch(func(_ *cluster.Node, available bool) { jt.trackerChanged(node, available) })
 	}
@@ -192,7 +185,6 @@ func (jt *JobTracker) trackerChanged(n *cluster.Node, available bool) {
 		// Master-side detection, driven by missing heartbeats.
 		if jt.cfg.SuspensionInterval > 0 {
 			tt.suspendEv = jt.sim.After(jt.cfg.SuspensionInterval, "jt.suspect", func() {
-				tt.suspected = true
 				for _, in := range tt.running {
 					if !in.inactive {
 						in.inactive = true
@@ -202,8 +194,6 @@ func (jt *JobTracker) trackerChanged(n *cluster.Node, available bool) {
 			})
 		}
 		tt.expireEv = jt.sim.After(jt.cfg.TrackerExpiry, "jt.expire", func() {
-			tt.expired = true
-			tt.suspected = false
 			for _, in := range append([]*Instance(nil), tt.running...) {
 				jt.killInstance(in)
 			}
@@ -213,8 +203,6 @@ func (jt *JobTracker) trackerChanged(n *cluster.Node, available bool) {
 	jt.sim.Cancel(tt.suspendEv)
 	jt.sim.Cancel(tt.expireEv)
 	tt.suspendEv, tt.expireEv = sim.Event{}, sim.Event{}
-	tt.expired = false
-	tt.suspected = false
 	for _, in := range tt.running {
 		if in.inactive {
 			in.inactive = false
@@ -229,17 +217,12 @@ func (jt *JobTracker) trackerChanged(n *cluster.Node, available bool) {
 
 // availableSlots counts execution slots on live trackers (map + reduce),
 // the paper's base for both the speculative cap and the homestretch
-// threshold. Within a tick the count is computed once: availability and
-// expiry only change through sim events, which never fire mid-tick.
+// threshold. Every node runs one tracker with the configured slots, and a
+// tracker is live exactly when its node is up (its expiry event is armed
+// at the down transition and canceled at the up one), so the cluster's
+// up-count answers in O(1).
 func (jt *JobTracker) availableSlots() int {
-	if jt.inTick && jt.slotsCached {
-		return jt.cachedSlots
-	}
-	n := jt.countAvailableSlots()
-	if jt.inTick {
-		jt.cachedSlots, jt.slotsCached = n, true
-	}
-	return n
+	return jt.cl.AvailableCount() * (jt.cfg.MapSlotsPerNode + jt.cfg.ReduceSlotsPerNode)
 }
 
 // speculativeActive counts running, *active* speculative attempts of one
@@ -268,10 +251,10 @@ func (jt *JobTracker) speculativeActive(j *Job) int {
 //
 // Within a tick the scan runs once and the count is then maintained
 // incrementally: launch bumps it for each speculative start (the only way
-// it grows mid-tick), and any detach invalidates it via tickMut (the only
-// way it shrinks mid-tick).
+// it grows mid-tick), and any detach clears it (the only way it shrinks
+// mid-tick).
 func (jt *JobTracker) speculativeActiveTotal() int {
-	if jt.inTick && jt.specCached && jt.specMut == jt.tickMut {
+	if jt.inTick && jt.specCached {
 		return jt.cachedSpec
 	}
 	n := 0
@@ -281,7 +264,7 @@ func (jt *JobTracker) speculativeActiveTotal() int {
 		}
 	}
 	if jt.inTick {
-		jt.cachedSpec, jt.specCached, jt.specMut = n, true, jt.tickMut
+		jt.cachedSpec, jt.specCached = n, true
 	}
 	return n
 }
@@ -300,7 +283,8 @@ func (jt *JobTracker) jobOrder() []*Job { return jt.queue.Order() }
 //
 // Both passes short-circuit through the tick caches: once a pick proves no
 // further launch of its kind is possible on any tracker (a fact that stays
-// true until a mutation bumps tickMut), the remaining trackers are skipped.
+// true until a detach or map-output invalidation clears the caches), the
+// remaining trackers are skipped.
 // The skipped iterations would have launched nothing and have no side
 // effects, so the short-circuit is unobservable — it just turns the idle
 // part of the heartbeat from O(trackers × tasks) into O(1).
@@ -315,21 +299,21 @@ func (jt *JobTracker) tick() {
 	// trackers alike, in node order; each free slot is offered to the
 	// jobs in policy order.
 	for _, tt := range jt.trackers {
-		if jt.pendingExhausted(MapTask) && jt.pendingExhausted(ReduceTask) {
+		if jt.noPending[MapTask] && jt.noPending[ReduceTask] {
 			break
 		}
-		for !jt.pendingExhausted(MapTask) && tt.freeSlots(MapTask) > 0 {
+		for !jt.noPending[MapTask] && jt.freeSlots(tt, MapTask) > 0 {
 			t := jt.pickPendingMapAny(tt)
 			if t == nil {
-				jt.markPendingExhausted(MapTask)
+				jt.noPending[MapTask] = true
 				break
 			}
 			jt.launch(t, tt, false)
 		}
-		for !jt.pendingExhausted(ReduceTask) && tt.freeSlots(ReduceTask) > 0 {
+		for !jt.noPending[ReduceTask] && jt.freeSlots(tt, ReduceTask) > 0 {
 			t := jt.pickPendingReduceAny()
 			if t == nil {
-				jt.markPendingExhausted(ReduceTask)
+				jt.noPending[ReduceTask] = true
 				break
 			}
 			jt.launch(t, tt, false)
@@ -342,17 +326,17 @@ func (jt *JobTracker) tick() {
 		order = jt.hybridOrder
 	}
 	for _, tt := range order {
-		if jt.specExhausted(MapTask) && jt.specExhausted(ReduceTask) {
+		if jt.noSpec[MapTask] && jt.noSpec[ReduceTask] {
 			break
 		}
-		for !jt.specExhausted(MapTask) && tt.freeSlots(MapTask) > 0 {
+		for !jt.noSpec[MapTask] && jt.freeSlots(tt, MapTask) > 0 {
 			t := jt.pickSpeculativeAny(MapTask, tt)
 			if t == nil {
 				break
 			}
 			jt.launch(t, tt, true)
 		}
-		for !jt.specExhausted(ReduceTask) && tt.freeSlots(ReduceTask) > 0 {
+		for !jt.noSpec[ReduceTask] && jt.freeSlots(tt, ReduceTask) > 0 {
 			t := jt.pickSpeculativeAny(ReduceTask, tt)
 			if t == nil {
 				break
@@ -375,6 +359,18 @@ func (jt *JobTracker) observeOccupancy() {
 		jt.inst.slotOcc.Observe(now, float64(used)/float64(total))
 	}
 	jt.inst.runningJobs.Observe(now, float64(jt.RunningJobs()))
+}
+
+// countOccupancy returns (total, used) slots over live trackers: total is
+// availableSlots, used counts running attempts on up nodes.
+func (jt *JobTracker) countOccupancy() (int, int) {
+	used := 0
+	for _, tt := range jt.trackers {
+		if tt.node.Available() {
+			used += len(tt.running)
+		}
+	}
+	return jt.availableSlots(), used
 }
 
 // pickPendingMapAny offers a free map slot to each job in policy order.
@@ -422,7 +418,7 @@ func (jt *JobTracker) pickSpeculativeAny(typ TaskType, tt *TaskTracker) *Task {
 		certain = certain && c
 	}
 	if certain {
-		jt.markSpecExhausted(typ)
+		jt.noSpec[typ] = true
 	}
 	return nil
 }

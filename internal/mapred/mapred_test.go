@@ -226,9 +226,6 @@ func TestMOONSuspensionMarksInactiveWithoutKilling(t *testing.T) {
 	// inactive but alive.
 	r.s.RunUntil(100)
 	tt := r.jt.trackers[0]
-	if !tt.suspected {
-		t.Fatal("tracker not suspected after SuspensionInterval")
-	}
 	inactive := 0
 	for _, in := range tt.running {
 		if in.inactive {
@@ -243,9 +240,6 @@ func TestMOONSuspensionMarksInactiveWithoutKilling(t *testing.T) {
 	}
 	// After the node resumes, instances reactivate.
 	r.s.RunUntil(400)
-	if tt.suspected {
-		t.Fatal("tracker still suspected after resume")
-	}
 	for _, in := range tt.running {
 		if in.inactive {
 			t.Fatal("instance still inactive after resume")

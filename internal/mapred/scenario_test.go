@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -108,24 +109,72 @@ func TestHadoopStragglerSpeculation(t *testing.T) {
 	}
 }
 
-// TestAvailableSlotsTracksChurn: slots on down trackers don't count.
+// TestAvailableSlotsTracksChurn: slots on down trackers don't count, and
+// availableSlots, read off the cluster's up-count, agrees at every
+// heartbeat with a scan of the trackers that also skips expired ones. Node
+// 2 stays down past TrackerExpiry, so its expiry event fires and kills the
+// attempts stranded there before the node returns.
 func TestAvailableSlotsTracksChurn(t *testing.T) {
+	sched := DefaultSchedConfig(PolicyMOON)
 	r := newRig(t, rigOpts{volatiles: 4, dedicated: 1, dfsMode: dfs.ModeMOON,
-		sched: DefaultSchedConfig(PolicyMOON),
+		sched: sched,
 		outages: map[int][]trace.Interval{
 			0: {{Start: 10, End: 100}},
 			1: {{Start: 10, End: 100}},
+			2: {{Start: 10, End: sched.TrackerExpiry + 700}},
 		}})
 	if got := r.jt.availableSlots(); got != 5*4 {
 		t.Fatalf("initial slots %d, want 20", got)
 	}
+	// liveSlotScan is the fleet walk availableSlots replaced: a tracker
+	// counts while its node is up and its expiry event has not fired.
+	liveSlotScan := func() int {
+		total := 0
+		for _, tt := range r.jt.trackers {
+			expired := tt.expireEv != (sim.Event{}) && !tt.expireEv.Pending()
+			if tt.node.Available() && !expired {
+				total += sched.MapSlotsPerNode + sched.ReduceSlotsPerNode
+			}
+		}
+		return total
+	}
+	beats := 0
+	stop := r.s.Ticker(sched.HeartbeatInterval, "slotcheck", func() {
+		beats++
+		if got, want := r.jt.availableSlots(), liveSlotScan(); got != want {
+			t.Fatalf("t=%v: availableSlots %d, tracker scan %d", r.s.Now(), got, want)
+		}
+	})
+	defer stop()
+	cfg := smallJob("slots")
+	cfg.NumMaps = 10
+	cfg.MapCPU = 5000 // node 2's maps and their backups outlive its expiry
+	r.stage(t, cfg, dfs.Factor{D: 1, V: 2})
+	if _, err := r.jt.Submit(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
 	r.s.RunUntil(50)
-	if got := r.jt.availableSlots(); got != 3*4 {
-		t.Fatalf("slots during outage %d, want 12", got)
+	if got := r.jt.availableSlots(); got != 2*4 {
+		t.Fatalf("slots during outage %d, want 8", got)
 	}
 	r.s.RunUntil(200)
+	if got := r.jt.availableSlots(); got != 4*4 {
+		t.Fatalf("slots after resume %d, want 16", got)
+	}
+	stranded := r.jt.trackers[2]
+	if len(stranded.running) == 0 {
+		t.Fatal("no attempt stranded on node 2")
+	}
+	r.s.RunUntil(10 + sched.TrackerExpiry + 10)
+	if len(stranded.running) != 0 || stranded.node.Available() {
+		t.Fatalf("expiry left %d attempts on node 2 (up %v)", len(stranded.running), stranded.node.Available())
+	}
+	r.s.RunUntil(sched.TrackerExpiry + 800)
 	if got := r.jt.availableSlots(); got != 5*4 {
-		t.Fatalf("slots after resume %d, want 20", got)
+		t.Fatalf("slots after node 2 returned %d, want 20", got)
+	}
+	if beats < 600 {
+		t.Fatalf("only %d heartbeats checked", beats)
 	}
 }
 

@@ -39,8 +39,7 @@ type Task struct {
 	attempts     int
 	specLaunches int
 
-	completed   bool
-	completedAt float64
+	completed bool
 	// output is the DFS file written by the winning attempt
 	// (intermediate data for maps, final output for reduces).
 	output string

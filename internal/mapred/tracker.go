@@ -5,27 +5,17 @@ import (
 	"repro/internal/sim"
 )
 
-// TaskTracker is the per-node worker agent: it owns the node's execution
-// slots. Suspension/expiry detection lives in the JobTracker (it observes
-// missing heartbeats); the tracker only tracks occupancy.
+// TaskTracker is the per-node worker agent: it runs attempts in the node's
+// slots (SchedConfig's, alike on every node). The JobTracker detects
+// suspension and expiry from missing heartbeats.
 type TaskTracker struct {
 	node *cluster.Node
-
-	mapSlots    int
-	reduceSlots int
 
 	running []*Instance
 
 	// JobTracker-side detection events, armed when heartbeats stop.
 	suspendEv sim.Event
 	expireEv  sim.Event
-
-	// suspected marks a tracker whose instances were flagged inactive
-	// (MOON suspension detection).
-	suspected bool
-	// expired marks a tracker declared dead; it rejoins on next
-	// heartbeat after the node returns.
-	expired bool
 }
 
 // usedSlots counts running instances of the given type.
@@ -39,16 +29,16 @@ func (tt *TaskTracker) usedSlots(typ TaskType) int {
 	return n
 }
 
-// freeSlots returns open slots of the given type; an unavailable or expired
-// tracker offers none.
-func (tt *TaskTracker) freeSlots(typ TaskType) int {
-	if !tt.node.Available() || tt.expired {
+// freeSlots returns tt's open slots of the given type; a tracker whose node
+// is down (so also an expired one) offers none.
+func (jt *JobTracker) freeSlots(tt *TaskTracker, typ TaskType) int {
+	if !tt.node.Available() {
 		return 0
 	}
 	if typ == MapTask {
-		return tt.mapSlots - tt.usedSlots(MapTask)
+		return jt.cfg.MapSlotsPerNode - tt.usedSlots(MapTask)
 	}
-	return tt.reduceSlots - tt.usedSlots(ReduceTask)
+	return jt.cfg.ReduceSlotsPerNode - tt.usedSlots(ReduceTask)
 }
 
 func (tt *TaskTracker) remove(in *Instance) {

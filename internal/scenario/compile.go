@@ -111,20 +111,11 @@ func (s *Spec) compileExperiment(e *Experiment, cfg harness.Config, live harness
 	return run, nil
 }
 
-// orDefault is v, or def when v is zero: a zero field of a spec keeps the
-// default, and every other value reaches the validator of the package that
-// owns it.
-func orDefault[T comparable](v, def T) T {
-	var zero T
-	if v == zero {
-		return def
-	}
-	return v
-}
-
 // liveConfig lowers the LiveSpec to the harness.LiveConfig every cell of
 // a live sweep runs; compileLive fills in the job count and the arrival
-// process. Its one error is a time no Duration can hold.
+// process. Its one error is a time no Duration can hold. Here and in
+// buildOptions a zero spec field keeps the default (cmp.Or), and every
+// other value reaches the validator of the package that owns it.
 func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
 	lc := harness.DefaultLiveConfig()
 	if l == nil {
@@ -135,11 +126,11 @@ func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
 	if l.VolatileWorkers != 0 || l.DedicatedWorkers != 0 {
 		lc.VolatileWorkers, lc.DedicatedWorkers = l.VolatileWorkers, l.DedicatedWorkers
 	}
-	lc.HorizonSeconds = orDefault(l.HorizonSeconds, lc.HorizonSeconds)
-	lc.Compression = orDefault(ms("compression_ms", l.CompressionMS), lc.Compression)
-	lc.SplitsPerJob = orDefault(l.SplitsPerJob, lc.SplitsPerJob)
-	lc.WordsPerSplit = orDefault(l.WordsPerSplit, lc.WordsPerSplit)
-	lc.ReducesPerJob = orDefault(l.ReducesPerJob, lc.ReducesPerJob)
+	lc.HorizonSeconds = cmp.Or(l.HorizonSeconds, lc.HorizonSeconds)
+	lc.Compression = cmp.Or(ms("compression_ms", l.CompressionMS), lc.Compression)
+	lc.SplitsPerJob = cmp.Or(l.SplitsPerJob, lc.SplitsPerJob)
+	lc.WordsPerSplit = cmp.Or(l.WordsPerSplit, lc.WordsPerSplit)
+	lc.ReducesPerJob = cmp.Or(l.ReducesPerJob, lc.ReducesPerJob)
 	if lk := l.Link; lk != nil {
 		lc.SessionExpiry = ms("link.session_expiry_ms", lk.SessionExpiryMS)
 	}
@@ -395,10 +386,10 @@ func buildOptions(v *VariantSpec, cl *ClusterSpec, cs core.ClusterSpec) core.Opt
 		cs.Horizon = cl.HorizonSeconds
 		ocfg := trace.DefaultOutageConfig(cs.UnavailabilityRate)
 		if o := cl.Outage; o != nil {
-			ocfg.MeanOutage = orDefault(o.MeanSeconds, ocfg.MeanOutage)
-			ocfg.StddevOutage = orDefault(o.StddevSeconds, ocfg.StddevOutage)
-			ocfg.MinOutage = orDefault(o.MinSeconds, ocfg.MinOutage)
-			ocfg.MaxOutage = orDefault(o.MaxSeconds, ocfg.MaxOutage)
+			ocfg.MeanOutage = cmp.Or(o.MeanSeconds, ocfg.MeanOutage)
+			ocfg.StddevOutage = cmp.Or(o.StddevSeconds, ocfg.StddevOutage)
+			ocfg.MinOutage = cmp.Or(o.MinSeconds, ocfg.MinOutage)
+			ocfg.MaxOutage = cmp.Or(o.MaxSeconds, ocfg.MaxOutage)
 			cs.Outage = &ocfg
 		}
 		if cc := cl.Correlated; cc != nil {
@@ -406,11 +397,11 @@ func buildOptions(v *VariantSpec, cl *ClusterSpec, cs core.ClusterSpec) core.Opt
 			// The sweep's rate drives the independent component (with
 			// any outage overrides); the session model layers on top.
 			corr.Base = ocfg
-			corr.GroupSize = orDefault(cc.GroupSize, corr.GroupSize)
-			corr.SessionsPerGroup = orDefault(cc.SessionsPerGroup, corr.SessionsPerGroup)
-			corr.SessionMean = orDefault(cc.SessionMeanSeconds, corr.SessionMean)
-			corr.SessionStddev = orDefault(cc.SessionStddevSeconds, corr.SessionStddev)
-			corr.Participation = orDefault(cc.Participation, corr.Participation)
+			corr.GroupSize = cmp.Or(cc.GroupSize, corr.GroupSize)
+			corr.SessionsPerGroup = cmp.Or(cc.SessionsPerGroup, corr.SessionsPerGroup)
+			corr.SessionMean = cmp.Or(cc.SessionMeanSeconds, corr.SessionMean)
+			corr.SessionStddev = cmp.Or(cc.SessionStddevSeconds, corr.SessionStddev)
+			corr.Participation = cmp.Or(cc.Participation, corr.Participation)
 			cs.Correlated = &corr
 		}
 	}
@@ -418,7 +409,7 @@ func buildOptions(v *VariantSpec, cl *ClusterSpec, cs core.ClusterSpec) core.Opt
 	var opts core.Options
 	switch v.Preset {
 	case "hadoop":
-		opts = core.HadoopPreset(cs, 600)
+		opts = core.HadoopPreset(cs)
 	case "moon":
 		opts = core.MOONPreset(cs, false)
 	default: // "moon-hybrid"; Validate rejected everything else
@@ -433,41 +424,34 @@ func buildOptions(v *VariantSpec, cl *ClusterSpec, cs core.ClusterSpec) core.Opt
 			}
 			opts.DFS = dfs.DefaultConfig(mode)
 		}
-		setF(&opts.DFS.NodeHibernateInterval, d.HibernateIntervalSeconds)
-		setF(&opts.DFS.NodeExpiryInterval, d.ExpiryIntervalSeconds)
-		setF(&opts.DFS.AvailabilityTarget, d.AvailabilityTarget)
-		setI(&opts.DFS.MaxAdaptiveV, d.MaxAdaptiveV)
-		setI(&opts.DFS.MaxReplicationStreams, d.MaxReplicationStreams)
+		set(&opts.DFS.NodeHibernateInterval, d.HibernateIntervalSeconds)
+		set(&opts.DFS.NodeExpiryInterval, d.ExpiryIntervalSeconds)
+		set(&opts.DFS.AvailabilityTarget, d.AvailabilityTarget)
+		set(&opts.DFS.MaxAdaptiveV, d.MaxAdaptiveV)
+		set(&opts.DFS.MaxReplicationStreams, d.MaxReplicationStreams)
 	}
 	if s := v.Sched; s != nil {
-		setF(&opts.Sched.TrackerExpiry, s.TrackerExpirySeconds)
-		setF(&opts.Sched.SuspensionInterval, s.SuspensionIntervalSeconds)
-		setF(&opts.Sched.HeartbeatInterval, s.HeartbeatIntervalSeconds)
-		setI(&opts.Sched.SpeculativeCap, s.SpeculativeCap)
-		setF(&opts.Sched.SpecSlotFraction, s.SpecSlotFraction)
-		setF(&opts.Sched.HomestretchH, s.HomestretchH)
-		setI(&opts.Sched.HomestretchR, s.HomestretchR)
-		if s.FastFetchReaction != nil {
-			opts.Sched.FastFetchReaction = *s.FastFetchReaction
-		}
-		setI(&opts.Sched.MapSlotsPerNode, s.MapSlotsPerNode)
-		setI(&opts.Sched.ReduceSlotsPerNode, s.ReduceSlotsPerNode)
+		set(&opts.Sched.TrackerExpiry, s.TrackerExpirySeconds)
+		set(&opts.Sched.SuspensionInterval, s.SuspensionIntervalSeconds)
+		set(&opts.Sched.HeartbeatInterval, s.HeartbeatIntervalSeconds)
+		set(&opts.Sched.SpeculativeCap, s.SpeculativeCap)
+		set(&opts.Sched.SpecSlotFraction, s.SpecSlotFraction)
+		set(&opts.Sched.HomestretchH, s.HomestretchH)
+		set(&opts.Sched.HomestretchR, s.HomestretchR)
+		set(&opts.Sched.FastFetchReaction, s.FastFetchReaction)
+		set(&opts.Sched.MapSlotsPerNode, s.MapSlotsPerNode)
+		set(&opts.Sched.ReduceSlotsPerNode, s.ReduceSlotsPerNode)
 	}
 	if n := v.Net; n != nil {
-		setF(&opts.Net.NodeBandwidth, n.NodeBandwidthBytes)
-		setF(&opts.Net.DiskBandwidth, n.DiskBandwidthBytes)
-		setF(&opts.Net.StallTimeout, n.StallTimeoutSeconds)
+		set(&opts.Net.NodeBandwidth, n.NodeBandwidthBytes)
+		set(&opts.Net.DiskBandwidth, n.DiskBandwidthBytes)
+		set(&opts.Net.StallTimeout, n.StallTimeoutSeconds)
 	}
 	return opts
 }
 
-func setF(dst *float64, src *float64) {
-	if src != nil {
-		*dst = *src
-	}
-}
-
-func setI(dst *int, src *int) {
+// set overwrites *dst with *src when the spec gave the field.
+func set[T any](dst, src *T) {
 	if src != nil {
 		*dst = *src
 	}

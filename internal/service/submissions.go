@@ -6,15 +6,37 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
+
+// A submission body is capped at maxBodyBytes, and a client that has sent
+// its headers has bodyReadTimeout to deliver the rest: the whole cap at
+// about 140 kB/s. Without the deadline a client that trickles a body holds
+// its handler for as long as the connection lives, since the daemon's
+// http.Server bounds only headers and idle connections (a write timeout
+// would cut /v1/events streams).
+const (
+	maxBodyBytes    = 4 << 20
+	bodyReadTimeout = 30 * time.Second
+)
+
+// requestBody is r's body under maxBodyBytes, with bodyReadTimeout from now
+// to read it; a read past either answers the caller's structured 400. The
+// deadline's error is ignored: an httptest.ResponseRecorder answers
+// http.ErrNotSupported, and its body is already in memory.
+func requestBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	return http.MaxBytesReader(w, r.Body, maxBodyBytes)
+}
 
 // Submission states. Queued submissions passed admission but wait for a
 // quota slot; done/failed are terminal.
@@ -263,7 +285,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
+	dec := json.NewDecoder(requestBody(w, r))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "invalid job body: "+err.Error())
@@ -335,7 +357,7 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	if !s.requireAccepting(w) {
 		return
 	}
-	spec, err := scenario.Parse(http.MaxBytesReader(w, r.Body, 4<<20))
+	spec, err := scenario.Parse(requestBody(w, r))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

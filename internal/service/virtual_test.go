@@ -3,6 +3,11 @@
 package service
 
 import (
+	"bufio"
+	"fmt"
+	"net"
+	"net/http"
+	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -48,3 +53,80 @@ func TestVirtualIdleDaemonHoldsItsHeap(t *testing.T) {
 		}
 	})
 }
+
+// TestVirtualStalledBodyTimesOut: a client that sends a submission's headers
+// and half its body, then stalls, is answered 400 once bodyReadTimeout has
+// passed, on both submit routes, and the registry takes no submission.
+// Without the deadline the handler waits on the body for as long as the
+// connection lives. The Server sits behind a real http.Server on in-memory
+// net.Pipe connections, so the deadline elapses on the bubble's clock.
+func TestVirtualStalledBodyTimesOut(t *testing.T) {
+	virtual(t, func(t *testing.T) {
+		s, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ln := newPipeListener()
+		hs := &http.Server{Handler: s}
+		go hs.Serve(ln)
+		defer hs.Close()
+		for _, path := range []string{"/v1/jobs", "/v1/scenarios"} {
+			conn := ln.dial()
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: moon\r\nContent-Length: %d\r\n\r\n%s",
+				path, len(tinyJob), tinyJob[:len(tinyJob)/2])
+			start := time.Now()
+			conn.SetReadDeadline(start.Add(bodyReadTimeout + time.Minute))
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatalf("%s: no answer to a stalled body: %v", path, err)
+			}
+			resp.Body.Close()
+			conn.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: stalled body answered %d, want 400", path, resp.StatusCode)
+			}
+			if waited := time.Since(start); waited != bodyReadTimeout {
+				t.Errorf("%s: answered after %v, want the %v body deadline", path, waited, bodyReadTimeout)
+			}
+		}
+		if n := s.reg.count(); n != 0 {
+			t.Errorf("registry holds %d submissions after two stalled bodies, want 0", n)
+		}
+	})
+}
+
+// pipeListener hands an http.Server the server ends of net.Pipe
+// connections that dial opens.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+// dial returns the client end of a new connection the server accepts.
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
