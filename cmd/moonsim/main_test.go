@@ -117,6 +117,8 @@ func TestListScenarios(t *testing.T) {
 // spec's validator refuses them, naming the value. A zero scale is not among
 // them: a spec cannot tell "scale": 0 from no scale, so -scale 0 is the
 // default 1 here as it is in moonbench, and prints the bytes -scale 1 does.
+// A MOON fleet too small for a job's output is refused, unless the job
+// writes none.
 func TestBadFlagValuesRejected(t *testing.T) {
 	cases := []struct{ args, want string }{
 		{"-seed 0", "seed 0"},
@@ -125,6 +127,9 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{"-expiry -5 -policy hadoop", "tracker expiry -5"},
 		{"-expiry NaN -policy hadoop", "tracker expiry NaN"},
 		{"-volatile 0 -dedicated 0", "0 volatile, 0 dedicated"},
+		// MOON waits for a job's output to hold {D:1, V:3} copies.
+		{"-all-volatile -policy moon-hybrid", "0 dedicated and 66 volatile"},
+		{"-dedicated 0 -policy moon", "0 dedicated and 60 volatile"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) {
@@ -144,6 +149,14 @@ func TestBadFlagValuesRejected(t *testing.T) {
 			one := runCLI(t, strings.Fields(strings.Replace(args, "-scale 0", "-scale 1", 1))...)
 			if zero != one {
 				t.Errorf("moonsim %s differs from -scale 1:\n--- 0\n%s--- 1\n%s", args, zero, one)
+			}
+		})
+	}
+	// A sleep job writes no output, so MOON has no factor to wait for.
+	for _, args := range []string{"-app sleep-sort -all-volatile -policy moon-hybrid", "-app sleep-sort -dedicated 0 -policy moon"} {
+		t.Run(args, func(t *testing.T) {
+			if out := runCLI(t, strings.Fields(args)...); !strings.Contains(out, "succeeded") {
+				t.Errorf("moonsim %s did not complete:\n%s", args, out)
 			}
 		})
 	}

@@ -232,12 +232,51 @@ type Result struct {
 	Throughput float64
 }
 
+// CheckWorkload rejects a stack and stream that cannot run together,
+// without building either: the options and the stream must each validate,
+// and under the MOON scheduler, which declares a job done only once its
+// output holds its replication factor, the fleet must hold the output
+// copies of every job that writes output: enough dedicated-typed and
+// volatile-typed nodes on the MOON data layer (a fleet treated all-volatile
+// types none dedicated), and enough nodes on the Hadoop one, which counts
+// every copy alike.
+func CheckWorkload(opts Options, m workload.MultiSpec) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	if opts.Sched.Policy != mapred.PolicyMOON {
+		return nil
+	}
+	d, v := opts.Cluster.DedicatedNodes, opts.Cluster.VolatileNodes
+	if opts.Cluster.TreatAllVolatile {
+		d, v = 0, d+v
+	}
+	for _, mj := range m.Jobs {
+		if mj.Spec.Job.OutputPerReduce <= 0 {
+			continue // no output file, nothing to wait for
+		}
+		f := mj.Spec.Job.OutputFactor
+		short := f.D > d || f.V > v
+		if opts.DFS.Mode == dfs.ModeHadoop {
+			short = f.D+f.V > d+v
+		}
+		if short {
+			return fmt.Errorf("core: job %q writes output at factor {D:%d, V:%d}, which MOON waits for, "+
+				"but the fleet types %d dedicated and %d volatile nodes", mj.Spec.Job.Name, f.D, f.V, d, v)
+		}
+	}
+	return nil
+}
+
 // NewForWorkload builds a simulation whose DFS block size matches the
 // workload's common input split, so map i reads input block i, as in
 // Hadoop (jobs that skip input reads impose no constraint;
 // MultiSpec.Validate enforces that the rest agree).
 func NewForWorkload(opts Options, m workload.MultiSpec) (*Simulation, error) {
-	if err := m.Validate(); err != nil {
+	if err := CheckWorkload(opts, m); err != nil {
 		return nil, err
 	}
 	if split := m.SplitSize(); split > 0 {

@@ -69,6 +69,60 @@ func TestNewSimulationValidation(t *testing.T) {
 	}
 }
 
+// TestOutputNeedsAFleetThatHoldsIt: the MOON scheduler declares a job
+// done only once its output holds its replication factor, so a fleet that
+// cannot hold the copies is refused before the run instead of reaching the
+// horizon. Stacks that never wait for the factor, and jobs that write no
+// output, still build.
+func TestOutputNeedsAFleetThatHoldsIt(t *testing.T) {
+	sort := workload.Single(workload.Scale(workload.Sort(2*12), 8)) // output {D:1, V:3}
+	sleep := workload.Single(workload.SleepApp(sort.Jobs[0].Spec))  // writes no output
+	vo := sort.Jobs[0].Spec
+	vo.Job.OutputFactor = dfs.Factor{V: 6}
+	hadoopVO := func(cs ClusterSpec) Options {
+		opts := HadoopPreset(cs)
+		opts.DFS = MOONPreset(cs, false).DFS
+		return opts
+	}
+	moonOnHadoop := func(cs ClusterSpec) Options {
+		opts := MOONPreset(cs, false)
+		opts.DFS = HadoopPreset(cs).DFS
+		return opts
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		m    workload.MultiSpec
+		want string // "" accepts
+	}{
+		{"moon-hybrid all volatile",
+			MOONPreset(ClusterSpec{VolatileNodes: 60, DedicatedNodes: 6, TreatAllVolatile: true}, true), sort,
+			"0 dedicated and 66 volatile"},
+		{"moon on no dedicated",
+			MOONPreset(ClusterSpec{VolatileNodes: 60}, false), sort, "0 dedicated and 60 volatile"},
+		{"moon-hybrid on 2 volatile",
+			MOONPreset(ClusterSpec{VolatileNodes: 2, DedicatedNodes: 6}, true), sort, "6 dedicated and 2 volatile"},
+		{"hadoop on no dedicated", HadoopPreset(ClusterSpec{VolatileNodes: 30}), sort, ""},
+		{"hadoop-vo on the moon layer", hadoopVO(ClusterSpec{VolatileNodes: 60, DedicatedNodes: 6}), workload.Single(vo), ""},
+		{"moon on the fleet it needs", MOONPreset(ClusterSpec{VolatileNodes: 3, DedicatedNodes: 1}, false), sort, ""},
+		{"moon on the hadoop layer, 3 nodes", moonOnHadoop(ClusterSpec{VolatileNodes: 2, DedicatedNodes: 1}), sort,
+			"1 dedicated and 2 volatile"},
+		{"moon on the hadoop layer, 4 nodes", moonOnHadoop(ClusterSpec{VolatileNodes: 4}), sort, ""},
+		{"moon sleep job on no dedicated", MOONPreset(ClusterSpec{VolatileNodes: 60}, false), sleep, ""},
+		{"moon-hybrid sleep job all volatile",
+			MOONPreset(ClusterSpec{VolatileNodes: 60, DedicatedNodes: 6, TreatAllVolatile: true}, true), sleep, ""},
+	} {
+		_, err := NewForWorkload(tc.opts, tc.m)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.Contains(err.Error(), `job "sort"`)):
+			t.Errorf("%s: err = %v, want a refusal naming the job and %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestPresets(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 4, DedicatedNodes: 1, UnavailabilityRate: 0.2, Seed: 1}
 	h := HadoopPreset(cs)

@@ -10,7 +10,7 @@ import (
 
 func TestRunWorkloadStreamEndToEnd(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3, Seed: 3}
-	m := workload.Staggered(smallSpec(), 3, 120)
+	m := workload.Stream(smallSpec(), workload.Arrivals("staggered", 3, 120, 0), 0)
 	for _, pol := range []sched.Policy[*mapred.Job]{sched.FIFO[*mapred.Job](), sched.FairShare[*mapred.Job]()} {
 		opts := MOONPreset(cs, true)
 		opts.Sched.JobPolicy = pol
@@ -45,7 +45,7 @@ func TestRunWorkloadStreamEndToEnd(t *testing.T) {
 func TestRunWorkloadStreamHorizonCaps(t *testing.T) {
 	cs := ClusterSpec{VolatileNodes: 10, DedicatedNodes: 2, UnavailabilityRate: 0.3,
 		Seed: 3, Horizon: 600}
-	m := workload.Staggered(smallSpec(), 3, 500) // job 2 submits at t=1000 > horizon
+	m := workload.Stream(smallSpec(), workload.Arrivals("staggered", 3, 500, 0), 0) // job 2 submits at t=1000 > horizon
 	s, err := NewForWorkload(MOONPreset(cs, true), m)
 	if err != nil {
 		t.Fatal(err)

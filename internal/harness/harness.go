@@ -2,16 +2,16 @@
 // evaluation, variant × unavailability rate × seed → a table. A Variant is
 // a label and the Cell it runs at every (rate, seed): a simulated job
 // stream (SimCell; a single job is the stream of one) or a live-engine
-// cell (LiveCell). Config.RunSweep runs them all into one Sweep of
-// seed-averaged Stats, which renders as the paper's tables. What the lines
-// of a figure are is internal/scenario's to say; the only figure this
-// package knows is Fig 1's trace table, which is no sweep.
+// cell (LiveCell). Config.RunSweep runs them all into one Sweep, which
+// keeps every seed's Stats; the paper's tables read each cell's seed mean.
+// What the lines of a figure are is internal/scenario's to say; the only
+// figure this package knows is Fig 1's trace table, which is no sweep.
 //
 // Sweeps are embarrassingly parallel: every (variant, rate, seed) cell is
 // independent and shares no state with its siblings, so RunSweep fans the
-// cells out over a bounded worker pool and reassembles the results in the
-// serial order. Output — cell statistics, progress lines, and error
-// selection — is byte-identical at every Parallelism setting.
+// cells out over a bounded worker pool and keeps the results in the serial
+// order. Output — cell statistics, progress lines, and error selection —
+// is byte-identical at every Parallelism setting.
 package harness
 
 import (
@@ -43,10 +43,10 @@ type Config struct {
 	Progress func(string)
 	// MetricsBucket, when > 0, attaches a metrics.Collector with this
 	// series bucket width (seconds) to every run; the per-seed snapshots
-	// are merged into one seed-averaged report per (variant, rate) cell
-	// on Sweep.Metrics. Collection never perturbs a
-	// run: cell statistics are byte-identical with metrics on or off
-	// (pinned in regression_test.go).
+	// are merged into one seed-averaged report per (variant, rate) cell,
+	// which Sweep.AppendMetrics exports. Collection never perturbs a run:
+	// cell statistics are byte-identical with metrics on or off (pinned in
+	// regression_test.go).
 	MetricsBucket float64
 	// MetricsSink, when non-nil (and MetricsBucket > 0), receives every
 	// cell collector's instrument writes as they happen — the service's
@@ -229,38 +229,6 @@ func (p *orderedProgress) done(i int, line string) {
 	}
 }
 
-// assembleCells folds per-seed outcomes into per-cell aggregates in
-// serial (variant, rate, seed) order. The metrics map is nil unless the
-// sweep collected metrics.
-func assembleCells(c Config, labels []string, results []outcome,
-) (map[string]map[float64]Stats, map[string]map[float64]metrics.Snapshot) {
-	cells := make(map[string]map[float64]Stats)
-	var mcells map[string]map[float64]metrics.Snapshot
-	if c.MetricsBucket > 0 {
-		mcells = make(map[string]map[float64]metrics.Snapshot)
-	}
-	stats := make([]Stats, len(c.Seeds))
-	snaps := make([]metrics.Snapshot, len(c.Seeds))
-	k := 0
-	for _, label := range labels {
-		cells[label] = make(map[float64]Stats)
-		if mcells != nil {
-			mcells[label] = make(map[float64]metrics.Snapshot)
-		}
-		for _, rate := range c.Rates {
-			for i, out := range results[k : k+len(c.Seeds)] {
-				stats[i], snaps[i] = out.stats, out.snap
-			}
-			cells[label][rate] = mergeSeeds(stats)
-			if mcells != nil {
-				mcells[label][rate] = metrics.Merge(snaps)
-			}
-			k += len(c.Seeds)
-		}
-	}
-	return cells, mcells
-}
-
 // fanOut runs n independent cells on a worker pool of c.workers(n)
 // goroutines and returns the per-cell results in serial order. Each cell
 // returns its result plus a pre-formatted progress line, emitted in serial
@@ -353,10 +321,9 @@ func (c Config) RunSweep(title string, variants []Variant) (*Sweep, error) {
 	if i, rate, err := c.ValidateLines(variants); err != nil {
 		return nil, fmt.Errorf("%s rate=%.1f seed=%d: %w", variants[i].Label, rate, c.Seeds[0], err)
 	}
-	sw := &Sweep{Title: title, Rates: c.Rates, Cells: make(map[string]map[float64]Stats)}
+	sw := &Sweep{Title: title, Rates: c.Rates, Seeds: c.Seeds}
 	for _, v := range variants {
 		sw.Variants = append(sw.Variants, v.Label)
-		sw.Cells[v.Label] = make(map[float64]Stats)
 	}
 	cells := c.sweepCells(len(variants))
 	if len(cells) == 0 {
@@ -369,6 +336,13 @@ func (c Config) RunSweep(title string, variants []Variant) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw.Cells, sw.Metrics = assembleCells(c, sw.Variants, results)
+	snaps := make([]metrics.Snapshot, len(results))
+	for i, out := range results {
+		sw.runs = append(sw.runs, out.stats)
+		snaps[i] = out.snap
+	}
+	for k := 0; c.MetricsBucket > 0 && k < len(snaps); k += len(c.Seeds) {
+		sw.snaps = append(sw.snaps, metrics.Merge(snaps[k:k+len(c.Seeds)]))
+	}
 	return sw, nil
 }

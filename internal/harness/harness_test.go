@@ -2,6 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,7 +33,7 @@ func TestRunSweepAndRender(t *testing.T) {
 	for _, v := range sw.Variants {
 		for _, r := range sw.Rates {
 			st := sw.Get(v, r)
-			if st.Runs != 1 || len(st.Jobs) != 1 || st.Jobs[0].Makespan <= 0 {
+			if len(sw.Runs(v, r)) != 1 || len(st.Jobs) != 1 || st.Jobs[0].Makespan <= 0 {
 				t.Fatalf("cell %s/%v = %+v", v, r, st)
 			}
 		}
@@ -51,18 +55,94 @@ func TestRunSweepAndRender(t *testing.T) {
 	}
 }
 
+// statBits lists every number of st as its bits, and Capped, so two runs
+// compare bit for bit.
+func statBits(st Stats) []uint64 {
+	var bits []uint64
+	for i := range st.Jobs {
+		for _, f := range st.Jobs[i].fields() {
+			bits = append(bits, math.Float64bits(*f))
+		}
+	}
+	for _, f := range []float64{st.Span, st.Throughput, st.Completed, st.ReplicationBytes} {
+		bits = append(bits, math.Float64bits(f))
+	}
+	if st.Capped {
+		return append(bits, 1)
+	}
+	return append(bits, 0)
+}
+
+// TestSweepKeepsEverySeed: a Fig 4-style sweep keeps each seed's run as
+// the sweep of that one cell and seed runs it, at any Parallelism, and Get
+// is the seed fold of those runs; a line the sweep did not run has no runs
+// and reads as zeros.
+func TestSweepKeepsEverySeed(t *testing.T) {
+	seeds := []uint64{1, 2, 3}
+	base := Config{Seeds: seeds, Scale: 16, Rates: []float64{0.1, 0.5}}
+	variants := schedLines()[:2]   // Hadoop1Min, MOON
+	single := map[string][]Stats{} // label/rate → the one-cell sweep's run per seed
+	for i, v := range variants {
+		for _, rate := range base.Rates {
+			for _, seed := range seeds {
+				sw, err := Config{Seeds: []uint64{seed}, Scale: 16, Rates: []float64{rate}}.RunSweep("one", variants[i:i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprint(v.Label, rate)
+				single[key] = append(single[key], sw.runs...)
+			}
+		}
+	}
+	for _, parallelism := range []int{1, 2} {
+		cfg := base
+		cfg.Parallelism = parallelism
+		sw, err := cfg.RunSweep("every seed", variants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sw.Seeds, seeds) {
+			t.Fatalf("parallelism %d: seeds %v, want %v", parallelism, sw.Seeds, seeds)
+		}
+		for _, v := range sw.Variants {
+			for _, rate := range sw.Rates {
+				runs := sw.Runs(v, rate)
+				if len(runs) != len(seeds) {
+					t.Fatalf("parallelism %d: %s/%v kept %d runs, want %d", parallelism, v, rate, len(runs), len(seeds))
+				}
+				want := single[fmt.Sprint(v, rate)]
+				for k := range seeds {
+					if !slices.Equal(statBits(runs[k]), statBits(want[k])) {
+						t.Errorf("parallelism %d: %s/%v seed %d: %+v, its one-cell sweep ran %+v",
+							parallelism, v, rate, seeds[k], runs[k], want[k])
+					}
+				}
+				if got, want := sw.Get(v, rate), mergeSeeds(runs); !slices.Equal(statBits(got), statBits(want)) {
+					t.Errorf("parallelism %d: %s/%v Get %+v, seed fold %+v", parallelism, v, rate, got, want)
+				}
+			}
+		}
+		if runs := sw.Runs("MOON-Hybrid", 0.5); runs != nil {
+			t.Errorf("a line the sweep did not run has %d runs", len(runs))
+		}
+		if st := sw.Get("MOON-Hybrid", 0.5); !reflect.DeepEqual(st, Stats{}) {
+			t.Errorf("a line the sweep did not run reads %+v, want zeros", st)
+		}
+	}
+}
+
 func TestRenderTable2(t *testing.T) {
 	policies := []string{"VO-V1", "VO-V3", "VO-V5", "HA-V1"}
 	sw := &Sweep{
 		Variants: policies[:3], // HA-V1 is named but was not run: a column of zeros
 		Rates:    []float64{0.1, 0.5},
-		Cells:    map[string]map[float64]Stats{},
+		Seeds:    []uint64{1},
 	}
-	for i, p := range sw.Variants {
-		sw.Cells[p] = map[float64]Stats{0.5: {Jobs: []JobStats{{
+	for i := range sw.Variants {
+		sw.runs = append(sw.runs, Stats{}, Stats{Jobs: []JobStats{{ // rates 0.1 and 0.5
 			AvgMapTime: float64(20 + i), AvgShuffleTime: 100, AvgReduceTime: 50,
 			KilledMaps: float64(10 * i), KilledReduces: 1,
-		}}}}
+		}}})
 	}
 	var buf bytes.Buffer
 	if err := sw.RenderTable2(&buf, "sort", policies); err != nil {
@@ -94,7 +174,8 @@ func TestCappedRendering(t *testing.T) {
 	sw := &Sweep{
 		Variants: []string{"X"},
 		Rates:    []float64{0.5},
-		Cells:    map[string]map[float64]Stats{"X": {0.5: {Jobs: []JobStats{{Makespan: 28800}}, Span: 28800, Capped: true}}},
+		Seeds:    []uint64{1},
+		runs:     []Stats{{Jobs: []JobStats{{Makespan: 28800}}, Span: 28800, Capped: true}},
 	}
 	var buf bytes.Buffer
 	if err := sw.RenderTimes(&buf); err != nil {

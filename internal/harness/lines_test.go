@@ -49,7 +49,7 @@ func streamLines(n int, stagger float64, policies ...sched.Policy[*mapred.Job]) 
 				opts.Sched.JobPolicy = pol
 				return opts
 			},
-			Workload: workload.Staggered(sleepSort(), n, stagger),
+			Workload: workload.Stream(sleepSort(), workload.Arrivals("staggered", n, stagger, 0), 0),
 			Stream:   true,
 		}})
 	}

@@ -229,7 +229,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 		}
 	}
 
-	st := Stats{Runs: 1}
+	var st Stats
 	var last time.Time
 	var backups, reexecs float64
 	finals := make([]engine.JobStatus, len(handles))

@@ -37,8 +37,8 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 	}
 	for _, v := range sw.Variants {
 		st := sw.Get(v, 0.3)
-		if st.Runs != 2 {
-			t.Fatalf("%s merged %d runs, want 2", v, st.Runs)
+		if n := len(sw.Runs(v, 0.3)); n != 2 {
+			t.Fatalf("%s kept %d runs, want 2", v, n)
 		}
 		if st.Completed != float64(lc.Jobs) {
 			t.Fatalf("%s completed %v of %d jobs", v, st.Completed, lc.Jobs)
@@ -60,7 +60,7 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 
 		// Engine-layer metrics merged per cell: fleet counters, per-job
 		// gauges, and the task-duration histogram.
-		snap := sw.Metrics[v][0.3]
+		snap := sw.snaps[slices.Index(sw.Variants, v)] // one rate: a snapshot per line
 		var sawAttempts, sawHist bool
 		for _, c := range snap.Counters {
 			if c.Layer == metrics.LayerEngine && c.Name == "map_attempts" && c.Value > 0 {
@@ -194,8 +194,8 @@ func TestLiveArrivalOffsets(t *testing.T) {
 	// interval, seed) submit at the same offsets, bit for bit.
 	base := workload.Sort(8)
 	for process, stream := range map[string]workload.MultiSpec{
-		"staggered": workload.Staggered(base, lc.Jobs, lc.ArrivalInterval),
-		"poisson":   workload.PoissonArrivals(base, lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed),
+		"staggered": workload.Stream(base, workload.Arrivals("staggered", lc.Jobs, lc.ArrivalInterval, 0), 0),
+		"poisson":   workload.Stream(base, workload.Arrivals("poisson", lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed), 0),
 	} {
 		lc.Arrivals = process
 		live := offsets()

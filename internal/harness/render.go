@@ -42,7 +42,7 @@ func (sw *Sweep) render(w io.Writer, what string, cell func(Stats) string) error
 	for _, rate := range sw.Rates {
 		fmt.Fprintf(tw, "%.1f", rate)
 		for _, v := range sw.Variants {
-			fmt.Fprintf(tw, "\t%s", cell(sw.Cells[v][rate]))
+			fmt.Fprintf(tw, "\t%s", cell(sw.Get(v, rate)))
 		}
 		fmt.Fprintln(tw)
 	}
@@ -66,7 +66,7 @@ func (sw *Sweep) RenderTable2(w io.Writer, app string, policies []string) error 
 	row := func(name string, get func(JobStats) float64) {
 		fmt.Fprint(tw, name)
 		for _, p := range policies {
-			fmt.Fprintf(tw, "\t%.1f", get(sw.Cells[p][rate].first()))
+			fmt.Fprintf(tw, "\t%.1f", get(sw.Get(p, rate).first()))
 		}
 		fmt.Fprintln(tw)
 	}
@@ -89,7 +89,7 @@ func (sw *Sweep) RenderStream(w io.Writer) error {
 	fmt.Fprintln(tw, "unavail\tpolicy\tspan\tjobs/h\tdone\tper-job makespans")
 	for _, rate := range sw.Rates {
 		for _, v := range sw.Variants {
-			st := sw.Cells[v][rate]
+			st := sw.Get(v, rate)
 			span := fmt.Sprintf("%.0f", st.Span)
 			if st.Capped {
 				span = ">" + span
@@ -119,7 +119,7 @@ func (sw *Sweep) RenderLive(w io.Writer) error {
 	fmt.Fprintln(tw, "unavail\tpolicy\tspan\tdone\tmaps\tbackups\treexecs\tper-job makespan (wait)")
 	for _, rate := range sw.Rates {
 		for _, v := range sw.Variants {
-			st := sw.Cells[v][rate]
+			st := sw.Get(v, rate)
 			var maps, backups, reexecs float64
 			for _, job := range st.Jobs {
 				maps += job.MapAttempts

@@ -41,13 +41,11 @@ func (sc SimCell) Run(scale int, rate float64, seed uint64, col *metrics.Collect
 }
 
 // check builds the stack and the scaled stream a cell at rate would run and
-// validates both, the way core.NewForWorkload does, without generating a
-// trace or simulating.
+// checks them the way core.NewForWorkload does, without generating a trace
+// or simulating.
 func (sc SimCell) check(c Config, rate float64) error {
-	if err := sc.Build(core.ClusterSpec{UnavailabilityRate: rate}).Validate(); err != nil {
-		return err
-	}
-	return workload.ScaleMulti(sc.Workload, c.Scale).Validate()
+	opts := sc.Build(core.ClusterSpec{UnavailabilityRate: rate})
+	return core.CheckWorkload(opts, workload.ScaleMulti(sc.Workload, c.Scale))
 }
 
 func (sc SimCell) run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error) {
@@ -60,7 +58,6 @@ func (sc SimCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 		Throughput:       res.Throughput,
 		Completed:        float64(res.Completed),
 		ReplicationBytes: res.DFS.ReplicationBytes,
-		Runs:             1,
 	}
 	for _, jr := range res.Jobs {
 		p := jr.Profile

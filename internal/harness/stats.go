@@ -1,12 +1,16 @@
 package harness
 
-import "repro/internal/metrics"
+import (
+	"slices"
 
-// JobStats is one job's seed-averaged row of a cell: what either backend
-// reports per job. A simulated job fills the makespan and the task profile
-// of Table II and Figure 5; a live job fills the makespan, the queue wait
-// and the attempt counts. Times are simulated seconds in a simulated cell
-// and wall-clock seconds in a live one.
+	"repro/internal/metrics"
+)
+
+// JobStats is one job's row of a run, or of a cell's seed mean: what either
+// backend reports per job. A simulated job fills the makespan and the task
+// profile of Table II and Figure 5; a live job fills the makespan, the
+// queue wait and the attempt counts. Times are simulated seconds in a
+// simulated cell and wall-clock seconds in a live one.
 type JobStats struct {
 	// Makespan is submission → completion (for a capped job: submission →
 	// horizon); QueueWait is submission → first launch.
@@ -38,8 +42,9 @@ func (j *JobStats) fields() []*float64 {
 	}
 }
 
-// Stats is a seed-averaged cell outcome: one row per job in submission
-// order (a single-job cell has one) plus the run-level numbers.
+// Stats is one run's outcome (one seed of a cell), or, read through
+// Sweep.Get, the cell's seed mean: one row per job in submission order (a
+// single-job cell has one) plus the run-level numbers.
 type Stats struct {
 	Jobs []JobStats
 	// Span is run start → last completion; Throughput is completed jobs
@@ -49,10 +54,10 @@ type Stats struct {
 	Completed  float64
 	// ReplicationBytes is the DFS re-replication traffic of the run.
 	ReplicationBytes float64
-	// Capped marks cells where, in some seed, a job hit the simulation
-	// horizon or did not succeed (the paper's "could not complete" cases).
+	// Capped marks a run where a job hit the simulation horizon or did not
+	// succeed (the paper's "could not complete" cases); a cell's mean is
+	// capped when any of its seeds is.
 	Capped bool
-	Runs   int
 }
 
 // first returns row 0, the job the single-job tables read; a cell the
@@ -81,9 +86,8 @@ func mergeSeeds(runs []Stats) Stats {
 		st.Completed += r.Completed
 		st.ReplicationBytes += r.ReplicationBytes
 		st.Capped = st.Capped || r.Capped
-		st.Runs += r.Runs
 	}
-	n := float64(st.Runs)
+	n := float64(len(runs))
 	for i := range st.Jobs {
 		for _, f := range st.Jobs[i].fields() {
 			*f /= n
@@ -96,30 +100,49 @@ func mergeSeeds(runs []Stats) Stats {
 	return st
 }
 
-// Sweep is a complete experiment's data: variant × rate → stats.
+// Sweep is a complete experiment's data: every run it made, kept per seed.
+// The tables read a cell's seed mean (Get); Runs gives a cell's seeds one
+// by one, which pair across lines: every line draws its churn from the same
+// seeds.
 type Sweep struct {
 	Title    string
 	Variants []string
 	Rates    []float64
-	Cells    map[string]map[float64]Stats
-	// Metrics holds one seed-averaged metrics snapshot per cell when the
-	// sweep ran with Config.MetricsBucket > 0 (nil otherwise).
-	Metrics map[string]map[float64]metrics.Snapshot
+	Seeds    []uint64
+	// runs holds one Stats per (variant, rate, seed), in that serial order.
+	runs []Stats
+	// snaps holds one seed-averaged metrics snapshot per (variant, rate),
+	// in serial order, when the sweep ran with Config.MetricsBucket > 0
+	// (nil otherwise).
+	snaps []metrics.Snapshot
 }
 
-// Get returns the stats for a variant/rate cell.
-func (sw *Sweep) Get(label string, rate float64) Stats { return sw.Cells[label][rate] }
+// Runs returns a cell's per-seed stats in seed order, or nil for a line or
+// rate the sweep did not run.
+func (sw *Sweep) Runs(label string, rate float64) []Stats {
+	v, r := slices.Index(sw.Variants, label), slices.Index(sw.Rates, rate)
+	if v < 0 || r < 0 {
+		return nil
+	}
+	k := (v*len(sw.Rates) + r) * len(sw.Seeds)
+	return sw.runs[k : k+len(sw.Seeds)]
+}
+
+// Get returns a cell's seed mean; a cell the sweep did not run reads as
+// zeros.
+func (sw *Sweep) Get(label string, rate float64) Stats {
+	runs := sw.Runs(label, rate)
+	if runs == nil {
+		return Stats{}
+	}
+	return mergeSeeds(runs)
+}
 
 // AppendMetrics adds the sweep's collected cell reports to an Export, one
 // Experiment entry per (variant, rate) in sweep order. A sweep run without
 // metrics contributes nothing.
-func (sw *Sweep) AppendMetrics(e *metrics.Export, runs int) {
-	if sw.Metrics == nil {
-		return
-	}
-	for _, v := range sw.Variants {
-		for _, rate := range sw.Rates {
-			e.Add(sw.Title, v, rate, runs, sw.Metrics[v][rate])
-		}
+func (sw *Sweep) AppendMetrics(e *metrics.Export) {
+	for i, snap := range sw.snaps {
+		e.Add(sw.Title, sw.Variants[i/len(sw.Rates)], sw.Rates[i%len(sw.Rates)], len(sw.Seeds), snap)
 	}
 }

@@ -230,7 +230,7 @@ func (p *Plan) Execute(stdout io.Writer, report *metrics.Export) error {
 			return err
 		}
 		if report != nil {
-			sw.AppendMetrics(report, len(cfg.Seeds))
+			sw.AppendMetrics(report)
 		}
 		for _, r := range run.Renders {
 			if err := render(stdout, sw, run.App, r); err != nil {
@@ -319,14 +319,9 @@ func buildCell(v *VariantSpec, cl *ClusterSpec, ws *WorkloadSpec) (harness.SimCe
 	}
 	m := workload.Single(base)
 	if ws.isStream() {
-		switch {
-		case ws.MixScale > 1:
-			m = workload.MixedSizes(base, ws.Jobs, ws.IntervalSeconds, ws.MixScale)
-		case ws.Arrivals == "poisson":
-			m = workload.PoissonArrivals(base, ws.Jobs, ws.IntervalSeconds, ws.ArrivalSeed)
-		default:
-			m = workload.Staggered(base, ws.Jobs, ws.IntervalSeconds)
-		}
+		// A simulated stream's "" is staggered; a live cell's is all at t=0.
+		offsets := workload.Arrivals(cmp.Or(ws.Arrivals, "staggered"), ws.Jobs, ws.IntervalSeconds, ws.ArrivalSeed)
+		m = workload.Stream(base, offsets, ws.MixScale)
 		m = workload.WithPriorities(workload.WithPriorities(m, ws.priorities), v.Priorities)
 	}
 	v2, cl2 := *v, cloneCluster(cl) // the closure outlives the spec

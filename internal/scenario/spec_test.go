@@ -179,6 +179,16 @@ var validateRejections = []struct {
 			Variants: []VariantSpec{{Label: "a", Preset: "moon"}},
 		}}}
 	}, "experiments[0].custom.variants[0]: workload: multi-spec \"sleep-sort\" job 0: dfs: invalid replication factor {0,0}"},
+	// MOON waits for a job's output to hold {D:1, V:3} copies, so this
+	// line used to run every cell to the horizon and print ">28800".
+	{"moon output on no dedicated node", func(s *Spec) {
+		s.Experiments = []Experiment{{Custom: &CustomExperiment{
+			Title:    "t",
+			Cluster:  &ClusterSpec{Volatile: intp(60), Dedicated: intp(0)},
+			Workload: WorkloadSpec{App: "sort"},
+			Variants: []VariantSpec{{Label: "a", Preset: "moon-hybrid"}},
+		}}}
+	}, `experiments[0].custom.variants[0]: core: job "sort" writes output at factor {D:1, V:3}`},
 	{"zero net bandwidth", badLine(VariantSpec{Net: &NetDelta{NodeBandwidthBytes: floatp(0)}}), "node bandwidth 0"},
 	{"negative homestretch h", badLine(VariantSpec{Sched: &SchedDelta{HomestretchH: floatp(-1)}}), "homestretch H -1"},
 }
@@ -255,5 +265,10 @@ func TestValidateMultiAndCustom(t *testing.T) {
 				t.Fatalf("error %q does not mention %q at the experiment's path", err, tc.want)
 			}
 		})
+	}
+	// A sleep job writes no output, so MOON needs no dedicated node for it.
+	sleep := customSpec(`{"title":"t","cluster":{"volatile":60,"dedicated":0},"workload":{"app":"sort","sleep":true},"variants":[{"label":"a","preset":"moon"}]}`)
+	if err := mustParse(t, sleep).Validate(); err != nil {
+		t.Fatalf("sleep job on no dedicated node rejected: %v", err)
 	}
 }

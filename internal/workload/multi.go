@@ -113,25 +113,17 @@ func rescaleInput(orig, scaled Spec) Spec {
 	return scaled
 }
 
-// Staggered derives a multi-job workload of n copies of base, submitted
-// every interval seconds — the queued-arrivals scenario (a stream of
-// identical jobs entering a busy cluster).
-func Staggered(base Spec, n int, interval float64) MultiSpec {
-	m := MultiSpec{Name: fmt.Sprintf("%s-x%d", base.Job.Name, n)}
-	for i, off := range Arrivals("staggered", n, interval, 0) {
-		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(base, i), Offset: off})
+// Stream derives a multi-job workload of one copy of base per offset,
+// submitted at those offsets (Arrivals draws them). With mix > 1 every
+// second job is a copy scaled down by mix — the heterogeneous mix where
+// small jobs queue behind (FIFO) or overtake (fair-share) large ones.
+func Stream(base Spec, offsets []float64, mix int) MultiSpec {
+	m := MultiSpec{Name: fmt.Sprintf("%s-x%d", base.Job.Name, len(offsets))}
+	small := base
+	if mix > 1 {
+		small = rescaleInput(base, Scale(base, mix))
 	}
-	return m
-}
-
-// MixedSizes derives a multi-job workload alternating between the full
-// base spec and a copy scaled down by k, submitted every interval seconds
-// — the heterogeneous mix where small jobs queue behind (FIFO) or overtake
-// (fair-share) large ones.
-func MixedSizes(base Spec, n int, interval float64, k int) MultiSpec {
-	m := MultiSpec{Name: fmt.Sprintf("%s-mix%d", base.Job.Name, n)}
-	small := rescaleInput(base, Scale(base, k))
-	for i, off := range Arrivals("staggered", n, interval, 0) {
+	for i, off := range offsets {
 		s := base
 		if i%2 == 1 {
 			s = small
@@ -141,34 +133,13 @@ func MixedSizes(base Spec, n int, interval float64, k int) MultiSpec {
 	return m
 }
 
-// PoissonArrivals derives a multi-job workload of n copies of base whose
-// submissions follow a Poisson arrival process: the first job arrives at
-// t=0 (like Staggered, so the run starts busy) and each later job follows
-// the previous one after an exponential inter-arrival time with the given
-// mean (seconds) — the memoryless job stream a shared opportunistic
-// cluster actually sees, with the bursts and lulls a fixed stagger hides.
-//
-// The draw stream is seeded independently of the churn seed, so the same
-// (base, n, meanInterval, seed) always yields the same offsets — sweeping
-// churn seeds replays one fixed arrival schedule against many churn
-// realizations.
-func PoissonArrivals(base Spec, n int, meanInterval float64, seed uint64) MultiSpec {
-	if meanInterval <= 0 {
-		return Staggered(base, n, 0)
-	}
-	m := MultiSpec{Name: fmt.Sprintf("%s-pois%d", base.Job.Name, n)}
-	for i, off := range Arrivals("poisson", n, meanInterval, seed) {
-		m.Jobs = append(m.Jobs, MultiJob{Spec: rename(base, i), Offset: off})
-	}
-	return m
-}
-
 // Arrivals returns the submission offsets, in seconds, of n jobs under an
 // arrival process, the one place both the simulated streams and the live
 // cells draw them. "" submits every job at t=0; "staggered" submits job i
 // at i × interval; "poisson" submits the first job at t=0 and each later
-// one after a seeded exponential gap of mean interval, and with no positive
-// interval it submits every job at t=0.
+// one after a seeded exponential gap of mean interval (seeded apart from
+// the churn, so every churn seed replays one arrival schedule), and with no
+// positive interval it submits every job at t=0.
 func Arrivals(process string, n int, interval float64, seed uint64) []float64 {
 	off := make([]float64, max(n, 0))
 	switch process {

@@ -7,7 +7,7 @@ import (
 
 func TestStaggered(t *testing.T) {
 	base := SleepApp(Sort(132))
-	m := Staggered(base, 3, 600)
+	m := Stream(base, Arrivals("staggered", 3, 600, 0), 0)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestStaggered(t *testing.T) {
 
 func TestMixedSizes(t *testing.T) {
 	base := Sort(132)
-	m := MixedSizes(base, 4, 300, 4)
+	m := Stream(base, Arrivals("staggered", 4, 300, 0), 4)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestMixedSizes(t *testing.T) {
 
 func TestPoissonArrivalsDeterministic(t *testing.T) {
 	base := SleepApp(Sort(132))
-	a := PoissonArrivals(base, 5, 600, 7)
-	b := PoissonArrivals(base, 5, 600, 7)
+	a := Stream(base, Arrivals("poisson", 5, 600, 7), 0)
+	b := Stream(base, Arrivals("poisson", 5, 600, 7), 0)
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 			t.Fatalf("offsets not increasing: job %d at %v after %v", i, a.Jobs[i].Offset, a.Jobs[i-1].Offset)
 		}
 	}
-	c := PoissonArrivals(base, 5, 600, 8)
+	c := Stream(base, Arrivals("poisson", 5, 600, 8), 0)
 	same := true
 	for i := 1; i < len(a.Jobs); i++ {
 		if a.Jobs[i].Offset != c.Jobs[i].Offset {
@@ -73,7 +73,7 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("distinct seeds produced identical arrival schedules")
 	}
-	// The draws must survive scaling (offsets preserved) like Staggered.
+	// The draws must survive scaling (offsets preserved) like a stagger.
 	sc := ScaleMulti(a, 4)
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 
 func TestMultiSpecValidate(t *testing.T) {
 	base := SleepApp(WordCount())
-	good := Staggered(base, 2, 60)
+	good := Stream(base, Arrivals("staggered", 2, 60, 0), 0)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMultiSpecValidate(t *testing.T) {
 		t.Fatalf("duplicate names accepted: %v", err)
 	}
 
-	back := Staggered(base, 2, 60)
+	back := Stream(base, Arrivals("staggered", 2, 60, 0), 0)
 	back.Jobs[1].Offset = -5
 	if err := back.Validate(); err == nil {
 		t.Fatal("negative offset accepted")
@@ -119,21 +119,21 @@ func TestMultiSpecValidate(t *testing.T) {
 func TestMixedSizesNonDividingScale(t *testing.T) {
 	// 5 does not divide sort's 384 maps; the small jobs' input must be
 	// re-derived from the common split or Validate rejects the stream.
-	m := MixedSizes(Sort(132), 4, 300, 5)
+	m := Stream(Sort(132), Arrivals("staggered", 4, 300, 0), 5)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("generated workload rejected: %v", err)
 	}
 	if got, want := m.Jobs[1].Spec.Job.NumMaps, 384/5; got != want {
 		t.Fatalf("small job maps %d, want %d", got, want)
 	}
-	sc := ScaleMulti(Staggered(Sort(132), 2, 60), 5)
+	sc := ScaleMulti(Stream(Sort(132), Arrivals("staggered", 2, 60, 0), 0), 5)
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("non-dividing ScaleMulti rejected: %v", err)
 	}
 }
 
 func TestScaleMulti(t *testing.T) {
-	m := Staggered(Sort(132), 2, 120)
+	m := Stream(Sort(132), Arrivals("staggered", 2, 120, 0), 0)
 	s := ScaleMulti(m, 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
