@@ -2,7 +2,10 @@ package repro
 
 import (
 	"bytes"
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,6 +24,11 @@ var (
 	goTestCmd    = regexp.MustCompile("(?m)^go test .*$|`[^`]*`") // a fenced command line, or a code span
 	testFunc     = regexp.MustCompile(`(?m)^func ((Test|Example|Fuzz|Benchmark)\w*)\(`)
 	selects      = map[string]string{"run": "Test Example Fuzz", "bench": "Benchmark", "fuzz": "Fuzz"} // by name prefix
+	codeSpan     = regexp.MustCompile("`[^`\n]+`")
+	// pkgSymbol is pkg.Name or pkg.Type.Member, not inside a path or a
+	// file name, with an exported Name (metric names such as
+	// sim.queue_depth are lower case).
+	pkgSymbol = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 )
 
 // TestDocRunLinesExist holds every run line of the docs to the tree: each
@@ -103,6 +111,64 @@ func checkGoTest(t *testing.T, doc string, args []string) {
 		}
 		if !hit {
 			t.Errorf("%s: go test %s: -%s %q selects nothing (%v)", doc, strings.Join(args, " "), flag, p, err)
+		}
+	}
+}
+
+// TestDocSymbolsExist holds every Go symbol the docs name in a code span to
+// the tree: in `pkg.Name` (or `pkg.Type.Member`, which checks Type), where
+// pkg is a package under internal/, Name must be a top-level declaration of
+// that package's non-test files. A doc still naming a deleted or renamed
+// identifier fails here.
+func TestDocSymbolsExist(t *testing.T) {
+	decls := map[string]map[string]bool{} // package directory name → top-level names
+	filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := decls[filepath.Base(filepath.Dir(path))]
+		if names == nil {
+			names = map[string]bool{}
+			decls[filepath.Base(filepath.Dir(path))] = names
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl: // a method too: docs write pkg.Method for Type.Method
+				names[decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	for _, doc := range runDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = fence.ReplaceAll(text, nil)
+		for _, span := range codeSpan.FindAll(text, -1) {
+			for _, m := range pkgSymbol.FindAllSubmatch(span, -1) {
+				if names, ok := decls[string(m[1])]; ok && !names[string(m[2])] {
+					t.Errorf("%s: %s names %s.%s, which internal/%s does not declare", doc, span, m[1], m[2], m[1])
+				}
+			}
 		}
 	}
 }

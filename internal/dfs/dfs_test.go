@@ -341,8 +341,8 @@ func TestExpiryDeregistersAndReplicates(t *testing.T) {
 		t.Skip("staging did not use node 0; cursor layout changed")
 	}
 	r.s.RunUntil(100 + r.fs.cfg.NodeExpiryInterval + 120)
-	if r.fs.View(0) != DNDead {
-		t.Fatalf("node 0 view = %v, want dead", r.fs.View(0))
+	if r.fs.dn[0].state != DNDead {
+		t.Fatalf("node 0 view = %v, want dead", r.fs.dn[0].state)
 	}
 	if slices.Contains(b.replicas, 0) {
 		t.Fatal("dead node's replica still registered")
@@ -371,14 +371,14 @@ func TestHibernateSuppressesReplicationWithDedicatedCopy(t *testing.T) {
 		t.Skip("staging did not use node 1")
 	}
 	r.s.RunUntil(300)
-	if r.fs.View(1) != DNHibernate {
-		t.Fatalf("node 1 view = %v, want hibernate", r.fs.View(1))
+	if r.fs.dn[1].state != DNHibernate {
+		t.Fatalf("node 1 view = %v, want hibernate", r.fs.dn[1].state)
 	}
 	if r.fs.Metrics.ReplicationsIssued != 0 {
 		t.Fatalf("%d replications issued for a dedicated-backed block", r.fs.Metrics.ReplicationsIssued)
 	}
 	r.s.RunUntil(1000)
-	if r.fs.View(1) != DNLive {
+	if r.fs.dn[1].state != DNLive {
 		t.Fatal("node 1 did not return to live")
 	}
 }
@@ -402,8 +402,8 @@ func TestHibernateReplicatesUnbackedOpportunistic(t *testing.T) {
 	r.fs.registerReplica(b, 1)
 	r.fs.registerReplica(b, 2)
 	r.s.RunUntil(350) // hibernate at 140, scan + ~10s copy well before 350
-	if r.fs.View(2) != DNHibernate {
-		t.Fatalf("node 2 view = %v, want hibernate", r.fs.View(2))
+	if r.fs.dn[2].state != DNHibernate {
+		t.Fatalf("node 2 view = %v, want hibernate", r.fs.dn[2].state)
 	}
 	d, v := r.fs.countLive(b)
 	if d+v < 2 {
@@ -479,11 +479,11 @@ func TestHadoopModeHasNoHibernate(t *testing.T) {
 		1: {{Start: 50, End: 400}},
 	})
 	r.s.RunUntil(300)
-	if r.fs.View(1) == DNHibernate {
+	if r.fs.dn[1].state == DNHibernate {
 		t.Fatal("Hadoop mode entered hibernate")
 	}
-	if r.fs.View(1) != DNLive {
-		t.Fatalf("node 1 view = %v, want live (expiry is 600)", r.fs.View(1))
+	if r.fs.dn[1].state != DNLive {
+		t.Fatalf("node 1 view = %v, want live (expiry is 600)", r.fs.dn[1].state)
 	}
 }
 
@@ -587,13 +587,25 @@ func TestBlockLocations(t *testing.T) {
 	if _, err := r.fs.CreateStaged("f", 1000, Reliable, Factor{D: 1, V: 2}); err != nil {
 		t.Fatal(err)
 	}
-	locs := r.fs.BlockLocations(BlockID{File: "f", Index: 0})
-	if len(locs) != 3 {
-		t.Fatalf("locations = %v, want 3 nodes", locs)
+	b := r.fs.lookupBlock(BlockID{File: "f", Index: 0})
+	if b == nil || len(b.replicas) != 3 {
+		t.Fatalf("block %+v, want replicas on 3 nodes", b)
 	}
-	if r.fs.BlockLocations(BlockID{File: "x"}) != nil {
-		t.Fatal("locations for unknown block")
+	if r.fs.lookupBlock(BlockID{File: "x"}) != nil {
+		t.Fatal("found an unknown block")
 	}
+}
+
+// liveReplicas returns the replica node IDs the NameNode would serve from:
+// registered on a DataNode it believes live.
+func (fs *FileSystem) liveReplicas(b *Block) []int {
+	var out []int
+	for _, id := range b.replicas {
+		if fs.dn[id].state == DNLive {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func TestTrimExcessReplicas(t *testing.T) {

@@ -199,9 +199,6 @@ func (v *dnView) wakeBlocks() {
 	}
 }
 
-// View returns the NameNode's state for a DataNode.
-func (fs *FileSystem) View(nodeID int) DNState { return fs.dn[nodeID].state }
-
 // Config returns the effective configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 
@@ -316,18 +313,6 @@ func (fs *FileSystem) takeOffDisk(b *Block, nodeID int) {
 	v.blocks = v.blocks[:end]
 	b.disk[i] = b.disk[len(b.disk)-1]
 	b.disk = b.disk[:len(b.disk)-1]
-}
-
-// liveReplicas returns the replica node IDs the NameNode would serve from:
-// registered on a DataNode it believes live.
-func (fs *FileSystem) liveReplicas(b *Block) []int {
-	var out []int
-	for _, id := range b.replicas {
-		if fs.dn[id].state == DNLive {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // HasLiveReplica reports whether any replica of the block is currently
@@ -472,16 +457,6 @@ func (fs *FileSystem) Commit(name string) error {
 	f.committed = true
 	f.wake()
 	return nil
-}
-
-// BlockLocations returns the node IDs holding live replicas of a block, for
-// locality-aware task placement.
-func (fs *FileSystem) BlockLocations(id BlockID) []int {
-	b := fs.lookupBlock(id)
-	if b == nil {
-		return nil
-	}
-	return fs.liveReplicas(b)
 }
 
 // HasReplicaOn reports whether the node holds a live replica of the block —

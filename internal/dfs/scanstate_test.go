@@ -77,8 +77,8 @@ func TestFailedReplicationBacksOff(t *testing.T) {
 	// Node 1 is back and live from t=100 and the block is still one replica
 	// short, but the scans at t=102…123 leave it alone.
 	r.s.RunUntil(123.5)
-	if r.fs.View(1) != DNLive {
-		t.Fatalf("node 1 view = %v at t=123.5, want live", r.fs.View(1))
+	if r.fs.dn[1].state != DNLive {
+		t.Fatalf("node 1 view = %v at t=123.5, want live", r.fs.dn[1].state)
 	}
 	if r.fs.Metrics.ReplicationsIssued != 1 || r.fs.repStreams != 0 {
 		t.Fatalf("inside the backoff: %d issued, %d streams, want 1 and 0",

@@ -2,65 +2,40 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/trace"
 )
 
-// ChurnRunner drives a cluster's Suspend/Resume calls from availability
-// traces, compressing simulated seconds into wall-clock milliseconds — the
-// live-engine equivalent of the simulator's trace-driven node model.
-type ChurnRunner struct {
-	c *Cluster
-	// Compression maps one simulated second to this wall duration.
-	Compression time.Duration
-}
-
-// NewChurnRunner builds a runner with the given time compression (e.g.
-// time.Millisecond turns the paper's 8-hour traces into ~29 s of wall
-// time; tests use smaller horizons).
-func NewChurnRunner(c *Cluster, compression time.Duration) *ChurnRunner {
-	return &ChurnRunner{c: c, Compression: compression}
-}
-
-// Play replays one trace against one volatile worker until the context
-// ends or the trace horizon passes. It blocks; run it in a goroutine per
-// worker.
-func (r *ChurnRunner) Play(ctx context.Context, worker int, tr trace.Trace) error {
-	start := time.Now()
-	for _, iv := range tr.Outages {
-		if err := sleepUntil(ctx, start.Add(scaleDur(iv.Start, r.Compression))); err != nil {
-			return err
-		}
-		if err := r.c.Suspend(worker); err != nil {
-			return err
-		}
-		if err := sleepUntil(ctx, start.Add(scaleDur(iv.End, r.Compression))); err != nil {
-			_ = r.c.Resume(worker) // leave the worker usable
-			return err
-		}
-		if err := r.c.Resume(worker); err != nil {
-			return err
-		}
+// PlayChurn drives the cluster's Suspend/Resume calls from availability
+// traces, one per volatile worker, compressing each simulated second into
+// compression of wall time — the live-engine equivalent of the simulator's
+// trace-driven node model (time.Millisecond turns the paper's 8-hour traces
+// into ~29 s). It returns when every trace has played out or ctx ends, and
+// leaves no worker suspended.
+func PlayChurn(ctx context.Context, c *Cluster, traces []trace.Trace, compression time.Duration) {
+	var wg sync.WaitGroup
+	for w, tr := range traces[:min(len(traces), c.cfg.VolatileWorkers)] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			for _, iv := range tr.Outages {
+				if sleepUntil(ctx, start.Add(scaleDur(iv.Start, compression))) != nil {
+					return
+				}
+				// w is a volatile worker of c, which both calls accept.
+				_ = c.Suspend(w)
+				err := sleepUntil(ctx, start.Add(scaleDur(iv.End, compression)))
+				_ = c.Resume(w)
+				if err != nil {
+					return
+				}
+			}
+		}()
 	}
-	return nil
-}
-
-// PlayFleet replays one trace per volatile worker concurrently and returns
-// when all traces finish or ctx ends.
-func (r *ChurnRunner) PlayFleet(ctx context.Context, traces []trace.Trace) {
-	done := make(chan struct{}, len(traces))
-	n := 0
-	for w := 0; w < r.c.cfg.VolatileWorkers && w < len(traces); w++ {
-		n++
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			_ = r.Play(ctx, w, traces[w])
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
+	wg.Wait()
 }
 
 // scaleDur converts simulated seconds to wall time at the given

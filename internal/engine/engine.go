@@ -308,11 +308,6 @@ func (c *Cluster) Resume(worker int) error {
 	return nil
 }
 
-// Suspended reports whether the worker is currently suspended.
-func (c *Cluster) Suspended(worker int) bool {
-	return worker >= 0 && worker < len(c.workers) && c.workers[worker].gate.closed.Load()
-}
-
 // Stats summarizes one job's execution.
 type Stats struct {
 	MapAttempts    int // map executions launched (>= len(Inputs))
@@ -333,9 +328,6 @@ const (
 	JobDone    JobState = "done"
 	JobFailed  JobState = "failed"
 )
-
-// Terminal reports whether the state is final (done or failed).
-func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 
 // JobStatus is a point-in-time snapshot of one job's progress, published
 // by the master at every transition (submit, first launch, each task

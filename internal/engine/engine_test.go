@@ -259,13 +259,13 @@ func TestSuspendValidation(t *testing.T) {
 	if err := c.Suspend(0); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Suspended(0) {
+	if !c.workers[0].gate.closed.Load() {
 		t.Fatal("worker 0 not reported suspended")
 	}
 	if err := c.Resume(0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Suspended(0) {
+	if c.workers[0].gate.closed.Load() {
 		t.Fatal("worker 0 still reported suspended")
 	}
 }
@@ -348,6 +348,9 @@ func TestPartitionOfStableAndInRange(t *testing.T) {
 	}
 }
 
+// TestChurnRunnerTraceDriven: PlayChurn replays availability traces against
+// the volatile workers while a job runs; the job's counts stay exact and no
+// worker is left suspended.
 func TestChurnRunnerTraceDriven(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VolatileWorkers = 3
@@ -365,13 +368,12 @@ func TestChurnRunnerTraceDriven(t *testing.T) {
 		{Duration: 300, Outages: []trace.Interval{{Start: 50, End: 140}}},
 		{Duration: 300, Outages: []trace.Interval{{Start: 10, End: 60}, {Start: 200, End: 280}}},
 	}
-	runner := NewChurnRunner(c, time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
 	churnDone := make(chan struct{})
 	go func() {
-		runner.PlayFleet(ctx, traces)
+		PlayChurn(ctx, c, traces, time.Millisecond)
 		close(churnDone)
 	}()
 
@@ -381,7 +383,7 @@ func TestChurnRunnerTraceDriven(t *testing.T) {
 	<-churnDone
 	// Every worker must be resumed after the traces end.
 	for w := 0; w < cfg.VolatileWorkers; w++ {
-		if c.Suspended(w) {
+		if c.workers[w].gate.closed.Load() {
 			t.Fatalf("worker %d left suspended after trace replay", w)
 		}
 	}

@@ -41,9 +41,8 @@ func TestConcurrentJobsUnderChurn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	churnDone := make(chan struct{})
-	runner := NewChurnRunner(c, time.Millisecond)
 	go func() {
-		runner.PlayFleet(ctx, traces)
+		PlayChurn(ctx, c, traces, time.Millisecond)
 		close(churnDone)
 	}()
 

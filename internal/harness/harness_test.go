@@ -64,7 +64,7 @@ func statBits(st Stats) []uint64 {
 			bits = append(bits, math.Float64bits(*f))
 		}
 	}
-	for _, f := range []float64{st.Span, st.Throughput, st.Completed, st.ReplicationBytes} {
+	for _, f := range []float64{st.Span, st.Throughput, st.Completed} {
 		bits = append(bits, math.Float64bits(f))
 	}
 	if st.Capped {

@@ -9,74 +9,34 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/trace"
-	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
-// LiveConfig shapes a live-engine sweep cell: the goroutine worker pool,
-// the trace-compressed churn replay, and the job stream each cell
-// executes for real (actual word counting, not a resource model). The
-// sweep axes — rates, seeds, parallelism, metrics — come from the shared
-// harness Config (Scale does not apply), so live lines fan out over the
-// same worker pool as the simulated ones. Start from DefaultLiveConfig: a
-// zero field here is a zero, not a default.
-type LiveConfig struct {
-	// VolatileWorkers can be suspended by the churn traces;
-	// DedicatedWorkers never churn.
-	VolatileWorkers  int
-	DedicatedWorkers int
-
+// LiveCell is a live-engine cell: its own engine cluster executing real
+// word counts (actual counting, not a resource model; job i is "live-j<i>",
+// the key the engine's weights and Priorities use) under its own
+// trace-compressed churn, arbitrated by the line's policy. The sweep axes —
+// rates, seeds, parallelism, metrics — come from the shared Config (Scale
+// does not apply). Times are wall-clock seconds, so unlike simulated cells
+// the numbers carry scheduling jitter; the shape — FIFO serializing, fair
+// interleaving, backups under churn — is what a live sweep demonstrates.
+type LiveCell struct {
+	// Engine is the cluster every realization runs: the worker pool, the
+	// line's policy and weights, the session clock and the faults. The
+	// runner sets its collector.
+	Engine engine.Config
 	// HorizonSeconds is the churn-trace length in simulated seconds; the
 	// sweep's rate drives each trace's unavailable fraction exactly like
-	// the simulator's cluster layer.
+	// the simulator's cluster layer. Compression maps one simulated second
+	// to this much wall time, for the traces and the Offsets alike (e.g.
+	// time.Millisecond turns a 120 s trace into 120 ms of churn).
 	HorizonSeconds float64
-	// Compression maps one simulated trace second to this much wall time
-	// (e.g. time.Millisecond turns a 120 s trace into 120 ms of churn).
-	Compression time.Duration
-
-	// Jobs is the number of concurrently submitted jobs per cell; each is
-	// a real word-count over deterministic synthetic text.
-	Jobs int
+	Compression    time.Duration
+	// Offsets holds one submission time per job, in simulated seconds.
+	Offsets []float64
 	// SplitsPerJob / WordsPerSplit / ReducesPerJob size each job.
-	SplitsPerJob  int
-	WordsPerSplit int
-	ReducesPerJob int
-
-	// Arrivals selects the cell's submission process: "" submits every
-	// job together (the historical default), "staggered" spaces
-	// submissions ArrivalInterval simulated seconds apart, "poisson"
-	// draws exponential inter-arrivals with mean ArrivalInterval from
-	// ArrivalSeed (first job at t=0); workload.Arrivals draws them, as it
-	// does for the simulated streams.
-	// Offsets are simulated seconds, wall-clock compressed by
-	// Compression exactly like the churn traces.
-	Arrivals        string
-	ArrivalInterval float64
-	ArrivalSeed     uint64
-
-	// SessionExpiry is the engine's session-expiry clock
-	// (engine.Config.SessionExpiry; 0 never expires a session).
-	SessionExpiry time.Duration
-	// Faults, when non-nil, runs every cell's cluster over a
-	// fault-injecting transport (seeded drops, duplicates, delays,
-	// connection resets, timed partitions). Nil keeps the lossless
-	// loopback fabric.
-	Faults *transport.FaultConfig
-}
-
-// DefaultLiveConfig returns a small hybrid pool replaying 120 simulated
-// seconds of churn per millisecond-compressed cell, three concurrent jobs.
-func DefaultLiveConfig() LiveConfig {
-	return LiveConfig{
-		VolatileWorkers:  4,
-		DedicatedWorkers: 1,
-		HorizonSeconds:   120,
-		Compression:      time.Millisecond,
-		Jobs:             3,
-		SplitsPerJob:     8,
-		WordsPerSplit:    400,
-		ReducesPerJob:    3,
-	}
+	SplitsPerJob, WordsPerSplit, ReducesPerJob int
+	// Priorities are per-job-name ranks for the priority policy.
+	Priorities map[string]int
 }
 
 // liveCellTimeout bounds one cell's wall-clock execution, and its drain
@@ -84,114 +44,53 @@ func DefaultLiveConfig() LiveConfig {
 // wedged cell from hanging a sweep.
 const liveCellTimeout = 2 * time.Minute
 
-// Validate checks the cell shape (positive clocks and sizes, the arrival
-// process) and the engine configuration every cell runs, so session-expiry
-// and fault mistakes (an expiry under the engine's lease, malformed rates
-// or partition windows) surface at compile time rather than mid-sweep. A
-// line's cell adds its policy (LiveCell.check).
-func (lc LiveConfig) Validate() error { return lc.validate(lc.engineConfig()) }
-
-func (lc LiveConfig) validate(ecfg engine.Config) error {
-	if lc.HorizonSeconds <= 0 || lc.Compression <= 0 {
+// check validates the cell's range rules (positive clocks, at least one
+// job, sizes of at least one, offsets that are non-negative and never
+// decrease) and the engine configuration it runs, the line's policy
+// included, so a mistake surfaces at compile time rather than mid-sweep.
+func (v LiveCell) check(Config, float64) error {
+	if !(v.HorizonSeconds > 0) || v.Compression <= 0 {
 		return fmt.Errorf("harness: live horizon %vs and compression %v must be positive",
-			lc.HorizonSeconds, lc.Compression)
+			v.HorizonSeconds, v.Compression)
 	}
-	if lc.Jobs < 1 || lc.SplitsPerJob < 1 || lc.WordsPerSplit < 1 || lc.ReducesPerJob < 1 {
+	if len(v.Offsets) < 1 || v.SplitsPerJob < 1 || v.WordsPerSplit < 1 || v.ReducesPerJob < 1 {
 		return fmt.Errorf("harness: live jobs %d, splits %d, words per split %d and reduces %d must be >= 1",
-			lc.Jobs, lc.SplitsPerJob, lc.WordsPerSplit, lc.ReducesPerJob)
+			len(v.Offsets), v.SplitsPerJob, v.WordsPerSplit, v.ReducesPerJob)
 	}
-	switch lc.Arrivals {
-	case "", "staggered", "poisson":
-	default:
-		return fmt.Errorf("harness: unknown live arrival process %q (want staggered or poisson)", lc.Arrivals)
-	}
-	if lc.Arrivals != "" && lc.ArrivalInterval < 0 {
-		return fmt.Errorf("harness: live arrival interval %v must be >= 0", lc.ArrivalInterval)
-	}
-	return ecfg.Validate()
-}
-
-// engineConfig lowers the cell shape to the engine's configuration; a cell
-// adds its line's policy and its collector.
-func (lc LiveConfig) engineConfig() engine.Config {
-	ecfg := engine.DefaultConfig()
-	ecfg.VolatileWorkers = lc.VolatileWorkers
-	ecfg.DedicatedWorkers = lc.DedicatedWorkers
-	ecfg.SessionExpiry = lc.SessionExpiry
-	ecfg.Faults = lc.Faults
-	return ecfg
-}
-
-// LiveCell is a live-engine cell: its own engine cluster executing real
-// word counts (job i is "live-j<i>", the key Weights and Priorities use)
-// under its own trace-compressed churn, arbitrated by the line's policy.
-// Times are wall-clock seconds, so unlike simulated cells the numbers
-// carry scheduling jitter; the shape — FIFO serializing, fair
-// interleaving, backups under churn — is what a live sweep demonstrates.
-type LiveCell struct {
-	Config     LiveConfig
-	Policy     string
-	Weights    map[string]float64
-	Priorities map[string]int
-}
-
-// LiveVariants builds one live line per policy name (default when empty:
-// fifo vs fair, mirroring the simulator's multi-job default), every one on
-// the same cell shape, with the weights on the "weighted" line and the
-// priorities on the "priority" line. A name or weight the engine refuses
-// fails the line's check before any cell runs.
-func LiveVariants(lc LiveConfig, policies []string, weights map[string]float64, priorities map[string]int) []Variant {
-	if len(policies) == 0 {
-		policies = []string{"fifo", "fair"}
-	}
-	var out []Variant
-	for _, p := range policies {
-		cell := LiveCell{Config: lc, Policy: p}
-		if p == "weighted" {
-			cell.Weights = weights
+	prev := 0.0
+	for i, off := range v.Offsets {
+		if !(off >= prev) {
+			return fmt.Errorf("harness: live job %d offset %vs (offsets must be non-negative and non-decreasing)", i, off)
 		}
-		if p == "priority" {
-			cell.Priorities = priorities
-		}
-		out = append(out, Variant{Label: "live-" + p, Cell: cell})
+		prev = off
 	}
-	return out
+	return v.Engine.Validate()
 }
 
 // job builds job i of a cell: a real word count over its own synthetic
 // corpus (salted per job, so sibling jobs count different text and every
-// seed and backend reruns the identical one).
-func (lc LiveConfig) job(i int) engine.Job {
-	return engine.WordCountJob(fmt.Sprintf("live-j%d", i), i*17, lc.SplitsPerJob, lc.WordsPerSplit, lc.ReducesPerJob)
+// seed and backend reruns the identical one). It is built when the cell
+// runs, so a compiled line holds no input.
+func (v LiveCell) job(i int) engine.Job {
+	job := engine.WordCountJob(fmt.Sprintf("live-j%d", i), i*17, v.SplitsPerJob, v.WordsPerSplit, v.ReducesPerJob)
+	job.Priority = v.Priorities[job.Name]
+	return job
 }
-
-// engineConfig is the configuration the cell's engine cluster runs: the
-// cell shape, the line's policy and the runner's collector.
-func (v LiveCell) engineConfig(col *metrics.Collector) engine.Config {
-	ecfg := v.Config.engineConfig()
-	ecfg.JobPolicy = v.Policy
-	ecfg.JobWeights = v.Weights
-	ecfg.Metrics = col
-	return ecfg
-}
-
-// check validates the cell shape and the engine configuration the cell
-// would run, the line's policy included.
-func (v LiveCell) check(Config, float64) error { return v.Config.validate(v.engineConfig(nil)) }
 
 // run executes one live cell: its own engine cluster and its own churn
 // traces (seeded like the simulator's cluster layer). It drains and closes
 // the cluster before it returns, because the runner snapshots the
 // collector right after.
 func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collector) (Stats, string, error) {
-	lc := v.Config
 	traces, err := trace.GenerateFleet(rng.New(seed), trace.DefaultOutageConfig(rate),
-		lc.HorizonSeconds, lc.VolatileWorkers)
+		v.HorizonSeconds, v.Engine.VolatileWorkers)
 	if err != nil {
 		return Stats{}, "", err
 	}
 
-	cl, err := engine.New(v.engineConfig(col))
+	ecfg := v.Engine
+	ecfg.Metrics = col
+	cl, err := engine.New(ecfg)
 	if err != nil {
 		return Stats{}, "", err
 	}
@@ -202,18 +101,17 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 
 	churnDone := make(chan struct{})
 	go func() {
-		engine.NewChurnRunner(cl, lc.Compression).PlayFleet(ctx, traces)
+		engine.PlayChurn(ctx, cl, traces, v.Compression)
 		close(churnDone)
 	}()
 
 	start := time.Now()
-	offsets := workload.Arrivals(lc.Arrivals, lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed)
-	handles := make([]*engine.JobHandle, lc.Jobs)
-	submitted := make([]time.Time, lc.Jobs)
-	for i := 0; i < lc.Jobs; i++ {
+	handles := make([]*engine.JobHandle, len(v.Offsets))
+	submitted := make([]time.Time, len(v.Offsets))
+	for i, off := range v.Offsets {
 		// Hold each submission to its arrival offset, wall-clock
 		// compressed like the churn replay.
-		at := time.Duration(offsets[i] * float64(lc.Compression))
+		at := time.Duration(off * float64(v.Compression))
 		if wait := at - time.Since(start); wait > 0 {
 			select {
 			case <-time.After(wait):
@@ -221,10 +119,8 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 				return Stats{}, "", ctx.Err()
 			}
 		}
-		job := lc.job(i)
-		job.Priority = v.Priorities[job.Name]
 		submitted[i] = time.Now()
-		if handles[i], err = cl.Submit(job); err != nil {
+		if handles[i], err = cl.Submit(v.job(i)); err != nil {
 			return Stats{}, "", err
 		}
 	}
@@ -279,7 +175,7 @@ func (v LiveCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 	line := ""
 	if c.Progress != nil {
 		line = fmt.Sprintf("span=%.3fs done=%d/%d backups=%.0f reexecs=%.0f",
-			st.Span, int(st.Completed), lc.Jobs, backups, reexecs)
+			st.Span, int(st.Completed), len(v.Offsets), backups, reexecs)
 	}
 	return st, line, nil
 }

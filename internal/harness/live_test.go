@@ -2,33 +2,55 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
+
+// testCell is a small live cell: the default pool, 60 s of churn at 1 ms
+// per simulated second, three jobs submitted together.
+func testCell() LiveCell {
+	return LiveCell{
+		Engine:         engine.DefaultConfig(),
+		HorizonSeconds: 60,
+		Compression:    time.Millisecond,
+		Offsets:        []float64{0, 0, 0},
+		SplitsPerJob:   5,
+		WordsPerSplit:  120,
+		ReducesPerJob:  2,
+	}
+}
+
+// liveLines is one line per policy, each on cell with its policy set.
+func liveLines(cell LiveCell, policies ...string) []Variant {
+	var out []Variant
+	for _, p := range policies {
+		c := cell
+		c.Engine.JobPolicy = p
+		out = append(out, Variant{Label: "live-" + p, Cell: c})
+	}
+	return out
+}
 
 // TestLiveCellsEndToEnd drives the live goroutine engine through the
 // shared sweep runner: (policy × rate × seed) cells on the fanOut pool,
 // trace-compressed churn per cell, per-job profiles folded into the
 // cell's job rows, and engine-layer metrics merged per cell.
 func TestLiveCellsEndToEnd(t *testing.T) {
-	lc := DefaultLiveConfig()
-	lc.HorizonSeconds = 60
-	lc.Jobs = 3
-	lc.SplitsPerJob = 5
-	lc.WordsPerSplit = 120
-	lc.ReducesPerJob = 2
+	lc := testCell()
+	jobs := len(lc.Offsets)
 
 	cfg := Config{Seeds: []uint64{1, 2}, Rates: []float64{0.3}, MetricsBucket: 1}
 	var lines []string
 	cfg.Progress = func(s string) { lines = append(lines, s) }
 
-	sw, err := cfg.RunSweep("live smoke", LiveVariants(lc, []string{"fifo", "fair"}, nil, nil))
+	sw, err := cfg.RunSweep("live smoke", liveLines(lc, "fifo", "fair"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +62,11 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 		if n := len(sw.Runs(v, 0.3)); n != 2 {
 			t.Fatalf("%s kept %d runs, want 2", v, n)
 		}
-		if st.Completed != float64(lc.Jobs) {
-			t.Fatalf("%s completed %v of %d jobs", v, st.Completed, lc.Jobs)
+		if st.Completed != float64(jobs) {
+			t.Fatalf("%s completed %v of %d jobs", v, st.Completed, jobs)
 		}
-		if len(st.Jobs) != lc.Jobs {
-			t.Fatalf("%s has %d job rows, want %d", v, len(st.Jobs), lc.Jobs)
+		if len(st.Jobs) != jobs {
+			t.Fatalf("%s has %d job rows, want %d", v, len(st.Jobs), jobs)
 		}
 		for i, job := range st.Jobs {
 			if job.Makespan <= 0 {
@@ -73,7 +95,7 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 				gauges[g.Name]++
 			}
 		}
-		sawGauge := gauges["makespan_seconds"] == lc.Jobs && gauges["queue_wait_seconds"] == lc.Jobs
+		sawGauge := gauges["makespan_seconds"] == jobs && gauges["queue_wait_seconds"] == jobs
 		for _, h := range snap.Histograms {
 			if h.Layer == metrics.LayerEngine && h.Name == "task_duration_seconds" && h.Count > 0 {
 				sawHist = true
@@ -101,152 +123,44 @@ func TestLiveCellsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLiveVariantsDefaultsAndSelectors: the default comparison is
-// fifo vs fair; weights and priorities attach only to their policies.
-func TestLiveVariantsDefaultsAndSelectors(t *testing.T) {
-	lc := DefaultLiveConfig()
-	cells := func(vs []Variant) []LiveCell {
-		out := make([]LiveCell, len(vs))
-		for i, v := range vs {
-			out[i] = v.Cell.(LiveCell)
-			if out[i].Config != lc {
-				t.Fatalf("line %s lost the cell shape: %+v", v.Label, out[i].Config)
-			}
-		}
-		return out
-	}
-	def := cells(LiveVariants(lc, nil, nil, nil))
-	if len(def) != 2 || def[0].Policy != "fifo" || def[1].Policy != "fair" {
-		t.Fatalf("default variants %+v", def)
-	}
-	w := map[string]float64{"live-j0": 3}
-	p := map[string]int{"live-j1": 9}
-	vs := cells(LiveVariants(lc, []string{"weighted", "priority", "fifo"}, w, p))
-	if vs[0].Weights == nil || vs[0].Priorities != nil {
-		t.Fatalf("weighted variant %+v", vs[0])
-	}
-	if vs[1].Priorities == nil || vs[1].Weights != nil {
-		t.Fatalf("priority variant %+v", vs[1])
-	}
-	if vs[2].Weights != nil || vs[2].Priorities != nil {
-		t.Fatalf("fifo variant %+v", vs[2])
-	}
-
-	// Names are the caller's to resolve (scenario canonicalizes alias
-	// spellings, TestLiveSpecAliasPoliciesCarryPrioritiesAndWeights); one
-	// the engine does not know fails its line's check before any cell runs.
-	if _, _, err := (Config{}).ValidateLines(LiveVariants(lc, []string{"fifo", "lottery"}, nil, nil)); err == nil {
-		t.Fatal("a line with an unknown policy passed its check")
-	}
-}
-
-func TestLiveArrivalOffsets(t *testing.T) {
-	lc := DefaultLiveConfig()
-	lc.Jobs = 4
-	// The offsets the live cell submits at.
-	offsets := func() []float64 {
-		return workload.Arrivals(lc.Arrivals, lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed)
-	}
-
-	// Default: every job submitted together.
-	for i, off := range offsets() {
-		if off != 0 {
-			t.Fatalf("default offset %d = %v, want 0", i, off)
-		}
-	}
-
-	lc.Arrivals = "staggered"
-	lc.ArrivalInterval = 15
-	got := offsets()
-	for i, off := range got {
-		if off != float64(i)*15 {
-			t.Fatalf("staggered offsets %v", got)
-		}
-	}
-
-	lc.Arrivals = "poisson"
-	lc.ArrivalSeed = 9
-	a := offsets()
-	b := offsets()
-	if a[0] != 0 {
-		t.Fatalf("poisson first offset %v, want 0", a[0])
-	}
-	prev := -1.0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("poisson offsets not deterministic: %v vs %v", a, b)
-		}
-		if a[i] < prev {
-			t.Fatalf("poisson offsets decrease: %v", a)
-		}
-		prev = a[i]
-	}
-	if a[1] == 15 && a[2] == 30 {
-		t.Fatalf("poisson offsets look staggered: %v", a)
-	}
-	// Pinned draws: a change to the draw order moves every live cell's
-	// submissions.
-	if want := []float64{0, 89.37950334703592, 110.08482155400065, 140.40668523835987}; !slices.Equal(a, want) {
-		t.Fatalf("poisson offsets %v, want %v", a, want)
-	}
-
-	// A live cell and a simulated stream of the same (process, n,
-	// interval, seed) submit at the same offsets, bit for bit.
-	base := workload.Sort(8)
-	for process, stream := range map[string]workload.MultiSpec{
-		"staggered": workload.Stream(base, workload.Arrivals("staggered", lc.Jobs, lc.ArrivalInterval, 0), 0),
-		"poisson":   workload.Stream(base, workload.Arrivals("poisson", lc.Jobs, lc.ArrivalInterval, lc.ArrivalSeed), 0),
-	} {
-		lc.Arrivals = process
-		live := offsets()
-		for i, j := range stream.Jobs {
-			if live[i] != j.Offset {
-				t.Fatalf("%s: live offsets %v, simulated job %d at %v", process, live, i, j.Offset)
-			}
-		}
-	}
-
-	lc.Arrivals = "burst"
-	if err := lc.Validate(); err == nil {
-		t.Fatal("unknown arrival process validated")
-	}
-	lc.Arrivals = "staggered"
-	lc.ArrivalInterval = -1
-	if err := lc.Validate(); err == nil {
-		t.Fatal("negative arrival interval validated")
-	}
+// TestLiveCellCheck: a cell's check refuses what its run could not do,
+// naming it, and passes the engine's own rules through.
+func TestLiveCellCheck(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		edit func(*LiveConfig)
+		name, want string
+		edit       func(*LiveCell)
 	}{
-		{"zero horizon", func(c *LiveConfig) { c.HorizonSeconds = 0 }},
-		{"negative compression", func(c *LiveConfig) { c.Compression = -time.Millisecond }},
-		{"session expiry under the lease", func(c *LiveConfig) { c.SessionExpiry = time.Millisecond }},
-		{"zero jobs", func(c *LiveConfig) { c.Jobs = 0 }},
-		{"negative splits", func(c *LiveConfig) { c.SplitsPerJob = -1 }},
-		{"zero words per split", func(c *LiveConfig) { c.WordsPerSplit = 0 }},
-		{"zero reduces", func(c *LiveConfig) { c.ReducesPerJob = 0 }},
+		{"zero horizon", "horizon 0s", func(c *LiveCell) { c.HorizonSeconds = 0 }},
+		{"NaN horizon", "horizon NaNs", func(c *LiveCell) { c.HorizonSeconds = math.NaN() }},
+		{"zero compression", "compression 0s", func(c *LiveCell) { c.Compression = 0 }},
+		{"no jobs", "jobs 0", func(c *LiveCell) { c.Offsets = nil }},
+		{"negative splits", "splits -1", func(c *LiveCell) { c.SplitsPerJob = -1 }},
+		{"zero words per split", "words per split 0", func(c *LiveCell) { c.WordsPerSplit = 0 }},
+		{"zero reduces", "reduces 0", func(c *LiveCell) { c.ReducesPerJob = 0 }},
+		{"negative first offset", "job 0 offset -1s", func(c *LiveCell) { c.Offsets = []float64{-1} }},
+		{"decreasing offsets", "job 2 offset 5s", func(c *LiveCell) { c.Offsets = []float64{0, 10, 5} }},
+		{"NaN offset", "job 1 offset NaNs", func(c *LiveCell) { c.Offsets = []float64{0, math.NaN()} }},
+		{"unknown policy", "lottery", func(c *LiveCell) { c.Engine.JobPolicy = "lottery" }},
+		{"session expiry under the lease", "SessionExpiry 1ms", func(c *LiveCell) { c.Engine.SessionExpiry = time.Millisecond }},
 	} {
-		lc := DefaultLiveConfig()
-		tc.edit(&lc)
-		if lc.Validate() == nil {
-			t.Errorf("%s validated", tc.name)
+		cell := testCell()
+		tc.edit(&cell)
+		if err := cell.check(Config{}, 0.3); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: check error %v, want one naming %q", tc.name, err, tc.want)
 		}
+	}
+	if err := testCell().check(Config{}, 0.3); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLiveCellsWithArrivalOffsets(t *testing.T) {
-	lc := DefaultLiveConfig()
-	lc.HorizonSeconds = 60
-	lc.Jobs = 3
-	lc.SplitsPerJob = 4
-	lc.WordsPerSplit = 80
-	lc.ReducesPerJob = 2
-	lc.Arrivals = "staggered"
-	lc.ArrivalInterval = 20 // 20 ms of wall clock at 1 ms compression
+	lc := testCell()
+	lc.SplitsPerJob, lc.WordsPerSplit = 4, 80
+	lc.Offsets = []float64{0, 20, 40} // 20 ms apart at 1 ms compression
 
 	cfg := Config{Seeds: []uint64{1}, Rates: []float64{0.2}}
-	sw, err := cfg.RunSweep("live arrivals", LiveVariants(lc, []string{"fifo"}, nil, nil))
+	sw, err := cfg.RunSweep("live arrivals", liveLines(lc, "fifo"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +181,7 @@ func TestLiveCellsWithArrivalOffsets(t *testing.T) {
 func TestLiveJobIsTheParentsJob(t *testing.T) {
 	vocab := []string{"moon", "map", "reduce", "volunteer", "hadoop", "churn", "node", "data",
 		"shuffle", "backup", "hybrid", "dedicated"}
-	lc := DefaultLiveConfig()
+	lc := testCell()
 	lc.SplitsPerJob, lc.WordsPerSplit, lc.ReducesPerJob = 5, 73, 2
 	for i := 0; i < 4; i++ {
 		job := lc.job(i)

@@ -145,7 +145,6 @@ func sameBits(t *testing.T, label string, a, b Stats) {
 	cmp("span", a.Span, b.Span)
 	cmp("throughput", a.Throughput, b.Throughput)
 	cmp("completed", a.Completed, b.Completed)
-	cmp("replicationBytes", a.ReplicationBytes, b.ReplicationBytes)
 	if a.Capped != b.Capped {
 		t.Errorf("%s: capped differs with metrics on: %v vs %v", label, a.Capped, b.Capped)
 	}

@@ -54,10 +54,9 @@ func (sc SimCell) run(c Config, rate float64, seed uint64, col *metrics.Collecto
 		return Stats{}, "", err
 	}
 	st := Stats{
-		Span:             res.Span,
-		Throughput:       res.Throughput,
-		Completed:        float64(res.Completed),
-		ReplicationBytes: res.DFS.ReplicationBytes,
+		Span:       res.Span,
+		Throughput: res.Throughput,
+		Completed:  float64(res.Completed),
 	}
 	for _, jr := range res.Jobs {
 		p := jr.Profile

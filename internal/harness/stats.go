@@ -52,8 +52,6 @@ type Stats struct {
 	Span       float64
 	Throughput float64
 	Completed  float64
-	// ReplicationBytes is the DFS re-replication traffic of the run.
-	ReplicationBytes float64
 	// Capped marks a run where a job hit the simulation horizon or did not
 	// succeed (the paper's "could not complete" cases); a cell's mean is
 	// capped when any of its seeds is.
@@ -84,7 +82,6 @@ func mergeSeeds(runs []Stats) Stats {
 		st.Span += r.Span
 		st.Throughput += r.Throughput
 		st.Completed += r.Completed
-		st.ReplicationBytes += r.ReplicationBytes
 		st.Capped = st.Capped || r.Capped
 	}
 	n := float64(len(runs))
@@ -96,7 +93,6 @@ func mergeSeeds(runs []Stats) Stats {
 	st.Span /= n
 	st.Throughput /= n
 	st.Completed /= n
-	st.ReplicationBytes /= n
 	return st
 }
 

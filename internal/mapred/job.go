@@ -169,6 +169,3 @@ func (j *Job) Priority() int { return j.cfg.Priority }
 func (j *Job) remainingTasks() int {
 	return len(j.maps) - j.mapsCompleted + len(j.reduces) - j.reducesCompleted
 }
-
-// MapsCompleted returns the number of completed (and not invalidated) maps.
-func (j *Job) MapsCompleted() int { return j.mapsCompleted }

@@ -105,8 +105,8 @@ func runContendingPair(t *testing.T, pol sched.Policy[*Job]) (j2MapsAtJ1MapsDone
 	}
 	captured := false
 	stop := r.s.Ticker(1, "probe", func() {
-		if !captured && ja.MapsCompleted() == cfgA.NumMaps {
-			j2MapsAtJ1MapsDone = jb.MapsCompleted()
+		if !captured && ja.mapsCompleted == cfgA.NumMaps {
+			j2MapsAtJ1MapsDone = jb.mapsCompleted
 			captured = true
 		}
 	})
@@ -245,8 +245,8 @@ func TestStrictPriorityStarvesLowUntilHighDrains(t *testing.T) {
 	}
 	lowMapsAtHighDone := -1
 	stop := r.s.Ticker(1, "probe", func() {
-		if lowMapsAtHighDone < 0 && jHigh.MapsCompleted() == cfgHigh.NumMaps {
-			lowMapsAtHighDone = jLow.MapsCompleted()
+		if lowMapsAtHighDone < 0 && jHigh.mapsCompleted == cfgHigh.NumMaps {
+			lowMapsAtHighDone = jLow.mapsCompleted
 		}
 	})
 	r.s.RunUntil(1e5)

@@ -74,7 +74,7 @@ func Compile(s *Spec) (*Plan, error) {
 	if err := p.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %q: %w", d.Name, err)
 	}
-	live, err := d.Live.liveConfig()
+	live, err := d.Live.liveCell()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %q: %w", d.Name, at("live", err))
 	}
@@ -89,9 +89,9 @@ func Compile(s *Spec) (*Plan, error) {
 }
 
 // compileExperiment lowers one experiment to its run and checks every line
-// of the run at every rate of cfg; a live experiment runs on live, the
-// spec's lowered live block.
-func (s *Spec) compileExperiment(e *Experiment, cfg harness.Config, live harness.LiveConfig) (PlanRun, error) {
+// of the run at every rate of cfg; a live experiment's lines start from
+// live, the spec's lowered live block.
+func (s *Spec) compileExperiment(e *Experiment, cfg harness.Config, live harness.LiveCell) (PlanRun, error) {
 	var run PlanRun
 	var err error
 	switch {
@@ -111,20 +111,29 @@ func (s *Spec) compileExperiment(e *Experiment, cfg harness.Config, live harness
 	return run, nil
 }
 
-// liveConfig lowers the LiveSpec to the harness.LiveConfig every cell of
-// a live sweep runs; compileLive fills in the job count and the arrival
-// process. Its one error is a time no Duration can hold. Here and in
-// buildOptions a zero spec field keeps the default (cmp.Or), and every
+// liveCell lowers the LiveSpec to the cell every line of a live sweep
+// starts from; compileLive adds the jobs' offsets and the line's policy.
+// The defaults are stated here: engine.DefaultConfig()'s pool, 120 s
+// traces at 1 ms per simulated second, 8 splits of 400 words and 3
+// reduces per job. Its one error is a time no Duration can hold. Here and
+// in buildOptions a zero spec field keeps the default (cmp.Or), and every
 // other value reaches the validator of the package that owns it.
-func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
-	lc := harness.DefaultLiveConfig()
+func (l *LiveSpec) liveCell() (harness.LiveCell, error) {
+	lc := harness.LiveCell{
+		Engine:         engine.DefaultConfig(),
+		HorizonSeconds: 120,
+		Compression:    time.Millisecond,
+		SplitsPerJob:   8,
+		WordsPerSplit:  400,
+		ReducesPerJob:  3,
+	}
 	if l == nil {
 		return lc, nil
 	}
 	var d durations
 	ms := func(field string, v float64) time.Duration { return d.of(field, v, time.Millisecond) }
 	if l.VolatileWorkers != 0 || l.DedicatedWorkers != 0 {
-		lc.VolatileWorkers, lc.DedicatedWorkers = l.VolatileWorkers, l.DedicatedWorkers
+		lc.Engine.VolatileWorkers, lc.Engine.DedicatedWorkers = l.VolatileWorkers, l.DedicatedWorkers
 	}
 	lc.HorizonSeconds = cmp.Or(l.HorizonSeconds, lc.HorizonSeconds)
 	lc.Compression = cmp.Or(ms("compression_ms", l.CompressionMS), lc.Compression)
@@ -132,7 +141,7 @@ func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
 	lc.WordsPerSplit = cmp.Or(l.WordsPerSplit, lc.WordsPerSplit)
 	lc.ReducesPerJob = cmp.Or(l.ReducesPerJob, lc.ReducesPerJob)
 	if lk := l.Link; lk != nil {
-		lc.SessionExpiry = ms("link.session_expiry_ms", lk.SessionExpiryMS)
+		lc.Engine.SessionExpiry = ms("link.session_expiry_ms", lk.SessionExpiryMS)
 	}
 	if f := l.Faults; f != nil {
 		fc := &transport.FaultConfig{
@@ -153,7 +162,7 @@ func (l *LiveSpec) liveConfig() (harness.LiveConfig, error) {
 			}
 			fc.Partitions = append(fc.Partitions, tp)
 		}
-		lc.Faults = fc
+		lc.Engine.Faults = fc
 	}
 	return lc, d.err
 }
@@ -176,10 +185,12 @@ func (d *durations) of(field string, v float64, unit time.Duration) time.Duratio
 	return time.Duration(f)
 }
 
-// compileLive lowers one live multi-job experiment on lc, the spec's
-// lowered live block (zero fields keep the harness defaults): the policy
-// list becomes live variant lines, which render their own matrix.
-func compileLive(e *Experiment, lc harness.LiveConfig) (PlanRun, error) {
+// compileLive lowers one live multi-job experiment to one line per policy,
+// each on lc, the spec's lowered live block, with the line's policy and the
+// jobs' submission offsets, drawn by workload.Arrivals as buildCell draws a
+// simulated stream's (no arrival process submits every job at 0). The
+// lines render their own matrix.
+func compileLive(e *Experiment, lc harness.LiveCell) (PlanRun, error) {
 	if err := e.validateLive(); err != nil {
 		return PlanRun{}, err
 	}
@@ -187,24 +198,25 @@ func compileLive(e *Experiment, lc harness.LiveConfig) (PlanRun, error) {
 	if err := m.checkPolicies(); err != nil {
 		return PlanRun{}, at("multi", err)
 	}
-	lc.Jobs = m.Jobs
-	// An explicit arrival process lowers to compressed wall-clock
-	// submission offsets; none keeps the submit-together default.
-	if m.Arrivals != "" {
-		lc.Arrivals = m.Arrivals
-		lc.ArrivalInterval = m.IntervalSeconds
-		lc.ArrivalSeed = m.ArrivalSeed
-		if m.LambdaPerHour > 0 {
-			lc.ArrivalInterval = 3600 / m.LambdaPerHour
-		}
-	}
-	return PlanRun{
+	lc.Offsets = workload.Arrivals(m.Arrivals, m.Jobs, m.interval(), m.ArrivalSeed)
+	run := PlanRun{
 		Title: fmt.Sprintf("Live engine: %d concurrent word-count jobs, %dv+%dd workers",
-			lc.Jobs, lc.VolatileWorkers, lc.DedicatedWorkers),
-		App:      "wordcount",
-		Variants: harness.LiveVariants(lc, m.Policies, m.Weights, m.Priorities),
-		Renders:  []Render{{Kind: RenderLive, Blank: true}},
-	}, nil
+			m.Jobs, lc.Engine.VolatileWorkers, lc.Engine.DedicatedWorkers),
+		App:     "wordcount",
+		Renders: []Render{{Kind: RenderLive, Blank: true}},
+	}
+	for _, p := range m.policies() {
+		cell := lc
+		cell.Engine.JobPolicy = p
+		if p == "weighted" {
+			cell.Engine.JobWeights = m.Weights
+		}
+		if p == "priority" {
+			cell.Priorities = m.Priorities
+		}
+		run.Variants = append(run.Variants, harness.Variant{Label: "live-" + p, Cell: cell})
+	}
+	return run, nil
 }
 
 // Execute runs every compiled run in order, appending each sweep's

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,16 +14,23 @@ import (
 )
 
 // liveCells returns the live cells of a compiled live run, every line on
-// the same cell shape.
+// the same cell but for its policy, weights and priorities.
 func liveCells(t *testing.T, run PlanRun) []harness.LiveCell {
 	t.Helper()
+	shape := func(c harness.LiveCell) harness.LiveCell {
+		c.Engine.JobPolicy, c.Engine.JobWeights, c.Priorities = "", nil, nil
+		return c
+	}
 	var cells []harness.LiveCell
 	for _, v := range run.Variants {
 		cell, ok := v.Cell.(harness.LiveCell)
 		if !ok {
 			t.Fatalf("line %s of a live run is a %T", v.Label, v.Cell)
 		}
-		if len(cells) > 0 && cell.Config != cells[0].Config {
+		if v.Label != "live-"+cell.Engine.JobPolicy {
+			t.Fatalf("line %s runs policy %q", v.Label, cell.Engine.JobPolicy)
+		}
+		if len(cells) > 0 && !reflect.DeepEqual(shape(cell), shape(cells[0])) {
 			t.Fatalf("line %s runs a different cell shape", v.Label)
 		}
 		cells = append(cells, cell)
@@ -96,7 +105,15 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 			s.Experiments[0].Multi.Policies = []string{"fair", "fair", "priority"}
 		}},
 		{"priorities without priority policy", func(s *Spec) { s.Experiments[0].Multi.Policies = []string{"fifo"} }},
-		{"negative live horizon", func(s *Spec) { s.Live.HorizonSeconds = -1 }},
+		// The live cell's own range rules. A zero size or clock in the spec
+		// keeps its default, so the rules that refuse zero are reached
+		// with a negative value.
+		{"non-positive live horizon", func(s *Spec) { s.Live.HorizonSeconds = -1 }},
+		{"negative compression", func(s *Spec) { s.Live.CompressionMS = -1 }},
+		{"negative splits", func(s *Spec) { s.Live.SplitsPerJob = -1 }},
+		{"non-positive words per split", func(s *Spec) { s.Live.WordsPerSplit = -400 }},
+		{"non-positive reduces", func(s *Spec) { s.Live.ReducesPerJob = -3 }},
+		{"negative stagger", func(s *Spec) { s.Experiments[0].Multi.IntervalSeconds = -10 }},
 		{"negative live workers", func(s *Spec) { s.Live.VolatileWorkers = -2 }},
 		{"drop rate above one", func(s *Spec) { s.Live.Faults = &FaultSpec{DropRate: 1.5} }},
 		{"negative reset rate", func(s *Spec) { s.Live.Faults = &FaultSpec{ResetRate: -0.1} }},
@@ -118,8 +135,8 @@ func TestLiveSpecValidationRejections(t *testing.T) {
 	for _, tc := range cases {
 		s := liveSpec()
 		tc.edit(s)
-		if err := s.Validate(); err == nil {
-			t.Errorf("%s: validated", tc.name)
+		if _, err := Compile(s); err == nil {
+			t.Errorf("%s: compiled", tc.name)
 		}
 	}
 	s := liveSpec()
@@ -174,17 +191,17 @@ func TestCompileLiveLowersPlan(t *testing.T) {
 		t.Fatalf("live plan shape: %+v", run)
 	}
 	vs := liveCells(t, run)
-	lc := vs[0].Config
-	if lc.Jobs != 3 || lc.VolatileWorkers != 4 || lc.DedicatedWorkers != 1 {
-		t.Fatalf("live config %+v", lc)
+	lc := vs[0]
+	if !slices.Equal(lc.Offsets, []float64{0, 10, 20}) {
+		t.Fatalf("staggered arrivals lowered to offsets %v, want 10 s apart", lc.Offsets)
+	}
+	if lc.Engine.VolatileWorkers != 4 || lc.Engine.DedicatedWorkers != 1 {
+		t.Fatalf("live pool %+v", lc.Engine)
 	}
 	if lc.Compression != time.Millisecond || lc.HorizonSeconds != 120 {
 		t.Fatalf("live churn shape %+v", lc)
 	}
-	if lc.Arrivals != "staggered" || lc.ArrivalInterval != 10 {
-		t.Fatalf("arrivals not lowered: %+v", lc)
-	}
-	if len(vs) != 3 || vs[0].Policy != "fifo" || vs[1].Policy != "fair" || vs[2].Policy != "priority" {
+	if len(vs) != 3 || vs[0].Engine.JobPolicy != "fifo" || vs[1].Engine.JobPolicy != "fair" || vs[2].Engine.JobPolicy != "priority" {
 		t.Fatalf("live variants %+v", vs)
 	}
 	if vs[2].Priorities["live-j2"] != 5 {
@@ -192,6 +209,90 @@ func TestCompileLiveLowersPlan(t *testing.T) {
 	}
 	if vs[0].Priorities != nil || vs[1].Priorities != nil {
 		t.Fatal("priorities leaked onto non-priority variants")
+	}
+}
+
+// TestLiveVariantsDefaultsAndSelectors: a live block's default comparison
+// is fifo vs fair, the one the simulated multi block runs, and the weights
+// and priorities attach only to the line of the policy that reads them.
+func TestLiveVariantsDefaultsAndSelectors(t *testing.T) {
+	s := liveSpec()
+	m := s.Experiments[0].Multi
+	m.Policies, m.Priorities = nil, nil
+	plan, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := liveCells(t, plan.Runs[0])
+	if len(def) != 2 || def[0].Engine.JobPolicy != "fifo" || def[1].Engine.JobPolicy != "fair" {
+		t.Fatalf("default lines %+v", def)
+	}
+
+	m.Policies = []string{"weighted", "priority", "fifo"}
+	m.Weights = map[string]float64{"live-j0": 3}
+	m.Priorities = map[string]int{"live-j1": 9}
+	if plan, err = Compile(s); err != nil {
+		t.Fatal(err)
+	}
+	vs := liveCells(t, plan.Runs[0])
+	if vs[0].Engine.JobWeights == nil || vs[0].Priorities != nil {
+		t.Fatalf("weighted line %+v", vs[0])
+	}
+	if vs[1].Priorities == nil || vs[1].Engine.JobWeights != nil {
+		t.Fatalf("priority line %+v", vs[1])
+	}
+	if vs[2].Engine.JobWeights != nil || vs[2].Priorities != nil {
+		t.Fatalf("fifo line %+v", vs[2])
+	}
+}
+
+// TestLiveArrivalOffsets: a live block's offsets are drawn at compile time,
+// and one multi block compiled under both executions submits at the same
+// offsets, bit for bit (with no arrival process, live jobs are submitted
+// together where a simulated stream is staggered).
+func TestLiveArrivalOffsets(t *testing.T) {
+	compile := func(execution, arrivals string) (live []float64, sim []float64) {
+		t.Helper()
+		multi := &MultiExperiment{Jobs: 4, Arrivals: arrivals, Policies: []string{"fifo"}}
+		if arrivals != "" {
+			multi.IntervalSeconds, multi.ArrivalSeed = 15, 9
+		}
+		s := &Spec{Schema: Schema, Name: "offsets", Execution: execution,
+			Sweep:       SweepSpec{Rates: []float64{0.3}},
+			Experiments: []Experiment{{App: "wordcount", Multi: multi}}}
+		plan, err := Compile(s)
+		if err != nil {
+			t.Fatalf("%s %q: %v", execution, arrivals, err)
+		}
+		switch cell := plan.Runs[0].Variants[0].Cell.(type) {
+		case harness.LiveCell:
+			return cell.Offsets, nil
+		case harness.SimCell:
+			for _, j := range cell.Workload.Jobs {
+				sim = append(sim, j.Offset)
+			}
+		}
+		return nil, sim
+	}
+
+	if live, _ := compile("live", ""); !slices.Equal(live, []float64{0, 0, 0, 0}) {
+		t.Fatalf("default live offsets %v, want every job at 0", live)
+	}
+	if _, sim := compile("", ""); !slices.Equal(sim, []float64{0, 0, 0, 0}) {
+		// The simulated default is staggered at interval 0.
+		t.Fatalf("default simulated offsets %v", sim)
+	}
+	for arrivals, want := range map[string][]float64{
+		"staggered": {0, 15, 30, 45},
+		// Pinned draws: a change to the draw order moves every live cell's
+		// submissions and every simulated stream's.
+		"poisson": {0, 89.37950334703592, 110.08482155400065, 140.40668523835987},
+	} {
+		live, _ := compile("live", arrivals)
+		_, sim := compile("", arrivals)
+		if !slices.Equal(live, want) || !slices.Equal(sim, want) {
+			t.Fatalf("%s: live offsets %v, simulated %v, want %v", arrivals, live, sim, want)
+		}
 	}
 }
 
@@ -213,7 +314,7 @@ func TestFaultsRequireLiveExecution(t *testing.T) {
 }
 
 // TestCompileChaosLiveLowersFaults pins the chaos-live builtin's lowering:
-// the faults block becomes a transport.FaultConfig on the cell config, with
+// the faults block becomes a transport.FaultConfig on the cell's engine, with
 // partition worker indices resolved to transport addresses, and the link
 // block carries the session-expiry clock.
 func TestCompileChaosLiveLowersFaults(t *testing.T) {
@@ -228,11 +329,11 @@ func TestCompileChaosLiveLowersFaults(t *testing.T) {
 	if len(plan.Runs) != 1 {
 		t.Fatalf("chaos-live plan shape: %+v", plan.Runs)
 	}
-	lc := liveCells(t, plan.Runs[0])[0].Config
-	if lc.SessionExpiry != 150*time.Millisecond {
-		t.Fatalf("session expiry %v, want 150ms", lc.SessionExpiry)
+	ecfg := liveCells(t, plan.Runs[0])[0].Engine
+	if ecfg.SessionExpiry != 150*time.Millisecond {
+		t.Fatalf("session expiry %v, want 150ms", ecfg.SessionExpiry)
 	}
-	f := lc.Faults
+	f := ecfg.Faults
 	if f == nil {
 		t.Fatal("faults block lost in lowering")
 	}
@@ -249,7 +350,7 @@ func TestCompileChaosLiveLowersFaults(t *testing.T) {
 	if len(p.Addrs) != 1 || p.Addrs[0] != engine.WorkerAddr(1) {
 		t.Fatalf("partition addrs %v, want [%s]", p.Addrs, engine.WorkerAddr(1))
 	}
-	if err := lc.Validate(); err != nil {
+	if err := ecfg.Validate(); err != nil {
 		t.Fatalf("lowered chaos config invalid: %v", err)
 	}
 }

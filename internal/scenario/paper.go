@@ -258,13 +258,9 @@ func lowerMulti(app string, m *MultiExperiment) (lowered, error) {
 	if err := m.checkPolicies(); err != nil {
 		return lowered{}, at("multi", err)
 	}
-	policies := m.Policies
-	if len(policies) == 0 {
-		policies = []string{"fifo", "fair"}
-	}
 	ws := WorkloadSpec{
 		App: app, Sleep: true,
-		Jobs: m.Jobs, Arrivals: m.Arrivals, IntervalSeconds: m.IntervalSeconds, ArrivalSeed: m.ArrivalSeed,
+		Jobs: m.Jobs, Arrivals: m.Arrivals, IntervalSeconds: m.interval(), ArrivalSeed: m.ArrivalSeed,
 		stream: true,
 		// The ranks apply to the stream under every policy line, though
 		// only the priority policy reads them.
@@ -273,15 +269,12 @@ func lowerMulti(app string, m *MultiExperiment) (lowered, error) {
 	if ws.Arrivals == "" {
 		ws.Arrivals = "staggered"
 	}
-	if m.LambdaPerHour > 0 {
-		ws.IntervalSeconds = 3600 / m.LambdaPerHour
-	}
 	c := &CustomExperiment{
 		Title: fmt.Sprintf("Multi-job (%s): %d jobs, %s arrivals every ~%.0fs",
 			app, m.Jobs, ws.Arrivals, ws.IntervalSeconds),
 		Workload: ws,
 	}
-	for _, name := range policies {
+	for _, name := range m.policies() {
 		v := VariantSpec{Label: "MOON-" + name, Preset: "moon-hybrid", Policy: name}
 		if name == "weighted" {
 			v.Weights = m.Weights

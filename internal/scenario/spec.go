@@ -108,9 +108,8 @@ type SweepSpec struct {
 
 // LiveSpec shapes the live goroutine engine of an "execution": "live"
 // scenario: the worker pool, the churn-trace compression, and the real
-// word-count workload each cell executes. Zero fields keep the harness
-// defaults (4 volatile + 1 dedicated workers, 120 s traces at 1 ms per
-// simulated second, 8×400-word splits, 3 reducers per job).
+// word-count workload each cell executes. Zero fields keep the defaults
+// liveCell states.
 type LiveSpec struct {
 	// VolatileWorkers can be suspended by churn traces;
 	// DedicatedWorkers never churn.
@@ -547,6 +546,9 @@ func (e *Experiment) validateLive() error {
 		return fmt.Errorf("renders do not apply to live execution")
 	}
 	m := e.Multi
+	if err := checkJobs(m.Jobs); err != nil {
+		return at("multi", err)
+	}
 	if m.Arrivals == "" {
 		if m.IntervalSeconds != 0 || m.LambdaPerHour != 0 || m.ArrivalSeed != 0 {
 			return at("multi", fmt.Errorf("arrival fields need an explicit arrivals process (\"staggered\" or \"poisson\"; empty submits every job together)"))
@@ -606,6 +608,9 @@ func (e *Experiment) validate() error {
 			return fmt.Errorf("unknown ablation %q (want %s)", e.Ablation, joinOr(AblationNames))
 		}
 	case e.Multi != nil:
+		if err := checkJobs(e.Multi.Jobs); err != nil {
+			return at("multi", err)
+		}
 		if err := validateArrivals(e.Multi.Arrivals, e.Multi.IntervalSeconds, e.Multi.LambdaPerHour); err != nil {
 			return at("multi", err)
 		}
@@ -615,6 +620,37 @@ func (e *Experiment) validate() error {
 		}
 	}
 	return nil
+}
+
+// maxJobs bounds a scenario's job count at the task bound of the service's
+// direct jobs: compiling a stream or a live line allocates per job, and the
+// service compiles a submitted spec before admitting it.
+const maxJobs = 1024
+
+// checkJobs refuses a job count above maxJobs before anything is built.
+func checkJobs(n int) error {
+	if n > maxJobs {
+		return fmt.Errorf("jobs %d (want at most %d)", n, maxJobs)
+	}
+	return nil
+}
+
+// policies is the comparison a multi block runs, one line per policy: the
+// listed ones, else FIFO against fair-share.
+func (m *MultiExperiment) policies() []string {
+	if len(m.Policies) == 0 {
+		return []string{"fifo", "fair"}
+	}
+	return m.Policies
+}
+
+// interval is the stagger gap or Poisson mean the block's offsets are
+// drawn with: IntervalSeconds, or the mean of LambdaPerHour.
+func (m *MultiExperiment) interval() float64 {
+	if m.LambdaPerHour > 0 {
+		return 3600 / m.LambdaPerHour
+	}
+	return m.IntervalSeconds
 }
 
 // checkPolicies checks each listed policy name, with the weights on the
@@ -663,6 +699,9 @@ func (w *WorkloadSpec) validate() error {
 	}
 	if w.Jobs < 0 {
 		return fmt.Errorf("jobs %d", w.Jobs)
+	}
+	if err := checkJobs(w.Jobs); err != nil {
+		return err
 	}
 	if w.isStream() {
 		if err := validateArrivals(w.Arrivals, w.IntervalSeconds, 0); err != nil {
@@ -720,7 +759,7 @@ func (v *VariantSpec) validate(stream bool) error {
 // a mean interval or a rate per hour (positive) where a staggered one has no
 // rate. A flag can carry a NaN here (JSON cannot), so NaN is refused too.
 // The interval's range is checked where it becomes submission offsets
-// (workload.MultiSpec, harness.LiveConfig).
+// (workload.MultiSpec, harness.LiveCell).
 func validateArrivals(process string, interval, lambda float64) error {
 	if math.IsNaN(interval) || math.IsNaN(lambda) {
 		return fmt.Errorf("NaN arrival interval/lambda")

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -222,8 +223,13 @@ func customSpec(body string) string {
 	return `{"schema":"moon-scenario/v1","name":"c","experiments":[{"custom":` + body + `}]}`
 }
 
-// multiAndCustomRejections are malformed multi and custom experiments, and
-// what the rejection must mention besides the experiment's path.
+func liveMultiSpec(body string) string {
+	return `{"schema":"moon-scenario/v1","name":"l","execution":"live","experiments":[{"multi":` + body + `}]}`
+}
+
+// multiAndCustomRejections are malformed multi (simulated and live) and
+// custom experiments, and what the rejection must mention besides the
+// experiment's path.
 var multiAndCustomRejections = []struct {
 	name, src, want string
 }{
@@ -237,6 +243,12 @@ var multiAndCustomRejections = []struct {
 	{"multi bad weight", multiSpec(`{"jobs":2,"policies":["weighted"],"weights":{"a-j0":-1}}`), "weight"},
 	{"multi weights without weighted policy", multiSpec(`{"jobs":2,"policies":["fifo"],"weights":{"a-j0":2}}`), "weighted"},
 	{"multi weights with default policies", multiSpec(`{"jobs":2,"weights":{"a-j0":2}}`), "weighted"},
+	// Compiling allocates per job, so a job count past the bound is refused
+	// before anything is built.
+	{"multi too many jobs", multiSpec(`{"jobs":1025}`), "multi: jobs 1025 (want at most 1024)"},
+	{"live multi too many jobs", liveMultiSpec(`{"jobs":1025}`), "multi: jobs 1025 (want at most 1024)"},
+	{"custom too many jobs", customSpec(`{"title":"t","workload":{"app":"sort","jobs":1025,"interval_seconds":30},"variants":[{"label":"a","preset":"moon"}]}`),
+		"workload: jobs 1025 (want at most 1024)"},
 	{"custom no title", customSpec(`{"workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon"}]}`), "title"},
 	{"custom no variants", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[]}`), "variants"},
 	{"custom dup label", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon"},{"label":"a","preset":"moon"}]}`), "label"},
@@ -251,6 +263,29 @@ var multiAndCustomRejections = []struct {
 	{"custom bad dfs mode", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon","dfs":{"mode":"gfs"}}]}`), "mode"},
 	{"custom empty cluster", customSpec(`{"title":"t","cluster":{"volatile":0,"dedicated":0},"workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon"}]}`), "nodes"},
 	{"custom bad availability", customSpec(`{"title":"t","workload":{"app":"sort"},"variants":[{"label":"a","preset":"moon","dfs":{"availability_target":1.5}}]}`), "availability"},
+}
+
+// TestHugeJobCountAllocatesNothing: a job count far past the bound is
+// refused before anything per job is built, so compiling it costs next to
+// nothing (a 100 000-job block used to allocate 467 MB).
+func TestHugeJobCountAllocatesNothing(t *testing.T) {
+	for name, src := range map[string]string{
+		"multi":      multiSpec(`{"jobs":1073741824,"policies":["fifo","fair","weighted","priority"]}`),
+		"live multi": liveMultiSpec(`{"jobs":1073741824,"policies":["fifo","fair","weighted","priority"]}`),
+		"custom":     customSpec(`{"title":"t","workload":{"app":"sort","jobs":1073741824},"variants":[{"label":"a","preset":"moon"}]}`),
+	} {
+		s := mustParse(t, src)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Compile(s)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "jobs 1073741824 (want at most 1024)") {
+			t.Errorf("%s: Compile error %v, want the job bound", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: Compile allocated %d bytes, budget 1 MB", name, d)
+		}
+	}
 }
 
 func TestValidateMultiAndCustom(t *testing.T) {

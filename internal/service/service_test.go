@@ -418,7 +418,9 @@ func TestEventsStreamDuringRun(t *testing.T) {
 // TestStructuredErrors pins satellite 6: every 4xx carries a structured
 // JSON body, unknown paths 404, and wrong methods 405 with Allow.
 func TestStructuredErrors(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	// One volatile worker, suspended below before the report race, so the
+	// job cannot finish before its report is asked for.
+	s, ts := newTestServer(t, Config{VolatileWorkers: 1})
 	cases := []struct {
 		method, path string
 		body         []byte
@@ -444,6 +446,11 @@ func TestStructuredErrors(t *testing.T) {
 			"experiments": [{"custom": {"title": "t", "cluster": {"outage": {"min_seconds": 4000}},
 			"workload": {"app": "sort", "sleep": true}, "variants": [{"label": "a", "preset": "moon-hybrid"}]}}]}`),
 			http.StatusBadRequest, "bad_request", ""},
+		// Compiling allocates per job, and the daemon compiles before
+		// admission: a 1<<30-job stream is refused before it is built.
+		{http.MethodPost, "/v1/scenarios", []byte(`{"schema": "moon-scenario/v1", "name": "huge",
+			"experiments": [{"app": "sort", "multi": {"jobs": 1073741824, "policies": ["fifo", "fair", "weighted", "priority"]}}]}`),
+			http.StatusBadRequest, "bad_request", ""},
 	}
 	for _, tc := range cases {
 		resp, raw := do(t, tc.method, ts.URL+tc.path, tc.body, nil)
@@ -461,16 +468,15 @@ func TestStructuredErrors(t *testing.T) {
 	}
 
 	// Report before completion: 409 with a structured body.
+	if err := s.cluster.Suspend(0); err != nil {
+		t.Fatal(err)
+	}
 	resp, raw := do(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(`{"name": "r", "splits": 2, "words_per_split": 30}`), nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 	}
 	id := decodeStatus(t, raw).ID
 	resp, raw = do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/report", nil, nil)
-	if resp.StatusCode == http.StatusOK {
-		// Tiny jobs can legitimately finish between the two requests.
-		t.Skip("job finished before the report race could be observed")
-	}
 	var apiErr apiError
 	if resp.StatusCode != http.StatusConflict || json.Unmarshal(raw, &apiErr) != nil || apiErr.Code != "not_finished" {
 		t.Errorf("early report fetch: want structured 409, got %d %s", resp.StatusCode, raw)
